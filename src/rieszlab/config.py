@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -149,13 +150,26 @@ def _parse_alpha(raw: Any, dimension: int) -> AlphaSpec:
     return spec
 
 
+def _reject_constant(name: str):
+    raise ParseError("/", f"non-finite number {name} is not allowed")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ParseError("/", f"number {text} overflows to {value}")
+    return value
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run configuration.
 
     Raises ParseError carrying the JSON path of the first offence.
+    Non-finite numbers (NaN, +-Infinity, or a literal that overflows) are
+    rejected wherever they appear.
     """
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise ParseError("/", f"invalid JSON: {exc}") from exc
     _expect(isinstance(raw, dict), "/", "top level must be an object")

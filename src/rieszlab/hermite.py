@@ -201,22 +201,23 @@ def tail_family(dim: int) -> tuple[KetVector, ...]:
 
 
 def verify_K_psi(
-    dim: int,
+    model: HermiteModel,
     margin: int | None = None,
     tolerance: float = 1e-6,
     seed: int = 0,
     samples: int = 20,
 ) -> CheckReport:
-    """Frame operators of the example system against X^2 and X^-2.
+    """Frame operators of the example system on the model's gated X against X^2 and X^-2.
 
     Residuals are relative Frobenius norms over the interior block
     (indices below dim - margin); the dual form is also spot-checked as
     <X^-1 f, X^-1 g> on interior-supported random vectors.
     """
+    dim = model.dim
     margin = dim // 2 if margin is None else margin
     interior = dim - margin
-    sys = build_example_system(dim)
-    x = sys.pair.matrix
+    x = model.X
+    sys = build_system(ConstructingPair(x))
     x_inv = invert(x)
     k_phi = frame_operator(sys.phi).entries
     k_psi = frame_operator(sys.psi).entries

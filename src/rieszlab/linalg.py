@@ -1,10 +1,12 @@
 """Dense complex linear algebra with certified structure flags.
 
 Everything downstream is an N x N complex matrix.  A LinearMap certifies
-self-adjointness (by residual) and positivity (by smallest eigenvalue) at
-construction time, so callers can demand the structure they need instead
-of trusting whoever built the matrix.  A condition estimate is computed
-lazily from the extreme singular values.
+self-adjointness (by residual) at construction time and positivity (by
+smallest eigenvalue) on the first read of `positive`, so callers can
+demand the structure they need instead of trusting whoever built the
+matrix.  A condition estimate is computed lazily from the extreme singular
+values, and `invert` caches its result on the map it inverted.  The
+entries are read-only, so none of these cached values can go stale.
 """
 
 from __future__ import annotations
@@ -33,21 +35,29 @@ def _as_square_complex(entries) -> np.ndarray:
 class LinearMap:
     """Square complex matrix with certified self_adjoint/positive flags."""
 
-    __slots__ = ("entries", "self_adjoint", "positive", "_cond")
+    __slots__ = ("entries", "self_adjoint", "_positive", "_cond", "_inverse")
 
     def __init__(self, entries):
         a = _as_square_complex(entries)
         scale = float(np.abs(a).max())
-        self_adjoint = float(np.abs(a - a.conj().T).max()) <= SELF_ADJOINT_RTOL * scale
-        positive = False
-        if self_adjoint:
-            lam = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-            positive = bool(lam[0] >= -POSITIVE_RTOL * max(float(lam[-1]), 0.0))
         a.setflags(write=False)
         self.entries = a
-        self.self_adjoint = self_adjoint
-        self.positive = positive
+        self.self_adjoint = float(np.abs(a - a.conj().T).max()) <= SELF_ADJOINT_RTOL * scale
+        self._positive: bool | None = None
         self._cond: float | None = None
+        self._inverse: LinearMap | None = None
+
+    @property
+    def positive(self) -> bool:
+        """Smallest-eigenvalue certificate, computed on first read and then cached."""
+        if self._positive is None:
+            positive = False
+            if self.self_adjoint:
+                a = self.entries
+                lam = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+                positive = bool(lam[0] >= -POSITIVE_RTOL * max(float(lam[-1]), 0.0))
+            self._positive = positive
+        return self._positive
 
     @property
     def dim(self) -> int:
@@ -158,24 +168,32 @@ def operator_sqrt(a: LinearMap) -> LinearMap:
     return LinearMap((root + root.conj().T) / 2.0)
 
 
-def invert(a: LinearMap, floor: float = SINGULARITY_FLOOR) -> LinearMap:
-    """SVD-based inverse with a scale-invariant singularity floor."""
-    u, s, vh = np.linalg.svd(a.entries)
-    if s[-1] <= floor * s[0]:
-        raise NumericallySingular(s[-1], s[0])
-    out = LinearMap((vh.conj().T * (1.0 / s)) @ u.conj().T)
-    out._cond = float(s[0] / s[-1])
-    return out
+def invert(a: LinearMap) -> LinearMap:
+    """SVD-based inverse with a scale-invariant singularity floor.
+
+    The inverse is cached on `a`, so every caller shares one SVD.  The
+    inverse's own condition estimate comes from that SVD.  `a` keeps its
+    own estimate: the singular values of an SVD without vectors can differ
+    in the last bits, and reports print 17 digits.
+    """
+    if a._inverse is None:
+        u, s, vh = np.linalg.svd(a.entries)
+        if s[-1] <= SINGULARITY_FLOOR * s[0]:
+            raise NumericallySingular(s[-1], s[0])
+        out = LinearMap((vh.conj().T * (1.0 / s)) @ u.conj().T)
+        out._cond = float(s[0] / s[-1])
+        a._inverse = out
+    return a._inverse
 
 
-def polar_decompose(t: LinearMap, floor: float = SINGULARITY_FLOOR) -> PolarFactors:
+def polar_decompose(t: LinearMap) -> PolarFactors:
     """Left polar decomposition T = P U with P = (T T*)^(1/2) and U unitary.
 
     The left convention makes the positive factor act on the rotated basis:
     P (U e_n) = T e_n, column by column.
     """
     u, s, vh = np.linalg.svd(t.entries)
-    if s[-1] <= floor * s[0]:
+    if s[-1] <= SINGULARITY_FLOOR * s[0]:
         raise NumericallySingular(s[-1], s[0])
     pos = (u * s) @ u.conj().T
     return PolarFactors(

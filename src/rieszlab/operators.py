@@ -243,9 +243,10 @@ def adjoint_relation_check(opset: OperatorSet, tolerance: float = 1e-9) -> Check
     The adjoint of a lowering operator for one family is the raising
     operator of the dual family with conjugated eigenvalues (and vice
     versa); the Hamiltonians pair with themselves.  In finite dimension
-    these are equalities.
+    these are equalities.  For real alpha the conjugate set is the set
+    itself; each pairing still sets two different routes side by side.
     """
-    conj_set = build_operator_set(opset.pair, opset.alpha.conjugate())
+    conj_set = opset if opset.alpha.is_real else build_operator_set(opset.pair, opset.alpha.conjugate())
     pairs = {
         "h_psi_phi_adjoint": (opset.h_psi_phi, conj_set.h_phi_psi),
         "h_phi_psi_adjoint": (opset.h_phi_psi, conj_set.h_psi_phi),
@@ -263,8 +264,7 @@ def adjoint_relation_check(opset: OperatorSet, tolerance: float = 1e-9) -> Check
 
 def product_identity_check(
     opset: OperatorSet,
-    m: int,
-    l: int,
+    pairs: Sequence[tuple[int, int]],
     tolerance: float = 1e-10,
 ) -> CheckReport:
     """A^m B^l products of the transformed operators against conjugated references.
@@ -273,10 +273,15 @@ def product_identity_check(
     A_psi_phi B_phi_psi = (T*)^-1 A_e T* T B_e T^-1.  Residuals are
     normalized by the product of the factor norms, which bounds every
     intermediate; the reference itself can vanish (shift operators are
-    nilpotent once m or l reaches the dimension).
+    nilpotent once m or l reaches the dimension).  Returns the report of
+    the worst (m, l) pair; on a tie the earlier pair wins.
     """
-    if m < 0 or l < 0 or m + l > MAX_PRODUCT_POWER:
-        raise ValueError(f"powers must satisfy 0 <= m + l <= {MAX_PRODUCT_POWER}")
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("product identities need at least one (m, l) pair")
+    for m, l in pairs:
+        if m < 0 or l < 0 or m + l > MAX_PRODUCT_POWER:
+            raise ValueError(f"powers must satisfy 0 <= m + l <= {MAX_PRODUCT_POWER}")
     t = opset.pair.matrix.entries
     t_inv = invert(opset.pair.matrix).entries
     t_adj = t.conj().T
@@ -287,51 +292,49 @@ def product_identity_check(
     def chain(mat: np.ndarray, p: int, mat2: np.ndarray, q: int) -> np.ndarray:
         return power(mat, p) @ power(mat2, q)
 
+    def rel(actual: np.ndarray, reference: np.ndarray, scale: float) -> float:
+        return float(np.linalg.norm(actual - reference) / max(np.linalg.norm(reference), scale, 1e-300))
+
     conjugation = np.linalg.norm(t) * np.linalg.norm(t_inv)
-    plain_scale = conjugation * np.linalg.norm(a_e) ** m * np.linalg.norm(b_e) ** l
-    mixed_scale = conjugation**2 * np.linalg.norm(a_e) * np.linalg.norm(b_e)
-
-    def rel(delta: np.ndarray, reference: np.ndarray, scale: float) -> float:
-        return float(np.linalg.norm(delta) / max(np.linalg.norm(reference), scale, 1e-300))
-
-    details = {
-        "phi_ab": rel(
-            chain(opset.a_phi_psi.entries, m, opset.b_phi_psi.entries, l)
-            - t @ chain(a_e, m, b_e, l) @ t_inv,
-            t @ chain(a_e, m, b_e, l) @ t_inv,
-            plain_scale,
-        ),
-        "phi_ba": rel(
-            chain(opset.b_phi_psi.entries, m, opset.a_phi_psi.entries, l)
-            - t @ chain(b_e, m, a_e, l) @ t_inv,
-            t @ chain(b_e, m, a_e, l) @ t_inv,
-            plain_scale,
-        ),
-        "psi_ab": rel(
-            chain(opset.a_psi_phi.entries, m, opset.b_psi_phi.entries, l)
-            - t_adj_inv @ chain(a_e, m, b_e, l) @ t_adj,
-            t_adj_inv @ chain(a_e, m, b_e, l) @ t_adj,
-            plain_scale,
-        ),
-        "psi_ba": rel(
-            chain(opset.b_psi_phi.entries, m, opset.a_psi_phi.entries, l)
-            - t_adj_inv @ chain(b_e, m, a_e, l) @ t_adj,
-            t_adj_inv @ chain(b_e, m, a_e, l) @ t_adj,
-            plain_scale,
-        ),
-        "mixed": rel(
-            opset.a_psi_phi.entries @ opset.b_phi_psi.entries
-            - t_adj_inv @ a_e @ t_adj @ t @ b_e @ t_inv,
-            t_adj_inv @ a_e @ t_adj @ t @ b_e @ t_inv,
-            mixed_scale,
-        ),
-    }
-    return make_report(
-        "product_identities",
-        max(details.values()),
-        tolerance,
-        details={**details, "m": m, "l": l},
+    a_norm, b_norm = np.linalg.norm(a_e), np.linalg.norm(b_e)
+    # The mixed product does not depend on (m, l).
+    mixed = rel(
+        opset.a_psi_phi.entries @ opset.b_phi_psi.entries,
+        t_adj_inv @ a_e @ t_adj @ t @ b_e @ t_inv,
+        conjugation**2 * a_norm * b_norm,
     )
+    worst: CheckReport | None = None
+    for m, l in pairs:
+        plain_scale = conjugation * a_norm**m * b_norm**l
+        ab_e, ba_e = chain(a_e, m, b_e, l), chain(b_e, m, a_e, l)
+        details = {
+            "phi_ab": rel(
+                chain(opset.a_phi_psi.entries, m, opset.b_phi_psi.entries, l), t @ ab_e @ t_inv, plain_scale
+            ),
+            "phi_ba": rel(
+                chain(opset.b_phi_psi.entries, m, opset.a_phi_psi.entries, l), t @ ba_e @ t_inv, plain_scale
+            ),
+            "psi_ab": rel(
+                chain(opset.a_psi_phi.entries, m, opset.b_psi_phi.entries, l),
+                t_adj_inv @ ab_e @ t_adj,
+                plain_scale,
+            ),
+            "psi_ba": rel(
+                chain(opset.b_psi_phi.entries, m, opset.a_psi_phi.entries, l),
+                t_adj_inv @ ba_e @ t_adj,
+                plain_scale,
+            ),
+            "mixed": mixed,
+        }
+        report = make_report(
+            "product_identities",
+            max(details.values()),
+            tolerance,
+            details={**details, "m": m, "l": l},
+        )
+        if worst is None or report.residual > worst.residual:
+            worst = report
+    return worst
 
 
 def ccr_check(

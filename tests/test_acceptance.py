@@ -213,7 +213,7 @@ def test_criterion_09_product_identities():
         opset = build_operator_set(pair, AlphaSequence.sqrt_n(16))
         for m in range(5):
             for l in range(5 - m):
-                report = product_identity_check(opset, m, l, tolerance=1e-10)
+                report = product_identity_check(opset, [(m, l)], tolerance=1e-10)
                 worst = max(worst, report.residual)
     _verdict(9, "operator product identities", worst < 1e-10, f"worst residual {worst:.2e}")
 
@@ -243,7 +243,7 @@ def test_criterion_10_polar_normalization():
 
 def test_criterion_11_hermite_oracle_gate():
     model = build_model(32)
-    identities = verify_K_psi(64, tolerance=1e-6)
+    identities = verify_K_psi(build_model(64), tolerance=1e-6)
     k_psi_resid = identities.details["k_psi_vs_x_inverse_squared"]
     ok = model.oracle_residual < 1e-9 and k_psi_resid < 1e-6
     _verdict(

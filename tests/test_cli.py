@@ -83,6 +83,14 @@ def test_cli_rejects_invalid_config(tmp_path, capsys):
     assert "/dimension" in capsys.readouterr().err
 
 
+def test_cli_rejects_infinite_tolerance(tmp_path, capsys):
+    # json.dumps writes math.inf as the non-standard literal Infinity
+    path = write_config(tmp_path, {**DIAGONAL_PAYLOAD, "tolerance": math.inf})
+    assert "Infinity" in path.read_text(encoding="utf-8")
+    assert main(["run", "--config", str(path)]) == 2
+    assert "non-finite number Infinity" in capsys.readouterr().err
+
+
 def test_cli_rejects_missing_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
     assert "cannot read config" in capsys.readouterr().err

@@ -104,6 +104,18 @@ def test_parse_rejects_bad_margin_and_tolerance():
     assert path_of({**base, "seed": -1}) == "/seed"
 
 
+def test_parse_rejects_non_finite_numbers():
+    base = '{"dimension": 4, "operator": {"kind": "hermite-x"}, "tolerance": %s}'
+    for literal in ("NaN", "Infinity", "-Infinity", "1e400"):
+        with pytest.raises(ParseError) as excinfo:
+            parse_config(base % literal)
+        assert excinfo.value.path == "/"
+        assert literal in excinfo.value.reason
+    dense = '{"dimension": 2, "operator": {"kind": "dense", "entries": [1, 0, [0, NaN], 1]}}'
+    with pytest.raises(ParseError):
+        parse_config(dense)
+
+
 def test_parse_rejects_short_custom_alpha():
     payload = {
         "dimension": 4,

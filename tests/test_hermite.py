@@ -174,7 +174,7 @@ def test_interior_biorthogonality_against_quadrature():
 
 
 def test_verify_k_psi_interior_identities():
-    report = verify_K_psi(64)
+    report = verify_K_psi(build_model(64))
     assert report.passed, report.details
     assert report.details["k_phi_vs_x_squared"] < 1e-8
     assert report.details["k_psi_vs_x_inverse_squared"] < 1e-6

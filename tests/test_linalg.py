@@ -176,6 +176,25 @@ def test_invert_roundtrip_and_cond():
         assert resid <= 1e-8 * inv.cond_estimate * np.sqrt(12)
 
 
+def test_invert_caches_read_only_inverse():
+    t = random_conditioned_map(6, 10.0, stream_rng(15))
+    inv = invert(t)
+    assert invert(t) is inv
+    assert not inv.entries.flags.writeable
+    with pytest.raises(ValueError):
+        inv.entries[0, 0] = 0.0
+
+
+def test_positive_certified_on_first_read_only(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    k = from_diagonal([1, 2, 3])
+    assert calls == []
+    assert k.positive and k.positive
+    assert len(calls) == 1
+
+
 def test_polar_positive_diagonal():
     factors = polar_decompose(from_diagonal([1, 2]))
     np.testing.assert_allclose(factors.unitary_part.entries, np.eye(2), atol=1e-14)

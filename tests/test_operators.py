@@ -1,5 +1,7 @@
 """Tests for Hamiltonians, ladder operators, and their similarity transforms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -232,13 +234,13 @@ def test_adjoint_relations_random_complex_alpha():
 
 def test_product_identity_trivial_powers():
     opset = build_operator_set(ConstructingPair(identity(4)), AlphaSequence.sqrt_n(4))
-    report = product_identity_check(opset, 0, 0)
+    report = product_identity_check(opset, [(0, 0)])
     assert report.residual == 0.0
 
 
 def test_product_identity_diagonal():
     opset = build_operator_set(ConstructingPair(from_diagonal([1, 2, 3])), AlphaSequence.sqrt_n(3))
-    report = product_identity_check(opset, 1, 1)
+    report = product_identity_check(opset, [(1, 1)])
     assert report.passed and report.residual < 1e-12
 
 
@@ -251,14 +253,14 @@ def test_product_identity_mixed_positive_constructor():
     expected = t_inv @ opset.a_e.entries @ t.entries @ t.entries @ opset.b_e.entries @ t_inv
     actual = opset.a_psi_phi.entries @ opset.b_phi_psi.entries
     assert np.linalg.norm(actual - expected) <= 1e-12 * np.linalg.norm(expected)
-    report = product_identity_check(opset, 1, 1)
+    report = product_identity_check(opset, [(1, 1)])
     assert report.details["mixed"] < 1e-12
 
 
 def test_product_identity_power_guard():
     opset = build_operator_set(ConstructingPair(identity(3)), AlphaSequence.sqrt_n(3))
     with pytest.raises(ValueError):
-        product_identity_check(opset, 5, 4)
+        product_identity_check(opset, [(5, 4)])
 
 
 def test_product_identity_nilpotent_powers():
@@ -268,8 +270,36 @@ def test_product_identity_nilpotent_powers():
     t = random_conditioned_map(3, 10.0, rng)
     opset = build_operator_set(ConstructingPair(t), AlphaSequence.custom([0.5, 1.5, 2.5]))
     for m, l in ((3, 0), (0, 3), (2, 2), (4, 0)):
-        report = product_identity_check(opset, m, l, tolerance=1e-10)
+        report = product_identity_check(opset, [(m, l)], tolerance=1e-10)
         assert report.passed, (m, l, report.residual)
+
+
+def test_perturbed_ladder_entry_fails_shared_checks():
+    # The conjugate set of a real alpha is the set itself, and product
+    # identities share T^-1 across pairs; a one-entry defect must still show.
+    t = random_conditioned_map(8, 10.0, stream_rng(45))
+    opset = build_operator_set(ConstructingPair(t), AlphaSequence.sqrt_n(8))
+    assert product_identity_check(opset, [(1, 1)]).passed
+    assert adjoint_relation_check(opset).passed
+    a = opset.a_phi_psi.entries.copy()
+    k = np.unravel_index(np.argmax(np.abs(a)), a.shape)
+    a[k] *= 1.0 + 1e-6
+    mutated = dataclasses.replace(opset, a_phi_psi=LinearMap(a))
+    assert not product_identity_check(mutated, [(1, 1)]).passed
+    assert not adjoint_relation_check(mutated).passed
+
+
+def test_product_identity_reports_worst_pair():
+    rng = stream_rng(46)
+    opset = build_operator_set(ConstructingPair(random_conditioned_map(6, 20.0, rng)), AlphaSequence.sqrt_n(6))
+    pairs = [(m, l) for m in range(3) for l in range(3 - m)]
+    single = [product_identity_check(opset, [pair]) for pair in pairs]
+    worst = product_identity_check(opset, pairs)
+    assert worst.residual == max(r.residual for r in single)
+    first = next(r for r in single if r.residual == worst.residual)
+    assert (worst.details["m"], worst.details["l"]) == (first.details["m"], first.details["l"])
+    with pytest.raises(ValueError):
+        product_identity_check(opset, [])
 
 
 def test_ccr_small_dimensions():

@@ -1,0 +1,52 @@
+"""Each shared quantity of a run is computed once: factorization and operator-set counts."""
+
+import json
+
+import numpy as np
+
+from rieszlab import operators, parse_config, run_suite
+from rieszlab.cli import _hermite_config
+
+
+def count_calls(monkeypatch):
+    counts = {"svd": 0, "eigvalsh": 0, "build_operator_set": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(np.linalg, "svd")
+    counted(np.linalg, "eigvalsh")
+    counted(operators, "build_operator_set")
+    return counts
+
+
+def test_hermite_full_suite_shares_factorizations(monkeypatch):
+    # `rieszlab example hermite --dim 32 --full-suite`
+    counts = count_calls(monkeypatch)
+    reports = run_suite(_hermite_config(32, full_suite=True, seed=0))
+    assert all(r.passed for r in reports), [r.name for r in reports if not r.passed]
+    # T^-1 (shared by every check), cond(T), and the polar factors
+    assert counts["svd"] <= 3
+    # K_phi and K_psi certified once each, frame bounds once, three growth sizes twice
+    assert counts["eigvalsh"] <= 9
+    # real alpha: the conjugate set of adjoint_relations is the set itself
+    assert counts["build_operator_set"] == 1
+
+
+def test_complex_alpha_builds_conjugate_set(monkeypatch):
+    counts = count_calls(monkeypatch)
+    payload = {
+        "dimension": 4,
+        "operator": {"kind": "diagonal", "values": [1, 2, 3, 4]},
+        "alpha": {"kind": "custom", "values": [[0, 0], [1, 0.5], [2, -0.5], [3, 1]]},
+        "checks": ["adjoint_relations"],
+    }
+    (report,) = run_suite(parse_config(json.dumps(payload)))
+    assert report.passed, report.details
+    assert counts["build_operator_set"] == 2
