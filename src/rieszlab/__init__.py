@@ -10,7 +10,6 @@ from .config import RunConfig, default_checks, parse_config
 from .errors import (
     DimensionMismatch,
     InconsistentPrefix,
-    IndexTooLarge,
     NotPositive,
     NotSelfAdjoint,
     NumericallySingular,
@@ -24,19 +23,14 @@ from .forms import (
     TailDiagnostic,
     frame_bounds,
     omega,
-    omega_mixed,
     quasi_basis_residual,
     tail_diagnostic,
-    tail_weights,
     verify_representation,
 )
 from .hermite import (
     HermiteModel,
     build_X,
-    build_example_system,
     build_model,
-    hermite_function,
-    quadrature_inner_product,
     verify_K_psi,
 )
 from .linalg import (
@@ -81,7 +75,6 @@ from .systems import (
     frame_operator,
     normalize_pair,
     reconstruct_onb,
-    system_from_families,
     verify_K_relations,
     verify_clause_i3,
 )

@@ -67,6 +67,12 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
+    if args.command == "example" and args.dim < 2:
+        print("--dim must be >= 2", file=sys.stderr)
+        return 2
+    if args.seed is not None and args.seed < 0:
+        print("--seed must be nonnegative", file=sys.stderr)
+        return 2
     if args.command == "run":
         try:
             cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
@@ -79,9 +85,6 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
     else:
-        if args.dim < 2:
-            print("--dim must be >= 2", file=sys.stderr)
-            return 2
         cfg = _hermite_config(args.dim, args.full_suite, args.seed)
 
     reports = run_suite(cfg)

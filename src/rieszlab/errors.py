@@ -29,10 +29,6 @@ class DimensionMismatch(RieszlabError):
     """Operands do not share a common dimension."""
 
 
-class IndexTooLarge(RieszlabError):
-    """Requested basis-function index exceeds the supported range."""
-
-
 class OracleMismatch(RieszlabError):
     """Closed-form matrix entries disagree with the quadrature oracle."""
 

@@ -27,11 +27,10 @@ PREFIX_RTOL = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class FormEvaluation:
-    """Value of a truncated sesquilinear form, with optional prefix sums."""
+    """Value of a truncated sesquilinear form and the number of terms summed."""
 
     value: complex
     terms_used: int
-    partial_sums: tuple[complex, ...] | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,63 +49,30 @@ class TailDiagnostic:
     growth_exponent: float
 
 
-def _pairings(x: KetVector, family: Sequence[KetVector]) -> np.ndarray:
-    """Array of <x, phi_k> over the family."""
-    m = family_matrix(family)
-    if x.dim != m.shape[0]:
-        raise DimensionMismatch("vector dimension differs from family dimension")
-    return np.conj(m.conj().T @ x.coeffs)
-
-
-def omega(
-    x: KetVector,
-    y: KetVector,
-    family: Sequence[KetVector],
-    keep_partials: bool = False,
-) -> FormEvaluation:
+def omega(x: KetVector, y: KetVector, family: np.ndarray) -> FormEvaluation:
     """Evaluate sum_k <x, phi_k><phi_k, y> over the truncated family."""
     m = family_matrix(family)
     if x.dim != m.shape[0] or y.dim != m.shape[0]:
         raise DimensionMismatch("vector dimensions differ from family dimension")
     terms = np.conj(m.conj().T @ x.coeffs) * (m.conj().T @ y.coeffs)
-    partials = tuple(complex(v) for v in np.cumsum(terms)) if keep_partials else None
-    return FormEvaluation(value=complex(terms.sum()), terms_used=m.shape[1], partial_sums=partials)
-
-
-def omega_mixed(
-    x: KetVector,
-    y: KetVector,
-    bra_family: Sequence[KetVector],
-    ket_family: Sequence[KetVector],
-) -> FormEvaluation:
-    """Evaluate sum_k <x, phi_k><psi_k, y> for two paired families."""
-    bra = family_matrix(bra_family)
-    ket = family_matrix(ket_family)
-    if bra.shape != ket.shape:
-        raise DimensionMismatch("paired families differ in shape")
-    if x.dim != bra.shape[0] or y.dim != bra.shape[0]:
-        raise DimensionMismatch("vector dimensions differ from family dimension")
-    terms = np.conj(bra.conj().T @ x.coeffs) * (ket.conj().T @ y.coeffs)
-    return FormEvaluation(value=complex(terms.sum()), terms_used=bra.shape[1])
+    return FormEvaluation(value=complex(terms.sum()), terms_used=m.shape[1])
 
 
 def verify_representation(
-    x: KetVector,
-    y: KetVector,
-    family: Sequence[KetVector],
+    pairs: Sequence[tuple[KetVector, KetVector]],
+    family: np.ndarray,
     k_sqrt: LinearMap,
     tolerance: float = 1e-9,
 ) -> CheckReport:
-    """|Omega(x,y) - <K^(1/2)x, K^(1/2)y>| against tolerance * (1 + |Omega|)."""
-    lhs = omega(x, y, family).value
-    rhs = complex(np.vdot(k_sqrt.entries @ x.coeffs, k_sqrt.entries @ y.coeffs))
-    residual = abs(lhs - rhs)
-    return make_report(
-        "representation",
-        residual,
-        tolerance * (1.0 + abs(lhs)),
-        details={"omega": lhs, "through_sqrt": rhs},
-    )
+    """Worst |Omega(x,y) - <K^(1/2)x, K^(1/2)y>| / (1 + |Omega(x,y)|) over the sample pairs."""
+    if not pairs:
+        raise ValueError("representation check needs a nonempty sample set")
+    worst = 0.0
+    for x, y in pairs:
+        lhs = omega(x, y, family).value
+        rhs = np.vdot(k_sqrt.entries @ x.coeffs, k_sqrt.entries @ y.coeffs)
+        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
+    return make_report("representation", worst, tolerance, details={"samples": len(pairs)})
 
 
 def quasi_basis_residual(
@@ -117,10 +83,8 @@ def quasi_basis_residual(
     """Two-sided resolution of the identity over the sample pairs."""
     if not samples:
         raise ValueError("quasi-basis check needs a nonempty sample set")
-    phi_m = sys.phi_matrix()
-    psi_m = sys.psi_matrix()
-    phi_psi = phi_m @ psi_m.conj().T
-    psi_phi = psi_m @ phi_m.conj().T
+    phi_psi = sys.phi @ sys.psi.conj().T
+    psi_phi = sys.psi @ sys.phi.conj().T
     worst_pp = 0.0
     worst_sp = 0.0
     for x, y in samples:
@@ -143,18 +107,12 @@ def frame_bounds(k: LinearMap) -> tuple[float, float]:
     return float(lam[0]), float(lam[-1])
 
 
-def tail_weights(alpha_values, exponent: int = 1) -> np.ndarray:
-    """Weights alpha_k^(2 * exponent) for the weighted tail diagnostic."""
-    return np.asarray(alpha_values, dtype=float) ** (2 * exponent)
-
-
 def tail_diagnostic(
     x_of: Callable[[int], KetVector],
-    family_of: Callable[[int], Sequence[KetVector]],
+    family_of: Callable[[int], np.ndarray],
     grid: Sequence[int] = DEFAULT_TAIL_GRID,
-    weights=None,
 ) -> TailDiagnostic:
-    """Partial sums S_N = sum_{k<N} w_k |<x, phi_k>|^2 across the truncation grid.
+    """Partial sums S_N = sum_{k<N} |<x, phi_k>|^2 across the truncation grid.
 
     The generators are evaluated at every grid size and must agree on the
     interior indices of each smaller truncation; the reported trajectory is
@@ -170,10 +128,10 @@ def tail_diagnostic(
     pairings = {}
     for n in sizes:
         x = x_of(n)
-        fam = family_of(n)
-        if x.dim != n or len(fam) != n:
+        fam = family_matrix(family_of(n))
+        if x.dim != n or fam.shape != (n, n):
             raise DimensionMismatch(f"generators returned wrong sizes at truncation {n}")
-        pairings[n] = _pairings(x, fam)
+        pairings[n] = np.conj(fam.conj().T @ x.coeffs)
 
     for small, big in zip(sizes, sizes[1:]):
         interior = small - small // 2
@@ -188,15 +146,7 @@ def tail_diagnostic(
                 f"(relative {rel[k]:.3e})"
             )
 
-    if weights is None:
-        w = np.ones(sizes[-1])
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape[0] < sizes[-1]:
-            raise DimensionMismatch("weight sequence shorter than the largest truncation")
-        w = w[: sizes[-1]]
-    terms = w * np.abs(pairings[sizes[-1]]) ** 2
-    cumulative = np.cumsum(terms)
+    cumulative = np.cumsum(np.abs(pairings[sizes[-1]]) ** 2)
     sums = [float(cumulative[n - 1]) for n in sizes]
 
     s_max = sums[-1]

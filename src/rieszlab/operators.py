@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, WrongAlphaKind
-from .linalg import KetVector, LinearMap, adjoint, invert
+from .linalg import LinearMap, adjoint, invert
 from .reporting import CheckReport, make_report
 from .systems import BiorthogonalSystem, ConstructingPair, family_matrix
 
@@ -133,20 +133,18 @@ def transform(op_e: LinearMap, t: LinearMap, side: str) -> LinearMap:
 def sum_form_hamiltonian(sys: BiorthogonalSystem, alpha: AlphaSequence) -> LinearMap:
     """sum_n alpha_n (outer product of phi_n with psi_n)."""
     v = _require_length(alpha, sys.dim)
-    phi_m = sys.phi_matrix()
-    psi_m = sys.psi_matrix()
-    return LinearMap((phi_m * v) @ psi_m.conj().T)
+    return LinearMap((sys.phi * v) @ sys.psi.conj().T)
 
 
 def eigen_check(
     h: LinearMap,
-    vectors: Sequence[KetVector],
+    family: np.ndarray,
     alpha: AlphaSequence,
     tolerance: float = 1e-8,
     indices: Sequence[int] | None = None,
 ) -> CheckReport:
     """Residual of H v_k = alpha_k v_k over the family."""
-    m = family_matrix(vectors)
+    m = family_matrix(family)
     v = _require_length(alpha, m.shape[1])
     resid = np.linalg.norm(h.entries @ m - m * v, axis=0)
     resid = resid / np.maximum(1.0, np.linalg.norm(m, axis=0))
@@ -163,7 +161,7 @@ def eigen_check(
 def ladder_check(
     a: LinearMap,
     b: LinearMap,
-    vectors: Sequence[KetVector],
+    family: np.ndarray,
     alpha: AlphaSequence,
     tolerance: float = 1e-9,
 ) -> CheckReport:
@@ -174,7 +172,7 @@ def ladder_check(
     n <= N-2.  The truncated raising action on v_{N-1} has no in-space
     reference and is excluded from the verdict.
     """
-    m = family_matrix(vectors)
+    m = family_matrix(family)
     dim = m.shape[1]
     v = _require_length(alpha, dim)
     norms = np.maximum(1.0, np.linalg.norm(m, axis=0))
@@ -211,10 +209,8 @@ class OperatorSet:
     pair: ConstructingPair
 
 
-def build_operator_set(pair: ConstructingPair, alpha: AlphaSequence, dim: int | None = None) -> OperatorSet:
-    dim = pair.dim if dim is None else dim
-    if dim != pair.dim:
-        raise DimensionMismatch("operator set dimension differs from constructing pair")
+def build_operator_set(pair: ConstructingPair, alpha: AlphaSequence) -> OperatorSet:
+    dim = pair.dim
     h_e = diag_hamiltonian(alpha, dim)
     a_e, b_e = ladder_operators(alpha, dim)
     m = pair.matrix

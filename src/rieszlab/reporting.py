@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Mapping
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -16,10 +15,9 @@ class CheckReport:
     tolerance: float
     passed: bool
     details: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
 
 
-def make_report(name, residual, tolerance, details=None, provenance=None) -> CheckReport:
+def make_report(name, residual, tolerance, details=None) -> CheckReport:
     residual = float(residual)
     tolerance = float(tolerance)
     return CheckReport(
@@ -28,11 +26,10 @@ def make_report(name, residual, tolerance, details=None, provenance=None) -> Che
         tolerance=tolerance,
         passed=bool(residual <= tolerance),
         details=dict(details or {}),
-        provenance=dict(provenance or {}),
     )
 
 
-def error_report(name, exc: Exception, tolerance: float, provenance=None) -> CheckReport:
+def error_report(name, exc: Exception, tolerance: float) -> CheckReport:
     """A failed report standing in for a check that raised."""
     return CheckReport(
         name=name,
@@ -40,12 +37,7 @@ def error_report(name, exc: Exception, tolerance: float, provenance=None) -> Che
         tolerance=float(tolerance),
         passed=False,
         details={"error": type(exc).__name__, "message": str(exc)},
-        provenance=dict(provenance or {}),
     )
-
-
-def with_provenance(report: CheckReport, provenance: Mapping) -> CheckReport:
-    return replace(report, provenance=dict(provenance))
 
 
 def format_quantity(value) -> object:
@@ -64,5 +56,4 @@ def report_as_dict(report: CheckReport) -> dict:
         "tolerance": format_quantity(report.tolerance),
         "pass": report.passed,
         "details": {k: format_quantity(v) for k, v in sorted(report.details.items())},
-        "provenance": report.provenance,
     }

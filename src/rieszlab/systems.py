@@ -2,9 +2,10 @@
 
 A constructing pair (an invertible map T together with an orthonormal
 basis) produces the family phi_n = T e_n and its canonical dual
-psi_n = (T^-1)* e_n.  This module builds such systems, computes their
+psi_n = (T^-1)* e_n.  A family is an (N, N) complex array whose column k
+is the k-th vector.  This module builds such systems, computes their
 frame operators K = sum of outer products, reconstructs the orthonormal
-basis hidden inside any verified system, and certifies the identities
+basis hidden inside any biorthogonal system, and certifies the identities
 tying all of these together.
 """
 
@@ -30,19 +31,24 @@ DEFAULT_TOLERANCE = 1e-8
 UNITARY_RTOL = 1e-10
 
 
-def family_matrix(vectors: Sequence[KetVector]) -> np.ndarray:
-    """Stack a vector family into columns, enforcing a common dimension."""
-    vecs = list(vectors)
-    if not vecs:
-        raise DimensionMismatch("empty vector family")
-    dim = vecs[0].dim
-    if any(v.dim != dim for v in vecs):
-        raise DimensionMismatch("vector family mixes dimensions")
-    return np.column_stack([v.coeffs for v in vecs])
+def family_matrix(family) -> np.ndarray:
+    """A vector family as a C-contiguous complex128 array, column k the k-th vector.
+
+    The input must be a nonempty 2-D array; one already in that layout is
+    returned as it is, without a copy.
+    """
+    m = np.asarray(family)
+    if m.ndim != 2 or m.size == 0:
+        raise DimensionMismatch(f"expected a nonempty 2-D family array, got shape {m.shape}")
+    return np.ascontiguousarray(m, dtype=np.complex128)
 
 
-def _columns(matrix: np.ndarray) -> tuple[KetVector, ...]:
-    return tuple(KetVector(matrix[:, k].copy()) for k in range(matrix.shape[1]))
+def _read_only_family(family) -> np.ndarray:
+    m = family_matrix(family)
+    if m.flags.writeable:
+        m = m.copy()
+        m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,23 +85,23 @@ class ConstructingPair:
 
 @dataclass(frozen=True, eq=False)
 class BiorthogonalSystem:
-    """Paired families {phi_n}, {psi_n} with their biorthogonality residual."""
+    """Paired families {phi_n}, {psi_n} as read-only arrays of equal shape."""
 
-    phi: tuple[KetVector, ...]
-    psi: tuple[KetVector, ...]
-    pair: ConstructingPair | None
-    biorth_residual: float
-    verified: bool
+    phi: np.ndarray
+    psi: np.ndarray
+    pair: ConstructingPair | None = None
+
+    def __post_init__(self):
+        phi = _read_only_family(self.phi)
+        psi = _read_only_family(self.psi)
+        if phi.shape != psi.shape:
+            raise DimensionMismatch("phi and psi families differ in shape")
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "psi", psi)
 
     @property
     def dim(self) -> int:
-        return self.phi[0].dim
-
-    def phi_matrix(self) -> np.ndarray:
-        return family_matrix(self.phi)
-
-    def psi_matrix(self) -> np.ndarray:
-        return family_matrix(self.psi)
+        return self.phi.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,63 +114,28 @@ class FrameOperators:
     k_psi_sqrt: LinearMap
 
 
-def _biorth_residual(phi_m: np.ndarray, psi_m: np.ndarray) -> tuple[float, int, int]:
-    gram = phi_m.conj().T @ psi_m
-    dev = np.abs(gram - np.eye(gram.shape[0]))
-    k, l = np.unravel_index(int(np.argmax(dev)), dev.shape)
-    return float(dev[k, l]), int(k), int(l)
-
-
-def build_system(pair: ConstructingPair, tolerance: float = DEFAULT_TOLERANCE) -> BiorthogonalSystem:
+def build_system(pair: ConstructingPair) -> BiorthogonalSystem:
     """phi_n = T e_n and psi_n = (T^-1)* e_n from a constructing pair."""
     m = pair.matrix
-    m_inv = invert(m)
-    phi_m = m.entries.copy()
-    psi_m = m_inv.entries.conj().T
-    residual, _, _ = _biorth_residual(phi_m, psi_m)
-    return BiorthogonalSystem(
-        phi=_columns(phi_m),
-        psi=_columns(psi_m),
-        pair=pair,
-        biorth_residual=residual,
-        verified=residual <= tolerance,
-    )
-
-
-def system_from_families(
-    phi: Sequence[KetVector],
-    psi: Sequence[KetVector],
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> BiorthogonalSystem:
-    """Wrap user-supplied families; no constructing pair is recorded."""
-    phi_m = family_matrix(phi)
-    psi_m = family_matrix(psi)
-    if phi_m.shape != psi_m.shape:
-        raise DimensionMismatch("phi and psi families differ in shape")
-    residual, _, _ = _biorth_residual(phi_m, psi_m)
-    return BiorthogonalSystem(
-        phi=tuple(phi),
-        psi=tuple(psi),
-        pair=None,
-        biorth_residual=residual,
-        verified=residual <= tolerance,
-    )
+    return BiorthogonalSystem(phi=m.entries, psi=invert(m).entries.conj().T, pair=pair)
 
 
 def check_biorthogonality(sys: BiorthogonalSystem, tolerance: float = DEFAULT_TOLERANCE) -> CheckReport:
     """Max deviation of <phi_k, psi_l> from the Kronecker delta."""
-    residual, k, l = _biorth_residual(sys.phi_matrix(), sys.psi_matrix())
+    gram = sys.phi.conj().T @ sys.psi
+    dev = np.abs(gram - np.eye(gram.shape[0]))
+    k, l = np.unravel_index(int(np.argmax(dev)), dev.shape)
     return make_report(
         "biorthogonality",
-        residual,
+        float(dev[k, l]),
         tolerance,
-        details={"worst_row": k, "worst_col": l},
+        details={"worst_row": int(k), "worst_col": int(l)},
     )
 
 
-def frame_operator(vectors: Sequence[KetVector]) -> LinearMap:
+def frame_operator(family: np.ndarray) -> LinearMap:
     """K = sum over the family of outer products v_k v_k*; positive by construction."""
-    m = family_matrix(vectors)
+    m = family_matrix(family)
     k = m @ m.conj().T
     return LinearMap((k + k.conj().T) / 2.0)
 
@@ -192,8 +163,7 @@ def verify_K_relations(
     indices: Sequence[int] | None = None,
 ) -> CheckReport:
     """phi_k = K_phi psi_k, psi_k = K_psi phi_k, the round trips, and K_phi K_psi = 1."""
-    phi_m = sys.phi_matrix()
-    psi_m = sys.psi_matrix()
+    phi_m, psi_m = sys.phi, sys.psi
     sel = np.arange(sys.dim) if indices is None else np.asarray(list(indices), dtype=int)
     k_phi = ops.k_phi.entries
     k_psi = ops.k_psi.entries
@@ -213,10 +183,13 @@ def reconstruct_onb(
     sys: BiorthogonalSystem,
     ops: FrameOperators,
     tolerance: float = 1e-9,
-) -> tuple[tuple[KetVector, ...], tuple[KetVector, ...], CheckReport]:
-    """Recover the orthonormal basis e_n = K_phi^(1/2) psi_n = K_psi^(1/2) phi_n."""
-    e_from_psi = ops.k_phi_sqrt.entries @ sys.psi_matrix()
-    e_from_phi = ops.k_psi_sqrt.entries @ sys.phi_matrix()
+) -> tuple[np.ndarray, np.ndarray, CheckReport]:
+    """Recover the orthonormal basis e_n = K_phi^(1/2) psi_n = K_psi^(1/2) phi_n.
+
+    Returns the basis from each route as a family array, and the report.
+    """
+    e_from_psi = ops.k_phi_sqrt.entries @ sys.psi
+    e_from_phi = ops.k_psi_sqrt.entries @ sys.phi
     eye = np.eye(sys.dim)
     details = {
         "gram_from_psi": float(np.abs(e_from_psi.conj().T @ e_from_psi - eye).max()),
@@ -224,7 +197,7 @@ def reconstruct_onb(
         "cross_agreement": float(np.linalg.norm(e_from_psi - e_from_phi, axis=0).max()),
     }
     report = make_report("onb_reconstruction", max(details.values()), tolerance, details=details)
-    return _columns(e_from_psi), _columns(e_from_phi), report
+    return e_from_psi, e_from_phi, report
 
 
 def verify_clause_i3(

@@ -16,6 +16,7 @@ from rieszlab import (
     build_operator_set,
     build_system,
     ccr_check,
+    check_biorthogonality,
     diag_hamiltonian,
     eigen_check,
     from_diagonal,
@@ -34,7 +35,7 @@ from rieszlab import (
 )
 from rieszlab.cli import main
 from rieszlab.forms import DEFAULT_TAIL_GRID, frame_bounds
-from rieszlab.hermite import build_example_system, tail_coefficient_vector, tail_family
+from rieszlab.hermite import tail_coefficient_vector, tail_family
 from rieszlab.sampling import (
     random_conditioned_map,
     random_ket_pairs,
@@ -52,26 +53,31 @@ def _verdict(number: int, title: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
+def _hermite_system(dim):
+    return build_system(ConstructingPair(build_model(dim).X))
+
+
 def _systems_under_test():
     rng = stream_rng(1000)
     return {
         "diag32": build_system(ConstructingPair(from_diagonal(np.arange(1, 33, dtype=float)))),
         "random16": build_system(ConstructingPair(random_conditioned_map(16, 100.0, rng))),
-        "hermite64": build_example_system(64),
+        "hermite64": _hermite_system(64),
     }
 
 
 def test_criterion_01_biorthogonality():
     diag = build_system(ConstructingPair(from_diagonal(np.arange(1.0, 33.0))))
-    hermite = build_example_system(64)
-    gram = hermite.phi_matrix().conj().T @ hermite.psi_matrix()
+    diag_residual = check_biorthogonality(diag).residual
+    hermite = _hermite_system(64)
+    gram = hermite.phi.conj().T @ hermite.psi
     interior = np.abs(gram[:32, :32] - np.eye(32)).max()
-    ok = diag.biorth_residual < 1e-12 and interior < 1e-8
+    ok = diag_residual < 1e-12 and interior < 1e-8
     _verdict(
         1,
         "biorthogonality",
         ok,
-        f"diag residual {diag.biorth_residual:.2e}, hermite interior {interior:.2e}",
+        f"diag residual {diag_residual:.2e}, hermite interior {interior:.2e}",
     )
 
 
@@ -106,9 +112,7 @@ def test_criterion_04_onb_reconstruction():
     for name, sys_ in _systems_under_test().items():
         ops = build_frame_operators(sys_)
         e_from_psi, e_from_phi, report = reconstruct_onb(sys_, ops, tolerance=1e-9)
-        entrywise = max(
-            np.abs(a.coeffs - b.coeffs).max() for a, b in zip(e_from_psi, e_from_phi)
-        )
+        entrywise = np.abs(e_from_psi - e_from_phi).max()
         worst_entry = max(worst_entry, entrywise)
         worst_gram = max(worst_gram, report.details["gram_from_psi"], report.details["gram_from_phi"])
         samples = random_kets(sys_.dim, 100, rng)
@@ -243,7 +247,9 @@ def test_criterion_10_polar_normalization():
 
 def test_criterion_11_hermite_oracle_gate():
     model = build_model(32)
-    identities = verify_K_psi(build_model(64), tolerance=1e-6)
+    big = build_model(64)
+    sys_ = build_system(ConstructingPair(big.X))
+    identities = verify_K_psi(big, sys_, build_frame_operators(sys_), tolerance=1e-6)
     k_psi_resid = identities.details["k_psi_vs_x_inverse_squared"]
     ok = model.oracle_residual < 1e-9 and k_psi_resid < 1e-6
     _verdict(

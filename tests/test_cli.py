@@ -7,6 +7,7 @@ import pytest
 
 from rieszlab import parse_config, run_suite
 from rieszlab.cli import main
+from rieszlab.config import config_to_dict
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -22,11 +23,18 @@ DIAGONAL_PAYLOAD = {
 }
 
 
-def test_run_suite_diagonal_all_pass():
-    reports = run_suite(parse_config(json.dumps(DIAGONAL_PAYLOAD)))
+def test_run_suite_diagonal_all_pass(tmp_path):
+    cfg = parse_config(json.dumps(DIAGONAL_PAYLOAD))
+    reports = run_suite(cfg)
     assert [r.name for r in reports] == ["biorthogonality", "ccr", "eigen", "quasi_basis"]
     assert all(r.passed for r in reports)
-    assert all(r.provenance["config"]["dimension"] == 3 for r in reports)
+    # the config appears once per report document, at the top level
+    path = write_config(tmp_path, DIAGONAL_PAYLOAD)
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["config"] == config_to_dict(cfg)
+    assert all("provenance" not in r for r in doc["reports"])
 
 
 def test_run_suite_default_checks_pass():
@@ -155,3 +163,18 @@ def test_cli_respects_log_env(tmp_path, monkeypatch):
 def test_cli_example_rejects_tiny_dim(capsys):
     assert main(["example", "hermite", "--dim", "1"]) == 2
     assert "--dim" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_negative_seed(tmp_path, capsys):
+    path = write_config(tmp_path, DIAGONAL_PAYLOAD)
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", str(path), "--seed", "-3", "--out", str(out)]) == 2
+    assert "--seed must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_example_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["example", "hermite", "--dim", "8", "--seed", "-1", "--out", str(out)]) == 2
+    assert "--seed must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rieszlab import (
+    BiorthogonalSystem,
     ConstructingPair,
     KetVector,
     basis_vector,
@@ -12,11 +13,8 @@ from rieszlab import (
     frame_bounds,
     from_diagonal,
     omega,
-    omega_mixed,
     quasi_basis_residual,
-    system_from_families,
     tail_diagnostic,
-    tail_weights,
     verify_representation,
 )
 from rieszlab.errors import DimensionMismatch, InconsistentPrefix, NotPositive
@@ -37,12 +35,11 @@ def pentadiagonal_x(dim):
 
 
 def hermite_phi_family(dim):
-    x = pentadiagonal_x(dim)
-    return [KetVector(x[:, k]) for k in range(dim)]
+    return pentadiagonal_x(dim)
 
 
 def onb(dim):
-    return [basis_vector(n, dim) for n in range(dim)]
+    return np.eye(dim)
 
 
 def test_omega_parseval():
@@ -56,10 +53,9 @@ def test_omega_parseval():
 def test_omega_single_term():
     sys_ = build_system(ConstructingPair(from_diagonal([1, 2, 3])))
     e1 = basis_vector(1, 3)
-    evaluation = omega(e1, e1, sys_.phi, keep_partials=True)
+    evaluation = omega(e1, e1, sys_.phi)
     assert evaluation.value == pytest.approx(4.0)
     assert evaluation.terms_used == 3
-    assert evaluation.partial_sums[-1] == evaluation.value
 
 
 def test_omega_hermite_ground_state():
@@ -88,9 +84,7 @@ def test_omega_hermitian_symmetry_and_positivity():
         diag = omega(x, x, family).value
         assert diag.real >= 0.0
         assert abs(diag.imag) <= 1e-12 * max(1.0, diag.real)
-        squared_moduli = float(
-            np.sum(np.abs(np.column_stack([p.coeffs for p in family]).conj().T @ x.coeffs) ** 2)
-        )
+        squared_moduli = float(np.sum(np.abs(family.conj().T @ x.coeffs) ** 2))
         assert diag.real == pytest.approx(squared_moduli, rel=1e-12)
 
 
@@ -99,26 +93,11 @@ def test_omega_dimension_guard():
         omega(basis_vector(0, 3), basis_vector(0, 3), onb(4))
 
 
-def test_omega_mixed_conjugate_symmetry():
-    rng = stream_rng(33)
-    t = random_conditioned_map(8, 20.0, rng)
-    sys_ = build_system(ConstructingPair(t))
-    for x, y in random_ket_pairs(8, 10, rng):
-        a = omega_mixed(x, y, sys_.phi, sys_.psi).value
-        b = omega_mixed(y, x, sys_.psi, sys_.phi).value
-        assert abs(a - np.conj(b)) <= 1e-12 * max(1.0, abs(a))
-    for x in random_kets(8, 5, rng):
-        # the mixed form is positive on the diagonal: it equals the norm
-        value = omega_mixed(x, x, sys_.phi, sys_.psi).value
-        assert value.real >= 0.0
-        assert value == pytest.approx(np.linalg.norm(x.coeffs) ** 2, rel=1e-10)
-
-
 def test_representation_reference_basis():
     family = onb(4)
     k_sqrt = LinearMap(np.eye(4))
     x, y = basis_vector(0, 4), basis_vector(2, 4)
-    report = verify_representation(x, y, family, k_sqrt)
+    report = verify_representation([(x, y)], family, k_sqrt)
     assert report.passed and report.residual == 0.0
 
 
@@ -126,9 +105,11 @@ def test_representation_diagonal():
     sys_ = build_system(ConstructingPair(from_diagonal([1, 2, 3])))
     ops = build_frame_operators(sys_)
     e1 = basis_vector(1, 3)
-    report = verify_representation(e1, e1, sys_.phi, ops.k_phi_sqrt)
+    report = verify_representation([(e1, e1)], sys_.phi, ops.k_phi_sqrt)
     assert report.passed
-    assert report.details["omega"] == pytest.approx(4.0)
+    # both routes give 4: Omega(e_1, e_1) = |<e_1, phi_1>|^2 and |K^(1/2) e_1|^2 = K_11
+    assert omega(e1, e1, sys_.phi).value == pytest.approx(4.0)
+    assert ops.k_phi.entries[1, 1] == pytest.approx(4.0)
 
 
 def test_representation_random_property():
@@ -136,14 +117,27 @@ def test_representation_random_property():
     t = random_conditioned_map(16, 100.0, rng)
     sys_ = build_system(ConstructingPair(t))
     ops = build_frame_operators(sys_)
-    for x, y in random_ket_pairs(16, 100, rng):
-        report = verify_representation(x, y, sys_.phi, ops.k_phi_sqrt, tolerance=1e-9)
-        assert report.passed, report.details
+    pairs = random_ket_pairs(16, 100, rng)
+    for family, k_sqrt in ((sys_.phi, ops.k_phi_sqrt), (sys_.psi, ops.k_psi_sqrt)):
+        report = verify_representation(pairs, family, k_sqrt, tolerance=1e-9)
+        assert report.passed, report.residual
+        assert report.details["samples"] == 100
+
+
+def test_representation_detects_perturbed_root():
+    rng = stream_rng(37)
+    sys_ = build_system(ConstructingPair(random_conditioned_map(8, 10.0, rng)))
+    k_sqrt = build_frame_operators(sys_).k_phi_sqrt.entries.copy()
+    k_sqrt[0, 0] *= 1.0 + 1e-6
+    report = verify_representation(random_ket_pairs(8, 20, rng), sys_.phi, LinearMap(k_sqrt))
+    assert not report.passed
+    with pytest.raises(ValueError):
+        verify_representation([], sys_.phi, LinearMap(k_sqrt))
 
 
 def test_quasi_basis_reference():
     family = onb(5)
-    sys_ = system_from_families(family, family)
+    sys_ = BiorthogonalSystem(family, family)
     pairs = [(basis_vector(0, 5), basis_vector(0, 5)), (basis_vector(1, 5), basis_vector(2, 5))]
     report = quasi_basis_residual(sys_, pairs)
     assert report.passed and report.residual == 0.0
@@ -159,10 +153,10 @@ def test_quasi_basis_constructed_property():
 
 def test_quasi_basis_detects_corruption():
     sys_ = build_system(ConstructingPair(from_diagonal([1, 2, 3])))
-    psi = list(sys_.psi)
-    psi[0] = KetVector(np.zeros(3))
-    corrupted = system_from_families(list(sys_.phi), psi)
-    phi0 = sys_.phi[0]
+    psi = sys_.psi.copy()
+    psi[:, 0] = 0.0
+    corrupted = BiorthogonalSystem(sys_.phi, psi)
+    phi0 = KetVector(sys_.phi[:, 0])
     probe = KetVector(phi0.coeffs / (phi0.norm**2))
     report = quasi_basis_residual(corrupted, [(probe, basis_vector(0, 3))])
     assert not report.passed
@@ -236,22 +230,10 @@ def test_tail_partial_sums_nondecreasing():
         assert np.all(np.diff(sums) >= 0.0)
 
 
-def test_tail_weighted_variant():
-    # weights alpha_k^(2n) with alpha_k = sqrt(k) turn |<x, phi_k>|^2 into k-weighted terms
-    alphas = np.sqrt(np.arange(GRID[-1], dtype=float))
-    weights = tail_weights(alphas, exponent=1)
-    np.testing.assert_allclose(weights, np.arange(GRID[-1], dtype=float))
-    plain = tail_diagnostic(tail_x(lambda k: 2.0**-k), tail_family, grid=GRID)
-    weighted = tail_diagnostic(tail_x(lambda k: 2.0**-k), tail_family, grid=GRID, weights=weights)
-    assert weighted.classification == "convergent"
-    assert weighted.partial_sums[-1] != plain.partial_sums[-1]
-
-
 def test_tail_detects_inconsistent_prefix():
     def broken_family(n):
         scale = 1.0 if n <= 64 else 2.0  # interior values jump between truncations
-        x = scale * pentadiagonal_x(n)
-        return [KetVector(x[:, k]) for k in range(n)]
+        return scale * pentadiagonal_x(n)
 
     with pytest.raises(InconsistentPrefix):
         tail_diagnostic(tail_x(lambda k: 1.0 / (k + 1.0)), broken_family, grid=GRID)
@@ -264,10 +246,3 @@ def test_tail_grid_validation():
         tail_diagnostic(tail_x(lambda k: 1.0), tail_family, grid=(64,))
     with pytest.raises(ValueError):
         tail_diagnostic(tail_x(lambda k: 1.0), tail_family, grid=(400, 512))
-
-
-def test_tail_weight_length_guard():
-    with pytest.raises(DimensionMismatch):
-        tail_diagnostic(
-            tail_x(lambda k: 1.0), tail_family, grid=(16, 32), weights=np.ones(8)
-        )

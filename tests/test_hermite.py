@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 
 from rieszlab import (
+    ConstructingPair,
+    build_frame_operators,
+    build_system,
     build_X,
-    build_example_system,
     build_model,
-    hermite_function,
+    check_biorthogonality,
     invert,
-    quadrature_inner_product,
     verify_K_psi,
 )
-from rieszlab.errors import IndexTooLarge, OracleMismatch
+from rieszlab.errors import OracleMismatch
 from rieszlab.hermite import (
+    hermite_function_table,
     oracle_deviation,
     quadrature_gram,
     tail_family,
@@ -38,54 +40,53 @@ def closed_form(n, x):
     return _HERMITE_POLY[n](x) * np.exp(-x * x / 2.0) / norm
 
 
+def example_system(dim):
+    # phi_n = X e_n, psi_n = X^-1 e_n on the gated model (X is self-adjoint)
+    return build_system(ConstructingPair(build_model(dim).X))
+
+
 @pytest.mark.parametrize("n", range(5))
 def test_hermite_function_matches_closed_form(n):
     grid = np.linspace(-3.0, 3.0, 25)
-    np.testing.assert_allclose(hermite_function(n, grid), closed_form(n, grid), atol=1e-13)
+    table = hermite_function_table(5, grid)
+    np.testing.assert_allclose(table[n], closed_form(n, grid), atol=1e-13)
 
 
 def test_hermite_function_at_origin():
-    assert hermite_function(0, 0.0) == pytest.approx(math.pi**-0.25, abs=1e-12)
-    assert hermite_function(1, 0.0) == 0.0  # odd function
+    at_origin = hermite_function_table(2, np.array([0.0]))[:, 0]
+    assert at_origin[0] == pytest.approx(math.pi**-0.25, abs=1e-12)
+    assert at_origin[1] == 0.0  # odd function
 
 
 def test_hermite_function_is_normalized():
     # quadrature of the recurrence output with an independent rule
     nodes, weights = np.polynomial.hermite.hermgauss(40)
-    values = hermite_function(3, nodes)
+    values = hermite_function_table(4, nodes)[3]
     integral = float(np.sum(weights * np.exp(nodes**2) * values**2))
     assert integral == pytest.approx(1.0, abs=1e-12)
 
 
-def test_hermite_function_index_guard():
-    with pytest.raises(IndexTooLarge):
-        hermite_function(201, 0.0)
-    with pytest.raises(IndexTooLarge):
-        hermite_function(-1, 0.0)
-
-
 def test_quadrature_orthonormality():
-    for m in range(4):
-        for n in range(4):
-            value = quadrature_inner_product(m, n, "one")
-            assert value == pytest.approx(1.0 if m == n else 0.0, abs=1e-12)
+    gram = quadrature_gram(4, "one", 32)
+    np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
 
 
 def test_quadrature_x_matrix_elements():
-    assert quadrature_inner_product(0, 0, "one_plus_x2") == pytest.approx(1.5, abs=1e-10)
-    assert quadrature_inner_product(0, 2, "one_plus_x2") == pytest.approx(np.sqrt(2.0) / 2.0, abs=1e-10)
+    gram = quadrature_gram(3, "one_plus_x2", 32)
+    assert gram[0, 0] == pytest.approx(1.5, abs=1e-10)
+    assert gram[0, 2] == pytest.approx(np.sqrt(2.0) / 2.0, abs=1e-10)
 
 
 def test_quadrature_rational_doubling_agreement():
+    once = quadrature_gram(8, "inv_one_plus_x2", 256)
+    twice = quadrature_gram(8, "inv_one_plus_x2", 512)
     for m, n in ((0, 0), (0, 2), (5, 7)):
-        once = quadrature_inner_product(m, n, "inv_one_plus_x2", order=256)
-        twice = quadrature_inner_product(m, n, "inv_one_plus_x2", order=512)
-        assert abs(once - twice) <= 1e-10
+        assert abs(once[m, n] - twice[m, n]) <= 1e-10
 
 
 def test_quadrature_rejects_unknown_multiplier():
     with pytest.raises(ValueError):
-        quadrature_inner_product(0, 0, "x_cubed")
+        quadrature_gram(1, "x_cubed", 32)
 
 
 def test_build_x_smallest_truncation():
@@ -105,7 +106,7 @@ def test_build_x_entries_by_formula():
 
 @pytest.mark.parametrize("dim", [8, 16, 32, 64])
 def test_build_x_spectrum_floor(dim):
-    lam = np.linalg.eigvalsh(build_X(dim, verify=False).entries.real)
+    lam = np.linalg.eigvalsh(build_X(dim).entries.real)
     assert lam[0] >= 1.0  # 1 + x^2 >= 1 survives truncation
 
 
@@ -117,11 +118,11 @@ def test_oracle_gate_trips_on_corruption(monkeypatch):
         hermite_mod, "x_entry", lambda i, j: true_entry(i, j) + (1e-6 if i == j == 0 else 0.0)
     )
     with pytest.raises(OracleMismatch):
-        hermite_mod.build_X(8)
+        hermite_mod.build_model(8)
 
 
 def test_oracle_deviation_measures_perturbation():
-    entries = build_X(8, verify=False).entries.real.copy()
+    entries = build_X(8).entries.real.copy()
     assert oracle_deviation(entries, "one_plus_x2", 64) < 1e-9
     entries[0, 0] += 1e-6
     assert oracle_deviation(entries, "one_plus_x2", 64) > 1e-7
@@ -131,23 +132,21 @@ def test_build_model_metadata():
     model = build_model(16)
     assert model.oracle_residual <= 1e-9
     assert model.rational_convergence <= 1e-10
-    assert model.quadrature_order == 64
-    assert model.nodes.shape == model.weights.shape
+    np.testing.assert_array_equal(model.X.entries, build_X(16).entries)
 
 
 def test_example_system_ground_state():
-    sys_ = build_example_system(8)
+    sys_ = example_system(8)
     expected = np.zeros(8)
     expected[0] = 1.5
     expected[2] = np.sqrt(2.0) / 2.0
-    np.testing.assert_allclose(sys_.phi[0].coeffs, expected, atol=0)
-    assert sys_.phi[0].norm ** 2 == pytest.approx(2.75, abs=1e-14)
+    np.testing.assert_allclose(sys_.phi[:, 0], expected, atol=0)
+    assert np.linalg.norm(sys_.phi[:, 0]) ** 2 == pytest.approx(2.75, abs=1e-14)
 
 
 def test_example_system_biorthogonal_at_64():
-    sys_ = build_example_system(64)
-    assert sys_.verified
-    assert sys_.biorth_residual < 1e-8  # holds on all indices, not just the interior
+    sys_ = example_system(64)
+    assert check_biorthogonality(sys_).residual < 1e-8  # holds on all indices, not just the interior
 
 
 def test_truncated_inverse_approaches_integral_operator():
@@ -155,7 +154,7 @@ def test_truncated_inverse_approaches_integral_operator():
     # the exact multiplication by 1/(1+x^2); agreement improves away from
     # the truncation edge and with growing dimension.
     for dim, block, bound in ((64, 16, 1e-5), (128, 32, 1e-6)):
-        x_inv = invert(build_X(dim, verify=False)).entries.real
+        x_inv = invert(build_X(dim)).entries.real
         integral = quadrature_gram(dim, "inv_one_plus_x2", max(4 * dim, 512))
         dev = np.abs(x_inv[:block, :block] - integral[:block, :block]).max()
         assert dev < bound, (dim, block, dev)
@@ -165,16 +164,18 @@ def test_interior_biorthogonality_against_quadrature():
     # <phi_n, psi_k> for the exact functions is the identity through the
     # multiplier product (1+x^2) * 1/(1+x^2) = 1
     dim = 64
-    sys_ = build_example_system(dim)
+    sys_ = example_system(dim)
     x_inv_cols = quadrature_gram(dim, "inv_one_plus_x2", 4 * dim)
-    phi_m = sys_.phi_matrix().real
+    phi_m = sys_.phi.real
     gram = phi_m.T @ x_inv_cols
     dev = np.abs(gram[:16, :16] - np.eye(16)).max()
     assert dev < 1e-4  # edge pollution of the exact-inverse columns stays bounded
 
 
 def test_verify_k_psi_interior_identities():
-    report = verify_K_psi(build_model(64))
+    model = build_model(64)
+    sys_ = build_system(ConstructingPair(model.X))
+    report = verify_K_psi(model, sys_, build_frame_operators(sys_))
     assert report.passed, report.details
     assert report.details["k_phi_vs_x_squared"] < 1e-8
     assert report.details["k_psi_vs_x_inverse_squared"] < 1e-6
@@ -184,8 +185,7 @@ def test_verify_k_psi_interior_identities():
 def test_tail_family_prefix_consistency():
     small = tail_family(32)
     big = tail_family(64)
-    for k in range(30):
-        np.testing.assert_array_equal(small[k].coeffs, big[k].coeffs[:32])
+    np.testing.assert_array_equal(small[:, :30], big[:32, :30])
 
 
 def test_x_entry_formula():

@@ -155,21 +155,20 @@ def test_sum_form_agreement_random_property():
 
 def test_eigen_check_diagonal_and_unipotent():
     alpha = AlphaSequence.custom([1.0, 2.0])
-    onb = [basis_vector(n, 2) for n in range(2)]
-    assert eigen_check(diag_hamiltonian(alpha, 2), onb, alpha).residual == 0.0
+    assert eigen_check(diag_hamiltonian(alpha, 2), np.eye(2), alpha).residual == 0.0
     # H phi_1 = 2 phi_1 with phi_1 = (1, 1)
     t = LinearMap([[1, 1], [0, 1]])
     sys_ = build_system(ConstructingPair(t))
     h = transform(diag_hamiltonian(alpha, 2), t, "phi_psi")
-    np.testing.assert_allclose(h.entries @ sys_.phi[1].coeffs, 2.0 * sys_.phi[1].coeffs, atol=1e-14)
+    np.testing.assert_allclose(h.entries @ sys_.phi[:, 1], 2.0 * sys_.phi[:, 1], atol=1e-14)
     report = eigen_check(h, sys_.phi, alpha)
     assert report.passed and report.residual < 1e-14
 
 
 def test_eigen_check_hermite_interior():
-    from rieszlab.hermite import build_example_system
+    from rieszlab.hermite import build_model
 
-    sys_ = build_example_system(64)
+    sys_ = build_system(ConstructingPair(build_model(64).X))
     alpha = AlphaSequence.linear(64)
     h = transform(diag_hamiltonian(alpha, 64), sys_.pair.matrix, "phi_psi")
     report = eigen_check(h, sys_.phi, alpha, tolerance=1e-7, indices=range(32))
@@ -180,8 +179,7 @@ def test_ladder_check_reference_basis():
     dim = 4
     alpha = AlphaSequence.sqrt_n(dim)
     a, b = ladder_operators(alpha, dim)
-    onb = [basis_vector(n, dim) for n in range(dim)]
-    report = ladder_check(a, b, onb, alpha)
+    report = ladder_check(a, b, np.eye(dim), alpha)
     assert report.passed
     assert report.details["lowering_ground"] == 0.0
 
@@ -193,7 +191,7 @@ def test_ladder_check_diagonal_pair():
     opset = build_operator_set(ConstructingPair(t), alpha)
     # A phi_2 = 2 phi_1 = (0, 4, 0), by hand
     np.testing.assert_allclose(
-        opset.a_phi_psi.entries @ sys_.phi[2].coeffs, [0.0, 4.0, 0.0], atol=1e-13
+        opset.a_phi_psi.entries @ sys_.phi[:, 2], [0.0, 4.0, 0.0], atol=1e-13
     )
     report = ladder_check(opset.a_phi_psi, opset.b_phi_psi, sys_.phi, alpha)
     assert report.passed and report.residual < 1e-13
@@ -205,8 +203,7 @@ def test_ladder_check_detects_perturbation():
     a, b = ladder_operators(alpha, dim)
     bad = a.entries.copy()
     bad[0, 1] += 1e-3
-    onb = [basis_vector(n, dim) for n in range(dim)]
-    report = ladder_check(LinearMap(bad), b, onb, alpha)
+    report = ladder_check(LinearMap(bad), b, np.eye(dim), alpha)
     assert not report.passed
     assert report.residual == pytest.approx(1e-3, rel=1e-6)
 

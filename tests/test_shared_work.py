@@ -1,15 +1,16 @@
 """Each shared quantity of a run is computed once: factorization and operator-set counts."""
 
 import json
+import sys
 
 import numpy as np
 
-from rieszlab import operators, parse_config, run_suite
+from rieszlab import operators, parse_config, run_suite, systems
 from rieszlab.cli import _hermite_config
 
 
 def count_calls(monkeypatch):
-    counts = {"svd": 0, "eigvalsh": 0, "build_operator_set": 0}
+    counts = {"svd": 0, "eigvalsh": 0, "build_operator_set": 0, "build_system": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -18,11 +19,15 @@ def count_calls(monkeypatch):
             counts[name] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(owner, name, wrapper)
+        # every module-level binding, so a call through `from .x import name` is counted too
+        for module in [owner, *(m for k, m in list(sys.modules.items()) if k.startswith("rieszlab"))]:
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, wrapper)
 
     counted(np.linalg, "svd")
     counted(np.linalg, "eigvalsh")
     counted(operators, "build_operator_set")
+    counted(systems, "build_system")
     return counts
 
 
@@ -37,6 +42,8 @@ def test_hermite_full_suite_shares_factorizations(monkeypatch):
     assert counts["eigvalsh"] <= 9
     # real alpha: the conjugate set of adjoint_relations is the set itself
     assert counts["build_operator_set"] == 1
+    # one system per run, shared by every check, hermite_oracle included
+    assert counts["build_system"] == 1
 
 
 def test_complex_alpha_builds_conjugate_set(monkeypatch):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from rieszlab import (
+    BiorthogonalSystem,
     ConstructingPair,
-    KetVector,
     LinearMap,
     basis_vector,
     build_frame_operators,
@@ -17,12 +17,12 @@ from rieszlab import (
     normalize_pair,
     polar_decompose,
     reconstruct_onb,
-    system_from_families,
     verify_K_relations,
     verify_clause_i3,
 )
 from rieszlab.errors import DimensionMismatch, NumericallySingular
 from rieszlab.sampling import random_conditioned_map, random_kets, random_unitary, stream_rng
+from rieszlab.systems import family_matrix
 
 
 def diag_system(values=(1.0, 2.0, 3.0)):
@@ -31,18 +31,29 @@ def diag_system(values=(1.0, 2.0, 3.0)):
 
 def test_build_system_identity():
     sys_ = build_system(ConstructingPair(identity(4)))
-    assert sys_.biorth_residual == 0.0
-    assert sys_.verified
+    assert check_biorthogonality(sys_).residual == 0.0
     for n in range(4):
-        np.testing.assert_array_equal(sys_.phi[n].coeffs, basis_vector(n, 4).coeffs)
-        np.testing.assert_array_equal(sys_.psi[n].coeffs, basis_vector(n, 4).coeffs)
+        np.testing.assert_array_equal(sys_.phi[:, n], basis_vector(n, 4).coeffs)
+        np.testing.assert_array_equal(sys_.psi[:, n], basis_vector(n, 4).coeffs)
+
+
+def test_build_system_families_are_read_only_arrays():
+    sys_ = build_system(ConstructingPair(from_diagonal([1.0, 2.0, 3.0])))
+    for family in (sys_.phi, sys_.psi):
+        assert family.shape == (3, 3) and family.dtype == np.complex128
+        assert family.flags.c_contiguous and not family.flags.writeable
+        with pytest.raises(ValueError):
+            family[0, 0] = 5.0
+    # the family format check hands an array already in that layout back as it is
+    assert np.shares_memory(family_matrix(sys_.phi), sys_.phi)
+    assert np.shares_memory(family_matrix(sys_.psi), sys_.psi)
 
 
 def test_build_system_diagonal():
     sys_ = diag_system()
-    np.testing.assert_allclose(sys_.phi_matrix(), np.diag([1.0, 2.0, 3.0]), atol=0)
-    np.testing.assert_allclose(sys_.psi_matrix(), np.diag([1.0, 0.5, 1.0 / 3.0]), atol=1e-16)
-    assert sys_.biorth_residual < 1e-15
+    np.testing.assert_allclose(sys_.phi, np.diag([1.0, 2.0, 3.0]), atol=0)
+    np.testing.assert_allclose(sys_.psi, np.diag([1.0, 0.5, 1.0 / 3.0]), atol=1e-16)
+    assert check_biorthogonality(sys_).residual < 1e-15
 
 
 def test_build_system_rejects_singular():
@@ -56,16 +67,15 @@ def test_check_biorthogonality_passes_for_construction():
 
 
 def test_check_biorthogonality_reference_basis():
-    onb = [basis_vector(n, 3) for n in range(3)]
-    report = check_biorthogonality(system_from_families(onb, onb))
+    report = check_biorthogonality(BiorthogonalSystem(np.eye(3), np.eye(3)))
     assert report.passed and report.residual == 0.0
 
 
 def test_check_biorthogonality_detects_scaling():
     sys_ = diag_system()
-    phi = list(sys_.phi)
-    phi[0] = KetVector(2.0 * phi[0].coeffs)
-    corrupted = system_from_families(phi, list(sys_.psi))
+    phi = sys_.phi.copy()
+    phi[:, 0] *= 2.0
+    corrupted = BiorthogonalSystem(phi, sys_.psi)
     report = check_biorthogonality(corrupted)
     assert not report.passed
     assert report.residual == pytest.approx(1.0)
@@ -73,8 +83,7 @@ def test_check_biorthogonality_detects_scaling():
 
 
 def test_frame_operator_resolution_of_identity():
-    onb = [basis_vector(n, 4) for n in range(4)]
-    np.testing.assert_array_equal(frame_operator(onb).entries, np.eye(4))
+    np.testing.assert_array_equal(frame_operator(np.eye(4)).entries, np.eye(4))
 
 
 def test_frame_operator_diagonal_families():
@@ -99,10 +108,11 @@ def test_frame_operator_matches_tt_star():
 
 
 def test_frame_operator_dimension_guard():
+    # a family is a nonempty 2-D array: a single vector or an empty array is rejected
     with pytest.raises(DimensionMismatch):
-        frame_operator([basis_vector(0, 2), basis_vector(0, 3)])
+        frame_operator(basis_vector(0, 3).coeffs)
     with pytest.raises(DimensionMismatch):
-        frame_operator([])
+        frame_operator(np.zeros((3, 0)))
 
 
 def test_k_relations_diagonal():
@@ -112,7 +122,7 @@ def test_k_relations_diagonal():
     assert report.residual < 1e-14
     # K_phi psi_1 = diag(1,4,9) e_1 / 2 = 2 e_1 = phi_1, by hand
     k_phi = frame_operator(sys_.phi).entries
-    np.testing.assert_allclose(k_phi @ sys_.psi[1].coeffs, sys_.phi[1].coeffs, atol=1e-15)
+    np.testing.assert_allclose(k_phi @ sys_.psi[:, 1], sys_.phi[:, 1], atol=1e-15)
 
 
 def test_k_relations_identity_pair():
@@ -135,9 +145,8 @@ def test_reconstruct_onb_diagonal_recovers_reference():
     sys_ = diag_system()
     e_from_psi, e_from_phi, report = reconstruct_onb(sys_, build_frame_operators(sys_))
     assert report.passed
-    for n in range(3):
-        np.testing.assert_allclose(e_from_psi[n].coeffs, basis_vector(n, 3).coeffs, atol=1e-14)
-        np.testing.assert_allclose(e_from_phi[n].coeffs, basis_vector(n, 3).coeffs, atol=1e-14)
+    np.testing.assert_allclose(e_from_psi, np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(e_from_phi, np.eye(3), atol=1e-14)
 
 
 def test_reconstruct_onb_swap_operator():
@@ -145,8 +154,8 @@ def test_reconstruct_onb_swap_operator():
     sys_ = build_system(ConstructingPair(LinearMap([[0, 2], [1, 0]])))
     e_from_psi, _, report = reconstruct_onb(sys_, build_frame_operators(sys_))
     assert report.passed
-    np.testing.assert_allclose(e_from_psi[0].coeffs, basis_vector(1, 2).coeffs, atol=1e-14)
-    np.testing.assert_allclose(e_from_psi[1].coeffs, basis_vector(0, 2).coeffs, atol=1e-14)
+    np.testing.assert_allclose(e_from_psi[:, 0], basis_vector(1, 2).coeffs, atol=1e-14)
+    np.testing.assert_allclose(e_from_psi[:, 1], basis_vector(0, 2).coeffs, atol=1e-14)
 
 
 def test_reconstruct_onb_equals_polar_image():
@@ -157,8 +166,7 @@ def test_reconstruct_onb_equals_polar_image():
         e_from_psi, e_from_phi, report = reconstruct_onb(sys_, build_frame_operators(sys_))
         assert report.passed, report.details
         u = polar_decompose(t).unitary_part.entries
-        for n in range(12):
-            np.testing.assert_allclose(e_from_psi[n].coeffs, u[:, n], atol=1e-9)
+        np.testing.assert_allclose(e_from_psi, u, atol=1e-9)
         assert report.details["cross_agreement"] <= 1e-9
 
 
@@ -214,7 +222,7 @@ def test_normalize_pair_reassembles():
     # the normalized pair constructs the same phi family
     original = build_system(ConstructingPair(t))
     again = build_system(normalized)
-    assert np.abs(again.phi_matrix() - original.phi_matrix()).max() <= 1e-9
+    assert np.abs(again.phi - original.phi).max() <= 1e-9
 
 
 def test_biorthogonality_random_property():
@@ -222,8 +230,7 @@ def test_biorthogonality_random_property():
     for dim in (8, 32, 64):
         t = random_conditioned_map(dim, 100.0, rng)
         sys_ = build_system(ConstructingPair(t))
-        assert sys_.biorth_residual <= 1e-8
-        assert sys_.verified
+        assert check_biorthogonality(sys_, tolerance=1e-8).passed
 
 
 def test_scaling_covariance():
@@ -231,9 +238,9 @@ def test_scaling_covariance():
     t = random_conditioned_map(8, 10.0, rng)
     sys_ = build_system(ConstructingPair(t))
     scaled = build_system(ConstructingPair(LinearMap(2.5 * t.entries)))
-    np.testing.assert_allclose(scaled.phi_matrix(), 2.5 * sys_.phi_matrix(), rtol=1e-12)
-    np.testing.assert_allclose(scaled.psi_matrix(), sys_.psi_matrix() / 2.5, rtol=1e-11)
-    assert abs(scaled.biorth_residual - sys_.biorth_residual) < 1e-12
+    np.testing.assert_allclose(scaled.phi, 2.5 * sys_.phi, rtol=1e-12)
+    np.testing.assert_allclose(scaled.psi, sys_.psi / 2.5, rtol=1e-11)
+    assert abs(check_biorthogonality(scaled).residual - check_biorthogonality(sys_).residual) < 1e-12
 
 
 def test_explicit_basis_pair():
@@ -241,9 +248,9 @@ def test_explicit_basis_pair():
     v = random_unitary(6, rng)
     t = random_conditioned_map(6, 20.0, rng)
     sys_ = build_system(ConstructingPair(t, basis=v))
-    assert sys_.biorth_residual <= 1e-10
+    assert check_biorthogonality(sys_).residual <= 1e-10
     # phi_n = T (V e_n)
-    np.testing.assert_allclose(sys_.phi_matrix(), t.entries @ v.entries, atol=1e-14)
+    np.testing.assert_allclose(sys_.phi, t.entries @ v.entries, atol=1e-14)
 
 
 def test_explicit_basis_must_be_unitary():
@@ -252,9 +259,8 @@ def test_explicit_basis_must_be_unitary():
 
 
 def test_system_from_families_shape_guard():
-    onb3 = [basis_vector(n, 3) for n in range(3)]
     with pytest.raises(DimensionMismatch):
-        system_from_families(onb3, onb3[:2])
+        BiorthogonalSystem(np.eye(3), np.eye(3)[:, :2])
 
 
 def test_user_supplied_system_reconstruction():
@@ -263,15 +269,10 @@ def test_user_supplied_system_reconstruction():
     rng = stream_rng(29)
     t = random_conditioned_map(10, 25.0, rng)
     constructed = build_system(ConstructingPair(t))
-    supplied = system_from_families(list(constructed.phi), list(constructed.psi))
-    assert supplied.pair is None and supplied.verified
+    supplied = BiorthogonalSystem(constructed.phi, constructed.psi)
+    assert supplied.pair is None and check_biorthogonality(supplied).passed
     ops = build_frame_operators(supplied)
     e_from_psi, e_from_phi, report = reconstruct_onb(supplied, ops)
     assert report.passed, report.details
-    for n in range(10):
-        np.testing.assert_allclose(
-            ops.k_phi_sqrt.entries @ e_from_psi[n].coeffs, supplied.phi[n].coeffs, atol=1e-9
-        )
-        np.testing.assert_allclose(
-            ops.k_psi_sqrt.entries @ e_from_phi[n].coeffs, supplied.psi[n].coeffs, atol=1e-9
-        )
+    np.testing.assert_allclose(ops.k_phi_sqrt.entries @ e_from_psi, supplied.phi, atol=1e-9)
+    np.testing.assert_allclose(ops.k_psi_sqrt.entries @ e_from_phi, supplied.psi, atol=1e-9)
