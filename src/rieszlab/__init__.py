@@ -11,7 +11,6 @@ from .errors import (
     DimensionMismatch,
     InconsistentPrefix,
     NotPositive,
-    NotSelfAdjoint,
     NumericallySingular,
     OracleMismatch,
     ParseError,
@@ -19,7 +18,6 @@ from .errors import (
     WrongAlphaKind,
 )
 from .forms import (
-    FormEvaluation,
     TailDiagnostic,
     frame_bounds,
     omega,
@@ -34,15 +32,10 @@ from .hermite import (
     verify_K_psi,
 )
 from .linalg import (
-    KetVector,
     LinearMap,
     PolarFactors,
     adjoint,
-    basis_vector,
     from_diagonal,
-    hermitian_eig,
-    identity,
-    inner,
     invert,
     operator_sqrt,
     polar_decompose,

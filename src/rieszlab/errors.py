@@ -5,10 +5,6 @@ class RieszlabError(Exception):
     """Base class for all rieszlab errors."""
 
 
-class NotSelfAdjoint(RieszlabError):
-    """The operation requires a map whose self_adjoint flag is certified."""
-
-
 class NotPositive(RieszlabError):
     """The operation requires a map whose positive flag is certified."""
 

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InconsistentPrefix, NotPositive
-from .linalg import KetVector, LinearMap
+from .linalg import LinearMap
 from .reporting import CheckReport, make_report
 from .systems import BiorthogonalSystem, family_matrix
 
@@ -23,14 +23,6 @@ DEFAULT_TAIL_GRID = (16, 32, 64, 128, 256, 512)
 CONVERGENT_TAIL_FRACTION = 1e-3
 DIVERGENT_GROWTH_EXPONENT = 0.5
 PREFIX_RTOL = 1e-6
-
-
-@dataclass(frozen=True, eq=False)
-class FormEvaluation:
-    """Value of a truncated sesquilinear form and the number of terms summed."""
-
-    value: complex
-    terms_used: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,53 +41,62 @@ class TailDiagnostic:
     growth_exponent: float
 
 
-def omega(x: KetVector, y: KetVector, family: np.ndarray) -> FormEvaluation:
-    """Evaluate sum_k <x, phi_k><phi_k, y> over the truncated family."""
+def _column_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray | complex:
+    """<a_k, b_k> for every column k (a scalar for two vectors)."""
+    return np.sum(np.conj(a) * b, axis=0)
+
+
+def _require_samples(x: np.ndarray, check: str) -> None:
+    if np.ndim(x) != 2 or np.shape(x)[1] == 0:
+        raise ValueError(f"{check} check needs a nonempty (N, count) sample set")
+
+
+def omega(x: np.ndarray, y: np.ndarray, family: np.ndarray) -> np.ndarray | complex:
+    """Evaluate sum_k <x, phi_k><phi_k, y> over the truncated family.
+
+    x and y are sample sets of one shape: (N, count) arrays give one value
+    per column, two vectors of length N give a scalar.
+    """
     m = family_matrix(family)
-    if x.dim != m.shape[0] or y.dim != m.shape[0]:
+    x, y = np.asarray(x), np.asarray(y)
+    if x.shape[:1] != m.shape[:1] or y.shape != x.shape:
         raise DimensionMismatch("vector dimensions differ from family dimension")
-    terms = np.conj(m.conj().T @ x.coeffs) * (m.conj().T @ y.coeffs)
-    return FormEvaluation(value=complex(terms.sum()), terms_used=m.shape[1])
+    adj = m.conj().T
+    return _column_inner(adj @ x, adj @ y)
 
 
 def verify_representation(
-    pairs: Sequence[tuple[KetVector, KetVector]],
+    x: np.ndarray,
+    y: np.ndarray,
     family: np.ndarray,
     k_sqrt: LinearMap,
     tolerance: float = 1e-9,
 ) -> CheckReport:
-    """Worst |Omega(x,y) - <K^(1/2)x, K^(1/2)y>| / (1 + |Omega(x,y)|) over the sample pairs."""
-    if not pairs:
-        raise ValueError("representation check needs a nonempty sample set")
-    worst = 0.0
-    for x, y in pairs:
-        lhs = omega(x, y, family).value
-        rhs = np.vdot(k_sqrt.entries @ x.coeffs, k_sqrt.entries @ y.coeffs)
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
-    return make_report("representation", worst, tolerance, details={"samples": len(pairs)})
+    """Worst |Omega(x,y) - <K^(1/2)x, K^(1/2)y>| / (1 + |Omega(x,y)|) over the sample columns."""
+    _require_samples(x, "representation")
+    lhs = omega(x, y, family)
+    k = k_sqrt.entries
+    rhs = _column_inner(k @ x, k @ y)
+    worst = float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))))
+    return make_report("representation", worst, tolerance, details={"samples": x.shape[1]})
 
 
 def quasi_basis_residual(
     sys: BiorthogonalSystem,
-    samples: Sequence[tuple[KetVector, KetVector]],
+    x: np.ndarray,
+    y: np.ndarray,
     tolerance: float = 1e-9,
 ) -> CheckReport:
-    """Two-sided resolution of the identity over the sample pairs."""
-    if not samples:
-        raise ValueError("quasi-basis check needs a nonempty sample set")
-    phi_psi = sys.phi @ sys.psi.conj().T
-    psi_phi = sys.psi @ sys.phi.conj().T
-    worst_pp = 0.0
-    worst_sp = 0.0
-    for x, y in samples:
-        ip = np.vdot(x.coeffs, y.coeffs)
-        worst_pp = max(worst_pp, abs(np.vdot(x.coeffs, phi_psi @ y.coeffs) - ip))
-        worst_sp = max(worst_sp, abs(np.vdot(x.coeffs, psi_phi @ y.coeffs) - ip))
+    """Two-sided resolution of the identity over the sample columns."""
+    _require_samples(x, "quasi-basis")
+    ip = _column_inner(x, y)
+    worst_pp = float(np.abs(_column_inner(x, sys.phi @ sys.psi.conj().T @ y) - ip).max())
+    worst_sp = float(np.abs(_column_inner(x, sys.psi @ sys.phi.conj().T @ y) - ip).max())
     return make_report(
         "quasi_basis",
         max(worst_pp, worst_sp),
         tolerance,
-        details={"phi_psi_order": worst_pp, "psi_phi_order": worst_sp, "samples": len(samples)},
+        details={"phi_psi_order": worst_pp, "psi_phi_order": worst_sp, "samples": x.shape[1]},
     )
 
 
@@ -108,7 +109,7 @@ def frame_bounds(k: LinearMap) -> tuple[float, float]:
 
 
 def tail_diagnostic(
-    x_of: Callable[[int], KetVector],
+    x_of: Callable[[int], np.ndarray],
     family_of: Callable[[int], np.ndarray],
     grid: Sequence[int] = DEFAULT_TAIL_GRID,
 ) -> TailDiagnostic:
@@ -127,11 +128,11 @@ def tail_diagnostic(
 
     pairings = {}
     for n in sizes:
-        x = x_of(n)
+        x = np.asarray(x_of(n))
         fam = family_matrix(family_of(n))
-        if x.dim != n or fam.shape != (n, n):
+        if x.shape != (n,) or fam.shape != (n, n):
             raise DimensionMismatch(f"generators returned wrong sizes at truncation {n}")
-        pairings[n] = np.conj(fam.conj().T @ x.coeffs)
+        pairings[n] = np.conj(fam.conj().T @ x)
 
     for small, big in zip(sizes, sizes[1:]):
         interior = small - small // 2

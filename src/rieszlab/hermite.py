@@ -16,7 +16,7 @@ from scipy.special import roots_hermite
 
 from .errors import OracleMismatch
 from .forms import omega
-from .linalg import KetVector, LinearMap, invert
+from .linalg import LinearMap, invert
 from .reporting import CheckReport, make_report
 from .systems import BiorthogonalSystem, FrameOperators
 
@@ -137,10 +137,9 @@ def build_model(dim: int, oracle_tolerance: float = ORACLE_TOLERANCE) -> Hermite
     return HermiteModel(dim=dim, X=x, oracle_residual=residual, rational_convergence=convergence)
 
 
-def tail_coefficient_vector(coefficients, dim: int) -> KetVector:
-    """First dim coefficients of an infinite coefficient sequence."""
-    coeffs = np.asarray([coefficients(n) for n in range(dim)] if callable(coefficients) else coefficients[:dim])
-    return KetVector(coeffs.astype(np.complex128))
+def tail_coefficient_vector(coefficients, dim: int) -> np.ndarray:
+    """First dim coefficients of the infinite sequence n -> coefficients(n)."""
+    return np.array([coefficients(n) for n in range(dim)], dtype=np.complex128)
 
 
 def tail_family(dim: int) -> np.ndarray:
@@ -178,16 +177,18 @@ def verify_K_psi(
     def rel(delta: np.ndarray, ref: np.ndarray) -> float:
         return float(np.linalg.norm(delta) / np.linalg.norm(ref))
 
-    rng = np.random.default_rng(seed)
-    worst_form = 0.0
-    for _ in range(samples):
-        f = np.zeros(dim, dtype=np.complex128)
-        g = np.zeros(dim, dtype=np.complex128)
-        f[:interior] = rng.standard_normal(interior) + 1j * rng.standard_normal(interior)
-        g[:interior] = rng.standard_normal(interior) + 1j * rng.standard_normal(interior)
-        omega_psi = omega(KetVector(f), KetVector(g), sys.psi).value
-        through_inverse = np.vdot(x_inv.entries @ f, x_inv.entries @ g)
-        worst_form = max(worst_form, abs(omega_psi - through_inverse) / (1.0 + abs(omega_psi)))
+    # Per sample the draws come in the order Re f, Im f, Re g, Im g.
+    draws = np.random.default_rng(seed).standard_normal((samples, 4, interior))
+    f = np.zeros((dim, samples), dtype=np.complex128)
+    g = np.zeros((dim, samples), dtype=np.complex128)
+    f[:interior] = (draws[:, 0] + 1j * draws[:, 1]).T
+    g[:interior] = (draws[:, 2] + 1j * draws[:, 3]).T
+    omega_psi = omega(f, g, sys.psi)
+    # X^-1 f and X^-1 g by an LU solve, not from the SVD inverse that built
+    # psi: with the same matrix both sides would be one computation.
+    solved = np.linalg.solve(x.entries, np.hstack([f, g]))
+    through_inverse = np.sum(np.conj(solved[:, :samples]) * solved[:, samples:], axis=0)
+    worst_form = float(np.max(np.abs(omega_psi - through_inverse) / (1.0 + np.abs(omega_psi))))
 
     details = {
         "k_phi_vs_x_squared": rel(k_phi[blk] - x2[blk], x2[blk]),

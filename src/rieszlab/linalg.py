@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositive, NotSelfAdjoint, NumericallySingular
+from .errors import NotPositive, NumericallySingular
 
 # Certification thresholds.
 SELF_ADJOINT_RTOL = 1e-12   # max|A - A*| <= rtol * max|A|
@@ -71,46 +71,11 @@ class LinearMap:
             self._cond = float(s[0] / s[-1]) if s[-1] > 0.0 else float("inf")
         return self._cond
 
-    def __matmul__(self, other):
-        if isinstance(other, LinearMap):
-            if other.dim != self.dim:
-                raise DimensionMismatch(f"cannot compose dim {self.dim} with dim {other.dim}")
-            return LinearMap(self.entries @ other.entries)
-        if isinstance(other, KetVector):
-            if other.dim != self.dim:
-                raise DimensionMismatch(f"cannot apply dim {self.dim} map to dim {other.dim} vector")
-            return KetVector(self.entries @ other.coeffs)
-        return NotImplemented
-
     def __repr__(self) -> str:
         return (
             f"LinearMap(dim={self.dim}, self_adjoint={self.self_adjoint}, "
             f"positive={self.positive})"
         )
-
-
-@dataclass(frozen=True, eq=False)
-class KetVector:
-    """Coordinate vector in the reference orthonormal basis."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=np.complex128)
-        if c.ndim != 1 or c.shape[0] == 0:
-            raise ValueError(f"expected a nonempty 1-d coefficient array, got shape {c.shape}")
-        if not np.isfinite(c).all():
-            raise ValueError("coefficients must be finite")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -121,38 +86,13 @@ class PolarFactors:
     positive_part: LinearMap
 
 
-def identity(dim: int) -> LinearMap:
-    return LinearMap(np.eye(dim))
-
-
 def from_diagonal(values) -> LinearMap:
     return LinearMap(np.diag(np.asarray(values, dtype=np.complex128)))
-
-
-def basis_vector(index: int, dim: int) -> KetVector:
-    e = np.zeros(dim, dtype=np.complex128)
-    e[index] = 1.0
-    return KetVector(e)
-
-
-def inner(x: KetVector, y: KetVector) -> complex:
-    """Inner product <x, y>, antilinear in the first slot."""
-    if x.dim != y.dim:
-        raise DimensionMismatch(f"inner product of dim {x.dim} with dim {y.dim}")
-    return complex(np.vdot(x.coeffs, y.coeffs))
 
 
 def adjoint(a: LinearMap) -> LinearMap:
     """Conjugate transpose; an exact involution."""
     return LinearMap(a.entries.conj().T)
-
-
-def hermitian_eig(a: LinearMap) -> tuple[np.ndarray, LinearMap]:
-    """Eigenvalues (ascending) and unitary eigenvector matrix of a self-adjoint map."""
-    if not a.self_adjoint:
-        raise NotSelfAdjoint("hermitian_eig requires a certified self-adjoint map")
-    w, v = np.linalg.eigh((a.entries + a.entries.conj().T) / 2.0)
-    return w, LinearMap(v)
 
 
 def operator_sqrt(a: LinearMap) -> LinearMap:

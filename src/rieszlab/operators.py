@@ -21,6 +21,7 @@ from .reporting import CheckReport, make_report
 from .systems import BiorthogonalSystem, ConstructingPair, family_matrix
 
 MAX_PRODUCT_POWER = 8   # entries grow like alpha^(m+l) * cond(T); keep residuals meaningful
+CCR_TRANSFORMED_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,65 +334,63 @@ def product_identity_check(
     return worst
 
 
-def ccr_check(
-    alpha: AlphaSequence,
-    dim: int,
-    constructing: LinearMap | None = None,
-    tolerance: float = 1e-12,
-    transformed_rtol: float = 1e-10,
-) -> CheckReport:
+def ccr_check(opset: OperatorSet, tolerance: float = 1e-12) -> CheckReport:
     """Truncated commutator A B - B A = 1 - N P_{N-1} for alpha_n = sqrt(n).
 
     The identity block spans e_0 .. e_{N-2}; the top basis vector carries
-    the exact rank-one truncation defect.  With a constructing map the
-    conjugated commutator is pulled back and its interior block compared
-    against the identity at transformed_rtol * cond(T)^2; that residual is
-    rescaled into the report so a single tolerance applies.
+    the exact rank-one truncation defect.  The commutator of the set's
+    transformed ladder operators is pulled back through the constructing
+    map and its interior block compared against the identity at
+    CCR_TRANSFORMED_RTOL * cond(T)^2; that residual is rescaled into the
+    report so a single tolerance applies.
     """
-    if alpha.kind != "sqrt_n":
-        raise WrongAlphaKind(f"ccr check requires the sqrt_n sequence, got {alpha.kind!r}")
-    a, b = ladder_operators(alpha, dim)
-    comm = a.entries @ b.entries - b.entries @ a.entries
+    if opset.alpha.kind != "sqrt_n":
+        raise WrongAlphaKind(f"ccr check requires the sqrt_n sequence, got {opset.alpha.kind!r}")
+    a, b = opset.a_e.entries, opset.b_e.entries
+    dim = a.shape[0]
+    comm = a @ b - b @ a
     eye = np.eye(dim)
     expected = eye.copy()
     expected[-1, -1] = 1.0 - dim
     interior = float(np.abs(comm[: dim - 1, : dim - 1] - eye[: dim - 1, : dim - 1]).max())
     defect = float(np.abs(comm - expected).max())
-    details = {"interior": interior, "defect": defect}
-    residual = max(interior, defect)
-    if constructing is not None:
-        t_inv = invert(constructing)
-        at = constructing.entries @ a.entries @ t_inv.entries
-        bt = constructing.entries @ b.entries @ t_inv.entries
-        back = t_inv.entries @ (at @ bt - bt @ at) @ constructing.entries
-        t_interior = float(np.abs(back[: dim - 1, : dim - 1] - eye[: dim - 1, : dim - 1]).max())
-        t_tol = transformed_rtol * constructing.cond_estimate**2
-        details["transformed_interior"] = t_interior
-        details["transformed_tolerance"] = t_tol
-        # scale onto the base tolerance so pass <=> residual <= tolerance stays exact
-        residual = max(residual, t_interior * (tolerance / t_tol))
+    t = opset.pair.matrix
+    at, bt = opset.a_phi_psi.entries, opset.b_phi_psi.entries
+    back = invert(t).entries @ (at @ bt - bt @ at) @ t.entries
+    t_interior = float(np.abs(back[: dim - 1, : dim - 1] - eye[: dim - 1, : dim - 1]).max())
+    t_tol = CCR_TRANSFORMED_RTOL * t.cond_estimate**2
+    details = {
+        "interior": interior,
+        "defect": defect,
+        "transformed_interior": t_interior,
+        "transformed_tolerance": t_tol,
+    }
+    # scale onto the base tolerance so pass <=> residual <= tolerance stays exact
+    residual = max(interior, defect, t_interior * (tolerance / t_tol))
     return make_report("ccr", residual, tolerance, details=details)
 
 
-def domain_mapping_check(
-    t: LinearMap,
-    op_e: LinearMap,
-    side: str,
-    tolerance: float = 1e-9,
-) -> CheckReport:
-    """Composition order of the similarity transform on the mapped basis.
+def domain_mapping_check(opset: OperatorSet, tolerance: float = 1e-9) -> CheckReport:
+    """Composition order of both similarity transforms on the mapped bases.
 
-    Applying the transformed operator to the image basis must reproduce the
-    image of the reference action: (T op T^-1)(T e_n) = T (op e_n).  The
-    conditioning of T is reported as the amplification factor.
+    Applying a transformed Hamiltonian to its image basis must reproduce
+    the image of the reference action: (T H T^-1)(T e_n) = T (H e_n), and
+    likewise with (T*)^-1 for the dual family.  The conditioning of T is
+    reported as the amplification factor.
     """
-    transformed = transform(op_e, t, side)
-    image = t.entries if side == "phi_psi" else invert(t).entries.conj().T
-    target = image @ op_e.entries
-    residual = _rel_frobenius(transformed.entries @ image - target, target)
+    t = opset.pair.matrix
+    h_e = opset.h_e.entries
+    sides = {
+        "phi_psi": (opset.h_phi_psi, t.entries),
+        "psi_phi": (opset.h_psi_phi, invert(t).entries.conj().T),
+    }
+    details = {}
+    for side, (transformed, image) in sides.items():
+        target = image @ h_e
+        details[side] = _rel_frobenius(transformed.entries @ image - target, target)
     return make_report(
         "domain_mapping",
-        residual,
+        max(details.values()),
         tolerance,
-        details={"side": side, "amplification": t.cond_estimate},
+        details=details | {"amplification": t.cond_estimate},
     )

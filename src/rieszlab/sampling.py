@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import KetVector, LinearMap
+from .linalg import LinearMap
 
 
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -28,13 +28,7 @@ def random_conditioned_map(dim: int, cond: float, rng: np.random.Generator) -> L
     return LinearMap((u * sigma) @ v)
 
 
-def random_kets(dim: int, count: int, rng: np.random.Generator) -> list[KetVector]:
-    """Complex standard-normal coordinate vectors."""
+def random_kets(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Complex standard-normal sample set: a (dim, count) array, column k the k-th vector."""
     z = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-    return [KetVector(row) for row in z]
-
-
-def random_ket_pairs(dim: int, count: int, rng: np.random.Generator) -> list[tuple[KetVector, KetVector]]:
-    xs = random_kets(dim, count, rng)
-    ys = random_kets(dim, count, rng)
-    return list(zip(xs, ys))
+    return z.T

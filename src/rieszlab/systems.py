@@ -12,13 +12,13 @@ tying all of these together.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import (
-    KetVector,
     LinearMap,
     adjoint,
     invert,
@@ -106,12 +106,18 @@ class BiorthogonalSystem:
 
 @dataclass(frozen=True, eq=False)
 class FrameOperators:
-    """Frame operators of both families and their positive square roots."""
+    """Frame operators of both families; their positive square roots are built on first read."""
 
     k_phi: LinearMap
     k_psi: LinearMap
-    k_phi_sqrt: LinearMap
-    k_psi_sqrt: LinearMap
+
+    @cached_property
+    def k_phi_sqrt(self) -> LinearMap:
+        return operator_sqrt(self.k_phi)
+
+    @cached_property
+    def k_psi_sqrt(self) -> LinearMap:
+        return operator_sqrt(self.k_psi)
 
 
 def build_system(pair: ConstructingPair) -> BiorthogonalSystem:
@@ -141,14 +147,7 @@ def frame_operator(family: np.ndarray) -> LinearMap:
 
 
 def build_frame_operators(sys: BiorthogonalSystem) -> FrameOperators:
-    k_phi = frame_operator(sys.phi)
-    k_psi = frame_operator(sys.psi)
-    return FrameOperators(
-        k_phi=k_phi,
-        k_psi=k_psi,
-        k_phi_sqrt=operator_sqrt(k_phi),
-        k_psi_sqrt=operator_sqrt(k_psi),
-    )
+    return FrameOperators(k_phi=frame_operator(sys.phi), k_psi=frame_operator(sys.psi))
 
 
 def _column_residuals(actual: np.ndarray, expected: np.ndarray) -> np.ndarray:
@@ -203,20 +202,18 @@ def reconstruct_onb(
 def verify_clause_i3(
     sys: BiorthogonalSystem,
     ops: FrameOperators,
-    samples: Sequence[KetVector],
+    samples: np.ndarray,
     tolerance: float = 1e-9,
 ) -> CheckReport:
-    """Residual of (K_phi^(1/2))* K_psi^(1/2) x = x over the sample set."""
-    if not samples:
-        raise ValueError("clause (i)3 check needs a nonempty sample set")
+    """Residual of (K_phi^(1/2))* K_psi^(1/2) x = x over the sample columns; zero columns are skipped."""
+    if np.ndim(samples) != 2 or np.shape(samples)[1] == 0:
+        raise ValueError("clause (i)3 check needs a nonempty (N, count) sample set")
     r = adjoint(ops.k_phi_sqrt).entries @ ops.k_psi_sqrt.entries
-    worst = 0.0
-    for x in samples:
-        nrm = float(np.linalg.norm(x.coeffs))
-        if nrm == 0.0:
-            continue
-        worst = max(worst, float(np.linalg.norm(r @ x.coeffs - x.coeffs)) / nrm)
-    return make_report("clause_i3", worst, tolerance, details={"samples": len(samples)})
+    norms = np.linalg.norm(samples, axis=0)
+    nonzero = norms > 0.0
+    resid = np.linalg.norm(r @ samples - samples, axis=0)[nonzero] / norms[nonzero]
+    worst = float(resid.max()) if resid.size else 0.0
+    return make_report("clause_i3", worst, tolerance, details={"samples": samples.shape[1]})
 
 
 def normalize_pair(pair: ConstructingPair) -> tuple[ConstructingPair, LinearMap]:

@@ -11,6 +11,7 @@ import numpy as np
 from rieszlab import (
     AlphaSequence,
     ConstructingPair,
+    LinearMap,
     build_frame_operators,
     build_model,
     build_operator_set,
@@ -20,7 +21,6 @@ from rieszlab import (
     diag_hamiltonian,
     eigen_check,
     from_diagonal,
-    identity,
     ladder_check,
     normalize_pair,
     omega,
@@ -36,12 +36,7 @@ from rieszlab import (
 from rieszlab.cli import main
 from rieszlab.forms import DEFAULT_TAIL_GRID, frame_bounds
 from rieszlab.hermite import tail_coefficient_vector, tail_family
-from rieszlab.sampling import (
-    random_conditioned_map,
-    random_ket_pairs,
-    random_kets,
-    stream_rng,
-)
+from rieszlab.sampling import random_conditioned_map, random_kets, stream_rng
 from rieszlab.systems import frame_operator
 
 
@@ -87,10 +82,10 @@ def test_criterion_02_representation_identity():
     for _ in range(4):
         sys_ = build_system(ConstructingPair(random_conditioned_map(16, 100.0, rng)))
         k_sqrt = build_frame_operators(sys_).k_phi_sqrt.entries
-        for x, y in random_ket_pairs(16, 25, rng):
-            lhs = omega(x, y, sys_.phi).value
-            rhs = np.vdot(k_sqrt @ x.coeffs, k_sqrt @ y.coeffs)
-            worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
+        x, y = random_kets(16, 25, rng), random_kets(16, 25, rng)
+        lhs = omega(x, y, sys_.phi)
+        rhs = np.sum(np.conj(k_sqrt @ x) * (k_sqrt @ y), axis=0)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs)))))
     _verdict(2, "representation identity", worst < 1e-9, f"worst residual {worst:.2e}")
 
 
@@ -130,8 +125,8 @@ def test_criterion_05_quasi_basis_resolution():
     rng = stream_rng(1005)
     worst = 0.0
     for name, sys_ in _systems_under_test().items():
-        pairs = random_ket_pairs(sys_.dim, 100, rng)
-        report = quasi_basis_residual(sys_, pairs, tolerance=1e-9)
+        x, y = random_kets(sys_.dim, 100, rng), random_kets(sys_.dim, 100, rng)
+        report = quasi_basis_residual(sys_, x, y, tolerance=1e-9)
         worst = max(worst, report.residual)
     _verdict(5, "quasi-basis resolution of identity", worst < 1e-9, f"worst residual {worst:.2e}")
 
@@ -165,8 +160,8 @@ def test_criterion_06_hamiltonian_agreement():
 
 def test_criterion_07_ladder_actions():
     alpha = AlphaSequence.sqrt_n(64)
-    reference = build_system(ConstructingPair(identity(64)))
-    ref_set = build_operator_set(ConstructingPair(identity(64)), alpha)
+    reference = build_system(ConstructingPair(LinearMap(np.eye(64))))
+    ref_set = build_operator_set(ConstructingPair(LinearMap(np.eye(64))), alpha)
     ref_report = ladder_check(ref_set.a_phi_psi, ref_set.b_phi_psi, reference.phi, alpha)
     exact_ground = ref_report.details["lowering_ground"] == 0.0
     worst = 0.0
@@ -189,13 +184,12 @@ def test_criterion_07_ladder_actions():
 def test_criterion_08_ccr_with_defect():
     worst_defect = 0.0
     for dim in (2, 3, 64):
-        report = ccr_check(AlphaSequence.sqrt_n(dim), dim, tolerance=1e-12)
+        reference = build_operator_set(ConstructingPair(LinearMap(np.eye(dim))), AlphaSequence.sqrt_n(dim))
+        report = ccr_check(reference, tolerance=1e-12)
         worst_defect = max(worst_defect, report.details["defect"], report.details["interior"])
     rng = stream_rng(1008)
     t = random_conditioned_map(64, 100.0, rng)
-    transformed = ccr_check(
-        AlphaSequence.sqrt_n(64), 64, constructing=t, tolerance=1e-12, transformed_rtol=1e-10
-    )
+    transformed = ccr_check(build_operator_set(ConstructingPair(t), AlphaSequence.sqrt_n(64)), tolerance=1e-12)
     budget = 1e-10 * t.cond_estimate**2
     t_resid = transformed.details["transformed_interior"]
     ok = worst_defect < 1e-12 and t_resid < budget

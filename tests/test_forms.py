@@ -6,8 +6,6 @@ import pytest
 from rieszlab import (
     BiorthogonalSystem,
     ConstructingPair,
-    KetVector,
-    basis_vector,
     build_frame_operators,
     build_system,
     frame_bounds,
@@ -20,7 +18,7 @@ from rieszlab import (
 from rieszlab.errors import DimensionMismatch, InconsistentPrefix, NotPositive
 from rieszlab.forms import DEFAULT_TAIL_GRID
 from rieszlab.linalg import LinearMap
-from rieszlab.sampling import random_conditioned_map, random_ket_pairs, random_kets, stream_rng
+from rieszlab.sampling import random_conditioned_map, random_kets, stream_rng
 
 GRID = DEFAULT_TAIL_GRID
 
@@ -42,20 +40,31 @@ def onb(dim):
     return np.eye(dim)
 
 
+def test_random_kets_columns_are_the_per_vector_draws():
+    x = random_kets(5, 7, stream_rng(38))
+    assert x.shape == (5, 7) and x.dtype == np.complex128
+    # reference: vector k is row k of one (count, dim) draw of real parts, then imaginary parts
+    rng = stream_rng(38)
+    rows = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+    for k in range(7):
+        np.testing.assert_array_equal(x[:, k], rows[k])
+
+
 def test_omega_parseval():
     rng = stream_rng(31)
-    family = onb(6)
-    for x, y in random_ket_pairs(6, 10, rng):
-        value = omega(x, y, family).value
-        assert abs(value - np.vdot(x.coeffs, y.coeffs)) < 1e-13
+    x, y = random_kets(6, 10, rng), random_kets(6, 10, rng)
+    values = omega(x, y, onb(6))
+    assert values.shape == (10,)
+    for k in range(10):
+        assert abs(values[k] - np.vdot(x[:, k], y[:, k])) < 1e-13
 
 
 def test_omega_single_term():
     sys_ = build_system(ConstructingPair(from_diagonal([1, 2, 3])))
-    e1 = basis_vector(1, 3)
-    evaluation = omega(e1, e1, sys_.phi)
-    assert evaluation.value == pytest.approx(4.0)
-    assert evaluation.terms_used == 3
+    e1 = np.eye(3)[:, 1]
+    assert omega(e1, e1, sys_.phi) == pytest.approx(4.0)
+    # a sample set gives one value per column: Omega(e_k, e_k) = |phi_k|^2
+    np.testing.assert_allclose(omega(np.eye(3), np.eye(3), sys_.phi), [1.0, 4.0, 9.0], atol=0)
 
 
 def test_omega_hermite_ground_state():
@@ -70,45 +79,50 @@ def test_omega_hermite_ground_state():
     pair_02 = float(np.sum(weights * h0 * mult * h2))
     oracle = pair_00**2 + pair_02**2
     assert oracle == pytest.approx(2.75, abs=1e-10)
-    value = omega(basis_vector(0, 64), basis_vector(0, 64), hermite_phi_family(64)).value
+    e0 = np.eye(64)[:, 0]
+    value = omega(e0, e0, hermite_phi_family(64))
     assert value == pytest.approx(oracle, abs=1e-10)
 
 
 def test_omega_hermitian_symmetry_and_positivity():
     rng = stream_rng(32)
     family = hermite_phi_family(16)
-    for x, y in random_ket_pairs(16, 10, rng):
-        a = omega(x, y, family).value
-        b = omega(y, x, family).value
-        assert abs(a - np.conj(b)) <= 1e-12 * max(1.0, abs(a))
-        diag = omega(x, x, family).value
-        assert diag.real >= 0.0
-        assert abs(diag.imag) <= 1e-12 * max(1.0, diag.real)
-        squared_moduli = float(np.sum(np.abs(family.conj().T @ x.coeffs) ** 2))
-        assert diag.real == pytest.approx(squared_moduli, rel=1e-12)
+    x, y = random_kets(16, 10, rng), random_kets(16, 10, rng)
+    a = omega(x, y, family)
+    b = omega(y, x, family)
+    assert np.all(np.abs(a - np.conj(b)) <= 1e-12 * np.maximum(1.0, np.abs(a)))
+    diag = omega(x, x, family)
+    assert np.all(diag.real >= 0.0)
+    assert np.all(np.abs(diag.imag) <= 1e-12 * np.maximum(1.0, diag.real))
+    squared_moduli = np.sum(np.abs(family.conj().T @ x) ** 2, axis=0)
+    np.testing.assert_allclose(diag.real, squared_moduli, rtol=1e-12)
+    # the batched columns agree with one vector pair at a time
+    for k in range(10):
+        assert omega(x[:, k], y[:, k], family) == pytest.approx(a[k], rel=1e-13)
 
 
 def test_omega_dimension_guard():
     with pytest.raises(DimensionMismatch):
-        omega(basis_vector(0, 3), basis_vector(0, 3), onb(4))
+        omega(np.eye(3)[:, 0], np.eye(3)[:, 0], onb(4))
+    with pytest.raises(DimensionMismatch):
+        omega(np.ones((4, 2)), np.ones((4, 3)), onb(4))
 
 
 def test_representation_reference_basis():
     family = onb(4)
     k_sqrt = LinearMap(np.eye(4))
-    x, y = basis_vector(0, 4), basis_vector(2, 4)
-    report = verify_representation([(x, y)], family, k_sqrt)
+    report = verify_representation(np.eye(4)[:, [0]], np.eye(4)[:, [2]], family, k_sqrt)
     assert report.passed and report.residual == 0.0
 
 
 def test_representation_diagonal():
     sys_ = build_system(ConstructingPair(from_diagonal([1, 2, 3])))
     ops = build_frame_operators(sys_)
-    e1 = basis_vector(1, 3)
-    report = verify_representation([(e1, e1)], sys_.phi, ops.k_phi_sqrt)
+    e1 = np.eye(3)[:, 1]
+    report = verify_representation(e1[:, None], e1[:, None], sys_.phi, ops.k_phi_sqrt)
     assert report.passed
     # both routes give 4: Omega(e_1, e_1) = |<e_1, phi_1>|^2 and |K^(1/2) e_1|^2 = K_11
-    assert omega(e1, e1, sys_.phi).value == pytest.approx(4.0)
+    assert omega(e1, e1, sys_.phi) == pytest.approx(4.0)
     assert ops.k_phi.entries[1, 1] == pytest.approx(4.0)
 
 
@@ -117,9 +131,9 @@ def test_representation_random_property():
     t = random_conditioned_map(16, 100.0, rng)
     sys_ = build_system(ConstructingPair(t))
     ops = build_frame_operators(sys_)
-    pairs = random_ket_pairs(16, 100, rng)
+    x, y = random_kets(16, 100, rng), random_kets(16, 100, rng)
     for family, k_sqrt in ((sys_.phi, ops.k_phi_sqrt), (sys_.psi, ops.k_psi_sqrt)):
-        report = verify_representation(pairs, family, k_sqrt, tolerance=1e-9)
+        report = verify_representation(x, y, family, k_sqrt, tolerance=1e-9)
         assert report.passed, report.residual
         assert report.details["samples"] == 100
 
@@ -129,17 +143,17 @@ def test_representation_detects_perturbed_root():
     sys_ = build_system(ConstructingPair(random_conditioned_map(8, 10.0, rng)))
     k_sqrt = build_frame_operators(sys_).k_phi_sqrt.entries.copy()
     k_sqrt[0, 0] *= 1.0 + 1e-6
-    report = verify_representation(random_ket_pairs(8, 20, rng), sys_.phi, LinearMap(k_sqrt))
+    x, y = random_kets(8, 20, rng), random_kets(8, 20, rng)
+    report = verify_representation(x, y, sys_.phi, LinearMap(k_sqrt))
     assert not report.passed
     with pytest.raises(ValueError):
-        verify_representation([], sys_.phi, LinearMap(k_sqrt))
+        verify_representation(x[:, :0], y[:, :0], sys_.phi, LinearMap(k_sqrt))
 
 
 def test_quasi_basis_reference():
     family = onb(5)
     sys_ = BiorthogonalSystem(family, family)
-    pairs = [(basis_vector(0, 5), basis_vector(0, 5)), (basis_vector(1, 5), basis_vector(2, 5))]
-    report = quasi_basis_residual(sys_, pairs)
+    report = quasi_basis_residual(sys_, np.eye(5)[:, [0, 1]], np.eye(5)[:, [0, 2]])
     assert report.passed and report.residual == 0.0
 
 
@@ -147,7 +161,8 @@ def test_quasi_basis_constructed_property():
     rng = stream_rng(35)
     t = random_conditioned_map(16, 100.0, rng)
     sys_ = build_system(ConstructingPair(t))
-    report = quasi_basis_residual(sys_, random_ket_pairs(16, 100, rng), tolerance=1e-9)
+    x, y = random_kets(16, 100, rng), random_kets(16, 100, rng)
+    report = quasi_basis_residual(sys_, x, y, tolerance=1e-9)
     assert report.passed, report.details
 
 
@@ -156,11 +171,25 @@ def test_quasi_basis_detects_corruption():
     psi = sys_.psi.copy()
     psi[:, 0] = 0.0
     corrupted = BiorthogonalSystem(sys_.phi, psi)
-    phi0 = KetVector(sys_.phi[:, 0])
-    probe = KetVector(phi0.coeffs / (phi0.norm**2))
-    report = quasi_basis_residual(corrupted, [(probe, basis_vector(0, 3))])
+    probe = sys_.phi[:, [0]] / np.linalg.norm(sys_.phi[:, 0]) ** 2
+    report = quasi_basis_residual(corrupted, probe, np.eye(3)[:, [0]])
     assert not report.passed
     assert report.residual > 0.1
+
+
+def test_quasi_basis_flags_last_column_of_wide_sample_set():
+    # count != N, and only the last pair touches the corrupted psi_0
+    sys_ = build_system(ConstructingPair(from_diagonal([1, 2, 3])))
+    psi = sys_.psi.copy()
+    psi[:, 0] = 0.0
+    corrupted = BiorthogonalSystem(sys_.phi, psi)
+    x = np.eye(3)[:, [1, 2, 1, 2, 0]]
+    report = quasi_basis_residual(corrupted, x, x)
+    assert not report.passed
+    assert report.details["phi_psi_order"] == pytest.approx(1.0)
+    assert report.details["psi_phi_order"] == pytest.approx(1.0)
+    assert report.details["samples"] == 5
+    assert quasi_basis_residual(corrupted, x[:, :-1], x[:, :-1]).passed
 
 
 def test_frame_bounds_reference_and_diagonal():
@@ -181,15 +210,15 @@ def test_frame_bounds_sandwich():
     t = random_conditioned_map(12, 50.0, rng)
     sys_ = build_system(ConstructingPair(t))
     c, big_c = frame_bounds(build_frame_operators(sys_).k_phi)
-    for x in random_kets(12, 100, rng):
-        sq = np.linalg.norm(x.coeffs) ** 2
-        value = omega(x, x, sys_.phi).value.real
-        assert value >= c * sq - 1e-10 * value
-        assert value <= big_c * sq + 1e-10 * value
+    x = random_kets(12, 100, rng)
+    sq = np.linalg.norm(x, axis=0) ** 2
+    value = omega(x, x, sys_.phi).real
+    assert np.all(value >= c * sq - 1e-10 * value)
+    assert np.all(value <= big_c * sq + 1e-10 * value)
 
 
 def tail_x(coeff):
-    return lambda n: KetVector(np.array([coeff(k) for k in range(n)], dtype=complex))
+    return lambda n: np.array([coeff(k) for k in range(n)], dtype=complex)
 
 
 def tail_family(n):
@@ -197,7 +226,7 @@ def tail_family(n):
 
 
 def test_tail_finitely_supported_is_convergent():
-    diag = tail_diagnostic(lambda n: basis_vector(0, n), tail_family, grid=GRID)
+    diag = tail_diagnostic(lambda n: np.eye(n)[:, 0], tail_family, grid=GRID)
     assert diag.classification == "convergent"
     # S_N is constant once the support (indices 0 and 2) is inside the truncation
     assert diag.partial_sums[-1] == pytest.approx(diag.partial_sums[0])

@@ -182,6 +182,29 @@ def test_verify_k_psi_interior_identities():
     assert report.details["omega_psi_through_inverse"] < 1e-8
 
 
+def test_verify_k_psi_draws_match_per_sample_loop(monkeypatch):
+    import rieszlab.hermite as hermite_mod
+
+    model = build_model(16)
+    sys_ = build_system(ConstructingPair(model.X))
+    seen = []
+    omega = hermite_mod.omega
+    monkeypatch.setattr(hermite_mod, "omega", lambda f, g, family: seen.append((f, g)) or omega(f, g, family))
+    report = verify_K_psi(model, sys_, build_frame_operators(sys_), margin=6, seed=3, samples=5)
+    assert report.passed, report.details
+    ((f, g),) = seen
+    assert f.shape == g.shape == (16, 5)
+    # reference: one sample at a time, drawing Re f, Im f, Re g, Im g
+    rng = np.random.default_rng(3)
+    for k in range(5):
+        expected_f = np.zeros(16, dtype=complex)
+        expected_g = np.zeros(16, dtype=complex)
+        expected_f[:10] = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+        expected_g[:10] = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+        np.testing.assert_array_equal(f[:, k], expected_f)
+        np.testing.assert_array_equal(g[:, k], expected_g)
+
+
 def test_tail_family_prefix_consistency():
     small = tail_family(32)
     big = tail_family(64)

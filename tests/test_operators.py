@@ -11,7 +11,6 @@ from rieszlab import (
     LinearMap,
     adjoint,
     adjoint_relation_check,
-    basis_vector,
     build_operator_set,
     build_system,
     ccr_check,
@@ -19,7 +18,6 @@ from rieszlab import (
     domain_mapping_check,
     eigen_check,
     from_diagonal,
-    identity,
     ladder_check,
     ladder_operators,
     product_identity_check,
@@ -29,6 +27,11 @@ from rieszlab import (
 )
 from rieszlab.errors import DimensionMismatch, NumericallySingular, WrongAlphaKind
 from rieszlab.sampling import random_conditioned_map, stream_rng
+
+
+def reference_opset(alpha):
+    """Operator set on T = 1, where every transformed operator is its reference-basis one."""
+    return build_operator_set(ConstructingPair(LinearMap(np.eye(len(alpha)))), alpha)
 
 
 def test_validate_alpha_sqrt_n():
@@ -87,21 +90,22 @@ def test_ladder_matrices():
     )
     np.testing.assert_array_equal(b.entries, a.entries.conj().T)
     # lowering annihilates the ground state exactly
-    assert np.all(a.entries @ basis_vector(0, 3).coeffs == 0.0)
+    assert np.all(a.entries @ np.eye(3)[:, 0] == 0.0)
 
 
 def test_ladder_actions_on_reference_basis():
     dim = 6
     a, b = ladder_operators(AlphaSequence.sqrt_n(dim), dim)
-    np.testing.assert_array_equal(a.entries @ basis_vector(1, dim).coeffs, basis_vector(0, dim).coeffs)
-    np.testing.assert_array_equal(b.entries @ basis_vector(0, dim).coeffs, basis_vector(1, dim).coeffs)
+    e = np.eye(dim)
+    np.testing.assert_array_equal(a.entries @ e[:, 1], e[:, 0])
+    np.testing.assert_array_equal(b.entries @ e[:, 0], e[:, 1])
     # truncation edge: the raising operator kills the top vector
-    assert np.all(b.entries @ basis_vector(dim - 1, dim).coeffs == 0.0)
+    assert np.all(b.entries @ e[:, dim - 1] == 0.0)
 
 
 def test_transform_identity_and_diagonal():
     h = diag_hamiltonian(AlphaSequence.custom([1.0, 2.0]), 2)
-    np.testing.assert_allclose(transform(h, identity(2), "phi_psi").entries, h.entries, atol=0)
+    np.testing.assert_allclose(transform(h, LinearMap(np.eye(2)), "phi_psi").entries, h.entries, atol=0)
     h3 = diag_hamiltonian(AlphaSequence.custom([1.0, 2.0, 3.0]), 3)
     t3 = from_diagonal([1, 2, 3])
     np.testing.assert_allclose(transform(h3, t3, "phi_psi").entries, h3.entries, atol=1e-15)
@@ -115,11 +119,11 @@ def test_transform_unipotent_by_hand():
 
 def test_transform_rejects_unknown_side():
     with pytest.raises(ValueError):
-        transform(identity(2), identity(2), "sideways")
+        transform(LinearMap(np.eye(2)), LinearMap(np.eye(2)), "sideways")
 
 
 def test_sum_form_reference_basis():
-    sys_ = build_system(ConstructingPair(identity(3)))
+    sys_ = build_system(ConstructingPair(LinearMap(np.eye(3))))
     h = sum_form_hamiltonian(sys_, AlphaSequence.custom([1.0, 2.0, 3.0]))
     np.testing.assert_allclose(h.entries, np.diag([1.0, 2.0, 3.0]), atol=0)
 
@@ -209,7 +213,7 @@ def test_ladder_check_detects_perturbation():
 
 
 def test_adjoint_relations_identity_pair():
-    opset = build_operator_set(ConstructingPair(identity(4)), AlphaSequence.sqrt_n(4))
+    opset = build_operator_set(ConstructingPair(LinearMap(np.eye(4))), AlphaSequence.sqrt_n(4))
     report = adjoint_relation_check(opset)
     assert report.residual == 0.0
 
@@ -230,7 +234,7 @@ def test_adjoint_relations_random_complex_alpha():
 
 
 def test_product_identity_trivial_powers():
-    opset = build_operator_set(ConstructingPair(identity(4)), AlphaSequence.sqrt_n(4))
+    opset = build_operator_set(ConstructingPair(LinearMap(np.eye(4))), AlphaSequence.sqrt_n(4))
     report = product_identity_check(opset, [(0, 0)])
     assert report.residual == 0.0
 
@@ -255,7 +259,7 @@ def test_product_identity_mixed_positive_constructor():
 
 
 def test_product_identity_power_guard():
-    opset = build_operator_set(ConstructingPair(identity(3)), AlphaSequence.sqrt_n(3))
+    opset = build_operator_set(ConstructingPair(LinearMap(np.eye(3))), AlphaSequence.sqrt_n(3))
     with pytest.raises(ValueError):
         product_identity_check(opset, [(5, 4)])
 
@@ -278,12 +282,18 @@ def test_perturbed_ladder_entry_fails_shared_checks():
     opset = build_operator_set(ConstructingPair(t), AlphaSequence.sqrt_n(8))
     assert product_identity_check(opset, [(1, 1)]).passed
     assert adjoint_relation_check(opset).passed
+    assert ccr_check(opset).passed
+    assert domain_mapping_check(opset).passed
     a = opset.a_phi_psi.entries.copy()
     k = np.unravel_index(np.argmax(np.abs(a)), a.shape)
     a[k] *= 1.0 + 1e-6
     mutated = dataclasses.replace(opset, a_phi_psi=LinearMap(a))
     assert not product_identity_check(mutated, [(1, 1)]).passed
     assert not adjoint_relation_check(mutated).passed
+    assert not ccr_check(mutated).passed
+    h = opset.h_psi_phi.entries.copy()
+    h[np.unravel_index(np.argmax(np.abs(h)), h.shape)] *= 1.0 + 1e-6
+    assert not domain_mapping_check(dataclasses.replace(opset, h_psi_phi=LinearMap(h))).passed
 
 
 def test_product_identity_reports_worst_pair():
@@ -308,12 +318,12 @@ def test_ccr_small_dimensions():
     a2, b2 = ladder_operators(AlphaSequence.sqrt_n(2), 2)
     comm2 = a2.entries @ b2.entries - b2.entries @ a2.entries
     np.testing.assert_allclose(comm2, np.diag([1.0, -1.0]), atol=1e-15)
-    assert ccr_check(alpha, 3).passed
-    assert ccr_check(AlphaSequence.sqrt_n(2), 2).passed
+    assert ccr_check(reference_opset(alpha)).passed
+    assert ccr_check(reference_opset(AlphaSequence.sqrt_n(2))).passed
 
 
 def test_ccr_interior_and_defect_at_64():
-    report = ccr_check(AlphaSequence.sqrt_n(64), 64)
+    report = ccr_check(reference_opset(AlphaSequence.sqrt_n(64)))
     assert report.passed
     assert report.details["interior"] <= 1e-12
     assert report.details["defect"] <= 1e-12
@@ -321,36 +331,37 @@ def test_ccr_interior_and_defect_at_64():
 
 def test_ccr_transformed_geometric_diagonal():
     t = from_diagonal(1.1 ** np.arange(64))
-    report = ccr_check(AlphaSequence.sqrt_n(64), 64, constructing=t)
+    report = ccr_check(build_operator_set(ConstructingPair(t), AlphaSequence.sqrt_n(64)))
     assert report.passed
     assert report.details["transformed_interior"] < 1e-10
 
 
 def test_ccr_requires_sqrt_alpha():
     with pytest.raises(WrongAlphaKind):
-        ccr_check(AlphaSequence.linear(4), 4)
+        ccr_check(reference_opset(AlphaSequence.linear(4)))
 
 
 def test_domain_mapping_identity():
-    h = diag_hamiltonian(AlphaSequence.linear(4), 4)
-    report = domain_mapping_check(identity(4), h, "phi_psi")
+    report = domain_mapping_check(reference_opset(AlphaSequence.linear(4)))
     assert report.residual == 0.0
     assert report.details["amplification"] == pytest.approx(1.0)
 
 
 def test_domain_mapping_geometric_diagonal():
     t = from_diagonal(2.0 ** np.arange(16))
-    h = diag_hamiltonian(AlphaSequence.linear(16), 16)
+    opset = build_operator_set(ConstructingPair(t), AlphaSequence.linear(16))
+    report = domain_mapping_check(opset, tolerance=1e-9)
+    assert report.passed, report.details
     for side in ("phi_psi", "psi_phi"):
-        report = domain_mapping_check(t, h, side, tolerance=1e-9)
-        assert report.passed, (side, report.residual)
-        assert report.details["amplification"] == pytest.approx(2.0**15)
+        assert report.details[side] <= 1e-9
+    assert report.details["amplification"] == pytest.approx(2.0**15)
 
 
 def test_domain_mapping_near_singular_guard():
+    # the check reads the operator set, whose transforms need T^-1
     t = from_diagonal([1.0, 1e-13])
     with pytest.raises(NumericallySingular):
-        domain_mapping_check(t, diag_hamiltonian(AlphaSequence.linear(2), 2), "phi_psi")
+        build_operator_set(ConstructingPair(t), AlphaSequence.linear(2))
 
 
 def test_operator_set_spectrum_preserved():
@@ -363,5 +374,5 @@ def test_operator_set_spectrum_preserved():
 
 
 def test_operator_set_b_is_adjoint_of_a_for_real_alpha():
-    opset = build_operator_set(ConstructingPair(identity(5)), AlphaSequence.sqrt_n(5))
+    opset = build_operator_set(ConstructingPair(LinearMap(np.eye(5))), AlphaSequence.sqrt_n(5))
     np.testing.assert_array_equal(opset.b_e.entries, adjoint(opset.a_e).entries)

@@ -10,7 +10,7 @@ from rieszlab.cli import _hermite_config
 
 
 def count_calls(monkeypatch):
-    counts = {"svd": 0, "eigvalsh": 0, "build_operator_set": 0, "build_system": 0}
+    counts = {"svd": 0, "eigvalsh": 0, "eigh": 0, "build_operator_set": 0, "build_system": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -26,6 +26,7 @@ def count_calls(monkeypatch):
 
     counted(np.linalg, "svd")
     counted(np.linalg, "eigvalsh")
+    counted(np.linalg, "eigh")
     counted(operators, "build_operator_set")
     counted(systems, "build_system")
     return counts
@@ -44,6 +45,17 @@ def test_hermite_full_suite_shares_factorizations(monkeypatch):
     assert counts["build_operator_set"] == 1
     # one system per run, shared by every check, hermite_oracle included
     assert counts["build_system"] == 1
+    # the two frame-operator square roots, each built once
+    assert counts["eigh"] == 2
+
+
+def test_hermite_example_builds_no_square_roots(monkeypatch):
+    # `rieszlab example hermite --dim 32`: biorthogonality and hermite_oracle read K_phi and K_psi only
+    counts = count_calls(monkeypatch)
+    reports = run_suite(_hermite_config(32, full_suite=False, seed=0))
+    assert [r.name for r in reports] == ["biorthogonality", "hermite_oracle"]
+    assert all(r.passed for r in reports)
+    assert counts["eigh"] == 0
 
 
 def test_complex_alpha_builds_conjugate_set(monkeypatch):

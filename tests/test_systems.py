@@ -6,14 +6,13 @@ import pytest
 from rieszlab import (
     BiorthogonalSystem,
     ConstructingPair,
+    FrameOperators,
     LinearMap,
-    basis_vector,
     build_frame_operators,
     build_system,
     check_biorthogonality,
     frame_operator,
     from_diagonal,
-    identity,
     normalize_pair,
     polar_decompose,
     reconstruct_onb,
@@ -30,11 +29,11 @@ def diag_system(values=(1.0, 2.0, 3.0)):
 
 
 def test_build_system_identity():
-    sys_ = build_system(ConstructingPair(identity(4)))
+    sys_ = build_system(ConstructingPair(LinearMap(np.eye(4))))
     assert check_biorthogonality(sys_).residual == 0.0
     for n in range(4):
-        np.testing.assert_array_equal(sys_.phi[:, n], basis_vector(n, 4).coeffs)
-        np.testing.assert_array_equal(sys_.psi[:, n], basis_vector(n, 4).coeffs)
+        np.testing.assert_array_equal(sys_.phi[:, n], np.eye(4)[:, n])
+        np.testing.assert_array_equal(sys_.psi[:, n], np.eye(4)[:, n])
 
 
 def test_build_system_families_are_read_only_arrays():
@@ -110,7 +109,7 @@ def test_frame_operator_matches_tt_star():
 def test_frame_operator_dimension_guard():
     # a family is a nonempty 2-D array: a single vector or an empty array is rejected
     with pytest.raises(DimensionMismatch):
-        frame_operator(basis_vector(0, 3).coeffs)
+        frame_operator(np.eye(3)[:, 0])
     with pytest.raises(DimensionMismatch):
         frame_operator(np.zeros((3, 0)))
 
@@ -126,7 +125,7 @@ def test_k_relations_diagonal():
 
 
 def test_k_relations_identity_pair():
-    sys_ = build_system(ConstructingPair(identity(5)))
+    sys_ = build_system(ConstructingPair(LinearMap(np.eye(5))))
     report = verify_K_relations(sys_, build_frame_operators(sys_))
     assert report.residual == 0.0
 
@@ -154,8 +153,8 @@ def test_reconstruct_onb_swap_operator():
     sys_ = build_system(ConstructingPair(LinearMap([[0, 2], [1, 0]])))
     e_from_psi, _, report = reconstruct_onb(sys_, build_frame_operators(sys_))
     assert report.passed
-    np.testing.assert_allclose(e_from_psi[:, 0], basis_vector(1, 2).coeffs, atol=1e-14)
-    np.testing.assert_allclose(e_from_psi[:, 1], basis_vector(0, 2).coeffs, atol=1e-14)
+    np.testing.assert_allclose(e_from_psi[:, 0], np.eye(2)[:, 1], atol=1e-14)
+    np.testing.assert_allclose(e_from_psi[:, 1], np.eye(2)[:, 0], atol=1e-14)
 
 
 def test_reconstruct_onb_equals_polar_image():
@@ -171,10 +170,9 @@ def test_reconstruct_onb_equals_polar_image():
 
 
 def test_clause_i3_diagonal_and_identity():
-    for t in (from_diagonal([1, 2, 3]), identity(3)):
+    for t in (from_diagonal([1, 2, 3]), LinearMap(np.eye(3))):
         sys_ = build_system(ConstructingPair(t))
-        samples = [basis_vector(n, 3) for n in range(3)]
-        report = verify_clause_i3(sys_, build_frame_operators(sys_), samples)
+        report = verify_clause_i3(sys_, build_frame_operators(sys_), np.eye(3))
         assert report.residual < 1e-14
 
 
@@ -190,7 +188,23 @@ def test_clause_i3_random_samples():
 def test_clause_i3_needs_samples():
     sys_ = diag_system()
     with pytest.raises(ValueError):
-        verify_clause_i3(sys_, build_frame_operators(sys_), [])
+        verify_clause_i3(sys_, build_frame_operators(sys_), np.zeros((3, 0)))
+
+
+def test_clause_i3_flags_last_column_of_wide_sample_set():
+    # K_phi^(1/2) = diag(1, 1, 1, 2) and K_psi^(1/2) = 1, so only e_3 is moved;
+    # count != N, the zero column is skipped, and the one bad column is the last
+    sys_ = build_system(ConstructingPair(LinearMap(np.eye(4))))
+    ops = FrameOperators(k_phi=from_diagonal([1.0, 1.0, 1.0, 4.0]), k_psi=LinearMap(np.eye(4)))
+    samples = np.zeros((4, 6))
+    samples[:3, :3] = np.eye(3)
+    samples[:, 4] = [1.0, -1.0, 2.0, 0.0]
+    samples[3, 5] = 3.0
+    report = verify_clause_i3(sys_, ops, samples)
+    assert not report.passed
+    assert report.residual == pytest.approx(1.0)
+    assert report.details["samples"] == 6
+    assert verify_clause_i3(sys_, ops, samples[:, :-1]).residual == 0.0
 
 
 def test_normalize_pair_positive_input():
@@ -255,7 +269,7 @@ def test_explicit_basis_pair():
 
 def test_explicit_basis_must_be_unitary():
     with pytest.raises(ValueError):
-        ConstructingPair(identity(3), basis=from_diagonal([1.0, 2.0, 1.0]))
+        ConstructingPair(LinearMap(np.eye(3)), basis=from_diagonal([1.0, 2.0, 1.0]))
 
 
 def test_system_from_families_shape_guard():
