@@ -11,6 +11,7 @@ from pathlib import Path
 
 from .config import RunConfig, AlphaSpec, OperatorSpec, config_to_dict, default_checks, parse_config
 from .errors import ParseError
+from .hermite import MAX_DIMENSION, MAX_DIMENSION_REASON
 from .suite import emit_report, run_suite
 
 LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
@@ -69,6 +70,9 @@ def main(argv=None) -> int:
 
     if args.command == "example" and args.dim < 2:
         print("--dim must be >= 2", file=sys.stderr)
+        return 2
+    if args.command == "example" and args.dim > MAX_DIMENSION:
+        print(f"--dim must be <= {MAX_DIMENSION}: {MAX_DIMENSION_REASON}", file=sys.stderr)
         return 2
     if args.seed is not None and args.seed < 0:
         print("--seed must be nonnegative", file=sys.stderr)

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .errors import ParseError
+from .hermite import MAX_DIMENSION, MAX_DIMENSION_REASON
 
 SCHEMA = "rieszlab/1"
 
@@ -187,6 +188,11 @@ def parse_config(text: str) -> RunConfig:
 
     _expect("operator" in raw, "/operator", "is required")
     operator = _parse_operator(raw["operator"], dimension)
+    _expect(
+        operator.kind != "hermite-x" or dimension <= MAX_DIMENSION,
+        "/dimension",
+        f"hermite-x needs dimension <= {MAX_DIMENSION}: {MAX_DIMENSION_REASON}",
+    )
     alpha = _parse_alpha(raw.get("alpha"), dimension)
 
     tolerance = raw.get("tolerance", 1e-8)

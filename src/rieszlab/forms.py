@@ -104,7 +104,7 @@ def frame_bounds(k: LinearMap) -> tuple[float, float]:
     """Extreme eigenvalues (c, C) of a positive frame operator."""
     if not k.positive:
         raise NotPositive("frame bounds require a certified positive operator")
-    lam = np.linalg.eigvalsh((k.entries + k.entries.conj().T) / 2.0)
+    lam = k.spectrum
     return float(lam[0]), float(lam[-1])
 
 

@@ -1,12 +1,13 @@
 """Dense complex linear algebra with certified structure flags.
 
 Everything downstream is an N x N complex matrix.  A LinearMap certifies
-self-adjointness (by residual) at construction time and positivity (by
-smallest eigenvalue) on the first read of `positive`, so callers can
-demand the structure they need instead of trusting whoever built the
-matrix.  A condition estimate is computed lazily from the extreme singular
-values, and `invert` caches its result on the map it inverted.  The
-entries are read-only, so none of these cached values can go stale.
+self-adjointness (by residual) on the first read of `self_adjoint` and
+positivity (by smallest eigenvalue) on the first read of `positive`, whose
+eigenvalues it keeps as `spectrum`, so callers can demand the structure
+they need instead of trusting whoever built the matrix.  A condition
+estimate is computed lazily from the extreme singular values, and
+`invert` caches its result on the map it inverted.  The entries are
+read-only, so none of these cached values can go stale.
 """
 
 from __future__ import annotations
@@ -35,17 +36,26 @@ def _as_square_complex(entries) -> np.ndarray:
 class LinearMap:
     """Square complex matrix with certified self_adjoint/positive flags."""
 
-    __slots__ = ("entries", "self_adjoint", "_positive", "_cond", "_inverse")
+    __slots__ = ("entries", "_self_adjoint", "_positive", "_spectrum", "_cond", "_inverse")
 
     def __init__(self, entries):
         a = _as_square_complex(entries)
-        scale = float(np.abs(a).max())
         a.setflags(write=False)
         self.entries = a
-        self.self_adjoint = float(np.abs(a - a.conj().T).max()) <= SELF_ADJOINT_RTOL * scale
+        self._self_adjoint: bool | None = None
         self._positive: bool | None = None
+        self._spectrum: np.ndarray | None = None
         self._cond: float | None = None
         self._inverse: LinearMap | None = None
+
+    @property
+    def self_adjoint(self) -> bool:
+        """Residual certificate max|A - A*| <= rtol * max|A|, computed on first read and then cached."""
+        if self._self_adjoint is None:
+            a = self.entries
+            scale = float(np.abs(a).max())
+            self._self_adjoint = float(np.abs(a - a.conj().T).max()) <= SELF_ADJOINT_RTOL * scale
+        return self._self_adjoint
 
     @property
     def positive(self) -> bool:
@@ -55,9 +65,18 @@ class LinearMap:
             if self.self_adjoint:
                 a = self.entries
                 lam = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+                lam.setflags(write=False)
+                self._spectrum = lam
                 positive = bool(lam[0] >= -POSITIVE_RTOL * max(float(lam[-1]), 0.0))
             self._positive = positive
         return self._positive
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues of a certified positive map, kept from its certificate."""
+        if not self.positive:
+            raise NotPositive("the spectrum is kept only for a certified positive map")
+        return self._spectrum
 
     @property
     def dim(self) -> int:

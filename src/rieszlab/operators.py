@@ -10,6 +10,7 @@ identities, and the truncated canonical commutation relation.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -259,6 +260,105 @@ def adjoint_relation_check(opset: OperatorSet, tolerance: float = 1e-9) -> Check
     return make_report("adjoint_relations", max(details.values()), tolerance, details=details)
 
 
+def _words(m: int, l: int) -> tuple[tuple, tuple]:
+    """A^m B^l and B^m A^l as their (letter, power) factors, zero powers dropped.
+
+    A^0 B^k = B^k A^0, so the pairs (0, k) and (k, 0) name the same two
+    operators; the identity is the empty word.
+    """
+    ab = tuple((x, p) for x, p in (("a", m), ("b", l)) if p)
+    ba = tuple((x, p) for x, p in (("b", m), ("a", l)) if p)
+    return ab, ba
+
+
+def _stage(word: tuple) -> tuple:
+    """Sort key that groups the words by their highest power above one."""
+    return max(((x, p) for x, p in word if p > 1), default=("", 0))
+
+
+class _Powers:
+    """Powers of one (A, B) pair, each formed once and dropped after its last use.
+
+    X^2 = X X, X^3 = X^2 X and X^4 = X^2 X^2 are the products
+    np.linalg.matrix_power forms, so the values match it bit for bit;
+    higher powers call it.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, words: Sequence[tuple]):
+        self._ops = {"a": a, "b": b}
+        self._held: dict[tuple[str, int], np.ndarray] = {}
+        self._uses = Counter(f for word in words for f in word if f[1] > 1)
+        for x, p in list(self._uses):
+            if p in (3, 4):
+                self._uses[x, 2] += 1
+
+    def _take(self, x: str, p: int) -> np.ndarray:
+        op = self._ops[x]
+        if p == 1:
+            return op
+        key = (x, p)
+        if key not in self._held:
+            if p == 2:
+                self._held[key] = op @ op
+            elif p == 3:
+                self._held[key] = self._take(x, 2) @ op
+            elif p == 4:
+                square = self._take(x, 2)
+                self._held[key] = square @ square
+            else:
+                self._held[key] = np.linalg.matrix_power(op, p)
+        self._uses[key] -= 1
+        return self._held[key] if self._uses[key] else self._held.pop(key)
+
+    def word(self, word: tuple) -> np.ndarray | None:
+        """The product of the word's factors; None stands for the identity."""
+        factors = [self._take(x, p) for x, p in word]
+        if not factors:
+            return None
+        return factors[0] if len(factors) == 1 else factors[0] @ factors[1]
+
+
+def _conjugate(left: np.ndarray, x: np.ndarray | None, right: np.ndarray) -> np.ndarray:
+    """left x right, releasing x once left x is formed; None stands for the identity."""
+    if x is None:
+        # A C-ordered left has the layout left @ 1 would have, so the
+        # product keeps its bits without multiplying by the identity.
+        return np.ascontiguousarray(left) @ right
+    partial = left @ x
+    del x
+    return partial @ right
+
+
+def _deviation(reference: np.ndarray, actual: np.ndarray | None) -> tuple[float, float]:
+    """(||actual - reference||, ||reference||), subtracting in the reference's buffer."""
+    reference_norm = np.linalg.norm(reference)
+    if actual is None:
+        reference.flat[:: reference.shape[0] + 1] -= 1.0
+    else:
+        reference -= actual
+    return np.linalg.norm(reference), reference_norm
+
+
+def _side_deviations(
+    left: np.ndarray,
+    right: np.ndarray,
+    reference_ops: tuple[np.ndarray, np.ndarray],
+    actual_ops: tuple[np.ndarray, np.ndarray],
+    words: Sequence[tuple],
+) -> dict[tuple, tuple[float, float]]:
+    """_deviation for each word on one side.
+
+    The actual operator multiplies powers of the side's transformed A and
+    B; the reference conjugates the reference-basis chain, left (A_e^m
+    B_e^l) right.  The two routes share only left and right.
+    """
+    reference, actual = _Powers(*reference_ops, words), _Powers(*actual_ops, words)
+    return {
+        word: _deviation(_conjugate(left, reference.word(word), right), actual.word(word))
+        for word in words
+    }
+
+
 def product_identity_check(
     opset: OperatorSet,
     pairs: Sequence[tuple[int, int]],
@@ -272,6 +372,10 @@ def product_identity_check(
     intermediate; the reference itself can vanish (shift operators are
     nilpotent once m or l reaches the dimension).  Returns the report of
     the worst (m, l) pair; on a tie the earlier pair wins.
+
+    One side at a time, each distinct operator of the pairs is formed once
+    per route and only the two norms of its comparison are kept, so the
+    working set stays a few matrices whatever the pair list.
     """
     pairs = list(pairs)
     if not pairs:
@@ -281,48 +385,42 @@ def product_identity_check(
             raise ValueError(f"powers must satisfy 0 <= m + l <= {MAX_PRODUCT_POWER}")
     t = opset.pair.matrix.entries
     t_inv = invert(opset.pair.matrix).entries
-    t_adj = t.conj().T
-    t_adj_inv = t_inv.conj().T
     a_e, b_e = opset.a_e.entries, opset.b_e.entries
-    power = np.linalg.matrix_power
 
-    def chain(mat: np.ndarray, p: int, mat2: np.ndarray, q: int) -> np.ndarray:
-        return power(mat, p) @ power(mat2, q)
-
-    def rel(actual: np.ndarray, reference: np.ndarray, scale: float) -> float:
-        return float(np.linalg.norm(actual - reference) / max(np.linalg.norm(reference), scale, 1e-300))
+    def rel(deviation: float, reference_norm: float, scale: float) -> float:
+        return float(deviation / max(reference_norm, scale, 1e-300))
 
     conjugation = np.linalg.norm(t) * np.linalg.norm(t_inv)
     a_norm, b_norm = np.linalg.norm(a_e), np.linalg.norm(b_e)
+    words = sorted(dict.fromkeys(w for m, l in pairs for w in _words(m, l)), key=_stage)
+    norms = {
+        "phi": _side_deviations(
+            t, t_inv, (a_e, b_e), (opset.a_phi_psi.entries, opset.b_phi_psi.entries), words
+        )
+    }
+    t_adj = t.conj().T
+    t_adj_inv = t_inv.conj().T
     # The mixed product does not depend on (m, l).
     mixed = rel(
-        opset.a_psi_phi.entries @ opset.b_phi_psi.entries,
-        t_adj_inv @ a_e @ t_adj @ t @ b_e @ t_inv,
+        *_deviation(
+            t_adj_inv @ a_e @ t_adj @ t @ b_e @ t_inv,
+            opset.a_psi_phi.entries @ opset.b_phi_psi.entries,
+        ),
         conjugation**2 * a_norm * b_norm,
+    )
+    norms["psi"] = _side_deviations(
+        t_adj_inv, t_adj, (a_e, b_e), (opset.a_psi_phi.entries, opset.b_psi_phi.entries), words
     )
     worst: CheckReport | None = None
     for m, l in pairs:
         plain_scale = conjugation * a_norm**m * b_norm**l
-        ab_e, ba_e = chain(a_e, m, b_e, l), chain(b_e, m, a_e, l)
+        ab, ba = _words(m, l)
         details = {
-            "phi_ab": rel(
-                chain(opset.a_phi_psi.entries, m, opset.b_phi_psi.entries, l), t @ ab_e @ t_inv, plain_scale
-            ),
-            "phi_ba": rel(
-                chain(opset.b_phi_psi.entries, m, opset.a_phi_psi.entries, l), t @ ba_e @ t_inv, plain_scale
-            ),
-            "psi_ab": rel(
-                chain(opset.a_psi_phi.entries, m, opset.b_psi_phi.entries, l),
-                t_adj_inv @ ab_e @ t_adj,
-                plain_scale,
-            ),
-            "psi_ba": rel(
-                chain(opset.b_psi_phi.entries, m, opset.a_psi_phi.entries, l),
-                t_adj_inv @ ba_e @ t_adj,
-                plain_scale,
-            ),
-            "mixed": mixed,
+            f"{side}_{order}": rel(*norms[side][word], plain_scale)
+            for side in ("phi", "psi")
+            for order, word in (("ab", ab), ("ba", ba))
         }
+        details["mixed"] = mixed
         report = make_report(
             "product_identities",
             max(details.values()),

@@ -8,6 +8,7 @@ import pytest
 from rieszlab import parse_config, run_suite
 from rieszlab.cli import main
 from rieszlab.config import config_to_dict
+from rieszlab.hermite import MAX_DIMENSION
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -163,6 +164,20 @@ def test_cli_respects_log_env(tmp_path, monkeypatch):
 def test_cli_example_rejects_tiny_dim(capsys):
     assert main(["example", "hermite", "--dim", "1"]) == 2
     assert "--dim" in capsys.readouterr().err
+
+
+def test_cli_hermite_dimension_limit(tmp_path, capsys):
+    # The limit itself passes the oracle gate; one more is rejected up front
+    # with the cause, by the example and by a hermite-x config alike.
+    out = tmp_path / "report.json"
+    assert main(["example", "hermite", "--dim", str(MAX_DIMENSION), "--out", str(out)]) == 0
+    assert main(["example", "hermite", "--dim", str(MAX_DIMENSION + 1), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"--dim must be <= {MAX_DIMENSION}" in err and "weights" in err and "underflow" in err
+    path = write_config(tmp_path, {"dimension": MAX_DIMENSION + 1, "operator": {"kind": "hermite-x"}})
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"dimension <= {MAX_DIMENSION}" in err and "underflow" in err
 
 
 def test_cli_run_rejects_negative_seed(tmp_path, capsys):

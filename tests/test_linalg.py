@@ -143,6 +143,21 @@ def test_positive_certified_on_first_read_only(monkeypatch):
     assert calls == []
     assert k.positive and k.positive
     assert len(calls) == 1
+    # the certificate's eigenvalues are kept for readers of the spectrum
+    np.testing.assert_array_equal(k.spectrum, [1.0, 2.0, 3.0])
+    assert len(calls) == 1
+    with pytest.raises(NotPositive):
+        from_diagonal([1, -1]).spectrum
+
+
+def test_self_adjoint_certified_on_first_read_only(monkeypatch):
+    calls = []
+    absolute = np.abs
+    monkeypatch.setattr(np, "abs", lambda a: calls.append(1) or absolute(a))
+    k = LinearMap([[1, 2j], [-2j, 3]])
+    assert calls == []
+    assert k.self_adjoint and k.self_adjoint
+    assert len(calls) == 2  # max|A| and max|A - A*|, once
 
 
 def test_polar_positive_diagonal():

@@ -1,6 +1,7 @@
 """Tests for Hamiltonians, ladder operators, and their similarity transforms."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,13 +14,16 @@ from rieszlab import (
     adjoint_relation_check,
     build_operator_set,
     build_system,
+    build_X,
     ccr_check,
     diag_hamiltonian,
     domain_mapping_check,
     eigen_check,
     from_diagonal,
+    invert,
     ladder_check,
     ladder_operators,
+    make_report,
     product_identity_check,
     sum_form_hamiltonian,
     transform,
@@ -307,6 +311,116 @@ def test_product_identity_reports_worst_pair():
     assert (worst.details["m"], worst.details["l"]) == (first.details["m"], first.details["l"])
     with pytest.raises(ValueError):
         product_identity_check(opset, [])
+
+
+def parent_product_identity_check(opset, pairs, tolerance=1e-10):
+    """The algorithm product_identity_check replaced: every chain through matrix_power, per pair."""
+    t = opset.pair.matrix.entries
+    t_inv = invert(opset.pair.matrix).entries
+    t_adj = t.conj().T
+    t_adj_inv = t_inv.conj().T
+    a_e, b_e = opset.a_e.entries, opset.b_e.entries
+    power = np.linalg.matrix_power
+
+    def chain(mat, p, mat2, q):
+        return power(mat, p) @ power(mat2, q)
+
+    def rel(actual, reference, scale):
+        return float(np.linalg.norm(actual - reference) / max(np.linalg.norm(reference), scale, 1e-300))
+
+    conjugation = np.linalg.norm(t) * np.linalg.norm(t_inv)
+    a_norm, b_norm = np.linalg.norm(a_e), np.linalg.norm(b_e)
+    mixed = rel(
+        opset.a_psi_phi.entries @ opset.b_phi_psi.entries,
+        t_adj_inv @ a_e @ t_adj @ t @ b_e @ t_inv,
+        conjugation**2 * a_norm * b_norm,
+    )
+    worst = None
+    for m, l in pairs:
+        plain_scale = conjugation * a_norm**m * b_norm**l
+        ab_e, ba_e = chain(a_e, m, b_e, l), chain(b_e, m, a_e, l)
+        ap, bp = opset.a_phi_psi.entries, opset.b_phi_psi.entries
+        aq, bq = opset.a_psi_phi.entries, opset.b_psi_phi.entries
+        details = {
+            "phi_ab": rel(chain(ap, m, bp, l), t @ ab_e @ t_inv, plain_scale),
+            "phi_ba": rel(chain(bp, m, ap, l), t @ ba_e @ t_inv, plain_scale),
+            "psi_ab": rel(chain(aq, m, bq, l), t_adj_inv @ ab_e @ t_adj, plain_scale),
+            "psi_ba": rel(chain(bq, m, aq, l), t_adj_inv @ ba_e @ t_adj, plain_scale),
+            "mixed": mixed,
+        }
+        report = make_report("product_identities", max(details.values()), tolerance, details={**details, "m": m, "l": l})
+        if worst is None or report.residual > worst.residual:
+            worst = report
+    return worst
+
+
+SUITE_PAIRS = [(m, l) for m in range(5) for l in range(5 - m)]
+
+
+def product_opsets():
+    rng = stream_rng(47)
+    dense = random_conditioned_map(12, 50.0, rng)
+    dense = LinearMap(dense.entries + 0.3j * rng.standard_normal((12, 12)))
+    complex_alpha = AlphaSequence.custom(np.arange(12) + 0.25j * (-1.0) ** np.arange(12))
+    return {
+        "hermite-x": build_operator_set(ConstructingPair(build_X(32)), AlphaSequence.sqrt_n(32)),
+        "dense-complex-alpha": build_operator_set(ConstructingPair(dense), complex_alpha),
+        "nilpotent": build_operator_set(
+            ConstructingPair(random_conditioned_map(3, 10.0, stream_rng(44))), AlphaSequence.custom([0.5, 1.5, 2.5])
+        ),
+        "upper-unipotent": build_operator_set(
+            ConstructingPair(LinearMap(np.eye(10) + 0.7 * np.eye(10, k=1))), AlphaSequence.linear(10)
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [SUITE_PAIRS, [(m, l) for m in range(9) for l in range(9 - m)], [(3, 5), (8, 0), (0, 7)]],
+    ids=["suite", "all-up-to-8", "sparse"],
+)
+def test_product_identity_matches_parent_algorithm_bit_for_bit(pairs):
+    for name, opset in product_opsets().items():
+        expected = parent_product_identity_check(opset, pairs)
+        actual = product_identity_check(opset, pairs)
+        assert actual.residual == expected.residual, name
+        assert actual.details == expected.details, name
+        assert list(actual.details) == list(expected.details), name
+
+
+def test_product_identity_defect_shows_on_its_own_side_and_in_both_orders():
+    # (0, k) and (k, 0) share their operators; a defect in one psi-side
+    # ladder must reach both orders and leave the phi side and mixed alone.
+    rng = stream_rng(48)
+    opset = build_operator_set(ConstructingPair(random_conditioned_map(8, 10.0, rng)), AlphaSequence.sqrt_n(8))
+    b = opset.b_psi_phi.entries.copy()
+    b[np.unravel_index(np.argmax(np.abs(b)), b.shape)] *= 1.0 + 1e-6
+    mutated = dataclasses.replace(opset, b_psi_phi=LinearMap(b))
+    for pair, changed in (((0, 2), "psi_ab"), ((2, 0), "psi_ba"), ((1, 1), None)):
+        clean = product_identity_check(opset, [pair]).details
+        defect = product_identity_check(mutated, [pair]).details
+        for key in ("phi_ab", "phi_ba", "mixed"):
+            assert defect[key] == clean[key], (pair, key)
+        if changed is None:
+            assert defect["psi_ab"] > 1e3 * clean["psi_ab"] and defect["psi_ba"] > 1e3 * clean["psi_ba"]
+        else:
+            assert defect[changed] > 1e3 * clean[changed], pair
+            other = "psi_ba" if changed == "psi_ab" else "psi_ab"
+            assert defect[other] == clean[other], pair
+
+
+def test_product_identity_working_set():
+    # The check keeps norms, not matrices: at N=128 one complex matrix is
+    # 0.25 MiB, and a memo of every product would take about 25 MiB.
+    t = random_conditioned_map(128, 100.0, stream_rng(49))
+    opset = build_operator_set(ConstructingPair(t), AlphaSequence.sqrt_n(128))
+    tracemalloc.start()
+    try:
+        product_identity_check(opset, SUITE_PAIRS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20, peak
 
 
 def test_ccr_small_dimensions():

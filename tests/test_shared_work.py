@@ -10,7 +10,14 @@ from rieszlab.cli import _hermite_config
 
 
 def count_calls(monkeypatch):
-    counts = {"svd": 0, "eigvalsh": 0, "eigh": 0, "build_operator_set": 0, "build_system": 0}
+    counts = {
+        "svd": 0,
+        "eigvalsh": 0,
+        "eigh": 0,
+        "matrix_power": 0,
+        "build_operator_set": 0,
+        "build_system": 0,
+    }
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -27,6 +34,7 @@ def count_calls(monkeypatch):
     counted(np.linalg, "svd")
     counted(np.linalg, "eigvalsh")
     counted(np.linalg, "eigh")
+    counted(np.linalg, "matrix_power")
     counted(operators, "build_operator_set")
     counted(systems, "build_system")
     return counts
@@ -39,8 +47,11 @@ def test_hermite_full_suite_shares_factorizations(monkeypatch):
     assert all(r.passed for r in reports), [r.name for r in reports if not r.passed]
     # T^-1 (shared by every check), cond(T), and the polar factors
     assert counts["svd"] <= 3
-    # K_phi and K_psi certified once each, frame bounds once, three growth sizes twice
-    assert counts["eigvalsh"] <= 9
+    # K_phi and K_psi certified once each; frame_bounds reads the certificate's
+    # spectrum, so each of the three growth sizes costs one
+    assert counts["eigvalsh"] == 5
+    # product identities form the powers up to 4 as products of the square
+    assert counts["matrix_power"] <= 24
     # real alpha: the conjugate set of adjoint_relations is the set itself
     assert counts["build_operator_set"] == 1
     # one system per run, shared by every check, hermite_oracle included
