@@ -43,14 +43,15 @@ from .linalg import (
 from .operators import (
     AlphaSequence,
     OperatorSet,
+    WeightedShift,
     adjoint_relation_check,
     build_operator_set,
     ccr_check,
-    diag_hamiltonian,
     domain_mapping_check,
     eigen_check,
+    hamiltonian_shift,
     ladder_check,
-    ladder_operators,
+    ladder_shifts,
     product_identity_check,
     sum_form_hamiltonian,
     transform,

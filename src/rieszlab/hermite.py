@@ -35,14 +35,12 @@ MAX_DIMENSION_REASON = "beyond it the Gauss-Hermite weights of the quadrature or
 MULTIPLIERS = ("one", "one_plus_x2", "inv_one_plus_x2")
 
 
-def x_entry(i: int, j: int) -> float:
-    """Closed-form matrix element <e_i, (1 + x^2) e_j>."""
-    if i == j:
-        return i + 1.5
-    lo = min(i, j)
-    if abs(i - j) == 2:
-        return np.sqrt((lo + 1.0) * (lo + 2.0)) / 2.0
-    return 0.0
+def x_entry(i, j) -> np.ndarray:
+    """Closed-form matrix elements <e_i, (1 + x^2) e_j>, elementwise over indices or index arrays."""
+    i, j = np.asarray(i), np.asarray(j)
+    lo = np.minimum(i, j)
+    band = np.where(np.abs(i - j) == 2, np.sqrt((lo + 1.0) * (lo + 2.0)) / 2.0, 0.0)
+    return np.where(i == j, i + 1.5, band)
 
 
 def hermite_function_table(count: int, x: np.ndarray) -> np.ndarray:
@@ -78,20 +76,27 @@ def _multiplier_values(multiplier: str, nodes: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown multiplier {multiplier!r}; expected one of {MULTIPLIERS}")
 
 
-def quadrature_gram(count: int, multiplier: str, order: int) -> np.ndarray:
+def gauss_hermite_rule(count: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes, lifted weights and the first `count` Hermite functions at the nodes of one rule."""
+    nodes, weights = roots_hermite(order)
+    return nodes, _lifted_weights(nodes, weights), hermite_function_table(count, nodes)
+
+
+def quadrature_gram(count: int, multiplier: str, order: int, rule=None) -> np.ndarray:
     """All pairwise oracle inner products e_m * mult * e_n for m, n < count.
 
-    The integrals use the Gauss-Hermite rule of the given order.
+    The integrals use the Gauss-Hermite rule of the given order; `rule`
+    passes in `gauss_hermite_rule(count, order)` when a caller already
+    holds it.
     """
-    nodes, weights = roots_hermite(order)
-    factors = _lifted_weights(nodes, weights) * _multiplier_values(multiplier, nodes)
-    table = hermite_function_table(count, nodes)
+    nodes, lifted, table = gauss_hermite_rule(count, order) if rule is None else rule
+    factors = lifted * _multiplier_values(multiplier, nodes)
     return (table * factors) @ table.T
 
 
-def oracle_deviation(entries: np.ndarray, multiplier: str, order: int) -> float:
+def oracle_deviation(entries: np.ndarray, multiplier: str, order: int, rule=None) -> float:
     """Max deviation of a closed-form matrix from the quadrature oracle."""
-    gram = quadrature_gram(entries.shape[0], multiplier, order)
+    gram = quadrature_gram(entries.shape[0], multiplier, order, rule)
     return float(np.abs(entries - gram).max())
 
 
@@ -124,11 +129,14 @@ def build_model(dim: int, oracle_tolerance: float = ORACLE_TOLERANCE) -> Hermite
     """
     order = 4 * dim
     x = build_X(dim)
-    residual = oracle_deviation(x.entries, "one_plus_x2", order)
+    rule = gauss_hermite_rule(dim, order)
+    residual = oracle_deviation(x.entries, "one_plus_x2", order, rule)
     if residual > oracle_tolerance:
         raise OracleMismatch(f"truncated X at dim {dim} deviates from quadrature by {residual:.3e}")
     base_order = max(order, RATIONAL_ORDER_FLOOR)
-    once = quadrature_gram(dim, "inv_one_plus_x2", base_order)
+    # From dim 64 on the entry gate's rule is the first rational rule too.
+    shared = rule if base_order == order else None
+    once = quadrature_gram(dim, "inv_one_plus_x2", base_order, shared)
     twice = quadrature_gram(dim, "inv_one_plus_x2", 2 * base_order)
     convergence = float(np.abs(once - twice).max())
     if convergence > DOUBLING_TOLERANCE:
@@ -145,11 +153,12 @@ def tail_coefficient_vector(coefficients, dim: int) -> np.ndarray:
 
 def tail_family(dim: int) -> np.ndarray:
     """Closed-form entries of X at truncation dim: the phi family of the growth diagnostics."""
+    n = np.arange(dim)
     entries = np.zeros((dim, dim), dtype=np.complex128)
-    for n in range(dim):
-        entries[n, n] = x_entry(n, n)
-        if n + 2 < dim:
-            entries[n, n + 2] = entries[n + 2, n] = x_entry(n, n + 2)
+    entries[n, n] = x_entry(n, n)
+    band = x_entry(n[:-2], n[2:])
+    entries[n[:-2], n[2:]] = band
+    entries[n[2:], n[:-2]] = band
     return entries
 
 

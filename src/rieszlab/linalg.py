@@ -5,9 +5,10 @@ self-adjointness (by residual) on the first read of `self_adjoint` and
 positivity (by smallest eigenvalue) on the first read of `positive`, whose
 eigenvalues it keeps as `spectrum`, so callers can demand the structure
 they need instead of trusting whoever built the matrix.  A condition
-estimate is computed lazily from the extreme singular values, and
-`invert` caches its result on the map it inverted.  The entries are
-read-only, so none of these cached values can go stale.
+estimate is computed lazily from the extreme singular values; `invert`
+and `polar_decompose` share one SVD kept on the map, and `invert` caches
+its result there too.  The entries are read-only, so none of these
+cached values can go stale.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def _as_square_complex(entries) -> np.ndarray:
 class LinearMap:
     """Square complex matrix with certified self_adjoint/positive flags."""
 
-    __slots__ = ("entries", "_self_adjoint", "_positive", "_spectrum", "_cond", "_inverse")
+    __slots__ = ("entries", "_self_adjoint", "_positive", "_spectrum", "_cond", "_svd", "_inverse")
 
     def __init__(self, entries):
         a = _as_square_complex(entries)
@@ -46,6 +47,7 @@ class LinearMap:
         self._positive: bool | None = None
         self._spectrum: np.ndarray | None = None
         self._cond: float | None = None
+        self._svd: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._inverse: LinearMap | None = None
 
     @property
@@ -127,18 +129,29 @@ def operator_sqrt(a: LinearMap) -> LinearMap:
     return LinearMap((root + root.conj().T) / 2.0)
 
 
+def _nonsingular_svd(a: LinearMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The full SVD (u, s, vh) of `a`, computed once per map; raises if `a` is singular."""
+    if a._svd is None:
+        factors = np.linalg.svd(a.entries)
+        for f in factors:
+            f.setflags(write=False)
+        a._svd = factors
+    u, s, vh = a._svd
+    if s[-1] <= SINGULARITY_FLOOR * s[0]:
+        raise NumericallySingular(s[-1], s[0])
+    return u, s, vh
+
+
 def invert(a: LinearMap) -> LinearMap:
     """SVD-based inverse with a scale-invariant singularity floor.
 
-    The inverse is cached on `a`, so every caller shares one SVD.  The
-    inverse's own condition estimate comes from that SVD.  `a` keeps its
+    The inverse is cached on `a`, so every caller shares it.  The
+    inverse's own condition estimate comes from the SVD.  `a` keeps its
     own estimate: the singular values of an SVD without vectors can differ
     in the last bits, and reports print 17 digits.
     """
     if a._inverse is None:
-        u, s, vh = np.linalg.svd(a.entries)
-        if s[-1] <= SINGULARITY_FLOOR * s[0]:
-            raise NumericallySingular(s[-1], s[0])
+        u, s, vh = _nonsingular_svd(a)
         out = LinearMap((vh.conj().T * (1.0 / s)) @ u.conj().T)
         out._cond = float(s[0] / s[-1])
         a._inverse = out
@@ -149,11 +162,9 @@ def polar_decompose(t: LinearMap) -> PolarFactors:
     """Left polar decomposition T = P U with P = (T T*)^(1/2) and U unitary.
 
     The left convention makes the positive factor act on the rotated basis:
-    P (U e_n) = T e_n, column by column.
+    P (U e_n) = T e_n, column by column.  It reads the SVD `invert` uses.
     """
-    u, s, vh = np.linalg.svd(t.entries)
-    if s[-1] <= SINGULARITY_FLOOR * s[0]:
-        raise NumericallySingular(s[-1], s[0])
+    u, s, vh = _nonsingular_svd(t)
     pos = (u * s) @ u.conj().T
     return PolarFactors(
         unitary_part=LinearMap(u @ vh),

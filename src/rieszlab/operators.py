@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import matmul
 from typing import Sequence
 
 import numpy as np
@@ -102,33 +104,81 @@ def _require_length(alpha: AlphaSequence, dim: int) -> np.ndarray:
     return alpha.values[:dim]
 
 
-def diag_hamiltonian(alpha: AlphaSequence, dim: int) -> LinearMap:
-    """diag(alpha_0 .. alpha_{N-1}); self-adjoint exactly when alpha is real."""
-    return LinearMap(np.diag(_require_length(alpha, dim)))
+class WeightedShift:
+    """The reference-basis operator W e_j = coefficients[j] e_{j + offset}.
+
+    A coefficient is 0 wherever j + offset leaves 0 .. N-1, so an offset of
+    N or more is the zero operator.  `left @ W` scales and shifts the
+    columns of left, and `W1 @ W2` is again a weighted shift; both form,
+    entry by entry, the one nonzero product the dense gemm would form, so
+    for real coefficients they hold its bits at O(N^2) and O(N) cost.
+    """
+
+    __slots__ = ("offset", "coefficients")
+    __array_ufunc__ = None  # so that ndarray @ WeightedShift calls __rmatmul__
+
+    def __init__(self, offset: int, coefficients):
+        self.offset = offset
+        self.coefficients = np.asarray(coefficients, dtype=np.complex128)
+
+    @property
+    def dim(self) -> int:
+        return self.coefficients.shape[0]
+
+    def _span(self) -> slice:
+        """The columns j with j + offset inside the space; empty once |offset| >= N."""
+        start = min(max(0, -self.offset), self.dim)
+        return slice(start, max(start, self.dim - max(0, self.offset)))
+
+    def __matmul__(self, right: "WeightedShift") -> "WeightedShift":
+        span = right._span()
+        c = np.zeros(self.dim, dtype=np.complex128)
+        left = self.coefficients[span.start + right.offset : span.stop + right.offset]
+        c[span] = left * right.coefficients[span]
+        return WeightedShift(self.offset + right.offset, c)
+
+    def __rmatmul__(self, left: np.ndarray) -> np.ndarray:
+        span = self._span()
+        out = np.zeros(left.shape, dtype=np.complex128)
+        np.multiply(
+            left[:, span.start + self.offset : span.stop + self.offset],
+            self.coefficients[span],
+            out=out[:, span],
+        )
+        return out
+
+    def matrix(self) -> LinearMap:
+        """The dense N x N matrix of a shift with |offset| <= N."""
+        span = self._span()
+        return LinearMap(np.diag(self.coefficients[span], k=-self.offset))
 
 
-def ladder_operators(alpha: AlphaSequence, dim: int) -> tuple[LinearMap, LinearMap]:
-    """Lowering A (e_n -> alpha_n e_{n-1}) and raising B (e_n -> alpha_{n+1} e_{n+1}).
+def hamiltonian_shift(alpha: AlphaSequence, dim: int) -> WeightedShift:
+    """H_e = diag(alpha_0 .. alpha_{N-1}), offset 0; self-adjoint exactly when alpha is real."""
+    return WeightedShift(0, _require_length(alpha, dim))
 
-    The top raising row is truncated: B e_{N-1} = 0.
+
+def ladder_shifts(alpha: AlphaSequence, dim: int) -> tuple[WeightedShift, WeightedShift]:
+    """Lowering A_e (e_n -> alpha_n e_{n-1}) and raising B_e (e_n -> alpha_{n+1} e_{n+1}).
+
+    The top raising coefficient is truncated: B_e e_{N-1} = 0.
     """
     v = _require_length(alpha, dim)
-    a = np.zeros((dim, dim), dtype=np.complex128)
-    b = np.zeros((dim, dim), dtype=np.complex128)
-    for n in range(dim - 1):
-        a[n, n + 1] = v[n + 1]
-        b[n + 1, n] = v[n + 1]
-    return LinearMap(a), LinearMap(b)
+    lowering = np.zeros(dim, dtype=np.complex128)
+    raising = np.zeros(dim, dtype=np.complex128)
+    lowering[1:] = v[1:]
+    raising[:-1] = v[1:]
+    return WeightedShift(-1, lowering), WeightedShift(1, raising)
 
 
-def transform(op_e: LinearMap, t: LinearMap, side: str) -> LinearMap:
-    """Conjugate a reference-basis operator: T op T^-1 or (T*)^-1 op T*."""
+def transform(op_e: WeightedShift, t: LinearMap, side: str) -> LinearMap:
+    """Conjugate a reference-basis shift: T op T^-1 or (T*)^-1 op T*, one gemm each."""
     t_inv = invert(t)
     if side == "phi_psi":
-        return LinearMap(t.entries @ op_e.entries @ t_inv.entries)
+        return LinearMap(t.entries @ op_e @ t_inv.entries)
     if side == "psi_phi":
         t_adj_inv = t_inv.entries.conj().T
-        return LinearMap(t_adj_inv @ op_e.entries @ t.entries.conj().T)
+        return LinearMap(t_adj_inv @ op_e @ t.entries.conj().T)
     raise ValueError(f"unknown side {side!r}; expected 'phi_psi' or 'psi_phi'")
 
 
@@ -213,13 +263,13 @@ class OperatorSet:
 
 def build_operator_set(pair: ConstructingPair, alpha: AlphaSequence) -> OperatorSet:
     dim = pair.dim
-    h_e = diag_hamiltonian(alpha, dim)
-    a_e, b_e = ladder_operators(alpha, dim)
+    h_e = hamiltonian_shift(alpha, dim)
+    a_e, b_e = ladder_shifts(alpha, dim)
     m = pair.matrix
     return OperatorSet(
-        h_e=h_e,
-        a_e=a_e,
-        b_e=b_e,
+        h_e=h_e.matrix(),
+        a_e=a_e.matrix(),
+        b_e=b_e.matrix(),
         h_phi_psi=transform(h_e, m, "phi_psi"),
         h_psi_phi=transform(h_e, m, "psi_phi"),
         a_phi_psi=transform(a_e, m, "phi_psi"),
@@ -276,8 +326,32 @@ def _stage(word: tuple) -> tuple:
     return max(((x, p) for x, p in word if p > 1), default=("", 0))
 
 
+def _shift_power(x: WeightedShift, p: int) -> WeightedShift:
+    """x^p for p >= 1, associated as np.linalg.matrix_power associates its products."""
+    if p == 3:
+        return (x @ x) @ x
+    z = power = None
+    while p:
+        z = x if z is None else z @ z
+        p, bit = divmod(p, 2)
+        if bit:
+            power = z if power is None else power @ z
+    return power
+
+
+def _reference_words(
+    a_e: WeightedShift, b_e: WeightedShift, words: Sequence[tuple]
+) -> dict[tuple, WeightedShift]:
+    """Each word as one weighted shift: powers as matrix_power forms them, then F0 F1."""
+    letters = {"a": a_e, "b": b_e}
+    factors = dict.fromkeys(f for word in words for f in word)
+    powers = {(x, p): _shift_power(letters[x], p) for x, p in factors}
+    identity = WeightedShift(0, np.ones(a_e.dim))
+    return {word: reduce(matmul, [powers[f] for f in word] or [identity]) for word in words}
+
+
 class _Powers:
-    """Powers of one (A, B) pair, each formed once and dropped after its last use.
+    """Powers of one (A, B) pair of matrices, each formed once and dropped after its last use.
 
     X^2 = X X, X^3 = X^2 X and X^4 = X^2 X^2 are the products
     np.linalg.matrix_power forms, so the values match it bit for bit;
@@ -318,17 +392,6 @@ class _Powers:
         return factors[0] if len(factors) == 1 else factors[0] @ factors[1]
 
 
-def _conjugate(left: np.ndarray, x: np.ndarray | None, right: np.ndarray) -> np.ndarray:
-    """left x right, releasing x once left x is formed; None stands for the identity."""
-    if x is None:
-        # A C-ordered left has the layout left @ 1 would have, so the
-        # product keeps its bits without multiplying by the identity.
-        return np.ascontiguousarray(left) @ right
-    partial = left @ x
-    del x
-    return partial @ right
-
-
 def _deviation(reference: np.ndarray, actual: np.ndarray | None) -> tuple[float, float]:
     """(||actual - reference||, ||reference||), subtracting in the reference's buffer."""
     reference_norm = np.linalg.norm(reference)
@@ -342,21 +405,18 @@ def _deviation(reference: np.ndarray, actual: np.ndarray | None) -> tuple[float,
 def _side_deviations(
     left: np.ndarray,
     right: np.ndarray,
-    reference_ops: tuple[np.ndarray, np.ndarray],
+    references: dict[tuple, WeightedShift],
     actual_ops: tuple[np.ndarray, np.ndarray],
     words: Sequence[tuple],
 ) -> dict[tuple, tuple[float, float]]:
     """_deviation for each word on one side.
 
     The actual operator multiplies powers of the side's transformed A and
-    B; the reference conjugates the reference-basis chain, left (A_e^m
-    B_e^l) right.  The two routes share only left and right.
+    B; the reference is left (A_e^m B_e^l) right, one column shift of left
+    and one product.  The two routes share only left and right.
     """
-    reference, actual = _Powers(*reference_ops, words), _Powers(*actual_ops, words)
-    return {
-        word: _deviation(_conjugate(left, reference.word(word), right), actual.word(word))
-        for word in words
-    }
+    actual = _Powers(*actual_ops, words)
+    return {word: _deviation(left @ references[word] @ right, actual.word(word)) for word in words}
 
 
 def product_identity_check(
@@ -373,9 +433,11 @@ def product_identity_check(
     nilpotent once m or l reaches the dimension).  Returns the report of
     the worst (m, l) pair; on a tie the earlier pair wins.
 
-    One side at a time, each distinct operator of the pairs is formed once
-    per route and only the two norms of its comparison are kept, so the
-    working set stays a few matrices whatever the pair list.
+    Each word A_e^m B_e^l is a weighted shift, built once from alpha, so a
+    reference costs one column shift and one product.  One side at a time,
+    each distinct operator of the pairs is formed once per route and only
+    the two norms of its comparison are kept, so the working set stays a
+    few matrices whatever the pair list.
     """
     pairs = list(pairs)
     if not pairs:
@@ -385,17 +447,18 @@ def product_identity_check(
             raise ValueError(f"powers must satisfy 0 <= m + l <= {MAX_PRODUCT_POWER}")
     t = opset.pair.matrix.entries
     t_inv = invert(opset.pair.matrix).entries
-    a_e, b_e = opset.a_e.entries, opset.b_e.entries
 
     def rel(deviation: float, reference_norm: float, scale: float) -> float:
         return float(deviation / max(reference_norm, scale, 1e-300))
 
     conjugation = np.linalg.norm(t) * np.linalg.norm(t_inv)
-    a_norm, b_norm = np.linalg.norm(a_e), np.linalg.norm(b_e)
+    a_norm, b_norm = np.linalg.norm(opset.a_e.entries), np.linalg.norm(opset.b_e.entries)
     words = sorted(dict.fromkeys(w for m, l in pairs for w in _words(m, l)), key=_stage)
+    a_e, b_e = ladder_shifts(opset.alpha, t.shape[0])
+    references = _reference_words(a_e, b_e, words)  # shared by both sides
     norms = {
         "phi": _side_deviations(
-            t, t_inv, (a_e, b_e), (opset.a_phi_psi.entries, opset.b_phi_psi.entries), words
+            t, t_inv, references, (opset.a_phi_psi.entries, opset.b_phi_psi.entries), words
         )
     }
     t_adj = t.conj().T
@@ -409,7 +472,7 @@ def product_identity_check(
         conjugation**2 * a_norm * b_norm,
     )
     norms["psi"] = _side_deviations(
-        t_adj_inv, t_adj, (a_e, b_e), (opset.a_psi_phi.entries, opset.b_psi_phi.entries), words
+        t_adj_inv, t_adj, references, (opset.a_psi_phi.entries, opset.b_psi_phi.entries), words
     )
     worst: CheckReport | None = None
     for m, l in pairs:
@@ -477,7 +540,7 @@ def domain_mapping_check(opset: OperatorSet, tolerance: float = 1e-9) -> CheckRe
     reported as the amplification factor.
     """
     t = opset.pair.matrix
-    h_e = opset.h_e.entries
+    h_e = hamiltonian_shift(opset.alpha, t.dim)
     sides = {
         "phi_psi": (opset.h_phi_psi, t.entries),
         "psi_phi": (opset.h_psi_phi, invert(t).entries.conj().T),

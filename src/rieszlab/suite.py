@@ -150,7 +150,7 @@ def _check_polar(ctx: _SuiteContext) -> CheckReport:
     pair = ctx.pair()
     normalized, f_basis = systems.normalize_pair(pair)
     t = pair.matrix.entries
-    rebuilt = normalized.T.entries @ f_basis.entries
+    rebuilt = normalized.matrix.entries  # P U, formed once by the normalized pair
     norms = np.maximum(1.0, np.linalg.norm(t, axis=0))
     reassembly = float((np.linalg.norm(rebuilt - t, axis=0) / norms).max())
     gram = float(
@@ -165,7 +165,13 @@ def _check_polar(ctx: _SuiteContext) -> CheckReport:
 
 
 def _check_hamiltonian_agreement(ctx: _SuiteContext) -> CheckReport:
-    summed = operators.sum_form_hamiltonian(ctx.system(), ctx.alpha())
+    # The dual family by an LU solve of T* Psi = 1 (T* = phi^H), not the SVD
+    # inverse the operator set conjugates with: with one T^-1 the sum form
+    # and T H T^-1 would be a single computation that no defect can fail.
+    phi = ctx.system().phi
+    psi = np.linalg.solve(phi.conj().T, np.eye(phi.shape[0]))
+    solved = systems.BiorthogonalSystem(phi=phi, psi=psi)
+    summed = operators.sum_form_hamiltonian(solved, ctx.alpha())
     conjugated = ctx.opset().h_phi_psi
     residual = float(
         np.linalg.norm(summed.entries - conjugated.entries)

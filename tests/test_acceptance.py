@@ -18,7 +18,7 @@ from rieszlab import (
     build_system,
     ccr_check,
     check_biorthogonality,
-    diag_hamiltonian,
+    hamiltonian_shift,
     eigen_check,
     from_diagonal,
     ladder_check,
@@ -140,7 +140,7 @@ def test_criterion_06_hamiltonian_agreement():
         sys_ = build_system(ConstructingPair(t))
         alpha = make_alpha(16)
         summed = sum_form_hamiltonian(sys_, alpha)
-        conjugated = transform(diag_hamiltonian(alpha, 16), t, "phi_psi")
+        conjugated = transform(hamiltonian_shift(alpha, 16), t, "phi_psi")
         worst_diff = max(
             worst_diff,
             np.linalg.norm(summed.entries - conjugated.entries)

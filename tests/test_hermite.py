@@ -114,8 +114,9 @@ def test_oracle_gate_trips_on_corruption(monkeypatch):
     import rieszlab.hermite as hermite_mod
 
     true_entry = hermite_mod.x_entry
+    # x_entry is evaluated over index arrays; corrupt the (0, 0) element only
     monkeypatch.setattr(
-        hermite_mod, "x_entry", lambda i, j: true_entry(i, j) + (1e-6 if i == j == 0 else 0.0)
+        hermite_mod, "x_entry", lambda i, j: true_entry(i, j) + 1e-6 * ((np.asarray(i) == 0) & (np.asarray(j) == 0))
     )
     with pytest.raises(OracleMismatch):
         hermite_mod.build_model(8)
@@ -209,6 +210,40 @@ def test_tail_family_prefix_consistency():
     small = tail_family(32)
     big = tail_family(64)
     np.testing.assert_array_equal(small[:, :30], big[:32, :30])
+
+
+def loop_tail_family(dim):
+    """The per-entry loop tail_family replaced."""
+    entries = np.zeros((dim, dim), dtype=np.complex128)
+    for n in range(dim):
+        entries[n, n] = n + 1.5
+        if n + 2 < dim:
+            entries[n, n + 2] = entries[n + 2, n] = np.sqrt((n + 1.0) * (n + 2.0)) / 2.0
+    return entries
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 16, 64, 256, 512])
+def test_tail_family_matches_loop_bit_for_bit(dim):
+    np.testing.assert_array_equal(tail_family(dim), loop_tail_family(dim))
+
+
+def test_build_model_shares_the_entry_rule(monkeypatch):
+    # From dim 64 on (order 4 * dim reaches RATIONAL_ORDER_FLOOR) the entry gate
+    # and the first rational Gram use one rule; the values keep their bits.
+    import rieszlab.hermite as hermite_mod
+
+    calls = []
+    roots = hermite_mod.roots_hermite
+    monkeypatch.setattr(hermite_mod, "roots_hermite", lambda order: calls.append(order) or roots(order))
+    for dim, orders in ((16, [64, 256, 512]), (64, [256, 512])):
+        calls.clear()
+        model = hermite_mod.build_model(dim)
+        assert calls == orders
+        base = max(4 * dim, hermite_mod.RATIONAL_ORDER_FLOOR)
+        once = quadrature_gram(dim, "inv_one_plus_x2", base)
+        twice = quadrature_gram(dim, "inv_one_plus_x2", 2 * base)
+        assert model.rational_convergence == float(np.abs(once - twice).max())
+        assert model.oracle_residual == oracle_deviation(build_X(dim).entries, "one_plus_x2", 4 * dim)
 
 
 def test_x_entry_formula():

@@ -196,6 +196,25 @@ def test_polar_random_reassembly(dim):
         assert err <= 1e-9 * np.linalg.norm(t.entries)
 
 
+def test_invert_and_polar_share_one_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(kw) or svd(a, **kw))
+    t = random_conditioned_map(8, 10.0, stream_rng(16))
+    inv = invert(t)
+    factors = polar_decompose(t)
+    assert calls == [{}]
+    u, s, vh = svd(t.entries)
+    np.testing.assert_array_equal(inv.entries, (vh.conj().T * (1.0 / s)) @ u.conj().T)
+    np.testing.assert_array_equal(factors.unitary_part.entries, u @ vh)
+    # a singular map keeps its SVD too and raises on every read
+    z = LinearMap(np.zeros((3, 3)))
+    for op in (invert, polar_decompose, invert):
+        with pytest.raises(NumericallySingular):
+            op(z)
+    assert len(calls) == 2
+
+
 def test_polar_rejects_singular():
     with pytest.raises(NumericallySingular):
         polar_decompose(from_diagonal([1.0, 1e-13]))

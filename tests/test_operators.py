@@ -16,13 +16,13 @@ from rieszlab import (
     build_system,
     build_X,
     ccr_check,
-    diag_hamiltonian,
     domain_mapping_check,
     eigen_check,
     from_diagonal,
+    hamiltonian_shift,
     invert,
     ladder_check,
-    ladder_operators,
+    ladder_shifts,
     make_report,
     product_identity_check,
     sum_form_hamiltonian,
@@ -31,6 +31,10 @@ from rieszlab import (
 )
 from rieszlab.errors import DimensionMismatch, NumericallySingular, WrongAlphaKind
 from rieszlab.sampling import random_conditioned_map, stream_rng
+
+
+def ladder_matrices(alpha, dim):
+    return tuple(shift.matrix() for shift in ladder_shifts(alpha, dim))
 
 
 def reference_opset(alpha):
@@ -66,29 +70,29 @@ def test_validate_alpha_rejects_complex():
 
 
 def test_diag_hamiltonian():
-    h = diag_hamiltonian(AlphaSequence.custom([1.0, 2.0, 3.0]), 3)
+    h = hamiltonian_shift(AlphaSequence.custom([1.0, 2.0, 3.0]), 3).matrix()
     np.testing.assert_array_equal(h.entries, np.diag([1.0, 2.0, 3.0]))
     assert h.self_adjoint
-    h_sqrt = diag_hamiltonian(AlphaSequence.sqrt_n(3), 3)
+    h_sqrt = hamiltonian_shift(AlphaSequence.sqrt_n(3), 3).matrix()
     np.testing.assert_allclose(np.diag(h_sqrt.entries), [0.0, 1.0, np.sqrt(2.0)], atol=0)
 
 
 def test_diag_hamiltonian_complex_adjoint():
     alpha = AlphaSequence.custom([1j, 2j])
-    h = diag_hamiltonian(alpha, 2)
+    h = hamiltonian_shift(alpha, 2).matrix()
     assert not h.self_adjoint
     np.testing.assert_array_equal(
-        adjoint(h).entries, diag_hamiltonian(alpha.conjugate(), 2).entries
+        adjoint(h).entries, hamiltonian_shift(alpha.conjugate(), 2).matrix().entries
     )
 
 
 def test_diag_hamiltonian_length_guard():
     with pytest.raises(DimensionMismatch):
-        diag_hamiltonian(AlphaSequence.custom([1.0]), 3)
+        hamiltonian_shift(AlphaSequence.custom([1.0]), 3).matrix()
 
 
 def test_ladder_matrices():
-    a, b = ladder_operators(AlphaSequence.sqrt_n(3), 3)
+    a, b = ladder_matrices(AlphaSequence.sqrt_n(3), 3)
     np.testing.assert_allclose(
         a.entries, [[0, 1, 0], [0, 0, np.sqrt(2)], [0, 0, 0]], atol=0
     )
@@ -99,7 +103,7 @@ def test_ladder_matrices():
 
 def test_ladder_actions_on_reference_basis():
     dim = 6
-    a, b = ladder_operators(AlphaSequence.sqrt_n(dim), dim)
+    a, b = ladder_matrices(AlphaSequence.sqrt_n(dim), dim)
     e = np.eye(dim)
     np.testing.assert_array_equal(a.entries @ e[:, 1], e[:, 0])
     np.testing.assert_array_equal(b.entries @ e[:, 0], e[:, 1])
@@ -108,15 +112,15 @@ def test_ladder_actions_on_reference_basis():
 
 
 def test_transform_identity_and_diagonal():
-    h = diag_hamiltonian(AlphaSequence.custom([1.0, 2.0]), 2)
-    np.testing.assert_allclose(transform(h, LinearMap(np.eye(2)), "phi_psi").entries, h.entries, atol=0)
-    h3 = diag_hamiltonian(AlphaSequence.custom([1.0, 2.0, 3.0]), 3)
+    h = hamiltonian_shift(AlphaSequence.custom([1.0, 2.0]), 2)
+    np.testing.assert_allclose(transform(h, LinearMap(np.eye(2)), "phi_psi").entries, h.matrix().entries, atol=0)
+    h3 = hamiltonian_shift(AlphaSequence.custom([1.0, 2.0, 3.0]), 3)
     t3 = from_diagonal([1, 2, 3])
-    np.testing.assert_allclose(transform(h3, t3, "phi_psi").entries, h3.entries, atol=1e-15)
+    np.testing.assert_allclose(transform(h3, t3, "phi_psi").entries, h3.matrix().entries, atol=1e-15)
 
 
 def test_transform_unipotent_by_hand():
-    h = diag_hamiltonian(AlphaSequence.custom([1.0, 2.0]), 2)
+    h = hamiltonian_shift(AlphaSequence.custom([1.0, 2.0]), 2)
     t = LinearMap([[1, 1], [0, 1]])
     np.testing.assert_allclose(transform(h, t, "phi_psi").entries, [[1, 1], [0, 2]], atol=1e-14)
 
@@ -138,7 +142,7 @@ def test_sum_form_agrees_with_transform():
     sys_ = build_system(ConstructingPair(t))
     summed = sum_form_hamiltonian(sys_, alpha)
     np.testing.assert_allclose(summed.entries, [[1, 1], [0, 2]], atol=1e-13)
-    conjugated = transform(diag_hamiltonian(alpha, 2), t, "phi_psi")
+    conjugated = transform(hamiltonian_shift(alpha, 2), t, "phi_psi")
     np.testing.assert_allclose(summed.entries, conjugated.entries, atol=1e-13)
 
 
@@ -156,18 +160,18 @@ def test_sum_form_agreement_random_property():
             sys_ = build_system(ConstructingPair(t))
             alpha = kind(dim)
             summed = sum_form_hamiltonian(sys_, alpha)
-            conjugated = transform(diag_hamiltonian(alpha, dim), t, "phi_psi")
+            conjugated = transform(hamiltonian_shift(alpha, dim), t, "phi_psi")
             err = np.linalg.norm(summed.entries - conjugated.entries)
             assert err <= 1e-9 * np.linalg.norm(conjugated.entries)
 
 
 def test_eigen_check_diagonal_and_unipotent():
     alpha = AlphaSequence.custom([1.0, 2.0])
-    assert eigen_check(diag_hamiltonian(alpha, 2), np.eye(2), alpha).residual == 0.0
+    assert eigen_check(hamiltonian_shift(alpha, 2).matrix(), np.eye(2), alpha).residual == 0.0
     # H phi_1 = 2 phi_1 with phi_1 = (1, 1)
     t = LinearMap([[1, 1], [0, 1]])
     sys_ = build_system(ConstructingPair(t))
-    h = transform(diag_hamiltonian(alpha, 2), t, "phi_psi")
+    h = transform(hamiltonian_shift(alpha, 2), t, "phi_psi")
     np.testing.assert_allclose(h.entries @ sys_.phi[:, 1], 2.0 * sys_.phi[:, 1], atol=1e-14)
     report = eigen_check(h, sys_.phi, alpha)
     assert report.passed and report.residual < 1e-14
@@ -178,7 +182,7 @@ def test_eigen_check_hermite_interior():
 
     sys_ = build_system(ConstructingPair(build_model(64).X))
     alpha = AlphaSequence.linear(64)
-    h = transform(diag_hamiltonian(alpha, 64), sys_.pair.matrix, "phi_psi")
+    h = transform(hamiltonian_shift(alpha, 64), sys_.pair.matrix, "phi_psi")
     report = eigen_check(h, sys_.phi, alpha, tolerance=1e-7, indices=range(32))
     assert report.passed, report.residual
 
@@ -186,7 +190,7 @@ def test_eigen_check_hermite_interior():
 def test_ladder_check_reference_basis():
     dim = 4
     alpha = AlphaSequence.sqrt_n(dim)
-    a, b = ladder_operators(alpha, dim)
+    a, b = ladder_matrices(alpha, dim)
     report = ladder_check(a, b, np.eye(dim), alpha)
     assert report.passed
     assert report.details["lowering_ground"] == 0.0
@@ -208,7 +212,7 @@ def test_ladder_check_diagonal_pair():
 def test_ladder_check_detects_perturbation():
     dim = 4
     alpha = AlphaSequence.sqrt_n(dim)
-    a, b = ladder_operators(alpha, dim)
+    a, b = ladder_matrices(alpha, dim)
     bad = a.entries.copy()
     bad[0, 1] += 1e-3
     report = ladder_check(LinearMap(bad), b, np.eye(dim), alpha)
@@ -380,12 +384,50 @@ def product_opsets():
     ids=["suite", "all-up-to-8", "sparse"],
 )
 def test_product_identity_matches_parent_algorithm_bit_for_bit(pairs):
+    # A weighted shift forms each entry's one nonzero product as the gemm
+    # does; with complex alpha the gemm kernel may round that complex
+    # product differently, so the reference moves by a few ulps of the
+    # scale that normalizes every residual.
     for name, opset in product_opsets().items():
         expected = parent_product_identity_check(opset, pairs)
         actual = product_identity_check(opset, pairs)
-        assert actual.residual == expected.residual, name
-        assert actual.details == expected.details, name
         assert list(actual.details) == list(expected.details), name
+        if opset.alpha.is_real:
+            assert actual.residual == expected.residual, name
+            assert actual.details == expected.details, name
+        else:
+            for key, value in expected.details.items():
+                assert abs(actual.details[key] - value) <= 4 * np.finfo(float).eps, (name, key)
+
+
+def parent_transform(op_e, t, side):
+    """The two-product transform build_operator_set replaced: T op T^-1 or (T*)^-1 op T* as gemms."""
+    t_inv = invert(t).entries
+    if side == "phi_psi":
+        return t.entries @ op_e.entries @ t_inv
+    return t_inv.conj().T @ op_e.entries @ t.entries.conj().T
+
+
+def test_operator_set_matches_parent_transform():
+    # Real alpha: each column shift holds the bits of the gemm it replaced.
+    # Complex alpha: the one complex product per entry may round apart.
+    for name, opset in product_opsets().items():
+        for field, op_e, side in (
+            ("h_phi_psi", opset.h_e, "phi_psi"),
+            ("h_psi_phi", opset.h_e, "psi_phi"),
+            ("a_phi_psi", opset.a_e, "phi_psi"),
+            ("b_phi_psi", opset.b_e, "phi_psi"),
+            ("a_psi_phi", opset.a_e, "psi_phi"),
+            ("b_psi_phi", opset.b_e, "psi_phi"),
+        ):
+            expected = parent_transform(op_e, opset.pair.matrix, side)
+            actual = getattr(opset, field).entries
+            if opset.alpha.is_real:
+                np.testing.assert_array_equal(actual, expected, err_msg=f"{name} {field}")
+            else:
+                scale = np.linalg.norm(opset.pair.matrix.entries) * np.linalg.norm(invert(opset.pair.matrix).entries)
+                scale *= np.abs(opset.alpha.values).max()
+                assert np.abs(actual - expected).max() <= 4 * np.finfo(float).eps * scale, (name, field)
 
 
 def test_product_identity_defect_shows_on_its_own_side_and_in_both_orders():
@@ -426,10 +468,10 @@ def test_product_identity_working_set():
 def test_ccr_small_dimensions():
     # commutator diagonals computed by hand from the shifted sqrt entries
     alpha = AlphaSequence.sqrt_n(3)
-    a, b = ladder_operators(alpha, 3)
+    a, b = ladder_matrices(alpha, 3)
     comm = a.entries @ b.entries - b.entries @ a.entries
     np.testing.assert_allclose(comm, np.diag([1.0, 1.0, -2.0]), atol=1e-14)
-    a2, b2 = ladder_operators(AlphaSequence.sqrt_n(2), 2)
+    a2, b2 = ladder_matrices(AlphaSequence.sqrt_n(2), 2)
     comm2 = a2.entries @ b2.entries - b2.entries @ a2.entries
     np.testing.assert_allclose(comm2, np.diag([1.0, -1.0]), atol=1e-15)
     assert ccr_check(reference_opset(alpha)).passed

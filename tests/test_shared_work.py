@@ -5,8 +5,9 @@ import sys
 
 import numpy as np
 
-from rieszlab import operators, parse_config, run_suite, systems
+from rieszlab import LinearMap, invert, operators, parse_config, run_suite, suite, systems
 from rieszlab.cli import _hermite_config
+from rieszlab.sampling import random_conditioned_map, stream_rng
 
 
 def count_calls(monkeypatch):
@@ -45,8 +46,8 @@ def test_hermite_full_suite_shares_factorizations(monkeypatch):
     counts = count_calls(monkeypatch)
     reports = run_suite(_hermite_config(32, full_suite=True, seed=0))
     assert all(r.passed for r in reports), [r.name for r in reports if not r.passed]
-    # T^-1 (shared by every check), cond(T), and the polar factors
-    assert counts["svd"] <= 3
+    # one SVD of T (T^-1 and the polar factors) and cond(T)
+    assert counts["svd"] == 2
     # K_phi and K_psi certified once each; frame_bounds reads the certificate's
     # spectrum, so each of the three growth sizes costs one
     assert counts["eigvalsh"] == 5
@@ -80,3 +81,23 @@ def test_complex_alpha_builds_conjugate_set(monkeypatch):
     (report,) = run_suite(parse_config(json.dumps(payload)))
     assert report.passed, report.details
     assert counts["build_operator_set"] == 2
+
+
+def test_hamiltonian_agreement_sees_a_defect_in_the_cached_inverse():
+    # The sum form takes psi from an LU solve, the operator set conjugates
+    # with the run's cached SVD inverse: a defect there must show.
+    t = random_conditioned_map(8, 10.0, stream_rng(50)).entries
+    payload = {
+        "dimension": 8,
+        "operator": {"kind": "dense", "entries": [[v.real, v.imag] for v in t.ravel()]},
+        "checks": ["hamiltonian_agreement"],
+    }
+    cfg = parse_config(json.dumps(payload))
+    clean = suite._check_hamiltonian_agreement(suite._SuiteContext(cfg))
+    assert clean.passed and clean.residual > 0.0
+    ctx = suite._SuiteContext(cfg)
+    t_map = ctx.pair().matrix
+    t_inv = invert(t_map).entries.copy()
+    t_inv[np.unravel_index(np.argmax(np.abs(t_inv)), t_inv.shape)] *= 1.0 + 1e-6
+    t_map._inverse = LinearMap(t_inv)
+    assert not suite._check_hamiltonian_agreement(ctx).passed
