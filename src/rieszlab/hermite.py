@@ -4,7 +4,7 @@ The truncated matrix X of the multiplication operator is pentadiagonal
 with closed-form entries.  Every entry is cross-checked against a
 Gauss-Hermite quadrature oracle before the model is trusted; the same
 oracle supplies independent values for inner products against the exact
-(untruncated) inverse.
+(untruncated) square and inverse.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ DOUBLING_TOLERANCE = 1e-10
 MAX_DIMENSION = 325
 MAX_DIMENSION_REASON = "beyond it the Gauss-Hermite weights of the quadrature oracle underflow"
 
-MULTIPLIERS = ("one", "one_plus_x2", "inv_one_plus_x2")
+MULTIPLIERS = ("one", "one_plus_x2", "one_plus_x2_squared", "inv_one_plus_x2")
 
 
 def x_entry(i, j) -> np.ndarray:
@@ -71,6 +71,8 @@ def _multiplier_values(multiplier: str, nodes: np.ndarray) -> np.ndarray:
         return np.ones_like(nodes)
     if multiplier == "one_plus_x2":
         return 1.0 + nodes * nodes
+    if multiplier == "one_plus_x2_squared":
+        return (1.0 + nodes * nodes) ** 2
     if multiplier == "inv_one_plus_x2":
         return 1.0 / (1.0 + nodes * nodes)
     raise ValueError(f"unknown multiplier {multiplier!r}; expected one of {MULTIPLIERS}")
@@ -111,12 +113,17 @@ def build_X(dim: int) -> LinearMap:
 
 @dataclass(frozen=True, eq=False)
 class HermiteModel:
-    """Trusted truncation of the 1 + x^2 model with its oracle residuals."""
+    """Trusted truncation of the 1 + x^2 model with its oracle residuals.
+
+    x_squared_gram holds the quadrature matrix elements of the untruncated
+    (1 + x^2)^2, the reference K_phi = X X* is checked against.
+    """
 
     dim: int
     X: LinearMap
     oracle_residual: float
     rational_convergence: float
+    x_squared_gram: np.ndarray
 
 
 def build_model(dim: int, oracle_tolerance: float = ORACLE_TOLERANCE) -> HermiteModel:
@@ -125,7 +132,8 @@ def build_model(dim: int, oracle_tolerance: float = ORACLE_TOLERANCE) -> Hermite
     The entries of X must match a Gauss-Hermite rule of order 4 * dim.  The
     rational multiplier has no polynomial exactness, so its rule is
     accepted only if doubling the order moves no value by more than
-    DOUBLING_TOLERANCE.
+    DOUBLING_TOLERANCE.  The entry rule also integrates (1 + x^2)^2 exactly
+    (degree 2 dim + 2 < 8 dim), which gives the model its Gram of X^2.
     """
     order = 4 * dim
     x = build_X(dim)
@@ -143,18 +151,27 @@ def build_model(dim: int, oracle_tolerance: float = ORACLE_TOLERANCE) -> Hermite
         raise OracleMismatch(
             f"rational quadrature not converged at order {base_order}: {convergence:.3e}"
         )
-    return HermiteModel(dim=dim, X=x, oracle_residual=residual, rational_convergence=convergence)
+    x_squared_gram = quadrature_gram(dim, "one_plus_x2_squared", order, rule)
+    x_squared_gram.setflags(write=False)
+    return HermiteModel(
+        dim=dim,
+        X=x,
+        oracle_residual=residual,
+        rational_convergence=convergence,
+        x_squared_gram=x_squared_gram,
+    )
 
 
 def tail_coefficient_vector(coefficients, dim: int) -> np.ndarray:
-    """First dim coefficients of the infinite sequence n -> coefficients(n)."""
-    return np.array([coefficients(n) for n in range(dim)], dtype=np.complex128)
+    """First dim coefficients of the infinite sequence n -> coefficients(n); float64 when all are real."""
+    v = np.array([coefficients(n) for n in range(dim)])
+    return v.astype(np.result_type(v, np.float64), copy=False)
 
 
 def tail_family(dim: int) -> np.ndarray:
     """Closed-form entries of X at truncation dim: the phi family of the growth diagnostics."""
     n = np.arange(dim)
-    entries = np.zeros((dim, dim), dtype=np.complex128)
+    entries = np.zeros((dim, dim))
     entries[n, n] = x_entry(n, n)
     band = x_entry(n[:-2], n[2:])
     entries[n[:-2], n[2:]] = band
@@ -173,8 +190,10 @@ def verify_K_psi(
 ) -> CheckReport:
     """Frame operators of the system built on the model's gated X against X^2 and X^-2.
 
-    Residuals are relative Frobenius norms over the interior block
-    (indices below dim - margin); the dual form Omega over psi is also
+    K_phi is compared with the quadrature Gram of the untruncated
+    (1 + x^2)^2, K_psi with the product X^-1 X^-1.  Residuals are relative
+    Frobenius norms over the interior block (indices below dim - margin),
+    where the truncation does not reach; the dual form Omega over psi is also
     spot-checked against <X^-1 f, X^-1 g> on interior-supported random
     vectors.
     """
@@ -185,7 +204,7 @@ def verify_K_psi(
     x_inv = invert(x)
     k_phi = ops.k_phi.entries
     k_psi = ops.k_psi.entries
-    x2 = x.entries @ x.entries
+    x2 = model.x_squared_gram
     x_inv2 = x_inv.entries @ x_inv.entries
     blk = np.s_[:interior, :interior]
 

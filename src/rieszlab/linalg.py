@@ -1,6 +1,10 @@
-"""Dense complex linear algebra with certified structure flags.
+"""Dense real or complex linear algebra with certified structure flags.
 
-Everything downstream is an N x N complex matrix.  A LinearMap certifies
+Everything downstream is an N x N matrix whose dtype follows the data: a
+LinearMap stores float64 when every entry is real (a complex input whose
+imaginary parts are all exactly 0 is stored as its real part) and
+complex128 otherwise, so real inputs run the real LAPACK/BLAS kernels and
+numpy's promotion decides every mixed product.  A LinearMap certifies
 self-adjointness (by residual) on the first read of `self_adjoint` and
 positivity (by smallest eigenvalue) on the first read of `positive`, whose
 eigenvalues it keeps as `spectrum`, so callers can demand the structure
@@ -25,8 +29,21 @@ POSITIVE_RTOL = 1e-10       # lambda_min >= -rtol * lambda_max
 SINGULARITY_FLOOR = 1e-12   # invertible iff sigma_min > floor * sigma_max
 
 
-def _as_square_complex(entries) -> np.ndarray:
-    a = np.array(entries, dtype=np.complex128, order="C")
+def real_or_complex(values) -> np.ndarray:
+    """values as float64 when every entry is real, else as complex128; no copy when already so.
+
+    A complex input whose imaginary parts are all exactly 0 counts as real
+    and gives its real part.
+    """
+    a = np.asarray(values)
+    if np.iscomplexobj(a) and a.imag.any():
+        return a.astype(np.complex128, copy=False)
+    return np.real(a).astype(np.float64, copy=False)
+
+
+def _as_square(entries) -> np.ndarray:
+    """An owned C-contiguous copy of the entries, float64 or complex128 by `real_or_complex`."""
+    a = np.array(real_or_complex(entries), order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -35,12 +52,12 @@ def _as_square_complex(entries) -> np.ndarray:
 
 
 class LinearMap:
-    """Square complex matrix with certified self_adjoint/positive flags."""
+    """Square real or complex matrix with certified self_adjoint/positive flags."""
 
     __slots__ = ("entries", "_self_adjoint", "_positive", "_spectrum", "_cond", "_svd", "_inverse")
 
     def __init__(self, entries):
-        a = _as_square_complex(entries)
+        a = _as_square(entries)
         a.setflags(write=False)
         self.entries = a
         self._self_adjoint: bool | None = None
@@ -108,7 +125,7 @@ class PolarFactors:
 
 
 def from_diagonal(values) -> LinearMap:
-    return LinearMap(np.diag(np.asarray(values, dtype=np.complex128)))
+    return LinearMap(np.diag(np.asarray(values)))
 
 
 def adjoint(a: LinearMap) -> LinearMap:

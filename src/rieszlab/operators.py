@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, WrongAlphaKind
-from .linalg import LinearMap, adjoint, invert
+from .linalg import LinearMap, adjoint, invert, real_or_complex
 from .reporting import CheckReport, make_report
 from .systems import BiorthogonalSystem, ConstructingPair, family_matrix
 
@@ -29,15 +29,18 @@ CCR_TRANSFORMED_RTOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class AlphaSequence:
-    """Eigenvalue sequence with the monotonicity/gap metadata used by checks."""
+    """Eigenvalue sequence with the monotonicity/gap metadata used by checks.
+
+    The values are float64 exactly when every one is real (`real_or_complex`),
+    so `is_real` is a dtype test.
+    """
 
     values: np.ndarray
     kind: str = "custom"
     gap_bound_r: float | None = None
 
     def __post_init__(self):
-        v = np.atleast_1d(np.asarray(self.values))
-        v = v.astype(np.complex128) if np.iscomplexobj(v) else v.astype(np.float64)
+        v = np.array(real_or_complex(np.atleast_1d(self.values)))
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -55,7 +58,7 @@ class AlphaSequence:
 
     @property
     def is_real(self) -> bool:
-        return not np.iscomplexobj(self.values) or bool(np.all(self.values.imag == 0))
+        return self.values.dtype == np.float64
 
     def conjugate(self) -> "AlphaSequence":
         return AlphaSequence(np.conj(self.values), kind=self.kind, gap_bound_r=self.gap_bound_r)
@@ -72,7 +75,6 @@ def validate_alpha(alpha: AlphaSequence) -> CheckReport:
         worst = float(np.abs(np.imag(v)).max())
         details["reason"] = "values must be real"
         return make_report("alpha_validation", worst, 0.0, details=details)
-    v = np.real(v).astype(float)
     violation = 0.0
     first_bad = -1
     if v[0] < 0.0:
@@ -112,6 +114,8 @@ class WeightedShift:
     columns of left, and `W1 @ W2` is again a weighted shift; both form,
     entry by entry, the one nonzero product the dense gemm would form, so
     for real coefficients they hold its bits at O(N^2) and O(N) cost.
+    Coefficients and results take numpy's result type of their operands:
+    float64 for real ones, complex128 as soon as either side is complex.
     """
 
     __slots__ = ("offset", "coefficients")
@@ -119,7 +123,8 @@ class WeightedShift:
 
     def __init__(self, offset: int, coefficients):
         self.offset = offset
-        self.coefficients = np.asarray(coefficients, dtype=np.complex128)
+        c = np.asarray(coefficients)
+        self.coefficients = c.astype(np.result_type(c, np.float64), copy=False)
 
     @property
     def dim(self) -> int:
@@ -132,14 +137,14 @@ class WeightedShift:
 
     def __matmul__(self, right: "WeightedShift") -> "WeightedShift":
         span = right._span()
-        c = np.zeros(self.dim, dtype=np.complex128)
+        c = np.zeros(self.dim, dtype=np.result_type(self.coefficients, right.coefficients))
         left = self.coefficients[span.start + right.offset : span.stop + right.offset]
         c[span] = left * right.coefficients[span]
         return WeightedShift(self.offset + right.offset, c)
 
     def __rmatmul__(self, left: np.ndarray) -> np.ndarray:
         span = self._span()
-        out = np.zeros(left.shape, dtype=np.complex128)
+        out = np.zeros(left.shape, dtype=np.result_type(left, self.coefficients))
         np.multiply(
             left[:, span.start + self.offset : span.stop + self.offset],
             self.coefficients[span],
@@ -164,8 +169,8 @@ def ladder_shifts(alpha: AlphaSequence, dim: int) -> tuple[WeightedShift, Weight
     The top raising coefficient is truncated: B_e e_{N-1} = 0.
     """
     v = _require_length(alpha, dim)
-    lowering = np.zeros(dim, dtype=np.complex128)
-    raising = np.zeros(dim, dtype=np.complex128)
+    lowering = np.zeros(dim, dtype=v.dtype)
+    raising = np.zeros(dim, dtype=v.dtype)
     lowering[1:] = v[1:]
     raising[:-1] = v[1:]
     return WeightedShift(-1, lowering), WeightedShift(1, raising)

@@ -2,11 +2,12 @@
 
 A constructing pair (an invertible map T together with an orthonormal
 basis) produces the family phi_n = T e_n and its canonical dual
-psi_n = (T^-1)* e_n.  A family is an (N, N) complex array whose column k
-is the k-th vector.  This module builds such systems, computes their
-frame operators K = sum of outer products, reconstructs the orthonormal
-basis hidden inside any biorthogonal system, and certifies the identities
-tying all of these together.
+psi_n = (T^-1)* e_n.  A family is an (N, N) array, float64 when T is real
+and complex128 otherwise, whose column k is the k-th vector.  This module
+builds such systems, computes their frame operators K = sum of outer
+products, reconstructs the orthonormal basis hidden inside any
+biorthogonal system, and certifies the identities tying all of these
+together.
 """
 
 from __future__ import annotations
@@ -32,15 +33,16 @@ UNITARY_RTOL = 1e-10
 
 
 def family_matrix(family) -> np.ndarray:
-    """A vector family as a C-contiguous complex128 array, column k the k-th vector.
+    """A vector family as a C-contiguous array, column k the k-th vector.
 
-    The input must be a nonempty 2-D array; one already in that layout is
+    The dtype is complex128 for complex input and float64 otherwise.  The
+    input must be a nonempty 2-D array; one already in that layout is
     returned as it is, without a copy.
     """
     m = np.asarray(family)
     if m.ndim != 2 or m.size == 0:
         raise DimensionMismatch(f"expected a nonempty 2-D family array, got shape {m.shape}")
-    return np.ascontiguousarray(m, dtype=np.complex128)
+    return np.ascontiguousarray(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64)
 
 
 def _read_only_family(family) -> np.ndarray:
@@ -63,19 +65,28 @@ class ConstructingPair:
     basis: LinearMap | None = None
 
     def __post_init__(self):
+        gram_defect = 0.0
         if self.basis is not None:
             v = self.basis
             if v.dim != self.T.dim:
                 raise DimensionMismatch("basis dimension differs from operator dimension")
-            defect = np.linalg.norm(v.entries.conj().T @ v.entries - np.eye(v.dim))
+            gram = v.entries.conj().T @ v.entries - np.eye(v.dim)
+            defect = np.linalg.norm(gram)
             if defect > UNITARY_RTOL * np.sqrt(v.dim):
                 raise ValueError(f"explicit basis is not unitary (defect {defect:.3e})")
+            gram_defect = float(np.abs(gram).max())
+        object.__setattr__(self, "_basis_gram_defect", gram_defect)
         effective = self.T if self.basis is None else LinearMap(self.T.entries @ self.basis.entries)
         object.__setattr__(self, "_matrix", effective)
 
     @property
     def dim(self) -> int:
         return self.T.dim
+
+    @property
+    def basis_gram_defect(self) -> float:
+        """max|V* V - 1| of the explicit basis V, from the Gram its validation forms; 0 without one."""
+        return self._basis_gram_defect  # type: ignore[attr-defined]
 
     @property
     def matrix(self) -> LinearMap:

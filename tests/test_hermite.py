@@ -7,6 +7,8 @@ import pytest
 
 from rieszlab import (
     ConstructingPair,
+    FrameOperators,
+    LinearMap,
     build_frame_operators,
     build_system,
     build_X,
@@ -181,6 +183,38 @@ def test_verify_k_psi_interior_identities():
     assert report.details["k_phi_vs_x_squared"] < 1e-8
     assert report.details["k_psi_vs_x_inverse_squared"] < 1e-6
     assert report.details["omega_psi_through_inverse"] < 1e-8
+
+
+def test_k_phi_vs_x_squared_sees_defects():
+    # K_phi = X X* is compared with the quadrature Gram of (1 + x^2)^2, not
+    # with X X: a defect in X or in K_phi must show.  The clean details read
+    # about 1e-14; a relative 1e-6 defect in one entry moves the relative
+    # Frobenius norm of the 16 x 16 interior block by about 4e-7, so the
+    # check runs at the suite's default 1e-8 rather than the model's 1e-6.
+    model = build_model(32)
+    sys_ = build_system(ConstructingPair(model.X))
+    ops = build_frame_operators(sys_)
+    clean = verify_K_psi(model, sys_, ops, tolerance=1e-8)
+    assert clean.passed and 0.0 < clean.details["k_phi_vs_x_squared"] < 1e-13
+    k_phi = ops.k_phi.entries.copy()
+    k_phi[15, 15] *= 1.0 + 1e-6
+    report = verify_K_psi(model, sys_, FrameOperators(LinearMap(k_phi), ops.k_psi), tolerance=1e-8)
+    assert not report.passed and report.details["k_phi_vs_x_squared"] > 1e-7
+    x = model.X.entries.copy()
+    x[15, 15] *= 1.0 + 1e-6
+    mutated = build_system(ConstructingPair(LinearMap(x)))
+    report = verify_K_psi(model, mutated, build_frame_operators(mutated), tolerance=1e-8)
+    assert report.details["k_phi_vs_x_squared"] > 1e-7
+
+
+def test_model_keeps_a_real_gram_of_x_squared():
+    model = build_model(16)
+    gram = model.x_squared_gram
+    assert gram.dtype == np.float64 and gram.shape == (16, 16) and not gram.flags.writeable
+    # away from the truncation edge X X holds the matrix elements of (1 + x^2)^2
+    x2 = model.X.entries @ model.X.entries
+    np.testing.assert_allclose(gram[:14, :14], x2[:14, :14], rtol=0, atol=1e-12 * np.abs(x2).max())
+    assert tail_family(16).dtype == np.float64
 
 
 def test_verify_k_psi_draws_match_per_sample_loop(monkeypatch):

@@ -15,6 +15,24 @@ from rieszlab.errors import NotPositive, NumericallySingular
 from rieszlab.sampling import random_conditioned_map, random_unitary, stream_rng
 
 
+def test_dtype_follows_the_entries():
+    # float64 exactly when every entry is real: a zero imaginary part is not complex
+    assert LinearMap([[1, 2], [3, 4]]).entries.dtype == np.float64
+    assert LinearMap(np.array([[1, 2], [3, 4]], dtype=np.complex128)).entries.dtype == np.float64
+    assert LinearMap([[1, 2j], [3, 4]]).entries.dtype == np.complex128
+    assert from_diagonal([1.0, 2.0]).entries.dtype == np.float64
+    assert from_diagonal([1.0, 1j]).entries.dtype == np.complex128
+    # the map owns its entries, for complex input too
+    z = np.array([[1.0, 1j], [0.0, 1.0]])
+    assert not np.shares_memory(LinearMap(z).entries, z) and z.flags.writeable
+    # and what is built from a real map stays real
+    t = LinearMap([[2.0, 1.0], [0.0, 3.0]])
+    assert invert(t).entries.dtype == np.float64
+    factors = polar_decompose(t)
+    assert factors.unitary_part.entries.dtype == factors.positive_part.entries.dtype == np.float64
+    assert operator_sqrt(from_diagonal([1.0, 4.0])).entries.dtype == np.float64
+
+
 def test_adjoint_identity():
     np.testing.assert_array_equal(adjoint(LinearMap(np.eye(3))).entries, np.eye(3))
 

@@ -430,6 +430,54 @@ def test_operator_set_matches_parent_transform():
                 assert np.abs(actual - expected).max() <= 4 * np.finfo(float).eps * scale, (name, field)
 
 
+def test_real_operator_set_matches_complex_arithmetic():
+    # Real T and alpha keep the set in float64 and run the real kernels; the
+    # same transforms on complex-cast inputs (SVD inverse, then one product
+    # per side) differ from it only at rounding level.
+    rng = stream_rng(49)
+    opsets = {
+        "hermite-x": build_operator_set(ConstructingPair(build_X(32)), AlphaSequence.sqrt_n(32)),
+        "upper-unipotent": build_operator_set(
+            ConstructingPair(LinearMap(np.eye(10) + 0.7 * np.eye(10, k=1))), AlphaSequence.linear(10)
+        ),
+        "real-dense": build_operator_set(
+            ConstructingPair(LinearMap(rng.standard_normal((12, 12)))), AlphaSequence.sqrt_n(12)
+        ),
+    }
+    for name, opset in opsets.items():
+        t = opset.pair.matrix.entries.astype(np.complex128)
+        u, s, vh = np.linalg.svd(t)
+        t_inv = (vh.conj().T * (1.0 / s)) @ u.conj().T
+        scale = np.linalg.norm(t) * np.linalg.norm(t_inv) * np.abs(opset.alpha.values).max()
+        for field, op_e, side in (
+            ("h_phi_psi", opset.h_e, "phi_psi"),
+            ("h_psi_phi", opset.h_e, "psi_phi"),
+            ("a_phi_psi", opset.a_e, "phi_psi"),
+            ("b_phi_psi", opset.b_e, "phi_psi"),
+            ("a_psi_phi", opset.a_e, "psi_phi"),
+            ("b_psi_phi", opset.b_e, "psi_phi"),
+        ):
+            w = op_e.entries.astype(np.complex128)
+            expected = t @ w @ t_inv if side == "phi_psi" else t_inv.conj().T @ w @ t.conj().T
+            actual = getattr(opset, field).entries
+            assert actual.dtype == np.float64, (name, field)
+            assert np.abs(actual - expected).max() <= 4 * np.finfo(float).eps * scale, (name, field)
+
+
+def test_shift_dtype_follows_its_operands():
+    real = AlphaSequence.sqrt_n(4)
+    complex_alpha = AlphaSequence.custom([0, 1 + 0.5j, 2, 3])
+    lowering, raising = ladder_shifts(real, 4)
+    assert lowering.coefficients.dtype == raising.coefficients.dtype == np.float64
+    assert (lowering @ raising).coefficients.dtype == np.float64
+    assert (np.eye(4) @ raising).dtype == np.float64
+    c_lowering, _ = ladder_shifts(complex_alpha, 4)
+    assert c_lowering.coefficients.dtype == np.complex128
+    assert (c_lowering @ raising).coefficients.dtype == np.complex128
+    assert (np.eye(4) @ c_lowering).dtype == np.complex128
+    assert (np.eye(4, dtype=np.complex128) @ raising).dtype == np.complex128
+
+
 def test_product_identity_defect_shows_on_its_own_side_and_in_both_orders():
     # (0, k) and (k, 0) share their operators; a defect in one psi-side
     # ladder must reach both orders and leave the phi side and mixed alone.

@@ -61,6 +61,50 @@ def test_hermite_full_suite_shares_factorizations(monkeypatch):
     assert counts["eigh"] == 2
 
 
+def test_hermite_full_suite_factors_in_real_arithmetic(monkeypatch):
+    # `rieszlab example hermite --dim 32 --full-suite`: X is real symmetric,
+    # so every factorization of the run takes a float64 array
+    seen = []
+
+    def recording(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            seen.append((name, np.asarray(a).dtype))
+            return original(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("svd", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(name))
+    reports = run_suite(_hermite_config(32, full_suite=True, seed=0))
+    assert all(r.passed for r in reports), [r.name for r in reports if not r.passed]
+    assert len(seen) == 9
+    assert all(dtype == np.float64 for _, dtype in seen), seen
+
+
+def test_operator_and_alpha_dtype_follow_the_config():
+    # config numbers are complex pairs; zero imaginary parts give real data
+    real_dense = {
+        "dimension": 2,
+        "operator": {"kind": "dense", "entries": [[2, 0], [1, 0], [0, 0], [3, 0]]},
+        "alpha": {"kind": "custom", "values": [[0, 0], [1, 0]]},
+    }
+    cfg = parse_config(json.dumps(real_dense))
+    assert suite.build_operator(cfg).entries.dtype == np.float64
+    alpha = suite.build_alpha(cfg)
+    assert alpha.values.dtype == np.float64 and alpha.is_real
+    phases = {
+        "dimension": 3,
+        "operator": {"kind": "diagonal", "values": [[1, 0], [0, 2], [-0.5, 0.5]]},
+        "alpha": {"kind": "custom", "values": [[0, 0], [1, 0.5], [2, 0]]},
+    }
+    cfg = parse_config(json.dumps(phases))
+    assert suite.build_operator(cfg).entries.dtype == np.complex128
+    alpha = suite.build_alpha(cfg)
+    assert alpha.values.dtype == np.complex128 and not alpha.is_real
+
+
 def test_hermite_example_builds_no_square_roots(monkeypatch):
     # `rieszlab example hermite --dim 32`: biorthogonality and hermite_oracle read K_phi and K_psi only
     counts = count_calls(monkeypatch)
