@@ -16,7 +16,7 @@ from scipy.special import roots_hermite
 
 from .errors import OracleMismatch
 from .forms import omega
-from .linalg import LinearMap, invert
+from .linalg import LinearMap, invert, real_or_complex
 from .reporting import CheckReport, make_report
 from .systems import BiorthogonalSystem, FrameOperators
 
@@ -164,8 +164,7 @@ def build_model(dim: int, oracle_tolerance: float = ORACLE_TOLERANCE) -> Hermite
 
 def tail_coefficient_vector(coefficients, dim: int) -> np.ndarray:
     """First dim coefficients of the infinite sequence n -> coefficients(n); float64 when all are real."""
-    v = np.array([coefficients(n) for n in range(dim)])
-    return v.astype(np.result_type(v, np.float64), copy=False)
+    return real_or_complex([coefficients(n) for n in range(dim)])
 
 
 def tail_family(dim: int) -> np.ndarray:
@@ -192,10 +191,12 @@ def verify_K_psi(
 
     K_phi is compared with the quadrature Gram of the untruncated
     (1 + x^2)^2, K_psi with the product X^-1 X^-1.  Residuals are relative
-    Frobenius norms over the interior block (indices below dim - margin),
-    where the truncation does not reach; the dual form Omega over psi is also
-    spot-checked against <X^-1 f, X^-1 g> on interior-supported random
-    vectors.
+    Frobenius norms over the interior block (indices below dim - margin);
+    the dual form Omega over psi is also spot-checked against
+    <X^-1 f, X^-1 g> on interior-supported random vectors.  X is
+    pentadiagonal, so the truncation reaches rows dim - 2 and dim - 1 of
+    X X*: the K_phi block also stops below dim - 2, and is empty (detail 0)
+    at dim 2.
     """
     dim = model.dim
     margin = dim // 2 if margin is None else margin
@@ -207,9 +208,11 @@ def verify_K_psi(
     x2 = model.x_squared_gram
     x_inv2 = x_inv.entries @ x_inv.entries
     blk = np.s_[:interior, :interior]
+    exact = min(interior, dim - 2)
+    phi_blk = np.s_[:exact, :exact]
 
     def rel(delta: np.ndarray, ref: np.ndarray) -> float:
-        return float(np.linalg.norm(delta) / np.linalg.norm(ref))
+        return float(np.linalg.norm(delta) / np.linalg.norm(ref)) if ref.size else 0.0
 
     # Per sample the draws come in the order Re f, Im f, Re g, Im g.
     draws = np.random.default_rng(seed).standard_normal((samples, 4, interior))
@@ -225,7 +228,7 @@ def verify_K_psi(
     worst_form = float(np.max(np.abs(omega_psi - through_inverse) / (1.0 + np.abs(omega_psi))))
 
     details = {
-        "k_phi_vs_x_squared": rel(k_phi[blk] - x2[blk], x2[blk]),
+        "k_phi_vs_x_squared": rel(k_phi[phi_blk] - x2[phi_blk], x2[phi_blk]),
         "k_psi_vs_x_inverse_squared": rel(k_psi[blk] - x_inv2[blk], x_inv2[blk]),
         "omega_psi_through_inverse": worst_form,
         "interior": interior,

@@ -32,13 +32,15 @@ SINGULARITY_FLOOR = 1e-12   # invertible iff sigma_min > floor * sigma_max
 def real_or_complex(values) -> np.ndarray:
     """values as float64 when every entry is real, else as complex128; no copy when already so.
 
-    A complex input whose imaginary parts are all exactly 0 counts as real
-    and gives its real part.
+    This is the one dtype rule of the package.  A complex input whose
+    imaginary parts are all exactly 0 counts as real and gives its real part.
     """
     a = np.asarray(values)
-    if np.iscomplexobj(a) and a.imag.any():
-        return a.astype(np.complex128, copy=False)
-    return np.real(a).astype(np.float64, copy=False)
+    if np.iscomplexobj(a):
+        if a.imag.any():
+            return a.astype(np.complex128, copy=False)
+        a = a.real
+    return a.astype(np.float64, copy=False)
 
 
 def _as_square(entries) -> np.ndarray:

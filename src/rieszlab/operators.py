@@ -114,8 +114,8 @@ class WeightedShift:
     columns of left, and `W1 @ W2` is again a weighted shift; both form,
     entry by entry, the one nonzero product the dense gemm would form, so
     for real coefficients they hold its bits at O(N^2) and O(N) cost.
-    Coefficients and results take numpy's result type of their operands:
-    float64 for real ones, complex128 as soon as either side is complex.
+    Coefficients are float64 or complex128 by `real_or_complex`; results
+    take numpy's result type of their operands.
     """
 
     __slots__ = ("offset", "coefficients")
@@ -123,8 +123,7 @@ class WeightedShift:
 
     def __init__(self, offset: int, coefficients):
         self.offset = offset
-        c = np.asarray(coefficients)
-        self.coefficients = c.astype(np.result_type(c, np.float64), copy=False)
+        self.coefficients = real_or_complex(coefficients)
 
     @property
     def dim(self) -> int:

@@ -148,12 +148,14 @@ def _check_frame_bounds(ctx: _SuiteContext) -> CheckReport:
 
 def _check_polar(ctx: _SuiteContext) -> CheckReport:
     pair = ctx.pair()
-    normalized, _ = systems.normalize_pair(pair)
+    normalized, f_basis = systems.normalize_pair(pair)
     t = pair.matrix.entries
     rebuilt = normalized.matrix.entries  # P U, formed once by the normalized pair
     norms = np.maximum(1.0, np.linalg.norm(t, axis=0))
     reassembly = float((np.linalg.norm(rebuilt - t, axis=0) / norms).max())
-    gram = normalized.basis_gram_defect  # U* U, formed once when the pair validated U
+    gram = float(
+        np.abs(f_basis.entries.conj().T @ f_basis.entries - np.eye(pair.dim)).max()
+    )
     return make_report(
         "polar",
         max(reassembly, gram),

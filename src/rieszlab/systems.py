@@ -25,6 +25,7 @@ from .linalg import (
     invert,
     operator_sqrt,
     polar_decompose,
+    real_or_complex,
 )
 from .reporting import CheckReport, make_report
 
@@ -35,14 +36,14 @@ UNITARY_RTOL = 1e-10
 def family_matrix(family) -> np.ndarray:
     """A vector family as a C-contiguous array, column k the k-th vector.
 
-    The dtype is complex128 for complex input and float64 otherwise.  The
-    input must be a nonempty 2-D array; one already in that layout is
-    returned as it is, without a copy.
+    The dtype follows `linalg.real_or_complex`.  The input must be a
+    nonempty 2-D array; one already in that layout is returned as it is,
+    without a copy.
     """
     m = np.asarray(family)
     if m.ndim != 2 or m.size == 0:
         raise DimensionMismatch(f"expected a nonempty 2-D family array, got shape {m.shape}")
-    return np.ascontiguousarray(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64)
+    return np.ascontiguousarray(real_or_complex(m))
 
 
 def _read_only_family(family) -> np.ndarray:
@@ -65,28 +66,19 @@ class ConstructingPair:
     basis: LinearMap | None = None
 
     def __post_init__(self):
-        gram_defect = 0.0
         if self.basis is not None:
             v = self.basis
             if v.dim != self.T.dim:
                 raise DimensionMismatch("basis dimension differs from operator dimension")
-            gram = v.entries.conj().T @ v.entries - np.eye(v.dim)
-            defect = np.linalg.norm(gram)
+            defect = np.linalg.norm(v.entries.conj().T @ v.entries - np.eye(v.dim))
             if defect > UNITARY_RTOL * np.sqrt(v.dim):
                 raise ValueError(f"explicit basis is not unitary (defect {defect:.3e})")
-            gram_defect = float(np.abs(gram).max())
-        object.__setattr__(self, "_basis_gram_defect", gram_defect)
         effective = self.T if self.basis is None else LinearMap(self.T.entries @ self.basis.entries)
         object.__setattr__(self, "_matrix", effective)
 
     @property
     def dim(self) -> int:
         return self.T.dim
-
-    @property
-    def basis_gram_defect(self) -> float:
-        """max|V* V - 1| of the explicit basis V, from the Gram its validation forms; 0 without one."""
-        return self._basis_gram_defect  # type: ignore[attr-defined]
 
     @property
     def matrix(self) -> LinearMap:

@@ -155,6 +155,28 @@ def test_cli_hermite_full_suite(tmp_path):
     assert {"hermite_oracle", "frame_bound_growth", "tail_dichotomy"} <= names
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cli_hermite_example_at_the_smallest_dimensions(tmp_path, dim):
+    # margin dim // 2 = 1 leaves interior rows that the truncation of X X*
+    # reaches; k_phi_vs_x_squared compares only the rows below dim - 2
+    out = tmp_path / "hermite.json"
+    assert main(["example", "hermite", "--dim", str(dim), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    (oracle,) = [r for r in doc["reports"] if r["name"] == "hermite_oracle"]
+    assert oracle["pass"] and float(oracle["details"]["k_phi_vs_x_squared"]) < 1e-14
+
+
+@pytest.mark.parametrize("margin", [0, 1])
+def test_cli_hermite_config_with_a_thin_margin(tmp_path, margin):
+    payload = {"dimension": 16, "operator": {"kind": "hermite-x"}, "interior_margin": margin}
+    out = tmp_path / "thin.json"
+    assert main(["run", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert all(r["pass"] for r in doc["reports"])
+    (oracle,) = [r for r in doc["reports"] if r["name"] == "hermite_oracle"]
+    assert float(oracle["details"]["k_phi_vs_x_squared"]) < 1e-13
+
+
 def test_cli_respects_log_env(tmp_path, monkeypatch):
     monkeypatch.setenv("RIESZLAB_LOG", "debug")
     path = write_config(tmp_path, DIAGONAL_PAYLOAD)

@@ -207,6 +207,20 @@ def test_k_phi_vs_x_squared_sees_defects():
     assert report.details["k_phi_vs_x_squared"] > 1e-7
 
 
+def test_k_phi_block_stops_where_the_truncation_reaches():
+    # With margin 0 the K_phi block runs to dim - 3: a defect there shows,
+    # while rows dim - 2 and dim - 1 of X X* differ from the Gram by truncation.
+    model = build_model(16)
+    sys_ = build_system(ConstructingPair(model.X))
+    ops = build_frame_operators(sys_)
+    clean = verify_K_psi(model, sys_, ops, margin=0, tolerance=1e-8)
+    assert clean.passed and clean.details["k_phi_vs_x_squared"] < 1e-13
+    k_phi = ops.k_phi.entries.copy()
+    k_phi[13, 13] *= 1.0 + 1e-6
+    report = verify_K_psi(model, sys_, FrameOperators(LinearMap(k_phi), ops.k_psi), margin=0, tolerance=1e-8)
+    assert not report.passed and report.details["k_phi_vs_x_squared"] > 1e-7
+
+
 def test_model_keeps_a_real_gram_of_x_squared():
     model = build_model(16)
     gram = model.x_squared_gram

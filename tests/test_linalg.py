@@ -12,6 +12,7 @@ from rieszlab import (
     polar_decompose,
 )
 from rieszlab.errors import NotPositive, NumericallySingular
+from rieszlab.linalg import real_or_complex
 from rieszlab.sampling import random_conditioned_map, random_unitary, stream_rng
 
 
@@ -31,6 +32,18 @@ def test_dtype_follows_the_entries():
     factors = polar_decompose(t)
     assert factors.unitary_part.entries.dtype == factors.positive_part.entries.dtype == np.float64
     assert operator_sqrt(from_diagonal([1.0, 4.0])).entries.dtype == np.float64
+
+
+def test_real_or_complex_is_one_rule_without_copies():
+    real = np.arange(4.0)
+    assert real_or_complex(real) is real
+    z = np.array([1.0, 1j])
+    assert real_or_complex(z) is z
+    zero_imag = np.array([1.0 + 0j, 2.0])
+    demoted = real_or_complex(zero_imag)
+    assert demoted.dtype == np.float64
+    np.testing.assert_array_equal(demoted, [1.0, 2.0])
+    assert real_or_complex([1, 2]).dtype == np.float64
 
 
 def test_adjoint_identity():

@@ -30,6 +30,8 @@ from rieszlab import (
     validate_alpha,
 )
 from rieszlab.errors import DimensionMismatch, NumericallySingular, WrongAlphaKind
+from rieszlab.hermite import tail_coefficient_vector
+from rieszlab.operators import WeightedShift
 from rieszlab.sampling import random_conditioned_map, stream_rng
 
 
@@ -476,6 +478,10 @@ def test_shift_dtype_follows_its_operands():
     assert (c_lowering @ raising).coefficients.dtype == np.complex128
     assert (np.eye(4) @ c_lowering).dtype == np.complex128
     assert (np.eye(4, dtype=np.complex128) @ raising).dtype == np.complex128
+    # coefficients follow the rule of LinearMap: no imaginary part is real
+    assert WeightedShift(1, np.ones(4, dtype=np.complex128)).coefficients.dtype == np.float64
+    assert tail_coefficient_vector(lambda n: complex(n), 4).dtype == np.float64
+    assert tail_coefficient_vector(lambda n: 1j * n, 4).dtype == np.complex128
 
 
 def test_product_identity_defect_shows_on_its_own_side_and_in_both_orders():
