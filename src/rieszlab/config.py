@@ -77,15 +77,45 @@ def _expect(condition: bool, path: str, reason: str) -> None:
 
 def _as_number(value: Any, path: str) -> float:
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool), path, "must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(path, "integer overflows the float range") from None
 
 
 def _as_complex(value: Any, path: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(_as_number(value, path))
     if isinstance(value, list) and len(value) == 2:
         return complex(_as_number(value[0], path), _as_number(value[1], path))
     raise ParseError(path, "must be a number or a [re, im] pair")
+
+
+def _as_complex_tuple(values: list, path: str) -> tuple:
+    """Each entry of a value list as a complex; a bad entry raises at f"{path}/{i}".
+
+    [re, im] pairs of floats or ints, and floats and ints, are converted in the
+    loop (the exact type tests leave bools out); any other entry, or an int
+    beyond the float range, goes through _as_complex, which raises the
+    ParseError.
+    """
+    out = []
+    append = out.append
+    for i, v in enumerate(values):
+        kind = type(v)
+        try:
+            if kind is list and len(v) == 2:
+                re, im = v
+                if (type(re) is float or type(re) is int) and (type(im) is float or type(im) is int):
+                    append(complex(re, im))
+                    continue
+            elif kind is float or kind is int:
+                append(complex(v))
+                continue
+        except OverflowError:
+            pass
+        append(_as_complex(v, f"{path}/{i}"))
+    return tuple(out)
 
 
 def _parse_operator(raw: Any, dimension: int) -> OperatorSpec:
@@ -102,7 +132,7 @@ def _parse_operator(raw: Any, dimension: int) -> OperatorSpec:
             "/operator/values",
             f"needs exactly {dimension} entries, got {len(values)}",
         )
-        spec = OperatorSpec(kind, values=tuple(_as_complex(v, f"/operator/values/{i}") for i, v in enumerate(values)))
+        spec = OperatorSpec(kind, values=_as_complex_tuple(values, "/operator/values"))
     elif kind == "dense":
         allowed.add("entries")
         entries = raw.get("entries")
@@ -112,7 +142,7 @@ def _parse_operator(raw: Any, dimension: int) -> OperatorSpec:
             "/operator/entries",
             f"needs exactly {dimension * dimension} entries, got {len(entries)}",
         )
-        spec = OperatorSpec(kind, values=tuple(_as_complex(v, f"/operator/entries/{i}") for i, v in enumerate(entries)))
+        spec = OperatorSpec(kind, values=_as_complex_tuple(entries, "/operator/entries"))
     elif kind == "upper-unipotent":
         allowed.add("off_diagonal")
         spec = OperatorSpec(kind, off_diagonal=_as_number(raw.get("off_diagonal", 1.0), "/operator/off_diagonal"))
@@ -143,7 +173,7 @@ def _parse_alpha(raw: Any, dimension: int) -> AlphaSpec:
             "/alpha/values",
             f"needs at least {dimension} entries, got {len(values)}",
         )
-        spec = AlphaSpec(kind, values=tuple(_as_complex(v, f"/alpha/values/{i}") for i, v in enumerate(values)), gap_bound_r=r)
+        spec = AlphaSpec(kind, values=_as_complex_tuple(values, "/alpha/values"), gap_bound_r=r)
     else:
         spec = AlphaSpec(kind, gap_bound_r=1.0 if r is None else r)
     for key in raw:
@@ -171,7 +201,7 @@ def parse_config(text: str) -> RunConfig:
     """
     try:
         raw = json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int literal past the interpreter's digit limit
         raise ParseError("/", f"invalid JSON: {exc}") from exc
     _expect(isinstance(raw, dict), "/", "top level must be an object")
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import logging
 
 import numpy as np
@@ -10,7 +9,7 @@ import numpy as np
 from . import forms, hermite, operators, sampling, systems
 from .config import KNOWN_CHECKS, RunConfig
 from .linalg import LinearMap, from_diagonal
-from .reporting import CheckReport, error_report, make_report, report_as_dict
+from .reporting import CheckReport, error_report, json_text, make_report, report_as_dict
 
 log = logging.getLogger("rieszlab")
 
@@ -336,7 +335,7 @@ def emit_report(reports, fmt: str = "json", config: dict | None = None) -> str:
             "config": config,
             "reports": [report_as_dict(r) for r in ordered],
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json_text(doc) + "\n"
     if fmt == "csv":
         lines = ["name,residual,tolerance,pass"]
         for r in ordered:

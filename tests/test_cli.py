@@ -100,6 +100,23 @@ def test_cli_rejects_infinite_tolerance(tmp_path, capsys):
     assert "non-finite number Infinity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "payload, path",
+    [
+        ({**DIAGONAL_PAYLOAD, "tolerance": 10**400}, "/tolerance"),
+        ({"dimension": 2, "operator": {"kind": "dense", "entries": [1, 0, [0, 10**400], 1]}}, "/operator/entries/2"),
+    ],
+)
+def test_cli_rejects_oversized_integer_literal(tmp_path, capsys, payload, path):
+    config = write_config(tmp_path, payload)
+    assert "1" + "0" * 400 in config.read_text(encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid config at {path}:" in err and "overflows" in err
+    assert not out.exists()
+
+
 def test_cli_rejects_missing_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
     assert "cannot read config" in capsys.readouterr().err

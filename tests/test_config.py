@@ -116,6 +116,71 @@ def test_parse_rejects_non_finite_numbers():
         parse_config(dense)
 
 
+BIG_INT = 10**400  # json.dumps writes it as a 401-digit integer literal
+
+
+def test_parse_rejects_oversized_integer_literals():
+    base = {"dimension": 2, "operator": {"kind": "diagonal", "values": [1, 2]}}
+    cases = [
+        ({**base, "tolerance": BIG_INT}, "/tolerance"),
+        ({**base, "operator": {"kind": "upper-unipotent", "off_diagonal": BIG_INT}}, "/operator/off_diagonal"),
+        ({**base, "alpha": {"kind": "linear", "r": BIG_INT}}, "/alpha/r"),
+        ({**base, "operator": {"kind": "diagonal", "values": [1, -BIG_INT]}}, "/operator/values/1"),
+        ({**base, "operator": {"kind": "dense", "entries": [1, 0, [0, BIG_INT], 1]}}, "/operator/entries/2"),
+    ]
+    for payload, path in cases:
+        with pytest.raises(ParseError) as excinfo:
+            parse(payload)
+        assert excinfo.value.path == path
+        assert "overflows" in excinfo.value.reason
+    # Past the interpreter's int digit limit the JSON reader itself refuses the literal.
+    with pytest.raises(ParseError) as excinfo:
+        parse_config('{"dimension": 2, "operator": {"kind": "hermite-x"}, "seed": 1%s}' % ("0" * 5000))
+    assert excinfo.value.path == "/"
+
+
+# (config builder, JSON path of its value list) for the three value lists
+VALUE_LISTS = [
+    (lambda values: {"dimension": 4, "operator": {"kind": "diagonal", "values": values}}, "/operator/values"),
+    (lambda values: {"dimension": 2, "operator": {"kind": "dense", "entries": values}}, "/operator/entries"),
+    (
+        lambda values: {"dimension": 4, "operator": {"kind": "hermite-x"}, "alpha": {"kind": "custom", "values": values}},
+        "/alpha/values",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, list_path", VALUE_LISTS, ids=[path for _, path in VALUE_LISTS])
+@pytest.mark.parametrize(
+    "bad",
+    [True, "x", [1, 2, 3], [0, True], BIG_INT, [BIG_INT, 0]],
+    ids=["bool", "string", "three_items", "bool_in_pair", "big_int", "big_int_in_pair"],
+)
+@pytest.mark.parametrize("k", [0, 2, 3])
+def test_value_list_rejects_bad_entry_at_its_index(build, list_path, bad, k):
+    values = [1.5, [0, 1], 2, [-0.5, 0.25]]
+    values[k] = bad
+    assert path_of(build(values)) == f"{list_path}/{k}"
+
+
+def _value_list(cfg, list_path):
+    return cfg.alpha.values if list_path == "/alpha/values" else cfg.operator.values
+
+
+@pytest.mark.parametrize("build, list_path", VALUE_LISTS, ids=[path for _, path in VALUE_LISTS])
+@pytest.mark.parametrize(
+    "values",
+    [[3, 0, -7, 2], [1, [0, 1], -0.0, [-0.0, 2]], [2**53 + 1, [1, -1], 0.1, [3, 0.0]]],
+)
+def test_value_list_converts_like_one_entry_at_a_time(build, list_path, values):
+    cfg = parse(build(values))
+    # The per-entry conversion every value list had before the single loop.
+    expected = tuple(complex(float(v[0]), float(v[1])) if isinstance(v, list) else complex(v) for v in values)
+    got = _value_list(cfg, list_path)
+    assert type(got) is tuple and all(type(z) is complex for z in got)
+    assert repr(got) == repr(expected)  # repr tells -0.0 from 0.0
+
+
 def test_parse_rejects_short_custom_alpha():
     payload = {
         "dimension": 4,
