@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -75,6 +76,15 @@ def _expect(condition: bool, path: str, reason: str) -> None:
         raise ParseError(path, reason)
 
 
+def _decimal(n: int) -> str:
+    """n in decimal, or its order of magnitude where str(n) would pass the interpreter's digit limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (Python before 3.10.7)
+    magnitude = n.bit_length() * math.log10(2)  # within 1 of the digit count
+    if limit and magnitude + 1 > limit:
+        return f"about 10^{int(magnitude)}"
+    return str(n)
+
+
 def _as_number(value: Any, path: str) -> float:
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool), path, "must be a number")
     try:
@@ -127,21 +137,16 @@ def _parse_operator(raw: Any, dimension: int) -> OperatorSpec:
         allowed.add("values")
         values = raw.get("values")
         _expect(isinstance(values, list), "/operator/values", "must be a list of numbers")
-        _expect(
-            len(values) == dimension,
-            "/operator/values",
-            f"needs exactly {dimension} entries, got {len(values)}",
-        )
+        if len(values) != dimension:
+            raise ParseError("/operator/values", f"needs exactly {dimension} entries, got {len(values)}")
         spec = OperatorSpec(kind, values=_as_complex_tuple(values, "/operator/values"))
     elif kind == "dense":
         allowed.add("entries")
         entries = raw.get("entries")
         _expect(isinstance(entries, list), "/operator/entries", "must be a flat row-major list")
-        _expect(
-            len(entries) == dimension * dimension,
-            "/operator/entries",
-            f"needs exactly {dimension * dimension} entries, got {len(entries)}",
-        )
+        if len(entries) != dimension * dimension:
+            count = _decimal(dimension * dimension)
+            raise ParseError("/operator/entries", f"needs exactly {count} entries, got {len(entries)}")
         spec = OperatorSpec(kind, values=_as_complex_tuple(entries, "/operator/entries"))
     elif kind == "upper-unipotent":
         allowed.add("off_diagonal")
@@ -168,11 +173,8 @@ def _parse_alpha(raw: Any, dimension: int) -> AlphaSpec:
         allowed.add("values")
         values = raw.get("values")
         _expect(isinstance(values, list), "/alpha/values", "must be a list")
-        _expect(
-            len(values) >= dimension,
-            "/alpha/values",
-            f"needs at least {dimension} entries, got {len(values)}",
-        )
+        if len(values) < dimension:
+            raise ParseError("/alpha/values", f"needs at least {dimension} entries, got {len(values)}")
         spec = AlphaSpec(kind, values=_as_complex_tuple(values, "/alpha/values"), gap_bound_r=r)
     else:
         spec = AlphaSpec(kind, gap_bound_r=1.0 if r is None else r)

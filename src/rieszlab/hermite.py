@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_hermite
 
 from .errors import OracleMismatch
 from .forms import omega
@@ -76,6 +75,17 @@ def _multiplier_values(multiplier: str, nodes: np.ndarray) -> np.ndarray:
     if multiplier == "inv_one_plus_x2":
         return 1.0 / (1.0 + nodes * nodes)
     raise ValueError(f"unknown multiplier {multiplier!r}; expected one of {MULTIPLIERS}")
+
+
+def roots_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's Gauss-Hermite nodes and weights of the given order.
+
+    scipy is imported here, on the first rule, so a run that builds no
+    Hermite model never loads it.
+    """
+    from scipy.special import roots_hermite as scipy_roots_hermite
+
+    return scipy_roots_hermite(order)
 
 
 def gauss_hermite_rule(count: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -44,7 +44,7 @@ class _SuiteContext:
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self._cache: dict[str, object] = {}
+        self._cache: dict = {}
 
     def _get(self, key, builder):
         if key not in self._cache:
@@ -74,6 +74,16 @@ class _SuiteContext:
 
     def opset(self) -> operators.OperatorSet:
         return self._get("opset", lambda: operators.build_operator_set(self.pair(), self.alpha()))
+
+    def tail_family(self, dim: int) -> np.ndarray:
+        """The read-only Hermite growth family at truncation dim, built once per run."""
+
+        def build():
+            family = hermite.tail_family(dim)
+            family.setflags(write=False)
+            return family
+
+        return self._get(("tail_family", dim), build)
 
     def interior_indices(self):
         # Truncations of an infinite-dimensional operator are edge-polluted;
@@ -250,7 +260,7 @@ def _check_frame_bound_growth(ctx: _SuiteContext) -> CheckReport:
     sizes = (16, 32, 64)
     lower, upper = {}, {}
     for n in sizes:
-        k_phi = systems.frame_operator(hermite.tail_family(n))
+        k_phi = systems.frame_operator(ctx.tail_family(n))
         lower[n], upper[n] = forms.frame_bounds(k_phi)
     ratio = upper[64] / upper[32]
     residual = max(
@@ -276,7 +286,7 @@ def _check_tail_dichotomy(ctx: _SuiteContext) -> CheckReport:
     ):
         diag = forms.tail_diagnostic(
             lambda n: hermite.tail_coefficient_vector(coeff, n),
-            hermite.tail_family,
+            ctx.tail_family,
             grid=grid,
         )
         verdicts[label] = diag.classification

@@ -139,6 +139,18 @@ def test_parse_rejects_oversized_integer_literals():
     assert excinfo.value.path == "/"
 
 
+def test_parse_rejects_dense_dimension_whose_square_passes_the_digit_limit():
+    # 10**2500 is under the interpreter's 4,300-digit limit, its square is not
+    dimension = 10**2500
+    with pytest.raises(ParseError) as excinfo:
+        parse({"dimension": dimension, "operator": {"kind": "dense", "entries": [1]}})
+    assert excinfo.value.path == "/operator/entries"
+    assert excinfo.value.reason == "needs exactly about 10^5000 entries, got 1"
+    with pytest.raises(ParseError) as excinfo:
+        parse({"dimension": 3, "operator": {"kind": "dense", "entries": [1]}})
+    assert excinfo.value.reason == "needs exactly 9 entries, got 1"
+
+
 # (config builder, JSON path of its value list) for the three value lists
 VALUE_LISTS = [
     (lambda values: {"dimension": 4, "operator": {"kind": "diagonal", "values": values}}, "/operator/values"),

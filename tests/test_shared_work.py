@@ -5,8 +5,8 @@ import sys
 
 import numpy as np
 
-from rieszlab import LinearMap, invert, operators, parse_config, run_suite, suite, systems
-from rieszlab.cli import _hermite_config
+from rieszlab import LinearMap, forms, hermite, invert, operators, parse_config, run_suite, suite, systems
+from rieszlab.cli import _hermite_config, main
 from rieszlab.sampling import random_conditioned_map, stream_rng
 
 
@@ -145,3 +145,17 @@ def test_hamiltonian_agreement_sees_a_defect_in_the_cached_inverse():
     t_inv[np.unravel_index(np.argmax(np.abs(t_inv)), t_inv.shape)] *= 1.0 + 1e-6
     t_map._inverse = LinearMap(t_inv)
     assert not suite._check_hamiltonian_agreement(ctx).passed
+
+
+def test_hermite_full_suite_builds_each_tail_family_once(monkeypatch, tmp_path):
+    # `rieszlab example hermite --dim 8 --full-suite`: build_model's X plus one
+    # family per size, shared by frame_bound_growth and both tail diagnostics
+    built = []
+    original = hermite.tail_family
+    monkeypatch.setattr(hermite, "tail_family", lambda dim: built.append(dim) or original(dim))
+    out = tmp_path / "report.json"
+    assert main(["example", "hermite", "--dim", "8", "--full-suite", "--out", str(out)]) == 0
+    assert sorted(built) == [8, *forms.DEFAULT_TAIL_GRID]
+    ctx = suite._SuiteContext(_hermite_config(8, full_suite=True, seed=0))
+    assert ctx.tail_family(16) is ctx.tail_family(16)
+    assert not ctx.tail_family(16).flags.writeable
