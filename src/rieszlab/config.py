@@ -13,6 +13,14 @@ from .hermite import MAX_DIMENSION, MAX_DIMENSION_REASON
 
 SCHEMA = "rieszlab/1"
 
+# A run keeps about LIVE_MATRICES N x N complex128 arrays alive at its peak
+# (T with its SVD factors and inverse, both frame operators with their
+# eigenvectors and roots, the operator set, products in flight): 25 at
+# N = 128 by tracemalloc.  DIMENSION_LIMIT holds them within WORKING_SET_BYTES.
+LIVE_MATRICES = 32
+WORKING_SET_BYTES = 2 * 2**30
+DIMENSION_LIMIT = math.isqrt(WORKING_SET_BYTES // (LIVE_MATRICES * 16))
+
 OPERATOR_KINDS = ("diagonal", "dense", "hermite-x", "upper-unipotent")
 ALPHA_KINDS = ("sqrt_n", "linear", "custom")
 
@@ -224,6 +232,12 @@ def parse_config(text: str) -> RunConfig:
         operator.kind != "hermite-x" or dimension <= MAX_DIMENSION,
         "/dimension",
         f"hermite-x needs dimension <= {MAX_DIMENSION}: {MAX_DIMENSION_REASON}",
+    )
+    _expect(
+        dimension <= DIMENSION_LIMIT,
+        "/dimension",
+        f"must be <= {DIMENSION_LIMIT}: a run keeps about {LIVE_MATRICES} N x N complex matrices live, "
+        f"{WORKING_SET_BYTES // 2**30} GiB at that size",
     )
     alpha = _parse_alpha(raw.get("alpha"), dimension)
 

@@ -55,14 +55,17 @@ def omega(x: np.ndarray, y: np.ndarray, family: np.ndarray) -> np.ndarray | comp
     """Evaluate sum_k <x, phi_k><phi_k, y> over the truncated family.
 
     x and y are sample sets of one shape: (N, count) arrays give one value
-    per column, two vectors of length N give a scalar.
+    per column, two vectors of length N give a scalar.  When y is x the
+    pairings are formed once.
     """
     m = family_matrix(family)
+    same = y is x
     x, y = np.asarray(x), np.asarray(y)
     if x.shape[:1] != m.shape[:1] or y.shape != x.shape:
         raise DimensionMismatch("vector dimensions differ from family dimension")
     adj = m.conj().T
-    return _column_inner(adj @ x, adj @ y)
+    adj_x = adj @ x
+    return _column_inner(adj_x, adj_x if same else adj @ y)
 
 
 def verify_representation(

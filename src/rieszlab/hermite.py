@@ -89,9 +89,24 @@ def roots_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gauss_hermite_rule(count: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes, lifted weights and the first `count` Hermite functions at the nodes of one rule."""
+    """Nodes, lifted weights and the first `count` Hermite functions on the nonnegative half of one rule.
+
+    scipy's rule is symmetric, x_i = -x_{n-1-i} and w_i = w_{n-1-i}; this is
+    checked bit for bit, not assumed.  The recurrence of
+    `hermite_function_table` then gives e_k(-x) = (-1)^k e_k(x) exactly, so
+    the sum of an even integrand over the whole rule is its sum over the
+    positive nodes with doubled weights, plus the centre node of an odd
+    order, which counts once.  `quadrature_gram` builds on this.
+    """
     nodes, weights = roots_hermite(order)
-    return nodes, _lifted_weights(nodes, weights), hermite_function_table(count, nodes)
+    if not (np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])):
+        raise OracleMismatch(f"the Gauss-Hermite rule of order {order} is not symmetric")
+    half = np.s_[order // 2 :]
+    multiplicity = np.full(order - order // 2, 2.0)
+    multiplicity[0] -= order % 2  # x = 0 at an odd order
+    nodes = nodes[half]
+    lifted = multiplicity * _lifted_weights(nodes, weights[half])
+    return nodes, lifted, hermite_function_table(count, nodes)
 
 
 def quadrature_gram(count: int, multiplier: str, order: int, rule=None) -> np.ndarray:
@@ -99,11 +114,17 @@ def quadrature_gram(count: int, multiplier: str, order: int, rule=None) -> np.nd
 
     The integrals use the Gauss-Hermite rule of the given order; `rule`
     passes in `gauss_hermite_rule(count, order)` when a caller already
-    holds it.
+    holds it.  Every multiplier is even, so an entry with m + n odd is the
+    integral of an odd function, exactly 0; the even-even and odd-odd
+    blocks are one product each over the rule's nonnegative half.
     """
     nodes, lifted, table = gauss_hermite_rule(count, order) if rule is None else rule
     factors = lifted * _multiplier_values(multiplier, nodes)
-    return (table * factors) @ table.T
+    gram = np.zeros((table.shape[0], table.shape[0]))
+    for parity in (0, 1):
+        block = table[parity::2]
+        gram[parity::2, parity::2] = (block * factors) @ block.T
+    return gram
 
 
 def oracle_deviation(entries: np.ndarray, multiplier: str, order: int, rule=None) -> float:

@@ -6,13 +6,13 @@ imaginary parts are all exactly 0 is stored as its real part) and
 complex128 otherwise, so real inputs run the real LAPACK/BLAS kernels and
 numpy's promotion decides every mixed product.  A LinearMap certifies
 self-adjointness (by residual) on the first read of `self_adjoint` and
-positivity (by smallest eigenvalue) on the first read of `positive`, whose
-eigenvalues it keeps as `spectrum`, so callers can demand the structure
-they need instead of trusting whoever built the matrix.  A condition
-estimate is computed lazily from the extreme singular values; `invert`
-and `polar_decompose` share one SVD kept on the map, and `invert` caches
-its result there too.  The entries are read-only, so none of these
-cached values can go stale.
+positivity (by smallest eigenvalue) on the first read of `positive`, so
+callers can demand the structure they need instead of trusting whoever
+built the matrix.  A map is factored at most once per kind: the
+positivity certificate's eigendecomposition gives `spectrum` and
+`operator_sqrt`, and one full SVD gives `cond_estimate`, `invert` and
+`polar_decompose`; `invert` caches its result on the map too.  The
+entries are read-only, so none of these cached values can go stale.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def _as_square(entries) -> np.ndarray:
 class LinearMap:
     """Square real or complex matrix with certified self_adjoint/positive flags."""
 
-    __slots__ = ("entries", "_self_adjoint", "_positive", "_spectrum", "_cond", "_svd", "_inverse")
+    __slots__ = ("entries", "_self_adjoint", "_positive", "_eigh", "_cond", "_svd", "_inverse")
 
     def __init__(self, entries):
         a = _as_square(entries)
@@ -64,7 +64,7 @@ class LinearMap:
         self.entries = a
         self._self_adjoint: bool | None = None
         self._positive: bool | None = None
-        self._spectrum: np.ndarray | None = None
+        self._eigh: tuple[np.ndarray, np.ndarray] | None = None
         self._cond: float | None = None
         self._svd: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._inverse: LinearMap | None = None
@@ -80,14 +80,20 @@ class LinearMap:
 
     @property
     def positive(self) -> bool:
-        """Smallest-eigenvalue certificate, computed on first read and then cached."""
+        """Smallest-eigenvalue certificate, computed on first read and then cached.
+
+        The certificate is a full Hermitian eigendecomposition of the
+        symmetrized entries; it is kept for `spectrum` and `operator_sqrt`.
+        """
         if self._positive is None:
             positive = False
             if self.self_adjoint:
                 a = self.entries
-                lam = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-                lam.setflags(write=False)
-                self._spectrum = lam
+                factors = np.linalg.eigh((a + a.conj().T) / 2.0)
+                for f in factors:
+                    f.setflags(write=False)
+                self._eigh = factors
+                lam = factors[0]
                 positive = bool(lam[0] >= -POSITIVE_RTOL * max(float(lam[-1]), 0.0))
             self._positive = positive
         return self._positive
@@ -97,7 +103,7 @@ class LinearMap:
         """Ascending eigenvalues of a certified positive map, kept from its certificate."""
         if not self.positive:
             raise NotPositive("the spectrum is kept only for a certified positive map")
-        return self._spectrum
+        return self._eigh[0]
 
     @property
     def dim(self) -> int:
@@ -105,9 +111,9 @@ class LinearMap:
 
     @property
     def cond_estimate(self) -> float:
-        """Ratio of extreme singular values (inf when singular)."""
+        """Ratio of extreme singular values (inf when singular), read from the map's one SVD."""
         if self._cond is None:
-            s = np.linalg.svd(self.entries, compute_uv=False)
+            s = _svd(self)[1]
             self._cond = float(s[0] / s[-1]) if s[-1] > 0.0 else float("inf")
         return self._cond
 
@@ -136,26 +142,31 @@ def adjoint(a: LinearMap) -> LinearMap:
 
 
 def operator_sqrt(a: LinearMap) -> LinearMap:
-    """Positive square root of a certified positive map.
+    """Positive square root of a certified positive map, from its certificate's eigendecomposition.
 
     Eigenvalues in [-POSITIVE_RTOL * lambda_max, 0] are clamped to zero
     before taking the root; anything lower fails certification upstream.
     """
     if not a.positive:
         raise NotPositive("operator_sqrt requires a certified positive map")
-    w, v = np.linalg.eigh((a.entries + a.entries.conj().T) / 2.0)
+    w, v = a._eigh
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     return LinearMap((root + root.conj().T) / 2.0)
 
 
-def _nonsingular_svd(a: LinearMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The full SVD (u, s, vh) of `a`, computed once per map; raises if `a` is singular."""
+def _svd(a: LinearMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The full SVD (u, s, vh) of `a`, computed once per map."""
     if a._svd is None:
         factors = np.linalg.svd(a.entries)
         for f in factors:
             f.setflags(write=False)
         a._svd = factors
-    u, s, vh = a._svd
+    return a._svd
+
+
+def _nonsingular_svd(a: LinearMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The map's SVD; raises if `a` is singular."""
+    u, s, vh = _svd(a)
     if s[-1] <= SINGULARITY_FLOOR * s[0]:
         raise NumericallySingular(s[-1], s[0])
     return u, s, vh
@@ -165,9 +176,7 @@ def invert(a: LinearMap) -> LinearMap:
     """SVD-based inverse with a scale-invariant singularity floor.
 
     The inverse is cached on `a`, so every caller shares it.  The
-    inverse's own condition estimate comes from the SVD.  `a` keeps its
-    own estimate: the singular values of an SVD without vectors can differ
-    in the last bits, and reports print 17 digits.
+    inverse's own condition estimate comes from the same SVD.
     """
     if a._inverse is None:
         u, s, vh = _nonsingular_svd(a)

@@ -511,9 +511,10 @@ def ccr_check(opset: OperatorSet, tolerance: float = 1e-12) -> CheckReport:
     """
     if opset.alpha.kind != "sqrt_n":
         raise WrongAlphaKind(f"ccr check requires the sqrt_n sequence, got {opset.alpha.kind!r}")
-    a, b = opset.a_e.entries, opset.b_e.entries
-    dim = a.shape[0]
-    comm = a @ b - b @ a
+    dim = opset.pair.dim
+    a, b = ladder_shifts(opset.alpha, dim)
+    # A_e B_e and B_e A_e are shifts of offset 0, so the commutator is diagonal
+    comm = np.diag((a @ b).coefficients - (b @ a).coefficients)
     eye = np.eye(dim)
     expected = eye.copy()
     expected[-1, -1] = 1.0 - dim

@@ -169,11 +169,13 @@ def verify_K_relations(
     sel = np.arange(sys.dim) if indices is None else np.asarray(list(indices), dtype=int)
     k_phi = ops.k_phi.entries
     k_psi = ops.k_psi.entries
+    phi_from_psi = k_phi @ psi_m
+    psi_from_phi = k_psi @ phi_m
     details = {
-        "phi_from_psi": float(_column_residuals((k_phi @ psi_m)[:, sel], phi_m[:, sel]).max()),
-        "psi_from_phi": float(_column_residuals((k_psi @ phi_m)[:, sel], psi_m[:, sel]).max()),
-        "psi_roundtrip": float(_column_residuals((k_psi @ (k_phi @ psi_m))[:, sel], psi_m[:, sel]).max()),
-        "phi_roundtrip": float(_column_residuals((k_phi @ (k_psi @ phi_m))[:, sel], phi_m[:, sel]).max()),
+        "phi_from_psi": float(_column_residuals(phi_from_psi[:, sel], phi_m[:, sel]).max()),
+        "psi_from_phi": float(_column_residuals(psi_from_phi[:, sel], psi_m[:, sel]).max()),
+        "psi_roundtrip": float(_column_residuals((k_psi @ phi_from_psi)[:, sel], psi_m[:, sel]).max()),
+        "phi_roundtrip": float(_column_residuals((k_phi @ psi_from_phi)[:, sel], phi_m[:, sel]).max()),
         "product_identity": float(
             np.linalg.norm(k_phi @ k_psi - np.eye(sys.dim)) / np.sqrt(sys.dim)
         ),

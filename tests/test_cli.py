@@ -2,12 +2,13 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
 from rieszlab import parse_config, run_suite
 from rieszlab.cli import main
-from rieszlab.config import config_to_dict
+from rieszlab.config import DIMENSION_LIMIT, config_to_dict
 from rieszlab.hermite import MAX_DIMENSION
 
 
@@ -239,3 +240,20 @@ def test_cli_example_rejects_negative_seed(tmp_path, capsys):
     assert main(["example", "hermite", "--dim", "8", "--seed", "-1", "--out", str(out)]) == 2
     assert "--seed must be nonnegative" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("dimension", [DIMENSION_LIMIT + 1, 10**12, 10**2500])
+def test_cli_rejects_dimension_past_the_working_set_limit(tmp_path, capsys, dimension):
+    config = write_config(tmp_path, {"dimension": dimension, "operator": {"kind": "upper-unipotent"}})
+    out = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        status = main(["run", "--config", str(config), "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == 2
+    assert f"invalid config at /dimension: must be <= {DIMENSION_LIMIT}" in capsys.readouterr().err
+    assert not out.exists()
+    # rejected before any N x N array: one at DIMENSION_LIMIT + 1 alone takes 32 MiB
+    assert peak < 2**20, peak

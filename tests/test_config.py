@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+from rieszlab import config as config_mod
 from rieszlab import parse_config
-from rieszlab.config import config_to_dict, default_checks
+from rieszlab.config import DIMENSION_LIMIT, config_to_dict, default_checks
 from rieszlab.errors import ParseError
+from rieszlab.hermite import MAX_DIMENSION, MAX_DIMENSION_REASON
 from rieszlab.reporting import make_report
 from rieszlab.suite import emit_report
 
@@ -273,3 +275,38 @@ def test_emit_report_deterministic():
 def test_emit_report_rejects_unknown_format():
     with pytest.raises(ValueError):
         emit_report([], fmt="yaml")
+
+
+@pytest.mark.parametrize("dimension", [DIMENSION_LIMIT + 1, 10**12, 10**2500])
+def test_parse_rejects_dimension_past_the_working_set_limit(dimension):
+    with pytest.raises(ParseError) as excinfo:
+        parse({"dimension": dimension, "operator": {"kind": "upper-unipotent", "off_diagonal": 0.5}})
+    assert excinfo.value.path == "/dimension"
+    assert excinfo.value.reason.startswith(f"must be <= {DIMENSION_LIMIT}: a run keeps about")
+    assert parse({"dimension": DIMENSION_LIMIT, "operator": {"kind": "upper-unipotent"}}).dimension == DIMENSION_LIMIT
+
+
+def test_dimension_limit_covers_every_operator_kind(monkeypatch):
+    # a small limit, so that every kind's value lists stay small
+    monkeypatch.setattr(config_mod, "DIMENSION_LIMIT", 3)
+    operators = {
+        "diagonal": {"kind": "diagonal", "values": [1, 2, 3, 4]},
+        "dense": {"kind": "dense", "entries": [float(i == j) for i in range(4) for j in range(4)]},
+        "upper-unipotent": {"kind": "upper-unipotent"},
+    }
+    assert set(operators) | {"hermite-x"} == set(config_mod.OPERATOR_KINDS)
+    for operator in operators.values():
+        with pytest.raises(ParseError) as excinfo:
+            parse({"dimension": 4, "operator": operator})
+        assert excinfo.value.path == "/dimension" and excinfo.value.reason.startswith("must be <= 3")
+    with pytest.raises(ParseError) as excinfo:
+        parse({"dimension": 4, "operator": {"kind": "hermite-x"}})
+    assert excinfo.value.path == "/dimension" and excinfo.value.reason.startswith("must be <= 3")
+
+
+def test_hermite_dimension_limit_keeps_its_quadrature_reason():
+    for dimension in (MAX_DIMENSION + 1, DIMENSION_LIMIT + 1, 10**12):
+        with pytest.raises(ParseError) as excinfo:
+            parse({"dimension": dimension, "operator": {"kind": "hermite-x"}})
+        assert excinfo.value.path == "/dimension"
+        assert excinfo.value.reason == f"hermite-x needs dimension <= {MAX_DIMENSION}: {MAX_DIMENSION_REASON}"

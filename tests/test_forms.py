@@ -275,3 +275,14 @@ def test_tail_grid_validation():
         tail_diagnostic(tail_x(lambda k: 1.0), tail_family, grid=(64,))
     with pytest.raises(ValueError):
         tail_diagnostic(tail_x(lambda k: 1.0), tail_family, grid=(400, 512))
+
+
+def test_omega_of_x_with_itself_matches_the_two_product_formula():
+    # omega(x, x, phi) forms phi* x once; the old formula formed it for each side
+    rng = stream_rng(62)
+    phi = random_conditioned_map(10, 20.0, rng).entries
+    x = random_kets(10, 7, rng)
+    adj = phi.conj().T
+    old = np.sum(np.conj(adj @ x) * (adj @ x), axis=0)
+    assert np.array_equal(omega(x, x, phi), old)
+    assert np.array_equal(omega(x, x.copy(), phi), old)

@@ -19,9 +19,11 @@ from rieszlab import (
 )
 from rieszlab.errors import OracleMismatch
 from rieszlab.hermite import (
+    gauss_hermite_rule,
     hermite_function_table,
     oracle_deviation,
     quadrature_gram,
+    roots_hermite,
     tail_family,
     x_entry,
 )
@@ -300,3 +302,74 @@ def test_x_entry_formula():
     assert x_entry(2, 0) == pytest.approx(np.sqrt(2.0) / 2.0)
     assert x_entry(0, 1) == 0.0
     assert x_entry(0, 4) == 0.0
+
+
+def all_node_gram(count, multiplier, order):
+    # the Gram over every node of scipy's rule, as built before the parity split
+    import rieszlab.hermite as hermite_mod
+
+    nodes, weights = roots_hermite(order)
+    table = hermite_function_table(count, nodes)
+    factors = hermite_mod._lifted_weights(nodes, weights) * hermite_mod._multiplier_values(multiplier, nodes)
+    return (table * factors) @ table.T
+
+
+# 32: scipy's eigenvalue branch; 33: an odd order, whose centre node counts once;
+# 512: scipy's asymptotic branch
+@pytest.mark.parametrize("order, count", [(32, 8), (33, 8), (512, 128)])
+@pytest.mark.parametrize("multiplier", ["one", "one_plus_x2", "one_plus_x2_squared", "inv_one_plus_x2"])
+def test_quadrature_gram_by_parity_matches_the_all_node_sum(order, count, multiplier):
+    gram = quadrature_gram(count, multiplier, order)
+    reference = all_node_gram(count, multiplier, order)
+    odd = np.add.outer(np.arange(count), np.arange(count)) % 2 == 1
+    assert np.all(gram[odd] == 0.0)
+    assert np.abs(gram - reference)[~odd].max() <= 1e-14 * max(1.0, np.abs(reference).max())
+
+
+@pytest.mark.parametrize("order", [32, 33, 512])
+def test_gauss_hermite_rule_keeps_the_nonnegative_half(order):
+    import rieszlab.hermite as hermite_mod
+
+    nodes, weights = roots_hermite(order)
+    half_nodes, lifted, table = gauss_hermite_rule(6, order)
+    positive = order - order // 2
+    np.testing.assert_array_equal(half_nodes, nodes[order // 2 :])
+    assert half_nodes[0] >= 0.0 and (half_nodes[0] == 0.0) == bool(order % 2)
+    full = hermite_mod._lifted_weights(nodes, weights)[order // 2 :]
+    np.testing.assert_array_equal(lifted[order % 2 :], 2.0 * full[order % 2 :])
+    if order % 2:
+        assert lifted[0] == full[0]
+    # e_k(-x) = (-1)^k e_k(x) bit for bit on the mirrored nodes
+    full_table = hermite_function_table(6, nodes)
+    signs = (-1.0) ** np.arange(6)[:, None]
+    np.testing.assert_array_equal(full_table[:, order // 2 :], table)
+    np.testing.assert_array_equal(full_table[:, :positive][:, ::-1], signs * table)
+
+
+def test_gauss_hermite_rule_refuses_an_asymmetric_rule(monkeypatch):
+    import rieszlab.hermite as hermite_mod
+
+    def skewed(order):
+        nodes, weights = roots_hermite(order)
+        weights = weights.copy()
+        weights[0] *= 1.0 + 1e-15
+        return nodes, weights
+
+    monkeypatch.setattr(hermite_mod, "roots_hermite", skewed)
+    with pytest.raises(OracleMismatch):
+        gauss_hermite_rule(4, 16)
+
+
+def test_oracle_gate_trips_on_odd_parity_defect(monkeypatch):
+    # X[0, 1] is 0 in closed form and exactly 0 in the parity-split oracle
+    import rieszlab.hermite as hermite_mod
+
+    def defective(dim):
+        entries = tail_family(dim)
+        entries[0, 1] += 1e-6
+        return LinearMap(entries)
+
+    assert build_model(8).oracle_residual <= hermite_mod.ORACLE_TOLERANCE
+    monkeypatch.setattr(hermite_mod, "build_X", defective)
+    with pytest.raises(OracleMismatch):
+        hermite_mod.build_model(8)

@@ -1,5 +1,7 @@
 """Tests for the dense linear-algebra substrate."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -168,8 +170,8 @@ def test_invert_caches_read_only_inverse():
 
 def test_positive_certified_on_first_read_only(monkeypatch):
     calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
     k = from_diagonal([1, 2, 3])
     assert calls == []
     assert k.positive and k.positive
@@ -264,3 +266,53 @@ def test_flag_certification():
 def test_cond_estimate():
     assert from_diagonal([1, 2, 4]).cond_estimate == pytest.approx(4.0)
     assert LinearMap(np.zeros((2, 2)) + np.diag([1, 0])).cond_estimate == np.inf
+
+
+def count_numpy_calls(monkeypatch, name):
+    calls = []
+    original = getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name, lambda a, **kw: calls.append(kw) or original(a, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(("cond", "invert", "polar"))))
+def test_cond_invert_and_polar_share_one_svd_in_any_order(monkeypatch, order):
+    calls = count_numpy_calls(monkeypatch, "svd")
+    t = random_conditioned_map(8, 10.0, stream_rng(17))
+    reads = {"cond": lambda: t.cond_estimate, "invert": lambda: invert(t), "polar": lambda: polar_decompose(t)}
+    for name in order:
+        reads[name]()
+    assert calls == [{}]
+    s = np.linalg.svd(t.entries)[1]
+    assert t.cond_estimate == float(s[0] / s[-1])
+    assert invert(t).cond_estimate == t.cond_estimate
+
+
+@pytest.mark.parametrize("cond_first", [True, False])
+def test_singular_map_reads_infinite_cond_and_still_refuses_to_invert(monkeypatch, cond_first):
+    calls = count_numpy_calls(monkeypatch, "svd")
+    z = from_diagonal([1.0, 0.0, 2.0])
+    if cond_first:
+        assert z.cond_estimate == np.inf
+    with pytest.raises(NumericallySingular):
+        invert(z)
+    with pytest.raises(NumericallySingular):
+        polar_decompose(z)
+    assert z.cond_estimate == np.inf
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(("positive", "spectrum", "sqrt"))))
+def test_positive_spectrum_and_sqrt_share_one_eigh_in_any_order(monkeypatch, order):
+    eigh_calls = count_numpy_calls(monkeypatch, "eigh")
+    eigvalsh_calls = count_numpy_calls(monkeypatch, "eigvalsh")
+    v = random_unitary(6, stream_rng(18)).entries
+    k = LinearMap((v * np.linspace(1.0, 4.0, 6)) @ v.conj().T)
+    reads = {"positive": lambda: k.positive, "spectrum": lambda: k.spectrum, "sqrt": lambda: operator_sqrt(k)}
+    for name in order:
+        reads[name]()
+    assert len(eigh_calls) == 1 and eigvalsh_calls == []
+    w, vecs = np.linalg.eigh((k.entries + k.entries.conj().T) / 2.0)
+    np.testing.assert_array_equal(k.spectrum, w)
+    root = (vecs * np.sqrt(w)) @ vecs.conj().T
+    np.testing.assert_array_equal(operator_sqrt(k).entries, (root + root.conj().T) / 2.0)

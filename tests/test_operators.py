@@ -586,3 +586,26 @@ def test_operator_set_spectrum_preserved():
 def test_operator_set_b_is_adjoint_of_a_for_real_alpha():
     opset = build_operator_set(ConstructingPair(LinearMap(np.eye(5))), AlphaSequence.sqrt_n(5))
     np.testing.assert_array_equal(opset.b_e.entries, adjoint(opset.a_e).entries)
+
+
+@pytest.mark.parametrize("dim", [8, 32, 256, 325])
+def test_ccr_reference_commutator_by_shift_algebra_matches_dense_products(dim):
+    a, b = ladder_shifts(AlphaSequence.sqrt_n(dim), dim)
+    dense_a, dense_b = a.matrix().entries, b.matrix().entries
+    assert (a @ b).offset == (b @ a).offset == 0
+    by_shifts = np.diag((a @ b).coefficients - (b @ a).coefficients)
+    assert np.array_equal(by_shifts, dense_a @ dense_b - dense_b @ dense_a)
+
+
+def test_ccr_check_matches_the_dense_commutator_formula():
+    t = random_conditioned_map(16, 20.0, stream_rng(63))
+    opset = build_operator_set(ConstructingPair(t), AlphaSequence.sqrt_n(16))
+    a, b = opset.a_e.entries, opset.b_e.entries
+    comm = a @ b - b @ a
+    expected = np.eye(16)
+    expected[-1, -1] = -15.0
+    report = ccr_check(opset)
+    assert np.array_equal(
+        [report.details["interior"], report.details["defect"]],
+        [float(np.abs(comm[:15, :15] - np.eye(15)).max()), float(np.abs(comm - expected).max())],
+    )

@@ -46,19 +46,19 @@ def test_hermite_full_suite_shares_factorizations(monkeypatch):
     counts = count_calls(monkeypatch)
     reports = run_suite(_hermite_config(32, full_suite=True, seed=0))
     assert all(r.passed for r in reports), [r.name for r in reports if not r.passed]
-    # one SVD of T (T^-1 and the polar factors) and cond(T)
-    assert counts["svd"] == 2
-    # K_phi and K_psi certified once each; frame_bounds reads the certificate's
-    # spectrum, so each of the three growth sizes costs one
-    assert counts["eigvalsh"] == 5
+    # one SVD of T: T^-1, the polar factors and cond(T)
+    assert counts["svd"] == 1
+    # positivity is certified by eigh, whose eigenvalues frame_bounds reads
+    assert counts["eigvalsh"] == 0
     # product identities form the powers up to 4 as products of the square
     assert counts["matrix_power"] <= 24
     # real alpha: the conjugate set of adjoint_relations is the set itself
     assert counts["build_operator_set"] == 1
     # one system per run, shared by every check, hermite_oracle included
     assert counts["build_system"] == 1
-    # the two frame-operator square roots, each built once
-    assert counts["eigh"] == 2
+    # K_phi and K_psi once each, certificate and square root from one
+    # eigendecomposition, plus one per growth size (16, 32, 64)
+    assert counts["eigh"] == 5
 
 
 def test_hermite_full_suite_factors_in_real_arithmetic(monkeypatch):
@@ -79,7 +79,7 @@ def test_hermite_full_suite_factors_in_real_arithmetic(monkeypatch):
         monkeypatch.setattr(np.linalg, name, recording(name))
     reports = run_suite(_hermite_config(32, full_suite=True, seed=0))
     assert all(r.passed for r in reports), [r.name for r in reports if not r.passed]
-    assert len(seen) == 9
+    assert len(seen) == 6
     assert all(dtype == np.float64 for _, dtype in seen), seen
 
 

@@ -294,3 +294,28 @@ def test_user_supplied_system_reconstruction():
     assert report.passed, report.details
     np.testing.assert_allclose(ops.k_phi_sqrt.entries @ e_from_psi, supplied.phi, atol=1e-9)
     np.testing.assert_allclose(ops.k_psi_sqrt.entries @ e_from_phi, supplied.psi, atol=1e-9)
+
+
+@pytest.mark.parametrize("complex_t", [False, True])
+def test_k_relations_reuse_the_one_step_products_bit_for_bit(complex_t):
+    # the round trips reuse K_phi psi and K_psi phi; the old formula formed each twice
+    t = random_conditioned_map(12, 30.0, stream_rng(61))
+    t = t if complex_t else LinearMap(t.entries.real)
+    sys_ = build_system(ConstructingPair(t))
+    ops = build_frame_operators(sys_)
+    phi, psi, k_phi, k_psi = sys_.phi, sys_.psi, ops.k_phi.entries, ops.k_psi.entries
+
+    def worst(actual, expected):
+        norms = np.maximum(1.0, np.linalg.norm(expected, axis=0))
+        return float((np.linalg.norm(actual - expected, axis=0) / norms).max())
+
+    old = {
+        "phi_from_psi": worst(k_phi @ psi, phi),
+        "psi_from_phi": worst(k_psi @ phi, psi),
+        "psi_roundtrip": worst(k_psi @ (k_phi @ psi), psi),
+        "phi_roundtrip": worst(k_phi @ (k_psi @ phi), phi),
+        "product_identity": float(np.linalg.norm(k_phi @ k_psi - np.eye(12)) / np.sqrt(12)),
+    }
+    report = verify_K_relations(sys_, ops)
+    assert list(report.details) == list(old)
+    assert np.array_equal(list(report.details.values()), list(old.values()))
