@@ -15,8 +15,9 @@ SCHEMA = "rieszlab/1"
 
 # A run keeps about LIVE_MATRICES N x N complex128 arrays alive at its peak
 # (T with its SVD factors and inverse, both frame operators with their
-# eigenvectors and roots, the operator set, products in flight): 25 at
-# N = 128 by tracemalloc.  DIMENSION_LIMIT holds them within WORKING_SET_BYTES.
+# eigenvectors and roots, the operator set, products in flight): 23.7 at
+# N = 128, dense complex T, by tracemalloc.  DIMENSION_LIMIT holds them
+# within WORKING_SET_BYTES.
 LIVE_MATRICES = 32
 WORKING_SET_BYTES = 2 * 2**30
 DIMENSION_LIMIT = math.isqrt(WORKING_SET_BYTES // (LIVE_MATRICES * 16))

@@ -118,10 +118,10 @@ class LinearMap:
         return self._cond
 
     def __repr__(self) -> str:
-        return (
-            f"LinearMap(dim={self.dim}, self_adjoint={self.self_adjoint}, "
-            f"positive={self.positive})"
-        )
+        """Dimension, dtype and the flags certified so far; printing never certifies one."""
+        flags = {"self_adjoint": self._self_adjoint, "positive": self._positive}
+        shown = ", ".join(f"{name}={'unknown' if v is None else v}" for name, v in flags.items())
+        return f"LinearMap(dim={self.dim}, dtype={self.entries.dtype}, {shown})"
 
 
 @dataclass(frozen=True)

@@ -151,11 +151,6 @@ class WeightedShift:
         )
         return out
 
-    def matrix(self) -> LinearMap:
-        """The dense N x N matrix of a shift with |offset| <= N."""
-        span = self._span()
-        return LinearMap(np.diag(self.coefficients[span], k=-self.offset))
-
 
 def hamiltonian_shift(alpha: AlphaSequence, dim: int) -> WeightedShift:
     """H_e = diag(alpha_0 .. alpha_{N-1}), offset 0; self-adjoint exactly when alpha is real."""
@@ -250,11 +245,11 @@ def ladder_check(
 
 @dataclass(frozen=True, eq=False)
 class OperatorSet:
-    """Reference-basis operators and both similarity-transformed families."""
+    """Reference-basis shifts and both similarity-transformed families."""
 
-    h_e: LinearMap
-    a_e: LinearMap
-    b_e: LinearMap
+    h_e: WeightedShift
+    a_e: WeightedShift
+    b_e: WeightedShift
     h_phi_psi: LinearMap
     h_psi_phi: LinearMap
     a_phi_psi: LinearMap
@@ -271,9 +266,9 @@ def build_operator_set(pair: ConstructingPair, alpha: AlphaSequence) -> Operator
     a_e, b_e = ladder_shifts(alpha, dim)
     m = pair.matrix
     return OperatorSet(
-        h_e=h_e.matrix(),
-        a_e=a_e.matrix(),
-        b_e=b_e.matrix(),
+        h_e=h_e,
+        a_e=a_e,
+        b_e=b_e,
         h_phi_psi=transform(h_e, m, "phi_psi"),
         h_psi_phi=transform(h_e, m, "psi_phi"),
         a_phi_psi=transform(a_e, m, "phi_psi"),
@@ -437,11 +432,11 @@ def product_identity_check(
     nilpotent once m or l reaches the dimension).  Returns the report of
     the worst (m, l) pair; on a tie the earlier pair wins.
 
-    Each word A_e^m B_e^l is a weighted shift, built once from alpha, so a
-    reference costs one column shift and one product.  One side at a time,
-    each distinct operator of the pairs is formed once per route and only
-    the two norms of its comparison are kept, so the working set stays a
-    few matrices whatever the pair list.
+    Each word A_e^m B_e^l is a weighted shift, built once from the set's
+    ladders, so a reference costs one column shift and one product.  One
+    side at a time, each distinct operator of the pairs is formed once per
+    route and only the two norms of its comparison are kept, so the working
+    set stays a few matrices whatever the pair list.
     """
     pairs = list(pairs)
     if not pairs:
@@ -455,10 +450,11 @@ def product_identity_check(
     def rel(deviation: float, reference_norm: float, scale: float) -> float:
         return float(deviation / max(reference_norm, scale, 1e-300))
 
+    a_e, b_e = opset.a_e, opset.b_e
     conjugation = np.linalg.norm(t) * np.linalg.norm(t_inv)
-    a_norm, b_norm = np.linalg.norm(opset.a_e.entries), np.linalg.norm(opset.b_e.entries)
+    # a shift's coefficient norm is the Frobenius norm of its matrix
+    a_norm, b_norm = np.linalg.norm(a_e.coefficients), np.linalg.norm(b_e.coefficients)
     words = sorted(dict.fromkeys(w for m, l in pairs for w in _words(m, l)), key=_stage)
-    a_e, b_e = ladder_shifts(opset.alpha, t.shape[0])
     references = _reference_words(a_e, b_e, words)  # shared by both sides
     norms = {
         "phi": _side_deviations(
@@ -512,18 +508,18 @@ def ccr_check(opset: OperatorSet, tolerance: float = 1e-12) -> CheckReport:
     if opset.alpha.kind != "sqrt_n":
         raise WrongAlphaKind(f"ccr check requires the sqrt_n sequence, got {opset.alpha.kind!r}")
     dim = opset.pair.dim
-    a, b = ladder_shifts(opset.alpha, dim)
-    # A_e B_e and B_e A_e are shifts of offset 0, so the commutator is diagonal
-    comm = np.diag((a @ b).coefficients - (b @ a).coefficients)
-    eye = np.eye(dim)
-    expected = eye.copy()
-    expected[-1, -1] = 1.0 - dim
-    interior = float(np.abs(comm[: dim - 1, : dim - 1] - eye[: dim - 1, : dim - 1]).max())
+    a, b = opset.a_e, opset.b_e
+    # A_e B_e and B_e A_e are shifts of offset 0: the commutator is the diagonal
+    # of their coefficient difference, and its off-diagonal entries are exact 0
+    comm = (a @ b).coefficients - (b @ a).coefficients
+    expected = np.ones(dim)
+    expected[-1] = 1.0 - dim
+    interior = float(np.abs(comm[: dim - 1] - expected[: dim - 1]).max())
     defect = float(np.abs(comm - expected).max())
     t = opset.pair.matrix
     at, bt = opset.a_phi_psi.entries, opset.b_phi_psi.entries
     back = invert(t).entries @ (at @ bt - bt @ at) @ t.entries
-    t_interior = float(np.abs(back[: dim - 1, : dim - 1] - eye[: dim - 1, : dim - 1]).max())
+    t_interior = float(np.abs(back[: dim - 1, : dim - 1] - np.eye(dim - 1)).max())
     t_tol = CCR_TRANSFORMED_RTOL * t.cond_estimate**2
     details = {
         "interior": interior,
@@ -545,14 +541,13 @@ def domain_mapping_check(opset: OperatorSet, tolerance: float = 1e-9) -> CheckRe
     reported as the amplification factor.
     """
     t = opset.pair.matrix
-    h_e = hamiltonian_shift(opset.alpha, t.dim)
     sides = {
         "phi_psi": (opset.h_phi_psi, t.entries),
         "psi_phi": (opset.h_psi_phi, invert(t).entries.conj().T),
     }
     details = {}
     for side, (transformed, image) in sides.items():
-        target = image @ h_e
+        target = image @ opset.h_e
         details[side] = _rel_frobenius(transformed.entries @ image - target, target)
     return make_report(
         "domain_mapping",

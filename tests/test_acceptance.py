@@ -36,8 +36,10 @@ from rieszlab import (
 from rieszlab.cli import main
 from rieszlab.forms import DEFAULT_TAIL_GRID, frame_bounds
 from rieszlab.hermite import tail_coefficient_vector, tail_family
-from rieszlab.sampling import random_conditioned_map, random_kets, stream_rng
+from rieszlab.sampling import random_kets, stream_rng
 from rieszlab.systems import frame_operator
+
+from helpers import random_conditioned_map
 
 
 def _verdict(number: int, title: str, ok: bool, detail: str = "") -> None:

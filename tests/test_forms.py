@@ -18,7 +18,9 @@ from rieszlab import (
 from rieszlab.errors import DimensionMismatch, InconsistentPrefix, NotPositive
 from rieszlab.forms import DEFAULT_TAIL_GRID
 from rieszlab.linalg import LinearMap
-from rieszlab.sampling import random_conditioned_map, random_kets, stream_rng
+from rieszlab.sampling import random_kets, stream_rng
+
+from helpers import random_conditioned_map
 
 GRID = DEFAULT_TAIL_GRID
 

@@ -6,7 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from rieszlab.sampling import random_conditioned_map, stream_rng
+from rieszlab.sampling import stream_rng
+
+from helpers import random_conditioned_map
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -15,7 +15,9 @@ from rieszlab import (
 )
 from rieszlab.errors import NotPositive, NumericallySingular
 from rieszlab.linalg import real_or_complex
-from rieszlab.sampling import random_conditioned_map, random_unitary, stream_rng
+from rieszlab.sampling import stream_rng
+
+from helpers import random_conditioned_map, random_unitary
 
 
 def test_dtype_follows_the_entries():
@@ -191,6 +193,17 @@ def test_self_adjoint_certified_on_first_read_only(monkeypatch):
     assert calls == []
     assert k.self_adjoint and k.self_adjoint
     assert len(calls) == 2  # max|A| and max|A - A*|, once
+
+
+def test_repr_shows_only_certified_flags():
+    k = from_diagonal([1, 2, 3])
+    assert repr(k) == "LinearMap(dim=3, dtype=float64, self_adjoint=unknown, positive=unknown)"
+    assert k._self_adjoint is None and k._positive is None and k._eigh is None
+    assert k.positive
+    assert repr(k) == "LinearMap(dim=3, dtype=float64, self_adjoint=True, positive=True)"
+    k = LinearMap([[1, 2j], [2j, 3]])
+    assert not k.self_adjoint
+    assert repr(k) == "LinearMap(dim=2, dtype=complex128, self_adjoint=False, positive=unknown)"
 
 
 def test_polar_positive_diagonal():

@@ -32,11 +32,13 @@ from rieszlab import (
 from rieszlab.errors import DimensionMismatch, NumericallySingular, WrongAlphaKind
 from rieszlab.hermite import tail_coefficient_vector
 from rieszlab.operators import WeightedShift
-from rieszlab.sampling import random_conditioned_map, stream_rng
+from rieszlab.sampling import stream_rng
+
+from helpers import dense, random_conditioned_map
 
 
 def ladder_matrices(alpha, dim):
-    return tuple(shift.matrix() for shift in ladder_shifts(alpha, dim))
+    return tuple(dense(shift) for shift in ladder_shifts(alpha, dim))
 
 
 def reference_opset(alpha):
@@ -72,25 +74,25 @@ def test_validate_alpha_rejects_complex():
 
 
 def test_diag_hamiltonian():
-    h = hamiltonian_shift(AlphaSequence.custom([1.0, 2.0, 3.0]), 3).matrix()
+    h = dense(hamiltonian_shift(AlphaSequence.custom([1.0, 2.0, 3.0]), 3))
     np.testing.assert_array_equal(h.entries, np.diag([1.0, 2.0, 3.0]))
     assert h.self_adjoint
-    h_sqrt = hamiltonian_shift(AlphaSequence.sqrt_n(3), 3).matrix()
+    h_sqrt = dense(hamiltonian_shift(AlphaSequence.sqrt_n(3), 3))
     np.testing.assert_allclose(np.diag(h_sqrt.entries), [0.0, 1.0, np.sqrt(2.0)], atol=0)
 
 
 def test_diag_hamiltonian_complex_adjoint():
     alpha = AlphaSequence.custom([1j, 2j])
-    h = hamiltonian_shift(alpha, 2).matrix()
+    h = dense(hamiltonian_shift(alpha, 2))
     assert not h.self_adjoint
     np.testing.assert_array_equal(
-        adjoint(h).entries, hamiltonian_shift(alpha.conjugate(), 2).matrix().entries
+        adjoint(h).entries, dense(hamiltonian_shift(alpha.conjugate(), 2)).entries
     )
 
 
 def test_diag_hamiltonian_length_guard():
     with pytest.raises(DimensionMismatch):
-        hamiltonian_shift(AlphaSequence.custom([1.0]), 3).matrix()
+        hamiltonian_shift(AlphaSequence.custom([1.0]), 3)
 
 
 def test_ladder_matrices():
@@ -115,10 +117,10 @@ def test_ladder_actions_on_reference_basis():
 
 def test_transform_identity_and_diagonal():
     h = hamiltonian_shift(AlphaSequence.custom([1.0, 2.0]), 2)
-    np.testing.assert_allclose(transform(h, LinearMap(np.eye(2)), "phi_psi").entries, h.matrix().entries, atol=0)
+    np.testing.assert_allclose(transform(h, LinearMap(np.eye(2)), "phi_psi").entries, dense(h).entries, atol=0)
     h3 = hamiltonian_shift(AlphaSequence.custom([1.0, 2.0, 3.0]), 3)
     t3 = from_diagonal([1, 2, 3])
-    np.testing.assert_allclose(transform(h3, t3, "phi_psi").entries, h3.matrix().entries, atol=1e-15)
+    np.testing.assert_allclose(transform(h3, t3, "phi_psi").entries, dense(h3).entries, atol=1e-15)
 
 
 def test_transform_unipotent_by_hand():
@@ -169,7 +171,7 @@ def test_sum_form_agreement_random_property():
 
 def test_eigen_check_diagonal_and_unipotent():
     alpha = AlphaSequence.custom([1.0, 2.0])
-    assert eigen_check(hamiltonian_shift(alpha, 2).matrix(), np.eye(2), alpha).residual == 0.0
+    assert eigen_check(dense(hamiltonian_shift(alpha, 2)), np.eye(2), alpha).residual == 0.0
     # H phi_1 = 2 phi_1 with phi_1 = (1, 1)
     t = LinearMap([[1, 1], [0, 1]])
     sys_ = build_system(ConstructingPair(t))
@@ -261,7 +263,7 @@ def test_product_identity_mixed_positive_constructor():
     alpha = AlphaSequence.sqrt_n(3)
     opset = build_operator_set(ConstructingPair(t), alpha)
     t_inv = np.diag([1.0, 0.5, 1.0 / 3.0])
-    expected = t_inv @ opset.a_e.entries @ t.entries @ t.entries @ opset.b_e.entries @ t_inv
+    expected = t_inv @ dense(opset.a_e).entries @ t.entries @ t.entries @ dense(opset.b_e).entries @ t_inv
     actual = opset.a_psi_phi.entries @ opset.b_phi_psi.entries
     assert np.linalg.norm(actual - expected) <= 1e-12 * np.linalg.norm(expected)
     report = product_identity_check(opset, [(1, 1)])
@@ -325,7 +327,7 @@ def parent_product_identity_check(opset, pairs, tolerance=1e-10):
     t_inv = invert(opset.pair.matrix).entries
     t_adj = t.conj().T
     t_adj_inv = t_inv.conj().T
-    a_e, b_e = opset.a_e.entries, opset.b_e.entries
+    a_e, b_e = dense(opset.a_e).entries, dense(opset.b_e).entries
     power = np.linalg.matrix_power
 
     def chain(mat, p, mat2, q):
@@ -406,8 +408,8 @@ def parent_transform(op_e, t, side):
     """The two-product transform build_operator_set replaced: T op T^-1 or (T*)^-1 op T* as gemms."""
     t_inv = invert(t).entries
     if side == "phi_psi":
-        return t.entries @ op_e.entries @ t_inv
-    return t_inv.conj().T @ op_e.entries @ t.entries.conj().T
+        return t.entries @ dense(op_e).entries @ t_inv
+    return t_inv.conj().T @ dense(op_e).entries @ t.entries.conj().T
 
 
 def test_operator_set_matches_parent_transform():
@@ -459,7 +461,7 @@ def test_real_operator_set_matches_complex_arithmetic():
             ("a_psi_phi", opset.a_e, "psi_phi"),
             ("b_psi_phi", opset.b_e, "psi_phi"),
         ):
-            w = op_e.entries.astype(np.complex128)
+            w = dense(op_e).entries.astype(np.complex128)
             expected = t @ w @ t_inv if side == "phi_psi" else t_inv.conj().T @ w @ t.conj().T
             actual = getattr(opset, field).entries
             assert actual.dtype == np.float64, (name, field)
@@ -585,13 +587,13 @@ def test_operator_set_spectrum_preserved():
 
 def test_operator_set_b_is_adjoint_of_a_for_real_alpha():
     opset = build_operator_set(ConstructingPair(LinearMap(np.eye(5))), AlphaSequence.sqrt_n(5))
-    np.testing.assert_array_equal(opset.b_e.entries, adjoint(opset.a_e).entries)
+    np.testing.assert_array_equal(dense(opset.b_e).entries, adjoint(dense(opset.a_e)).entries)
 
 
 @pytest.mark.parametrize("dim", [8, 32, 256, 325])
 def test_ccr_reference_commutator_by_shift_algebra_matches_dense_products(dim):
     a, b = ladder_shifts(AlphaSequence.sqrt_n(dim), dim)
-    dense_a, dense_b = a.matrix().entries, b.matrix().entries
+    dense_a, dense_b = dense(a).entries, dense(b).entries
     assert (a @ b).offset == (b @ a).offset == 0
     by_shifts = np.diag((a @ b).coefficients - (b @ a).coefficients)
     assert np.array_equal(by_shifts, dense_a @ dense_b - dense_b @ dense_a)
@@ -600,7 +602,7 @@ def test_ccr_reference_commutator_by_shift_algebra_matches_dense_products(dim):
 def test_ccr_check_matches_the_dense_commutator_formula():
     t = random_conditioned_map(16, 20.0, stream_rng(63))
     opset = build_operator_set(ConstructingPair(t), AlphaSequence.sqrt_n(16))
-    a, b = opset.a_e.entries, opset.b_e.entries
+    a, b = dense(opset.a_e).entries, dense(opset.b_e).entries
     comm = a @ b - b @ a
     expected = np.eye(16)
     expected[-1, -1] = -15.0

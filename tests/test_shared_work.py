@@ -7,7 +7,9 @@ import numpy as np
 
 from rieszlab import LinearMap, forms, hermite, invert, operators, parse_config, run_suite, suite, systems
 from rieszlab.cli import _hermite_config, main
-from rieszlab.sampling import random_conditioned_map, stream_rng
+from rieszlab.sampling import stream_rng
+
+from helpers import random_conditioned_map
 
 
 def count_calls(monkeypatch):
@@ -18,6 +20,8 @@ def count_calls(monkeypatch):
         "matrix_power": 0,
         "build_operator_set": 0,
         "build_system": 0,
+        "ladder_shifts": 0,
+        "hamiltonian_shift": 0,
     }
 
     def counted(owner, name):
@@ -38,6 +42,8 @@ def count_calls(monkeypatch):
     counted(np.linalg, "matrix_power")
     counted(operators, "build_operator_set")
     counted(systems, "build_system")
+    counted(operators, "ladder_shifts")
+    counted(operators, "hamiltonian_shift")
     return counts
 
 
@@ -54,6 +60,9 @@ def test_hermite_full_suite_shares_factorizations(monkeypatch):
     assert counts["matrix_power"] <= 24
     # real alpha: the conjugate set of adjoint_relations is the set itself
     assert counts["build_operator_set"] == 1
+    # every check reads the reference shifts from that one set
+    assert counts["ladder_shifts"] == 1
+    assert counts["hamiltonian_shift"] == 1
     # one system per run, shared by every check, hermite_oracle included
     assert counts["build_system"] == 1
     # K_phi and K_psi once each, certificate and square root from one

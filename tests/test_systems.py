@@ -20,8 +20,10 @@ from rieszlab import (
     verify_clause_i3,
 )
 from rieszlab.errors import DimensionMismatch, NumericallySingular
-from rieszlab.sampling import random_conditioned_map, random_kets, random_unitary, stream_rng
+from rieszlab.sampling import random_kets, stream_rng
 from rieszlab.systems import family_matrix
+
+from helpers import random_conditioned_map, random_unitary
 
 
 def diag_system(values=(1.0, 2.0, 3.0)):
