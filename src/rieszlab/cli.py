@@ -39,7 +39,8 @@ def _hermite_config(dim: int, full_suite: bool, seed: int) -> RunConfig:
 
 
 def _emit(reports, cfg: RunConfig, fmt: str, out: str | None) -> None:
-    text = emit_report(reports, fmt=fmt, config=config_to_dict(cfg))
+    config = config_to_dict(cfg) if fmt == "json" else None  # a CSV report has no config echo
+    text = emit_report(reports, fmt=fmt, config=config)
     if out is None:
         sys.stdout.write(text)
     else:

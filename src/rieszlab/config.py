@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import sys
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from .errors import ParseError
 from .hermite import MAX_DIMENSION, MAX_DIMENSION_REASON
 
 SCHEMA = "rieszlab/1"
+# Schema of a JSON report, whose config echo (config_to_dict) names bulk value lists by digest.
+REPORT_SCHEMA = "rieszlab/2"
 
 # A run keeps about LIVE_MATRICES N x N complex128 arrays alive at its peak
 # (T with its SVD factors and inverse, both frame operators with their
@@ -283,24 +288,24 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-def _complex_json(value: complex):
-    if value.imag == 0.0:
-        return value.real
-    return [value.real, value.imag]
+def _digest(values: tuple) -> dict:
+    """A bulk value list by its length and the sha256 of its complex128 array, little-endian, in order."""
+    data = np.asarray(values, dtype="<c16").tobytes()
+    return {"count": len(values), "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    """Canonical JSON-ready echo of a validated configuration."""
+    """Canonical JSON-ready echo of a validated configuration; bulk value lists appear by digest."""
     operator: dict[str, Any] = {"kind": cfg.operator.kind}
     if cfg.operator.kind == "diagonal":
-        operator["values"] = [_complex_json(v) for v in cfg.operator.values]
+        operator["values"] = _digest(cfg.operator.values)
     elif cfg.operator.kind == "dense":
-        operator["entries"] = [_complex_json(v) for v in cfg.operator.values]
+        operator["entries"] = _digest(cfg.operator.values)
     elif cfg.operator.kind == "upper-unipotent":
         operator["off_diagonal"] = cfg.operator.off_diagonal
     alpha: dict[str, Any] = {"kind": cfg.alpha.kind}
     if cfg.alpha.kind == "custom":
-        alpha["values"] = [_complex_json(v) for v in cfg.alpha.values]
+        alpha["values"] = _digest(cfg.alpha.values)
     if cfg.alpha.gap_bound_r is not None:
         alpha["r"] = cfg.alpha.gap_bound_r
     return {

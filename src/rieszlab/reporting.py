@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -58,48 +57,3 @@ def report_as_dict(report: CheckReport) -> dict:
         "pass": report.passed,
         "details": {k: format_quantity(v) for k, v in sorted(report.details.items())},
     }
-
-
-def json_text(doc) -> str:
-    """Exactly json.dumps(doc, sort_keys=True, indent=2) for a document with string keys.
-
-    With indent set, the stdlib runs its pure-Python encoder, one generator
-    step per item.  This writer joins each container's items in one pass and
-    writes a finite float, or a [re, im] pair of finite floats, in a list as
-    one f-string; every other scalar goes through json.dumps.  Joining each
-    list as soon as it is written frees its item strings early: collecting
-    the whole document in one chunk list raised the peak RSS of a dense
-    N=128 run loop by about 0.7 MB.
-    """
-    return _json_text(doc, "\n")
-
-
-def _json_text(value, newline: str) -> str:
-    # newline is "\n" followed by the indentation of the line holding value.
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        items = [f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        pair_inner = inner + "  "
-        inf = math.inf
-        items = []
-        append = items.append
-        for v in value:
-            kind = type(v)
-            if kind is list and len(v) == 2:
-                re, im = v
-                if type(re) is float and type(im) is float and -inf < re < inf and -inf < im < inf:
-                    append(f"[{pair_inner}{re!r},{pair_inner}{im!r}{inner}]")
-                    continue
-            elif kind is float and -inf < v < inf:
-                append(f"{v!r}")
-                continue
-            append(_json_text(v, inner))
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    return json.dumps(value)

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import logging
 
 import numpy as np
 
 from . import forms, hermite, operators, sampling, systems
-from .config import KNOWN_CHECKS, RunConfig
+from .config import KNOWN_CHECKS, REPORT_SCHEMA, RunConfig
 from .linalg import LinearMap, from_diagonal
-from .reporting import CheckReport, error_report, json_text, make_report, report_as_dict
+from .reporting import CheckReport, error_report, make_report, report_as_dict
 
 log = logging.getLogger("rieszlab")
 
@@ -157,14 +158,12 @@ def _check_frame_bounds(ctx: _SuiteContext) -> CheckReport:
 
 def _check_polar(ctx: _SuiteContext) -> CheckReport:
     pair = ctx.pair()
-    normalized, f_basis = systems.normalize_pair(pair)
+    normalized, _ = systems.normalize_pair(pair)
     t = pair.matrix.entries
     rebuilt = normalized.matrix.entries  # P U, formed once by the normalized pair
     norms = np.maximum(1.0, np.linalg.norm(t, axis=0))
     reassembly = float((np.linalg.norm(rebuilt - t, axis=0) / norms).max())
-    gram = float(
-        np.abs(f_basis.entries.conj().T @ f_basis.entries - np.eye(pair.dim)).max()
-    )
+    gram = normalized.basis_gram_defect  # U* U, formed once by the normalized pair's unitarity gate
     return make_report(
         "polar",
         max(reassembly, gram),
@@ -341,11 +340,11 @@ def emit_report(reports, fmt: str = "json", config: dict | None = None) -> str:
     ordered = sorted(reports, key=lambda r: r.name)
     if fmt == "json":
         doc = {
-            "schema": "rieszlab/1",
+            "schema": REPORT_SCHEMA,
             "config": config,
             "reports": [report_as_dict(r) for r in ordered],
         }
-        return json_text(doc) + "\n"
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if fmt == "csv":
         lines = ["name,residual,tolerance,pass"]
         for r in ordered:

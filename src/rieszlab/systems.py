@@ -66,15 +66,19 @@ class ConstructingPair:
     basis: LinearMap | None = None
 
     def __post_init__(self):
+        gram_defect = None
         if self.basis is not None:
             v = self.basis
             if v.dim != self.T.dim:
                 raise DimensionMismatch("basis dimension differs from operator dimension")
-            defect = np.linalg.norm(v.entries.conj().T @ v.entries - np.eye(v.dim))
+            deviation = v.entries.conj().T @ v.entries - np.eye(v.dim)
+            defect = np.linalg.norm(deviation)
             if defect > UNITARY_RTOL * np.sqrt(v.dim):
                 raise ValueError(f"explicit basis is not unitary (defect {defect:.3e})")
+            gram_defect = float(np.abs(deviation).max())
         effective = self.T if self.basis is None else LinearMap(self.T.entries @ self.basis.entries)
         object.__setattr__(self, "_matrix", effective)
+        object.__setattr__(self, "_basis_gram_defect", gram_defect)
 
     @property
     def dim(self) -> int:
@@ -84,6 +88,11 @@ class ConstructingPair:
     def matrix(self) -> LinearMap:
         """Effective constructing matrix in reference coordinates."""
         return self._matrix  # type: ignore[attr-defined]
+
+    @property
+    def basis_gram_defect(self) -> float | None:
+        """max |(V* V - 1)_jk| of an explicit basis V, from its unitarity gate; None without one."""
+        return self._basis_gram_defect  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True, eq=False)

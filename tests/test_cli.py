@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from rieszlab import parse_config, run_suite
+from rieszlab import cli, parse_config, run_suite
 from rieszlab.cli import main
 from rieszlab.config import DIMENSION_LIMIT, config_to_dict
 from rieszlab.hermite import MAX_DIMENSION
@@ -76,7 +76,8 @@ def test_cli_run_exit_codes(tmp_path):
     out = tmp_path / "report.json"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     doc = json.loads(out.read_text(encoding="utf-8"))
-    assert doc["schema"] == "rieszlab/1"
+    assert doc["schema"] == "rieszlab/2"
+    assert doc["config"]["schema"] == "rieszlab/1"
     assert len(doc["reports"]) == 4
 
     singular = write_config(
@@ -85,6 +86,17 @@ def test_cli_run_exit_codes(tmp_path):
         name="singular.json",
     )
     assert main(["run", "--config", str(singular), "--out", str(tmp_path / "bad.json")]) == 1
+
+
+def test_cli_csv_builds_no_config_echo(tmp_path, monkeypatch):
+    def refuse(cfg):
+        raise AssertionError("a CSV report has no config echo")
+
+    monkeypatch.setattr(cli, "config_to_dict", refuse)
+    path = write_config(tmp_path, DIAGONAL_PAYLOAD)
+    out = tmp_path / "report.csv"
+    assert main(["run", "--config", str(path), "--format", "csv", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").startswith("name,residual,tolerance,pass\n")
 
 
 def test_cli_rejects_invalid_config(tmp_path, capsys):

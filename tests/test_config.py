@@ -1,7 +1,10 @@
 """Tests for config parsing and report emission."""
 
+import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 
 from rieszlab import config as config_mod
@@ -220,18 +223,80 @@ def test_default_checks_cover_operator_kinds():
         assert name in hermite_checks
 
 
-def test_config_round_trip():
-    cfg = parse(
-        {
-            "dimension": 4,
-            "operator": {"kind": "upper-unipotent", "off_diagonal": 0.5},
-            "alpha": {"kind": "custom", "values": [0, 1, 2, 3], "r": 1.5},
-            "tolerance": 1e-7,
-            "seed": 11,
-        }
+def sha256_of(values) -> str:
+    """sha256 of a config value list as little-endian complex128, [re, im] pairs read by hand."""
+    numbers = [complex(*v) if isinstance(v, list) else complex(v) for v in values]
+    return hashlib.sha256(np.array(numbers, dtype="<c16").tobytes()).hexdigest()
+
+
+DENSE_ENTRIES = [1.5, [0.25, -2], 0, 3]
+ALPHA_VALUES = [0, [1, 0.5], 2, 3, 4]
+DIAGONAL_VALUES = [1, [2, 1], 3e-3]
+
+
+def test_config_echo_digests_value_lists():
+    dense = config_to_dict(
+        parse(
+            {
+                "dimension": 2,
+                "operator": {"kind": "dense", "entries": DENSE_ENTRIES},
+                "alpha": {"kind": "custom", "values": ALPHA_VALUES, "r": 1.5},
+            }
+        )
     )
-    again = parse_config(json.dumps(config_to_dict(cfg)))
-    assert again == cfg
+    assert dense["operator"]["entries"] == {"count": 4, "sha256": sha256_of(DENSE_ENTRIES)}
+    assert dense["alpha"]["values"] == {"count": 5, "sha256": sha256_of(ALPHA_VALUES)}
+    diagonal = config_to_dict(parse({"dimension": 3, "operator": {"kind": "diagonal", "values": DIAGONAL_VALUES}}))
+    assert diagonal["operator"]["values"] == {"count": 3, "sha256": sha256_of(DIAGONAL_VALUES)}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {
+            "dimension": 2,
+            "operator": {"kind": "dense", "entries": DENSE_ENTRIES},
+            "alpha": {"kind": "custom", "values": ALPHA_VALUES, "r": 1.5},
+            "tolerance": 1e-7,
+            "interior_margin": 1,
+            "seed": 11,
+            "checks": ["eigen", "biorthogonality"],
+        },
+        {"dimension": 3, "operator": {"kind": "diagonal", "values": DIAGONAL_VALUES}, "alpha": {"kind": "linear"}},
+        {"dimension": 4, "operator": {"kind": "upper-unipotent", "off_diagonal": 0.5}, "seed": 7},
+        {"dimension": 5, "operator": {"kind": "hermite-x"}, "tolerance": 1e-6},
+    ],
+)
+def test_config_echo_round_trips_scalar_fields(payload):
+    cfg = parse(payload)
+    echo = config_to_dict(cfg)
+    assert echo["schema"] == "rieszlab/1"
+    # With its value lists put back, the echo parses to the original config.
+    for section, key in (("operator", "entries"), ("operator", "values"), ("alpha", "values")):
+        if key in echo[section]:
+            echo[section][key] = payload[section][key]
+    assert parse(echo) == cfg
+
+
+def test_digest_ignores_number_spelling_and_sees_one_ulp():
+    def digest(text: str) -> str:
+        return config_to_dict(parse_config(text))["operator"]["entries"]["sha256"]
+
+    reference = digest('{"dimension": 2, "operator": {"kind": "dense", "entries": [1, 0, 0, 1]}}')
+    for one in ("1", "1.0", "1e0", "10E-1", "[1, 0]", "[1.0, 0.0]"):
+        text = f'{{"dimension": 2, "operator": {{"kind": "dense", "entries": [{one}, 0,\n 0.0,  {one}]}}}}'
+        assert digest(text) == reference, one
+    up = math.nextafter(1.0, 2.0)
+    assert digest(f'{{"dimension": 2, "operator": {{"kind": "dense", "entries": [1, 0, 0, {up!r}]}}}}') != reference
+    tiny = f'{{"dimension": 2, "operator": {{"kind": "dense", "entries": [1, 0, 0, [1, {5e-324!r}]]}}}}'
+    assert digest(tiny) != reference
+
+    def alpha_digest(values) -> str:
+        payload = {"dimension": 2, "operator": {"kind": "hermite-x"}, "alpha": {"kind": "custom", "values": values}}
+        return config_to_dict(parse(payload))["alpha"]["values"]["sha256"]
+
+    assert alpha_digest([0, 1, 2.5]) == alpha_digest([0.0, [1, 0], [2.5, 0.0]])
+    assert alpha_digest([0, 1, 2.5]) != alpha_digest([0, 1, math.nextafter(2.5, 0.0)])
 
 
 def test_emit_report_empty():
@@ -239,7 +304,7 @@ def test_emit_report_empty():
     doc = json.loads(text)
     assert doc["reports"] == []
     assert doc["config"] == {"dimension": 2}
-    assert doc["schema"] == "rieszlab/1"
+    assert doc["schema"] == "rieszlab/2"
 
 
 def test_emit_report_json_fields():

@@ -245,6 +245,16 @@ def test_normalize_pair_reassembles():
     assert np.abs(again.phi - original.phi).max() <= 1e-9
 
 
+def test_basis_gram_defect_reads_the_unitarity_gate_gram():
+    t = random_conditioned_map(16, 60.0, stream_rng(25))
+    assert ConstructingPair(t).basis_gram_defect is None
+    normalized, f_basis = normalize_pair(ConstructingPair(t))
+    # the Gram the polar check reported before the gate's was reused, bit for bit
+    u = f_basis.entries
+    assert normalized.basis_gram_defect == float(np.abs(u.conj().T @ u - np.eye(16)).max())
+    assert 0.0 < normalized.basis_gram_defect < 1e-12
+
+
 def test_biorthogonality_random_property():
     rng = stream_rng(26)
     for dim in (8, 32, 64):
