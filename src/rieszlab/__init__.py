@@ -34,7 +34,6 @@ from .hermite import (
 from .linalg import (
     LinearMap,
     PolarFactors,
-    adjoint,
     from_diagonal,
     invert,
     operator_sqrt,
@@ -61,13 +60,11 @@ from .reporting import CheckReport, make_report
 from .suite import emit_report, run_suite
 from .systems import (
     BiorthogonalSystem,
-    ConstructingPair,
     FrameOperators,
     build_frame_operators,
     build_system,
     check_biorthogonality,
     frame_operator,
-    normalize_pair,
     reconstruct_onb,
     verify_K_relations,
     verify_clause_i3,

@@ -93,7 +93,11 @@ def main(argv=None) -> int:
         cfg = _hermite_config(args.dim, args.full_suite, args.seed)
 
     reports = run_suite(cfg)
-    _emit(reports, cfg, args.format, args.out)
+    try:
+        _emit(reports, cfg, args.format, args.out)
+    except OSError as exc:
+        print(f"cannot write report: {exc}", file=sys.stderr)
+        return 2
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -136,11 +136,6 @@ def from_diagonal(values) -> LinearMap:
     return LinearMap(np.diag(np.asarray(values)))
 
 
-def adjoint(a: LinearMap) -> LinearMap:
-    """Conjugate transpose; an exact involution."""
-    return LinearMap(a.entries.conj().T)
-
-
 def operator_sqrt(a: LinearMap) -> LinearMap:
     """Positive square root of a certified positive map, from its certificate's eigendecomposition.
 

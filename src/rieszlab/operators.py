@@ -1,11 +1,12 @@
 """Diagonal and similarity-transformed Hamiltonians and ladder operators.
 
-Given an eigenvalue sequence alpha and a constructing pair, the diagonal
-Hamiltonian diag(alpha) and the shift operators A, B act on the reference
-basis; conjugating by T (for the phi family) or by (T*)^-1 (for the dual
-family) produces the non-self-adjoint counterparts.  The checks certify
-their eigenrelations, ladder actions, adjoint pairings, product
-identities, and the truncated canonical commutation relation.
+Given an eigenvalue sequence alpha and the invertible map T that
+constructs phi_n = T e_n, the diagonal Hamiltonian diag(alpha) and the
+shift operators A, B act on the reference basis; conjugating by T (for
+the phi family) or by (T*)^-1 (for the dual family) produces the
+non-self-adjoint counterparts.  The checks certify their eigenrelations,
+ladder actions, adjoint pairings, product identities, and the truncated
+canonical commutation relation.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, WrongAlphaKind
-from .linalg import LinearMap, adjoint, invert, real_or_complex
+from .linalg import LinearMap, invert, real_or_complex
 from .reporting import CheckReport, make_report
-from .systems import BiorthogonalSystem, ConstructingPair, family_matrix
+from .systems import BiorthogonalSystem, family_matrix
 
 MAX_PRODUCT_POWER = 8   # entries grow like alpha^(m+l) * cond(T); keep residuals meaningful
 CCR_TRANSFORMED_RTOL = 1e-10
@@ -245,7 +246,7 @@ def ladder_check(
 
 @dataclass(frozen=True, eq=False)
 class OperatorSet:
-    """Reference-basis shifts and both similarity-transformed families."""
+    """Reference-basis shifts, both similarity-transformed families, and the T they conjugate by."""
 
     h_e: WeightedShift
     a_e: WeightedShift
@@ -257,26 +258,24 @@ class OperatorSet:
     a_psi_phi: LinearMap
     b_psi_phi: LinearMap
     alpha: AlphaSequence
-    pair: ConstructingPair
+    t: LinearMap
 
 
-def build_operator_set(pair: ConstructingPair, alpha: AlphaSequence) -> OperatorSet:
-    dim = pair.dim
-    h_e = hamiltonian_shift(alpha, dim)
-    a_e, b_e = ladder_shifts(alpha, dim)
-    m = pair.matrix
+def build_operator_set(t: LinearMap, alpha: AlphaSequence) -> OperatorSet:
+    h_e = hamiltonian_shift(alpha, t.dim)
+    a_e, b_e = ladder_shifts(alpha, t.dim)
     return OperatorSet(
         h_e=h_e,
         a_e=a_e,
         b_e=b_e,
-        h_phi_psi=transform(h_e, m, "phi_psi"),
-        h_psi_phi=transform(h_e, m, "psi_phi"),
-        a_phi_psi=transform(a_e, m, "phi_psi"),
-        b_phi_psi=transform(b_e, m, "phi_psi"),
-        a_psi_phi=transform(a_e, m, "psi_phi"),
-        b_psi_phi=transform(b_e, m, "psi_phi"),
+        h_phi_psi=transform(h_e, t, "phi_psi"),
+        h_psi_phi=transform(h_e, t, "psi_phi"),
+        a_phi_psi=transform(a_e, t, "phi_psi"),
+        b_phi_psi=transform(b_e, t, "phi_psi"),
+        a_psi_phi=transform(a_e, t, "psi_phi"),
+        b_psi_phi=transform(b_e, t, "psi_phi"),
         alpha=alpha,
-        pair=pair,
+        t=t,
     )
 
 
@@ -293,7 +292,7 @@ def adjoint_relation_check(opset: OperatorSet, tolerance: float = 1e-9) -> Check
     these are equalities.  For real alpha the conjugate set is the set
     itself; each pairing still sets two different routes side by side.
     """
-    conj_set = opset if opset.alpha.is_real else build_operator_set(opset.pair, opset.alpha.conjugate())
+    conj_set = opset if opset.alpha.is_real else build_operator_set(opset.t, opset.alpha.conjugate())
     pairs = {
         "h_psi_phi_adjoint": (opset.h_psi_phi, conj_set.h_phi_psi),
         "h_phi_psi_adjoint": (opset.h_phi_psi, conj_set.h_psi_phi),
@@ -303,7 +302,7 @@ def adjoint_relation_check(opset: OperatorSet, tolerance: float = 1e-9) -> Check
         "b_psi_phi_adjoint": (opset.b_psi_phi, conj_set.a_phi_psi),
     }
     details = {
-        name: _rel_frobenius(adjoint(lhs).entries - rhs.entries, rhs.entries)
+        name: _rel_frobenius(lhs.entries.conj().T - rhs.entries, rhs.entries)
         for name, (lhs, rhs) in pairs.items()
     }
     return make_report("adjoint_relations", max(details.values()), tolerance, details=details)
@@ -444,8 +443,8 @@ def product_identity_check(
     for m, l in pairs:
         if m < 0 or l < 0 or m + l > MAX_PRODUCT_POWER:
             raise ValueError(f"powers must satisfy 0 <= m + l <= {MAX_PRODUCT_POWER}")
-    t = opset.pair.matrix.entries
-    t_inv = invert(opset.pair.matrix).entries
+    t = opset.t.entries
+    t_inv = invert(opset.t).entries
 
     def rel(deviation: float, reference_norm: float, scale: float) -> float:
         return float(deviation / max(reference_norm, scale, 1e-300))
@@ -507,7 +506,7 @@ def ccr_check(opset: OperatorSet, tolerance: float = 1e-12) -> CheckReport:
     """
     if opset.alpha.kind != "sqrt_n":
         raise WrongAlphaKind(f"ccr check requires the sqrt_n sequence, got {opset.alpha.kind!r}")
-    dim = opset.pair.dim
+    dim = opset.t.dim
     a, b = opset.a_e, opset.b_e
     # A_e B_e and B_e A_e are shifts of offset 0: the commutator is the diagonal
     # of their coefficient difference, and its off-diagonal entries are exact 0
@@ -516,7 +515,7 @@ def ccr_check(opset: OperatorSet, tolerance: float = 1e-12) -> CheckReport:
     expected[-1] = 1.0 - dim
     interior = float(np.abs(comm[: dim - 1] - expected[: dim - 1]).max())
     defect = float(np.abs(comm - expected).max())
-    t = opset.pair.matrix
+    t = opset.t
     at, bt = opset.a_phi_psi.entries, opset.b_phi_psi.entries
     back = invert(t).entries @ (at @ bt - bt @ at) @ t.entries
     t_interior = float(np.abs(back[: dim - 1, : dim - 1] - np.eye(dim - 1)).max())
@@ -540,7 +539,7 @@ def domain_mapping_check(opset: OperatorSet, tolerance: float = 1e-9) -> CheckRe
     likewise with (T*)^-1 for the dual family.  The conditioning of T is
     reported as the amplification factor.
     """
-    t = opset.pair.matrix
+    t = opset.t
     sides = {
         "phi_psi": (opset.h_phi_psi, t.entries),
         "psi_phi": (opset.h_psi_phi, invert(t).entries.conj().T),

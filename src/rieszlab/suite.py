@@ -9,12 +9,13 @@ import numpy as np
 
 from . import forms, hermite, operators, sampling, systems
 from .config import KNOWN_CHECKS, REPORT_SCHEMA, RunConfig
-from .linalg import LinearMap, from_diagonal
+from .linalg import LinearMap, from_diagonal, polar_decompose
 from .reporting import CheckReport, error_report, make_report, report_as_dict
 
 log = logging.getLogger("rieszlab")
 
 SAMPLE_COUNT = 100
+UNITARY_RTOL = 1e-10  # the polar check's gate on ||U* U - 1||_F / sqrt(N)
 _STREAMS = {name: i for i, name in enumerate(KNOWN_CHECKS)}
 
 
@@ -61,11 +62,8 @@ class _SuiteContext:
             return self.hermite_model().X
         return self._get("operator", lambda: build_operator(self.cfg))
 
-    def pair(self) -> systems.ConstructingPair:
-        return self._get("pair", lambda: systems.ConstructingPair(self.operator()))
-
     def system(self) -> systems.BiorthogonalSystem:
-        return self._get("system", lambda: systems.build_system(self.pair()))
+        return self._get("system", lambda: systems.build_system(self.operator()))
 
     def frame_ops(self) -> systems.FrameOperators:
         return self._get("frame_ops", lambda: systems.build_frame_operators(self.system()))
@@ -74,7 +72,7 @@ class _SuiteContext:
         return self._get("alpha", lambda: build_alpha(self.cfg))
 
     def opset(self) -> operators.OperatorSet:
-        return self._get("opset", lambda: operators.build_operator_set(self.pair(), self.alpha()))
+        return self._get("opset", lambda: operators.build_operator_set(self.operator(), self.alpha()))
 
     def tail_family(self, dim: int) -> np.ndarray:
         """The read-only Hermite growth family at truncation dim, built once per run."""
@@ -157,13 +155,21 @@ def _check_frame_bounds(ctx: _SuiteContext) -> CheckReport:
 
 
 def _check_polar(ctx: _SuiteContext) -> CheckReport:
-    pair = ctx.pair()
-    normalized, _ = systems.normalize_pair(pair)
-    t = pair.matrix.entries
-    rebuilt = normalized.matrix.entries  # P U, formed once by the normalized pair
+    # T = P U: P U must reassemble T column by column, and U must be unitary.
+    # A Frobenius defect of U* U - 1 above UNITARY_RTOL * sqrt(N) raises, so
+    # the check fails as an error report whatever the tolerance.
+    t_map = ctx.operator()
+    factors = polar_decompose(t_map)
+    u = factors.unitary_part.entries
+    deviation = u.conj().T @ u - np.eye(t_map.dim)
+    defect = np.linalg.norm(deviation)
+    if defect > UNITARY_RTOL * np.sqrt(t_map.dim):
+        raise ValueError(f"polar factor is not unitary (defect {defect:.3e})")
+    gram = float(np.abs(deviation).max())
+    t = t_map.entries
+    rebuilt = factors.positive_part.entries @ u
     norms = np.maximum(1.0, np.linalg.norm(t, axis=0))
     reassembly = float((np.linalg.norm(rebuilt - t, axis=0) / norms).max())
-    gram = normalized.basis_gram_defect  # U* U, formed once by the normalized pair's unitarity gate
     return make_report(
         "polar",
         max(reassembly, gram),
@@ -189,7 +195,7 @@ def _check_hamiltonian_agreement(ctx: _SuiteContext) -> CheckReport:
 
 
 def _check_eigen(ctx: _SuiteContext) -> CheckReport:
-    cond = ctx.pair().matrix.cond_estimate
+    cond = ctx.operator().cond_estimate
     tol = ctx.cfg.tolerance * cond
     indices = ctx.interior_indices()
     phi_side = operators.eigen_check(

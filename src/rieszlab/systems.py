@@ -1,13 +1,13 @@
-"""Biorthogonal vector systems built from constructing pairs.
+"""Biorthogonal vector systems built from one invertible map T.
 
-A constructing pair (an invertible map T together with an orthonormal
-basis) produces the family phi_n = T e_n and its canonical dual
-psi_n = (T^-1)* e_n.  A family is an (N, N) array, float64 when T is real
-and complex128 otherwise, whose column k is the k-th vector.  This module
-builds such systems, computes their frame operators K = sum of outer
-products, reconstructs the orthonormal basis hidden inside any
-biorthogonal system, and certifies the identities tying all of these
-together.
+T produces the family phi_n = T e_n and its canonical dual
+psi_n = (T^-1)* e_n.  An orthonormal basis {V e_n} other than the
+reference one folds into T: the map T V constructs phi_n = T (V e_n).  A
+family is an (N, N) array, float64 when T is real and complex128
+otherwise, whose column k is the k-th vector.  This module builds such
+systems, computes their frame operators K = sum of outer products,
+reconstructs the orthonormal basis hidden inside any biorthogonal system,
+and certifies the identities tying all of these together.
 """
 
 from __future__ import annotations
@@ -19,18 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import (
-    LinearMap,
-    adjoint,
-    invert,
-    operator_sqrt,
-    polar_decompose,
-    real_or_complex,
-)
+from .linalg import LinearMap, invert, operator_sqrt, real_or_complex
 from .reporting import CheckReport, make_report
 
 DEFAULT_TOLERANCE = 1e-8
-UNITARY_RTOL = 1e-10
 
 
 def family_matrix(family) -> np.ndarray:
@@ -55,53 +47,11 @@ def _read_only_family(family) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ConstructingPair:
-    """Invertible map plus the orthonormal basis it transforms.
-
-    basis None selects the reference basis; otherwise basis is a unitary
-    whose columns are the basis vectors.
-    """
-
-    T: LinearMap
-    basis: LinearMap | None = None
-
-    def __post_init__(self):
-        gram_defect = None
-        if self.basis is not None:
-            v = self.basis
-            if v.dim != self.T.dim:
-                raise DimensionMismatch("basis dimension differs from operator dimension")
-            deviation = v.entries.conj().T @ v.entries - np.eye(v.dim)
-            defect = np.linalg.norm(deviation)
-            if defect > UNITARY_RTOL * np.sqrt(v.dim):
-                raise ValueError(f"explicit basis is not unitary (defect {defect:.3e})")
-            gram_defect = float(np.abs(deviation).max())
-        effective = self.T if self.basis is None else LinearMap(self.T.entries @ self.basis.entries)
-        object.__setattr__(self, "_matrix", effective)
-        object.__setattr__(self, "_basis_gram_defect", gram_defect)
-
-    @property
-    def dim(self) -> int:
-        return self.T.dim
-
-    @property
-    def matrix(self) -> LinearMap:
-        """Effective constructing matrix in reference coordinates."""
-        return self._matrix  # type: ignore[attr-defined]
-
-    @property
-    def basis_gram_defect(self) -> float | None:
-        """max |(V* V - 1)_jk| of an explicit basis V, from its unitarity gate; None without one."""
-        return self._basis_gram_defect  # type: ignore[attr-defined]
-
-
-@dataclass(frozen=True, eq=False)
 class BiorthogonalSystem:
     """Paired families {phi_n}, {psi_n} as read-only arrays of equal shape."""
 
     phi: np.ndarray
     psi: np.ndarray
-    pair: ConstructingPair | None = None
 
     def __post_init__(self):
         phi = _read_only_family(self.phi)
@@ -132,10 +82,9 @@ class FrameOperators:
         return operator_sqrt(self.k_psi)
 
 
-def build_system(pair: ConstructingPair) -> BiorthogonalSystem:
-    """phi_n = T e_n and psi_n = (T^-1)* e_n from a constructing pair."""
-    m = pair.matrix
-    return BiorthogonalSystem(phi=m.entries, psi=invert(m).entries.conj().T, pair=pair)
+def build_system(t: LinearMap) -> BiorthogonalSystem:
+    """phi_n = T e_n and psi_n = (T^-1)* e_n; phi is T's own read-only entries."""
+    return BiorthogonalSystem(phi=t.entries, psi=invert(t).entries.conj().T)
 
 
 def check_biorthogonality(sys: BiorthogonalSystem, tolerance: float = DEFAULT_TOLERANCE) -> CheckReport:
@@ -222,20 +171,10 @@ def verify_clause_i3(
     """Residual of (K_phi^(1/2))* K_psi^(1/2) x = x over the sample columns; zero columns are skipped."""
     if np.ndim(samples) != 2 or np.shape(samples)[1] == 0:
         raise ValueError("clause (i)3 check needs a nonempty (N, count) sample set")
-    r = adjoint(ops.k_phi_sqrt).entries @ ops.k_psi_sqrt.entries
+    r = ops.k_phi_sqrt.entries.conj().T @ ops.k_psi_sqrt.entries
     norms = np.linalg.norm(samples, axis=0)
     nonzero = norms > 0.0
     resid = np.linalg.norm(r @ samples - samples, axis=0)[nonzero] / norms[nonzero]
     worst = float(resid.max()) if resid.size else 0.0
     return make_report("clause_i3", worst, tolerance, details={"samples": samples.shape[1]})
 
-
-def normalize_pair(pair: ConstructingPair) -> tuple[ConstructingPair, LinearMap]:
-    """Swap a constructing pair for the equivalent one with a positive operator.
-
-    Returns the normalized pair (positive factor P acting on the rotated
-    basis f_n = U e_n) along with the unitary U; P (U e_n) = T e_n.
-    """
-    factors = polar_decompose(pair.matrix)
-    normalized = ConstructingPair(T=factors.positive_part, basis=factors.unitary_part)
-    return normalized, factors.unitary_part

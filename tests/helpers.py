@@ -1,10 +1,12 @@
-"""Random test operators and dense weighted shifts, which only the tests need."""
+"""Random test operators, dense weighted shifts and dense configs, which only the tests need."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
-from rieszlab import LinearMap, WeightedShift
+from rieszlab import LinearMap, RunConfig, WeightedShift, parse_config
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> LinearMap:
@@ -30,3 +32,10 @@ def dense(shift: WeightedShift) -> LinearMap:
     out = np.zeros((n, n), dtype=shift.coefficients.dtype)
     out[j + d, j] = shift.coefficients[j]
     return LinearMap(out)
+
+
+def dense_config(t: LinearMap, **fields) -> RunConfig:
+    """The parsed config of a dense run of T, entries as [re, im] pairs; fields are added to it."""
+    entries = [[float(v.real), float(v.imag)] for v in t.entries.ravel()]
+    payload = {"dimension": t.dim, "operator": {"kind": "dense", "entries": entries}, **fields}
+    return parse_config(json.dumps(payload))

@@ -10,7 +10,6 @@ import numpy as np
 
 from rieszlab import (
     AlphaSequence,
-    ConstructingPair,
     LinearMap,
     build_frame_operators,
     build_model,
@@ -22,11 +21,12 @@ from rieszlab import (
     eigen_check,
     from_diagonal,
     ladder_check,
-    normalize_pair,
     omega,
+    polar_decompose,
     product_identity_check,
     quasi_basis_residual,
     reconstruct_onb,
+    run_suite,
     sum_form_hamiltonian,
     tail_diagnostic,
     transform,
@@ -39,7 +39,7 @@ from rieszlab.hermite import tail_coefficient_vector, tail_family
 from rieszlab.sampling import random_kets, stream_rng
 from rieszlab.systems import frame_operator
 
-from helpers import random_conditioned_map
+from helpers import dense_config, random_conditioned_map
 
 
 def _verdict(number: int, title: str, ok: bool, detail: str = "") -> None:
@@ -51,20 +51,20 @@ def _verdict(number: int, title: str, ok: bool, detail: str = "") -> None:
 
 
 def _hermite_system(dim):
-    return build_system(ConstructingPair(build_model(dim).X))
+    return build_system(build_model(dim).X)
 
 
 def _systems_under_test():
     rng = stream_rng(1000)
     return {
-        "diag32": build_system(ConstructingPair(from_diagonal(np.arange(1, 33, dtype=float)))),
-        "random16": build_system(ConstructingPair(random_conditioned_map(16, 100.0, rng))),
+        "diag32": build_system(from_diagonal(np.arange(1, 33, dtype=float))),
+        "random16": build_system(random_conditioned_map(16, 100.0, rng)),
         "hermite64": _hermite_system(64),
     }
 
 
 def test_criterion_01_biorthogonality():
-    diag = build_system(ConstructingPair(from_diagonal(np.arange(1.0, 33.0))))
+    diag = build_system(from_diagonal(np.arange(1.0, 33.0)))
     diag_residual = check_biorthogonality(diag).residual
     hermite = _hermite_system(64)
     gram = hermite.phi.conj().T @ hermite.psi
@@ -82,7 +82,7 @@ def test_criterion_02_representation_identity():
     rng = stream_rng(1002)
     worst = 0.0
     for _ in range(4):
-        sys_ = build_system(ConstructingPair(random_conditioned_map(16, 100.0, rng)))
+        sys_ = build_system(random_conditioned_map(16, 100.0, rng))
         k_sqrt = build_frame_operators(sys_).k_phi_sqrt.entries
         x, y = random_kets(16, 25, rng), random_kets(16, 25, rng)
         lhs = omega(x, y, sys_.phi)
@@ -139,7 +139,7 @@ def test_criterion_06_hamiltonian_agreement():
     worst_eigen = 0.0
     for make_alpha in (AlphaSequence.sqrt_n, AlphaSequence.linear):
         t = random_conditioned_map(16, 100.0, rng)
-        sys_ = build_system(ConstructingPair(t))
+        sys_ = build_system(t)
         alpha = make_alpha(16)
         summed = sum_form_hamiltonian(sys_, alpha)
         conjugated = transform(hamiltonian_shift(alpha, 16), t, "phi_psi")
@@ -162,14 +162,14 @@ def test_criterion_06_hamiltonian_agreement():
 
 def test_criterion_07_ladder_actions():
     alpha = AlphaSequence.sqrt_n(64)
-    reference = build_system(ConstructingPair(LinearMap(np.eye(64))))
-    ref_set = build_operator_set(ConstructingPair(LinearMap(np.eye(64))), alpha)
+    reference = build_system(LinearMap(np.eye(64)))
+    ref_set = build_operator_set(LinearMap(np.eye(64)), alpha)
     ref_report = ladder_check(ref_set.a_phi_psi, ref_set.b_phi_psi, reference.phi, alpha)
     exact_ground = ref_report.details["lowering_ground"] == 0.0
     worst = 0.0
     for name, sys_ in _systems_under_test().items():
         dim = sys_.dim
-        opset = build_operator_set(sys_.pair, AlphaSequence.sqrt_n(dim))
+        opset = build_operator_set(LinearMap(sys_.phi), AlphaSequence.sqrt_n(dim))
         report = ladder_check(
             opset.a_phi_psi, opset.b_phi_psi, sys_.phi, AlphaSequence.sqrt_n(dim), tolerance=1e-9
         )
@@ -186,12 +186,12 @@ def test_criterion_07_ladder_actions():
 def test_criterion_08_ccr_with_defect():
     worst_defect = 0.0
     for dim in (2, 3, 64):
-        reference = build_operator_set(ConstructingPair(LinearMap(np.eye(dim))), AlphaSequence.sqrt_n(dim))
+        reference = build_operator_set(LinearMap(np.eye(dim)), AlphaSequence.sqrt_n(dim))
         report = ccr_check(reference, tolerance=1e-12)
         worst_defect = max(worst_defect, report.details["defect"], report.details["interior"])
     rng = stream_rng(1008)
     t = random_conditioned_map(64, 100.0, rng)
-    transformed = ccr_check(build_operator_set(ConstructingPair(t), AlphaSequence.sqrt_n(64)), tolerance=1e-12)
+    transformed = ccr_check(build_operator_set(t, AlphaSequence.sqrt_n(64)), tolerance=1e-12)
     budget = 1e-10 * t.cond_estimate**2
     t_resid = transformed.details["transformed_interior"]
     ok = worst_defect < 1e-12 and t_resid < budget
@@ -207,8 +207,8 @@ def test_criterion_09_product_identities():
     rng = stream_rng(1009)
     worst = 0.0
     for pair in (
-        ConstructingPair(random_conditioned_map(16, 50.0, rng)),
-        ConstructingPair(from_diagonal(np.linspace(1.0, 4.0, 16))),
+        random_conditioned_map(16, 50.0, rng),
+        from_diagonal(np.linspace(1.0, 4.0, 16)),
     ):
         opset = build_operator_set(pair, AlphaSequence.sqrt_n(16))
         for m in range(5):
@@ -222,29 +222,34 @@ def test_criterion_10_polar_normalization():
     rng = stream_rng(1010)
     worst_reassembly = 0.0
     worst_gram = 0.0
+    worst_check = 0.0
     for _ in range(100):
+        # T = P U: P acts on the rotated orthonormal basis f_n = U e_n
         t = random_conditioned_map(16, 100.0, rng)
-        normalized, f_basis = normalize_pair(ConstructingPair(t))
-        rebuilt = normalized.T.entries @ f_basis.entries
+        factors = polar_decompose(t)
+        f_basis = factors.unitary_part.entries
+        rebuilt = factors.positive_part.entries @ f_basis
         worst_reassembly = max(
             worst_reassembly,
             np.linalg.norm(rebuilt - t.entries) / np.linalg.norm(t.entries),
         )
-        gram = np.abs(f_basis.entries.conj().T @ f_basis.entries - np.eye(16)).max()
+        gram = np.abs(f_basis.conj().T @ f_basis - np.eye(16)).max()
         worst_gram = max(worst_gram, gram)
-    ok = worst_reassembly < 1e-9 and worst_gram < 1e-10
+        (report,) = run_suite(dense_config(t, checks=["polar"]))
+        worst_check = max(worst_check, report.residual)
+    ok = worst_reassembly < 1e-9 and worst_gram < 1e-10 and worst_check < 1e-9
     _verdict(
         10,
-        "polar normalization of constructing pairs",
+        "polar normalization T = P U",
         ok,
-        f"reassembly {worst_reassembly:.2e}, gram {worst_gram:.2e}",
+        f"reassembly {worst_reassembly:.2e}, gram {worst_gram:.2e}, polar check {worst_check:.2e}",
     )
 
 
 def test_criterion_11_hermite_oracle_gate():
     model = build_model(32)
     big = build_model(64)
-    sys_ = build_system(ConstructingPair(big.X))
+    sys_ = build_system(big.X)
     identities = verify_K_psi(big, sys_, build_frame_operators(sys_), tolerance=1e-6)
     k_psi_resid = identities.details["k_psi_vs_x_inverse_squared"]
     ok = model.oracle_residual < 1e-9 and k_psi_resid < 1e-6

@@ -142,6 +142,18 @@ def test_cli_rejects_missing_file(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_cli_unwritable_out_exits_2(tmp_path, capsys):
+    # every check passes, but the report cannot be written: a usage error, not a failed check
+    path = write_config(tmp_path, DIAGONAL_PAYLOAD)
+    out = tmp_path / "missing" / "r.json"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot write report: ") and "Traceback" not in captured.err
+    assert captured.out == "" and not out.parent.exists()
+    assert main(["example", "hermite", "--dim", "4", "--out", str(out)]) == 2
+    assert "cannot write report" in capsys.readouterr().err
+
+
 def test_cli_byte_identical_reports(tmp_path):
     path = write_config(tmp_path, DIAGONAL_PAYLOAD)
     first = tmp_path / "first.json"

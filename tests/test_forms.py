@@ -5,7 +5,6 @@ import pytest
 
 from rieszlab import (
     BiorthogonalSystem,
-    ConstructingPair,
     build_frame_operators,
     build_system,
     frame_bounds,
@@ -62,7 +61,7 @@ def test_omega_parseval():
 
 
 def test_omega_single_term():
-    sys_ = build_system(ConstructingPair(from_diagonal([1, 2, 3])))
+    sys_ = build_system(from_diagonal([1, 2, 3]))
     e1 = np.eye(3)[:, 1]
     assert omega(e1, e1, sys_.phi) == pytest.approx(4.0)
     # a sample set gives one value per column: Omega(e_k, e_k) = |phi_k|^2
@@ -118,7 +117,7 @@ def test_representation_reference_basis():
 
 
 def test_representation_diagonal():
-    sys_ = build_system(ConstructingPair(from_diagonal([1, 2, 3])))
+    sys_ = build_system(from_diagonal([1, 2, 3]))
     ops = build_frame_operators(sys_)
     e1 = np.eye(3)[:, 1]
     report = verify_representation(e1[:, None], e1[:, None], sys_.phi, ops.k_phi_sqrt)
@@ -131,7 +130,7 @@ def test_representation_diagonal():
 def test_representation_random_property():
     rng = stream_rng(34)
     t = random_conditioned_map(16, 100.0, rng)
-    sys_ = build_system(ConstructingPair(t))
+    sys_ = build_system(t)
     ops = build_frame_operators(sys_)
     x, y = random_kets(16, 100, rng), random_kets(16, 100, rng)
     for family, k_sqrt in ((sys_.phi, ops.k_phi_sqrt), (sys_.psi, ops.k_psi_sqrt)):
@@ -142,7 +141,7 @@ def test_representation_random_property():
 
 def test_representation_detects_perturbed_root():
     rng = stream_rng(37)
-    sys_ = build_system(ConstructingPair(random_conditioned_map(8, 10.0, rng)))
+    sys_ = build_system(random_conditioned_map(8, 10.0, rng))
     k_sqrt = build_frame_operators(sys_).k_phi_sqrt.entries.copy()
     k_sqrt[0, 0] *= 1.0 + 1e-6
     x, y = random_kets(8, 20, rng), random_kets(8, 20, rng)
@@ -162,14 +161,14 @@ def test_quasi_basis_reference():
 def test_quasi_basis_constructed_property():
     rng = stream_rng(35)
     t = random_conditioned_map(16, 100.0, rng)
-    sys_ = build_system(ConstructingPair(t))
+    sys_ = build_system(t)
     x, y = random_kets(16, 100, rng), random_kets(16, 100, rng)
     report = quasi_basis_residual(sys_, x, y, tolerance=1e-9)
     assert report.passed, report.details
 
 
 def test_quasi_basis_detects_corruption():
-    sys_ = build_system(ConstructingPair(from_diagonal([1, 2, 3])))
+    sys_ = build_system(from_diagonal([1, 2, 3]))
     psi = sys_.psi.copy()
     psi[:, 0] = 0.0
     corrupted = BiorthogonalSystem(sys_.phi, psi)
@@ -181,7 +180,7 @@ def test_quasi_basis_detects_corruption():
 
 def test_quasi_basis_flags_last_column_of_wide_sample_set():
     # count != N, and only the last pair touches the corrupted psi_0
-    sys_ = build_system(ConstructingPair(from_diagonal([1, 2, 3])))
+    sys_ = build_system(from_diagonal([1, 2, 3]))
     psi = sys_.psi.copy()
     psi[:, 0] = 0.0
     corrupted = BiorthogonalSystem(sys_.phi, psi)
@@ -196,7 +195,7 @@ def test_quasi_basis_flags_last_column_of_wide_sample_set():
 
 def test_frame_bounds_reference_and_diagonal():
     assert frame_bounds(LinearMap(np.eye(4))) == (pytest.approx(1.0), pytest.approx(1.0))
-    sys_ = build_system(ConstructingPair(from_diagonal([1, 2, 3])))
+    sys_ = build_system(from_diagonal([1, 2, 3]))
     ops = build_frame_operators(sys_)
     c, big_c = frame_bounds(ops.k_phi)
     assert c == pytest.approx(1.0) and big_c == pytest.approx(9.0)
@@ -210,7 +209,7 @@ def test_frame_bounds_requires_positive():
 def test_frame_bounds_sandwich():
     rng = stream_rng(36)
     t = random_conditioned_map(12, 50.0, rng)
-    sys_ = build_system(ConstructingPair(t))
+    sys_ = build_system(t)
     c, big_c = frame_bounds(build_frame_operators(sys_).k_phi)
     x = random_kets(12, 100, rng)
     sq = np.linalg.norm(x, axis=0) ** 2

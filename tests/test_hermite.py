@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from rieszlab import (
-    ConstructingPair,
     FrameOperators,
     LinearMap,
     build_frame_operators,
@@ -46,7 +45,7 @@ def closed_form(n, x):
 
 def example_system(dim):
     # phi_n = X e_n, psi_n = X^-1 e_n on the gated model (X is self-adjoint)
-    return build_system(ConstructingPair(build_model(dim).X))
+    return build_system(build_model(dim).X)
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -179,7 +178,7 @@ def test_interior_biorthogonality_against_quadrature():
 
 def test_verify_k_psi_interior_identities():
     model = build_model(64)
-    sys_ = build_system(ConstructingPair(model.X))
+    sys_ = build_system(model.X)
     report = verify_K_psi(model, sys_, build_frame_operators(sys_))
     assert report.passed, report.details
     assert report.details["k_phi_vs_x_squared"] < 1e-8
@@ -194,7 +193,7 @@ def test_k_phi_vs_x_squared_sees_defects():
     # Frobenius norm of the 16 x 16 interior block by about 4e-7, so the
     # check runs at the suite's default 1e-8 rather than the model's 1e-6.
     model = build_model(32)
-    sys_ = build_system(ConstructingPair(model.X))
+    sys_ = build_system(model.X)
     ops = build_frame_operators(sys_)
     clean = verify_K_psi(model, sys_, ops, tolerance=1e-8)
     assert clean.passed and 0.0 < clean.details["k_phi_vs_x_squared"] < 1e-13
@@ -204,7 +203,7 @@ def test_k_phi_vs_x_squared_sees_defects():
     assert not report.passed and report.details["k_phi_vs_x_squared"] > 1e-7
     x = model.X.entries.copy()
     x[15, 15] *= 1.0 + 1e-6
-    mutated = build_system(ConstructingPair(LinearMap(x)))
+    mutated = build_system(LinearMap(x))
     report = verify_K_psi(model, mutated, build_frame_operators(mutated), tolerance=1e-8)
     assert report.details["k_phi_vs_x_squared"] > 1e-7
 
@@ -213,7 +212,7 @@ def test_k_phi_block_stops_where_the_truncation_reaches():
     # With margin 0 the K_phi block runs to dim - 3: a defect there shows,
     # while rows dim - 2 and dim - 1 of X X* differ from the Gram by truncation.
     model = build_model(16)
-    sys_ = build_system(ConstructingPair(model.X))
+    sys_ = build_system(model.X)
     ops = build_frame_operators(sys_)
     clean = verify_K_psi(model, sys_, ops, margin=0, tolerance=1e-8)
     assert clean.passed and clean.details["k_phi_vs_x_squared"] < 1e-13
@@ -237,7 +236,7 @@ def test_verify_k_psi_draws_match_per_sample_loop(monkeypatch):
     import rieszlab.hermite as hermite_mod
 
     model = build_model(16)
-    sys_ = build_system(ConstructingPair(model.X))
+    sys_ = build_system(model.X)
     seen = []
     omega = hermite_mod.omega
     monkeypatch.setattr(hermite_mod, "omega", lambda f, g, family: seen.append((f, g)) or omega(f, g, family))

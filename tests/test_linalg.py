@@ -7,7 +7,6 @@ import pytest
 
 from rieszlab import (
     LinearMap,
-    adjoint,
     from_diagonal,
     invert,
     operator_sqrt,
@@ -48,39 +47,6 @@ def test_real_or_complex_is_one_rule_without_copies():
     assert demoted.dtype == np.float64
     np.testing.assert_array_equal(demoted, [1.0, 2.0])
     assert real_or_complex([1, 2]).dtype == np.float64
-
-
-def test_adjoint_identity():
-    np.testing.assert_array_equal(adjoint(LinearMap(np.eye(3))).entries, np.eye(3))
-
-
-def test_adjoint_real_shift():
-    a = LinearMap([[0, 1], [0, 0]])
-    np.testing.assert_array_equal(adjoint(a).entries, [[0, 0], [1, 0]])
-
-
-def test_adjoint_conjugates():
-    a = LinearMap([[0, 1j], [0, 0]])
-    np.testing.assert_array_equal(adjoint(a).entries, [[0, 0], [-1j, 0]])
-
-
-def test_adjoint_is_exact_involution():
-    rng = stream_rng(11)
-    for _ in range(10):
-        a = LinearMap(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
-        np.testing.assert_array_equal(adjoint(adjoint(a)).entries, a.entries)
-
-
-def test_adjoint_reverses_products():
-    rng = stream_rng(12)
-    for _ in range(10):
-        n = 8
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        lhs = adjoint(LinearMap(a @ b)).entries
-        rhs = adjoint(LinearMap(b)).entries @ adjoint(LinearMap(a)).entries
-        bound = 1e-12 * np.linalg.norm(a) * np.linalg.norm(b) * np.sqrt(n)
-        assert np.linalg.norm(lhs - rhs) <= bound
 
 
 def test_operator_sqrt_diagonal():

@@ -8,9 +8,7 @@ import pytest
 
 from rieszlab import (
     AlphaSequence,
-    ConstructingPair,
     LinearMap,
-    adjoint,
     adjoint_relation_check,
     build_operator_set,
     build_system,
@@ -43,7 +41,7 @@ def ladder_matrices(alpha, dim):
 
 def reference_opset(alpha):
     """Operator set on T = 1, where every transformed operator is its reference-basis one."""
-    return build_operator_set(ConstructingPair(LinearMap(np.eye(len(alpha)))), alpha)
+    return build_operator_set(LinearMap(np.eye(len(alpha))), alpha)
 
 
 def test_validate_alpha_sqrt_n():
@@ -86,7 +84,7 @@ def test_diag_hamiltonian_complex_adjoint():
     h = dense(hamiltonian_shift(alpha, 2))
     assert not h.self_adjoint
     np.testing.assert_array_equal(
-        adjoint(h).entries, dense(hamiltonian_shift(alpha.conjugate(), 2)).entries
+        h.entries.conj().T, dense(hamiltonian_shift(alpha.conjugate(), 2)).entries
     )
 
 
@@ -135,7 +133,7 @@ def test_transform_rejects_unknown_side():
 
 
 def test_sum_form_reference_basis():
-    sys_ = build_system(ConstructingPair(LinearMap(np.eye(3))))
+    sys_ = build_system(LinearMap(np.eye(3)))
     h = sum_form_hamiltonian(sys_, AlphaSequence.custom([1.0, 2.0, 3.0]))
     np.testing.assert_allclose(h.entries, np.diag([1.0, 2.0, 3.0]), atol=0)
 
@@ -143,7 +141,7 @@ def test_sum_form_reference_basis():
 def test_sum_form_agrees_with_transform():
     t = LinearMap([[1, 1], [0, 1]])
     alpha = AlphaSequence.custom([1.0, 2.0])
-    sys_ = build_system(ConstructingPair(t))
+    sys_ = build_system(t)
     summed = sum_form_hamiltonian(sys_, alpha)
     np.testing.assert_allclose(summed.entries, [[1, 1], [0, 2]], atol=1e-13)
     conjugated = transform(hamiltonian_shift(alpha, 2), t, "phi_psi")
@@ -151,7 +149,7 @@ def test_sum_form_agrees_with_transform():
 
 
 def test_sum_form_zero_alpha():
-    sys_ = build_system(ConstructingPair(from_diagonal([1, 2])))
+    sys_ = build_system(from_diagonal([1, 2]))
     h = sum_form_hamiltonian(sys_, AlphaSequence.custom([0.0, 0.0]))
     np.testing.assert_array_equal(h.entries, np.zeros((2, 2)))
 
@@ -161,7 +159,7 @@ def test_sum_form_agreement_random_property():
     for kind in (AlphaSequence.sqrt_n, AlphaSequence.linear):
         for dim in (8, 16, 64):
             t = random_conditioned_map(dim, 100.0, rng)
-            sys_ = build_system(ConstructingPair(t))
+            sys_ = build_system(t)
             alpha = kind(dim)
             summed = sum_form_hamiltonian(sys_, alpha)
             conjugated = transform(hamiltonian_shift(alpha, dim), t, "phi_psi")
@@ -174,7 +172,7 @@ def test_eigen_check_diagonal_and_unipotent():
     assert eigen_check(dense(hamiltonian_shift(alpha, 2)), np.eye(2), alpha).residual == 0.0
     # H phi_1 = 2 phi_1 with phi_1 = (1, 1)
     t = LinearMap([[1, 1], [0, 1]])
-    sys_ = build_system(ConstructingPair(t))
+    sys_ = build_system(t)
     h = transform(hamiltonian_shift(alpha, 2), t, "phi_psi")
     np.testing.assert_allclose(h.entries @ sys_.phi[:, 1], 2.0 * sys_.phi[:, 1], atol=1e-14)
     report = eigen_check(h, sys_.phi, alpha)
@@ -184,9 +182,10 @@ def test_eigen_check_diagonal_and_unipotent():
 def test_eigen_check_hermite_interior():
     from rieszlab.hermite import build_model
 
-    sys_ = build_system(ConstructingPair(build_model(64).X))
+    x = build_model(64).X
+    sys_ = build_system(x)
     alpha = AlphaSequence.linear(64)
-    h = transform(hamiltonian_shift(alpha, 64), sys_.pair.matrix, "phi_psi")
+    h = transform(hamiltonian_shift(alpha, 64), x, "phi_psi")
     report = eigen_check(h, sys_.phi, alpha, tolerance=1e-7, indices=range(32))
     assert report.passed, report.residual
 
@@ -203,8 +202,8 @@ def test_ladder_check_reference_basis():
 def test_ladder_check_diagonal_pair():
     t = from_diagonal([1, 2, 3])
     alpha = AlphaSequence.linear(3)
-    sys_ = build_system(ConstructingPair(t))
-    opset = build_operator_set(ConstructingPair(t), alpha)
+    sys_ = build_system(t)
+    opset = build_operator_set(t, alpha)
     # A phi_2 = 2 phi_1 = (0, 4, 0), by hand
     np.testing.assert_allclose(
         opset.a_phi_psi.entries @ sys_.phi[:, 2], [0.0, 4.0, 0.0], atol=1e-13
@@ -225,13 +224,13 @@ def test_ladder_check_detects_perturbation():
 
 
 def test_adjoint_relations_identity_pair():
-    opset = build_operator_set(ConstructingPair(LinearMap(np.eye(4))), AlphaSequence.sqrt_n(4))
+    opset = build_operator_set(LinearMap(np.eye(4)), AlphaSequence.sqrt_n(4))
     report = adjoint_relation_check(opset)
     assert report.residual == 0.0
 
 
 def test_adjoint_relations_diagonal():
-    opset = build_operator_set(ConstructingPair(from_diagonal([1, 2])), AlphaSequence.linear(2))
+    opset = build_operator_set(from_diagonal([1, 2]), AlphaSequence.linear(2))
     report = adjoint_relation_check(opset)
     assert report.passed and report.residual < 1e-14
 
@@ -240,19 +239,19 @@ def test_adjoint_relations_random_complex_alpha():
     rng = stream_rng(42)
     t = random_conditioned_map(16, 100.0, rng)
     values = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    opset = build_operator_set(ConstructingPair(t), AlphaSequence.custom(values))
+    opset = build_operator_set(t, AlphaSequence.custom(values))
     report = adjoint_relation_check(opset, tolerance=1e-9)
     assert report.passed, report.details
 
 
 def test_product_identity_trivial_powers():
-    opset = build_operator_set(ConstructingPair(LinearMap(np.eye(4))), AlphaSequence.sqrt_n(4))
+    opset = build_operator_set(LinearMap(np.eye(4)), AlphaSequence.sqrt_n(4))
     report = product_identity_check(opset, [(0, 0)])
     assert report.residual == 0.0
 
 
 def test_product_identity_diagonal():
-    opset = build_operator_set(ConstructingPair(from_diagonal([1, 2, 3])), AlphaSequence.sqrt_n(3))
+    opset = build_operator_set(from_diagonal([1, 2, 3]), AlphaSequence.sqrt_n(3))
     report = product_identity_check(opset, [(1, 1)])
     assert report.passed and report.residual < 1e-12
 
@@ -261,7 +260,7 @@ def test_product_identity_mixed_positive_constructor():
     # for positive self-adjoint T the mixed product reduces to T^-1 A T^2 B T^-1
     t = from_diagonal([1, 2, 3])
     alpha = AlphaSequence.sqrt_n(3)
-    opset = build_operator_set(ConstructingPair(t), alpha)
+    opset = build_operator_set(t, alpha)
     t_inv = np.diag([1.0, 0.5, 1.0 / 3.0])
     expected = t_inv @ dense(opset.a_e).entries @ t.entries @ t.entries @ dense(opset.b_e).entries @ t_inv
     actual = opset.a_psi_phi.entries @ opset.b_phi_psi.entries
@@ -271,7 +270,7 @@ def test_product_identity_mixed_positive_constructor():
 
 
 def test_product_identity_power_guard():
-    opset = build_operator_set(ConstructingPair(LinearMap(np.eye(3))), AlphaSequence.sqrt_n(3))
+    opset = build_operator_set(LinearMap(np.eye(3)), AlphaSequence.sqrt_n(3))
     with pytest.raises(ValueError):
         product_identity_check(opset, [(5, 4)])
 
@@ -281,7 +280,7 @@ def test_product_identity_nilpotent_powers():
     # so the reference side vanishes while the conjugated side carries noise
     rng = stream_rng(44)
     t = random_conditioned_map(3, 10.0, rng)
-    opset = build_operator_set(ConstructingPair(t), AlphaSequence.custom([0.5, 1.5, 2.5]))
+    opset = build_operator_set(t, AlphaSequence.custom([0.5, 1.5, 2.5]))
     for m, l in ((3, 0), (0, 3), (2, 2), (4, 0)):
         report = product_identity_check(opset, [(m, l)], tolerance=1e-10)
         assert report.passed, (m, l, report.residual)
@@ -291,7 +290,7 @@ def test_perturbed_ladder_entry_fails_shared_checks():
     # The conjugate set of a real alpha is the set itself, and product
     # identities share T^-1 across pairs; a one-entry defect must still show.
     t = random_conditioned_map(8, 10.0, stream_rng(45))
-    opset = build_operator_set(ConstructingPair(t), AlphaSequence.sqrt_n(8))
+    opset = build_operator_set(t, AlphaSequence.sqrt_n(8))
     assert product_identity_check(opset, [(1, 1)]).passed
     assert adjoint_relation_check(opset).passed
     assert ccr_check(opset).passed
@@ -310,7 +309,7 @@ def test_perturbed_ladder_entry_fails_shared_checks():
 
 def test_product_identity_reports_worst_pair():
     rng = stream_rng(46)
-    opset = build_operator_set(ConstructingPair(random_conditioned_map(6, 20.0, rng)), AlphaSequence.sqrt_n(6))
+    opset = build_operator_set(random_conditioned_map(6, 20.0, rng), AlphaSequence.sqrt_n(6))
     pairs = [(m, l) for m in range(3) for l in range(3 - m)]
     single = [product_identity_check(opset, [pair]) for pair in pairs]
     worst = product_identity_check(opset, pairs)
@@ -323,8 +322,8 @@ def test_product_identity_reports_worst_pair():
 
 def parent_product_identity_check(opset, pairs, tolerance=1e-10):
     """The algorithm product_identity_check replaced: every chain through matrix_power, per pair."""
-    t = opset.pair.matrix.entries
-    t_inv = invert(opset.pair.matrix).entries
+    t = opset.t.entries
+    t_inv = invert(opset.t).entries
     t_adj = t.conj().T
     t_adj_inv = t_inv.conj().T
     a_e, b_e = dense(opset.a_e).entries, dense(opset.b_e).entries
@@ -371,13 +370,13 @@ def product_opsets():
     dense = LinearMap(dense.entries + 0.3j * rng.standard_normal((12, 12)))
     complex_alpha = AlphaSequence.custom(np.arange(12) + 0.25j * (-1.0) ** np.arange(12))
     return {
-        "hermite-x": build_operator_set(ConstructingPair(build_X(32)), AlphaSequence.sqrt_n(32)),
-        "dense-complex-alpha": build_operator_set(ConstructingPair(dense), complex_alpha),
+        "hermite-x": build_operator_set(build_X(32), AlphaSequence.sqrt_n(32)),
+        "dense-complex-alpha": build_operator_set(dense, complex_alpha),
         "nilpotent": build_operator_set(
-            ConstructingPair(random_conditioned_map(3, 10.0, stream_rng(44))), AlphaSequence.custom([0.5, 1.5, 2.5])
+            random_conditioned_map(3, 10.0, stream_rng(44)), AlphaSequence.custom([0.5, 1.5, 2.5])
         ),
         "upper-unipotent": build_operator_set(
-            ConstructingPair(LinearMap(np.eye(10) + 0.7 * np.eye(10, k=1))), AlphaSequence.linear(10)
+            LinearMap(np.eye(10) + 0.7 * np.eye(10, k=1)), AlphaSequence.linear(10)
         ),
     }
 
@@ -424,12 +423,12 @@ def test_operator_set_matches_parent_transform():
             ("a_psi_phi", opset.a_e, "psi_phi"),
             ("b_psi_phi", opset.b_e, "psi_phi"),
         ):
-            expected = parent_transform(op_e, opset.pair.matrix, side)
+            expected = parent_transform(op_e, opset.t, side)
             actual = getattr(opset, field).entries
             if opset.alpha.is_real:
                 np.testing.assert_array_equal(actual, expected, err_msg=f"{name} {field}")
             else:
-                scale = np.linalg.norm(opset.pair.matrix.entries) * np.linalg.norm(invert(opset.pair.matrix).entries)
+                scale = np.linalg.norm(opset.t.entries) * np.linalg.norm(invert(opset.t).entries)
                 scale *= np.abs(opset.alpha.values).max()
                 assert np.abs(actual - expected).max() <= 4 * np.finfo(float).eps * scale, (name, field)
 
@@ -440,16 +439,16 @@ def test_real_operator_set_matches_complex_arithmetic():
     # per side) differ from it only at rounding level.
     rng = stream_rng(49)
     opsets = {
-        "hermite-x": build_operator_set(ConstructingPair(build_X(32)), AlphaSequence.sqrt_n(32)),
+        "hermite-x": build_operator_set(build_X(32), AlphaSequence.sqrt_n(32)),
         "upper-unipotent": build_operator_set(
-            ConstructingPair(LinearMap(np.eye(10) + 0.7 * np.eye(10, k=1))), AlphaSequence.linear(10)
+            LinearMap(np.eye(10) + 0.7 * np.eye(10, k=1)), AlphaSequence.linear(10)
         ),
         "real-dense": build_operator_set(
-            ConstructingPair(LinearMap(rng.standard_normal((12, 12)))), AlphaSequence.sqrt_n(12)
+            LinearMap(rng.standard_normal((12, 12))), AlphaSequence.sqrt_n(12)
         ),
     }
     for name, opset in opsets.items():
-        t = opset.pair.matrix.entries.astype(np.complex128)
+        t = opset.t.entries.astype(np.complex128)
         u, s, vh = np.linalg.svd(t)
         t_inv = (vh.conj().T * (1.0 / s)) @ u.conj().T
         scale = np.linalg.norm(t) * np.linalg.norm(t_inv) * np.abs(opset.alpha.values).max()
@@ -490,7 +489,7 @@ def test_product_identity_defect_shows_on_its_own_side_and_in_both_orders():
     # (0, k) and (k, 0) share their operators; a defect in one psi-side
     # ladder must reach both orders and leave the phi side and mixed alone.
     rng = stream_rng(48)
-    opset = build_operator_set(ConstructingPair(random_conditioned_map(8, 10.0, rng)), AlphaSequence.sqrt_n(8))
+    opset = build_operator_set(random_conditioned_map(8, 10.0, rng), AlphaSequence.sqrt_n(8))
     b = opset.b_psi_phi.entries.copy()
     b[np.unravel_index(np.argmax(np.abs(b)), b.shape)] *= 1.0 + 1e-6
     mutated = dataclasses.replace(opset, b_psi_phi=LinearMap(b))
@@ -511,7 +510,7 @@ def test_product_identity_working_set():
     # The check keeps norms, not matrices: at N=128 one complex matrix is
     # 0.25 MiB, and a memo of every product would take about 25 MiB.
     t = random_conditioned_map(128, 100.0, stream_rng(49))
-    opset = build_operator_set(ConstructingPair(t), AlphaSequence.sqrt_n(128))
+    opset = build_operator_set(t, AlphaSequence.sqrt_n(128))
     tracemalloc.start()
     try:
         product_identity_check(opset, SUITE_PAIRS)
@@ -543,7 +542,7 @@ def test_ccr_interior_and_defect_at_64():
 
 def test_ccr_transformed_geometric_diagonal():
     t = from_diagonal(1.1 ** np.arange(64))
-    report = ccr_check(build_operator_set(ConstructingPair(t), AlphaSequence.sqrt_n(64)))
+    report = ccr_check(build_operator_set(t, AlphaSequence.sqrt_n(64)))
     assert report.passed
     assert report.details["transformed_interior"] < 1e-10
 
@@ -561,7 +560,7 @@ def test_domain_mapping_identity():
 
 def test_domain_mapping_geometric_diagonal():
     t = from_diagonal(2.0 ** np.arange(16))
-    opset = build_operator_set(ConstructingPair(t), AlphaSequence.linear(16))
+    opset = build_operator_set(t, AlphaSequence.linear(16))
     report = domain_mapping_check(opset, tolerance=1e-9)
     assert report.passed, report.details
     for side in ("phi_psi", "psi_phi"):
@@ -573,21 +572,21 @@ def test_domain_mapping_near_singular_guard():
     # the check reads the operator set, whose transforms need T^-1
     t = from_diagonal([1.0, 1e-13])
     with pytest.raises(NumericallySingular):
-        build_operator_set(ConstructingPair(t), AlphaSequence.linear(2))
+        build_operator_set(t, AlphaSequence.linear(2))
 
 
 def test_operator_set_spectrum_preserved():
     rng = stream_rng(43)
     t = random_conditioned_map(12, 60.0, rng)
     alpha = AlphaSequence.linear(12)
-    opset = build_operator_set(ConstructingPair(t), alpha)
+    opset = build_operator_set(t, alpha)
     spectrum = np.sort(np.linalg.eigvals(opset.h_phi_psi.entries).real)
     np.testing.assert_allclose(spectrum, np.arange(12, dtype=float), atol=1e-7 * t.cond_estimate)
 
 
 def test_operator_set_b_is_adjoint_of_a_for_real_alpha():
-    opset = build_operator_set(ConstructingPair(LinearMap(np.eye(5))), AlphaSequence.sqrt_n(5))
-    np.testing.assert_array_equal(dense(opset.b_e).entries, adjoint(dense(opset.a_e)).entries)
+    opset = build_operator_set(LinearMap(np.eye(5)), AlphaSequence.sqrt_n(5))
+    np.testing.assert_array_equal(dense(opset.b_e).entries, dense(opset.a_e).entries.conj().T)
 
 
 @pytest.mark.parametrize("dim", [8, 32, 256, 325])
@@ -601,7 +600,7 @@ def test_ccr_reference_commutator_by_shift_algebra_matches_dense_products(dim):
 
 def test_ccr_check_matches_the_dense_commutator_formula():
     t = random_conditioned_map(16, 20.0, stream_rng(63))
-    opset = build_operator_set(ConstructingPair(t), AlphaSequence.sqrt_n(16))
+    opset = build_operator_set(t, AlphaSequence.sqrt_n(16))
     a, b = dense(opset.a_e).entries, dense(opset.b_e).entries
     comm = a @ b - b @ a
     expected = np.eye(16)

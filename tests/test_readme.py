@@ -1,0 +1,45 @@
+"""The README's Python blocks run as written: the library example and the digest recipe."""
+
+import json
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+from rieszlab.cli import main
+from rieszlab.sampling import stream_rng
+
+from helpers import random_conditioned_map
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def python_block(marker: str) -> str:
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
+    (block,) = [b for b in blocks if marker in b]
+    return block
+
+
+def test_library_example_prints_what_its_comments_say(capsys):
+    block = python_block("build_system")
+    exec(compile(block, str(README), "exec"), {})
+    expected = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_digest_recipe_ties_a_dense_config_to_its_report(tmp_path, monkeypatch):
+    block = python_block("sha256")
+    t = random_conditioned_map(4, 10.0, stream_rng(70)).entries.ravel()
+    # a plain number and [re, im] pairs, the two spellings the recipe reads
+    entries = [float(t[0].real), *([float(v.real), float(v.imag)] for v in t[1:])]
+    config = {"dimension": 4, "operator": {"kind": "dense", "entries": entries}, "checks": ["biorthogonality"]}
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run", "--config", "config.json", "--out", "report.json"]) == 0
+    exec(compile(block, str(README), "exec"), {})
+    # one entry moved by one unit in the last place no longer matches the report
+    entries[1][0] = math.nextafter(entries[1][0], math.inf)
+    Path("config.json").write_text(json.dumps(config), encoding="utf-8")
+    with pytest.raises(AssertionError):
+        exec(compile(block, str(README), "exec"), {})

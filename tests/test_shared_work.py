@@ -1,4 +1,4 @@
-"""Each shared quantity of a run is computed once: factorization and operator-set counts."""
+"""Each shared quantity of a run is computed once: factorization, operator-set and map counts."""
 
 import json
 import sys
@@ -9,7 +9,7 @@ from rieszlab import LinearMap, forms, hermite, invert, operators, parse_config,
 from rieszlab.cli import _hermite_config, main
 from rieszlab.sampling import stream_rng
 
-from helpers import random_conditioned_map
+from helpers import dense_config, random_conditioned_map
 
 
 def count_calls(monkeypatch):
@@ -22,6 +22,7 @@ def count_calls(monkeypatch):
         "build_system": 0,
         "ladder_shifts": 0,
         "hamiltonian_shift": 0,
+        "LinearMap": 0,
     }
 
     def counted(owner, name):
@@ -44,6 +45,13 @@ def count_calls(monkeypatch):
     counted(systems, "build_system")
     counted(operators, "ladder_shifts")
     counted(operators, "hamiltonian_shift")
+    linear_map_init = LinearMap.__init__
+
+    def counted_init(self, entries):
+        counts["LinearMap"] += 1
+        linear_map_init(self, entries)
+
+    monkeypatch.setattr(LinearMap, "__init__", counted_init)
     return counts
 
 
@@ -68,6 +76,10 @@ def test_hermite_full_suite_shares_factorizations(monkeypatch):
     # K_phi and K_psi once each, certificate and square root from one
     # eigendecomposition, plus one per growth size (16, 32, 64)
     assert counts["eigh"] == 5
+    # X, T^-1, K_phi and K_psi with their square roots, the polar factors, the
+    # six transformed operators, the sum-form Hamiltonian, and one frame
+    # operator per growth size: no map is copied to be read
+    assert counts["LinearMap"] == 18
 
 
 def test_hermite_full_suite_factors_in_real_arithmetic(monkeypatch):
@@ -139,17 +151,11 @@ def test_complex_alpha_builds_conjugate_set(monkeypatch):
 def test_hamiltonian_agreement_sees_a_defect_in_the_cached_inverse():
     # The sum form takes psi from an LU solve, the operator set conjugates
     # with the run's cached SVD inverse: a defect there must show.
-    t = random_conditioned_map(8, 10.0, stream_rng(50)).entries
-    payload = {
-        "dimension": 8,
-        "operator": {"kind": "dense", "entries": [[v.real, v.imag] for v in t.ravel()]},
-        "checks": ["hamiltonian_agreement"],
-    }
-    cfg = parse_config(json.dumps(payload))
+    cfg = dense_config(random_conditioned_map(8, 10.0, stream_rng(50)), checks=["hamiltonian_agreement"])
     clean = suite._check_hamiltonian_agreement(suite._SuiteContext(cfg))
     assert clean.passed and clean.residual > 0.0
     ctx = suite._SuiteContext(cfg)
-    t_map = ctx.pair().matrix
+    t_map = ctx.operator()
     t_inv = invert(t_map).entries.copy()
     t_inv[np.unravel_index(np.argmax(np.abs(t_inv)), t_inv.shape)] *= 1.0 + 1e-6
     t_map._inverse = LinearMap(t_inv)
