@@ -40,7 +40,6 @@ from .linalg import (
     polar_decompose,
 )
 from .operators import (
-    AlphaSequence,
     OperatorSet,
     WeightedShift,
     adjoint_relation_check,
@@ -54,7 +53,6 @@ from .operators import (
     product_identity_check,
     sum_form_hamiltonian,
     transform,
-    validate_alpha,
 )
 from .reporting import CheckReport, make_report
 from .suite import emit_report, run_suite

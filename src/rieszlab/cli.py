@@ -24,7 +24,7 @@ def _setup_logging() -> None:
 
 def _hermite_config(dim: int, full_suite: bool, seed: int) -> RunConfig:
     operator = OperatorSpec("hermite-x")
-    alpha = AlphaSpec("sqrt_n", gap_bound_r=1.0)
+    alpha = AlphaSpec("sqrt_n")
     checks = default_checks("hermite-x", "sqrt_n") if full_suite else ("biorthogonality", "hermite_oracle")
     # interior identities of the truncated model hold at 1e-6; see README
     return RunConfig(
@@ -81,7 +81,7 @@ def main(argv=None) -> int:
     if args.command == "run":
         try:
             cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"cannot read config: {exc}", file=sys.stderr)
             return 2
         except ParseError as exc:

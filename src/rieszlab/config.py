@@ -7,6 +7,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -16,7 +17,7 @@ from .hermite import MAX_DIMENSION, MAX_DIMENSION_REASON
 
 SCHEMA = "rieszlab/1"
 # Schema of a JSON report, whose config echo (config_to_dict) names bulk value lists by digest.
-REPORT_SCHEMA = "rieszlab/2"
+REPORT_SCHEMA = "rieszlab/3"
 
 # A run keeps about LIVE_MATRICES N x N complex128 arrays alive at its peak
 # (T with its SVD factors and inverse, both frame operators with their
@@ -53,18 +54,30 @@ HERMITE_CHECKS = ("frame_bound_growth", "hermite_oracle", "tail_dichotomy")
 KNOWN_CHECKS = tuple(sorted(GENERAL_CHECKS + HERMITE_CHECKS))
 
 
+class _ValueList:
+    """A spec's `values` tuple, converted once to the array that every reader shares."""
+
+    values: tuple
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The values as one read-only complex128 array, in list order."""
+        array = np.asarray(self.values, dtype=np.complex128)
+        array.setflags(write=False)
+        return array
+
+
 @dataclass(frozen=True)
-class OperatorSpec:
+class OperatorSpec(_ValueList):
     kind: str
     values: tuple = ()          # diagonal entries or flat row-major dense entries
     off_diagonal: float = 0.0   # upper-unipotent superdiagonal value
 
 
 @dataclass(frozen=True)
-class AlphaSpec:
+class AlphaSpec(_ValueList):
     kind: str
     values: tuple = ()
-    gap_bound_r: float | None = None
 
 
 @dataclass(frozen=True)
@@ -174,24 +187,20 @@ def _parse_operator(raw: Any, dimension: int) -> OperatorSpec:
 
 def _parse_alpha(raw: Any, dimension: int) -> AlphaSpec:
     if raw is None:
-        return AlphaSpec("sqrt_n", gap_bound_r=1.0)
+        return AlphaSpec("sqrt_n")
     _expect(isinstance(raw, dict), "/alpha", "must be an object")
     kind = raw.get("kind")
     _expect(kind in ALPHA_KINDS, "/alpha/kind", f"must be one of {list(ALPHA_KINDS)}")
-    r = raw.get("r")
-    if r is not None:
-        r = _as_number(r, "/alpha/r")
-        _expect(r > 0, "/alpha/r", "must be positive")
-    allowed = {"kind", "r"}
+    allowed = {"kind"}
     if kind == "custom":
         allowed.add("values")
         values = raw.get("values")
         _expect(isinstance(values, list), "/alpha/values", "must be a list")
         if len(values) < dimension:
             raise ParseError("/alpha/values", f"needs at least {dimension} entries, got {len(values)}")
-        spec = AlphaSpec(kind, values=_as_complex_tuple(values, "/alpha/values"), gap_bound_r=r)
+        spec = AlphaSpec(kind, values=_as_complex_tuple(values, "/alpha/values"))
     else:
-        spec = AlphaSpec(kind, gap_bound_r=1.0 if r is None else r)
+        spec = AlphaSpec(kind)
     for key in raw:
         _expect(key in allowed, f"/alpha/{key}", f"unknown field for kind {kind!r}")
     return spec
@@ -288,26 +297,24 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-def _digest(values: tuple) -> dict:
+def _digest(spec: _ValueList) -> dict:
     """A bulk value list by its length and the sha256 of its complex128 array, little-endian, in order."""
-    data = np.asarray(values, dtype="<c16").tobytes()
-    return {"count": len(values), "sha256": hashlib.sha256(data).hexdigest()}
+    data = np.asarray(spec.array, dtype="<c16").tobytes()
+    return {"count": len(spec.values), "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Canonical JSON-ready echo of a validated configuration; bulk value lists appear by digest."""
     operator: dict[str, Any] = {"kind": cfg.operator.kind}
     if cfg.operator.kind == "diagonal":
-        operator["values"] = _digest(cfg.operator.values)
+        operator["values"] = _digest(cfg.operator)
     elif cfg.operator.kind == "dense":
-        operator["entries"] = _digest(cfg.operator.values)
+        operator["entries"] = _digest(cfg.operator)
     elif cfg.operator.kind == "upper-unipotent":
         operator["off_diagonal"] = cfg.operator.off_diagonal
     alpha: dict[str, Any] = {"kind": cfg.alpha.kind}
     if cfg.alpha.kind == "custom":
-        alpha["values"] = _digest(cfg.alpha.values)
-    if cfg.alpha.gap_bound_r is not None:
-        alpha["r"] = cfg.alpha.gap_bound_r
+        alpha["values"] = _digest(cfg.alpha)
     return {
         "schema": SCHEMA,
         "dimension": cfg.dimension,

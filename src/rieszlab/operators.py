@@ -28,83 +28,12 @@ MAX_PRODUCT_POWER = 8   # entries grow like alpha^(m+l) * cond(T); keep residual
 CCR_TRANSFORMED_RTOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class AlphaSequence:
-    """Eigenvalue sequence with the monotonicity/gap metadata used by checks.
-
-    The values are float64 exactly when every one is real (`real_or_complex`),
-    so `is_real` is a dtype test.
-    """
-
-    values: np.ndarray
-    kind: str = "custom"
-    gap_bound_r: float | None = None
-
-    def __post_init__(self):
-        v = np.array(real_or_complex(np.atleast_1d(self.values)))
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def sqrt_n(cls, count: int) -> "AlphaSequence":
-        return cls(np.sqrt(np.arange(count, dtype=np.float64)), kind="sqrt_n", gap_bound_r=1.0)
-
-    @classmethod
-    def linear(cls, count: int) -> "AlphaSequence":
-        return cls(np.arange(count, dtype=np.float64), kind="linear", gap_bound_r=1.0)
-
-    @classmethod
-    def custom(cls, values, gap_bound_r: float | None = None) -> "AlphaSequence":
-        return cls(np.asarray(values), kind="custom", gap_bound_r=gap_bound_r)
-
-    @property
-    def is_real(self) -> bool:
-        return self.values.dtype == np.float64
-
-    def conjugate(self) -> "AlphaSequence":
-        return AlphaSequence(np.conj(self.values), kind=self.kind, gap_bound_r=self.gap_bound_r)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
-def validate_alpha(alpha: AlphaSequence) -> CheckReport:
-    """Certify 0 <= alpha_0 < alpha_1 < ... with gaps bounded by the declared r."""
-    v = alpha.values
-    details: dict = {"count": len(alpha)}
-    if not alpha.is_real:
-        worst = float(np.abs(np.imag(v)).max())
-        details["reason"] = "values must be real"
-        return make_report("alpha_validation", worst, 0.0, details=details)
-    violation = 0.0
-    first_bad = -1
-    if v[0] < 0.0:
-        violation = -float(v[0])
-        first_bad = 0
-        details["reason"] = "alpha_0 must be nonnegative"
-    else:
-        diffs = np.diff(v)
-        bad = np.nonzero(diffs <= 0.0)[0]
-        if bad.size:
-            first_bad = int(bad[0]) + 1
-            violation = float(-diffs[bad[0]]) if diffs[bad[0]] < 0 else float(np.finfo(float).tiny)
-            details["reason"] = "values must be strictly increasing"
-        elif alpha.gap_bound_r is not None:
-            over = diffs - alpha.gap_bound_r
-            bad = np.nonzero(over > 0.0)[0]
-            if bad.size:
-                first_bad = int(bad[0]) + 1
-                violation = float(over[bad[0]])
-                details["reason"] = f"gap exceeds declared bound r={alpha.gap_bound_r}"
-    if first_bad >= 0:
-        details["first_violation_index"] = first_bad
-    return make_report("alpha_validation", violation, 0.0, details=details)
-
-
-def _require_length(alpha: AlphaSequence, dim: int) -> np.ndarray:
-    if len(alpha) < dim:
-        raise DimensionMismatch(f"alpha has {len(alpha)} values, need at least {dim}")
-    return alpha.values[:dim]
+def _require_length(alpha: np.ndarray, dim: int) -> np.ndarray:
+    """The first dim values of alpha, float64 or complex128 by `real_or_complex`."""
+    v = real_or_complex(alpha)
+    if v.shape[0] < dim:
+        raise DimensionMismatch(f"alpha has {v.shape[0]} values, need at least {dim}")
+    return v[:dim]
 
 
 class WeightedShift:
@@ -153,12 +82,12 @@ class WeightedShift:
         return out
 
 
-def hamiltonian_shift(alpha: AlphaSequence, dim: int) -> WeightedShift:
+def hamiltonian_shift(alpha: np.ndarray, dim: int) -> WeightedShift:
     """H_e = diag(alpha_0 .. alpha_{N-1}), offset 0; self-adjoint exactly when alpha is real."""
     return WeightedShift(0, _require_length(alpha, dim))
 
 
-def ladder_shifts(alpha: AlphaSequence, dim: int) -> tuple[WeightedShift, WeightedShift]:
+def ladder_shifts(alpha: np.ndarray, dim: int) -> tuple[WeightedShift, WeightedShift]:
     """Lowering A_e (e_n -> alpha_n e_{n-1}) and raising B_e (e_n -> alpha_{n+1} e_{n+1}).
 
     The top raising coefficient is truncated: B_e e_{N-1} = 0.
@@ -182,7 +111,7 @@ def transform(op_e: WeightedShift, t: LinearMap, side: str) -> LinearMap:
     raise ValueError(f"unknown side {side!r}; expected 'phi_psi' or 'psi_phi'")
 
 
-def sum_form_hamiltonian(sys: BiorthogonalSystem, alpha: AlphaSequence) -> LinearMap:
+def sum_form_hamiltonian(sys: BiorthogonalSystem, alpha: np.ndarray) -> LinearMap:
     """sum_n alpha_n (outer product of phi_n with psi_n)."""
     v = _require_length(alpha, sys.dim)
     return LinearMap((sys.phi * v) @ sys.psi.conj().T)
@@ -191,7 +120,7 @@ def sum_form_hamiltonian(sys: BiorthogonalSystem, alpha: AlphaSequence) -> Linea
 def eigen_check(
     h: LinearMap,
     family: np.ndarray,
-    alpha: AlphaSequence,
+    alpha: np.ndarray,
     tolerance: float = 1e-8,
     indices: Sequence[int] | None = None,
 ) -> CheckReport:
@@ -214,7 +143,7 @@ def ladder_check(
     a: LinearMap,
     b: LinearMap,
     family: np.ndarray,
-    alpha: AlphaSequence,
+    alpha: np.ndarray,
     tolerance: float = 1e-9,
 ) -> CheckReport:
     """Lowering/raising actions on the family, edge raising index reported apart.
@@ -246,7 +175,7 @@ def ladder_check(
 
 @dataclass(frozen=True, eq=False)
 class OperatorSet:
-    """Reference-basis shifts, both similarity-transformed families, and the T they conjugate by."""
+    """Reference-basis shifts, both transformed families, and the alpha_0 .. alpha_{N-1} and T they come from."""
 
     h_e: WeightedShift
     a_e: WeightedShift
@@ -257,11 +186,12 @@ class OperatorSet:
     b_phi_psi: LinearMap
     a_psi_phi: LinearMap
     b_psi_phi: LinearMap
-    alpha: AlphaSequence
+    alpha: np.ndarray
     t: LinearMap
 
 
-def build_operator_set(t: LinearMap, alpha: AlphaSequence) -> OperatorSet:
+def build_operator_set(t: LinearMap, alpha: np.ndarray) -> OperatorSet:
+    alpha = _require_length(alpha, t.dim)
     h_e = hamiltonian_shift(alpha, t.dim)
     a_e, b_e = ladder_shifts(alpha, t.dim)
     return OperatorSet(
@@ -292,7 +222,7 @@ def adjoint_relation_check(opset: OperatorSet, tolerance: float = 1e-9) -> Check
     these are equalities.  For real alpha the conjugate set is the set
     itself; each pairing still sets two different routes side by side.
     """
-    conj_set = opset if opset.alpha.is_real else build_operator_set(opset.t, opset.alpha.conjugate())
+    conj_set = opset if np.isrealobj(opset.alpha) else build_operator_set(opset.t, opset.alpha.conj())
     pairs = {
         "h_psi_phi_adjoint": (opset.h_psi_phi, conj_set.h_phi_psi),
         "h_phi_psi_adjoint": (opset.h_phi_psi, conj_set.h_psi_phi),
@@ -504,9 +434,9 @@ def ccr_check(opset: OperatorSet, tolerance: float = 1e-12) -> CheckReport:
     CCR_TRANSFORMED_RTOL * cond(T)^2; that residual is rescaled into the
     report so a single tolerance applies.
     """
-    if opset.alpha.kind != "sqrt_n":
-        raise WrongAlphaKind(f"ccr check requires the sqrt_n sequence, got {opset.alpha.kind!r}")
     dim = opset.t.dim
+    if not np.array_equal(opset.alpha, np.sqrt(np.arange(dim))):
+        raise WrongAlphaKind("ccr check requires alpha_n = sqrt(n)")
     a, b = opset.a_e, opset.b_e
     # A_e B_e and B_e A_e are shifts of offset 0: the commutator is the diagonal
     # of their coefficient difference, and its off-diagonal entries are exact 0

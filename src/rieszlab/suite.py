@@ -24,21 +24,21 @@ def build_operator(cfg: RunConfig) -> LinearMap:
     dim = cfg.dimension
     kind = cfg.operator.kind
     if kind == "diagonal":
-        return from_diagonal(cfg.operator.values)
+        return from_diagonal(cfg.operator.array)
     if kind == "dense":
-        return LinearMap(np.asarray(cfg.operator.values, dtype=np.complex128).reshape(dim, dim))
+        return LinearMap(cfg.operator.array.reshape(dim, dim))
     if kind == "upper-unipotent":
         return LinearMap(np.eye(dim) + cfg.operator.off_diagonal * np.eye(dim, k=1))
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
-def build_alpha(cfg: RunConfig) -> operators.AlphaSequence:
+def build_alpha(cfg: RunConfig) -> np.ndarray:
     kind = cfg.alpha.kind
     if kind == "sqrt_n":
-        return operators.AlphaSequence.sqrt_n(cfg.dimension)
+        return np.sqrt(np.arange(cfg.dimension))
     if kind == "linear":
-        return operators.AlphaSequence.linear(cfg.dimension)
-    return operators.AlphaSequence.custom(cfg.alpha.values, gap_bound_r=cfg.alpha.gap_bound_r)
+        return np.arange(cfg.dimension)
+    return cfg.alpha.array
 
 
 class _SuiteContext:
@@ -68,11 +68,8 @@ class _SuiteContext:
     def frame_ops(self) -> systems.FrameOperators:
         return self._get("frame_ops", lambda: systems.build_frame_operators(self.system()))
 
-    def alpha(self) -> operators.AlphaSequence:
-        return self._get("alpha", lambda: build_alpha(self.cfg))
-
     def opset(self) -> operators.OperatorSet:
-        return self._get("opset", lambda: operators.build_operator_set(self.operator(), self.alpha()))
+        return self._get("opset", lambda: operators.build_operator_set(self.operator(), build_alpha(self.cfg)))
 
     def tail_family(self, dim: int) -> np.ndarray:
         """The read-only Hermite growth family at truncation dim, built once per run."""
@@ -185,7 +182,7 @@ def _check_hamiltonian_agreement(ctx: _SuiteContext) -> CheckReport:
     phi = ctx.system().phi
     psi = np.linalg.solve(phi.conj().T, np.eye(phi.shape[0]))
     solved = systems.BiorthogonalSystem(phi=phi, psi=psi)
-    summed = operators.sum_form_hamiltonian(solved, ctx.alpha())
+    summed = operators.sum_form_hamiltonian(solved, ctx.opset().alpha)
     conjugated = ctx.opset().h_phi_psi
     residual = float(
         np.linalg.norm(summed.entries - conjugated.entries)
@@ -198,11 +195,12 @@ def _check_eigen(ctx: _SuiteContext) -> CheckReport:
     cond = ctx.operator().cond_estimate
     tol = ctx.cfg.tolerance * cond
     indices = ctx.interior_indices()
+    opset = ctx.opset()
     phi_side = operators.eigen_check(
-        ctx.opset().h_phi_psi, ctx.system().phi, ctx.alpha(), tolerance=tol, indices=indices
+        opset.h_phi_psi, ctx.system().phi, opset.alpha, tolerance=tol, indices=indices
     )
     psi_side = operators.eigen_check(
-        ctx.opset().h_psi_phi, ctx.system().psi, ctx.alpha(), tolerance=tol, indices=indices
+        opset.h_psi_phi, ctx.system().psi, opset.alpha, tolerance=tol, indices=indices
     )
     return make_report(
         "eigen",
@@ -215,10 +213,10 @@ def _check_eigen(ctx: _SuiteContext) -> CheckReport:
 def _check_ladder(ctx: _SuiteContext) -> CheckReport:
     opset = ctx.opset()
     phi_side = operators.ladder_check(
-        opset.a_phi_psi, opset.b_phi_psi, ctx.system().phi, ctx.alpha(), tolerance=ctx.cfg.tolerance
+        opset.a_phi_psi, opset.b_phi_psi, ctx.system().phi, opset.alpha, tolerance=ctx.cfg.tolerance
     )
     psi_side = operators.ladder_check(
-        opset.a_psi_phi, opset.b_psi_phi, ctx.system().psi, ctx.alpha(), tolerance=ctx.cfg.tolerance
+        opset.a_psi_phi, opset.b_psi_phi, ctx.system().psi, opset.alpha, tolerance=ctx.cfg.tolerance
     )
     details = {f"phi_{k}": v for k, v in phi_side.details.items()}
     details.update({f"psi_{k}": v for k, v in psi_side.details.items()})

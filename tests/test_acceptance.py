@@ -9,7 +9,6 @@ import json
 import numpy as np
 
 from rieszlab import (
-    AlphaSequence,
     LinearMap,
     build_frame_operators,
     build_model,
@@ -137,10 +136,9 @@ def test_criterion_06_hamiltonian_agreement():
     rng = stream_rng(1006)
     worst_diff = 0.0
     worst_eigen = 0.0
-    for make_alpha in (AlphaSequence.sqrt_n, AlphaSequence.linear):
+    for alpha in (np.sqrt(np.arange(16)), np.arange(16)):
         t = random_conditioned_map(16, 100.0, rng)
         sys_ = build_system(t)
-        alpha = make_alpha(16)
         summed = sum_form_hamiltonian(sys_, alpha)
         conjugated = transform(hamiltonian_shift(alpha, 16), t, "phi_psi")
         worst_diff = max(
@@ -161,7 +159,7 @@ def test_criterion_06_hamiltonian_agreement():
 
 
 def test_criterion_07_ladder_actions():
-    alpha = AlphaSequence.sqrt_n(64)
+    alpha = np.sqrt(np.arange(64))
     reference = build_system(LinearMap(np.eye(64)))
     ref_set = build_operator_set(LinearMap(np.eye(64)), alpha)
     ref_report = ladder_check(ref_set.a_phi_psi, ref_set.b_phi_psi, reference.phi, alpha)
@@ -169,9 +167,9 @@ def test_criterion_07_ladder_actions():
     worst = 0.0
     for name, sys_ in _systems_under_test().items():
         dim = sys_.dim
-        opset = build_operator_set(LinearMap(sys_.phi), AlphaSequence.sqrt_n(dim))
+        opset = build_operator_set(LinearMap(sys_.phi), np.sqrt(np.arange(dim)))
         report = ladder_check(
-            opset.a_phi_psi, opset.b_phi_psi, sys_.phi, AlphaSequence.sqrt_n(dim), tolerance=1e-9
+            opset.a_phi_psi, opset.b_phi_psi, sys_.phi, np.sqrt(np.arange(dim)), tolerance=1e-9
         )
         worst = max(worst, report.residual)
     ok = exact_ground and worst < 1e-9
@@ -186,12 +184,12 @@ def test_criterion_07_ladder_actions():
 def test_criterion_08_ccr_with_defect():
     worst_defect = 0.0
     for dim in (2, 3, 64):
-        reference = build_operator_set(LinearMap(np.eye(dim)), AlphaSequence.sqrt_n(dim))
+        reference = build_operator_set(LinearMap(np.eye(dim)), np.sqrt(np.arange(dim)))
         report = ccr_check(reference, tolerance=1e-12)
         worst_defect = max(worst_defect, report.details["defect"], report.details["interior"])
     rng = stream_rng(1008)
     t = random_conditioned_map(64, 100.0, rng)
-    transformed = ccr_check(build_operator_set(t, AlphaSequence.sqrt_n(64)), tolerance=1e-12)
+    transformed = ccr_check(build_operator_set(t, np.sqrt(np.arange(64))), tolerance=1e-12)
     budget = 1e-10 * t.cond_estimate**2
     t_resid = transformed.details["transformed_interior"]
     ok = worst_defect < 1e-12 and t_resid < budget
@@ -210,7 +208,7 @@ def test_criterion_09_product_identities():
         random_conditioned_map(16, 50.0, rng),
         from_diagonal(np.linspace(1.0, 4.0, 16)),
     ):
-        opset = build_operator_set(pair, AlphaSequence.sqrt_n(16))
+        opset = build_operator_set(pair, np.sqrt(np.arange(16)))
         for m in range(5):
             for l in range(5 - m):
                 report = product_identity_check(opset, [(m, l)], tolerance=1e-10)

@@ -76,7 +76,7 @@ def test_cli_run_exit_codes(tmp_path):
     out = tmp_path / "report.json"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     doc = json.loads(out.read_text(encoding="utf-8"))
-    assert doc["schema"] == "rieszlab/2"
+    assert doc["schema"] == "rieszlab/3"
     assert doc["config"]["schema"] == "rieszlab/1"
     assert len(doc["reports"]) == 4
 
@@ -140,6 +140,14 @@ def test_cli_rejects_dense_dimension_past_the_digit_limit(tmp_path, capsys):
 def test_cli_rejects_missing_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
     assert "cannot read config" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read config: ") and "utf-8" in err
 
 
 def test_cli_unwritable_out_exits_2(tmp_path, capsys):

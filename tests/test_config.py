@@ -129,7 +129,6 @@ def test_parse_rejects_oversized_integer_literals():
     cases = [
         ({**base, "tolerance": BIG_INT}, "/tolerance"),
         ({**base, "operator": {"kind": "upper-unipotent", "off_diagonal": BIG_INT}}, "/operator/off_diagonal"),
-        ({**base, "alpha": {"kind": "linear", "r": BIG_INT}}, "/alpha/r"),
         ({**base, "operator": {"kind": "diagonal", "values": [1, -BIG_INT]}}, "/operator/values/1"),
         ({**base, "operator": {"kind": "dense", "entries": [1, 0, [0, BIG_INT], 1]}}, "/operator/entries/2"),
     ]
@@ -207,6 +206,15 @@ def test_parse_rejects_short_custom_alpha():
     assert path_of(payload) == "/alpha/values"
 
 
+def test_parse_rejects_the_retired_alpha_r_field():
+    # alpha is its values alone: no check reads a gap bound
+    for alpha in ({"kind": "sqrt_n", "r": 1.0}, {"kind": "custom", "values": [0, 1], "r": 1.0}):
+        with pytest.raises(ParseError) as excinfo:
+            parse({"dimension": 2, "operator": {"kind": "hermite-x"}, "alpha": alpha})
+        assert excinfo.value.path == "/alpha/r"
+        assert excinfo.value.reason == f"unknown field for kind {alpha['kind']!r}"
+
+
 def test_parse_rejects_invalid_json():
     with pytest.raises(ParseError) as excinfo:
         parse_config("{not json")
@@ -240,7 +248,7 @@ def test_config_echo_digests_value_lists():
             {
                 "dimension": 2,
                 "operator": {"kind": "dense", "entries": DENSE_ENTRIES},
-                "alpha": {"kind": "custom", "values": ALPHA_VALUES, "r": 1.5},
+                "alpha": {"kind": "custom", "values": ALPHA_VALUES},
             }
         )
     )
@@ -256,7 +264,7 @@ def test_config_echo_digests_value_lists():
         {
             "dimension": 2,
             "operator": {"kind": "dense", "entries": DENSE_ENTRIES},
-            "alpha": {"kind": "custom", "values": ALPHA_VALUES, "r": 1.5},
+            "alpha": {"kind": "custom", "values": ALPHA_VALUES},
             "tolerance": 1e-7,
             "interior_margin": 1,
             "seed": 11,
@@ -304,7 +312,7 @@ def test_emit_report_empty():
     doc = json.loads(text)
     assert doc["reports"] == []
     assert doc["config"] == {"dimension": 2}
-    assert doc["schema"] == "rieszlab/2"
+    assert doc["schema"] == "rieszlab/3"
 
 
 def test_emit_report_json_fields():

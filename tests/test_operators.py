@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from rieszlab import (
-    AlphaSequence,
     LinearMap,
+    run_suite,
     adjoint_relation_check,
     build_operator_set,
     build_system,
@@ -25,14 +25,13 @@ from rieszlab import (
     product_identity_check,
     sum_form_hamiltonian,
     transform,
-    validate_alpha,
 )
 from rieszlab.errors import DimensionMismatch, NumericallySingular, WrongAlphaKind
 from rieszlab.hermite import tail_coefficient_vector
 from rieszlab.operators import WeightedShift
 from rieszlab.sampling import stream_rng
 
-from helpers import dense, random_conditioned_map
+from helpers import dense, dense_config, random_conditioned_map
 
 
 def ladder_matrices(alpha, dim):
@@ -44,57 +43,30 @@ def reference_opset(alpha):
     return build_operator_set(LinearMap(np.eye(len(alpha))), alpha)
 
 
-def test_validate_alpha_sqrt_n():
-    report = validate_alpha(AlphaSequence.sqrt_n(512))
-    assert report.passed  # sqrt(n+1) <= sqrt(n) + 1 holds for every n
-
-
-def test_validate_alpha_linear():
-    assert validate_alpha(AlphaSequence.linear(64)).passed
-
-
-def test_validate_alpha_monotonicity_violation():
-    report = validate_alpha(AlphaSequence.custom([0.0, 2.0, 1.0], gap_bound_r=2.0))
-    assert not report.passed
-    assert report.details["first_violation_index"] == 2
-
-
-def test_validate_alpha_gap_violation():
-    report = validate_alpha(AlphaSequence.custom([0.0, 3.0], gap_bound_r=1.0))
-    assert not report.passed
-    assert report.details["first_violation_index"] == 1
-
-
-def test_validate_alpha_rejects_complex():
-    report = validate_alpha(AlphaSequence.custom([0.0, 1.0 + 1.0j]))
-    assert not report.passed
-    assert report.details["reason"] == "values must be real"
-
-
 def test_diag_hamiltonian():
-    h = dense(hamiltonian_shift(AlphaSequence.custom([1.0, 2.0, 3.0]), 3))
+    h = dense(hamiltonian_shift(np.array([1.0, 2.0, 3.0]), 3))
     np.testing.assert_array_equal(h.entries, np.diag([1.0, 2.0, 3.0]))
     assert h.self_adjoint
-    h_sqrt = dense(hamiltonian_shift(AlphaSequence.sqrt_n(3), 3))
+    h_sqrt = dense(hamiltonian_shift(np.sqrt(np.arange(3)), 3))
     np.testing.assert_allclose(np.diag(h_sqrt.entries), [0.0, 1.0, np.sqrt(2.0)], atol=0)
 
 
 def test_diag_hamiltonian_complex_adjoint():
-    alpha = AlphaSequence.custom([1j, 2j])
+    alpha = np.array([1j, 2j])
     h = dense(hamiltonian_shift(alpha, 2))
     assert not h.self_adjoint
     np.testing.assert_array_equal(
-        h.entries.conj().T, dense(hamiltonian_shift(alpha.conjugate(), 2)).entries
+        h.entries.conj().T, dense(hamiltonian_shift(alpha.conj(), 2)).entries
     )
 
 
 def test_diag_hamiltonian_length_guard():
     with pytest.raises(DimensionMismatch):
-        hamiltonian_shift(AlphaSequence.custom([1.0]), 3)
+        hamiltonian_shift(np.array([1.0]), 3)
 
 
 def test_ladder_matrices():
-    a, b = ladder_matrices(AlphaSequence.sqrt_n(3), 3)
+    a, b = ladder_matrices(np.sqrt(np.arange(3)), 3)
     np.testing.assert_allclose(
         a.entries, [[0, 1, 0], [0, 0, np.sqrt(2)], [0, 0, 0]], atol=0
     )
@@ -105,7 +77,7 @@ def test_ladder_matrices():
 
 def test_ladder_actions_on_reference_basis():
     dim = 6
-    a, b = ladder_matrices(AlphaSequence.sqrt_n(dim), dim)
+    a, b = ladder_matrices(np.sqrt(np.arange(dim)), dim)
     e = np.eye(dim)
     np.testing.assert_array_equal(a.entries @ e[:, 1], e[:, 0])
     np.testing.assert_array_equal(b.entries @ e[:, 0], e[:, 1])
@@ -114,15 +86,15 @@ def test_ladder_actions_on_reference_basis():
 
 
 def test_transform_identity_and_diagonal():
-    h = hamiltonian_shift(AlphaSequence.custom([1.0, 2.0]), 2)
+    h = hamiltonian_shift(np.array([1.0, 2.0]), 2)
     np.testing.assert_allclose(transform(h, LinearMap(np.eye(2)), "phi_psi").entries, dense(h).entries, atol=0)
-    h3 = hamiltonian_shift(AlphaSequence.custom([1.0, 2.0, 3.0]), 3)
+    h3 = hamiltonian_shift(np.array([1.0, 2.0, 3.0]), 3)
     t3 = from_diagonal([1, 2, 3])
     np.testing.assert_allclose(transform(h3, t3, "phi_psi").entries, dense(h3).entries, atol=1e-15)
 
 
 def test_transform_unipotent_by_hand():
-    h = hamiltonian_shift(AlphaSequence.custom([1.0, 2.0]), 2)
+    h = hamiltonian_shift(np.array([1.0, 2.0]), 2)
     t = LinearMap([[1, 1], [0, 1]])
     np.testing.assert_allclose(transform(h, t, "phi_psi").entries, [[1, 1], [0, 2]], atol=1e-14)
 
@@ -134,13 +106,13 @@ def test_transform_rejects_unknown_side():
 
 def test_sum_form_reference_basis():
     sys_ = build_system(LinearMap(np.eye(3)))
-    h = sum_form_hamiltonian(sys_, AlphaSequence.custom([1.0, 2.0, 3.0]))
+    h = sum_form_hamiltonian(sys_, np.array([1.0, 2.0, 3.0]))
     np.testing.assert_allclose(h.entries, np.diag([1.0, 2.0, 3.0]), atol=0)
 
 
 def test_sum_form_agrees_with_transform():
     t = LinearMap([[1, 1], [0, 1]])
-    alpha = AlphaSequence.custom([1.0, 2.0])
+    alpha = np.array([1.0, 2.0])
     sys_ = build_system(t)
     summed = sum_form_hamiltonian(sys_, alpha)
     np.testing.assert_allclose(summed.entries, [[1, 1], [0, 2]], atol=1e-13)
@@ -150,13 +122,13 @@ def test_sum_form_agrees_with_transform():
 
 def test_sum_form_zero_alpha():
     sys_ = build_system(from_diagonal([1, 2]))
-    h = sum_form_hamiltonian(sys_, AlphaSequence.custom([0.0, 0.0]))
+    h = sum_form_hamiltonian(sys_, np.array([0.0, 0.0]))
     np.testing.assert_array_equal(h.entries, np.zeros((2, 2)))
 
 
 def test_sum_form_agreement_random_property():
     rng = stream_rng(41)
-    for kind in (AlphaSequence.sqrt_n, AlphaSequence.linear):
+    for kind in (lambda n: np.sqrt(np.arange(n)), np.arange):
         for dim in (8, 16, 64):
             t = random_conditioned_map(dim, 100.0, rng)
             sys_ = build_system(t)
@@ -168,7 +140,7 @@ def test_sum_form_agreement_random_property():
 
 
 def test_eigen_check_diagonal_and_unipotent():
-    alpha = AlphaSequence.custom([1.0, 2.0])
+    alpha = np.array([1.0, 2.0])
     assert eigen_check(dense(hamiltonian_shift(alpha, 2)), np.eye(2), alpha).residual == 0.0
     # H phi_1 = 2 phi_1 with phi_1 = (1, 1)
     t = LinearMap([[1, 1], [0, 1]])
@@ -184,7 +156,7 @@ def test_eigen_check_hermite_interior():
 
     x = build_model(64).X
     sys_ = build_system(x)
-    alpha = AlphaSequence.linear(64)
+    alpha = np.arange(64)
     h = transform(hamiltonian_shift(alpha, 64), x, "phi_psi")
     report = eigen_check(h, sys_.phi, alpha, tolerance=1e-7, indices=range(32))
     assert report.passed, report.residual
@@ -192,7 +164,7 @@ def test_eigen_check_hermite_interior():
 
 def test_ladder_check_reference_basis():
     dim = 4
-    alpha = AlphaSequence.sqrt_n(dim)
+    alpha = np.sqrt(np.arange(dim))
     a, b = ladder_matrices(alpha, dim)
     report = ladder_check(a, b, np.eye(dim), alpha)
     assert report.passed
@@ -201,7 +173,7 @@ def test_ladder_check_reference_basis():
 
 def test_ladder_check_diagonal_pair():
     t = from_diagonal([1, 2, 3])
-    alpha = AlphaSequence.linear(3)
+    alpha = np.arange(3)
     sys_ = build_system(t)
     opset = build_operator_set(t, alpha)
     # A phi_2 = 2 phi_1 = (0, 4, 0), by hand
@@ -214,7 +186,7 @@ def test_ladder_check_diagonal_pair():
 
 def test_ladder_check_detects_perturbation():
     dim = 4
-    alpha = AlphaSequence.sqrt_n(dim)
+    alpha = np.sqrt(np.arange(dim))
     a, b = ladder_matrices(alpha, dim)
     bad = a.entries.copy()
     bad[0, 1] += 1e-3
@@ -224,13 +196,13 @@ def test_ladder_check_detects_perturbation():
 
 
 def test_adjoint_relations_identity_pair():
-    opset = build_operator_set(LinearMap(np.eye(4)), AlphaSequence.sqrt_n(4))
+    opset = build_operator_set(LinearMap(np.eye(4)), np.sqrt(np.arange(4)))
     report = adjoint_relation_check(opset)
     assert report.residual == 0.0
 
 
 def test_adjoint_relations_diagonal():
-    opset = build_operator_set(from_diagonal([1, 2]), AlphaSequence.linear(2))
+    opset = build_operator_set(from_diagonal([1, 2]), np.arange(2))
     report = adjoint_relation_check(opset)
     assert report.passed and report.residual < 1e-14
 
@@ -239,19 +211,19 @@ def test_adjoint_relations_random_complex_alpha():
     rng = stream_rng(42)
     t = random_conditioned_map(16, 100.0, rng)
     values = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    opset = build_operator_set(t, AlphaSequence.custom(values))
+    opset = build_operator_set(t, np.array(values))
     report = adjoint_relation_check(opset, tolerance=1e-9)
     assert report.passed, report.details
 
 
 def test_product_identity_trivial_powers():
-    opset = build_operator_set(LinearMap(np.eye(4)), AlphaSequence.sqrt_n(4))
+    opset = build_operator_set(LinearMap(np.eye(4)), np.sqrt(np.arange(4)))
     report = product_identity_check(opset, [(0, 0)])
     assert report.residual == 0.0
 
 
 def test_product_identity_diagonal():
-    opset = build_operator_set(from_diagonal([1, 2, 3]), AlphaSequence.sqrt_n(3))
+    opset = build_operator_set(from_diagonal([1, 2, 3]), np.sqrt(np.arange(3)))
     report = product_identity_check(opset, [(1, 1)])
     assert report.passed and report.residual < 1e-12
 
@@ -259,7 +231,7 @@ def test_product_identity_diagonal():
 def test_product_identity_mixed_positive_constructor():
     # for positive self-adjoint T the mixed product reduces to T^-1 A T^2 B T^-1
     t = from_diagonal([1, 2, 3])
-    alpha = AlphaSequence.sqrt_n(3)
+    alpha = np.sqrt(np.arange(3))
     opset = build_operator_set(t, alpha)
     t_inv = np.diag([1.0, 0.5, 1.0 / 3.0])
     expected = t_inv @ dense(opset.a_e).entries @ t.entries @ t.entries @ dense(opset.b_e).entries @ t_inv
@@ -270,7 +242,7 @@ def test_product_identity_mixed_positive_constructor():
 
 
 def test_product_identity_power_guard():
-    opset = build_operator_set(LinearMap(np.eye(3)), AlphaSequence.sqrt_n(3))
+    opset = build_operator_set(LinearMap(np.eye(3)), np.sqrt(np.arange(3)))
     with pytest.raises(ValueError):
         product_identity_check(opset, [(5, 4)])
 
@@ -280,7 +252,7 @@ def test_product_identity_nilpotent_powers():
     # so the reference side vanishes while the conjugated side carries noise
     rng = stream_rng(44)
     t = random_conditioned_map(3, 10.0, rng)
-    opset = build_operator_set(t, AlphaSequence.custom([0.5, 1.5, 2.5]))
+    opset = build_operator_set(t, np.array([0.5, 1.5, 2.5]))
     for m, l in ((3, 0), (0, 3), (2, 2), (4, 0)):
         report = product_identity_check(opset, [(m, l)], tolerance=1e-10)
         assert report.passed, (m, l, report.residual)
@@ -290,7 +262,7 @@ def test_perturbed_ladder_entry_fails_shared_checks():
     # The conjugate set of a real alpha is the set itself, and product
     # identities share T^-1 across pairs; a one-entry defect must still show.
     t = random_conditioned_map(8, 10.0, stream_rng(45))
-    opset = build_operator_set(t, AlphaSequence.sqrt_n(8))
+    opset = build_operator_set(t, np.sqrt(np.arange(8)))
     assert product_identity_check(opset, [(1, 1)]).passed
     assert adjoint_relation_check(opset).passed
     assert ccr_check(opset).passed
@@ -309,7 +281,7 @@ def test_perturbed_ladder_entry_fails_shared_checks():
 
 def test_product_identity_reports_worst_pair():
     rng = stream_rng(46)
-    opset = build_operator_set(random_conditioned_map(6, 20.0, rng), AlphaSequence.sqrt_n(6))
+    opset = build_operator_set(random_conditioned_map(6, 20.0, rng), np.sqrt(np.arange(6)))
     pairs = [(m, l) for m in range(3) for l in range(3 - m)]
     single = [product_identity_check(opset, [pair]) for pair in pairs]
     worst = product_identity_check(opset, pairs)
@@ -368,15 +340,15 @@ def product_opsets():
     rng = stream_rng(47)
     dense = random_conditioned_map(12, 50.0, rng)
     dense = LinearMap(dense.entries + 0.3j * rng.standard_normal((12, 12)))
-    complex_alpha = AlphaSequence.custom(np.arange(12) + 0.25j * (-1.0) ** np.arange(12))
+    complex_alpha = np.arange(12) + 0.25j * (-1.0) ** np.arange(12)
     return {
-        "hermite-x": build_operator_set(build_X(32), AlphaSequence.sqrt_n(32)),
+        "hermite-x": build_operator_set(build_X(32), np.sqrt(np.arange(32))),
         "dense-complex-alpha": build_operator_set(dense, complex_alpha),
         "nilpotent": build_operator_set(
-            random_conditioned_map(3, 10.0, stream_rng(44)), AlphaSequence.custom([0.5, 1.5, 2.5])
+            random_conditioned_map(3, 10.0, stream_rng(44)), np.array([0.5, 1.5, 2.5])
         ),
         "upper-unipotent": build_operator_set(
-            LinearMap(np.eye(10) + 0.7 * np.eye(10, k=1)), AlphaSequence.linear(10)
+            LinearMap(np.eye(10) + 0.7 * np.eye(10, k=1)), np.arange(10)
         ),
     }
 
@@ -395,7 +367,7 @@ def test_product_identity_matches_parent_algorithm_bit_for_bit(pairs):
         expected = parent_product_identity_check(opset, pairs)
         actual = product_identity_check(opset, pairs)
         assert list(actual.details) == list(expected.details), name
-        if opset.alpha.is_real:
+        if np.isrealobj(opset.alpha):
             assert actual.residual == expected.residual, name
             assert actual.details == expected.details, name
         else:
@@ -425,11 +397,11 @@ def test_operator_set_matches_parent_transform():
         ):
             expected = parent_transform(op_e, opset.t, side)
             actual = getattr(opset, field).entries
-            if opset.alpha.is_real:
+            if np.isrealobj(opset.alpha):
                 np.testing.assert_array_equal(actual, expected, err_msg=f"{name} {field}")
             else:
                 scale = np.linalg.norm(opset.t.entries) * np.linalg.norm(invert(opset.t).entries)
-                scale *= np.abs(opset.alpha.values).max()
+                scale *= np.abs(opset.alpha).max()
                 assert np.abs(actual - expected).max() <= 4 * np.finfo(float).eps * scale, (name, field)
 
 
@@ -439,19 +411,19 @@ def test_real_operator_set_matches_complex_arithmetic():
     # per side) differ from it only at rounding level.
     rng = stream_rng(49)
     opsets = {
-        "hermite-x": build_operator_set(build_X(32), AlphaSequence.sqrt_n(32)),
+        "hermite-x": build_operator_set(build_X(32), np.sqrt(np.arange(32))),
         "upper-unipotent": build_operator_set(
-            LinearMap(np.eye(10) + 0.7 * np.eye(10, k=1)), AlphaSequence.linear(10)
+            LinearMap(np.eye(10) + 0.7 * np.eye(10, k=1)), np.arange(10)
         ),
         "real-dense": build_operator_set(
-            LinearMap(rng.standard_normal((12, 12))), AlphaSequence.sqrt_n(12)
+            LinearMap(rng.standard_normal((12, 12))), np.sqrt(np.arange(12))
         ),
     }
     for name, opset in opsets.items():
         t = opset.t.entries.astype(np.complex128)
         u, s, vh = np.linalg.svd(t)
         t_inv = (vh.conj().T * (1.0 / s)) @ u.conj().T
-        scale = np.linalg.norm(t) * np.linalg.norm(t_inv) * np.abs(opset.alpha.values).max()
+        scale = np.linalg.norm(t) * np.linalg.norm(t_inv) * np.abs(opset.alpha).max()
         for field, op_e, side in (
             ("h_phi_psi", opset.h_e, "phi_psi"),
             ("h_psi_phi", opset.h_e, "psi_phi"),
@@ -468,8 +440,8 @@ def test_real_operator_set_matches_complex_arithmetic():
 
 
 def test_shift_dtype_follows_its_operands():
-    real = AlphaSequence.sqrt_n(4)
-    complex_alpha = AlphaSequence.custom([0, 1 + 0.5j, 2, 3])
+    real = np.sqrt(np.arange(4))
+    complex_alpha = np.array([0, 1 + 0.5j, 2, 3])
     lowering, raising = ladder_shifts(real, 4)
     assert lowering.coefficients.dtype == raising.coefficients.dtype == np.float64
     assert (lowering @ raising).coefficients.dtype == np.float64
@@ -489,7 +461,7 @@ def test_product_identity_defect_shows_on_its_own_side_and_in_both_orders():
     # (0, k) and (k, 0) share their operators; a defect in one psi-side
     # ladder must reach both orders and leave the phi side and mixed alone.
     rng = stream_rng(48)
-    opset = build_operator_set(random_conditioned_map(8, 10.0, rng), AlphaSequence.sqrt_n(8))
+    opset = build_operator_set(random_conditioned_map(8, 10.0, rng), np.sqrt(np.arange(8)))
     b = opset.b_psi_phi.entries.copy()
     b[np.unravel_index(np.argmax(np.abs(b)), b.shape)] *= 1.0 + 1e-6
     mutated = dataclasses.replace(opset, b_psi_phi=LinearMap(b))
@@ -510,7 +482,7 @@ def test_product_identity_working_set():
     # The check keeps norms, not matrices: at N=128 one complex matrix is
     # 0.25 MiB, and a memo of every product would take about 25 MiB.
     t = random_conditioned_map(128, 100.0, stream_rng(49))
-    opset = build_operator_set(t, AlphaSequence.sqrt_n(128))
+    opset = build_operator_set(t, np.sqrt(np.arange(128)))
     tracemalloc.start()
     try:
         product_identity_check(opset, SUITE_PAIRS)
@@ -522,19 +494,19 @@ def test_product_identity_working_set():
 
 def test_ccr_small_dimensions():
     # commutator diagonals computed by hand from the shifted sqrt entries
-    alpha = AlphaSequence.sqrt_n(3)
+    alpha = np.sqrt(np.arange(3))
     a, b = ladder_matrices(alpha, 3)
     comm = a.entries @ b.entries - b.entries @ a.entries
     np.testing.assert_allclose(comm, np.diag([1.0, 1.0, -2.0]), atol=1e-14)
-    a2, b2 = ladder_matrices(AlphaSequence.sqrt_n(2), 2)
+    a2, b2 = ladder_matrices(np.sqrt(np.arange(2)), 2)
     comm2 = a2.entries @ b2.entries - b2.entries @ a2.entries
     np.testing.assert_allclose(comm2, np.diag([1.0, -1.0]), atol=1e-15)
     assert ccr_check(reference_opset(alpha)).passed
-    assert ccr_check(reference_opset(AlphaSequence.sqrt_n(2))).passed
+    assert ccr_check(reference_opset(np.sqrt(np.arange(2)))).passed
 
 
 def test_ccr_interior_and_defect_at_64():
-    report = ccr_check(reference_opset(AlphaSequence.sqrt_n(64)))
+    report = ccr_check(reference_opset(np.sqrt(np.arange(64))))
     assert report.passed
     assert report.details["interior"] <= 1e-12
     assert report.details["defect"] <= 1e-12
@@ -542,25 +514,35 @@ def test_ccr_interior_and_defect_at_64():
 
 def test_ccr_transformed_geometric_diagonal():
     t = from_diagonal(1.1 ** np.arange(64))
-    report = ccr_check(build_operator_set(t, AlphaSequence.sqrt_n(64)))
+    report = ccr_check(build_operator_set(t, np.sqrt(np.arange(64))))
     assert report.passed
     assert report.details["transformed_interior"] < 1e-10
 
 
 def test_ccr_requires_sqrt_alpha():
     with pytest.raises(WrongAlphaKind):
-        ccr_check(reference_opset(AlphaSequence.linear(4)))
+        ccr_check(reference_opset(np.arange(4)))
+
+
+def test_ccr_reads_the_values_of_alpha_not_their_origin():
+    # alpha_n = sqrt(n) however the array was made, and only then
+    by_hand = [0.0, 1.0, np.sqrt(2.0), np.sqrt(3.0), 2.0]
+    assert ccr_check(reference_opset(by_hand)).passed
+    one_ulp_off = np.sqrt(np.arange(5))
+    one_ulp_off[3] = np.nextafter(one_ulp_off[3], 2.0)
+    with pytest.raises(WrongAlphaKind):
+        ccr_check(reference_opset(one_ulp_off))
 
 
 def test_domain_mapping_identity():
-    report = domain_mapping_check(reference_opset(AlphaSequence.linear(4)))
+    report = domain_mapping_check(reference_opset(np.arange(4)))
     assert report.residual == 0.0
     assert report.details["amplification"] == pytest.approx(1.0)
 
 
 def test_domain_mapping_geometric_diagonal():
     t = from_diagonal(2.0 ** np.arange(16))
-    opset = build_operator_set(t, AlphaSequence.linear(16))
+    opset = build_operator_set(t, np.arange(16))
     report = domain_mapping_check(opset, tolerance=1e-9)
     assert report.passed, report.details
     for side in ("phi_psi", "psi_phi"):
@@ -572,26 +554,26 @@ def test_domain_mapping_near_singular_guard():
     # the check reads the operator set, whose transforms need T^-1
     t = from_diagonal([1.0, 1e-13])
     with pytest.raises(NumericallySingular):
-        build_operator_set(t, AlphaSequence.linear(2))
+        build_operator_set(t, np.arange(2))
 
 
 def test_operator_set_spectrum_preserved():
     rng = stream_rng(43)
     t = random_conditioned_map(12, 60.0, rng)
-    alpha = AlphaSequence.linear(12)
+    alpha = np.arange(12)
     opset = build_operator_set(t, alpha)
     spectrum = np.sort(np.linalg.eigvals(opset.h_phi_psi.entries).real)
     np.testing.assert_allclose(spectrum, np.arange(12, dtype=float), atol=1e-7 * t.cond_estimate)
 
 
 def test_operator_set_b_is_adjoint_of_a_for_real_alpha():
-    opset = build_operator_set(LinearMap(np.eye(5)), AlphaSequence.sqrt_n(5))
+    opset = build_operator_set(LinearMap(np.eye(5)), np.sqrt(np.arange(5)))
     np.testing.assert_array_equal(dense(opset.b_e).entries, dense(opset.a_e).entries.conj().T)
 
 
 @pytest.mark.parametrize("dim", [8, 32, 256, 325])
 def test_ccr_reference_commutator_by_shift_algebra_matches_dense_products(dim):
-    a, b = ladder_shifts(AlphaSequence.sqrt_n(dim), dim)
+    a, b = ladder_shifts(np.sqrt(np.arange(dim)), dim)
     dense_a, dense_b = dense(a).entries, dense(b).entries
     assert (a @ b).offset == (b @ a).offset == 0
     by_shifts = np.diag((a @ b).coefficients - (b @ a).coefficients)
@@ -600,7 +582,7 @@ def test_ccr_reference_commutator_by_shift_algebra_matches_dense_products(dim):
 
 def test_ccr_check_matches_the_dense_commutator_formula():
     t = random_conditioned_map(16, 20.0, stream_rng(63))
-    opset = build_operator_set(t, AlphaSequence.sqrt_n(16))
+    opset = build_operator_set(t, np.sqrt(np.arange(16)))
     a, b = dense(opset.a_e).entries, dense(opset.b_e).entries
     comm = a @ b - b @ a
     expected = np.eye(16)
@@ -610,3 +592,21 @@ def test_ccr_check_matches_the_dense_commutator_formula():
         [report.details["interior"], report.details["defect"]],
         [float(np.abs(comm[:15, :15] - np.eye(15)).max()), float(np.abs(comm - expected).max())],
     )
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [5, -1, 3, 0],
+        [int(v) for v in np.random.default_rng(16).permutation(np.arange(-8, 8))],
+        [[n, 0.5 * (-1) ** n] for n in range(16)],
+    ],
+    ids=["negative-unordered", "permutation", "complex"],
+)
+def test_every_check_passes_for_alpha_in_any_order(values):
+    # Each identity the suite checks holds for any alpha on the truncation:
+    # none needs alpha_0 >= 0, increasing values or bounded gaps.
+    t = random_conditioned_map(len(values), 10.0, stream_rng(72))
+    reports = run_suite(dense_config(t, alpha={"kind": "custom", "values": values}))
+    assert len(reports) == 14
+    assert all(r.passed for r in reports), [(r.name, r.residual) for r in reports if not r.passed]

@@ -5,10 +5,6 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rieszlab"
 
-# Called only by tests until ROADMAP item 2 decides whether the suite checks
-# the paper's hypotheses on alpha through it or it is deleted.
-EXEMPT = {"validate_alpha"}
-
 
 def test_no_public_name_is_used_only_by_tests():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
@@ -29,4 +25,4 @@ def test_no_public_name_is_used_only_by_tests():
                 if isinstance(node, (ast.Name, ast.Attribute))
             }
             used |= names - {getattr(statement, "name", None)}  # a definition's own body does not count
-    assert sorted(public - used - EXEMPT) == []
+    assert sorted(public - used) == []

@@ -1,4 +1,4 @@
-"""The README's Python blocks run as written: the library example and the digest recipe."""
+"""The README's examples hold as written: the library example, the digest recipe and the sample report."""
 
 import json
 import math
@@ -15,10 +15,14 @@ from helpers import random_conditioned_map
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def python_block(marker: str) -> str:
-    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
+def fenced_block(language: str, marker: str) -> str:
+    blocks = re.findall(rf"```{language}\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
     (block,) = [b for b in blocks if marker in b]
     return block
+
+
+def python_block(marker: str) -> str:
+    return fenced_block("python", marker)
 
 
 def test_library_example_prints_what_its_comments_say(capsys):
@@ -43,3 +47,12 @@ def test_digest_recipe_ties_a_dense_config_to_its_report(tmp_path, monkeypatch):
     Path("config.json").write_text(json.dumps(config), encoding="utf-8")
     with pytest.raises(AssertionError):
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_sample_report_is_the_report_of_its_config(tmp_path, monkeypatch):
+    sample = json.loads(fenced_block("json", '"reports"'))
+    config = {"dimension": 3, "operator": {"kind": "diagonal", "values": [1, 2, 3]}, "checks": ["biorthogonality"]}
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run", "--config", "config.json", "--out", "report.json"]) == 0
+    assert sample == json.loads(Path("report.json").read_text(encoding="utf-8"))

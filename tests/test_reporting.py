@@ -1,4 +1,4 @@
-"""A JSON report is json.dumps(doc, sort_keys=True, indent=2) of schema rieszlab/2, with a newline."""
+"""A JSON report is json.dumps(doc, sort_keys=True, indent=2) of schema rieszlab/3, with a newline."""
 
 import json
 
@@ -23,7 +23,7 @@ def test_emit_report_on_a_dense_complex_alpha_config_is_the_stdlib_bytes():
     reports = run_suite(cfg)
     config = config_to_dict(cfg)
     doc = {
-        "schema": "rieszlab/2",
+        "schema": "rieszlab/3",
         "config": config,
         "reports": [report_as_dict(r) for r in sorted(reports, key=lambda r: r.name)],
     }

@@ -7,6 +7,7 @@ import numpy as np
 
 from rieszlab import LinearMap, forms, hermite, invert, operators, parse_config, run_suite, suite, systems
 from rieszlab.cli import _hermite_config, main
+from rieszlab.config import config_to_dict
 from rieszlab.sampling import stream_rng
 
 from helpers import dense_config, random_conditioned_map
@@ -113,8 +114,7 @@ def test_operator_and_alpha_dtype_follow_the_config():
     }
     cfg = parse_config(json.dumps(real_dense))
     assert suite.build_operator(cfg).entries.dtype == np.float64
-    alpha = suite.build_alpha(cfg)
-    assert alpha.values.dtype == np.float64 and alpha.is_real
+    assert suite._SuiteContext(cfg).opset().alpha.dtype == np.float64
     phases = {
         "dimension": 3,
         "operator": {"kind": "diagonal", "values": [[1, 0], [0, 2], [-0.5, 0.5]]},
@@ -122,8 +122,7 @@ def test_operator_and_alpha_dtype_follow_the_config():
     }
     cfg = parse_config(json.dumps(phases))
     assert suite.build_operator(cfg).entries.dtype == np.complex128
-    alpha = suite.build_alpha(cfg)
-    assert alpha.values.dtype == np.complex128 and not alpha.is_real
+    assert suite._SuiteContext(cfg).opset().alpha.dtype == np.complex128
 
 
 def test_hermite_example_builds_no_square_roots(monkeypatch):
@@ -146,6 +145,26 @@ def test_complex_alpha_builds_conjugate_set(monkeypatch):
     (report,) = run_suite(parse_config(json.dumps(payload)))
     assert report.passed, report.details
     assert counts["build_operator_set"] == 2
+
+
+def test_each_bulk_value_list_is_converted_once(monkeypatch):
+    # parse, run and report echo share one complex128 array per value list
+    converted = []
+    for name in ("asarray", "array"):
+
+        def converting(obj, *args, _original=getattr(np, name), **kwargs):
+            if type(obj) is tuple:
+                converted.append(obj)
+            return _original(obj, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, converting)
+    t = random_conditioned_map(4, 10.0, stream_rng(71))
+    cfg = dense_config(t, alpha={"kind": "custom", "values": [0, [1, 0.5], 2, 3, 4]}, checks=["eigen"])
+    (report,) = run_suite(cfg)
+    config_to_dict(cfg)
+    assert report.passed
+    assert sum(v is cfg.operator.values for v in converted) == 1
+    assert sum(v is cfg.alpha.values for v in converted) == 1
 
 
 def test_hamiltonian_agreement_sees_a_defect_in_the_cached_inverse():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from rieszlab import (
-    AlphaSequence,
     BiorthogonalSystem,
     FrameOperators,
     LinearMap,
@@ -291,7 +290,7 @@ def test_the_map_is_the_one_representation():
     # phi is T's own read-only entries, and the operator set keeps T itself
     t = random_conditioned_map(6, 20.0, stream_rng(30))
     assert np.shares_memory(build_system(t).phi, t.entries)
-    assert build_operator_set(t, AlphaSequence.sqrt_n(6)).t is t
+    assert build_operator_set(t, np.sqrt(np.arange(6))).t is t
 
 
 def test_biorthogonality_random_property():
