@@ -27,7 +27,6 @@ from .forms import (
 )
 from .hermite import (
     HermiteModel,
-    build_X,
     build_model,
     verify_K_psi,
 )

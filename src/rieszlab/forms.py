@@ -10,16 +10,16 @@ stands in for domain membership questions that have no finite answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatch, InconsistentPrefix, NotPositive
 from .linalg import LinearMap
-from .reporting import CheckReport, make_report
-from .systems import BiorthogonalSystem, family_matrix
+from .reporting import CheckReport, make_report, worst
+from .systems import BiorthogonalSystem, FrameOperators, family_matrix
 
-DEFAULT_TAIL_GRID = (16, 32, 64, 128, 256, 512)
+TAIL_GRID = (16, 32, 64, 128, 256, 512)  # ascending truncations of the tail diagnostic
 CONVERGENT_TAIL_FRACTION = 1e-3
 DIVERGENT_GROWTH_EXPONENT = 0.5
 PREFIX_RTOL = 1e-6
@@ -69,38 +69,42 @@ def omega(x: np.ndarray, y: np.ndarray, family: np.ndarray) -> np.ndarray | comp
 
 
 def verify_representation(
+    sys: BiorthogonalSystem,
+    ops: FrameOperators,
     x: np.ndarray,
     y: np.ndarray,
-    family: np.ndarray,
-    k_sqrt: LinearMap,
-    tolerance: float = 1e-9,
+    tolerance: float,
 ) -> CheckReport:
-    """Worst |Omega(x,y) - <K^(1/2)x, K^(1/2)y>| / (1 + |Omega(x,y)|) over the sample columns."""
+    """Worst |Omega(x,y) - <K^(1/2)x, K^(1/2)y>| / (1 + |Omega(x,y)|) over the sample columns.
+
+    Both families are checked, each with the square root of its own frame operator.
+    """
     _require_samples(x, "representation")
-    lhs = omega(x, y, family)
-    k = k_sqrt.entries
-    rhs = _column_inner(k @ x, k @ y)
-    worst = float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))))
-    return make_report("representation", worst, tolerance, details={"samples": x.shape[1]})
+    details = {}
+    for side, family, root in (("phi", sys.phi, ops.k_phi_sqrt), ("psi", sys.psi, ops.k_psi_sqrt)):
+        lhs = omega(x, y, family)
+        k = root.entries
+        rhs = _column_inner(k @ x, k @ y)
+        details[f"{side}_family"] = float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))))
+    residual = worst(details.values())
+    return make_report("representation", residual, tolerance, details=details | {"samples": x.shape[1]})
 
 
 def quasi_basis_residual(
     sys: BiorthogonalSystem,
     x: np.ndarray,
     y: np.ndarray,
-    tolerance: float = 1e-9,
+    tolerance: float,
 ) -> CheckReport:
     """Two-sided resolution of the identity over the sample columns."""
     _require_samples(x, "quasi-basis")
     ip = _column_inner(x, y)
-    worst_pp = float(np.abs(_column_inner(x, sys.phi @ sys.psi.conj().T @ y) - ip).max())
-    worst_sp = float(np.abs(_column_inner(x, sys.psi @ sys.phi.conj().T @ y) - ip).max())
-    return make_report(
-        "quasi_basis",
-        max(worst_pp, worst_sp),
-        tolerance,
-        details={"phi_psi_order": worst_pp, "psi_phi_order": worst_sp, "samples": x.shape[1]},
-    )
+    details = {
+        "phi_psi_order": float(np.abs(_column_inner(x, sys.phi @ sys.psi.conj().T @ y) - ip).max()),
+        "psi_phi_order": float(np.abs(_column_inner(x, sys.psi @ sys.phi.conj().T @ y) - ip).max()),
+    }
+    residual = worst(details.values())
+    return make_report("quasi_basis", residual, tolerance, details=details | {"samples": x.shape[1]})
 
 
 def frame_bounds(k: LinearMap) -> tuple[float, float]:
@@ -114,30 +118,23 @@ def frame_bounds(k: LinearMap) -> tuple[float, float]:
 def tail_diagnostic(
     x_of: Callable[[int], np.ndarray],
     family_of: Callable[[int], np.ndarray],
-    grid: Sequence[int] = DEFAULT_TAIL_GRID,
 ) -> TailDiagnostic:
-    """Partial sums S_N = sum_{k<N} |<x, phi_k>|^2 across the truncation grid.
+    """Partial sums S_N = sum_{k<N} |<x, phi_k>|^2 across the truncations of TAIL_GRID.
 
     The generators are evaluated at every grid size and must agree on the
     interior indices of each smaller truncation; the reported trajectory is
     then assembled from the largest truncation so it is exactly
     nondecreasing.
     """
-    sizes = [int(n) for n in grid]
-    if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])) or sizes[0] < 1:
-        raise ValueError("grid must be an ascending list of at least two positive sizes")
-    if not any(n <= sizes[-1] // 2 for n in sizes):
-        raise ValueError("grid needs a point at or below half the largest size")
-
     pairings = {}
-    for n in sizes:
+    for n in TAIL_GRID:
         x = np.asarray(x_of(n))
         fam = family_matrix(family_of(n))
         if x.shape != (n,) or fam.shape != (n, n):
             raise DimensionMismatch(f"generators returned wrong sizes at truncation {n}")
         pairings[n] = np.conj(fam.conj().T @ x)
 
-    for small, big in zip(sizes, sizes[1:]):
+    for small, big in zip(TAIL_GRID, TAIL_GRID[1:]):
         interior = small - small // 2
         a = pairings[small][:interior]
         b = pairings[big][:interior]
@@ -150,15 +147,14 @@ def tail_diagnostic(
                 f"(relative {rel[k]:.3e})"
             )
 
-    cumulative = np.cumsum(np.abs(pairings[sizes[-1]]) ** 2)
-    sums = [float(cumulative[n - 1]) for n in sizes]
+    cumulative = np.cumsum(np.abs(pairings[TAIL_GRID[-1]]) ** 2)
+    sums = [float(cumulative[n - 1]) for n in TAIL_GRID]
 
     s_max = sums[-1]
-    half_size = max(n for n in sizes if n <= sizes[-1] // 2)
-    s_half = sums[sizes.index(half_size)]
-    top = sizes[len(sizes) // 2 :]
-    top_sums = np.maximum([sums[sizes.index(n)] for n in top], 1e-300)
-    exponent = float(np.polyfit(np.log(top), np.log(top_sums), 1)[0])
+    s_half = float(cumulative[TAIL_GRID[-1] // 2 - 1])
+    top = len(TAIL_GRID) // 2
+    top_sums = np.maximum(sums[top:], 1e-300)
+    exponent = float(np.polyfit(np.log(TAIL_GRID[top:]), np.log(top_sums), 1)[0])
 
     if s_max <= 0.0 or (s_max - s_half) / s_max < CONVERGENT_TAIL_FRACTION:
         verdict = "convergent"
@@ -167,7 +163,7 @@ def tail_diagnostic(
     else:
         verdict = "inconclusive"
     return TailDiagnostic(
-        truncations=tuple(sizes),
+        truncations=TAIL_GRID,
         partial_sums=tuple(sums),
         classification=verdict,
         growth_exponent=exponent,

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import OracleMismatch
 from .forms import omega
 from .linalg import LinearMap, invert, real_or_complex
-from .reporting import CheckReport, make_report
+from .reporting import CheckReport, make_report, worst
 from .systems import BiorthogonalSystem, FrameOperators
 
 ORACLE_TOLERANCE = 1e-9
@@ -32,6 +32,7 @@ MAX_DIMENSION = 325
 MAX_DIMENSION_REASON = "beyond it the Gauss-Hermite weights of the quadrature oracle underflow"
 
 MULTIPLIERS = ("one", "one_plus_x2", "one_plus_x2_squared", "inv_one_plus_x2")
+FORM_SAMPLES = 20  # random vector pairs of the Omega spot check
 
 
 def x_entry(i, j) -> np.ndarray:
@@ -133,21 +134,14 @@ def oracle_deviation(entries: np.ndarray, multiplier: str, order: int, rule=None
     return float(np.abs(entries - gram).max())
 
 
-def build_X(dim: int) -> LinearMap:
-    """Truncated matrix of multiplication by 1 + x^2 in the Hermite basis.
-
-    The entries come from the closed form alone; `build_model` gates them
-    against the quadrature oracle.
-    """
-    return LinearMap(tail_family(dim))
-
-
 @dataclass(frozen=True, eq=False)
 class HermiteModel:
     """Trusted truncation of the 1 + x^2 model with its oracle residuals.
 
-    x_squared_gram holds the quadrature matrix elements of the untruncated
-    (1 + x^2)^2, the reference K_phi = X X* is checked against.
+    X is the truncated matrix of multiplication by 1 + x^2 in the Hermite
+    basis, from the closed form of `tail_family`.  x_squared_gram holds
+    the quadrature matrix elements of the untruncated (1 + x^2)^2, the
+    reference K_phi = X X* is checked against.
     """
 
     dim: int
@@ -157,20 +151,21 @@ class HermiteModel:
     x_squared_gram: np.ndarray
 
 
-def build_model(dim: int, oracle_tolerance: float = ORACLE_TOLERANCE) -> HermiteModel:
+def build_model(dim: int) -> HermiteModel:
     """Build and gate the model: entry oracle plus rational-rule convergence.
 
-    The entries of X must match a Gauss-Hermite rule of order 4 * dim.  The
-    rational multiplier has no polynomial exactness, so its rule is
-    accepted only if doubling the order moves no value by more than
-    DOUBLING_TOLERANCE.  The entry rule also integrates (1 + x^2)^2 exactly
-    (degree 2 dim + 2 < 8 dim), which gives the model its Gram of X^2.
+    The entries of X must match a Gauss-Hermite rule of order 4 * dim to
+    ORACLE_TOLERANCE.  The rational multiplier has no polynomial
+    exactness, so its rule is accepted only if doubling the order moves no
+    value by more than DOUBLING_TOLERANCE.  The entry rule also integrates
+    (1 + x^2)^2 exactly (degree 2 dim + 2 < 8 dim), which gives the model
+    its Gram of X^2.
     """
     order = 4 * dim
-    x = build_X(dim)
+    x = LinearMap(tail_family(dim))
     rule = gauss_hermite_rule(dim, order)
     residual = oracle_deviation(x.entries, "one_plus_x2", order, rule)
-    if residual > oracle_tolerance:
+    if residual > ORACLE_TOLERANCE:
         raise OracleMismatch(f"truncated X at dim {dim} deviates from quadrature by {residual:.3e}")
     base_order = max(order, RATIONAL_ORDER_FLOOR)
     # From dim 64 on the entry gate's rule is the first rational rule too.
@@ -213,24 +208,23 @@ def verify_K_psi(
     model: HermiteModel,
     sys: BiorthogonalSystem,
     ops: FrameOperators,
-    margin: int | None = None,
-    tolerance: float = 1e-6,
-    seed: int = 0,
-    samples: int = 20,
+    margin: int,
+    tolerance: float,
+    seed: int,
 ) -> CheckReport:
-    """Frame operators of the system built on the model's gated X against X^2 and X^-2.
+    """The model's oracle residuals, and the frame operators of the system on its X against X^2 and X^-2.
 
     K_phi is compared with the quadrature Gram of the untruncated
     (1 + x^2)^2, K_psi with the product X^-1 X^-1.  Residuals are relative
     Frobenius norms over the interior block (indices below dim - margin);
     the dual form Omega over psi is also spot-checked against
-    <X^-1 f, X^-1 g> on interior-supported random vectors.  X is
-    pentadiagonal, so the truncation reaches rows dim - 2 and dim - 1 of
-    X X*: the K_phi block also stops below dim - 2, and is empty (detail 0)
-    at dim 2.
+    <X^-1 f, X^-1 g> on FORM_SAMPLES interior-supported random vector
+    pairs.  X is pentadiagonal, so the truncation reaches rows dim - 2 and
+    dim - 1 of X X*: the K_phi block also stops below dim - 2, and is empty
+    (detail 0) at dim 2.  The model's entry-oracle deviation and rational
+    convergence count towards the residual too.
     """
     dim = model.dim
-    margin = dim // 2 if margin is None else margin
     interior = dim - margin
     x = model.X
     x_inv = invert(x)
@@ -246,23 +240,24 @@ def verify_K_psi(
         return float(np.linalg.norm(delta) / np.linalg.norm(ref)) if ref.size else 0.0
 
     # Per sample the draws come in the order Re f, Im f, Re g, Im g.
-    draws = np.random.default_rng(seed).standard_normal((samples, 4, interior))
-    f = np.zeros((dim, samples), dtype=np.complex128)
-    g = np.zeros((dim, samples), dtype=np.complex128)
+    draws = np.random.default_rng(seed).standard_normal((FORM_SAMPLES, 4, interior))
+    f = np.zeros((dim, FORM_SAMPLES), dtype=np.complex128)
+    g = np.zeros((dim, FORM_SAMPLES), dtype=np.complex128)
     f[:interior] = (draws[:, 0] + 1j * draws[:, 1]).T
     g[:interior] = (draws[:, 2] + 1j * draws[:, 3]).T
     omega_psi = omega(f, g, sys.psi)
     # X^-1 f and X^-1 g by an LU solve, not from the SVD inverse that built
     # psi: with the same matrix both sides would be one computation.
     solved = np.linalg.solve(x.entries, np.hstack([f, g]))
-    through_inverse = np.sum(np.conj(solved[:, :samples]) * solved[:, samples:], axis=0)
+    through_inverse = np.sum(np.conj(solved[:, :FORM_SAMPLES]) * solved[:, FORM_SAMPLES:], axis=0)
     worst_form = float(np.max(np.abs(omega_psi - through_inverse) / (1.0 + np.abs(omega_psi))))
 
     details = {
         "k_phi_vs_x_squared": rel(k_phi[phi_blk] - x2[phi_blk], x2[phi_blk]),
         "k_psi_vs_x_inverse_squared": rel(k_psi[blk] - x_inv2[blk], x_inv2[blk]),
         "omega_psi_through_inverse": worst_form,
-        "interior": interior,
+        "entry_oracle": model.oracle_residual,
+        "rational_convergence": model.rational_convergence,
     }
-    residual = max(v for k, v in details.items() if k != "interior")
-    return make_report("hermite_frame_identities", residual, tolerance, details=details)
+    residual = worst(details.values())
+    return make_report("hermite_oracle", residual, tolerance, details=details | {"interior": interior})

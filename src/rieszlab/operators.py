@@ -21,10 +21,11 @@ import numpy as np
 
 from .errors import DimensionMismatch, WrongAlphaKind
 from .linalg import LinearMap, invert, real_or_complex
-from .reporting import CheckReport, make_report
-from .systems import BiorthogonalSystem, family_matrix
+from .reporting import CheckReport, make_report, worst
+from .systems import BiorthogonalSystem
 
-MAX_PRODUCT_POWER = 8   # entries grow like alpha^(m+l) * cond(T); keep residuals meaningful
+# The (m, l) pairs of the product identities: every pair with m + l <= 4.
+PRODUCT_PAIRS = tuple((m, l) for m in range(5) for l in range(5 - m))
 CCR_TRANSFORMED_RTOL = 1e-10
 
 
@@ -117,62 +118,6 @@ def sum_form_hamiltonian(sys: BiorthogonalSystem, alpha: np.ndarray) -> LinearMa
     return LinearMap((sys.phi * v) @ sys.psi.conj().T)
 
 
-def eigen_check(
-    h: LinearMap,
-    family: np.ndarray,
-    alpha: np.ndarray,
-    tolerance: float = 1e-8,
-    indices: Sequence[int] | None = None,
-) -> CheckReport:
-    """Residual of H v_k = alpha_k v_k over the family."""
-    m = family_matrix(family)
-    v = _require_length(alpha, m.shape[1])
-    resid = np.linalg.norm(h.entries @ m - m * v, axis=0)
-    resid = resid / np.maximum(1.0, np.linalg.norm(m, axis=0))
-    sel = np.arange(m.shape[1]) if indices is None else np.asarray(list(indices), dtype=int)
-    worst = int(sel[np.argmax(resid[sel])])
-    return make_report(
-        "eigen_relation",
-        float(resid[sel].max()),
-        tolerance,
-        details={"worst_index": worst, "indices_checked": len(sel)},
-    )
-
-
-def ladder_check(
-    a: LinearMap,
-    b: LinearMap,
-    family: np.ndarray,
-    alpha: np.ndarray,
-    tolerance: float = 1e-9,
-) -> CheckReport:
-    """Lowering/raising actions on the family, edge raising index reported apart.
-
-    A v_0 must vanish (the expected value is the zero vector); A v_n is
-    compared with alpha_n v_{n-1} and B v_n with alpha_{n+1} v_{n+1} for
-    n <= N-2.  The truncated raising action on v_{N-1} has no in-space
-    reference and is excluded from the verdict.
-    """
-    m = family_matrix(family)
-    dim = m.shape[1]
-    v = _require_length(alpha, dim)
-    norms = np.maximum(1.0, np.linalg.norm(m, axis=0))
-    low = a.entries @ m
-    high = b.entries @ m
-    ground = float(np.linalg.norm(low[:, 0]) / norms[0])
-    low_resid = np.linalg.norm(low[:, 1:] - m[:, :-1] * v[1:], axis=0) / norms[1:]
-    high_resid = np.linalg.norm(high[:, :-1] - m[:, 1:] * v[1:], axis=0) / norms[:-1]
-    edge = float(np.linalg.norm(high[:, -1]) / norms[-1])
-    details = {
-        "lowering_ground": ground,
-        "lowering_max": float(low_resid.max()) if low_resid.size else 0.0,
-        "raising_max": float(high_resid.max()) if high_resid.size else 0.0,
-        "raising_edge_norm": edge,
-    }
-    residual = max(details["lowering_ground"], details["lowering_max"], details["raising_max"])
-    return make_report("ladder_actions", residual, tolerance, details=details)
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorSet:
     """Reference-basis shifts, both transformed families, and the alpha_0 .. alpha_{N-1} and T they come from."""
@@ -209,11 +154,59 @@ def build_operator_set(t: LinearMap, alpha: np.ndarray) -> OperatorSet:
     )
 
 
+def eigen_check(
+    opset: OperatorSet,
+    sys: BiorthogonalSystem,
+    tolerance: float,
+    indices: Sequence[int] | None,
+) -> CheckReport:
+    """Residual of H v_k = alpha_k v_k over both families, against tolerance * cond(T).
+
+    indices restricts the verdict to those k; None checks every index.
+    """
+    cond = opset.t.cond_estimate
+    sel = slice(None) if indices is None else np.asarray(list(indices), dtype=int)
+    details = {}
+    for side, h, m in (("phi", opset.h_phi_psi, sys.phi), ("psi", opset.h_psi_phi, sys.psi)):
+        resid = np.linalg.norm(h.entries @ m - m * opset.alpha, axis=0)
+        resid = resid / np.maximum(1.0, np.linalg.norm(m, axis=0))
+        details[f"{side}_family"] = float(resid[sel].max())
+    residual = worst(details.values())
+    return make_report("eigen", residual, tolerance * cond, details=details | {"cond": cond})
+
+
+def ladder_check(opset: OperatorSet, sys: BiorthogonalSystem, tolerance: float) -> CheckReport:
+    """Lowering/raising actions on both families, edge raising index reported apart.
+
+    A v_0 must vanish (the expected value is the zero vector); A v_n is
+    compared with alpha_n v_{n-1} and B v_n with alpha_{n+1} v_{n+1} for
+    n <= N-2.  The truncated raising action on v_{N-1} has no in-space
+    reference and is excluded from the verdict.
+    """
+    v = opset.alpha
+    details = {}
+    for side, a, b, m in (
+        ("phi", opset.a_phi_psi, opset.b_phi_psi, sys.phi),
+        ("psi", opset.a_psi_phi, opset.b_psi_phi, sys.psi),
+    ):
+        norms = np.maximum(1.0, np.linalg.norm(m, axis=0))
+        low = a.entries @ m
+        high = b.entries @ m
+        low_resid = np.linalg.norm(low[:, 1:] - m[:, :-1] * v[1:], axis=0) / norms[1:]
+        high_resid = np.linalg.norm(high[:, :-1] - m[:, 1:] * v[1:], axis=0) / norms[:-1]
+        details[f"{side}_lowering_ground"] = float(np.linalg.norm(low[:, 0]) / norms[0])
+        details[f"{side}_lowering_max"] = float(low_resid.max()) if low_resid.size else 0.0
+        details[f"{side}_raising_max"] = float(high_resid.max()) if high_resid.size else 0.0
+        details[f"{side}_raising_edge_norm"] = float(np.linalg.norm(high[:, -1]) / norms[-1])
+    residual = worst(x for k, x in details.items() if not k.endswith("_edge_norm"))
+    return make_report("ladder", residual, tolerance, details=details)
+
+
 def _rel_frobenius(delta: np.ndarray, reference: np.ndarray) -> float:
     return float(np.linalg.norm(delta) / max(np.linalg.norm(reference), 1e-300))
 
 
-def adjoint_relation_check(opset: OperatorSet, tolerance: float = 1e-9) -> CheckReport:
+def adjoint_relation_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     """Adjoints of the transformed operators against their conjugate-alpha partners.
 
     The adjoint of a lowering operator for one family is the raising
@@ -235,7 +228,7 @@ def adjoint_relation_check(opset: OperatorSet, tolerance: float = 1e-9) -> Check
         name: _rel_frobenius(lhs.entries.conj().T - rhs.entries, rhs.entries)
         for name, (lhs, rhs) in pairs.items()
     }
-    return make_report("adjoint_relations", max(details.values()), tolerance, details=details)
+    return make_report("adjoint_relations", worst(details.values()), tolerance, details=details)
 
 
 def _words(m: int, l: int) -> tuple[tuple, tuple]:
@@ -255,16 +248,13 @@ def _stage(word: tuple) -> tuple:
 
 
 def _shift_power(x: WeightedShift, p: int) -> WeightedShift:
-    """x^p for p >= 1, associated as np.linalg.matrix_power associates its products."""
-    if p == 3:
-        return (x @ x) @ x
-    z = power = None
-    while p:
-        z = x if z is None else z @ z
-        p, bit = divmod(p, 2)
-        if bit:
-            power = z if power is None else power @ z
-    return power
+    """x^p for 1 <= p <= 4, associated as np.linalg.matrix_power associates its products."""
+    if p == 1:
+        return x
+    square = x @ x
+    if p == 2:
+        return square
+    return square @ x if p == 3 else square @ square
 
 
 def _reference_words(
@@ -282,8 +272,7 @@ class _Powers:
     """Powers of one (A, B) pair of matrices, each formed once and dropped after its last use.
 
     X^2 = X X, X^3 = X^2 X and X^4 = X^2 X^2 are the products
-    np.linalg.matrix_power forms, so the values match it bit for bit;
-    higher powers call it.
+    np.linalg.matrix_power forms, so the values match it bit for bit.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, words: Sequence[tuple]):
@@ -304,11 +293,9 @@ class _Powers:
                 self._held[key] = op @ op
             elif p == 3:
                 self._held[key] = self._take(x, 2) @ op
-            elif p == 4:
+            else:
                 square = self._take(x, 2)
                 self._held[key] = square @ square
-            else:
-                self._held[key] = np.linalg.matrix_power(op, p)
         self._uses[key] -= 1
         return self._held[key] if self._uses[key] else self._held.pop(key)
 
@@ -347,11 +334,7 @@ def _side_deviations(
     return {word: _deviation(left @ references[word] @ right, actual.word(word)) for word in words}
 
 
-def product_identity_check(
-    opset: OperatorSet,
-    pairs: Sequence[tuple[int, int]],
-    tolerance: float = 1e-10,
-) -> CheckReport:
+def product_identity_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     """A^m B^l products of the transformed operators against conjugated references.
 
     Covers both orders for both families plus the mixed product
@@ -359,20 +342,15 @@ def product_identity_check(
     normalized by the product of the factor norms, which bounds every
     intermediate; the reference itself can vanish (shift operators are
     nilpotent once m or l reaches the dimension).  Returns the report of
-    the worst (m, l) pair; on a tie the earlier pair wins.
+    the worst (m, l) pair of PRODUCT_PAIRS; a NaN pair is the worst, and
+    on a tie the earlier pair wins.
 
     Each word A_e^m B_e^l is a weighted shift, built once from the set's
     ladders, so a reference costs one column shift and one product.  One
     side at a time, each distinct operator of the pairs is formed once per
     route and only the two norms of its comparison are kept, so the working
-    set stays a few matrices whatever the pair list.
+    set stays a few matrices.
     """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("product identities need at least one (m, l) pair")
-    for m, l in pairs:
-        if m < 0 or l < 0 or m + l > MAX_PRODUCT_POWER:
-            raise ValueError(f"powers must satisfy 0 <= m + l <= {MAX_PRODUCT_POWER}")
     t = opset.t.entries
     t_inv = invert(opset.t).entries
 
@@ -383,7 +361,7 @@ def product_identity_check(
     conjugation = np.linalg.norm(t) * np.linalg.norm(t_inv)
     # a shift's coefficient norm is the Frobenius norm of its matrix
     a_norm, b_norm = np.linalg.norm(a_e.coefficients), np.linalg.norm(b_e.coefficients)
-    words = sorted(dict.fromkeys(w for m, l in pairs for w in _words(m, l)), key=_stage)
+    words = sorted(dict.fromkeys(w for m, l in PRODUCT_PAIRS for w in _words(m, l)), key=_stage)
     references = _reference_words(a_e, b_e, words)  # shared by both sides
     norms = {
         "phi": _side_deviations(
@@ -403,8 +381,8 @@ def product_identity_check(
     norms["psi"] = _side_deviations(
         t_adj_inv, t_adj, references, (opset.a_psi_phi.entries, opset.b_psi_phi.entries), words
     )
-    worst: CheckReport | None = None
-    for m, l in pairs:
+    reports = []
+    for m, l in PRODUCT_PAIRS:
         plain_scale = conjugation * a_norm**m * b_norm**l
         ab, ba = _words(m, l)
         details = {
@@ -413,18 +391,19 @@ def product_identity_check(
             for order, word in (("ab", ab), ("ba", ba))
         }
         details["mixed"] = mixed
-        report = make_report(
-            "product_identities",
-            max(details.values()),
-            tolerance,
-            details={**details, "m": m, "l": l},
+        reports.append(
+            make_report(
+                "product_identities",
+                worst(details.values()),
+                tolerance,
+                details={**details, "m": m, "l": l},
+            )
         )
-        if worst is None or report.residual > worst.residual:
-            worst = report
-    return worst
+    # argmax takes the first NaN, else the first of the largest
+    return reports[int(np.argmax([r.residual for r in reports]))]
 
 
-def ccr_check(opset: OperatorSet, tolerance: float = 1e-12) -> CheckReport:
+def ccr_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     """Truncated commutator A B - B A = 1 - N P_{N-1} for alpha_n = sqrt(n).
 
     The identity block spans e_0 .. e_{N-2}; the top basis vector carries
@@ -457,11 +436,11 @@ def ccr_check(opset: OperatorSet, tolerance: float = 1e-12) -> CheckReport:
         "transformed_tolerance": t_tol,
     }
     # scale onto the base tolerance so pass <=> residual <= tolerance stays exact
-    residual = max(interior, defect, t_interior * (tolerance / t_tol))
+    residual = worst([interior, defect, t_interior * (tolerance / t_tol)])
     return make_report("ccr", residual, tolerance, details=details)
 
 
-def domain_mapping_check(opset: OperatorSet, tolerance: float = 1e-9) -> CheckReport:
+def domain_mapping_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     """Composition order of both similarity transforms on the mapped bases.
 
     Applying a transformed Hamiltonian to its image basis must reproduce
@@ -480,7 +459,7 @@ def domain_mapping_check(opset: OperatorSet, tolerance: float = 1e-9) -> CheckRe
         details[side] = _rel_frobenius(transformed.entries @ image - target, target)
     return make_report(
         "domain_mapping",
-        max(details.values()),
+        worst(details.values()),
         tolerance,
         details=details | {"amplification": t.cond_estimate},
     )

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -27,6 +29,11 @@ def make_report(name, residual, tolerance, details=None) -> CheckReport:
         passed=bool(residual <= tolerance),
         details=dict(details or {}),
     )
+
+
+def worst(values) -> float:
+    """The largest of several residuals; NaN if any is NaN, where the builtin max may drop it."""
+    return float(np.max(list(values)))
 
 
 def error_report(name, exc: Exception, tolerance: float) -> CheckReport:

@@ -20,9 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import LinearMap, invert, operator_sqrt, real_or_complex
-from .reporting import CheckReport, make_report
-
-DEFAULT_TOLERANCE = 1e-8
+from .reporting import CheckReport, make_report, worst
 
 
 def family_matrix(family) -> np.ndarray:
@@ -87,7 +85,7 @@ def build_system(t: LinearMap) -> BiorthogonalSystem:
     return BiorthogonalSystem(phi=t.entries, psi=invert(t).entries.conj().T)
 
 
-def check_biorthogonality(sys: BiorthogonalSystem, tolerance: float = DEFAULT_TOLERANCE) -> CheckReport:
+def check_biorthogonality(sys: BiorthogonalSystem, tolerance: float) -> CheckReport:
     """Max deviation of <phi_k, psi_l> from the Kronecker delta."""
     gram = sys.phi.conj().T @ sys.psi
     dev = np.abs(gram - np.eye(gram.shape[0]))
@@ -119,10 +117,13 @@ def _column_residuals(actual: np.ndarray, expected: np.ndarray) -> np.ndarray:
 def verify_K_relations(
     sys: BiorthogonalSystem,
     ops: FrameOperators,
-    tolerance: float = DEFAULT_TOLERANCE,
-    indices: Sequence[int] | None = None,
+    tolerance: float,
+    indices: Sequence[int] | None,
 ) -> CheckReport:
-    """phi_k = K_phi psi_k, psi_k = K_psi phi_k, the round trips, and K_phi K_psi = 1."""
+    """phi_k = K_phi psi_k, psi_k = K_psi phi_k, the round trips, and K_phi K_psi = 1.
+
+    indices restricts the column identities to those k; None checks every index.
+    """
     phi_m, psi_m = sys.phi, sys.psi
     sel = np.arange(sys.dim) if indices is None else np.asarray(list(indices), dtype=int)
     k_phi = ops.k_phi.entries
@@ -138,17 +139,13 @@ def verify_K_relations(
             np.linalg.norm(k_phi @ k_psi - np.eye(sys.dim)) / np.sqrt(sys.dim)
         ),
     }
-    return make_report("k_relations", max(details.values()), tolerance, details=details)
+    return make_report("k_relations", worst(details.values()), tolerance, details=details)
 
 
-def reconstruct_onb(
-    sys: BiorthogonalSystem,
-    ops: FrameOperators,
-    tolerance: float = 1e-9,
-) -> tuple[np.ndarray, np.ndarray, CheckReport]:
-    """Recover the orthonormal basis e_n = K_phi^(1/2) psi_n = K_psi^(1/2) phi_n.
+def reconstruct_onb(sys: BiorthogonalSystem, ops: FrameOperators, tolerance: float) -> CheckReport:
+    """Recover the orthonormal basis e_n = K_phi^(1/2) psi_n = K_psi^(1/2) phi_n by both routes.
 
-    Returns the basis from each route as a family array, and the report.
+    Each route must give an orthonormal family, and the two must agree.
     """
     e_from_psi = ops.k_phi_sqrt.entries @ sys.psi
     e_from_phi = ops.k_psi_sqrt.entries @ sys.phi
@@ -158,15 +155,14 @@ def reconstruct_onb(
         "gram_from_phi": float(np.abs(e_from_phi.conj().T @ e_from_phi - eye).max()),
         "cross_agreement": float(np.linalg.norm(e_from_psi - e_from_phi, axis=0).max()),
     }
-    report = make_report("onb_reconstruction", max(details.values()), tolerance, details=details)
-    return e_from_psi, e_from_phi, report
+    return make_report("onb_reconstruction", worst(details.values()), tolerance, details=details)
 
 
 def verify_clause_i3(
     sys: BiorthogonalSystem,
     ops: FrameOperators,
     samples: np.ndarray,
-    tolerance: float = 1e-9,
+    tolerance: float,
 ) -> CheckReport:
     """Residual of (K_phi^(1/2))* K_psi^(1/2) x = x over the sample columns; zero columns are skipped."""
     if np.ndim(samples) != 2 or np.shape(samples)[1] == 0:
@@ -175,6 +171,6 @@ def verify_clause_i3(
     norms = np.linalg.norm(samples, axis=0)
     nonzero = norms > 0.0
     resid = np.linalg.norm(r @ samples - samples, axis=0)[nonzero] / norms[nonzero]
-    worst = float(resid.max()) if resid.size else 0.0
-    return make_report("clause_i3", worst, tolerance, details={"samples": samples.shape[1]})
+    residual = float(resid.max()) if resid.size else 0.0
+    return make_report("clause_i3", residual, tolerance, details={"samples": samples.shape[1]})
 

@@ -4,11 +4,12 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from rieszlab import cli, parse_config, run_suite
-from rieszlab.cli import main
-from rieszlab.config import DIMENSION_LIMIT, config_to_dict
+from rieszlab import cli, parse_config, run_suite, suite
+from rieszlab.cli import _hermite_config, main
+from rieszlab.config import DIMENSION_LIMIT, KNOWN_CHECKS, config_to_dict
 from rieszlab.hermite import MAX_DIMENSION
 
 
@@ -289,3 +290,42 @@ def test_cli_rejects_dimension_past_the_working_set_limit(tmp_path, capsys, dime
     assert not out.exists()
     # rejected before any N x N array: one at DIMENSION_LIMIT + 1 alone takes 32 MiB
     assert peak < 2**20, peak
+
+
+def test_a_nan_detail_fails_its_check_and_the_run(tmp_path):
+    # alpha = 1e300 makes the mixed product identity NaN; the residual is the
+    # worst part, so it reads nan, the check fails, and the run exits 1
+    payload = {
+        "dimension": 4,
+        "operator": {"kind": "diagonal", "values": [1, 2, 3, 4]},
+        "alpha": {"kind": "custom", "values": [1e300, 1e300, 1e300, 1e300]},
+        "checks": ["product_identities"],
+    }
+    out = tmp_path / "report.json"
+    with np.errstate(all="ignore"):
+        assert main(["run", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 1
+    (report,) = json.loads(out.read_text(encoding="utf-8"))["reports"]
+    assert report["details"]["mixed"] == "nan"
+    assert report["residual"] == "nan" and report["pass"] is False
+
+
+def test_the_check_registry_names_every_known_check():
+    assert set(suite._CHECKS) == set(KNOWN_CHECKS)
+
+
+def test_each_sampling_check_has_its_own_fixed_stream(monkeypatch):
+    # run every check of a Hermite config and record whose samples each one draws
+    drawn = []
+    samples = suite._SuiteContext.samples
+    monkeypatch.setattr(
+        suite._SuiteContext, "samples", lambda self, check, sets=1: drawn.append(check) or samples(self, check, sets)
+    )
+    ctx = suite._SuiteContext(_hermite_config(8, full_suite=True, seed=0))
+    callers = {}
+    for name, check in suite._CHECKS.items():
+        drawn.clear()
+        check(ctx)
+        if drawn:
+            callers[name] = set(drawn)
+    assert callers == {name: {name} for name in suite._STREAMS}
+    assert len(set(suite._STREAMS.values())) == len(suite._STREAMS)

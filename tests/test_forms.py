@@ -5,6 +5,7 @@ import pytest
 
 from rieszlab import (
     BiorthogonalSystem,
+    FrameOperators,
     build_frame_operators,
     build_system,
     frame_bounds,
@@ -15,13 +16,13 @@ from rieszlab import (
     verify_representation,
 )
 from rieszlab.errors import DimensionMismatch, InconsistentPrefix, NotPositive
-from rieszlab.forms import DEFAULT_TAIL_GRID
+from rieszlab.forms import TAIL_GRID
 from rieszlab.linalg import LinearMap
 from rieszlab.sampling import random_kets, stream_rng
 
 from helpers import random_conditioned_map
 
-GRID = DEFAULT_TAIL_GRID
+GRID = TAIL_GRID
 
 
 def pentadiagonal_x(dim):
@@ -110,9 +111,9 @@ def test_omega_dimension_guard():
 
 
 def test_representation_reference_basis():
-    family = onb(4)
-    k_sqrt = LinearMap(np.eye(4))
-    report = verify_representation(np.eye(4)[:, [0]], np.eye(4)[:, [2]], family, k_sqrt)
+    sys_ = BiorthogonalSystem(onb(4), onb(4))
+    ops = FrameOperators(k_phi=LinearMap(np.eye(4)), k_psi=LinearMap(np.eye(4)))
+    report = verify_representation(sys_, ops, np.eye(4)[:, [0]], np.eye(4)[:, [2]], 1e-9)
     assert report.passed and report.residual == 0.0
 
 
@@ -120,7 +121,7 @@ def test_representation_diagonal():
     sys_ = build_system(from_diagonal([1, 2, 3]))
     ops = build_frame_operators(sys_)
     e1 = np.eye(3)[:, 1]
-    report = verify_representation(e1[:, None], e1[:, None], sys_.phi, ops.k_phi_sqrt)
+    report = verify_representation(sys_, ops, e1[:, None], e1[:, None], 1e-9)
     assert report.passed
     # both routes give 4: Omega(e_1, e_1) = |<e_1, phi_1>|^2 and |K^(1/2) e_1|^2 = K_11
     assert omega(e1, e1, sys_.phi) == pytest.approx(4.0)
@@ -133,28 +134,32 @@ def test_representation_random_property():
     sys_ = build_system(t)
     ops = build_frame_operators(sys_)
     x, y = random_kets(16, 100, rng), random_kets(16, 100, rng)
-    for family, k_sqrt in ((sys_.phi, ops.k_phi_sqrt), (sys_.psi, ops.k_psi_sqrt)):
-        report = verify_representation(x, y, family, k_sqrt, tolerance=1e-9)
-        assert report.passed, report.residual
-        assert report.details["samples"] == 100
+    report = verify_representation(sys_, ops, x, y, 1e-9)
+    assert report.passed, report.residual
+    assert report.residual == max(report.details["phi_family"], report.details["psi_family"])
+    assert report.details["samples"] == 100
 
 
 def test_representation_detects_perturbed_root():
+    # a K_phi that is not the phi family's frame operator moves its root, and only the phi side
     rng = stream_rng(37)
     sys_ = build_system(random_conditioned_map(8, 10.0, rng))
-    k_sqrt = build_frame_operators(sys_).k_phi_sqrt.entries.copy()
-    k_sqrt[0, 0] *= 1.0 + 1e-6
+    ops = build_frame_operators(sys_)
+    k_phi = ops.k_phi.entries.copy()
+    k_phi[0, 0] *= 1.0 + 2e-6
+    perturbed = FrameOperators(k_phi=LinearMap(k_phi), k_psi=ops.k_psi)
     x, y = random_kets(8, 20, rng), random_kets(8, 20, rng)
-    report = verify_representation(x, y, sys_.phi, LinearMap(k_sqrt))
+    report = verify_representation(sys_, perturbed, x, y, 1e-9)
     assert not report.passed
+    assert report.details["psi_family"] <= 1e-9 < report.details["phi_family"]
     with pytest.raises(ValueError):
-        verify_representation(x[:, :0], y[:, :0], sys_.phi, LinearMap(k_sqrt))
+        verify_representation(sys_, perturbed, x[:, :0], y[:, :0], 1e-9)
 
 
 def test_quasi_basis_reference():
     family = onb(5)
     sys_ = BiorthogonalSystem(family, family)
-    report = quasi_basis_residual(sys_, np.eye(5)[:, [0, 1]], np.eye(5)[:, [0, 2]])
+    report = quasi_basis_residual(sys_, np.eye(5)[:, [0, 1]], np.eye(5)[:, [0, 2]], 1e-9)
     assert report.passed and report.residual == 0.0
 
 
@@ -163,7 +168,7 @@ def test_quasi_basis_constructed_property():
     t = random_conditioned_map(16, 100.0, rng)
     sys_ = build_system(t)
     x, y = random_kets(16, 100, rng), random_kets(16, 100, rng)
-    report = quasi_basis_residual(sys_, x, y, tolerance=1e-9)
+    report = quasi_basis_residual(sys_, x, y, 1e-9)
     assert report.passed, report.details
 
 
@@ -173,7 +178,7 @@ def test_quasi_basis_detects_corruption():
     psi[:, 0] = 0.0
     corrupted = BiorthogonalSystem(sys_.phi, psi)
     probe = sys_.phi[:, [0]] / np.linalg.norm(sys_.phi[:, 0]) ** 2
-    report = quasi_basis_residual(corrupted, probe, np.eye(3)[:, [0]])
+    report = quasi_basis_residual(corrupted, probe, np.eye(3)[:, [0]], 1e-9)
     assert not report.passed
     assert report.residual > 0.1
 
@@ -185,12 +190,12 @@ def test_quasi_basis_flags_last_column_of_wide_sample_set():
     psi[:, 0] = 0.0
     corrupted = BiorthogonalSystem(sys_.phi, psi)
     x = np.eye(3)[:, [1, 2, 1, 2, 0]]
-    report = quasi_basis_residual(corrupted, x, x)
+    report = quasi_basis_residual(corrupted, x, x, 1e-9)
     assert not report.passed
     assert report.details["phi_psi_order"] == pytest.approx(1.0)
     assert report.details["psi_phi_order"] == pytest.approx(1.0)
     assert report.details["samples"] == 5
-    assert quasi_basis_residual(corrupted, x[:, :-1], x[:, :-1]).passed
+    assert quasi_basis_residual(corrupted, x[:, :-1], x[:, :-1], 1e-9).passed
 
 
 def test_frame_bounds_reference_and_diagonal():
@@ -227,14 +232,14 @@ def tail_family(n):
 
 
 def test_tail_finitely_supported_is_convergent():
-    diag = tail_diagnostic(lambda n: np.eye(n)[:, 0], tail_family, grid=GRID)
+    diag = tail_diagnostic(lambda n: np.eye(n)[:, 0], tail_family)
     assert diag.classification == "convergent"
     # S_N is constant once the support (indices 0 and 2) is inside the truncation
     assert diag.partial_sums[-1] == pytest.approx(diag.partial_sums[0])
 
 
 def test_tail_harmonic_coefficients_diverge():
-    diag = tail_diagnostic(tail_x(lambda k: 1.0 / (k + 1.0)), tail_family, grid=GRID)
+    diag = tail_diagnostic(tail_x(lambda k: 1.0 / (k + 1.0)), tail_family)
     assert diag.classification == "divergent"
     assert diag.growth_exponent > 0.5
     # oracle: direct partial sums of |(X x)_k|^2 with the pentadiagonal entries
@@ -249,13 +254,13 @@ def test_tail_harmonic_coefficients_diverge():
 
 
 def test_tail_geometric_coefficients_converge():
-    diag = tail_diagnostic(tail_x(lambda k: 2.0**-k), tail_family, grid=GRID)
+    diag = tail_diagnostic(tail_x(lambda k: 2.0**-k), tail_family)
     assert diag.classification == "convergent"
 
 
 def test_tail_partial_sums_nondecreasing():
     for coeff in (lambda k: 1.0 / (k + 1.0), lambda k: 2.0**-k):
-        diag = tail_diagnostic(tail_x(coeff), tail_family, grid=GRID)
+        diag = tail_diagnostic(tail_x(coeff), tail_family)
         sums = np.asarray(diag.partial_sums)
         assert np.all(np.diff(sums) >= 0.0)
 
@@ -266,16 +271,7 @@ def test_tail_detects_inconsistent_prefix():
         return scale * pentadiagonal_x(n)
 
     with pytest.raises(InconsistentPrefix):
-        tail_diagnostic(tail_x(lambda k: 1.0 / (k + 1.0)), broken_family, grid=GRID)
-
-
-def test_tail_grid_validation():
-    with pytest.raises(ValueError):
-        tail_diagnostic(tail_x(lambda k: 1.0), tail_family, grid=(32, 16))
-    with pytest.raises(ValueError):
-        tail_diagnostic(tail_x(lambda k: 1.0), tail_family, grid=(64,))
-    with pytest.raises(ValueError):
-        tail_diagnostic(tail_x(lambda k: 1.0), tail_family, grid=(400, 512))
+        tail_diagnostic(tail_x(lambda k: 1.0 / (k + 1.0)), broken_family)
 
 
 def test_omega_of_x_with_itself_matches_the_two_product_formula():

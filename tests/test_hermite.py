@@ -10,7 +10,6 @@ from rieszlab import (
     LinearMap,
     build_frame_operators,
     build_system,
-    build_X,
     build_model,
     check_biorthogonality,
     invert,
@@ -18,6 +17,7 @@ from rieszlab import (
 )
 from rieszlab.errors import OracleMismatch
 from rieszlab.hermite import (
+    FORM_SAMPLES,
     gauss_hermite_rule,
     hermite_function_table,
     oracle_deviation,
@@ -93,12 +93,12 @@ def test_quadrature_rejects_unknown_multiplier():
 
 
 def test_build_x_smallest_truncation():
-    x = build_X(1)
+    x = LinearMap(tail_family(1))
     np.testing.assert_allclose(x.entries, [[1.5]], atol=1e-12)
 
 
 def test_build_x_entries_by_formula():
-    x = build_X(4)
+    x = LinearMap(tail_family(4))
     np.testing.assert_allclose(np.diag(x.entries).real, [1.5, 2.5, 3.5, 4.5], atol=0)
     np.testing.assert_allclose(
         np.diag(x.entries, k=2).real, [np.sqrt(2.0) / 2.0, np.sqrt(6.0) / 2.0], atol=0
@@ -109,7 +109,7 @@ def test_build_x_entries_by_formula():
 
 @pytest.mark.parametrize("dim", [8, 16, 32, 64])
 def test_build_x_spectrum_floor(dim):
-    lam = np.linalg.eigvalsh(build_X(dim).entries.real)
+    lam = np.linalg.eigvalsh(LinearMap(tail_family(dim)).entries.real)
     assert lam[0] >= 1.0  # 1 + x^2 >= 1 survives truncation
 
 
@@ -126,7 +126,7 @@ def test_oracle_gate_trips_on_corruption(monkeypatch):
 
 
 def test_oracle_deviation_measures_perturbation():
-    entries = build_X(8).entries.real.copy()
+    entries = LinearMap(tail_family(8)).entries.real.copy()
     assert oracle_deviation(entries, "one_plus_x2", 64) < 1e-9
     entries[0, 0] += 1e-6
     assert oracle_deviation(entries, "one_plus_x2", 64) > 1e-7
@@ -136,7 +136,7 @@ def test_build_model_metadata():
     model = build_model(16)
     assert model.oracle_residual <= 1e-9
     assert model.rational_convergence <= 1e-10
-    np.testing.assert_array_equal(model.X.entries, build_X(16).entries)
+    np.testing.assert_array_equal(model.X.entries, LinearMap(tail_family(16)).entries)
 
 
 def test_example_system_ground_state():
@@ -150,7 +150,7 @@ def test_example_system_ground_state():
 
 def test_example_system_biorthogonal_at_64():
     sys_ = example_system(64)
-    assert check_biorthogonality(sys_).residual < 1e-8  # holds on all indices, not just the interior
+    assert check_biorthogonality(sys_, 1e-8).residual < 1e-8  # holds on all indices, not just the interior
 
 
 def test_truncated_inverse_approaches_integral_operator():
@@ -158,7 +158,7 @@ def test_truncated_inverse_approaches_integral_operator():
     # the exact multiplication by 1/(1+x^2); agreement improves away from
     # the truncation edge and with growing dimension.
     for dim, block, bound in ((64, 16, 1e-5), (128, 32, 1e-6)):
-        x_inv = invert(build_X(dim)).entries.real
+        x_inv = invert(LinearMap(tail_family(dim))).entries.real
         integral = quadrature_gram(dim, "inv_one_plus_x2", max(4 * dim, 512))
         dev = np.abs(x_inv[:block, :block] - integral[:block, :block]).max()
         assert dev < bound, (dim, block, dev)
@@ -179,7 +179,7 @@ def test_interior_biorthogonality_against_quadrature():
 def test_verify_k_psi_interior_identities():
     model = build_model(64)
     sys_ = build_system(model.X)
-    report = verify_K_psi(model, sys_, build_frame_operators(sys_))
+    report = verify_K_psi(model, sys_, build_frame_operators(sys_), 32, 1e-6, 0)
     assert report.passed, report.details
     assert report.details["k_phi_vs_x_squared"] < 1e-8
     assert report.details["k_psi_vs_x_inverse_squared"] < 1e-6
@@ -195,16 +195,16 @@ def test_k_phi_vs_x_squared_sees_defects():
     model = build_model(32)
     sys_ = build_system(model.X)
     ops = build_frame_operators(sys_)
-    clean = verify_K_psi(model, sys_, ops, tolerance=1e-8)
+    clean = verify_K_psi(model, sys_, ops, 16, 1e-8, 0)
     assert clean.passed and 0.0 < clean.details["k_phi_vs_x_squared"] < 1e-13
     k_phi = ops.k_phi.entries.copy()
     k_phi[15, 15] *= 1.0 + 1e-6
-    report = verify_K_psi(model, sys_, FrameOperators(LinearMap(k_phi), ops.k_psi), tolerance=1e-8)
+    report = verify_K_psi(model, sys_, FrameOperators(LinearMap(k_phi), ops.k_psi), 16, 1e-8, 0)
     assert not report.passed and report.details["k_phi_vs_x_squared"] > 1e-7
     x = model.X.entries.copy()
     x[15, 15] *= 1.0 + 1e-6
     mutated = build_system(LinearMap(x))
-    report = verify_K_psi(model, mutated, build_frame_operators(mutated), tolerance=1e-8)
+    report = verify_K_psi(model, mutated, build_frame_operators(mutated), 16, 1e-8, 0)
     assert report.details["k_phi_vs_x_squared"] > 1e-7
 
 
@@ -214,11 +214,11 @@ def test_k_phi_block_stops_where_the_truncation_reaches():
     model = build_model(16)
     sys_ = build_system(model.X)
     ops = build_frame_operators(sys_)
-    clean = verify_K_psi(model, sys_, ops, margin=0, tolerance=1e-8)
+    clean = verify_K_psi(model, sys_, ops, 0, 1e-8, 0)
     assert clean.passed and clean.details["k_phi_vs_x_squared"] < 1e-13
     k_phi = ops.k_phi.entries.copy()
     k_phi[13, 13] *= 1.0 + 1e-6
-    report = verify_K_psi(model, sys_, FrameOperators(LinearMap(k_phi), ops.k_psi), margin=0, tolerance=1e-8)
+    report = verify_K_psi(model, sys_, FrameOperators(LinearMap(k_phi), ops.k_psi), 0, 1e-8, 0)
     assert not report.passed and report.details["k_phi_vs_x_squared"] > 1e-7
 
 
@@ -240,13 +240,13 @@ def test_verify_k_psi_draws_match_per_sample_loop(monkeypatch):
     seen = []
     omega = hermite_mod.omega
     monkeypatch.setattr(hermite_mod, "omega", lambda f, g, family: seen.append((f, g)) or omega(f, g, family))
-    report = verify_K_psi(model, sys_, build_frame_operators(sys_), margin=6, seed=3, samples=5)
+    report = verify_K_psi(model, sys_, build_frame_operators(sys_), 6, 1e-6, 3)
     assert report.passed, report.details
     ((f, g),) = seen
-    assert f.shape == g.shape == (16, 5)
+    assert f.shape == g.shape == (16, FORM_SAMPLES)
     # reference: one sample at a time, drawing Re f, Im f, Re g, Im g
     rng = np.random.default_rng(3)
-    for k in range(5):
+    for k in range(FORM_SAMPLES):
         expected_f = np.zeros(16, dtype=complex)
         expected_g = np.zeros(16, dtype=complex)
         expected_f[:10] = rng.standard_normal(10) + 1j * rng.standard_normal(10)
@@ -292,7 +292,7 @@ def test_build_model_shares_the_entry_rule(monkeypatch):
         once = quadrature_gram(dim, "inv_one_plus_x2", base)
         twice = quadrature_gram(dim, "inv_one_plus_x2", 2 * base)
         assert model.rational_convergence == float(np.abs(once - twice).max())
-        assert model.oracle_residual == oracle_deviation(build_X(dim).entries, "one_plus_x2", 4 * dim)
+        assert model.oracle_residual == oracle_deviation(LinearMap(tail_family(dim)).entries, "one_plus_x2", 4 * dim)
 
 
 def test_x_entry_formula():
@@ -366,9 +366,9 @@ def test_oracle_gate_trips_on_odd_parity_defect(monkeypatch):
     def defective(dim):
         entries = tail_family(dim)
         entries[0, 1] += 1e-6
-        return LinearMap(entries)
+        return entries
 
     assert build_model(8).oracle_residual <= hermite_mod.ORACLE_TOLERANCE
-    monkeypatch.setattr(hermite_mod, "build_X", defective)
+    monkeypatch.setattr(hermite_mod, "tail_family", defective)
     with pytest.raises(OracleMismatch):
         hermite_mod.build_model(8)

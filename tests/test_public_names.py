@@ -1,4 +1,4 @@
-"""Every public function and class of the package is used by the package itself."""
+"""Public names of the package: each is used by the package itself, and no function defaults its tolerance."""
 
 import ast
 from pathlib import Path
@@ -26,3 +26,17 @@ def test_no_public_name_is_used_only_by_tests():
             }
             used |= names - {getattr(statement, "name", None)}  # a definition's own body does not count
     assert sorted(public - used) == []
+
+
+def test_no_public_function_has_a_default_tolerance():
+    # every check takes the run's tolerance; a default would be a second, unused one
+    defaulted = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args.posonlyargs + node.args.args
+                named = dict(zip([a.arg for a in args[len(args) - len(node.args.defaults):]], node.args.defaults))
+                named.update({a.arg: d for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults) if d})
+                if "tolerance" in named:
+                    defaulted.append(f"{path.name}:{node.name}")
+    assert defaulted == []

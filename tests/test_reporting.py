@@ -6,7 +6,7 @@ import numpy as np
 
 from rieszlab import parse_config, run_suite
 from rieszlab.config import config_to_dict
-from rieszlab.reporting import report_as_dict
+from rieszlab.reporting import report_as_dict, worst
 from rieszlab.suite import emit_report
 
 
@@ -30,3 +30,11 @@ def test_emit_report_on_a_dense_complex_alpha_config_is_the_stdlib_bytes():
     assert emit_report(reports, fmt="json", config=config) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
     assert config["operator"]["entries"]["count"] == 256
     assert config["alpha"]["values"]["count"] == 16
+
+
+def test_worst_keeps_a_nan_wherever_it_stands():
+    # the builtin max returns its first argument when a later one is NaN
+    assert max(0.0, float("nan")) == 0.0
+    for values in ([0.0, float("nan")], [float("nan"), 0.0], [1.0, float("nan"), 2.0]):
+        assert np.isnan(worst(values))
+    assert worst([1e-3, 2.0, 0.5]) == 2.0

@@ -189,7 +189,7 @@ def test_hermite_full_suite_builds_each_tail_family_once(monkeypatch, tmp_path):
     monkeypatch.setattr(hermite, "tail_family", lambda dim: built.append(dim) or original(dim))
     out = tmp_path / "report.json"
     assert main(["example", "hermite", "--dim", "8", "--full-suite", "--out", str(out)]) == 0
-    assert sorted(built) == [8, *forms.DEFAULT_TAIL_GRID]
+    assert sorted(built) == [8, *forms.TAIL_GRID]
     ctx = suite._SuiteContext(_hermite_config(8, full_suite=True, seed=0))
     assert ctx.tail_family(16) is ctx.tail_family(16)
     assert not ctx.tail_family(16).flags.writeable

@@ -34,9 +34,14 @@ def diag_system(values=(1.0, 2.0, 3.0)):
     return build_system(from_diagonal(values))
 
 
+def onb_routes(sys_, ops):
+    """The two reconstructions K_phi^(1/2) psi and K_psi^(1/2) phi that reconstruct_onb compares."""
+    return ops.k_phi_sqrt.entries @ sys_.psi, ops.k_psi_sqrt.entries @ sys_.phi
+
+
 def test_build_system_identity():
     sys_ = build_system(LinearMap(np.eye(4)))
-    assert check_biorthogonality(sys_).residual == 0.0
+    assert check_biorthogonality(sys_, 1e-8).residual == 0.0
     for n in range(4):
         np.testing.assert_array_equal(sys_.phi[:, n], np.eye(4)[:, n])
         np.testing.assert_array_equal(sys_.psi[:, n], np.eye(4)[:, n])
@@ -62,7 +67,7 @@ def test_build_system_diagonal():
     sys_ = diag_system()
     np.testing.assert_allclose(sys_.phi, np.diag([1.0, 2.0, 3.0]), atol=0)
     np.testing.assert_allclose(sys_.psi, np.diag([1.0, 0.5, 1.0 / 3.0]), atol=1e-16)
-    assert check_biorthogonality(sys_).residual < 1e-15
+    assert check_biorthogonality(sys_, 1e-8).residual < 1e-15
 
 
 def test_build_system_rejects_singular():
@@ -71,12 +76,12 @@ def test_build_system_rejects_singular():
 
 
 def test_check_biorthogonality_passes_for_construction():
-    report = check_biorthogonality(diag_system())
+    report = check_biorthogonality(diag_system(), 1e-8)
     assert report.passed and report.residual < 1e-15
 
 
 def test_check_biorthogonality_reference_basis():
-    report = check_biorthogonality(BiorthogonalSystem(np.eye(3), np.eye(3)))
+    report = check_biorthogonality(BiorthogonalSystem(np.eye(3), np.eye(3)), 1e-8)
     assert report.passed and report.residual == 0.0
 
 
@@ -85,7 +90,7 @@ def test_check_biorthogonality_detects_scaling():
     phi = sys_.phi.copy()
     phi[:, 0] *= 2.0
     corrupted = BiorthogonalSystem(phi, sys_.psi)
-    report = check_biorthogonality(corrupted)
+    report = check_biorthogonality(corrupted, 1e-8)
     assert not report.passed
     assert report.residual == pytest.approx(1.0)
     assert (report.details["worst_row"], report.details["worst_col"]) == (0, 0)
@@ -126,7 +131,7 @@ def test_frame_operator_dimension_guard():
 
 def test_k_relations_diagonal():
     sys_ = diag_system()
-    report = verify_K_relations(sys_, build_frame_operators(sys_))
+    report = verify_K_relations(sys_, build_frame_operators(sys_), 1e-8, None)
     assert report.passed
     assert report.residual < 1e-14
     # K_phi psi_1 = diag(1,4,9) e_1 / 2 = 2 e_1 = phi_1, by hand
@@ -136,7 +141,7 @@ def test_k_relations_diagonal():
 
 def test_k_relations_identity_pair():
     sys_ = build_system(LinearMap(np.eye(5)))
-    report = verify_K_relations(sys_, build_frame_operators(sys_))
+    report = verify_K_relations(sys_, build_frame_operators(sys_), 1e-8, None)
     assert report.residual == 0.0
 
 
@@ -145,15 +150,17 @@ def test_k_product_identity_random():
     for dim in (8, 32, 64):
         t = random_conditioned_map(dim, 100.0, rng)
         sys_ = build_system(t)
-        report = verify_K_relations(sys_, build_frame_operators(sys_))
+        report = verify_K_relations(sys_, build_frame_operators(sys_), 1e-8, None)
         assert report.passed, report.details
         assert report.details["product_identity"] < 1e-8
 
 
 def test_reconstruct_onb_diagonal_recovers_reference():
     sys_ = diag_system()
-    e_from_psi, e_from_phi, report = reconstruct_onb(sys_, build_frame_operators(sys_))
+    ops = build_frame_operators(sys_)
+    report = reconstruct_onb(sys_, ops, 1e-9)
     assert report.passed
+    e_from_psi, e_from_phi = onb_routes(sys_, ops)
     np.testing.assert_allclose(e_from_psi, np.eye(3), atol=1e-14)
     np.testing.assert_allclose(e_from_phi, np.eye(3), atol=1e-14)
 
@@ -161,8 +168,9 @@ def test_reconstruct_onb_diagonal_recovers_reference():
 def test_reconstruct_onb_swap_operator():
     # the reconstructed basis is the unitary polar factor's image: {e_1, e_0}
     sys_ = build_system(LinearMap([[0, 2], [1, 0]]))
-    e_from_psi, _, report = reconstruct_onb(sys_, build_frame_operators(sys_))
-    assert report.passed
+    ops = build_frame_operators(sys_)
+    assert reconstruct_onb(sys_, ops, 1e-9).passed
+    e_from_psi, _ = onb_routes(sys_, ops)
     np.testing.assert_allclose(e_from_psi[:, 0], np.eye(2)[:, 1], atol=1e-14)
     np.testing.assert_allclose(e_from_psi[:, 1], np.eye(2)[:, 0], atol=1e-14)
 
@@ -172,8 +180,10 @@ def test_reconstruct_onb_equals_polar_image():
     for _ in range(5):
         t = random_conditioned_map(12, 40.0, rng)
         sys_ = build_system(t)
-        e_from_psi, e_from_phi, report = reconstruct_onb(sys_, build_frame_operators(sys_))
+        ops = build_frame_operators(sys_)
+        report = reconstruct_onb(sys_, ops, 1e-9)
         assert report.passed, report.details
+        e_from_psi, _ = onb_routes(sys_, ops)
         u = polar_decompose(t).unitary_part.entries
         np.testing.assert_allclose(e_from_psi, u, atol=1e-9)
         assert report.details["cross_agreement"] <= 1e-9
@@ -182,7 +192,7 @@ def test_reconstruct_onb_equals_polar_image():
 def test_clause_i3_diagonal_and_identity():
     for t in (from_diagonal([1, 2, 3]), LinearMap(np.eye(3))):
         sys_ = build_system(t)
-        report = verify_clause_i3(sys_, build_frame_operators(sys_), np.eye(3))
+        report = verify_clause_i3(sys_, build_frame_operators(sys_), np.eye(3), 1e-9)
         assert report.residual < 1e-14
 
 
@@ -191,14 +201,14 @@ def test_clause_i3_random_samples():
     t = random_conditioned_map(16, 100.0, rng)
     sys_ = build_system(t)
     samples = random_kets(16, 100, rng)
-    report = verify_clause_i3(sys_, build_frame_operators(sys_), samples, tolerance=1e-9)
+    report = verify_clause_i3(sys_, build_frame_operators(sys_), samples, 1e-9)
     assert report.passed
 
 
 def test_clause_i3_needs_samples():
     sys_ = diag_system()
     with pytest.raises(ValueError):
-        verify_clause_i3(sys_, build_frame_operators(sys_), np.zeros((3, 0)))
+        verify_clause_i3(sys_, build_frame_operators(sys_), np.zeros((3, 0)), 1e-9)
 
 
 def test_clause_i3_flags_last_column_of_wide_sample_set():
@@ -210,11 +220,11 @@ def test_clause_i3_flags_last_column_of_wide_sample_set():
     samples[:3, :3] = np.eye(3)
     samples[:, 4] = [1.0, -1.0, 2.0, 0.0]
     samples[3, 5] = 3.0
-    report = verify_clause_i3(sys_, ops, samples)
+    report = verify_clause_i3(sys_, ops, samples, 1e-9)
     assert not report.passed
     assert report.residual == pytest.approx(1.0)
     assert report.details["samples"] == 6
-    assert verify_clause_i3(sys_, ops, samples[:, :-1]).residual == 0.0
+    assert verify_clause_i3(sys_, ops, samples[:, :-1], 1e-9).residual == 0.0
 
 
 def polar_report(t):
@@ -298,7 +308,7 @@ def test_biorthogonality_random_property():
     for dim in (8, 32, 64):
         t = random_conditioned_map(dim, 100.0, rng)
         sys_ = build_system(t)
-        assert check_biorthogonality(sys_, tolerance=1e-8).passed
+        assert check_biorthogonality(sys_, 1e-8).passed
 
 
 def test_scaling_covariance():
@@ -308,7 +318,7 @@ def test_scaling_covariance():
     scaled = build_system(LinearMap(2.5 * t.entries))
     np.testing.assert_allclose(scaled.phi, 2.5 * sys_.phi, rtol=1e-12)
     np.testing.assert_allclose(scaled.psi, sys_.psi / 2.5, rtol=1e-11)
-    assert abs(check_biorthogonality(scaled).residual - check_biorthogonality(sys_).residual) < 1e-12
+    assert abs(check_biorthogonality(scaled, 1e-8).residual - check_biorthogonality(sys_, 1e-8).residual) < 1e-12
 
 
 def test_explicit_basis_pair():
@@ -318,7 +328,7 @@ def test_explicit_basis_pair():
     v = random_unitary(6, rng)
     t = random_conditioned_map(6, 20.0, rng)
     sys_ = build_system(LinearMap(t.entries @ v.entries))
-    assert check_biorthogonality(sys_).residual <= 1e-10
+    assert check_biorthogonality(sys_, 1e-8).residual <= 1e-10
     np.testing.assert_allclose(sys_.psi, invert(t).entries.conj().T @ v.entries, atol=1e-12)
 
 
@@ -334,10 +344,11 @@ def test_user_supplied_system_reconstruction():
     t = random_conditioned_map(10, 25.0, rng)
     constructed = build_system(t)
     supplied = BiorthogonalSystem(constructed.phi, constructed.psi)
-    assert check_biorthogonality(supplied).passed
+    assert check_biorthogonality(supplied, 1e-8).passed
     ops = build_frame_operators(supplied)
-    e_from_psi, e_from_phi, report = reconstruct_onb(supplied, ops)
+    report = reconstruct_onb(supplied, ops, 1e-9)
     assert report.passed, report.details
+    e_from_psi, e_from_phi = onb_routes(supplied, ops)
     np.testing.assert_allclose(ops.k_phi_sqrt.entries @ e_from_psi, supplied.phi, atol=1e-9)
     np.testing.assert_allclose(ops.k_psi_sqrt.entries @ e_from_phi, supplied.psi, atol=1e-9)
 
@@ -362,6 +373,6 @@ def test_k_relations_reuse_the_one_step_products_bit_for_bit(complex_t):
         "phi_roundtrip": worst(k_phi @ (k_psi @ phi), phi),
         "product_identity": float(np.linalg.norm(k_phi @ k_psi - np.eye(12)) / np.sqrt(12)),
     }
-    report = verify_K_relations(sys_, ops)
+    report = verify_K_relations(sys_, ops, 1e-8, None)
     assert list(report.details) == list(old)
     assert np.array_equal(list(report.details.values()), list(old.values()))
