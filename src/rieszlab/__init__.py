@@ -9,7 +9,6 @@ similarity, all realized as dense truncations with residual reports.
 from .config import RunConfig, default_checks, parse_config
 from .errors import (
     DimensionMismatch,
-    InconsistentPrefix,
     NotPositive,
     NumericallySingular,
     OracleMismatch,
@@ -32,7 +31,6 @@ from .hermite import (
 )
 from .linalg import (
     LinearMap,
-    PolarFactors,
     from_diagonal,
     invert,
     operator_sqrt,

@@ -29,10 +29,6 @@ class OracleMismatch(RieszlabError):
     """Closed-form matrix entries disagree with the quadrature oracle."""
 
 
-class InconsistentPrefix(RieszlabError):
-    """Truncation generators disagree on shared interior indices."""
-
-
 class WrongAlphaKind(RieszlabError):
     """The check is only defined for a specific eigenvalue-sequence kind."""
 

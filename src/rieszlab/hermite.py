@@ -231,7 +231,7 @@ def verify_K_psi(
     k_phi = ops.k_phi.entries
     k_psi = ops.k_psi.entries
     x2 = model.x_squared_gram
-    x_inv2 = x_inv.entries @ x_inv.entries
+    x_inv2 = x_inv @ x_inv
     blk = np.s_[:interior, :interior]
     exact = min(interior, dim - 2)
     phi_blk = np.s_[:exact, :exact]

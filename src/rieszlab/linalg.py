@@ -1,10 +1,11 @@
 """Dense real or complex linear algebra with certified structure flags.
 
-Everything downstream is an N x N matrix whose dtype follows the data: a
-LinearMap stores float64 when every entry is real (a complex input whose
-imaginary parts are all exactly 0 is stored as its real part) and
-complex128 otherwise, so real inputs run the real LAPACK/BLAS kernels and
-numpy's promotion decides every mixed product.  A LinearMap certifies
+A matrix is a read-only N x N ndarray.  A LinearMap wraps only the maps
+that are certified or factored: T and the frame operators.  It stores
+float64 when every entry is real (a complex input whose imaginary parts
+are all exactly 0 is stored as its real part) and complex128 otherwise,
+so real inputs run the real LAPACK/BLAS kernels; numpy's promotion
+decides every product formed from it.  A LinearMap certifies
 self-adjointness (by residual) on the first read of `self_adjoint` and
 positivity (by smallest eigenvalue) on the first read of `positive`, so
 callers can demand the structure they need instead of trusting whoever
@@ -12,12 +13,11 @@ built the matrix.  A map is factored at most once per kind: the
 positivity certificate's eigendecomposition gives `spectrum` and
 `operator_sqrt`, and one full SVD gives `cond_estimate`, `invert` and
 `polar_decompose`; `invert` caches its result on the map too.  The
-entries are read-only, so none of these cached values can go stale.
+entries and every matrix derived from them are read-only, so none of
+these cached values can go stale.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,7 @@ class LinearMap:
         self._eigh: tuple[np.ndarray, np.ndarray] | None = None
         self._cond: float | None = None
         self._svd: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._inverse: LinearMap | None = None
+        self._inverse: np.ndarray | None = None
 
     @property
     def self_adjoint(self) -> bool:
@@ -124,19 +124,17 @@ class LinearMap:
         return f"LinearMap(dim={self.dim}, dtype={self.entries.dtype}, {shown})"
 
 
-@dataclass(frozen=True)
-class PolarFactors:
-    """Factors of the left polar decomposition T = P U."""
-
-    unitary_part: LinearMap
-    positive_part: LinearMap
-
-
 def from_diagonal(values) -> LinearMap:
     return LinearMap(np.diag(np.asarray(values)))
 
 
-def operator_sqrt(a: LinearMap) -> LinearMap:
+def read_only(a: np.ndarray) -> np.ndarray:
+    """a itself, made read-only: the form of every matrix derived from a map."""
+    a.setflags(write=False)
+    return a
+
+
+def operator_sqrt(a: LinearMap) -> np.ndarray:
     """Positive square root of a certified positive map, from its certificate's eigendecomposition.
 
     Eigenvalues in [-POSITIVE_RTOL * lambda_max, 0] are clamped to zero
@@ -146,7 +144,7 @@ def operator_sqrt(a: LinearMap) -> LinearMap:
         raise NotPositive("operator_sqrt requires a certified positive map")
     w, v = a._eigh
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return LinearMap((root + root.conj().T) / 2.0)
+    return read_only((root + root.conj().T) / 2.0)
 
 
 def _svd(a: LinearMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -167,29 +165,23 @@ def _nonsingular_svd(a: LinearMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vh
 
 
-def invert(a: LinearMap) -> LinearMap:
+def invert(a: LinearMap) -> np.ndarray:
     """SVD-based inverse with a scale-invariant singularity floor.
 
-    The inverse is cached on `a`, so every caller shares it.  The
-    inverse's own condition estimate comes from the same SVD.
+    The read-only inverse is cached on `a`, so every caller shares it.
     """
     if a._inverse is None:
         u, s, vh = _nonsingular_svd(a)
-        out = LinearMap((vh.conj().T * (1.0 / s)) @ u.conj().T)
-        out._cond = float(s[0] / s[-1])
-        a._inverse = out
+        a._inverse = read_only((vh.conj().T * (1.0 / s)) @ u.conj().T)
     return a._inverse
 
 
-def polar_decompose(t: LinearMap) -> PolarFactors:
-    """Left polar decomposition T = P U with P = (T T*)^(1/2) and U unitary.
+def polar_decompose(t: LinearMap) -> tuple[np.ndarray, np.ndarray]:
+    """Left polar decomposition T = P U as the read-only (P, U), P = (T T*)^(1/2) and U unitary.
 
     The left convention makes the positive factor act on the rotated basis:
     P (U e_n) = T e_n, column by column.  It reads the SVD `invert` uses.
     """
     u, s, vh = _nonsingular_svd(t)
     pos = (u * s) @ u.conj().T
-    return PolarFactors(
-        unitary_part=LinearMap(u @ vh),
-        positive_part=LinearMap((pos + pos.conj().T) / 2.0),
-    )
+    return read_only((pos + pos.conj().T) / 2.0), read_only(u @ vh)

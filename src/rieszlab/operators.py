@@ -4,9 +4,10 @@ Given an eigenvalue sequence alpha and the invertible map T that
 constructs phi_n = T e_n, the diagonal Hamiltonian diag(alpha) and the
 shift operators A, B act on the reference basis; conjugating by T (for
 the phi family) or by (T*)^-1 (for the dual family) produces the
-non-self-adjoint counterparts.  The checks certify their eigenrelations,
-ladder actions, adjoint pairings, product identities, and the truncated
-canonical commutation relation.
+non-self-adjoint counterparts, each a read-only ndarray whose dtype
+follows numpy's promotion of T's entries and alpha.  The checks certify
+their eigenrelations, ladder actions, adjoint pairings, product
+identities, and the truncated canonical commutation relation.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, WrongAlphaKind
-from .linalg import LinearMap, invert, real_or_complex
+from .linalg import LinearMap, invert, read_only, real_or_complex
 from .reporting import CheckReport, make_report, worst
 from .systems import BiorthogonalSystem
 
@@ -101,21 +102,21 @@ def ladder_shifts(alpha: np.ndarray, dim: int) -> tuple[WeightedShift, WeightedS
     return WeightedShift(-1, lowering), WeightedShift(1, raising)
 
 
-def transform(op_e: WeightedShift, t: LinearMap, side: str) -> LinearMap:
+def transform(op_e: WeightedShift, t: LinearMap, side: str) -> np.ndarray:
     """Conjugate a reference-basis shift: T op T^-1 or (T*)^-1 op T*, one gemm each."""
     t_inv = invert(t)
     if side == "phi_psi":
-        return LinearMap(t.entries @ op_e @ t_inv.entries)
+        return read_only(t.entries @ op_e @ t_inv)
     if side == "psi_phi":
-        t_adj_inv = t_inv.entries.conj().T
-        return LinearMap(t_adj_inv @ op_e @ t.entries.conj().T)
+        t_adj_inv = t_inv.conj().T
+        return read_only(t_adj_inv @ op_e @ t.entries.conj().T)
     raise ValueError(f"unknown side {side!r}; expected 'phi_psi' or 'psi_phi'")
 
 
-def sum_form_hamiltonian(sys: BiorthogonalSystem, alpha: np.ndarray) -> LinearMap:
-    """sum_n alpha_n (outer product of phi_n with psi_n)."""
+def sum_form_hamiltonian(sys: BiorthogonalSystem, alpha: np.ndarray) -> np.ndarray:
+    """sum_n alpha_n (outer product of phi_n with psi_n), read-only."""
     v = _require_length(alpha, sys.dim)
-    return LinearMap((sys.phi * v) @ sys.psi.conj().T)
+    return read_only((sys.phi * v) @ sys.psi.conj().T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,12 +126,12 @@ class OperatorSet:
     h_e: WeightedShift
     a_e: WeightedShift
     b_e: WeightedShift
-    h_phi_psi: LinearMap
-    h_psi_phi: LinearMap
-    a_phi_psi: LinearMap
-    b_phi_psi: LinearMap
-    a_psi_phi: LinearMap
-    b_psi_phi: LinearMap
+    h_phi_psi: np.ndarray
+    h_psi_phi: np.ndarray
+    a_phi_psi: np.ndarray
+    b_phi_psi: np.ndarray
+    a_psi_phi: np.ndarray
+    b_psi_phi: np.ndarray
     alpha: np.ndarray
     t: LinearMap
 
@@ -168,7 +169,7 @@ def eigen_check(
     sel = slice(None) if indices is None else np.asarray(list(indices), dtype=int)
     details = {}
     for side, h, m in (("phi", opset.h_phi_psi, sys.phi), ("psi", opset.h_psi_phi, sys.psi)):
-        resid = np.linalg.norm(h.entries @ m - m * opset.alpha, axis=0)
+        resid = np.linalg.norm(h @ m - m * opset.alpha, axis=0)
         resid = resid / np.maximum(1.0, np.linalg.norm(m, axis=0))
         details[f"{side}_family"] = float(resid[sel].max())
     residual = worst(details.values())
@@ -190,8 +191,8 @@ def ladder_check(opset: OperatorSet, sys: BiorthogonalSystem, tolerance: float) 
         ("psi", opset.a_psi_phi, opset.b_psi_phi, sys.psi),
     ):
         norms = np.maximum(1.0, np.linalg.norm(m, axis=0))
-        low = a.entries @ m
-        high = b.entries @ m
+        low = a @ m
+        high = b @ m
         low_resid = np.linalg.norm(low[:, 1:] - m[:, :-1] * v[1:], axis=0) / norms[1:]
         high_resid = np.linalg.norm(high[:, :-1] - m[:, 1:] * v[1:], axis=0) / norms[:-1]
         details[f"{side}_lowering_ground"] = float(np.linalg.norm(low[:, 0]) / norms[0])
@@ -225,7 +226,7 @@ def adjoint_relation_check(opset: OperatorSet, tolerance: float) -> CheckReport:
         "b_psi_phi_adjoint": (opset.b_psi_phi, conj_set.a_phi_psi),
     }
     details = {
-        name: _rel_frobenius(lhs.entries.conj().T - rhs.entries, rhs.entries)
+        name: _rel_frobenius(lhs.conj().T - rhs, rhs)
         for name, (lhs, rhs) in pairs.items()
     }
     return make_report("adjoint_relations", worst(details.values()), tolerance, details=details)
@@ -352,7 +353,7 @@ def product_identity_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     set stays a few matrices.
     """
     t = opset.t.entries
-    t_inv = invert(opset.t).entries
+    t_inv = invert(opset.t)
 
     def rel(deviation: float, reference_norm: float, scale: float) -> float:
         return float(deviation / max(reference_norm, scale, 1e-300))
@@ -365,7 +366,7 @@ def product_identity_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     references = _reference_words(a_e, b_e, words)  # shared by both sides
     norms = {
         "phi": _side_deviations(
-            t, t_inv, references, (opset.a_phi_psi.entries, opset.b_phi_psi.entries), words
+            t, t_inv, references, (opset.a_phi_psi, opset.b_phi_psi), words
         )
     }
     t_adj = t.conj().T
@@ -374,12 +375,12 @@ def product_identity_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     mixed = rel(
         *_deviation(
             t_adj_inv @ a_e @ t_adj @ t @ b_e @ t_inv,
-            opset.a_psi_phi.entries @ opset.b_phi_psi.entries,
+            opset.a_psi_phi @ opset.b_phi_psi,
         ),
         conjugation**2 * a_norm * b_norm,
     )
     norms["psi"] = _side_deviations(
-        t_adj_inv, t_adj, references, (opset.a_psi_phi.entries, opset.b_psi_phi.entries), words
+        t_adj_inv, t_adj, references, (opset.a_psi_phi, opset.b_psi_phi), words
     )
     reports = []
     for m, l in PRODUCT_PAIRS:
@@ -425,8 +426,8 @@ def ccr_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     interior = float(np.abs(comm[: dim - 1] - expected[: dim - 1]).max())
     defect = float(np.abs(comm - expected).max())
     t = opset.t
-    at, bt = opset.a_phi_psi.entries, opset.b_phi_psi.entries
-    back = invert(t).entries @ (at @ bt - bt @ at) @ t.entries
+    at, bt = opset.a_phi_psi, opset.b_phi_psi
+    back = invert(t) @ (at @ bt - bt @ at) @ t.entries
     t_interior = float(np.abs(back[: dim - 1, : dim - 1] - np.eye(dim - 1)).max())
     t_tol = CCR_TRANSFORMED_RTOL * t.cond_estimate**2
     details = {
@@ -451,12 +452,12 @@ def domain_mapping_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     t = opset.t
     sides = {
         "phi_psi": (opset.h_phi_psi, t.entries),
-        "psi_phi": (opset.h_psi_phi, invert(t).entries.conj().T),
+        "psi_phi": (opset.h_psi_phi, invert(t).conj().T),
     }
     details = {}
     for side, (transformed, image) in sides.items():
         target = image @ opset.h_e
-        details[side] = _rel_frobenius(transformed.entries @ image - target, target)
+        details[side] = _rel_frobenius(transformed @ image - target, target)
     return make_report(
         "domain_mapping",
         worst(details.values()),

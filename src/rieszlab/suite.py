@@ -15,7 +15,6 @@ from .reporting import CheckReport, error_report, make_report, report_as_dict, w
 log = logging.getLogger("rieszlab")
 
 SAMPLE_COUNT = 100
-UNITARY_RTOL = 1e-10  # the polar check's gate on ||U* U - 1||_F / sqrt(N)
 # Each sampling check's random stream, fixed so that adding a check re-seeds no other.
 _STREAMS = {"clause_i3": 3, "frame_bounds": 7, "quasi_basis": 15, "representation": 16}
 
@@ -71,16 +70,6 @@ class _SuiteContext:
 
     def opset(self) -> operators.OperatorSet:
         return self._get("opset", lambda: operators.build_operator_set(self.operator(), build_alpha(self.cfg)))
-
-    def tail_family(self, dim: int) -> np.ndarray:
-        """The read-only Hermite growth family at truncation dim, built once per run."""
-
-        def build():
-            family = hermite.tail_family(dim)
-            family.setflags(write=False)
-            return family
-
-        return self._get(("tail_family", dim), build)
 
     def interior_indices(self):
         # Truncations of an infinite-dimensional operator are edge-polluted;
@@ -141,18 +130,12 @@ def _check_frame_bounds(ctx: _SuiteContext) -> CheckReport:
 
 def _check_polar(ctx: _SuiteContext) -> CheckReport:
     # T = P U: P U must reassemble T column by column, and U must be unitary.
-    # A Frobenius defect of U* U - 1 above UNITARY_RTOL * sqrt(N) raises, so
-    # the check fails as an error report whatever the tolerance.
+    # Both are read against the one tolerance.
     t_map = ctx.operator()
-    factors = polar_decompose(t_map)
-    u = factors.unitary_part.entries
-    deviation = u.conj().T @ u - np.eye(t_map.dim)
-    defect = np.linalg.norm(deviation)
-    if defect > UNITARY_RTOL * np.sqrt(t_map.dim):
-        raise ValueError(f"polar factor is not unitary (defect {defect:.3e})")
-    gram = float(np.abs(deviation).max())
+    positive, u = polar_decompose(t_map)
+    gram = float(np.abs(u.conj().T @ u - np.eye(t_map.dim)).max())
     t = t_map.entries
-    rebuilt = factors.positive_part.entries @ u
+    rebuilt = positive @ u
     norms = np.maximum(1.0, np.linalg.norm(t, axis=0))
     reassembly = float((np.linalg.norm(rebuilt - t, axis=0) / norms).max())
     return make_report(
@@ -173,8 +156,8 @@ def _check_hamiltonian_agreement(ctx: _SuiteContext) -> CheckReport:
     summed = operators.sum_form_hamiltonian(solved, ctx.opset().alpha)
     conjugated = ctx.opset().h_phi_psi
     residual = float(
-        np.linalg.norm(summed.entries - conjugated.entries)
-        / max(np.linalg.norm(conjugated.entries), 1e-300)
+        np.linalg.norm(summed - conjugated)
+        / max(np.linalg.norm(conjugated), 1e-300)
     )
     return make_report("hamiltonian_agreement", residual, ctx.cfg.tolerance)
 
@@ -217,9 +200,11 @@ def _check_hermite_oracle(ctx: _SuiteContext) -> CheckReport:
 
 def _check_frame_bound_growth(ctx: _SuiteContext) -> CheckReport:
     sizes = (16, 32, 64)
+    # X at a truncation n is the leading n x n block of X at the largest one
+    family = hermite.tail_family(sizes[-1])
     lower, upper = {}, {}
     for n in sizes:
-        k_phi = systems.frame_operator(ctx.tail_family(n))
+        k_phi = systems.frame_operator(family[:n, :n])
         lower[n], upper[n] = forms.frame_bounds(k_phi)
     ratio = upper[64] / upper[32]
     residual = worst([
@@ -238,13 +223,13 @@ def _check_frame_bound_growth(ctx: _SuiteContext) -> CheckReport:
 def _check_tail_dichotomy(ctx: _SuiteContext) -> CheckReport:
     verdicts = {}
     details: dict = {}
+    size = forms.TAIL_GRID[-1]
+    family = hermite.tail_family(size)
     for label, coeff in (
         ("harmonic", lambda n: 1.0 / (n + 1.0)),
         ("geometric", lambda n: 2.0**-n),
     ):
-        diag = forms.tail_diagnostic(
-            lambda n: hermite.tail_coefficient_vector(coeff, n), ctx.tail_family
-        )
+        diag = forms.tail_diagnostic(hermite.tail_coefficient_vector(coeff, size), family)
         verdicts[label] = diag.classification
         details[f"{label}_classification"] = diag.classification
         details[f"{label}_growth_exponent"] = diag.growth_exponent
@@ -281,7 +266,10 @@ def run_suite(cfg: RunConfig) -> list[CheckReport]:
     reports = []
     for name in sorted(cfg.checks):
         try:
-            report = _CHECKS[name](ctx)
+            # an overflow, invalid operation or division by zero raises
+            # FloatingPointError, so the check fails with that reason
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                report = _CHECKS[name](ctx)
         except Exception as exc:  # totality: surface as a failed report
             log.info("check %s raised %s: %s", name, type(exc).__name__, exc)
             report = error_report(name, exc, ctx.cfg.tolerance)

@@ -72,17 +72,17 @@ class FrameOperators:
     k_psi: LinearMap
 
     @cached_property
-    def k_phi_sqrt(self) -> LinearMap:
+    def k_phi_sqrt(self) -> np.ndarray:
         return operator_sqrt(self.k_phi)
 
     @cached_property
-    def k_psi_sqrt(self) -> LinearMap:
+    def k_psi_sqrt(self) -> np.ndarray:
         return operator_sqrt(self.k_psi)
 
 
 def build_system(t: LinearMap) -> BiorthogonalSystem:
     """phi_n = T e_n and psi_n = (T^-1)* e_n; phi is T's own read-only entries."""
-    return BiorthogonalSystem(phi=t.entries, psi=invert(t).entries.conj().T)
+    return BiorthogonalSystem(phi=t.entries, psi=invert(t).conj().T)
 
 
 def check_biorthogonality(sys: BiorthogonalSystem, tolerance: float) -> CheckReport:
@@ -147,8 +147,8 @@ def reconstruct_onb(sys: BiorthogonalSystem, ops: FrameOperators, tolerance: flo
 
     Each route must give an orthonormal family, and the two must agree.
     """
-    e_from_psi = ops.k_phi_sqrt.entries @ sys.psi
-    e_from_phi = ops.k_psi_sqrt.entries @ sys.phi
+    e_from_psi = ops.k_phi_sqrt @ sys.psi
+    e_from_phi = ops.k_psi_sqrt @ sys.phi
     eye = np.eye(sys.dim)
     details = {
         "gram_from_psi": float(np.abs(e_from_psi.conj().T @ e_from_psi - eye).max()),
@@ -167,7 +167,7 @@ def verify_clause_i3(
     """Residual of (K_phi^(1/2))* K_psi^(1/2) x = x over the sample columns; zero columns are skipped."""
     if np.ndim(samples) != 2 or np.shape(samples)[1] == 0:
         raise ValueError("clause (i)3 check needs a nonempty (N, count) sample set")
-    r = ops.k_phi_sqrt.entries.conj().T @ ops.k_psi_sqrt.entries
+    r = ops.k_phi_sqrt.conj().T @ ops.k_psi_sqrt
     norms = np.linalg.norm(samples, axis=0)
     nonzero = norms > 0.0
     resid = np.linalg.norm(r @ samples - samples, axis=0)[nonzero] / norms[nonzero]

@@ -31,7 +31,7 @@ from rieszlab import (
     verify_clause_i3,
 )
 from rieszlab.cli import main
-from rieszlab.forms import frame_bounds
+from rieszlab.forms import TAIL_GRID, frame_bounds
 from rieszlab.hermite import tail_coefficient_vector, tail_family
 from rieszlab.sampling import random_kets, stream_rng
 from rieszlab.systems import frame_operator
@@ -80,7 +80,7 @@ def test_criterion_02_representation_identity():
     worst = 0.0
     for _ in range(4):
         sys_ = build_system(random_conditioned_map(16, 100.0, rng))
-        k_sqrt = build_frame_operators(sys_).k_phi_sqrt.entries
+        k_sqrt = build_frame_operators(sys_).k_phi_sqrt
         x, y = random_kets(16, 25, rng), random_kets(16, 25, rng)
         lhs = omega(x, y, sys_.phi)
         rhs = np.sum(np.conj(k_sqrt @ x) * (k_sqrt @ y), axis=0)
@@ -106,8 +106,8 @@ def test_criterion_04_onb_reconstruction():
     for name, sys_ in _systems_under_test().items():
         ops = build_frame_operators(sys_)
         report = reconstruct_onb(sys_, ops, 1e-9)
-        e_from_psi = ops.k_phi_sqrt.entries @ sys_.psi
-        e_from_phi = ops.k_psi_sqrt.entries @ sys_.phi
+        e_from_psi = ops.k_phi_sqrt @ sys_.psi
+        e_from_phi = ops.k_psi_sqrt @ sys_.phi
         entrywise = np.abs(e_from_psi - e_from_phi).max()
         worst_entry = max(worst_entry, entrywise)
         worst_gram = max(worst_gram, report.details["gram_from_psi"], report.details["gram_from_phi"])
@@ -144,8 +144,7 @@ def test_criterion_06_hamiltonian_agreement():
         conjugated = opset.h_phi_psi
         worst_diff = max(
             worst_diff,
-            np.linalg.norm(summed.entries - conjugated.entries)
-            / np.linalg.norm(conjugated.entries),
+            np.linalg.norm(summed - conjugated) / np.linalg.norm(conjugated),
         )
         report = eigen_check(opset, sys_, 1e-8, None)
         worst_eigen = max(worst_eigen, report.residual / report.tolerance)
@@ -220,9 +219,8 @@ def test_criterion_10_polar_normalization():
     for _ in range(100):
         # T = P U: P acts on the rotated orthonormal basis f_n = U e_n
         t = random_conditioned_map(16, 100.0, rng)
-        factors = polar_decompose(t)
-        f_basis = factors.unitary_part.entries
-        rebuilt = factors.positive_part.entries @ f_basis
+        positive, f_basis = polar_decompose(t)
+        rebuilt = positive @ f_basis
         worst_reassembly = max(
             worst_reassembly,
             np.linalg.norm(rebuilt - t.entries) / np.linalg.norm(t.entries),
@@ -276,14 +274,10 @@ def test_criterion_12_frame_bound_growth():
 
 
 def test_criterion_13_tail_dichotomy():
-    harmonic = tail_diagnostic(
-        lambda n: tail_coefficient_vector(lambda k: 1.0 / (k + 1.0), n),
-        tail_family,
-    )
-    geometric = tail_diagnostic(
-        lambda n: tail_coefficient_vector(lambda k: 2.0**-k, n),
-        tail_family,
-    )
+    size = TAIL_GRID[-1]
+    family = tail_family(size)
+    harmonic = tail_diagnostic(tail_coefficient_vector(lambda k: 1.0 / (k + 1.0), size), family)
+    geometric = tail_diagnostic(tail_coefficient_vector(lambda k: 2.0**-k, size), family)
     ok = harmonic.classification == "divergent" and geometric.classification == "convergent"
     _verdict(
         13,

@@ -2,15 +2,20 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from rieszlab import cli, parse_config, run_suite, suite
 from rieszlab.cli import _hermite_config, main
 from rieszlab.config import DIMENSION_LIMIT, KNOWN_CHECKS, config_to_dict
 from rieszlab.hermite import MAX_DIMENSION
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -292,21 +297,46 @@ def test_cli_rejects_dimension_past_the_working_set_limit(tmp_path, capsys, dime
     assert peak < 2**20, peak
 
 
+# alpha = 1e300 overflows the products of four checks
+OVERFLOW_PAYLOAD = {
+    "dimension": 4,
+    "operator": {"kind": "diagonal", "values": [1, 2, 3, 4]},
+    "alpha": {"kind": "custom", "values": [1e300, 1e300, 1e300, 1e300]},
+}
+
+
 def test_a_nan_detail_fails_its_check_and_the_run(tmp_path):
-    # alpha = 1e300 makes the mixed product identity NaN; the residual is the
-    # worst part, so it reads nan, the check fails, and the run exits 1
-    payload = {
-        "dimension": 4,
-        "operator": {"kind": "diagonal", "values": [1, 2, 3, 4]},
-        "alpha": {"kind": "custom", "values": [1e300, 1e300, 1e300, 1e300]},
-        "checks": ["product_identities"],
-    }
+    # An overflow raises inside the check, so it fails as an error report that
+    # names it, and the run exits 1.  Without that, three of the four passed
+    # with residual 0 against reference norms that had overflowed to inf.
     out = tmp_path / "report.json"
-    with np.errstate(all="ignore"):
-        assert main(["run", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 1
-    (report,) = json.loads(out.read_text(encoding="utf-8"))["reports"]
-    assert report["details"]["mixed"] == "nan"
-    assert report["residual"] == "nan" and report["pass"] is False
+    assert main(["run", "--config", str(write_config(tmp_path, OVERFLOW_PAYLOAD)), "--out", str(out)]) == 1
+    reports = {r["name"]: r for r in json.loads(out.read_text(encoding="utf-8"))["reports"]}
+    raised = {name for name, r in reports.items() if not r["pass"]}
+    assert raised == {"adjoint_relations", "domain_mapping", "hamiltonian_agreement", "product_identities"}
+    for name in raised:
+        assert reports[name]["residual"] == "inf"
+        assert reports[name]["details"] == {"error": "FloatingPointError", "message": "overflow encountered in dot"}
+
+
+def test_runs_print_nothing_to_stderr(tmp_path):
+    # each run in a fresh interpreter, where no warning filter of the test
+    # session can hide what the command prints
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+        "RIESZLAB_LOG": "error",
+    }
+    overflow = write_config(tmp_path, OVERFLOW_PAYLOAD)
+    for argv, code in (
+        (["example", "hermite", "--dim", "8", "--full-suite"], 0),
+        (["run", "--config", str(overflow)], 1),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "rieszlab.cli", *argv, "--out", str(tmp_path / "report")],
+            env=env, capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stderr) == (code, ""), argv
 
 
 def test_the_check_registry_names_every_known_check():

@@ -15,7 +15,7 @@ from rieszlab import (
     tail_diagnostic,
     verify_representation,
 )
-from rieszlab.errors import DimensionMismatch, InconsistentPrefix, NotPositive
+from rieszlab.errors import DimensionMismatch, NotPositive
 from rieszlab.forms import TAIL_GRID
 from rieszlab.linalg import LinearMap
 from rieszlab.sampling import random_kets, stream_rng
@@ -224,22 +224,23 @@ def test_frame_bounds_sandwich():
 
 
 def tail_x(coeff):
-    return lambda n: np.array([coeff(k) for k in range(n)], dtype=complex)
+    """The first GRID[-1] coefficients, where the tail diagnostic takes its vector."""
+    return np.array([coeff(k) for k in range(GRID[-1])], dtype=complex)
 
 
-def tail_family(n):
-    return hermite_phi_family(n)
+def tail_family():
+    return hermite_phi_family(GRID[-1])
 
 
 def test_tail_finitely_supported_is_convergent():
-    diag = tail_diagnostic(lambda n: np.eye(n)[:, 0], tail_family)
+    diag = tail_diagnostic(np.eye(GRID[-1])[:, 0], tail_family())
     assert diag.classification == "convergent"
     # S_N is constant once the support (indices 0 and 2) is inside the truncation
     assert diag.partial_sums[-1] == pytest.approx(diag.partial_sums[0])
 
 
 def test_tail_harmonic_coefficients_diverge():
-    diag = tail_diagnostic(tail_x(lambda k: 1.0 / (k + 1.0)), tail_family)
+    diag = tail_diagnostic(tail_x(lambda k: 1.0 / (k + 1.0)), tail_family())
     assert diag.classification == "divergent"
     assert diag.growth_exponent > 0.5
     # oracle: direct partial sums of |(X x)_k|^2 with the pentadiagonal entries
@@ -254,24 +255,15 @@ def test_tail_harmonic_coefficients_diverge():
 
 
 def test_tail_geometric_coefficients_converge():
-    diag = tail_diagnostic(tail_x(lambda k: 2.0**-k), tail_family)
+    diag = tail_diagnostic(tail_x(lambda k: 2.0**-k), tail_family())
     assert diag.classification == "convergent"
 
 
 def test_tail_partial_sums_nondecreasing():
     for coeff in (lambda k: 1.0 / (k + 1.0), lambda k: 2.0**-k):
-        diag = tail_diagnostic(tail_x(coeff), tail_family)
+        diag = tail_diagnostic(tail_x(coeff), tail_family())
         sums = np.asarray(diag.partial_sums)
         assert np.all(np.diff(sums) >= 0.0)
-
-
-def test_tail_detects_inconsistent_prefix():
-    def broken_family(n):
-        scale = 1.0 if n <= 64 else 2.0  # interior values jump between truncations
-        return scale * pentadiagonal_x(n)
-
-    with pytest.raises(InconsistentPrefix):
-        tail_diagnostic(tail_x(lambda k: 1.0 / (k + 1.0)), broken_family)
 
 
 def test_omega_of_x_with_itself_matches_the_two_product_formula():
@@ -283,3 +275,10 @@ def test_omega_of_x_with_itself_matches_the_two_product_formula():
     old = np.sum(np.conj(adj @ x) * (adj @ x), axis=0)
     assert np.array_equal(omega(x, x, phi), old)
     assert np.array_equal(omega(x, x.copy(), phi), old)
+
+
+def test_tail_rejects_a_vector_or_family_below_the_largest_truncation():
+    with pytest.raises(DimensionMismatch):
+        tail_diagnostic(tail_x(lambda k: 1.0)[: GRID[-2]], tail_family())
+    with pytest.raises(DimensionMismatch):
+        tail_diagnostic(tail_x(lambda k: 1.0), hermite_phi_family(GRID[-2]))

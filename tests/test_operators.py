@@ -94,16 +94,16 @@ def test_ladder_actions_on_reference_basis():
 
 def test_transform_identity_and_diagonal():
     h = hamiltonian_shift(np.array([1.0, 2.0]), 2)
-    np.testing.assert_allclose(transform(h, LinearMap(np.eye(2)), "phi_psi").entries, dense(h).entries, atol=0)
+    np.testing.assert_allclose(transform(h, LinearMap(np.eye(2)), "phi_psi"), dense(h).entries, atol=0)
     h3 = hamiltonian_shift(np.array([1.0, 2.0, 3.0]), 3)
     t3 = from_diagonal([1, 2, 3])
-    np.testing.assert_allclose(transform(h3, t3, "phi_psi").entries, dense(h3).entries, atol=1e-15)
+    np.testing.assert_allclose(transform(h3, t3, "phi_psi"), dense(h3).entries, atol=1e-15)
 
 
 def test_transform_unipotent_by_hand():
     h = hamiltonian_shift(np.array([1.0, 2.0]), 2)
     t = LinearMap([[1, 1], [0, 1]])
-    np.testing.assert_allclose(transform(h, t, "phi_psi").entries, [[1, 1], [0, 2]], atol=1e-14)
+    np.testing.assert_allclose(transform(h, t, "phi_psi"), [[1, 1], [0, 2]], atol=1e-14)
 
 
 def test_transform_rejects_unknown_side():
@@ -114,7 +114,7 @@ def test_transform_rejects_unknown_side():
 def test_sum_form_reference_basis():
     sys_ = build_system(LinearMap(np.eye(3)))
     h = sum_form_hamiltonian(sys_, np.array([1.0, 2.0, 3.0]))
-    np.testing.assert_allclose(h.entries, np.diag([1.0, 2.0, 3.0]), atol=0)
+    np.testing.assert_allclose(h, np.diag([1.0, 2.0, 3.0]), atol=0)
 
 
 def test_sum_form_agrees_with_transform():
@@ -122,15 +122,15 @@ def test_sum_form_agrees_with_transform():
     alpha = np.array([1.0, 2.0])
     sys_ = build_system(t)
     summed = sum_form_hamiltonian(sys_, alpha)
-    np.testing.assert_allclose(summed.entries, [[1, 1], [0, 2]], atol=1e-13)
+    np.testing.assert_allclose(summed, [[1, 1], [0, 2]], atol=1e-13)
     conjugated = transform(hamiltonian_shift(alpha, 2), t, "phi_psi")
-    np.testing.assert_allclose(summed.entries, conjugated.entries, atol=1e-13)
+    np.testing.assert_allclose(summed, conjugated, atol=1e-13)
 
 
 def test_sum_form_zero_alpha():
     sys_ = build_system(from_diagonal([1, 2]))
     h = sum_form_hamiltonian(sys_, np.array([0.0, 0.0]))
-    np.testing.assert_array_equal(h.entries, np.zeros((2, 2)))
+    np.testing.assert_array_equal(h, np.zeros((2, 2)))
 
 
 def test_sum_form_agreement_random_property():
@@ -142,8 +142,8 @@ def test_sum_form_agreement_random_property():
             alpha = kind(dim)
             summed = sum_form_hamiltonian(sys_, alpha)
             conjugated = transform(hamiltonian_shift(alpha, dim), t, "phi_psi")
-            err = np.linalg.norm(summed.entries - conjugated.entries)
-            assert err <= 1e-9 * np.linalg.norm(conjugated.entries)
+            err = np.linalg.norm(summed - conjugated)
+            assert err <= 1e-9 * np.linalg.norm(conjugated)
 
 
 def test_eigen_check_diagonal_and_unipotent():
@@ -155,7 +155,7 @@ def test_eigen_check_diagonal_and_unipotent():
     sys_ = build_system(t)
     opset = build_operator_set(t, alpha)
     h = opset.h_phi_psi
-    np.testing.assert_allclose(h.entries @ sys_.phi[:, 1], 2.0 * sys_.phi[:, 1], atol=1e-14)
+    np.testing.assert_allclose(h @ sys_.phi[:, 1], 2.0 * sys_.phi[:, 1], atol=1e-14)
     report = eigen_check(opset, sys_, 1e-8, None)
     assert report.passed and report.residual < 1e-14
     assert report.tolerance == 1e-8 * t.cond_estimate and report.details["cond"] == t.cond_estimate
@@ -184,7 +184,7 @@ def test_ladder_check_diagonal_pair():
     opset = build_operator_set(t, alpha)
     # A phi_2 = 2 phi_1 = (0, 4, 0), by hand
     np.testing.assert_allclose(
-        opset.a_phi_psi.entries @ sys_.phi[:, 2], [0.0, 4.0, 0.0], atol=1e-13
+        opset.a_phi_psi @ sys_.phi[:, 2], [0.0, 4.0, 0.0], atol=1e-13
     )
     report = ladder_check(opset, sys_, 1e-9)
     assert report.passed and report.residual < 1e-13
@@ -193,9 +193,9 @@ def test_ladder_check_diagonal_pair():
 def test_ladder_check_detects_perturbation():
     dim = 4
     opset = reference_opset(np.sqrt(np.arange(dim)))
-    bad = opset.a_phi_psi.entries.copy()
+    bad = opset.a_phi_psi.copy()
     bad[0, 1] += 1e-3
-    mutated = dataclasses.replace(opset, a_phi_psi=LinearMap(bad))
+    mutated = dataclasses.replace(opset, a_phi_psi=bad)
     report = ladder_check(mutated, build_system(LinearMap(np.eye(dim))), 1e-9)
     assert not report.passed
     assert report.residual == pytest.approx(1e-3, rel=1e-6)
@@ -242,7 +242,7 @@ def test_product_identity_mixed_positive_constructor():
     opset = build_operator_set(t, alpha)
     t_inv = np.diag([1.0, 0.5, 1.0 / 3.0])
     expected = t_inv @ dense(opset.a_e).entries @ t.entries @ t.entries @ dense(opset.b_e).entries @ t_inv
-    actual = opset.a_psi_phi.entries @ opset.b_phi_psi.entries
+    actual = opset.a_psi_phi @ opset.b_phi_psi
     assert np.linalg.norm(actual - expected) <= 1e-12 * np.linalg.norm(expected)
     report = product_check(opset, [(1, 1)])
     assert report.details["mixed"] < 1e-12
@@ -268,16 +268,16 @@ def test_perturbed_ladder_entry_fails_shared_checks():
     assert adjoint_relation_check(opset, 1e-9).passed
     assert ccr_check(opset, 1e-12).passed
     assert domain_mapping_check(opset, 1e-9).passed
-    a = opset.a_phi_psi.entries.copy()
+    a = opset.a_phi_psi.copy()
     k = np.unravel_index(np.argmax(np.abs(a)), a.shape)
     a[k] *= 1.0 + 1e-6
-    mutated = dataclasses.replace(opset, a_phi_psi=LinearMap(a))
+    mutated = dataclasses.replace(opset, a_phi_psi=a)
     assert not product_check(mutated, [(1, 1)]).passed
     assert not adjoint_relation_check(mutated, 1e-9).passed
     assert not ccr_check(mutated, 1e-12).passed
-    h = opset.h_psi_phi.entries.copy()
+    h = opset.h_psi_phi.copy()
     h[np.unravel_index(np.argmax(np.abs(h)), h.shape)] *= 1.0 + 1e-6
-    assert not domain_mapping_check(dataclasses.replace(opset, h_psi_phi=LinearMap(h)), 1e-9).passed
+    assert not domain_mapping_check(dataclasses.replace(opset, h_psi_phi=h), 1e-9).passed
 
 
 def test_product_identity_reports_worst_pair():
@@ -306,7 +306,7 @@ def test_a_nan_pair_is_the_worst_pair():
 def parent_product_identity_check(opset, pairs, tolerance=1e-10):
     """The algorithm product_identity_check replaced: every chain through matrix_power, per pair."""
     t = opset.t.entries
-    t_inv = invert(opset.t).entries
+    t_inv = invert(opset.t)
     t_adj = t.conj().T
     t_adj_inv = t_inv.conj().T
     a_e, b_e = dense(opset.a_e).entries, dense(opset.b_e).entries
@@ -321,7 +321,7 @@ def parent_product_identity_check(opset, pairs, tolerance=1e-10):
     conjugation = np.linalg.norm(t) * np.linalg.norm(t_inv)
     a_norm, b_norm = np.linalg.norm(a_e), np.linalg.norm(b_e)
     mixed = rel(
-        opset.a_psi_phi.entries @ opset.b_phi_psi.entries,
+        opset.a_psi_phi @ opset.b_phi_psi,
         t_adj_inv @ a_e @ t_adj @ t @ b_e @ t_inv,
         conjugation**2 * a_norm * b_norm,
     )
@@ -329,8 +329,8 @@ def parent_product_identity_check(opset, pairs, tolerance=1e-10):
     for m, l in pairs:
         plain_scale = conjugation * a_norm**m * b_norm**l
         ab_e, ba_e = chain(a_e, m, b_e, l), chain(b_e, m, a_e, l)
-        ap, bp = opset.a_phi_psi.entries, opset.b_phi_psi.entries
-        aq, bq = opset.a_psi_phi.entries, opset.b_psi_phi.entries
+        ap, bp = opset.a_phi_psi, opset.b_phi_psi
+        aq, bq = opset.a_psi_phi, opset.b_psi_phi
         details = {
             "phi_ab": rel(chain(ap, m, bp, l), t @ ab_e @ t_inv, plain_scale),
             "phi_ba": rel(chain(bp, m, ap, l), t @ ba_e @ t_inv, plain_scale),
@@ -381,7 +381,7 @@ def test_product_identity_matches_parent_algorithm_bit_for_bit(pairs):
 
 def parent_transform(op_e, t, side):
     """The two-product transform build_operator_set replaced: T op T^-1 or (T*)^-1 op T* as gemms."""
-    t_inv = invert(t).entries
+    t_inv = invert(t)
     if side == "phi_psi":
         return t.entries @ dense(op_e).entries @ t_inv
     return t_inv.conj().T @ dense(op_e).entries @ t.entries.conj().T
@@ -400,11 +400,11 @@ def test_operator_set_matches_parent_transform():
             ("b_psi_phi", opset.b_e, "psi_phi"),
         ):
             expected = parent_transform(op_e, opset.t, side)
-            actual = getattr(opset, field).entries
+            actual = getattr(opset, field)
             if np.isrealobj(opset.alpha):
                 np.testing.assert_array_equal(actual, expected, err_msg=f"{name} {field}")
             else:
-                scale = np.linalg.norm(opset.t.entries) * np.linalg.norm(invert(opset.t).entries)
+                scale = np.linalg.norm(opset.t.entries) * np.linalg.norm(invert(opset.t))
                 scale *= np.abs(opset.alpha).max()
                 assert np.abs(actual - expected).max() <= 4 * np.finfo(float).eps * scale, (name, field)
 
@@ -438,7 +438,7 @@ def test_real_operator_set_matches_complex_arithmetic():
         ):
             w = dense(op_e).entries.astype(np.complex128)
             expected = t @ w @ t_inv if side == "phi_psi" else t_inv.conj().T @ w @ t.conj().T
-            actual = getattr(opset, field).entries
+            actual = getattr(opset, field)
             assert actual.dtype == np.float64, (name, field)
             assert np.abs(actual - expected).max() <= 4 * np.finfo(float).eps * scale, (name, field)
 
@@ -466,9 +466,9 @@ def test_product_identity_defect_shows_on_its_own_side_and_in_both_orders():
     # ladder must reach both orders and leave the phi side and mixed alone.
     rng = stream_rng(48)
     opset = build_operator_set(random_conditioned_map(8, 10.0, rng), np.sqrt(np.arange(8)))
-    b = opset.b_psi_phi.entries.copy()
+    b = opset.b_psi_phi.copy()
     b[np.unravel_index(np.argmax(np.abs(b)), b.shape)] *= 1.0 + 1e-6
-    mutated = dataclasses.replace(opset, b_psi_phi=LinearMap(b))
+    mutated = dataclasses.replace(opset, b_psi_phi=b)
     for pair, changed in (((0, 2), "psi_ab"), ((2, 0), "psi_ba"), ((1, 1), None)):
         clean = product_check(opset, [pair]).details
         defect = product_check(mutated, [pair]).details
@@ -566,7 +566,7 @@ def test_operator_set_spectrum_preserved():
     t = random_conditioned_map(12, 60.0, rng)
     alpha = np.arange(12)
     opset = build_operator_set(t, alpha)
-    spectrum = np.sort(np.linalg.eigvals(opset.h_phi_psi.entries).real)
+    spectrum = np.sort(np.linalg.eigvals(opset.h_phi_psi).real)
     np.testing.assert_allclose(spectrum, np.arange(12, dtype=float), atol=1e-7 * t.cond_estimate)
 
 

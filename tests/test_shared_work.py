@@ -4,8 +4,20 @@ import json
 import sys
 
 import numpy as np
+import pytest
 
-from rieszlab import LinearMap, forms, hermite, invert, operators, parse_config, run_suite, suite, systems
+from rieszlab import (
+    LinearMap,
+    forms,
+    hermite,
+    invert,
+    operators,
+    parse_config,
+    polar_decompose,
+    run_suite,
+    suite,
+    systems,
+)
 from rieszlab.cli import _hermite_config, main
 from rieszlab.config import config_to_dict
 from rieszlab.sampling import stream_rng
@@ -77,10 +89,10 @@ def test_hermite_full_suite_shares_factorizations(monkeypatch):
     # K_phi and K_psi once each, certificate and square root from one
     # eigendecomposition, plus one per growth size (16, 32, 64)
     assert counts["eigh"] == 5
-    # X, T^-1, K_phi and K_psi with their square roots, the polar factors, the
-    # six transformed operators, the sum-form Hamiltonian, and one frame
-    # operator per growth size: no map is copied to be read
-    assert counts["LinearMap"] == 18
+    # only the maps that are certified or factored: X, which is T, K_phi and
+    # K_psi, and one frame operator per growth size; every other matrix is
+    # a read-only array
+    assert counts["LinearMap"] == 6
 
 
 def test_hermite_full_suite_factors_in_real_arithmetic(monkeypatch):
@@ -175,21 +187,57 @@ def test_hamiltonian_agreement_sees_a_defect_in_the_cached_inverse():
     assert clean.passed and clean.residual > 0.0
     ctx = suite._SuiteContext(cfg)
     t_map = ctx.operator()
-    t_inv = invert(t_map).entries.copy()
+    t_inv = invert(t_map).copy()
     t_inv[np.unravel_index(np.argmax(np.abs(t_inv)), t_inv.shape)] *= 1.0 + 1e-6
-    t_map._inverse = LinearMap(t_inv)
+    t_map._inverse = t_inv
     assert not suite._check_hamiltonian_agreement(ctx).passed
 
 
 def test_hermite_full_suite_builds_each_tail_family_once(monkeypatch, tmp_path):
-    # `rieszlab example hermite --dim 8 --full-suite`: build_model's X plus one
-    # family per size, shared by frame_bound_growth and both tail diagnostics
+    # `rieszlab example hermite --dim 8 --full-suite`: build_model's X, the
+    # family whose leading blocks frame_bound_growth reads, and the largest
+    # truncation, shared by both tail diagnostics
     built = []
     original = hermite.tail_family
     monkeypatch.setattr(hermite, "tail_family", lambda dim: built.append(dim) or original(dim))
     out = tmp_path / "report.json"
     assert main(["example", "hermite", "--dim", "8", "--full-suite", "--out", str(out)]) == 0
-    assert sorted(built) == [8, *forms.TAIL_GRID]
+    assert sorted(built) == [8, 64, forms.TAIL_GRID[-1]]
+
+
+def test_growth_checks_pass_at_dimension_8():
+    # the smallest Hermite size a benchmark round selects them at; the
+    # bounds of each leading block are those of that truncation's own X
     ctx = suite._SuiteContext(_hermite_config(8, full_suite=True, seed=0))
-    assert ctx.tail_family(16) is ctx.tail_family(16)
-    assert not ctx.tail_family(16).flags.writeable
+    growth = suite._check_frame_bound_growth(ctx)
+    assert growth.passed, growth.details
+    for n in (16, 32, 64):
+        lower, upper = forms.frame_bounds(systems.frame_operator(hermite.tail_family(n)))
+        assert (growth.details[f"c_{n}"], growth.details[f"C_{n}"]) == (lower, upper)
+    tail = suite._check_tail_dichotomy(ctx)
+    assert tail.passed, tail.details
+    assert tail.details["harmonic_classification"] == "divergent"
+    assert tail.details["geometric_classification"] == "convergent"
+
+
+@pytest.mark.parametrize("alpha", ["sqrt_n", "complex"])
+def test_every_derived_matrix_is_a_read_only_array(alpha):
+    # T^-1, the operator set, both roots and both polar factors are plain
+    # read-only arrays; only T and the frame operators are maps
+    t = random_conditioned_map(6, 10.0, stream_rng(72))
+    values = {"kind": "custom", "values": [[n, 0.5 * (-1) ** n] for n in range(6)]}
+    cfg = dense_config(t, **({} if alpha == "sqrt_n" else {"alpha": values}))
+    ctx = suite._SuiteContext(cfg)
+    opset, frame_ops = ctx.opset(), ctx.frame_ops()
+    transformed = ("h_phi_psi", "h_psi_phi", "a_phi_psi", "b_phi_psi", "a_psi_phi", "b_psi_phi")
+    matrices = {
+        "inverse": invert(ctx.operator()),
+        **{name: getattr(opset, name) for name in transformed},
+        "k_phi_sqrt": frame_ops.k_phi_sqrt,
+        "k_psi_sqrt": frame_ops.k_psi_sqrt,
+        **dict(zip(("positive", "unitary"), polar_decompose(ctx.operator()))),
+    }
+    for name, m in matrices.items():
+        assert type(m) is np.ndarray and m.shape == (6, 6), name
+        assert not m.flags.writeable, name
+    assert isinstance(opset.t, LinearMap) and isinstance(frame_ops.k_phi, LinearMap)
