@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
 import math
@@ -21,9 +22,9 @@ REPORT_SCHEMA = "rieszlab/3"
 
 # A run keeps about LIVE_MATRICES N x N complex128 arrays alive at its peak
 # (T with its SVD factors and inverse, both frame operators with their
-# eigenvectors and roots, the operator set, products in flight): 23.7 at
-# N = 128, dense complex T, by tracemalloc.  DIMENSION_LIMIT holds them
-# within WORKING_SET_BYTES.
+# eigenvectors and roots, the operator set, products in flight): 26.7 at
+# N = 128, dense complex T, by tracemalloc over run_suite.  DIMENSION_LIMIT
+# holds them within WORKING_SET_BYTES.
 LIVE_MATRICES = 32
 WORKING_SET_BYTES = 2 * 2**30
 DIMENSION_LIMIT = math.isqrt(WORKING_SET_BYTES // (LIVE_MATRICES * 16))
@@ -115,9 +116,11 @@ def _decimal(n: int) -> str:
 def _as_number(value: Any, path: str) -> float:
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool), path, "must be a number")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise ParseError(path, "integer overflows the float range") from None
+    _expect(math.isfinite(number), path, f"must be a finite number, got {number}")
+    return number
 
 
 def _as_complex(value: Any, path: str) -> complex:
@@ -131,24 +134,29 @@ def _as_complex(value: Any, path: str) -> complex:
 def _as_complex_tuple(values: list, path: str) -> tuple:
     """Each entry of a value list as a complex; a bad entry raises at f"{path}/{i}".
 
-    [re, im] pairs of floats or ints, and floats and ints, are converted in the
-    loop (the exact type tests leave bools out); any other entry, or an int
-    beyond the float range, goes through _as_complex, which raises the
-    ParseError.
+    Finite [re, im] pairs of floats or ints, and finite floats and ints, are
+    converted in the loop (the exact type tests leave bools out); any other
+    entry, a non-finite one, or an int beyond the float range, goes through
+    _as_complex, which raises the ParseError.
     """
     out = []
     append = out.append
+    finite = cmath.isfinite
     for i, v in enumerate(values):
         kind = type(v)
         try:
             if kind is list and len(v) == 2:
                 re, im = v
                 if (type(re) is float or type(re) is int) and (type(im) is float or type(im) is int):
-                    append(complex(re, im))
-                    continue
+                    c = complex(re, im)
+                    if finite(c):
+                        append(c)
+                        continue
             elif kind is float or kind is int:
-                append(complex(v))
-                continue
+                c = complex(v)
+                if finite(c):
+                    append(c)
+                    continue
         except OverflowError:
             pass
         append(_as_complex(v, f"{path}/{i}"))
@@ -206,26 +214,15 @@ def _parse_alpha(raw: Any, dimension: int) -> AlphaSpec:
     return spec
 
 
-def _reject_constant(name: str):
-    raise ParseError("/", f"non-finite number {name} is not allowed")
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ParseError("/", f"number {text} overflows to {value}")
-    return value
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run configuration.
 
-    Raises ParseError carrying the JSON path of the first offence.
-    Non-finite numbers (NaN, +-Infinity, or a literal that overflows) are
-    rejected wherever they appear.
+    Raises ParseError carrying the JSON path of the first offence.  A
+    non-finite number (NaN, +-Infinity, or a literal that overflows) is
+    rejected at the path of the value it stands for.
     """
     try:
-        raw = json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
+        raw = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an int literal past the interpreter's digit limit
         raise ParseError("/", f"invalid JSON: {exc}") from exc
     _expect(isinstance(raw, dict), "/", "top level must be an object")

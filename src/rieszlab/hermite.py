@@ -110,28 +110,21 @@ def gauss_hermite_rule(count: int, order: int) -> tuple[np.ndarray, np.ndarray, 
     return nodes, lifted, hermite_function_table(count, nodes)
 
 
-def quadrature_gram(count: int, multiplier: str, order: int, rule=None) -> np.ndarray:
+def quadrature_gram(multiplier: str, rule) -> np.ndarray:
     """All pairwise oracle inner products e_m * mult * e_n for m, n < count.
 
-    The integrals use the Gauss-Hermite rule of the given order; `rule`
-    passes in `gauss_hermite_rule(count, order)` when a caller already
-    holds it.  Every multiplier is even, so an entry with m + n odd is the
-    integral of an odd function, exactly 0; the even-even and odd-odd
-    blocks are one product each over the rule's nonnegative half.
+    The integrals use `rule = gauss_hermite_rule(count, order)`, whose
+    table fixes the count.  Every multiplier is even, so an entry with
+    m + n odd is the integral of an odd function, exactly 0; the even-even
+    and odd-odd blocks are one product each over the rule's nonnegative half.
     """
-    nodes, lifted, table = gauss_hermite_rule(count, order) if rule is None else rule
+    nodes, lifted, table = rule
     factors = lifted * _multiplier_values(multiplier, nodes)
     gram = np.zeros((table.shape[0], table.shape[0]))
     for parity in (0, 1):
         block = table[parity::2]
         gram[parity::2, parity::2] = (block * factors) @ block.T
     return gram
-
-
-def oracle_deviation(entries: np.ndarray, multiplier: str, order: int, rule=None) -> float:
-    """Max deviation of a closed-form matrix from the quadrature oracle."""
-    gram = quadrature_gram(entries.shape[0], multiplier, order, rule)
-    return float(np.abs(entries - gram).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,20 +157,20 @@ def build_model(dim: int) -> HermiteModel:
     order = 4 * dim
     x = LinearMap(tail_family(dim))
     rule = gauss_hermite_rule(dim, order)
-    residual = oracle_deviation(x.entries, "one_plus_x2", order, rule)
+    residual = float(np.abs(x.entries - quadrature_gram("one_plus_x2", rule)).max())
     if residual > ORACLE_TOLERANCE:
         raise OracleMismatch(f"truncated X at dim {dim} deviates from quadrature by {residual:.3e}")
     base_order = max(order, RATIONAL_ORDER_FLOOR)
     # From dim 64 on the entry gate's rule is the first rational rule too.
-    shared = rule if base_order == order else None
-    once = quadrature_gram(dim, "inv_one_plus_x2", base_order, shared)
-    twice = quadrature_gram(dim, "inv_one_plus_x2", 2 * base_order)
+    base_rule = rule if base_order == order else gauss_hermite_rule(dim, base_order)
+    once = quadrature_gram("inv_one_plus_x2", base_rule)
+    twice = quadrature_gram("inv_one_plus_x2", gauss_hermite_rule(dim, 2 * base_order))
     convergence = float(np.abs(once - twice).max())
     if convergence > DOUBLING_TOLERANCE:
         raise OracleMismatch(
             f"rational quadrature not converged at order {base_order}: {convergence:.3e}"
         )
-    x_squared_gram = quadrature_gram(dim, "one_plus_x2_squared", order, rule)
+    x_squared_gram = quadrature_gram("one_plus_x2_squared", rule)
     x_squared_gram.setflags(write=False)
     return HermiteModel(
         dim=dim,

@@ -12,7 +12,6 @@ identities, and the truncated canonical commutation relation.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from operator import matmul
@@ -243,69 +242,18 @@ def _words(m: int, l: int) -> tuple[tuple, tuple]:
     return ab, ba
 
 
-def _stage(word: tuple) -> tuple:
-    """Sort key that groups the words by their highest power above one."""
-    return max(((x, p) for x, p in word if p > 1), default=("", 0))
+def _powers(x) -> dict:
+    """x^1 .. x^4 by exponent, associated as np.linalg.matrix_power associates its products.
 
-
-def _shift_power(x: WeightedShift, p: int) -> WeightedShift:
-    """x^p for 1 <= p <= 4, associated as np.linalg.matrix_power associates its products."""
-    if p == 1:
-        return x
-    square = x @ x
-    if p == 2:
-        return square
-    return square @ x if p == 3 else square @ square
-
-
-def _reference_words(
-    a_e: WeightedShift, b_e: WeightedShift, words: Sequence[tuple]
-) -> dict[tuple, WeightedShift]:
-    """Each word as one weighted shift: powers as matrix_power forms them, then F0 F1."""
-    letters = {"a": a_e, "b": b_e}
-    factors = dict.fromkeys(f for word in words for f in word)
-    powers = {(x, p): _shift_power(letters[x], p) for x, p in factors}
-    identity = WeightedShift(0, np.ones(a_e.dim))
-    return {word: reduce(matmul, [powers[f] for f in word] or [identity]) for word in words}
-
-
-class _Powers:
-    """Powers of one (A, B) pair of matrices, each formed once and dropped after its last use.
-
-    X^2 = X X, X^3 = X^2 X and X^4 = X^2 X^2 are the products
-    np.linalg.matrix_power forms, so the values match it bit for bit.
+    x is a weighted shift or a matrix; both multiply with @.
     """
+    square = x @ x
+    return {1: x, 2: square, 3: square @ x, 4: square @ square}
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, words: Sequence[tuple]):
-        self._ops = {"a": a, "b": b}
-        self._held: dict[tuple[str, int], np.ndarray] = {}
-        self._uses = Counter(f for word in words for f in word if f[1] > 1)
-        for x, p in list(self._uses):
-            if p in (3, 4):
-                self._uses[x, 2] += 1
 
-    def _take(self, x: str, p: int) -> np.ndarray:
-        op = self._ops[x]
-        if p == 1:
-            return op
-        key = (x, p)
-        if key not in self._held:
-            if p == 2:
-                self._held[key] = op @ op
-            elif p == 3:
-                self._held[key] = self._take(x, 2) @ op
-            else:
-                square = self._take(x, 2)
-                self._held[key] = square @ square
-        self._uses[key] -= 1
-        return self._held[key] if self._uses[key] else self._held.pop(key)
-
-    def word(self, word: tuple) -> np.ndarray | None:
-        """The product of the word's factors; None stands for the identity."""
-        factors = [self._take(x, p) for x, p in word]
-        if not factors:
-            return None
-        return factors[0] if len(factors) == 1 else factors[0] @ factors[1]
+def _word(powers: dict, word: tuple, identity):
+    """The product F0 F1 of the word's factors powers[letter][exponent]; identity for the empty word."""
+    return reduce(matmul, [powers[x][p] for x, p in word]) if word else identity
 
 
 def _deviation(reference: np.ndarray, actual: np.ndarray | None) -> tuple[float, float]:
@@ -322,17 +270,34 @@ def _side_deviations(
     left: np.ndarray,
     right: np.ndarray,
     references: dict[tuple, WeightedShift],
-    actual_ops: tuple[np.ndarray, np.ndarray],
+    actual_ops: dict[str, np.ndarray],
     words: Sequence[tuple],
 ) -> dict[tuple, tuple[float, float]]:
     """_deviation for each word on one side.
 
     The actual operator multiplies powers of the side's transformed A and
     B; the reference is left (A_e^m B_e^l) right, one column shift of left
-    and one product.  The two routes share only left and right.
+    and one product.  The two routes share only left and right.  With
+    m + l <= 4 a word has at most one factor above the square, so each
+    letter's cube and fourth power are formed just before the words that
+    hold them and dropped after; only the two squares stay for the rest.
     """
-    actual = _Powers(*actual_ops, words)
-    return {word: _deviation(left @ references[word] @ right, actual.word(word)) for word in words}
+    powers = {x: {1: op} for x, op in actual_ops.items()}
+    deviations = {}
+
+    def compare(word: tuple) -> None:
+        deviations[word] = _deviation(left @ references[word] @ right, _word(powers, word, None))
+
+    for x, op in actual_ops.items():
+        powers[x] = _powers(op)
+        for word in words:
+            if (x, 3) in word or (x, 4) in word:
+                compare(word)
+        del powers[x][3], powers[x][4]
+    for word in words:
+        if word not in deviations:
+            compare(word)
+    return deviations
 
 
 def product_identity_check(opset: OperatorSet, tolerance: float) -> CheckReport:
@@ -362,11 +327,13 @@ def product_identity_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     conjugation = np.linalg.norm(t) * np.linalg.norm(t_inv)
     # a shift's coefficient norm is the Frobenius norm of its matrix
     a_norm, b_norm = np.linalg.norm(a_e.coefficients), np.linalg.norm(b_e.coefficients)
-    words = sorted(dict.fromkeys(w for m, l in PRODUCT_PAIRS for w in _words(m, l)), key=_stage)
-    references = _reference_words(a_e, b_e, words)  # shared by both sides
+    words = list(dict.fromkeys(w for m, l in PRODUCT_PAIRS for w in _words(m, l)))
+    shifts = {"a": _powers(a_e), "b": _powers(b_e)}
+    identity = WeightedShift(0, np.ones(a_e.dim))
+    references = {word: _word(shifts, word, identity) for word in words}  # shared by both sides
     norms = {
         "phi": _side_deviations(
-            t, t_inv, references, (opset.a_phi_psi, opset.b_phi_psi), words
+            t, t_inv, references, {"a": opset.a_phi_psi, "b": opset.b_phi_psi}, words
         )
     }
     t_adj = t.conj().T
@@ -380,7 +347,7 @@ def product_identity_check(opset: OperatorSet, tolerance: float) -> CheckReport:
         conjugation**2 * a_norm * b_norm,
     )
     norms["psi"] = _side_deviations(
-        t_adj_inv, t_adj, references, (opset.a_psi_phi, opset.b_psi_phi), words
+        t_adj_inv, t_adj, references, {"a": opset.a_psi_phi, "b": opset.b_psi_phi}, words
     )
     reports = []
     for m, l in PRODUCT_PAIRS:

@@ -37,9 +37,11 @@ def family_matrix(family) -> np.ndarray:
 
 
 def _read_only_family(family) -> np.ndarray:
+    """family_matrix's array, read-only; copied only when it shares a writable buffer of the caller's."""
     m = family_matrix(family)
     if m.flags.writeable:
-        m = m.copy()
+        if m is family or not m.flags.owndata:
+            m = m.copy()
         m.setflags(write=False)
     return m
 

@@ -116,7 +116,7 @@ def test_cli_rejects_infinite_tolerance(tmp_path, capsys):
     path = write_config(tmp_path, {**DIAGONAL_PAYLOAD, "tolerance": math.inf})
     assert "Infinity" in path.read_text(encoding="utf-8")
     assert main(["run", "--config", str(path)]) == 2
-    assert "non-finite number Infinity" in capsys.readouterr().err
+    assert "invalid config at /tolerance: must be a finite number, got inf" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

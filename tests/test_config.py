@@ -111,14 +111,23 @@ def test_parse_rejects_bad_margin_and_tolerance():
 
 def test_parse_rejects_non_finite_numbers():
     base = '{"dimension": 4, "operator": {"kind": "hermite-x"}, "tolerance": %s}'
-    for literal in ("NaN", "Infinity", "-Infinity", "1e400"):
+    for literal, value in (("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf")):
         with pytest.raises(ParseError) as excinfo:
             parse_config(base % literal)
-        assert excinfo.value.path == "/"
-        assert literal in excinfo.value.reason
-    dense = '{"dimension": 2, "operator": {"kind": "dense", "entries": [1, 0, [0, NaN], 1]}}'
-    with pytest.raises(ParseError):
-        parse_config(dense)
+        assert excinfo.value.path == "/tolerance"
+        assert excinfo.value.reason == f"must be a finite number, got {value}"
+    # a value list names its first non-finite entry
+    lists = (
+        ('"operator": {"kind": "dense", "entries": [1, 0, [0, NaN], [Infinity, 0]]}', "/operator/entries/2"),
+        ('"operator": {"kind": "diagonal", "values": [1, -1e400]}', "/operator/values/1"),
+        ('"operator": {"kind": "upper-unipotent", "off_diagonal": NaN}', "/operator/off_diagonal"),
+        ('"operator": {"kind": "hermite-x"}, "alpha": {"kind": "custom", "values": [0, 1, Infinity, NaN]}', "/alpha/values/2"),
+    )
+    for fields, path in lists:
+        with pytest.raises(ParseError) as excinfo:
+            parse_config('{"dimension": 2, %s}' % fields)
+        assert excinfo.value.path == path
+        assert excinfo.value.reason.startswith("must be a finite number")
 
 
 BIG_INT = 10**400  # json.dumps writes it as a 401-digit integer literal

@@ -20,7 +20,6 @@ from rieszlab.hermite import (
     FORM_SAMPLES,
     gauss_hermite_rule,
     hermite_function_table,
-    oracle_deviation,
     quadrature_gram,
     roots_hermite,
     tail_family,
@@ -70,26 +69,26 @@ def test_hermite_function_is_normalized():
 
 
 def test_quadrature_orthonormality():
-    gram = quadrature_gram(4, "one", 32)
+    gram = quadrature_gram("one", gauss_hermite_rule(4, 32))
     np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
 
 
 def test_quadrature_x_matrix_elements():
-    gram = quadrature_gram(3, "one_plus_x2", 32)
+    gram = quadrature_gram("one_plus_x2", gauss_hermite_rule(3, 32))
     assert gram[0, 0] == pytest.approx(1.5, abs=1e-10)
     assert gram[0, 2] == pytest.approx(np.sqrt(2.0) / 2.0, abs=1e-10)
 
 
 def test_quadrature_rational_doubling_agreement():
-    once = quadrature_gram(8, "inv_one_plus_x2", 256)
-    twice = quadrature_gram(8, "inv_one_plus_x2", 512)
+    once = quadrature_gram("inv_one_plus_x2", gauss_hermite_rule(8, 256))
+    twice = quadrature_gram("inv_one_plus_x2", gauss_hermite_rule(8, 512))
     for m, n in ((0, 0), (0, 2), (5, 7)):
         assert abs(once[m, n] - twice[m, n]) <= 1e-10
 
 
 def test_quadrature_rejects_unknown_multiplier():
     with pytest.raises(ValueError):
-        quadrature_gram(1, "x_cubed", 32)
+        quadrature_gram("x_cubed", gauss_hermite_rule(1, 32))
 
 
 def test_build_x_smallest_truncation():
@@ -127,9 +126,10 @@ def test_oracle_gate_trips_on_corruption(monkeypatch):
 
 def test_oracle_deviation_measures_perturbation():
     entries = LinearMap(tail_family(8)).entries.real.copy()
-    assert oracle_deviation(entries, "one_plus_x2", 64) < 1e-9
+    gram = quadrature_gram("one_plus_x2", gauss_hermite_rule(8, 64))
+    assert np.abs(entries - gram).max() < 1e-9
     entries[0, 0] += 1e-6
-    assert oracle_deviation(entries, "one_plus_x2", 64) > 1e-7
+    assert np.abs(entries - gram).max() > 1e-7
 
 
 def test_build_model_metadata():
@@ -159,7 +159,7 @@ def test_truncated_inverse_approaches_integral_operator():
     # the truncation edge and with growing dimension.
     for dim, block, bound in ((64, 16, 1e-5), (128, 32, 1e-6)):
         x_inv = invert(LinearMap(tail_family(dim))).real
-        integral = quadrature_gram(dim, "inv_one_plus_x2", max(4 * dim, 512))
+        integral = quadrature_gram("inv_one_plus_x2", gauss_hermite_rule(dim, max(4 * dim, 512)))
         dev = np.abs(x_inv[:block, :block] - integral[:block, :block]).max()
         assert dev < bound, (dim, block, dev)
 
@@ -169,7 +169,7 @@ def test_interior_biorthogonality_against_quadrature():
     # multiplier product (1+x^2) * 1/(1+x^2) = 1
     dim = 64
     sys_ = example_system(dim)
-    x_inv_cols = quadrature_gram(dim, "inv_one_plus_x2", 4 * dim)
+    x_inv_cols = quadrature_gram("inv_one_plus_x2", gauss_hermite_rule(dim, 4 * dim))
     phi_m = sys_.phi.real
     gram = phi_m.T @ x_inv_cols
     dev = np.abs(gram[:16, :16] - np.eye(16)).max()
@@ -291,10 +291,11 @@ def test_build_model_shares_the_entry_rule(monkeypatch):
         model = hermite_mod.build_model(dim)
         assert calls == orders
         base = max(4 * dim, hermite_mod.RATIONAL_ORDER_FLOOR)
-        once = quadrature_gram(dim, "inv_one_plus_x2", base)
-        twice = quadrature_gram(dim, "inv_one_plus_x2", 2 * base)
+        once = quadrature_gram("inv_one_plus_x2", gauss_hermite_rule(dim, base))
+        twice = quadrature_gram("inv_one_plus_x2", gauss_hermite_rule(dim, 2 * base))
         assert model.rational_convergence == float(np.abs(once - twice).max())
-        assert model.oracle_residual == oracle_deviation(LinearMap(tail_family(dim)).entries, "one_plus_x2", 4 * dim)
+        gram = quadrature_gram("one_plus_x2", gauss_hermite_rule(dim, 4 * dim))
+        assert model.oracle_residual == float(np.abs(tail_family(dim) - gram).max())
 
 
 def test_x_entry_formula():
@@ -320,7 +321,7 @@ def all_node_gram(count, multiplier, order):
 @pytest.mark.parametrize("order, count", [(32, 8), (33, 8), (512, 128)])
 @pytest.mark.parametrize("multiplier", ["one", "one_plus_x2", "one_plus_x2_squared", "inv_one_plus_x2"])
 def test_quadrature_gram_by_parity_matches_the_all_node_sum(order, count, multiplier):
-    gram = quadrature_gram(count, multiplier, order)
+    gram = quadrature_gram(multiplier, gauss_hermite_rule(count, order))
     reference = all_node_gram(count, multiplier, order)
     odd = np.add.outer(np.arange(count), np.arange(count)) % 2 == 1
     assert np.all(gram[odd] == 0.0)

@@ -1,4 +1,5 @@
-"""Public names of the package: each is used by the package itself, and no function defaults its tolerance."""
+"""Names of the package: each public one is used by the package itself, no function defaults its
+tolerance, and every module-level import is used."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,21 @@ def test_no_public_function_has_a_default_tolerance():
                 if "tolerance" in named:
                     defaulted.append(f"{path.name}:{node.name}")
     assert defaulted == []
+
+
+def test_every_module_level_import_is_used():
+    # __init__ imports to re-export, and `from __future__` binds no name
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound.update({(a.asname or a.name.split(".")[0]): a.name for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update({(a.asname or a.name): a.name for a in node.names})
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{name}" for name in bound if name not in used]
+    assert unused == []

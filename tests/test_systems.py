@@ -1,5 +1,7 @@
 """Tests for biorthogonal systems built from a map T, their frame operators, and the polar check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from rieszlab import (
 )
 from rieszlab import suite
 from rieszlab.errors import DimensionMismatch, NumericallySingular
+from rieszlab.hermite import tail_family
 from rieszlab.sampling import random_kets, stream_rng
 from rieszlab.systems import family_matrix
 
@@ -58,6 +61,29 @@ def test_build_system_families_are_read_only_arrays():
         assert np.shares_memory(family_matrix(sys_.psi), sys_.psi)
     # a complex family with no imaginary part is real, by the rule of LinearMap
     assert family_matrix(np.eye(3, dtype=np.complex128)).dtype == np.float64
+
+
+def test_build_system_copies_psi_once():
+    # psi = (T^-1)* is F-ordered; family_matrix's C-contiguous copy is the family,
+    # so building the system allocates one N x N matrix and keeps it
+    t = LinearMap(tail_family(256))
+    invert(t)
+    tracemalloc.start()
+    try:
+        sys_ = build_system(t)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    matrix = 256 * 256 * 8
+    assert peak < 1.25 * matrix and kept < 1.25 * matrix, (peak, kept)
+    assert sys_.phi is t.entries and not sys_.psi.flags.writeable
+
+
+def test_family_of_a_writable_caller_buffer_is_copied():
+    for family in (np.eye(3), np.eye(6)[:3], np.eye(3, dtype=np.complex128)):
+        sys_ = BiorthogonalSystem(phi=family, psi=family)
+        assert not np.shares_memory(sys_.phi, family) and not sys_.phi.flags.writeable
+        assert family.flags.writeable
 
 
 def test_build_system_diagonal():
