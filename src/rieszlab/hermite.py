@@ -2,9 +2,9 @@
 
 The truncated matrix X of the multiplication operator is pentadiagonal
 with closed-form entries.  Every entry is cross-checked against a
-Gauss-Hermite quadrature oracle before the model is trusted; the same
+trapezoidal quadrature oracle before the model is trusted; the same
 oracle supplies independent values for inner products against the exact
-(untruncated) square and inverse.
+(untruncated) square and inverse.  It needs numpy only.
 """
 
 from __future__ import annotations
@@ -20,16 +20,19 @@ from .reporting import CheckReport, make_report, worst
 from .systems import BiorthogonalSystem, FrameOperators
 
 ORACLE_TOLERANCE = 1e-9
-# Gauss-Hermite is exact only for polynomial integrands; the rational
-# multiplier converges geometrically, and this floor puts it past 1e-12.
-RATIONAL_ORDER_FLOOR = 256
 DOUBLING_TOLERANCE = 1e-10
-# Largest dimension whose oracle gate passes: deviation 8.7e-10 at 325,
-# 5.5e-9 at 326 against ORACLE_TOLERANCE (found by bisection, and every
-# smaller dimension passes).  Beyond it the raw weights of the order
-# 4 * dim rule underflow where the top Hermite functions still have mass.
-MAX_DIMENSION = 325
-MAX_DIMENSION_REASON = "beyond it the Gauss-Hermite weights of the quadrature oracle underflow"
+# How far the quadrature nodes reach past the top turning point, and the
+# scale of the step: aliasing near e^{-2 REACH}, cut tail below e^{-REACH^2}.
+# At 16 the doubling gate still reads the coarse rule's aliasing at small
+# dimensions (2.7e-15 at dim 2, 4.4e-16 at 17); at 17 it stays below
+# 1.7e-15 at every dimension up to MAX_DIMENSION.
+REACH = 17
+# Largest dimension up to which the oracle gate passes: deviation 6.5e-10
+# at 686, 1.1e-9 at 687 against ORACLE_TOLERANCE (checked at every
+# dimension up to 700).  Beyond it e_0 = pi^-1/4 e^{-x^2/2}, where the
+# recurrence starts, underflows near the top turning point.
+MAX_DIMENSION = 686
+MAX_DIMENSION_REASON = "beyond it the Hermite-function recurrence of the quadrature oracle underflows"
 
 MULTIPLIERS = ("one", "one_plus_x2", "one_plus_x2_squared", "inv_one_plus_x2")
 FORM_SAMPLES = 20  # random vector pairs of the Omega spot check
@@ -59,13 +62,6 @@ def hermite_function_table(count: int, x: np.ndarray) -> np.ndarray:
     return table
 
 
-def _lifted_weights(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    # The integrands carry their own Gaussian, so fold e^{x^2} into the
-    # weights; do it in log space since the raw weights underflow first.
-    with np.errstate(divide="ignore"):
-        return np.exp(np.log(weights) + nodes * nodes)
-
-
 def _multiplier_values(multiplier: str, nodes: np.ndarray) -> np.ndarray:
     if multiplier == "one":
         return np.ones_like(nodes)
@@ -78,48 +74,37 @@ def _multiplier_values(multiplier: str, nodes: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown multiplier {multiplier!r}; expected one of {MULTIPLIERS}")
 
 
-def roots_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """scipy's Gauss-Hermite nodes and weights of the given order.
+def trapezoid_rule(count: int, refinement: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes, weights and the first `count` Hermite functions of the trapezoidal rule on the half-line.
 
-    scipy is imported here, on the first rule, so a run that builds no
-    Hermite model never loads it.
+    The step is pi / (t + REACH) / refinement, with t = sqrt(2 count + 1)
+    the top turning point; the nodes j * step run from 0 to t + REACH.
+    The products e_m e_n have their Fourier transforms in |w| <= 2 t, so
+    the aliasing error for 1 / (1 + x^2), whose transform is pi e^{-|w|},
+    is near e^{-2 REACH} at refinement 1, and the cut tail is below
+    e^{-REACH^2} (Trefethen & Weideman, SIAM Review 56, 2014).  Every
+    multiplier is even, and the recurrence of `hermite_function_table`
+    gives e_k(-x) = (-1)^k e_k(x) exactly, so the rule over the whole line
+    is its nonnegative half with doubled weights, node 0 counting once.
     """
-    from scipy.special import roots_hermite as scipy_roots_hermite
-
-    return scipy_roots_hermite(order)
-
-
-def gauss_hermite_rule(count: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes, lifted weights and the first `count` Hermite functions on the nonnegative half of one rule.
-
-    scipy's rule is symmetric, x_i = -x_{n-1-i} and w_i = w_{n-1-i}; this is
-    checked bit for bit, not assumed.  The recurrence of
-    `hermite_function_table` then gives e_k(-x) = (-1)^k e_k(x) exactly, so
-    the sum of an even integrand over the whole rule is its sum over the
-    positive nodes with doubled weights, plus the centre node of an odd
-    order, which counts once.  `quadrature_gram` builds on this.
-    """
-    nodes, weights = roots_hermite(order)
-    if not (np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])):
-        raise OracleMismatch(f"the Gauss-Hermite rule of order {order} is not symmetric")
-    half = np.s_[order // 2 :]
-    multiplicity = np.full(order - order // 2, 2.0)
-    multiplicity[0] -= order % 2  # x = 0 at an odd order
-    nodes = nodes[half]
-    lifted = multiplicity * _lifted_weights(nodes, weights[half])
-    return nodes, lifted, hermite_function_table(count, nodes)
+    reach = np.sqrt(2.0 * count + 1.0) + REACH
+    step = np.pi / reach / refinement
+    nodes = step * np.arange(int(reach / step) + 1)
+    weights = np.full(nodes.size, 2.0 * step)
+    weights[0] = step
+    return nodes, weights, hermite_function_table(count, nodes)
 
 
 def quadrature_gram(multiplier: str, rule) -> np.ndarray:
     """All pairwise oracle inner products e_m * mult * e_n for m, n < count.
 
-    The integrals use `rule = gauss_hermite_rule(count, order)`, whose
+    The integrals use `rule = trapezoid_rule(count, refinement)`, whose
     table fixes the count.  Every multiplier is even, so an entry with
     m + n odd is the integral of an odd function, exactly 0; the even-even
     and odd-odd blocks are one product each over the rule's nonnegative half.
     """
-    nodes, lifted, table = rule
-    factors = lifted * _multiplier_values(multiplier, nodes)
+    nodes, weights, table = rule
+    factors = weights * _multiplier_values(multiplier, nodes)
     gram = np.zeros((table.shape[0], table.shape[0]))
     for parity in (0, 1):
         block = table[parity::2]
@@ -147,29 +132,21 @@ class HermiteModel:
 def build_model(dim: int) -> HermiteModel:
     """Build and gate the model: entry oracle plus rational-rule convergence.
 
-    The entries of X must match a Gauss-Hermite rule of order 4 * dim to
-    ORACLE_TOLERANCE.  The rational multiplier has no polynomial
-    exactness, so its rule is accepted only if doubling the order moves no
-    value by more than DOUBLING_TOLERANCE.  The entry rule also integrates
-    (1 + x^2)^2 exactly (degree 2 dim + 2 < 8 dim), which gives the model
-    its Gram of X^2.
+    The entries of X must match the trapezoidal rule of `trapezoid_rule`
+    to ORACLE_TOLERANCE, and the same rule gives the model its Gram of
+    (1 + x^2)^2.  The rational multiplier is accepted only if halving the
+    step moves no value by more than DOUBLING_TOLERANCE.
     """
-    order = 4 * dim
     x = LinearMap(tail_family(dim))
-    rule = gauss_hermite_rule(dim, order)
+    rule = trapezoid_rule(dim, 1)
     residual = float(np.abs(x.entries - quadrature_gram("one_plus_x2", rule)).max())
     if residual > ORACLE_TOLERANCE:
         raise OracleMismatch(f"truncated X at dim {dim} deviates from quadrature by {residual:.3e}")
-    base_order = max(order, RATIONAL_ORDER_FLOOR)
-    # From dim 64 on the entry gate's rule is the first rational rule too.
-    base_rule = rule if base_order == order else gauss_hermite_rule(dim, base_order)
-    once = quadrature_gram("inv_one_plus_x2", base_rule)
-    twice = quadrature_gram("inv_one_plus_x2", gauss_hermite_rule(dim, 2 * base_order))
+    once = quadrature_gram("inv_one_plus_x2", rule)
+    twice = quadrature_gram("inv_one_plus_x2", trapezoid_rule(dim, 2))
     convergence = float(np.abs(once - twice).max())
     if convergence > DOUBLING_TOLERANCE:
-        raise OracleMismatch(
-            f"rational quadrature not converged at order {base_order}: {convergence:.3e}"
-        )
+        raise OracleMismatch(f"rational quadrature not converged at dim {dim}: {convergence:.3e}")
     x_squared_gram = quadrature_gram("one_plus_x2_squared", rule)
     x_squared_gram.setflags(write=False)
     return HermiteModel(

@@ -258,7 +258,7 @@ def test_cli_hermite_dimension_limit(tmp_path, capsys):
     assert main(["example", "hermite", "--dim", str(MAX_DIMENSION), "--out", str(out)]) == 0
     assert main(["example", "hermite", "--dim", str(MAX_DIMENSION + 1), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"--dim must be <= {MAX_DIMENSION}" in err and "weights" in err and "underflow" in err
+    assert f"--dim must be <= {MAX_DIMENSION}" in err and "recurrence" in err and "underflow" in err
     path = write_config(tmp_path, {"dimension": MAX_DIMENSION + 1, "operator": {"kind": "hermite-x"}})
     assert main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err

@@ -392,3 +392,4 @@ def test_hermite_dimension_limit_keeps_its_quadrature_reason():
             parse({"dimension": dimension, "operator": {"kind": "hermite-x"}})
         assert excinfo.value.path == "/dimension"
         assert excinfo.value.reason == f"hermite-x needs dimension <= {MAX_DIMENSION}: {MAX_DIMENSION_REASON}"
+        assert "recurrence" in excinfo.value.reason and "underflows" in excinfo.value.reason

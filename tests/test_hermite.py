@@ -18,11 +18,13 @@ from rieszlab import (
 from rieszlab.errors import OracleMismatch
 from rieszlab.hermite import (
     FORM_SAMPLES,
-    gauss_hermite_rule,
+    MAX_DIMENSION,
+    ORACLE_TOLERANCE,
+    REACH,
     hermite_function_table,
     quadrature_gram,
-    roots_hermite,
     tail_family,
+    trapezoid_rule,
     x_entry,
 )
 
@@ -69,26 +71,26 @@ def test_hermite_function_is_normalized():
 
 
 def test_quadrature_orthonormality():
-    gram = quadrature_gram("one", gauss_hermite_rule(4, 32))
+    gram = quadrature_gram("one", trapezoid_rule(4, 1))
     np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
 
 
 def test_quadrature_x_matrix_elements():
-    gram = quadrature_gram("one_plus_x2", gauss_hermite_rule(3, 32))
+    gram = quadrature_gram("one_plus_x2", trapezoid_rule(3, 1))
     assert gram[0, 0] == pytest.approx(1.5, abs=1e-10)
     assert gram[0, 2] == pytest.approx(np.sqrt(2.0) / 2.0, abs=1e-10)
 
 
 def test_quadrature_rational_doubling_agreement():
-    once = quadrature_gram("inv_one_plus_x2", gauss_hermite_rule(8, 256))
-    twice = quadrature_gram("inv_one_plus_x2", gauss_hermite_rule(8, 512))
+    once = quadrature_gram("inv_one_plus_x2", trapezoid_rule(8, 1))
+    twice = quadrature_gram("inv_one_plus_x2", trapezoid_rule(8, 2))
     for m, n in ((0, 0), (0, 2), (5, 7)):
         assert abs(once[m, n] - twice[m, n]) <= 1e-10
 
 
 def test_quadrature_rejects_unknown_multiplier():
     with pytest.raises(ValueError):
-        quadrature_gram("x_cubed", gauss_hermite_rule(1, 32))
+        quadrature_gram("x_cubed", trapezoid_rule(1, 1))
 
 
 def test_build_x_smallest_truncation():
@@ -126,7 +128,7 @@ def test_oracle_gate_trips_on_corruption(monkeypatch):
 
 def test_oracle_deviation_measures_perturbation():
     entries = LinearMap(tail_family(8)).entries.real.copy()
-    gram = quadrature_gram("one_plus_x2", gauss_hermite_rule(8, 64))
+    gram = quadrature_gram("one_plus_x2", trapezoid_rule(8, 1))
     assert np.abs(entries - gram).max() < 1e-9
     entries[0, 0] += 1e-6
     assert np.abs(entries - gram).max() > 1e-7
@@ -159,7 +161,7 @@ def test_truncated_inverse_approaches_integral_operator():
     # the truncation edge and with growing dimension.
     for dim, block, bound in ((64, 16, 1e-5), (128, 32, 1e-6)):
         x_inv = invert(LinearMap(tail_family(dim))).real
-        integral = quadrature_gram("inv_one_plus_x2", gauss_hermite_rule(dim, max(4 * dim, 512)))
+        integral = quadrature_gram("inv_one_plus_x2", trapezoid_rule(dim, 1))
         dev = np.abs(x_inv[:block, :block] - integral[:block, :block]).max()
         assert dev < bound, (dim, block, dev)
 
@@ -169,7 +171,7 @@ def test_interior_biorthogonality_against_quadrature():
     # multiplier product (1+x^2) * 1/(1+x^2) = 1
     dim = 64
     sys_ = example_system(dim)
-    x_inv_cols = quadrature_gram("inv_one_plus_x2", gauss_hermite_rule(dim, 4 * dim))
+    x_inv_cols = quadrature_gram("inv_one_plus_x2", trapezoid_rule(dim, 1))
     phi_m = sys_.phi.real
     gram = phi_m.T @ x_inv_cols
     dev = np.abs(gram[:16, :16] - np.eye(16)).max()
@@ -279,23 +281,48 @@ def test_tail_family_matches_loop_bit_for_bit(dim):
 
 
 def test_build_model_shares_the_entry_rule(monkeypatch):
-    # From dim 64 on (order 4 * dim reaches RATIONAL_ORDER_FLOOR) the entry gate
-    # and the first rational Gram use one rule; the values keep their bits.
+    # Two rules per model: the entry gate, the first rational Gram and the
+    # Gram of (1 + x^2)^2 share the step-h rule; the doubling gate adds h/2.
     import rieszlab.hermite as hermite_mod
 
     calls = []
-    roots = hermite_mod.roots_hermite
-    monkeypatch.setattr(hermite_mod, "roots_hermite", lambda order: calls.append(order) or roots(order))
-    for dim, orders in ((16, [64, 256, 512]), (64, [256, 512])):
+    rule = hermite_mod.trapezoid_rule
+    monkeypatch.setattr(
+        hermite_mod, "trapezoid_rule", lambda count, refinement: calls.append((count, refinement)) or rule(count, refinement)
+    )
+    for dim in (16, 64):
         calls.clear()
         model = hermite_mod.build_model(dim)
-        assert calls == orders
-        base = max(4 * dim, hermite_mod.RATIONAL_ORDER_FLOOR)
-        once = quadrature_gram("inv_one_plus_x2", gauss_hermite_rule(dim, base))
-        twice = quadrature_gram("inv_one_plus_x2", gauss_hermite_rule(dim, 2 * base))
+        assert calls == [(dim, 1), (dim, 2)]
+        once = quadrature_gram("inv_one_plus_x2", rule(dim, 1))
+        twice = quadrature_gram("inv_one_plus_x2", rule(dim, 2))
         assert model.rational_convergence == float(np.abs(once - twice).max())
-        gram = quadrature_gram("one_plus_x2", gauss_hermite_rule(dim, 4 * dim))
+        gram = quadrature_gram("one_plus_x2", rule(dim, 1))
         assert model.oracle_residual == float(np.abs(tail_family(dim) - gram).max())
+        np.testing.assert_array_equal(model.x_squared_gram, quadrature_gram("one_plus_x2_squared", rule(dim, 1)))
+
+
+def test_trapezoid_rule_step_and_reach():
+    # step pi / (t + REACH) with t = sqrt(2 count + 1); halving it keeps
+    # every node of the coarse rule, bit for bit
+    for count in (2, 32, 256):
+        reach = math.sqrt(2 * count + 1) + REACH
+        nodes, weights, table = trapezoid_rule(count, 1)
+        step = math.pi / reach
+        assert nodes[0] == 0.0 and nodes[-1] <= reach < nodes[-1] + step
+        np.testing.assert_allclose(np.diff(nodes), step, rtol=1e-12)
+        assert weights[0] == nodes[1] and np.all(weights[1:] == 2 * nodes[1])
+        assert table.shape == (count, nodes.size)
+        fine = trapezoid_rule(count, 2)[0]
+        np.testing.assert_array_equal(fine[::2], nodes)
+        assert fine[-1] <= reach < fine[-1] + step / 2
+
+
+def test_build_model_gate_holds_up_to_the_limit():
+    model = build_model(MAX_DIMENSION)
+    assert model.oracle_residual <= ORACLE_TOLERANCE
+    with pytest.raises(OracleMismatch, match="deviates from quadrature"):
+        build_model(MAX_DIMENSION + 1)
 
 
 def test_x_entry_formula():
@@ -306,60 +333,59 @@ def test_x_entry_formula():
     assert x_entry(0, 4) == 0.0
 
 
-def all_node_gram(count, multiplier, order):
-    # the Gram over every node of scipy's rule, as built before the parity split
+def all_node_gram(multiplier, count, refinement):
+    # the Gram over the rule's full symmetric grid, every node with weight h,
+    # as a sum over all nodes before the parity split
     import rieszlab.hermite as hermite_mod
 
-    nodes, weights = roots_hermite(order)
-    table = hermite_function_table(count, nodes)
-    factors = hermite_mod._lifted_weights(nodes, weights) * hermite_mod._multiplier_values(multiplier, nodes)
-    return (table * factors) @ table.T
+    nodes, weights, _ = trapezoid_rule(count, refinement)
+    grid = np.concatenate([-nodes[:0:-1], nodes])
+    step = np.full(grid.size, weights[0])
+    table = hermite_function_table(count, grid)
+    return (table * (step * hermite_mod._multiplier_values(multiplier, grid))) @ table.T
 
 
-# 32: scipy's eigenvalue branch; 33: an odd order, whose centre node counts once;
-# 512: scipy's asymptotic branch
-@pytest.mark.parametrize("order, count", [(32, 8), (33, 8), (512, 128)])
+@pytest.mark.parametrize("count, refinement", [(8, 1), (8, 2), (128, 1)])
 @pytest.mark.parametrize("multiplier", ["one", "one_plus_x2", "one_plus_x2_squared", "inv_one_plus_x2"])
-def test_quadrature_gram_by_parity_matches_the_all_node_sum(order, count, multiplier):
-    gram = quadrature_gram(multiplier, gauss_hermite_rule(count, order))
-    reference = all_node_gram(count, multiplier, order)
+def test_quadrature_gram_by_parity_matches_the_all_node_sum(count, refinement, multiplier):
+    gram = quadrature_gram(multiplier, trapezoid_rule(count, refinement))
+    reference = all_node_gram(multiplier, count, refinement)
     odd = np.add.outer(np.arange(count), np.arange(count)) % 2 == 1
     assert np.all(gram[odd] == 0.0)
     assert np.abs(gram - reference)[~odd].max() <= 1e-14 * max(1.0, np.abs(reference).max())
 
 
-@pytest.mark.parametrize("order", [32, 33, 512])
-def test_gauss_hermite_rule_keeps_the_nonnegative_half(order):
-    import rieszlab.hermite as hermite_mod
-
-    nodes, weights = roots_hermite(order)
-    half_nodes, lifted, table = gauss_hermite_rule(6, order)
-    positive = order - order // 2
-    np.testing.assert_array_equal(half_nodes, nodes[order // 2 :])
-    assert half_nodes[0] >= 0.0 and (half_nodes[0] == 0.0) == bool(order % 2)
-    full = hermite_mod._lifted_weights(nodes, weights)[order // 2 :]
-    np.testing.assert_array_equal(lifted[order % 2 :], 2.0 * full[order % 2 :])
-    if order % 2:
-        assert lifted[0] == full[0]
-    # e_k(-x) = (-1)^k e_k(x) bit for bit on the mirrored nodes
-    full_table = hermite_function_table(6, nodes)
-    signs = (-1.0) ** np.arange(6)[:, None]
-    np.testing.assert_array_equal(full_table[:, order // 2 :], table)
-    np.testing.assert_array_equal(full_table[:, :positive][:, ::-1], signs * table)
+def test_mirrored_nodes_give_signed_hermite_functions_bit_for_bit():
+    # e_k(-x) = (-1)^k e_k(x) exactly, which makes the parity split exact
+    nodes, _, table = trapezoid_rule(16, 1)
+    signs = (-1.0) ** np.arange(16)[:, None]
+    np.testing.assert_array_equal(hermite_function_table(16, -nodes), signs * table)
 
 
-def test_gauss_hermite_rule_refuses_an_asymmetric_rule(monkeypatch):
-    import rieszlab.hermite as hermite_mod
+_MULTIPLIER_FUNCTIONS = {
+    "one": lambda x: np.ones_like(x),
+    "one_plus_x2": lambda x: 1 + x**2,
+    "one_plus_x2_squared": lambda x: (1 + x**2) ** 2,
+    "inv_one_plus_x2": lambda x: 1 / (1 + x**2),
+}
 
-    def skewed(order):
-        nodes, weights = roots_hermite(order)
-        weights = weights.copy()
-        weights[0] *= 1.0 + 1e-15
-        return nodes, weights
 
-    monkeypatch.setattr(hermite_mod, "roots_hermite", skewed)
-    with pytest.raises(OracleMismatch):
-        gauss_hermite_rule(4, 16)
+# numpy's Gauss-Hermite rule of order 128 integrates the polynomial
+# multipliers exactly up to count 32 (degree 2 * 31 + 4 < 256).  On
+# 1 / (1 + x^2) it converges slowly: its own error at order 128 is about
+# 7e-12 at count 8 and 1e-8 at count 32, so the rational Gram is compared
+# at count 8.
+@pytest.mark.parametrize(
+    "multiplier, count, bound",
+    [("one", 32, 1e-14), ("one_plus_x2", 32, 1e-14), ("one_plus_x2_squared", 32, 1e-14), ("inv_one_plus_x2", 8, 1e-10)],
+)
+def test_trapezoid_gram_matches_numpys_gauss_hermite_rule(multiplier, count, bound):
+    nodes, weights = np.polynomial.hermite.hermgauss(128)
+    table = hermite_function_table(count, nodes)
+    factors = weights * np.exp(nodes**2) * _MULTIPLIER_FUNCTIONS[multiplier](nodes)
+    reference = (table * factors) @ table.T
+    gram = quadrature_gram(multiplier, trapezoid_rule(count, 1))
+    assert np.abs(gram - reference).max() <= bound * np.abs(reference).max()
 
 
 def test_oracle_gate_trips_on_odd_parity_defect(monkeypatch):

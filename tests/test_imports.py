@@ -1,4 +1,4 @@
-"""Import boundary: scipy loads only when a Gauss-Hermite rule is built."""
+"""Import boundary: no run loads scipy, the Hermite model included."""
 
 import json
 import os
@@ -47,7 +47,9 @@ def test_non_hermite_runs_never_load_scipy(tmp_path):
     assert run_fresh(runs) == [[0, []]] * 3
 
 
-def test_hermite_example_loads_scipy(tmp_path):
-    ((code, loaded),) = run_fresh([["example", "hermite", "--dim", "8", "--out", str(tmp_path / "r.json")]])
+def test_hermite_full_suite_never_loads_scipy(tmp_path):
+    ((code, loaded),) = run_fresh(
+        [["example", "hermite", "--dim", "8", "--full-suite", "--out", str(tmp_path / "r.json")]]
+    )
     assert code == 0
-    assert "scipy.special" in loaded
+    assert loaded == []
