@@ -333,26 +333,62 @@ def test_x_entry_formula():
     assert x_entry(0, 4) == 0.0
 
 
-def all_node_gram(multiplier, count, refinement):
-    # the Gram over the rule's full symmetric grid, every node with weight h,
-    # as a sum over all nodes before the parity split
+def all_node_gram(multiplier, count, nodes, weights):
+    # the Gram over every node of a rule on the whole line, as a sum over
+    # all nodes before the parity split
     import rieszlab.hermite as hermite_mod
 
-    nodes, weights, _ = trapezoid_rule(count, refinement)
-    grid = np.concatenate([-nodes[:0:-1], nodes])
-    step = np.full(grid.size, weights[0])
-    table = hermite_function_table(count, grid)
-    return (table * (step * hermite_mod._multiplier_values(multiplier, grid))) @ table.T
+    table = hermite_function_table(count, nodes)
+    return (table * (weights * hermite_mod._multiplier_values(multiplier, nodes))) @ table.T
+
+
+def assert_parity_split_matches(gram, reference):
+    count = gram.shape[0]
+    odd = np.add.outer(np.arange(count), np.arange(count)) % 2 == 1
+    assert np.all(gram[odd] == 0.0)
+    assert np.abs(gram - reference)[~odd].max() <= 1e-14 * max(1.0, np.abs(reference).max())
+
+
+def gauss_hermite_rule(order):
+    # Golub-Welsch: the order-point Gauss-Hermite nodes are the eigenvalues
+    # of the Hermite functions' Jacobi matrix, mirrored here so that they are
+    # exact negatives; the weights times e^{x^2} are 1 / sum_k e_k(x)^2
+    # (Christoffel), which stays finite where e^{-x^2} underflows
+    off = np.sqrt(np.arange(1, order) / 2.0)
+    nodes = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    nodes = (nodes - nodes[::-1]) / 2.0
+    return nodes, 1.0 / (hermite_function_table(order, nodes) ** 2).sum(axis=0)
+
+
+# quadrature_gram takes any rule on the nonnegative half-line, not only the
+# trapezoidal one: 32 is an even order, whose nodes are all positive; 33 an
+# odd order, whose centre node 0 counts once
+@pytest.mark.parametrize("order, count", [(32, 8), (33, 8), (512, 128)])
+@pytest.mark.parametrize("multiplier", ["one", "one_plus_x2", "one_plus_x2_squared", "inv_one_plus_x2"])
+def test_quadrature_gram_by_parity_matches_the_all_node_sum(order, count, multiplier):
+    nodes, lifted = gauss_hermite_rule(order)
+    half = nodes[order // 2 :]
+    weights = 2.0 * lifted[order // 2 :]
+    if order % 2:
+        assert half[0] == 0.0
+        weights[0] = lifted[order // 2]
+    else:
+        assert half[0] > 0.0
+    gram = quadrature_gram(multiplier, (half, weights, hermite_function_table(count, half)))
+    assert_parity_split_matches(gram, all_node_gram(multiplier, count, nodes, lifted))
+    if multiplier == "one":
+        # a Gauss-Hermite rule: exact on e_m e_n for m + n < 2 order
+        np.testing.assert_allclose(gram, np.eye(count), atol=1e-12)
 
 
 @pytest.mark.parametrize("count, refinement", [(8, 1), (8, 2), (128, 1)])
 @pytest.mark.parametrize("multiplier", ["one", "one_plus_x2", "one_plus_x2_squared", "inv_one_plus_x2"])
-def test_quadrature_gram_by_parity_matches_the_all_node_sum(count, refinement, multiplier):
+def test_trapezoid_gram_by_parity_matches_the_full_grid_sum(count, refinement, multiplier):
+    # the trapezoidal rule's full symmetric grid, every node with weight h
+    nodes, weights, _ = trapezoid_rule(count, refinement)
+    grid = np.concatenate([-nodes[:0:-1], nodes])
     gram = quadrature_gram(multiplier, trapezoid_rule(count, refinement))
-    reference = all_node_gram(multiplier, count, refinement)
-    odd = np.add.outer(np.arange(count), np.arange(count)) % 2 == 1
-    assert np.all(gram[odd] == 0.0)
-    assert np.abs(gram - reference)[~odd].max() <= 1e-14 * max(1.0, np.abs(reference).max())
+    assert_parity_split_matches(gram, all_node_gram(multiplier, count, grid, np.full(grid.size, weights[0])))
 
 
 def test_mirrored_nodes_give_signed_hermite_functions_bit_for_bit():
