@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import os
 import sys
@@ -47,8 +48,9 @@ def _emit(reports, cfg: RunConfig, fmt: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def main(argv=None) -> int:
-    _setup_logging()
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(prog="rieszlab", description="Residual checks for biorthogonal systems")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -66,8 +68,12 @@ def main(argv=None) -> int:
     herm_p.add_argument("--out", default=None)
     herm_p.add_argument("--format", choices=("json", "csv"), default="json")
     herm_p.add_argument("--seed", type=int, default=0)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    _setup_logging()
+    args = _parser().parse_args(argv)
 
     if args.command == "example" and args.dim < 2:
         print("--dim must be >= 2", file=sys.stderr)

@@ -11,10 +11,10 @@ positivity (by smallest eigenvalue) on the first read of `positive`, so
 callers can demand the structure they need instead of trusting whoever
 built the matrix.  A map is factored at most once per kind: the
 positivity certificate's eigendecomposition gives `spectrum` and
-`operator_sqrt`, and one full SVD gives `cond_estimate`, `invert` and
-`polar_decompose`; `invert` caches its result on the map too.  The
-entries and every matrix derived from them are read-only, so none of
-these cached values can go stale.
+`operator_sqrt`, and one full SVD gives `singular_values`,
+`cond_estimate`, `invert` and `polar_decompose`; `invert` caches its
+result on the map too.  The entries and every matrix derived from them
+are read-only, so none of these cached values can go stale.
 """
 
 from __future__ import annotations
@@ -110,10 +110,15 @@ class LinearMap:
         return self.entries.shape[0]
 
     @property
+    def singular_values(self) -> np.ndarray:
+        """Descending singular values, read from the map's one SVD."""
+        return _svd(self)[1]
+
+    @property
     def cond_estimate(self) -> float:
         """Ratio of extreme singular values (inf when singular), read from the map's one SVD."""
         if self._cond is None:
-            s = _svd(self)[1]
+            s = self.singular_values
             self._cond = float(s[0] / s[-1]) if s[-1] > 0.0 else float("inf")
         return self._cond
 

@@ -231,133 +231,117 @@ def adjoint_relation_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     return make_report("adjoint_relations", worst(details.values()), tolerance, details=details)
 
 
-def _words(m: int, l: int) -> tuple[tuple, tuple]:
-    """A^m B^l and B^m A^l as their (letter, power) factors, zero powers dropped.
+def _words(m: int, l: int) -> tuple[str, str]:
+    """A^m B^l and B^m A^l as letter strings, leftmost factor first.
 
     A^0 B^k = B^k A^0, so the pairs (0, k) and (k, 0) name the same two
     operators; the identity is the empty word.
     """
-    ab = tuple((x, p) for x, p in (("a", m), ("b", l)) if p)
-    ba = tuple((x, p) for x, p in (("b", m), ("a", l)) if p)
-    return ab, ba
+    return "a" * m + "b" * l, "b" * m + "a" * l
 
 
-def _powers(x) -> dict:
-    """x^1 .. x^4 by exponent, associated as np.linalg.matrix_power associates its products.
+def _kets(root: np.ndarray, letters: dict[str, np.ndarray], nodes: set[str]):
+    """(word, word root) for every word of the suffix-closed set nodes, depth first.
 
-    x is a weighted shift or a matrix; both multiply with @.
+    The ket of x w is letters[x] @ ket(w), one gemm per word.  A ket is
+    yielded after its children are formed, so the caller may overwrite it;
+    only the pending kets of one root-to-leaf chain are held.  The walk is
+    an explicit stack: a nested function that calls itself would be a
+    reference cycle and keep the run's matrices alive until the cyclic
+    collector runs.
     """
-    square = x @ x
-    return {1: x, 2: square, 3: square @ x, 4: square @ square}
+    stack = [("", root)]
+    while stack:
+        word, ket = stack.pop()
+        # the child that repeats the word's first letter goes below its
+        # sibling, whose run of one child per word is walked and freed first
+        for x, op in sorted(letters.items(), key=lambda item: item[0] != word[:1]):
+            if x + word in nodes:
+                stack.append((x + word, op @ ket))
+        if word:
+            yield word, ket
 
 
-def _word(powers: dict, word: tuple, identity):
-    """The product F0 F1 of the word's factors powers[letter][exponent]; identity for the empty word."""
-    return reduce(matmul, [powers[x][p] for x, p in word]) if word else identity
+def _mixed_deviation(opset: OperatorSet, t_adj_inv: np.ndarray, b_ket: np.ndarray) -> tuple[float, float]:
+    """(||A_psi_phi b_ket - (T*)^-1 A_e T* T B_e||, ||(T*)^-1 A_e T* T B_e||) for b_ket = B_phi_psi T.
 
-
-def _deviation(reference: np.ndarray, actual: np.ndarray | None) -> tuple[float, float]:
-    """(||actual - reference||, ||reference||), subtracting in the reference's buffer."""
+    The reference is formed first, so that at most three N x N matrices of
+    its own are held at a time.
+    """
+    t = opset.t.entries
+    inner = t.conj().T @ (t @ opset.b_e)
+    reference = (t_adj_inv @ opset.a_e) @ inner
+    del inner
     reference_norm = np.linalg.norm(reference)
-    if actual is None:
-        reference.flat[:: reference.shape[0] + 1] -= 1.0
-    else:
-        reference -= actual
+    reference -= opset.a_psi_phi @ b_ket
     return np.linalg.norm(reference), reference_norm
-
-
-def _side_deviations(
-    left: np.ndarray,
-    right: np.ndarray,
-    references: dict[tuple, WeightedShift],
-    actual_ops: dict[str, np.ndarray],
-    words: Sequence[tuple],
-) -> dict[tuple, tuple[float, float]]:
-    """_deviation for each word on one side.
-
-    The actual operator multiplies powers of the side's transformed A and
-    B; the reference is left (A_e^m B_e^l) right, one column shift of left
-    and one product.  The two routes share only left and right.  With
-    m + l <= 4 a word has at most one factor above the square, so each
-    letter's cube and fourth power are formed just before the words that
-    hold them and dropped after; only the two squares stay for the rest.
-    """
-    powers = {x: {1: op} for x, op in actual_ops.items()}
-    deviations = {}
-
-    def compare(word: tuple) -> None:
-        deviations[word] = _deviation(left @ references[word] @ right, _word(powers, word, None))
-
-    for x, op in actual_ops.items():
-        powers[x] = _powers(op)
-        for word in words:
-            if (x, 3) in word or (x, 4) in word:
-                compare(word)
-        del powers[x][3], powers[x][4]
-    for word in words:
-        if word not in deviations:
-            compare(word)
-    return deviations
 
 
 def product_identity_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     """A^m B^l products of the transformed operators against conjugated references.
 
-    Covers both orders for both families plus the mixed product
-    A_psi_phi B_phi_psi = (T*)^-1 A_e T* T B_e T^-1.  Residuals are
-    normalized by the product of the factor norms, which bounds every
-    intermediate; the reference itself can vanish (shift operators are
-    nilpotent once m or l reaches the dimension).  Returns the report of
-    the worst (m, l) pair of PRODUCT_PAIRS; a NaN pair is the worst, and
-    on a tie the earlier pair wins.
+    Each identity is checked with its right factor multiplied in:
+    (A_phi_psi^m B_phi_psi^l) T = T (A_e^m B_e^l) on the phi side and
+    (A_psi_phi^m B_psi_phi^l) (T*)^-1 = (T*)^-1 (A_e^m B_e^l) on the psi
+    side, for both orders, plus the mixed product
+    A_psi_phi B_phi_psi T = (T*)^-1 A_e T* T B_e.  Each side walks the
+    words of PRODUCT_PAIRS as a suffix tree from its right factor, one gemm
+    per word, and compares each ket in place with the column shift of the
+    right factor by the word's weighted shift; the empty word compares the
+    right factor with itself and reads 0.  The two routes share only T and
+    T^-1.
 
-    Each word A_e^m B_e^l is a weighted shift, built once from the set's
-    ladders, so a reference costs one column shift and one product.  One
-    side at a time, each distinct operator of the pairs is formed once per
-    route and only the two norms of its comparison are kept, so the working
-    set stays a few matrices.
+    A residual is the Frobenius deviation over the larger of the
+    reference's norm (from the right factor's column norms) and the
+    spectral bound ||right||_2 cond(T) max|a_n|^m max|b_n|^l, with
+    ||T||_2 = sigma_max on the phi side, ||(T*)^-1||_2 = 1 / sigma_min on
+    the psi side, and cond(T)^2 for the mixed product; the reference can
+    vanish (shift operators are nilpotent once m or l reaches the
+    dimension).  Returns the report of the worst (m, l) pair; a NaN pair
+    is the worst, and on a tie the earlier pair wins.
     """
-    t = opset.t.entries
-    t_inv = invert(opset.t)
+    t_map = opset.t
+    t = t_map.entries
+    t_adj_inv = invert(t_map).conj().T
+    sigma = t_map.singular_values
+    cond = t_map.cond_estimate
+    shifts = {"a": opset.a_e, "b": opset.b_e}
+    # a weighted shift's 2-norm is its largest |coefficient|
+    peak = {x: np.abs(w.coefficients).max() for x, w in shifts.items()}
 
     def rel(deviation: float, reference_norm: float, scale: float) -> float:
         return float(deviation / max(reference_norm, scale, 1e-300))
 
-    a_e, b_e = opset.a_e, opset.b_e
-    conjugation = np.linalg.norm(t) * np.linalg.norm(t_inv)
-    # a shift's coefficient norm is the Frobenius norm of its matrix
-    a_norm, b_norm = np.linalg.norm(a_e.coefficients), np.linalg.norm(b_e.coefficients)
-    words = list(dict.fromkeys(w for m, l in PRODUCT_PAIRS for w in _words(m, l)))
-    shifts = {"a": _powers(a_e), "b": _powers(b_e)}
-    identity = WeightedShift(0, np.ones(a_e.dim))
-    references = {word: _word(shifts, word, identity) for word in words}  # shared by both sides
-    norms = {
-        "phi": _side_deviations(
-            t, t_inv, references, {"a": opset.a_phi_psi, "b": opset.b_phi_psi}, words
-        )
-    }
-    t_adj = t.conj().T
-    t_adj_inv = t_inv.conj().T
-    # The mixed product does not depend on (m, l).
-    mixed = rel(
-        *_deviation(
-            t_adj_inv @ a_e @ t_adj @ t @ b_e @ t_inv,
-            opset.a_psi_phi @ opset.b_phi_psi,
-        ),
-        conjugation**2 * a_norm * b_norm,
-    )
-    norms["psi"] = _side_deviations(
-        t_adj_inv, t_adj, references, {"a": opset.a_psi_phi, "b": opset.b_psi_phi}, words
-    )
+    words = {w for m, l in PRODUCT_PAIRS for w in _words(m, l)}
+    # every suffix of a word, and B alone, whose phi-side ket the mixed product reads
+    nodes = {w[i:] for w in words for i in range(len(w))} | {"b"}
+    references = {w: reduce(matmul, [shifts[x] for x in w]) for w in sorted(nodes)}
+    residuals = {("phi", ""): 0.0, ("psi", ""): 0.0}
+    # On the phi side A's subtree is walked before B's, so the mixed product,
+    # which reads B's ket, runs while only B's own children are pending.
+    for side, right, right_norm, letters in (
+        ("phi", t, sigma[0], {"b": opset.b_phi_psi, "a": opset.a_phi_psi}),
+        ("psi", t_adj_inv, 1.0 / sigma[-1], {"a": opset.a_psi_phi, "b": opset.b_psi_phi}),
+    ):
+        column_norms = np.linalg.norm(right, axis=0)[np.newaxis]
+        for word, ket in _kets(right, letters, nodes):
+            if side == "phi" and word == "b":
+                bound = right_norm * cond**2 * peak["a"] * peak["b"]
+                mixed = rel(*_mixed_deviation(opset, t_adj_inv, ket), bound)
+            ket -= right @ references[word]
+            bound = right_norm * cond * peak["a"] ** word.count("a") * peak["b"] ** word.count("b")
+            reference_norm = np.linalg.norm(column_norms @ references[word])
+            residuals[side, word] = rel(np.linalg.norm(ket), reference_norm, bound)
+            del ket  # before the walk forms the next children
     reports = []
     for m, l in PRODUCT_PAIRS:
-        plain_scale = conjugation * a_norm**m * b_norm**l
         ab, ba = _words(m, l)
         details = {
-            f"{side}_{order}": rel(*norms[side][word], plain_scale)
+            f"{side}_{order}": residuals[side, word]
             for side in ("phi", "psi")
             for order, word in (("ab", ab), ("ba", ba))
         }
+        # The mixed product does not depend on (m, l).
         details["mixed"] = mixed
         reports.append(
             make_report(

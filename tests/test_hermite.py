@@ -21,6 +21,7 @@ from rieszlab.hermite import (
     MAX_DIMENSION,
     ORACLE_TOLERANCE,
     REACH,
+    _every_other_node,
     hermite_function_table,
     quadrature_gram,
     tail_family,
@@ -281,8 +282,9 @@ def test_tail_family_matches_loop_bit_for_bit(dim):
 
 
 def test_build_model_shares_the_entry_rule(monkeypatch):
-    # Two rules per model: the entry gate, the first rational Gram and the
-    # Gram of (1 + x^2)^2 share the step-h rule; the doubling gate adds h/2.
+    # One rule per model, step h/2, for the doubling gate; the entry gate,
+    # the first rational Gram and the Gram of (1 + x^2)^2 share its every
+    # other node, which is the step-h rule.
     import rieszlab.hermite as hermite_mod
 
     calls = []
@@ -293,7 +295,7 @@ def test_build_model_shares_the_entry_rule(monkeypatch):
     for dim in (16, 64):
         calls.clear()
         model = hermite_mod.build_model(dim)
-        assert calls == [(dim, 1), (dim, 2)]
+        assert calls == [(dim, 2)]
         once = quadrature_gram("inv_one_plus_x2", rule(dim, 1))
         twice = quadrature_gram("inv_one_plus_x2", rule(dim, 2))
         assert model.rational_convergence == float(np.abs(once - twice).max())
@@ -316,6 +318,17 @@ def test_trapezoid_rule_step_and_reach():
         fine = trapezoid_rule(count, 2)[0]
         np.testing.assert_array_equal(fine[::2], nodes)
         assert fine[-1] <= reach < fine[-1] + step / 2
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 16, 255, 256, MAX_DIMENSION])
+def test_every_other_node_of_the_halved_step_is_the_rule_bit_for_bit(count):
+    # halving the step is exact in binary and the table is evaluated node
+    # by node, so build_model evaluates the Hermite functions only once
+    coarse = trapezoid_rule(count, 1)
+    from_fine = _every_other_node(trapezoid_rule(count, 2))
+    for name, expected, actual in zip(("nodes", "weights", "table"), coarse, from_fine):
+        assert np.array_equal(actual, expected), name
+        assert actual.flags.c_contiguous, name
 
 
 def test_build_model_gate_holds_up_to_the_limit():

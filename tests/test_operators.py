@@ -1,7 +1,9 @@
 """Tests for Hamiltonians, ladder operators, and their similarity transforms."""
 
 import dataclasses
+import gc
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -303,41 +305,49 @@ def test_a_nan_pair_is_the_worst_pair():
             assert (report.details["m"], report.details["l"]) == (4, 0)
 
 
-def parent_product_identity_check(opset, pairs, tolerance=1e-10):
-    """The algorithm product_identity_check replaced: every chain through matrix_power, per pair."""
+def dense_product_identity_check(opset, pairs, tolerance=1e-10):
+    """The definition product_identity_check computes, by dense matrix_power chains, per pair.
+
+    Each chain of transformed ladders is multiplied by the side's right
+    factor (T, or (T*)^-1) and compared with right @ W for the dense word W,
+    under the spectral scale ||right||_2 cond(T) max|a_n|^m max|b_n|^l
+    (cond(T)^2 for the mixed product), each norm from its own SVD.
+    """
     t = opset.t.entries
-    t_inv = invert(opset.t)
-    t_adj = t.conj().T
-    t_adj_inv = t_inv.conj().T
+    t_adj_inv = invert(opset.t).conj().T
     a_e, b_e = dense(opset.a_e).entries, dense(opset.b_e).entries
     power = np.linalg.matrix_power
-
-    def chain(mat, p, mat2, q):
-        return power(mat, p) @ power(mat2, q)
+    cond = np.linalg.cond(t)
+    peak_a, peak_b = np.abs(a_e).max(), np.abs(b_e).max()
 
     def rel(actual, reference, scale):
         return float(np.linalg.norm(actual - reference) / max(np.linalg.norm(reference), scale, 1e-300))
 
-    conjugation = np.linalg.norm(t) * np.linalg.norm(t_inv)
-    a_norm, b_norm = np.linalg.norm(a_e), np.linalg.norm(b_e)
+    sides = {
+        "phi": (t, opset.a_phi_psi, opset.b_phi_psi),
+        "psi": (t_adj_inv, opset.a_psi_phi, opset.b_psi_phi),
+    }
     mixed = rel(
-        opset.a_psi_phi @ opset.b_phi_psi,
-        t_adj_inv @ a_e @ t_adj @ t @ b_e @ t_inv,
-        conjugation**2 * a_norm * b_norm,
+        opset.a_psi_phi @ opset.b_phi_psi @ t,
+        t_adj_inv @ a_e @ t.conj().T @ t @ b_e,
+        np.linalg.norm(t, 2) * cond**2 * peak_a * peak_b,
     )
     worst = None
     for m, l in pairs:
-        plain_scale = conjugation * a_norm**m * b_norm**l
-        ab_e, ba_e = chain(a_e, m, b_e, l), chain(b_e, m, a_e, l)
-        ap, bp = opset.a_phi_psi, opset.b_phi_psi
-        aq, bq = opset.a_psi_phi, opset.b_psi_phi
-        details = {
-            "phi_ab": rel(chain(ap, m, bp, l), t @ ab_e @ t_inv, plain_scale),
-            "phi_ba": rel(chain(bp, m, ap, l), t @ ba_e @ t_inv, plain_scale),
-            "psi_ab": rel(chain(aq, m, bq, l), t_adj_inv @ ab_e @ t_adj, plain_scale),
-            "psi_ba": rel(chain(bq, m, aq, l), t_adj_inv @ ba_e @ t_adj, plain_scale),
-            "mixed": mixed,
-        }
+        details = {}
+        for side, (right, a, b) in sides.items():
+            right_norm = np.linalg.norm(right, 2)
+            details[f"{side}_ab"] = rel(
+                power(a, m) @ power(b, l) @ right,
+                right @ power(a_e, m) @ power(b_e, l),
+                right_norm * cond * peak_a**m * peak_b**l,
+            )
+            details[f"{side}_ba"] = rel(
+                power(b, m) @ power(a, l) @ right,
+                right @ power(b_e, m) @ power(a_e, l),
+                right_norm * cond * peak_b**m * peak_a**l,
+            )
+        details["mixed"] = mixed
         report = make_report("product_identities", max(details.values()), tolerance, details={**details, "m": m, "l": l})
         if worst is None or report.residual > worst.residual:
             worst = report
@@ -361,22 +371,111 @@ def product_opsets():
     }
 
 
-@pytest.mark.parametrize("pairs", [PRODUCT_PAIRS], ids=["suite"])
-def test_product_identity_matches_parent_algorithm_bit_for_bit(pairs):
-    # A weighted shift forms each entry's one nonzero product as the gemm
-    # does; with complex alpha the gemm kernel may round that complex
-    # product differently, so the reference moves by a few ulps of the
-    # scale that normalizes every residual.
+def largest_entry_scaled(a, eps=1e-6):
+    """A copy of a whose largest-magnitude entry is scaled by 1 + eps."""
+    a = a.copy()
+    a[np.unravel_index(np.argmax(np.abs(a)), a.shape)] *= 1.0 + eps
+    return a
+
+
+@pytest.mark.parametrize("defect", [None, "a_phi_psi", "b_psi_phi"], ids=["clean", "a_phi_psi", "b_psi_phi"])
+def test_product_identity_matches_the_dense_oracle(defect):
+    # The dense chains and the ket walk associate their products apart, so a
+    # normalized residual moves by a few ulps of 1.  A 1e-6 defect moves the
+    # worst pair to 4e-9 .. 6e-7, so there the same bound pins the scale and
+    # the reference norm to about 1e-7 relative.
+    eps = np.finfo(float).eps
     for name, opset in product_opsets().items():
-        expected = parent_product_identity_check(opset, pairs)
-        actual = product_identity_check(opset, 1e-10)
-        assert list(actual.details) == list(expected.details), name
-        if np.isrealobj(opset.alpha):
-            assert actual.residual == expected.residual, name
-            assert actual.details == expected.details, name
-        else:
+        if defect is not None:
+            opset = dataclasses.replace(opset, **{defect: largest_entry_scaled(getattr(opset, defect))})
+        for pair in PRODUCT_PAIRS:
+            expected = dense_product_identity_check(opset, [pair])
+            actual = product_check(opset, [pair])
+            assert list(actual.details) == list(expected.details), name
             for key, value in expected.details.items():
-                assert abs(actual.details[key] - value) <= 4 * np.finfo(float).eps, (name, key)
+                assert abs(actual.details[key] - value) <= 4 * eps, (name, pair, key)
+
+
+class CountedMatrix(np.ndarray):
+    """An ndarray that counts the N x N by N x N products formed from it and its results."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        shapes = [np.shape(x) for x in inputs]
+        if ufunc is np.matmul and all(len(s) == 2 and s[0] == s[1] == shapes[0][0] for s in shapes):
+            CountedMatrix.products += 1
+        plain = [x.view(np.ndarray) if isinstance(x, CountedMatrix) else x for x in inputs]
+        if "out" in kwargs:
+            kwargs["out"] = tuple(x.view(np.ndarray) if isinstance(x, CountedMatrix) else x for x in kwargs["out"])
+            return getattr(ufunc, method)(*plain, **kwargs)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        return result.view(CountedMatrix) if isinstance(result, np.ndarray) else result
+
+
+def test_product_identities_form_43_matrix_products():
+    # One gemm per word on each side (20 words each) and three for the mixed
+    # product, whatever the input; the dense chains would take 160.
+    fields = ("a_phi_psi", "b_phi_psi", "a_psi_phi", "b_psi_phi")
+    for name, opset in product_opsets().items():
+        t = LinearMap(opset.t.entries)
+        t.entries = t.entries.view(CountedMatrix)
+        t._inverse = invert(opset.t).view(CountedMatrix)
+        t._svd = opset.t._svd
+        counted = dataclasses.replace(opset, t=t, **{f: getattr(opset, f).view(CountedMatrix) for f in fields})
+        CountedMatrix.products = 0
+        report = product_identity_check(counted, 1e-10)
+        assert CountedMatrix.products == 43, name
+        assert report.details == product_identity_check(opset, 1e-10).details, name
+
+
+def test_product_identity_check_leaves_no_reference_cycle():
+    # With the cyclic collector off, the set's matrices must be freed as soon
+    # as the last reference to the set goes: a walk that held itself in a
+    # closure would keep every matrix of the run alive.
+    opset = build_operator_set(random_conditioned_map(16, 10.0, stream_rng(73)), np.sqrt(np.arange(16)))
+    fields = ("a_phi_psi", "b_phi_psi", "a_psi_phi", "b_psi_phi")
+    watched = {name: weakref.ref(getattr(opset, name)) for name in fields}
+    gc.disable()
+    try:
+        assert product_identity_check(opset, 1e-10).passed
+        del opset
+        assert [name for name, ref in watched.items() if ref() is not None] == []
+    finally:
+        gc.enable()
+
+
+@pytest.fixture(scope="module")
+def dense_128_opset():
+    """Dense complex T at N=128 with cond(T) = 1e3, sqrt(n) alpha."""
+    return build_operator_set(random_conditioned_map(128, 1e3, stream_rng(75)), np.sqrt(np.arange(128)))
+
+
+def test_product_identities_pass_the_clean_dense_set(dense_128_opset):
+    assert product_identity_check(dense_128_opset, 1e-8).passed
+
+
+@pytest.mark.parametrize("field", ["a_phi_psi", "b_phi_psi", "a_psi_phi", "b_psi_phi"])
+def test_product_identities_fail_a_1e_6_defect_in_a_transformed_ladder(dense_128_opset, field):
+    # Mutation rows: the largest entry of one transformed ladder scaled by
+    # 1 + 1e-6 at tolerance 1e-8.  The spectral scale reads 2.3e-7 to 3.2e-7
+    # here; the Frobenius scale ||T||_F ||T^-1||_F ||A||_F^m ||B||_F^l read
+    # 7.8e-9 for b_phi_psi and a_psi_phi, and 1.4e-8 for the other two.
+    mutated = dataclasses.replace(dense_128_opset, **{field: largest_entry_scaled(getattr(dense_128_opset, field))})
+    report = product_identity_check(mutated, 1e-8)
+    assert not report.passed, report.details
+
+
+def test_product_identities_fail_a_1e_6_defect_in_the_cached_inverse():
+    # The psi side starts its walk from (T*)^-1 and the mixed product's
+    # reference reads it, so a defect in the run's one T^-1 must show.
+    t = random_conditioned_map(32, 10.0, stream_rng(50))
+    opset = build_operator_set(t, np.sqrt(np.arange(32)))
+    assert product_identity_check(opset, 1e-8).passed
+    t._inverse = largest_entry_scaled(invert(t))
+    report = product_identity_check(opset, 1e-8)
+    assert not report.passed, report.details
+    assert report.details["phi_ab"] < 1e-14  # the phi side never reads T^-1
 
 
 def parent_transform(op_e, t, side):
