@@ -27,7 +27,7 @@ def _hermite_config(dim: int, full_suite: bool, seed: int) -> RunConfig:
     operator = OperatorSpec("hermite-x")
     alpha = AlphaSpec("sqrt_n")
     checks = default_checks("hermite-x", "sqrt_n") if full_suite else ("biorthogonality", "hermite_oracle")
-    # interior identities of the truncated model hold at 1e-6; see README
+    # the truncated model's identities hold at 1e-6; only hermite_oracle reads the margin (see README)
     return RunConfig(
         dimension=dim,
         operator=operator,

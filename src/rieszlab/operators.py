@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import matmul
-from typing import Sequence
 
 import numpy as np
 
@@ -154,23 +153,14 @@ def build_operator_set(t: LinearMap, alpha: np.ndarray) -> OperatorSet:
     )
 
 
-def eigen_check(
-    opset: OperatorSet,
-    sys: BiorthogonalSystem,
-    tolerance: float,
-    indices: Sequence[int] | None,
-) -> CheckReport:
-    """Residual of H v_k = alpha_k v_k over both families, against tolerance * cond(T).
-
-    indices restricts the verdict to those k; None checks every index.
-    """
+def eigen_check(opset: OperatorSet, sys: BiorthogonalSystem, tolerance: float) -> CheckReport:
+    """Residual of H v_k = alpha_k v_k at every k of both families, against tolerance * cond(T)."""
     cond = opset.t.cond_estimate
-    sel = slice(None) if indices is None else np.asarray(list(indices), dtype=int)
     details = {}
     for side, h, m in (("phi", opset.h_phi_psi, sys.phi), ("psi", opset.h_psi_phi, sys.psi)):
         resid = np.linalg.norm(h @ m - m * opset.alpha, axis=0)
         resid = resid / np.maximum(1.0, np.linalg.norm(m, axis=0))
-        details[f"{side}_family"] = float(resid[sel].max())
+        details[f"{side}_family"] = float(resid.max())
     residual = worst(details.values())
     return make_report("eigen", residual, tolerance * cond, details=details | {"cond": cond})
 

@@ -71,13 +71,6 @@ class _SuiteContext:
     def opset(self) -> operators.OperatorSet:
         return self._get("opset", lambda: operators.build_operator_set(self.operator(), build_alpha(self.cfg)))
 
-    def interior_indices(self):
-        # Truncations of an infinite-dimensional operator are edge-polluted;
-        # restrict per-index residual checks to the interior there.
-        if self.cfg.operator.kind == "hermite-x":
-            return range(self.cfg.dimension - self.cfg.interior_margin)
-        return None
-
     def samples(self, check: str, sets: int = 1) -> list[np.ndarray]:
         """Sample sets of SAMPLE_COUNT columns, drawn one after another from the check's stream."""
         rng = sampling.stream_rng(self.cfg.seed, _STREAMS[check])
@@ -89,9 +82,7 @@ def _check_biorthogonality(ctx: _SuiteContext) -> CheckReport:
 
 
 def _check_k_relations(ctx: _SuiteContext) -> CheckReport:
-    return systems.verify_K_relations(
-        ctx.system(), ctx.frame_ops(), ctx.cfg.tolerance, ctx.interior_indices()
-    )
+    return systems.verify_K_relations(ctx.system(), ctx.frame_ops(), ctx.cfg.tolerance)
 
 
 def _check_onb_reconstruction(ctx: _SuiteContext) -> CheckReport:
@@ -164,7 +155,7 @@ def _check_hamiltonian_agreement(ctx: _SuiteContext) -> CheckReport:
 
 def _check_eigen(ctx: _SuiteContext) -> CheckReport:
     # The operator set first: on a singular T it raises before anything else is built.
-    return operators.eigen_check(ctx.opset(), ctx.system(), ctx.cfg.tolerance, ctx.interior_indices())
+    return operators.eigen_check(ctx.opset(), ctx.system(), ctx.cfg.tolerance)
 
 
 def _check_ladder(ctx: _SuiteContext) -> CheckReport:

@@ -93,7 +93,7 @@ def test_criterion_03_k_relations():
 
     worst = 0.0
     for name, sys_ in _systems_under_test().items():
-        report = verify_K_relations(sys_, build_frame_operators(sys_), 1e-8, None)
+        report = verify_K_relations(sys_, build_frame_operators(sys_), 1e-8)
         worst = max(worst, report.residual)
     _verdict(3, "K-relations and K_phi K_psi = 1", worst < 1e-8, f"worst residual {worst:.2e}")
 
@@ -146,7 +146,7 @@ def test_criterion_06_hamiltonian_agreement():
             worst_diff,
             np.linalg.norm(summed - conjugated) / np.linalg.norm(conjugated),
         )
-        report = eigen_check(opset, sys_, 1e-8, None)
+        report = eigen_check(opset, sys_, 1e-8)
         worst_eigen = max(worst_eigen, report.residual / report.tolerance)
     ok = worst_diff < 1e-9 and worst_eigen < 1.0
     _verdict(

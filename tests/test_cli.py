@@ -221,12 +221,16 @@ def test_cli_hermite_full_suite(tmp_path):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_cli_hermite_example_at_the_smallest_dimensions(tmp_path, dim):
     # margin dim // 2 = 1 leaves interior rows that the truncation of X X*
-    # reaches; k_phi_vs_x_squared compares only the rows below dim - 2
-    out = tmp_path / "hermite.json"
-    assert main(["example", "hermite", "--dim", str(dim), "--out", str(out)]) == 0
-    doc = json.loads(out.read_text(encoding="utf-8"))
-    (oracle,) = [r for r in doc["reports"] if r["name"] == "hermite_oracle"]
-    assert oracle["pass"] and float(oracle["details"]["k_phi_vs_x_squared"]) < 1e-14
+    # reaches; k_phi_vs_x_squared compares only the rows below dim - 2.
+    # Every column is an edge column here, and the full suite passes too
+    # (exit status 0).
+    for flags in ([], ["--full-suite"]):
+        out = tmp_path / "hermite.json"
+        assert main(["example", "hermite", "--dim", str(dim), *flags, "--out", str(out)]) == 0, flags
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        (oracle,) = [r for r in doc["reports"] if r["name"] == "hermite_oracle"]
+        assert oracle["pass"] and float(oracle["details"]["k_phi_vs_x_squared"]) < 1e-14
+    assert len(doc["reports"]) == len(KNOWN_CHECKS)
 
 
 @pytest.mark.parametrize("margin", [0, 1])

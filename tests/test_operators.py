@@ -29,7 +29,8 @@ from rieszlab import (
     transform,
 )
 from rieszlab.errors import DimensionMismatch, NumericallySingular, WrongAlphaKind
-from rieszlab import operators
+from rieszlab import operators, suite
+from rieszlab.cli import _hermite_config
 from rieszlab.hermite import tail_coefficient_vector, tail_family
 from rieszlab.operators import PRODUCT_PAIRS, WeightedShift
 from rieszlab.sampling import stream_rng
@@ -151,25 +152,16 @@ def test_sum_form_agreement_random_property():
 def test_eigen_check_diagonal_and_unipotent():
     alpha = np.array([1.0, 2.0])
     identity = build_system(LinearMap(np.eye(2)))
-    assert eigen_check(reference_opset(alpha), identity, 1e-8, None).residual == 0.0
+    assert eigen_check(reference_opset(alpha), identity, 1e-8).residual == 0.0
     # H phi_1 = 2 phi_1 with phi_1 = (1, 1)
     t = LinearMap([[1, 1], [0, 1]])
     sys_ = build_system(t)
     opset = build_operator_set(t, alpha)
     h = opset.h_phi_psi
     np.testing.assert_allclose(h @ sys_.phi[:, 1], 2.0 * sys_.phi[:, 1], atol=1e-14)
-    report = eigen_check(opset, sys_, 1e-8, None)
+    report = eigen_check(opset, sys_, 1e-8)
     assert report.passed and report.residual < 1e-14
     assert report.tolerance == 1e-8 * t.cond_estimate and report.details["cond"] == t.cond_estimate
-
-
-def test_eigen_check_hermite_interior():
-    from rieszlab.hermite import build_model
-
-    x = build_model(64).X
-    sys_ = build_system(x)
-    report = eigen_check(build_operator_set(x, np.arange(64)), sys_, 1e-7, range(32))
-    assert report.passed and report.residual <= 1e-7, report.details
 
 
 def test_ladder_check_reference_basis():
@@ -476,6 +468,27 @@ def test_product_identities_fail_a_1e_6_defect_in_the_cached_inverse():
     report = product_identity_check(opset, 1e-8)
     assert not report.passed, report.details
     assert report.details["phi_ab"] < 1e-14  # the phi side never reads T^-1
+
+
+@pytest.mark.parametrize(
+    "dim, side, eps, check",
+    [(32, "psi", 1e-4, "k_relations"), (256, "psi", 1e-4, "k_relations"), (32, "phi", 1e-3, "eigen")],
+)
+def test_suite_checks_fail_a_defect_in_the_last_column(dim, side, eps, check):
+    # Mutation rows: the largest entry of column N-1 of one family scaled by
+    # 1 + eps after the frame operators are built, in the Hermite example at
+    # tolerance 1e-6.  The finite pair satisfies both identities exactly at
+    # the edge column too, so the defect must show there: the rows read
+    # 2.2e-4, 2.6e-4 and 1.2e-4 against tolerances 1e-6, 1e-6 and 5.2e-5.
+    ctx = suite._SuiteContext(_hermite_config(dim, full_suite=True, seed=0))
+    clean = ctx.system()
+    ctx.frame_ops()
+    assert suite._CHECKS[check](ctx).passed
+    family = np.array(getattr(clean, side))
+    family[:, -1] = largest_entry_scaled(family[:, -1], eps)
+    ctx._cache["system"] = dataclasses.replace(clean, **{side: family})
+    report = suite._CHECKS[check](ctx)
+    assert not report.passed, report.details
 
 
 def parent_transform(op_e, t, side):

@@ -154,7 +154,7 @@ def test_frame_operator_dimension_guard():
 
 def test_k_relations_diagonal():
     sys_ = diag_system()
-    report = verify_K_relations(sys_, build_frame_operators(sys_), 1e-8, None)
+    report = verify_K_relations(sys_, build_frame_operators(sys_), 1e-8)
     assert report.passed
     assert report.residual < 1e-14
     # K_phi psi_1 = diag(1,4,9) e_1 / 2 = 2 e_1 = phi_1, by hand
@@ -164,7 +164,7 @@ def test_k_relations_diagonal():
 
 def test_k_relations_identity_pair():
     sys_ = build_system(LinearMap(np.eye(5)))
-    report = verify_K_relations(sys_, build_frame_operators(sys_), 1e-8, None)
+    report = verify_K_relations(sys_, build_frame_operators(sys_), 1e-8)
     assert report.residual == 0.0
 
 
@@ -173,7 +173,7 @@ def test_k_product_identity_random():
     for dim in (8, 32, 64):
         t = random_conditioned_map(dim, 100.0, rng)
         sys_ = build_system(t)
-        report = verify_K_relations(sys_, build_frame_operators(sys_), 1e-8, None)
+        report = verify_K_relations(sys_, build_frame_operators(sys_), 1e-8)
         assert report.passed, report.details
         assert report.details["product_identity"] < 1e-8
 
@@ -397,6 +397,6 @@ def test_k_relations_reuse_the_one_step_products_bit_for_bit(complex_t):
         "phi_roundtrip": worst(k_phi @ (k_psi @ phi), phi),
         "product_identity": float(np.linalg.norm(k_phi @ k_psi - np.eye(12)) / np.sqrt(12)),
     }
-    report = verify_K_relations(sys_, ops, 1e-8, None)
+    report = verify_K_relations(sys_, ops, 1e-8)
     assert list(report.details) == list(old)
     assert np.array_equal(list(report.details.values()), list(old.values()))
