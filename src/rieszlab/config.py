@@ -8,7 +8,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -55,30 +54,17 @@ HERMITE_CHECKS = ("frame_bound_growth", "hermite_oracle", "tail_dichotomy")
 KNOWN_CHECKS = tuple(sorted(GENERAL_CHECKS + HERMITE_CHECKS))
 
 
-class _ValueList:
-    """A spec's `values` tuple, converted once to the array that every reader shares."""
-
-    values: tuple
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        """The values as one read-only complex128 array, in list order."""
-        array = np.asarray(self.values, dtype=np.complex128)
-        array.setflags(write=False)
-        return array
+@dataclass(frozen=True)
+class OperatorSpec:
+    kind: str
+    values: np.ndarray | None = None   # read-only complex128: diagonal entries or flat row-major dense entries
+    off_diagonal: float = 0.0           # upper-unipotent superdiagonal value
 
 
 @dataclass(frozen=True)
-class OperatorSpec(_ValueList):
+class AlphaSpec:
     kind: str
-    values: tuple = ()          # diagonal entries or flat row-major dense entries
-    off_diagonal: float = 0.0   # upper-unipotent superdiagonal value
-
-
-@dataclass(frozen=True)
-class AlphaSpec(_ValueList):
-    kind: str
-    values: tuple = ()
+    values: np.ndarray | None = None   # read-only complex128 custom values
 
 
 @dataclass(frozen=True)
@@ -131,8 +117,8 @@ def _as_complex(value: Any, path: str) -> complex:
     raise ParseError(path, "must be a number or a [re, im] pair")
 
 
-def _as_complex_tuple(values: list, path: str) -> tuple:
-    """Each entry of a value list as a complex; a bad entry raises at f"{path}/{i}".
+def _as_complex_array(values: list, path: str) -> np.ndarray:
+    """A value list as one read-only complex128 array, in list order; a bad entry raises at f"{path}/{i}".
 
     Finite [re, im] pairs of floats or ints, and finite floats and ints, are
     converted in the loop (the exact type tests leave bools out); any other
@@ -160,7 +146,9 @@ def _as_complex_tuple(values: list, path: str) -> tuple:
         except OverflowError:
             pass
         append(_as_complex(v, f"{path}/{i}"))
-    return tuple(out)
+    array = np.array(out, dtype=np.complex128)
+    array.setflags(write=False)
+    return array
 
 
 def _parse_operator(raw: Any, dimension: int) -> OperatorSpec:
@@ -174,7 +162,7 @@ def _parse_operator(raw: Any, dimension: int) -> OperatorSpec:
         _expect(isinstance(values, list), "/operator/values", "must be a list of numbers")
         if len(values) != dimension:
             raise ParseError("/operator/values", f"needs exactly {dimension} entries, got {len(values)}")
-        spec = OperatorSpec(kind, values=_as_complex_tuple(values, "/operator/values"))
+        spec = OperatorSpec(kind, values=_as_complex_array(values, "/operator/values"))
     elif kind == "dense":
         allowed.add("entries")
         entries = raw.get("entries")
@@ -182,7 +170,7 @@ def _parse_operator(raw: Any, dimension: int) -> OperatorSpec:
         if len(entries) != dimension * dimension:
             count = _decimal(dimension * dimension)
             raise ParseError("/operator/entries", f"needs exactly {count} entries, got {len(entries)}")
-        spec = OperatorSpec(kind, values=_as_complex_tuple(entries, "/operator/entries"))
+        spec = OperatorSpec(kind, values=_as_complex_array(entries, "/operator/entries"))
     elif kind == "upper-unipotent":
         allowed.add("off_diagonal")
         spec = OperatorSpec(kind, off_diagonal=_as_number(raw.get("off_diagonal", 1.0), "/operator/off_diagonal"))
@@ -206,7 +194,7 @@ def _parse_alpha(raw: Any, dimension: int) -> AlphaSpec:
         _expect(isinstance(values, list), "/alpha/values", "must be a list")
         if len(values) < dimension:
             raise ParseError("/alpha/values", f"needs at least {dimension} entries, got {len(values)}")
-        spec = AlphaSpec(kind, values=_as_complex_tuple(values, "/alpha/values"))
+        spec = AlphaSpec(kind, values=_as_complex_array(values, "/alpha/values"))
     else:
         spec = AlphaSpec(kind)
     for key in raw:
@@ -294,24 +282,24 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-def _digest(spec: _ValueList) -> dict:
+def _digest(values: np.ndarray) -> dict:
     """A bulk value list by its length and the sha256 of its complex128 array, little-endian, in order."""
-    data = np.asarray(spec.array, dtype="<c16").tobytes()
-    return {"count": len(spec.values), "sha256": hashlib.sha256(data).hexdigest()}
+    data = np.asarray(values, dtype="<c16").tobytes()
+    return {"count": values.size, "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Canonical JSON-ready echo of a validated configuration; bulk value lists appear by digest."""
     operator: dict[str, Any] = {"kind": cfg.operator.kind}
     if cfg.operator.kind == "diagonal":
-        operator["values"] = _digest(cfg.operator)
+        operator["values"] = _digest(cfg.operator.values)
     elif cfg.operator.kind == "dense":
-        operator["entries"] = _digest(cfg.operator)
+        operator["entries"] = _digest(cfg.operator.values)
     elif cfg.operator.kind == "upper-unipotent":
         operator["off_diagonal"] = cfg.operator.off_diagonal
     alpha: dict[str, Any] = {"kind": cfg.alpha.kind}
     if cfg.alpha.kind == "custom":
-        alpha["values"] = _digest(cfg.alpha)
+        alpha["values"] = _digest(cfg.alpha.values)
     return {
         "schema": SCHEMA,
         "dimension": cfg.dimension,

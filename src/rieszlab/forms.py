@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositive
-from .linalg import LinearMap
+from .linalg import LinearMap, apply
 from .reporting import CheckReport, make_report, worst
 from .systems import BiorthogonalSystem, FrameOperators, family_matrix
 
@@ -62,8 +62,8 @@ def omega(x: np.ndarray, y: np.ndarray, family: np.ndarray) -> np.ndarray | comp
     if x.shape[:1] != m.shape[:1] or y.shape != x.shape:
         raise DimensionMismatch("vector dimensions differ from family dimension")
     adj = m.conj().T
-    adj_x = adj @ x
-    return _column_inner(adj_x, adj_x if same else adj @ y)
+    adj_x = apply(adj, x)
+    return _column_inner(adj_x, adj_x if same else apply(adj, y))
 
 
 def verify_representation(
@@ -81,7 +81,7 @@ def verify_representation(
     details = {}
     for side, family, root in (("phi", sys.phi, ops.k_phi_sqrt), ("psi", sys.psi, ops.k_psi_sqrt)):
         lhs = omega(x, y, family)
-        rhs = _column_inner(root @ x, root @ y)
+        rhs = _column_inner(apply(root, x), apply(root, y))
         details[f"{side}_family"] = float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))))
     residual = worst(details.values())
     return make_report("representation", residual, tolerance, details=details | {"samples": x.shape[1]})
@@ -97,8 +97,8 @@ def quasi_basis_residual(
     _require_samples(x, "quasi-basis")
     ip = _column_inner(x, y)
     details = {
-        "phi_psi_order": float(np.abs(_column_inner(x, sys.phi @ sys.psi.conj().T @ y) - ip).max()),
-        "psi_phi_order": float(np.abs(_column_inner(x, sys.psi @ sys.phi.conj().T @ y) - ip).max()),
+        "phi_psi_order": float(np.abs(_column_inner(x, apply(sys.phi @ sys.psi.conj().T, y)) - ip).max()),
+        "psi_phi_order": float(np.abs(_column_inner(x, apply(sys.psi @ sys.phi.conj().T, y)) - ip).max()),
     }
     residual = worst(details.values())
     return make_report("quasi_basis", residual, tolerance, details=details | {"samples": x.shape[1]})

@@ -4,17 +4,23 @@ A matrix is a read-only N x N ndarray.  A LinearMap wraps only the maps
 that are certified or factored: T and the frame operators.  It stores
 float64 when every entry is real (a complex input whose imaginary parts
 are all exactly 0 is stored as its real part) and complex128 otherwise,
-so real inputs run the real LAPACK/BLAS kernels; numpy's promotion
-decides every product formed from it.  A LinearMap certifies
-self-adjointness (by residual) on the first read of `self_adjoint` and
-positivity (by smallest eigenvalue) on the first read of `positive`, so
-callers can demand the structure they need instead of trusting whoever
-built the matrix.  A map is factored at most once per kind: the
-positivity certificate's eigendecomposition gives `spectrum` and
-`operator_sqrt`, and one full SVD gives `singular_values`,
-`cond_estimate`, `invert` and `polar_decompose`; `invert` caches its
-result on the map too.  The entries and every matrix derived from them
-are read-only, so none of these cached values can go stale.
+so real inputs run the real LAPACK/BLAS kernels; `apply` keeps a real
+matrix real on a complex sample block too, where numpy's promotion would
+run a complex product.  A LinearMap certifies self-adjointness (by
+residual) on the first read of `self_adjoint` and positivity (by smallest
+eigenvalue) on the first read of `positive`, so callers can demand the
+structure they need instead of trusting whoever built the matrix.  A map
+is factored at most once per kind: the positivity certificate's
+eigendecomposition gives `spectrum` and `operator_sqrt`, and one full SVD
+gives `singular_values`, `cond_estimate`, `invert` and `polar_decompose`;
+`invert` caches its result on the map too.  A map that couples only
+indices of equal parity (Hermite's X, a diagonal map, and the frame
+operators of their families) is factored one parity block at a time, one
+LAPACK call per block, and its factors are assembled into the dense
+N x N arrays every reader receives, in the sorted order a dense
+factorization gives; the inverse and square roots built from them have
+exact zeros off parity too.  The entries and every matrix derived from
+them are read-only, so none of these cached values can go stale.
 """
 
 from __future__ import annotations
@@ -89,7 +95,7 @@ class LinearMap:
             positive = False
             if self.self_adjoint:
                 a = self.entries
-                factors = np.linalg.eigh((a + a.conj().T) / 2.0)
+                factors = _eigh((a + a.conj().T) / 2.0)
                 for f in factors:
                     f.setflags(write=False)
                 self._eigh = factors
@@ -152,10 +158,66 @@ def operator_sqrt(a: LinearMap) -> np.ndarray:
     return read_only((root + root.conj().T) / 2.0)
 
 
+def apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x, where a real m on a complex x runs one real product.
+
+    The real product is m times the interleaved real and imaginary parts of
+    x, so the result holds m @ x.real and m @ x.imag in one complex128
+    array.  Every other pairing is numpy's m @ x.
+    """
+    if not (np.isrealobj(m) and np.iscomplexobj(x)):
+        return m @ x
+    x = np.ascontiguousarray(x, dtype=np.complex128)
+    parts = x.view(np.float64).reshape(x.shape[0], -1)
+    return (m @ parts).view(np.complex128).reshape(x.shape)
+
+
+def _splits_by_parity(a: np.ndarray) -> bool:
+    """True when a couples only indices of equal parity: both off-parity blocks are exact zeros."""
+    return a.shape[0] >= 2 and not a[::2, 1::2].any() and not a[1::2, ::2].any()
+
+
+def _merged_positions(even: np.ndarray, odd: np.ndarray, descending: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Where the even and the odd block's sorted values go in their stable merged order."""
+    values = np.concatenate((even, odd))
+    order = np.argsort(-values if descending else values, kind="stable")
+    positions = np.empty_like(order)
+    positions[order] = np.arange(order.size)
+    return positions[: even.size], positions[even.size :]
+
+
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of a Hermitian h, one call per parity block when h splits by parity."""
+    if not _splits_by_parity(h):
+        return np.linalg.eigh(h)
+    blocks = [np.linalg.eigh(h[p::2, p::2]) for p in (0, 1)]
+    w = np.empty(h.shape[0])
+    v = np.zeros_like(h)
+    for p, (bw, bv), k in zip((0, 1), blocks, _merged_positions(blocks[0][0], blocks[1][0], False)):
+        w[k] = bw
+        v[p::2, k] = bv
+    return w, v
+
+
+def _svd_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.linalg.svd of a, one call per parity block when a splits by parity."""
+    if not _splits_by_parity(a):
+        return np.linalg.svd(a)
+    blocks = [np.linalg.svd(a[p::2, p::2]) for p in (0, 1)]
+    u = np.zeros_like(a)
+    s = np.empty(a.shape[0])
+    vh = np.zeros_like(a)
+    for p, (bu, bs, bvh), k in zip((0, 1), blocks, _merged_positions(blocks[0][1], blocks[1][1], True)):
+        u[p::2, k] = bu
+        s[k] = bs
+        vh[k, p::2] = bvh
+    return u, s, vh
+
+
 def _svd(a: LinearMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The full SVD (u, s, vh) of `a`, computed once per map."""
     if a._svd is None:
-        factors = np.linalg.svd(a.entries)
+        factors = _svd_factors(a.entries)
         for f in factors:
             f.setflags(write=False)
         a._svd = factors

@@ -24,9 +24,9 @@ def build_operator(cfg: RunConfig) -> LinearMap:
     dim = cfg.dimension
     kind = cfg.operator.kind
     if kind == "diagonal":
-        return from_diagonal(cfg.operator.array)
+        return from_diagonal(cfg.operator.values)
     if kind == "dense":
-        return LinearMap(cfg.operator.array.reshape(dim, dim))
+        return LinearMap(cfg.operator.values.reshape(dim, dim))
     if kind == "upper-unipotent":
         return LinearMap(np.eye(dim) + cfg.operator.off_diagonal * np.eye(dim, k=1))
     raise ValueError(f"unknown operator kind {kind!r}")
@@ -38,7 +38,7 @@ def build_alpha(cfg: RunConfig) -> np.ndarray:
         return np.sqrt(np.arange(cfg.dimension))
     if kind == "linear":
         return np.arange(cfg.dimension)
-    return cfg.alpha.array
+    return cfg.alpha.values
 
 
 class _SuiteContext:

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import LinearMap, invert, operator_sqrt, real_or_complex
+from .linalg import LinearMap, apply, invert, operator_sqrt, real_or_complex
 from .reporting import CheckReport, make_report, worst
 
 
@@ -162,7 +162,7 @@ def verify_clause_i3(
     r = ops.k_phi_sqrt.conj().T @ ops.k_psi_sqrt
     norms = np.linalg.norm(samples, axis=0)
     nonzero = norms > 0.0
-    resid = np.linalg.norm(r @ samples - samples, axis=0)[nonzero] / norms[nonzero]
+    resid = np.linalg.norm(apply(r, samples) - samples, axis=0)[nonzero] / norms[nonzero]
     residual = float(resid.max()) if resid.size else 0.0
     return make_report("clause_i3", residual, tolerance, details={"samples": samples.shape[1]})
 

@@ -188,13 +188,13 @@ def test_criterion_08_ccr_with_defect():
     t = random_conditioned_map(64, 100.0, rng)
     transformed = ccr_check(build_operator_set(t, np.sqrt(np.arange(64))), 1e-12)
     budget = 1e-10 * t.cond_estimate**2
-    t_resid = transformed.details["transformed_interior"]
+    t_resid = transformed.details["transformed"]
     ok = worst_defect < 1e-12 and t_resid < budget
     _verdict(
         8,
         "truncated commutation relation",
         ok,
-        f"defect {worst_defect:.2e}, transformed interior {t_resid:.2e} vs {budget:.2e}",
+        f"defect {worst_defect:.2e}, transformed {t_resid:.2e} vs {budget:.2e}",
     )
 
 

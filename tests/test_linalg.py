@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rieszlab import (
     LinearMap,
@@ -13,6 +15,7 @@ from rieszlab import (
     polar_decompose,
 )
 from rieszlab.errors import NotPositive, NumericallySingular
+from rieszlab import linalg
 from rieszlab.linalg import real_or_complex
 from rieszlab.sampling import stream_rng
 
@@ -142,11 +145,12 @@ def test_positive_certified_on_first_read_only(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
     k = from_diagonal([1, 2, 3])
     assert calls == []
+    # one factorization, one LAPACK call per parity block of the diagonal map
     assert k.positive and k.positive
-    assert len(calls) == 1
+    assert len(calls) == 2
     # the certificate's eigenvalues are kept for readers of the spectrum
     np.testing.assert_array_equal(k.spectrum, [1.0, 2.0, 3.0])
-    assert len(calls) == 1
+    assert len(calls) == 2
     with pytest.raises(NotPositive):
         from_diagonal([1, -1]).spectrum
 
@@ -216,12 +220,13 @@ def test_invert_and_polar_share_one_svd(monkeypatch):
     u, s, vh = svd(t.entries)
     np.testing.assert_array_equal(inv, (vh.conj().T * (1.0 / s)) @ u.conj().T)
     np.testing.assert_array_equal(unitary, u @ vh)
-    # a singular map keeps its SVD too and raises on every read
+    # a singular map keeps its SVD too and raises on every read; the zero
+    # map splits by parity, so its one SVD is one LAPACK call per block
     z = LinearMap(np.zeros((3, 3)))
     for op in (invert, polar_decompose, invert):
         with pytest.raises(NumericallySingular):
             op(z)
-    assert len(calls) == 2
+    assert len(calls) == 3
 
 
 def test_polar_rejects_singular():
@@ -274,7 +279,8 @@ def test_singular_map_reads_infinite_cond_and_still_refuses_to_invert(monkeypatc
     with pytest.raises(NumericallySingular):
         polar_decompose(z)
     assert z.cond_estimate == np.inf
-    assert len(calls) == 1
+    # one SVD, one LAPACK call per parity block of the diagonal map
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("order", list(itertools.permutations(("positive", "spectrum", "sqrt"))))
@@ -291,3 +297,147 @@ def test_positive_spectrum_and_sqrt_share_one_eigh_in_any_order(monkeypatch, ord
     np.testing.assert_array_equal(k.spectrum, w)
     root = (vecs * np.sqrt(w)) @ vecs.conj().T
     np.testing.assert_array_equal(operator_sqrt(k), (root + root.conj().T) / 2.0)
+
+
+def parity_split_map(dim: int, is_complex: bool, seed: int, spectrum: str) -> np.ndarray:
+    """A map that couples only indices of equal parity, one random block per parity.
+
+    spectrum "random" draws each block's singular values apart; "tied" gives
+    the odd block the leading singular values of the even one; "diagonal"
+    makes both blocks diagonal over one value set, so ties are exact;
+    "singular" gives the odd block a zero singular value and "zero" makes
+    it the zero block.
+    """
+    rng = np.random.default_rng(seed)
+    dtype = np.complex128 if is_complex else np.float64
+    a = np.zeros((dim, dim), dtype=dtype)
+    shared = rng.uniform(0.5, 2.0, size=(dim + 1) // 2)
+    for p in (0, 1):
+        size = len(range(p, dim, 2))
+        if spectrum == "diagonal":
+            a[p::2, p::2] = np.diag(rng.choice([0.5, 1.0, 2.0], size=size))
+            continue
+        s = shared[:size].copy() if spectrum == "tied" or p == 0 else rng.uniform(0.1, 3.0, size=size)
+        if p == 1 and spectrum == "singular":
+            s[-1] = 0.0
+        if p == 1 and spectrum == "zero":
+            s[:] = 0.0
+        u, v = (random_unitary(size, rng).entries if is_complex else np.linalg.qr(rng.standard_normal((size, size)))[0]
+                for _ in range(2))
+        a[p::2, p::2] = (u * s) @ v.conj().T
+    return a
+
+
+def parity_of_columns(factor: np.ndarray) -> np.ndarray:
+    """The parity of the rows each column is supported on; the other parity's rows must be exact zeros."""
+    parity = np.where(factor[::2].any(axis=0), 0, 1)
+    for k, p in enumerate(parity):
+        assert not factor[1 - p :: 2, k].any(), k
+    return parity
+
+
+def assert_merged_in_order(values, parity, blocks, descending):
+    """values sorted with every tie between the blocks broken towards the even block, each block's own order kept."""
+    steps = np.diff(values)
+    assert np.all(steps <= 0.0) if descending else np.all(steps >= 0.0)
+    for k in np.flatnonzero(steps == 0.0):
+        assert parity[k] <= parity[k + 1], k
+    for p, block in enumerate(blocks):
+        assert np.array_equal(values[parity == p], block)
+
+
+SPECTRA = st.sampled_from(["random", "tied", "diagonal", "singular", "zero"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 12), is_complex=st.booleans(), seed=st.integers(0, 2**32 - 1), spectrum=SPECTRA)
+def test_parity_split_svd_is_assembled_from_its_blocks(dim, is_complex, seed, spectrum):
+    t = LinearMap(parity_split_map(dim, is_complex, seed, spectrum))
+    a = t.entries
+    u, s, vh = linalg._svd(t)
+    assert u.shape == vh.shape == a.shape and u.dtype == vh.dtype == a.dtype
+    parity = parity_of_columns(u)
+    assert np.array_equal(parity, parity_of_columns(vh.conj().T))
+    blocks = [np.linalg.svd(a[p::2, p::2]) for p in (0, 1)]
+    assert_merged_in_order(s, parity, [b[1] for b in blocks], descending=True)
+    for p, (bu, _, bvh) in enumerate(blocks):
+        assert np.array_equal(u[p::2][:, parity == p], bu)
+        assert np.array_equal(vh[parity == p][:, p::2], bvh)
+    eye = np.eye(dim)
+    assert np.abs(u.conj().T @ u - eye).max() <= 1e-14 * dim
+    assert np.abs(vh @ vh.conj().T - eye).max() <= 1e-14 * dim
+    assert np.abs((u * s) @ vh - a).max() <= 1e-14 * dim * max(1.0, np.abs(a).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 12), is_complex=st.booleans(), seed=st.integers(0, 2**32 - 1), spectrum=SPECTRA)
+def test_parity_split_positivity_eigh_is_assembled_from_its_blocks(dim, is_complex, seed, spectrum):
+    a = parity_split_map(dim, is_complex, seed, spectrum)
+    k = LinearMap(a @ a.conj().T)
+    assert k.positive
+    w, v = k._eigh
+    h = (k.entries + k.entries.conj().T) / 2.0
+    parity = parity_of_columns(v)
+    blocks = [np.linalg.eigh(h[p::2, p::2]) for p in (0, 1)]
+    assert_merged_in_order(w, parity, [b[0] for b in blocks], descending=False)
+    for p, (_, bv) in enumerate(blocks):
+        assert np.array_equal(v[p::2][:, parity == p], bv)
+    scale = max(1.0, float(w[-1]))
+    assert np.abs(v.conj().T @ v - np.eye(dim)).max() <= 1e-14 * dim
+    assert np.abs((v * w) @ v.conj().T - h).max() <= 1e-14 * dim * scale
+    # the square root built from the block factors couples no parities either
+    root = operator_sqrt(k)
+    assert not root[::2, 1::2].any() and not root[1::2, ::2].any()
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(2, 12), is_complex=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_inverse_from_parity_blocks_couples_no_parities(dim, is_complex, seed):
+    t = LinearMap(parity_split_map(dim, is_complex, seed, "random"))
+    inv = invert(t)
+    assert not inv[::2, 1::2].any() and not inv[1::2, ::2].any()
+    assert np.abs(inv @ t.entries - np.eye(dim)).max() <= 1e-12 * t.cond_estimate
+    # so the dual family's frame operator splits as well
+    psi = inv.conj().T
+    k_psi = psi @ psi.conj().T
+    assert not k_psi[::2, 1::2].any() and not k_psi[1::2, ::2].any()
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (3, 0)])
+def test_one_entry_off_parity_takes_the_dense_path(monkeypatch, entry):
+    a = parity_split_map(6, False, 5, "random")
+    a[entry] = 1e-300
+    calls = count_numpy_calls(monkeypatch, "svd")
+    u, s, vh = linalg._svd(LinearMap(a))
+    assert len(calls) == 1
+    for got, want in zip((u, s, vh), np.linalg.svd(a)):
+        assert np.array_equal(got, want)
+    eigh_calls = count_numpy_calls(monkeypatch, "eigh")
+    linalg._eigh(a + a.T)
+    assert len(eigh_calls) == 1
+
+
+def test_a_one_by_one_map_and_a_dense_map_factor_whole(monkeypatch):
+    calls = count_numpy_calls(monkeypatch, "svd")
+    for t in (from_diagonal([3.0]), random_conditioned_map(5, 5.0, stream_rng(5))):
+        linalg._svd(t)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("layout", ["columns", "rows", "vector"])
+@pytest.mark.parametrize("kinds", [("real", "complex"), ("real", "real"), ("complex", "complex"), ("complex", "real")])
+def test_apply_matches_the_matrix_product(layout, kinds):
+    rng = stream_rng(19)
+    m, x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) if kind == "complex" else rng.standard_normal(shape)
+            for kind, shape in zip(kinds, ((7, 7), (5, 7))))
+    x = {"columns": x.T, "rows": np.ascontiguousarray(x.T), "vector": x[0]}[layout]
+    got = linalg.apply(m, x)
+    want = m @ x
+    assert got.shape == want.shape and got.dtype == want.dtype
+    if kinds == ("real", "complex"):
+        # one real product over the interleaved parts: m @ x.real and m @ x.imag
+        scale = 1e-14 * np.abs(m).sum(axis=1).max() * np.abs(x).max()
+        for part, expected in ((got.real, m @ x.real), (got.imag, m @ x.imag), (got, want)):
+            np.testing.assert_allclose(part, expected, rtol=0.0, atol=scale)
+    else:
+        assert np.array_equal(got, want)

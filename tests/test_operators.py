@@ -491,6 +491,30 @@ def test_suite_checks_fail_a_defect_in_the_last_column(dim, side, eps, check):
     assert not report.passed, report.details
 
 
+@pytest.mark.parametrize("dim", [8, 32, 256])
+def test_ladder_and_ccr_fail_a_rank_one_defect_at_the_edge(dim):
+    # B_phi_psi + delta psi_(N-1)*, ||delta|| = 1e-4 ||phi_(N-1)||, in the
+    # Hermite example at tolerance 1e-6.  By biorthogonality the defect acts
+    # on phi_(N-1) alone, where the finite pair has B phi_(N-1) = 0 exactly
+    # and T^-1 [A, B] T ends in 1 - N: only the edge column can show it.
+    ctx = suite._SuiteContext(_hermite_config(dim, full_suite=True, seed=0))
+    opset, system, tolerance = ctx.opset(), ctx.system(), ctx.cfg.tolerance
+    assert ladder_check(opset, system, tolerance).passed
+    assert ccr_check(opset, tolerance).passed
+    phi_edge = system.phi[:, -1]
+    delta = stream_rng(dim, 21).standard_normal(dim)
+    delta *= 1e-4 * np.linalg.norm(phi_edge) / np.linalg.norm(delta)
+    b = opset.b_phi_psi + np.outer(delta, system.psi[:, -1].conj())
+    mutated = dataclasses.replace(opset, b_phi_psi=b)
+    ladder = ladder_check(mutated, system, tolerance)
+    assert not ladder.passed
+    assert ladder.residual == ladder.details["phi_raising_edge_norm"]
+    assert ladder.residual == pytest.approx(1e-4 * np.linalg.norm(phi_edge) / max(1.0, np.linalg.norm(phi_edge)))
+    ccr = ccr_check(mutated, tolerance)
+    assert not ccr.passed
+    assert ccr.details["transformed"] > ccr.details["transformed_tolerance"]
+
+
 def parent_transform(op_e, t, side):
     """The two-product transform build_operator_set replaced: T op T^-1 or (T*)^-1 op T* as gemms."""
     t_inv = invert(t)
@@ -632,7 +656,7 @@ def test_ccr_transformed_geometric_diagonal():
     t = from_diagonal(1.1 ** np.arange(64))
     report = ccr_check(build_operator_set(t, np.sqrt(np.arange(64))), 1e-12)
     assert report.passed
-    assert report.details["transformed_interior"] < 1e-10
+    assert report.details["transformed"] < 1e-10
 
 
 def test_ccr_requires_sqrt_alpha():

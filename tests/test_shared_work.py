@@ -73,8 +73,9 @@ def test_hermite_full_suite_shares_factorizations(monkeypatch):
     counts = count_calls(monkeypatch)
     reports = run_suite(_hermite_config(32, full_suite=True, seed=0))
     assert all(r.passed for r in reports), [r.name for r in reports if not r.passed]
-    # one SVD of T: T^-1, the polar factors and cond(T)
-    assert counts["svd"] == 1
+    # one SVD of T: T^-1, the polar factors and cond(T); X splits by
+    # parity, so that SVD is one LAPACK call per parity block
+    assert counts["svd"] == 2
     # positivity is certified by eigh, whose eigenvalues frame_bounds reads
     assert counts["eigvalsh"] == 0
     # product identities form each word as one product with a shorter word
@@ -87,8 +88,9 @@ def test_hermite_full_suite_shares_factorizations(monkeypatch):
     # one system per run, shared by every check, hermite_oracle included
     assert counts["build_system"] == 1
     # K_phi and K_psi once each, certificate and square root from one
-    # eigendecomposition, plus one per growth size (16, 32, 64)
-    assert counts["eigh"] == 5
+    # eigendecomposition, plus one per growth size (16, 32, 64); every one
+    # of these maps splits by parity, one LAPACK call per block
+    assert counts["eigh"] == 2 * 5
     # only the maps that are certified or factored: X, which is T, K_phi and
     # K_psi, and one frame operator per growth size; every other matrix is
     # a read-only array
@@ -113,7 +115,8 @@ def test_hermite_full_suite_factors_in_real_arithmetic(monkeypatch):
         monkeypatch.setattr(np.linalg, name, recording(name))
     reports = run_suite(_hermite_config(32, full_suite=True, seed=0))
     assert all(r.passed for r in reports), [r.name for r in reports if not r.passed]
-    assert len(seen) == 6
+    # one SVD and five eigh, each one call per parity block
+    assert len(seen) == 2 * 6
     assert all(dtype == np.float64 for _, dtype in seen), seen
 
 
@@ -160,23 +163,28 @@ def test_complex_alpha_builds_conjugate_set(monkeypatch):
 
 
 def test_each_bulk_value_list_is_converted_once(monkeypatch):
-    # parse, run and report echo share one complex128 array per value list
+    # parsing converts each value list to the one read-only complex128 array
+    # that the run and the report echo share; no sequence is converted after it
     converted = []
     for name in ("asarray", "array"):
 
         def converting(obj, *args, _original=getattr(np, name), **kwargs):
-            if type(obj) is tuple:
-                converted.append(obj)
+            if type(obj) in (list, tuple):
+                converted.append(len(obj))
             return _original(obj, *args, **kwargs)
 
         monkeypatch.setattr(np, name, converting)
     t = random_conditioned_map(4, 10.0, stream_rng(71))
+    converted.clear()
     cfg = dense_config(t, alpha={"kind": "custom", "values": [0, [1, 0.5], 2, 3, 4]}, checks=["eigen"])
+    assert sorted(converted) == [5, 16]
+    for values in (cfg.operator.values, cfg.alpha.values):
+        assert type(values) is np.ndarray and values.dtype == np.complex128 and not values.flags.writeable
+    converted.clear()
     (report,) = run_suite(cfg)
     config_to_dict(cfg)
     assert report.passed
-    assert sum(v is cfg.operator.values for v in converted) == 1
-    assert sum(v is cfg.alpha.values for v in converted) == 1
+    assert 5 not in converted and 16 not in converted
 
 
 def test_hamiltonian_agreement_sees_a_defect_in_the_cached_inverse():
