@@ -27,13 +27,12 @@ def _hermite_config(dim: int, full_suite: bool, seed: int) -> RunConfig:
     operator = OperatorSpec("hermite-x")
     alpha = AlphaSpec("sqrt_n")
     checks = default_checks("hermite-x", "sqrt_n") if full_suite else ("biorthogonality", "hermite_oracle")
-    # the truncated model's identities hold at 1e-6; only hermite_oracle reads the margin (see README)
+    # the truncated model's identities hold at 1e-6 (see README)
     return RunConfig(
         dimension=dim,
         operator=operator,
         alpha=alpha,
         tolerance=1e-6,
-        interior_margin=dim // 2,
         seed=seed,
         checks=checks,
     )

@@ -17,7 +17,7 @@ from .hermite import MAX_DIMENSION, MAX_DIMENSION_REASON
 
 SCHEMA = "rieszlab/1"
 # Schema of a JSON report, whose config echo (config_to_dict) names bulk value lists by digest.
-REPORT_SCHEMA = "rieszlab/3"
+REPORT_SCHEMA = "rieszlab/4"
 
 # A run keeps about LIVE_MATRICES N x N complex128 arrays alive at its peak
 # (T with its SVD factors and inverse, both frame operators with their
@@ -73,7 +73,6 @@ class RunConfig:
     operator: OperatorSpec
     alpha: AlphaSpec
     tolerance: float
-    interior_margin: int
     seed: int
     checks: tuple[str, ...]
 
@@ -215,7 +214,7 @@ def parse_config(text: str) -> RunConfig:
         raise ParseError("/", f"invalid JSON: {exc}") from exc
     _expect(isinstance(raw, dict), "/", "top level must be an object")
 
-    known = {"schema", "dimension", "operator", "alpha", "tolerance", "interior_margin", "seed", "checks"}
+    known = {"schema", "dimension", "operator", "alpha", "tolerance", "seed", "checks"}
     for key in raw:
         _expect(key in known, f"/{key}", "unknown field")
 
@@ -245,10 +244,6 @@ def parse_config(text: str) -> RunConfig:
     tolerance = _as_number(tolerance, "/tolerance")
     _expect(tolerance > 0, "/tolerance", "must be positive")
 
-    margin = raw.get("interior_margin", dimension // 2)
-    _expect(isinstance(margin, int) and not isinstance(margin, bool), "/interior_margin", "must be an integer")
-    _expect(0 <= margin < dimension, "/interior_margin", "must satisfy 0 <= margin < dimension")
-
     seed = raw.get("seed", 0)
     _expect(isinstance(seed, int) and not isinstance(seed, bool), "/seed", "must be an integer")
     _expect(seed >= 0, "/seed", "must be nonnegative")
@@ -276,7 +271,6 @@ def parse_config(text: str) -> RunConfig:
         operator=operator,
         alpha=alpha,
         tolerance=tolerance,
-        interior_margin=margin,
         seed=seed,
         checks=checks,
     )
@@ -306,7 +300,6 @@ def config_to_dict(cfg: RunConfig) -> dict:
         "operator": operator,
         "alpha": alpha,
         "tolerance": cfg.tolerance,
-        "interior_margin": cfg.interior_margin,
         "seed": cfg.seed,
         "checks": list(cfg.checks),
     }

@@ -191,7 +191,6 @@ def verify_K_psi(
     model: HermiteModel,
     sys: BiorthogonalSystem,
     ops: FrameOperators,
-    margin: int,
     tolerance: float,
     seed: int,
 ) -> CheckReport:
@@ -199,35 +198,30 @@ def verify_K_psi(
 
     K_phi is compared with the quadrature Gram of the untruncated
     (1 + x^2)^2, K_psi with the product X^-1 X^-1.  Residuals are relative
-    Frobenius norms over the interior block (indices below dim - margin);
-    the dual form Omega over psi is also spot-checked against
-    <X^-1 f, X^-1 g> on FORM_SAMPLES interior-supported random vector
-    pairs.  X is pentadiagonal, so the truncation reaches rows dim - 2 and
-    dim - 1 of X X*: the K_phi block also stops below dim - 2, and is empty
-    (detail 0) at dim 2.  The model's entry-oracle deviation and rational
-    convergence count towards the residual too.
+    Frobenius norms; K_psi and X^-1 X^-1 are both truncated objects and
+    agree at every index.  X is pentadiagonal, so the truncation reaches
+    rows dim - 2 and dim - 1 of X X*: the K_phi block stops below dim - 2,
+    and is empty (detail 0) at dim 2.  The dual form Omega over psi is
+    also spot-checked against <X^-1 f, X^-1 g> on FORM_SAMPLES random
+    vector pairs that span every index.  The model's entry-oracle
+    deviation and rational convergence count towards the residual too.
     """
     dim = model.dim
-    interior = dim - margin
     x = model.X
     x_inv = invert(x)
     k_phi = ops.k_phi.entries
     k_psi = ops.k_psi.entries
     x2 = model.x_squared_gram
     x_inv2 = x_inv @ x_inv
-    blk = np.s_[:interior, :interior]
-    exact = min(interior, dim - 2)
-    phi_blk = np.s_[:exact, :exact]
+    phi_blk = np.s_[: dim - 2, : dim - 2]
 
     def rel(delta: np.ndarray, ref: np.ndarray) -> float:
         return float(np.linalg.norm(delta) / np.linalg.norm(ref)) if ref.size else 0.0
 
     # Per sample the draws come in the order Re f, Im f, Re g, Im g.
-    draws = np.random.default_rng(seed).standard_normal((FORM_SAMPLES, 4, interior))
-    f = np.zeros((dim, FORM_SAMPLES), dtype=np.complex128)
-    g = np.zeros((dim, FORM_SAMPLES), dtype=np.complex128)
-    f[:interior] = (draws[:, 0] + 1j * draws[:, 1]).T
-    g[:interior] = (draws[:, 2] + 1j * draws[:, 3]).T
+    draws = np.random.default_rng(seed).standard_normal((FORM_SAMPLES, 4, dim))
+    f = (draws[:, 0] + 1j * draws[:, 1]).T
+    g = (draws[:, 2] + 1j * draws[:, 3]).T
     omega_psi = omega(f, g, sys.psi)
     # X^-1 f and X^-1 g by an LU solve, not from the SVD inverse that built
     # psi: with the same matrix both sides would be one computation.
@@ -237,10 +231,10 @@ def verify_K_psi(
 
     details = {
         "k_phi_vs_x_squared": rel(k_phi[phi_blk] - x2[phi_blk], x2[phi_blk]),
-        "k_psi_vs_x_inverse_squared": rel(k_psi[blk] - x_inv2[blk], x_inv2[blk]),
+        "k_psi_vs_x_inverse_squared": rel(k_psi - x_inv2, x_inv2),
         "omega_psi_through_inverse": worst_form,
         "entry_oracle": model.oracle_residual,
         "rational_convergence": model.rational_convergence,
     }
     residual = worst(details.values())
-    return make_report("hermite_oracle", residual, tolerance, details=details | {"interior": interior})
+    return make_report("hermite_oracle", residual, tolerance, details=details)

@@ -172,9 +172,26 @@ def apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (m @ parts).view(np.complex128).reshape(x.shape)
 
 
+def parity_shift(a: np.ndarray) -> int | None:
+    """How a square a moves index parity: 0 when it keeps it, 1 when it swaps it, else None.
+
+    a keeps parity when both of its off-parity blocks are exact zeros, and
+    swaps it when both of its same-parity blocks are; the zero matrix keeps
+    it.  A 1 x 1 matrix has a single block, and gives None.
+    """
+    if a.shape[0] < 2:
+        return None
+    even, odd = a[::2], a[1::2]
+    if not even[:, 1::2].any() and not odd[:, ::2].any():
+        return 0
+    if not even[:, ::2].any() and not odd[:, 1::2].any():
+        return 1
+    return None
+
+
 def _splits_by_parity(a: np.ndarray) -> bool:
-    """True when a couples only indices of equal parity: both off-parity blocks are exact zeros."""
-    return a.shape[0] >= 2 and not a[::2, 1::2].any() and not a[1::2, ::2].any()
+    """True when a couples only indices of equal parity."""
+    return parity_shift(a) == 0
 
 
 def _merged_positions(even: np.ndarray, odd: np.ndarray, descending: bool) -> tuple[np.ndarray, np.ndarray]:

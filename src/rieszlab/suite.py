@@ -183,7 +183,6 @@ def _check_hermite_oracle(ctx: _SuiteContext) -> CheckReport:
         ctx.hermite_model(),
         ctx.system(),
         ctx.frame_ops(),
-        ctx.cfg.interior_margin,
         ctx.cfg.tolerance,
         ctx.cfg.seed,
     )

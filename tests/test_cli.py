@@ -82,7 +82,7 @@ def test_cli_run_exit_codes(tmp_path):
     out = tmp_path / "report.json"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     doc = json.loads(out.read_text(encoding="utf-8"))
-    assert doc["schema"] == "rieszlab/3"
+    assert doc["schema"] == "rieszlab/4"
     assert doc["config"]["schema"] == "rieszlab/1"
     assert len(doc["reports"]) == 4
 
@@ -220,8 +220,8 @@ def test_cli_hermite_full_suite(tmp_path):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_cli_hermite_example_at_the_smallest_dimensions(tmp_path, dim):
-    # margin dim // 2 = 1 leaves interior rows that the truncation of X X*
-    # reaches; k_phi_vs_x_squared compares only the rows below dim - 2.
+    # k_phi_vs_x_squared compares only the rows below dim - 2, which the
+    # truncation of X X* does not reach (an empty block at dim 2).
     # Every column is an edge column here, and the full suite passes too
     # (exit status 0).
     for flags in ([], ["--full-suite"]):
@@ -234,14 +234,22 @@ def test_cli_hermite_example_at_the_smallest_dimensions(tmp_path, dim):
 
 
 @pytest.mark.parametrize("margin", [0, 1])
-def test_cli_hermite_config_with_a_thin_margin(tmp_path, margin):
+def test_cli_hermite_config_with_a_thin_margin(tmp_path, capsys, margin):
+    # interior_margin is no config field: hermite_oracle reads every index
+    # (the K_phi block stops below N - 2 on its own), so a config that still
+    # sets a margin is rejected at its path, and the same config without it
+    # passes with the K_phi detail at rounding level.
     payload = {"dimension": 16, "operator": {"kind": "hermite-x"}, "interior_margin": margin}
     out = tmp_path / "thin.json"
+    assert main(["run", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 2
+    assert "/interior_margin" in capsys.readouterr().err
+    del payload["interior_margin"]
     assert main(["run", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 0
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert all(r["pass"] for r in doc["reports"])
     (oracle,) = [r for r in doc["reports"] if r["name"] == "hermite_oracle"]
     assert float(oracle["details"]["k_phi_vs_x_squared"]) < 1e-13
+    assert "interior" not in oracle["details"]
 
 
 def test_cli_respects_log_env(tmp_path, monkeypatch):

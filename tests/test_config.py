@@ -32,7 +32,7 @@ def test_parse_minimal_diagonal_config():
     assert cfg.operator.kind == "diagonal"
     np.testing.assert_array_equal(cfg.operator.values, np.arange(1, 9, dtype=np.complex128))
     assert cfg.tolerance == 1e-8
-    assert cfg.interior_margin == 4
+    assert not hasattr(cfg, "interior_margin")
     assert cfg.seed == 0
     assert cfg.checks == ("biorthogonality",)
     assert cfg.alpha.kind == "sqrt_n"
@@ -104,7 +104,8 @@ def test_parse_rejects_unknown_top_level_key():
 
 def test_parse_rejects_bad_margin_and_tolerance():
     base = {"dimension": 4, "operator": {"kind": "hermite-x"}}
-    assert path_of({**base, "interior_margin": 4}) == "/interior_margin"
+    # interior_margin is no longer a field: hermite_oracle reads every index
+    assert path_of({**base, "interior_margin": 0}) == "/interior_margin"
     assert path_of({**base, "tolerance": 0}) == "/tolerance"
     assert path_of({**base, "seed": -1}) == "/seed"
 
@@ -276,7 +277,6 @@ def test_config_echo_digests_value_lists():
             "operator": {"kind": "dense", "entries": DENSE_ENTRIES},
             "alpha": {"kind": "custom", "values": ALPHA_VALUES},
             "tolerance": 1e-7,
-            "interior_margin": 1,
             "seed": 11,
             "checks": ["eigen", "biorthogonality"],
         },
@@ -324,7 +324,7 @@ def test_emit_report_empty():
     doc = json.loads(text)
     assert doc["reports"] == []
     assert doc["config"] == {"dimension": 2}
-    assert doc["schema"] == "rieszlab/3"
+    assert doc["schema"] == "rieszlab/4"
 
 
 def test_emit_report_json_fields():

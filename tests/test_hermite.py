@@ -182,7 +182,7 @@ def test_interior_biorthogonality_against_quadrature():
 def test_verify_k_psi_interior_identities():
     model = build_model(64)
     sys_ = build_system(model.X)
-    report = verify_K_psi(model, sys_, build_frame_operators(sys_), 32, 1e-6, 0)
+    report = verify_K_psi(model, sys_, build_frame_operators(sys_), 1e-6, 0)
     assert report.passed, report.details
     assert report.details["k_phi_vs_x_squared"] < 1e-8
     assert report.details["k_psi_vs_x_inverse_squared"] < 1e-6
@@ -193,35 +193,36 @@ def test_k_phi_vs_x_squared_sees_defects():
     # K_phi = X X* is compared with the quadrature Gram of (1 + x^2)^2, not
     # with X X: a defect in X or in K_phi must show.  The clean details read
     # about 1e-14; a relative 1e-6 defect in one entry moves the relative
-    # Frobenius norm of the 16 x 16 interior block by about 4e-7, so the
-    # check runs at the suite's default 1e-8 rather than the model's 1e-6.
+    # Frobenius norm of the 30 x 30 block below N - 2 by about 8.5e-8 (of a
+    # 16 x 16 block, by 4e-7), so the check runs at the suite's default 1e-8
+    # rather than the model's 1e-6.
     model = build_model(32)
     sys_ = build_system(model.X)
     ops = build_frame_operators(sys_)
-    clean = verify_K_psi(model, sys_, ops, 16, 1e-8, 0)
+    clean = verify_K_psi(model, sys_, ops, 1e-8, 0)
     assert clean.passed and 0.0 < clean.details["k_phi_vs_x_squared"] < 1e-13
     k_phi = ops.k_phi.entries.copy()
     k_phi[15, 15] *= 1.0 + 1e-6
-    report = verify_K_psi(model, sys_, FrameOperators(LinearMap(k_phi), ops.k_psi), 16, 1e-8, 0)
-    assert not report.passed and report.details["k_phi_vs_x_squared"] > 1e-7
+    report = verify_K_psi(model, sys_, FrameOperators(LinearMap(k_phi), ops.k_psi), 1e-8, 0)
+    assert not report.passed and report.details["k_phi_vs_x_squared"] > 5e-8
     x = model.X.entries.copy()
     x[15, 15] *= 1.0 + 1e-6
     mutated = build_system(LinearMap(x))
-    report = verify_K_psi(model, mutated, build_frame_operators(mutated), 16, 1e-8, 0)
+    report = verify_K_psi(model, mutated, build_frame_operators(mutated), 1e-8, 0)
     assert report.details["k_phi_vs_x_squared"] > 1e-7
 
 
 def test_k_phi_block_stops_where_the_truncation_reaches():
-    # With margin 0 the K_phi block runs to dim - 3: a defect there shows,
-    # while rows dim - 2 and dim - 1 of X X* differ from the Gram by truncation.
+    # The K_phi block runs to dim - 3: a defect there shows, while rows
+    # dim - 2 and dim - 1 of X X* differ from the Gram by truncation.
     model = build_model(16)
     sys_ = build_system(model.X)
     ops = build_frame_operators(sys_)
-    clean = verify_K_psi(model, sys_, ops, 0, 1e-8, 0)
+    clean = verify_K_psi(model, sys_, ops, 1e-8, 0)
     assert clean.passed and clean.details["k_phi_vs_x_squared"] < 1e-13
     k_phi = ops.k_phi.entries.copy()
     k_phi[13, 13] *= 1.0 + 1e-6
-    report = verify_K_psi(model, sys_, FrameOperators(LinearMap(k_phi), ops.k_psi), 0, 1e-8, 0)
+    report = verify_K_psi(model, sys_, FrameOperators(LinearMap(k_phi), ops.k_psi), 1e-8, 0)
     assert not report.passed and report.details["k_phi_vs_x_squared"] > 1e-7
 
 
@@ -243,17 +244,15 @@ def test_verify_k_psi_draws_match_per_sample_loop(monkeypatch):
     seen = []
     omega = hermite_mod.omega
     monkeypatch.setattr(hermite_mod, "omega", lambda f, g, family: seen.append((f, g)) or omega(f, g, family))
-    report = verify_K_psi(model, sys_, build_frame_operators(sys_), 6, 1e-6, 3)
+    report = verify_K_psi(model, sys_, build_frame_operators(sys_), 1e-6, 3)
     assert report.passed, report.details
     ((f, g),) = seen
     assert f.shape == g.shape == (16, FORM_SAMPLES)
     # reference: one sample at a time, drawing Re f, Im f, Re g, Im g
     rng = np.random.default_rng(3)
     for k in range(FORM_SAMPLES):
-        expected_f = np.zeros(16, dtype=complex)
-        expected_g = np.zeros(16, dtype=complex)
-        expected_f[:10] = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-        expected_g[:10] = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+        expected_f = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        expected_g = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         np.testing.assert_array_equal(f[:, k], expected_f)
         np.testing.assert_array_equal(g[:, k], expected_g)
 
