@@ -16,7 +16,7 @@ import numpy as np
 from .errors import OracleMismatch
 from .forms import omega
 from .linalg import LinearMap, invert, real_or_complex
-from .reporting import CheckReport, make_report, worst
+from .reporting import CheckReport, make_report, relative_frobenius, worst
 from .systems import BiorthogonalSystem, FrameOperators
 
 ORACLE_TOLERANCE = 1e-9
@@ -215,9 +215,6 @@ def verify_K_psi(
     x_inv2 = x_inv @ x_inv
     phi_blk = np.s_[: dim - 2, : dim - 2]
 
-    def rel(delta: np.ndarray, ref: np.ndarray) -> float:
-        return float(np.linalg.norm(delta) / np.linalg.norm(ref)) if ref.size else 0.0
-
     # Per sample the draws come in the order Re f, Im f, Re g, Im g.
     draws = np.random.default_rng(seed).standard_normal((FORM_SAMPLES, 4, dim))
     f = (draws[:, 0] + 1j * draws[:, 1]).T
@@ -230,8 +227,8 @@ def verify_K_psi(
     worst_form = float(np.max(np.abs(omega_psi - through_inverse) / (1.0 + np.abs(omega_psi))))
 
     details = {
-        "k_phi_vs_x_squared": rel(k_phi[phi_blk] - x2[phi_blk], x2[phi_blk]),
-        "k_psi_vs_x_inverse_squared": rel(k_psi - x_inv2, x_inv2),
+        "k_phi_vs_x_squared": relative_frobenius(k_phi[phi_blk] - x2[phi_blk], x2[phi_blk]),
+        "k_psi_vs_x_inverse_squared": relative_frobenius(k_psi - x_inv2, x_inv2),
         "omega_psi_through_inverse": worst_form,
         "entry_oracle": model.oracle_residual,
         "rational_convergence": model.rational_convergence,

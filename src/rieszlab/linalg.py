@@ -189,11 +189,6 @@ def parity_shift(a: np.ndarray) -> int | None:
     return None
 
 
-def _splits_by_parity(a: np.ndarray) -> bool:
-    """True when a couples only indices of equal parity."""
-    return parity_shift(a) == 0
-
-
 def _merged_positions(even: np.ndarray, odd: np.ndarray, descending: bool) -> tuple[np.ndarray, np.ndarray]:
     """Where the even and the odd block's sorted values go in their stable merged order."""
     values = np.concatenate((even, odd))
@@ -205,7 +200,7 @@ def _merged_positions(even: np.ndarray, odd: np.ndarray, descending: bool) -> tu
 
 def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh of a Hermitian h, one call per parity block when h splits by parity."""
-    if not _splits_by_parity(h):
+    if parity_shift(h) != 0:
         return np.linalg.eigh(h)
     blocks = [np.linalg.eigh(h[p::2, p::2]) for p in (0, 1)]
     w = np.empty(h.shape[0])
@@ -218,7 +213,7 @@ def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _svd_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """np.linalg.svd of a, one call per parity block when a splits by parity."""
-    if not _splits_by_parity(a):
+    if parity_shift(a) != 0:
         return np.linalg.svd(a)
     blocks = [np.linalg.svd(a[p::2, p::2]) for p in (0, 1)]
     u = np.zeros_like(a)

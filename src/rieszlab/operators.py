@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, WrongAlphaKind
 from .linalg import LinearMap, invert, parity_shift, read_only, real_or_complex
-from .reporting import CheckReport, make_report, worst
+from .reporting import CheckReport, make_report, relative_frobenius, worst
 from .systems import BiorthogonalSystem
 
 # The (m, l) pairs of the product identities: every pair with m + l <= 4.
@@ -80,6 +80,24 @@ class WeightedShift:
             out=out[:, span],
         )
         return out
+
+
+def _local_shifts(w: WeightedShift, parts: int) -> list[tuple[int, WeightedShift]]:
+    """(r, W_q) for each part q of the indices q, q + parts, ...: W on part q, in local indices.
+
+    W maps part q into part r = (q + offset) mod parts, and W_q is that map
+    as a weighted shift on h = ceil(N / parts) indices, with coefficient 0
+    past the end of part q; so the stack block right_r @ W_q is block q of
+    right @ W for a right that keeps every part.
+    """
+    h = -(-w.dim // parts)
+    out = []
+    for q in range(parts):
+        c = np.zeros(h, dtype=w.coefficients.dtype)
+        own = w.coefficients[q::parts]
+        c[: own.size] = own
+        out.append(((q + w.offset) % parts, WeightedShift((q + w.offset) // parts, c)))
+    return out
 
 
 def hamiltonian_shift(alpha: np.ndarray, dim: int) -> WeightedShift:
@@ -192,10 +210,6 @@ def ladder_check(opset: OperatorSet, sys: BiorthogonalSystem, tolerance: float) 
     return make_report("ladder", worst(details.values()), tolerance, details=details)
 
 
-def _rel_frobenius(delta: np.ndarray, reference: np.ndarray) -> float:
-    return float(np.linalg.norm(delta) / max(np.linalg.norm(reference), 1e-300))
-
-
 def adjoint_relation_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     """Adjoints of the transformed operators against their conjugate-alpha partners.
 
@@ -215,7 +229,7 @@ def adjoint_relation_check(opset: OperatorSet, tolerance: float) -> CheckReport:
         "b_psi_phi_adjoint": (opset.b_psi_phi, conj_set.a_phi_psi),
     }
     details = {
-        name: _rel_frobenius(lhs.conj().T - rhs, rhs)
+        name: relative_frobenius(lhs.conj().T - rhs, rhs)
         for name, (lhs, rhs) in pairs.items()
     }
     return make_report("adjoint_relations", worst(details.values()), tolerance, details=details)
@@ -230,128 +244,26 @@ def _words(m: int, l: int) -> tuple[str, str]:
     return "a" * m + "b" * l, "b" * m + "a" * l
 
 
-def _blocks(m: np.ndarray, shift: int, parts: int) -> list[np.ndarray]:
-    """The blocks of m that can be nonzero when m moves index parity by shift, transposed.
+def _stack(m: np.ndarray, shift: int, parts: int) -> np.ndarray:
+    """The blocks of m that can be nonzero when m moves index parity by shift, as a (parts, h, h) stack.
 
     Part p holds the indices p, p + parts, ...; block p is m's map from part
-    p to part (p + shift) mod parts, transposed.  A block is copied, to C
-    order, only when it is strided: with one part it is m.T itself.
+    p to part (p + shift) mod parts, zero-padded to h = ceil(N / parts)
+    rows and columns.  With one part the stack is a view of m.
     """
-    blocks = [m[(p + shift) % parts :: parts, p::parts].T for p in range(parts)]
-    return [b if b.flags.c_contiguous or b.flags.f_contiguous else b.copy() for b in blocks]
-
-
-def _row_shifts(shift: WeightedShift, span: slice, parts: int) -> list[tuple[int, slice, slice, np.ndarray]]:
-    """(p, rows, sources, c) for each part q: block q of (right W)^T is c times rows of block p of right^T.
-
-    Row j of (right W)^T is c_j times row j + offset of right^T, and zero
-    where j + offset leaves the space.  The indices j of part q go to part
-    p = (q + offset) mod parts, and both row sets are contiguous ranges of
-    their blocks: rows of block q, and sources of block p.  span is the
-    shift's `_span`.
-    """
-    out = []
-    for q in range(parts):
-        lo, hi = -(-(span.start - q) // parts), -(-(span.stop - q) // parts)
-        p = (q + shift.offset) % parts
-        d = (q + shift.offset - p) // parts
-        c = shift.coefficients[q + parts * lo : q + parts * hi : parts, np.newaxis]
-        out.append((p, slice(lo, hi), slice(lo + d, hi + d), c))
+    if parts == 1:
+        return m[np.newaxis]
+    h = -(-m.shape[0] // parts)
+    out = np.zeros_like(m, shape=(parts, h, h))  # keeps m's subclass
+    for p in range(parts):
+        block = m[(p + shift) % parts :: parts, p::parts]
+        out[p, : block.shape[0], : block.shape[1]] = block
     return out
-
-
-def _shifted(right_t: list[np.ndarray], row_shift: tuple[int, slice, slice, np.ndarray], rows: int) -> np.ndarray:
-    """One block of (right W)^T with the given number of rows, from one entry of `_row_shifts`."""
-    p, target, sources, c = row_shift
-    source = right_t[p]
-    out = np.zeros((rows, source.shape[1]), dtype=np.result_type(source, c))
-    np.multiply(c, source[sources], out=out[target])
-    return out
-
-
-def _kets(
-    root: list[np.ndarray],
-    root_shift: WeightedShift,
-    letters: dict[str, tuple[list[np.ndarray], WeightedShift]],
-    nodes: set[str],
-    parts: int,
-):
-    """(word, ket, shift) for every word of the suffix-closed set nodes, depth first.
-
-    A ket is the word's product with the right factor, kept as its nonzero
-    blocks, transposed (see `_blocks`): a word of length k maps part q to
-    part (q + k) mod parts.  letters[x] is (x's blocks, x's weighted shift);
-    the ket of x w is one gemm per block, ket(w)[q] @ blocks[(q + k) mod
-    parts], and its shift W_x W_w one composition.  A ket is yielded after
-    its children are formed, so the caller may overwrite it; only the
-    pending kets of one root-to-leaf chain are held.  The walk is an
-    explicit stack: a nested function that calls itself would be a
-    reference cycle and keep the run's matrices alive until the cyclic
-    collector runs.
-    """
-    stack = [("", root, root_shift)]
-    while stack:
-        word, ket, shift = stack.pop()
-        k = len(word)
-        # the child that repeats the word's first letter goes below its
-        # sibling, whose run of one child per word is walked and freed first
-        for x, (blocks, w) in sorted(letters.items(), key=lambda item: item[0] != word[:1]):
-            if x + word in nodes:
-                # the O(N) shift first: a word whose powers overflow fails there, before its gemm
-                composed = w @ shift
-                stack.append((x + word, [ket[q] @ blocks[(q + k) % parts] for q in range(parts)], composed))
-        if word:
-            yield word, ket, shift
-
-
-def _mixed_deviation(
-    opset: OperatorSet,
-    t_t: list[np.ndarray],
-    t_adj_inv_t: list[np.ndarray],
-    b_ket: list[np.ndarray],
-    a_psi: list[np.ndarray],
-) -> tuple[float, float]:
-    """(||A_psi_phi b_ket - (T*)^-1 A_e T* T B_e||, ||(T*)^-1 A_e T* T B_e||) for b_ket = B_phi_psi T.
-
-    Both products keep parity, so each is formed one block per part,
-    transposed: on part q the reference is (T B_e)^T conj(T) ((T*)^-1 A_e)^T
-    and the product b_ket[q] @ a_psi[p], with p = (q + 1) mod parts.
-    """
-    parts = len(b_ket)
-    inner_shifts = _row_shifts(opset.b_e, opset.b_e._span(), parts)
-    outer_shifts = _row_shifts(opset.a_e, opset.a_e._span(), parts)
-    deviation = reference_norm = 0.0
-    for q, ket in enumerate(b_ket):
-        p = (q + 1) % parts
-        inner = _shifted(t_t, inner_shifts[q], ket.shape[0]) @ t_t[p].T.conj()
-        reference = inner @ _shifted(t_adj_inv_t, outer_shifts[p], ket.shape[1])
-        del inner
-        reference_norm += _squared_norm(reference)
-        reference -= ket @ a_psi[p]
-        deviation += _squared_norm(reference)
-    return math.sqrt(deviation), math.sqrt(reference_norm)
 
 
 def _squared_norm(a: np.ndarray) -> float:
     """||a||_F^2."""
     return float(np.vdot(a, a).real)
-
-
-def _subtract_reference(
-    ket: list[np.ndarray], right_t: list[np.ndarray], column_norms: np.ndarray, shift: WeightedShift
-) -> tuple[float, float]:
-    """Subtract (right W)^T from the ket's blocks in place: (||what is left||, ||right W||).
-
-    Column j of right W is c_j times column j + offset of right, so the
-    reference's norm costs O(N) from the norms of right's columns.
-    """
-    deviation = 0.0
-    span = shift._span()
-    for block, (p, rows, sources, c) in zip(ket, _row_shifts(shift, span, len(ket))):
-        block[rows] -= c * right_t[p][sources]
-        deviation += _squared_norm(block)
-    shifted = column_norms[span.start + shift.offset : span.stop + shift.offset]
-    return math.sqrt(deviation), math.sqrt(_squared_norm(shift.coefficients[span] * shifted))
 
 
 def product_identity_check(opset: OperatorSet, tolerance: float) -> CheckReport:
@@ -362,17 +274,18 @@ def product_identity_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     (A_psi_phi^m B_psi_phi^l) (T*)^-1 = (T*)^-1 (A_e^m B_e^l) on the psi
     side, for both orders, plus the mixed product
     A_psi_phi B_phi_psi T = (T*)^-1 A_e T* T B_e.  Each side walks the
-    words of PRODUCT_PAIRS as a suffix tree from its right factor, one gemm
-    per word and block, and subtracts from each ket in place the column
-    shift of the right factor by the word's weighted shift; the empty word
-    compares the right factor with itself and reads 0.  The two routes
-    share only T and T^-1.
+    words of PRODUCT_PAIRS as a suffix tree from its right factor, one `@`
+    per word, and subtracts from each ket in place the right factor times
+    the word's weighted shift; the empty word compares the right factor
+    with itself and reads 0.  The two routes share only T and T^-1.
 
     The walk splits the indices into two parts, even and odd, when T and
     (T*)^-1 keep index parity and the four transformed ladders swap it,
     all by exact zeros (`linalg.parity_shift`): then a word's product with
-    the right factor is zero outside one block per part, and only those
-    blocks are formed.  Otherwise the whole matrix is the one block.
+    the right factor is zero outside one block per part, and every matrix
+    is held as the stack of those blocks (`_stack`), each word's shift as
+    its restriction to each part (`_local_shifts`).  Otherwise the whole
+    matrix is the one block.
 
     A residual is the Frobenius deviation over the larger of the
     reference's norm (from the right factor's column norms) and the
@@ -388,9 +301,9 @@ def product_identity_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     t_adj_inv = invert(t_map).conj().T
     sigma = t_map.singular_values
     cond = t_map.cond_estimate
-    shifts = {"a": opset.a_e, "b": opset.b_e}
+    letter_shifts = {"a": opset.a_e, "b": opset.b_e}
     # a weighted shift's 2-norm is its largest |coefficient|
-    peak = {x: np.abs(w.coefficients).max() for x, w in shifts.items()}
+    peak = {x: np.abs(w.coefficients).max() for x, w in letter_shifts.items()}
     ladders = (opset.a_phi_psi, opset.b_phi_psi, opset.a_psi_phi, opset.b_psi_phi)
     split = all(parity_shift(m) == 0 for m in (t, t_adj_inv)) and all(parity_shift(m) == 1 for m in ladders)
     parts = 2 if split else 1
@@ -401,25 +314,57 @@ def product_identity_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     words = {w for m, l in PRODUCT_PAIRS for w in _words(m, l)}
     # every suffix of a word, and B alone, whose phi-side ket the mixed product reads
     nodes = {w[i:] for w in words for i in range(len(w))} | {"b"}
-    identity = WeightedShift(0, np.ones(t_map.dim))
-    t_t = _blocks(t, 0, parts)
-    t_adj_inv_t = _blocks(t_adj_inv, 0, parts)
-    a_psi = _blocks(opset.a_psi_phi, 1, parts)  # the mixed product reads it on the phi side
+    # W_x W_w once for both sides and before any gemm: a word whose powers overflow fails here
+    shifts = {}
+    for word in sorted(nodes, key=len):
+        shifts[word] = letter_shifts[word[0]] @ shifts[word[1:]] if len(word) > 1 else letter_shifts[word]
+    local = {word: _local_shifts(w, parts) for word, w in shifts.items()}
+    t_s, t_adj_inv_s = _stack(t, 0, parts), _stack(t_adj_inv, 0, parts)
+    a_psi = _stack(opset.a_psi_phi, 1, parts)  # the mixed product reads it on the phi side
     residuals = {("phi", ""): 0.0, ("psi", ""): 0.0}
     # On the phi side A's subtree is walked before B's, so the mixed product,
     # which reads B's ket, runs while only B's own children are pending.
-    for side, right, right_t, right_norm, ladder_blocks in (
-        ("phi", t, t_t, sigma[0], {"b": _blocks(opset.b_phi_psi, 1, parts), "a": _blocks(opset.a_phi_psi, 1, parts)}),
-        ("psi", t_adj_inv, t_adj_inv_t, 1.0 / sigma[-1], {"a": a_psi, "b": _blocks(opset.b_psi_phi, 1, parts)}),
+    for side, right, right_s, right_norm, letters in (
+        ("phi", t, t_s, sigma[0], {"b": _stack(opset.b_phi_psi, 1, parts), "a": _stack(opset.a_phi_psi, 1, parts)}),
+        ("psi", t_adj_inv, t_adj_inv_s, 1.0 / sigma[-1], {"a": a_psi, "b": _stack(opset.b_psi_phi, 1, parts)}),
     ):
-        column_norms = np.linalg.norm(right, axis=0)
-        letters = {x: (blocks, shifts[x]) for x, blocks in ladder_blocks.items()}
-        for word, ket, shift in _kets(right_t, identity, letters, nodes, parts):
+        column_norms = np.linalg.norm(right, axis=0)[np.newaxis]
+        # Depth first on an explicit stack: a nested function that calls itself
+        # would be a reference cycle and keep the run's matrices alive until the
+        # cyclic collector runs.  Only the pending kets of one chain are held.
+        pending = [("", right_s)]
+        while pending:
+            word, ket = pending.pop()
+            # The child that repeats the word's first letter goes below its
+            # sibling, whose run of one child per word is walked and freed first.
+            for x in sorted(letters, key=lambda x: x != word[:1]):
+                if x + word in nodes:
+                    # a word of length k maps part q to part (q + k) mod parts, so
+                    # with parts 1 or 2 its ket meets the letter's blocks reversed when k is odd
+                    letter = letters[x] if len(word) % 2 == 0 else letters[x][::-1]
+                    pending.append((x + word, letter @ ket))
             if side == "phi" and word == "b":
+                # Both products keep parity, so each is formed one part at a time:
+                # A_psi_phi (B_phi_psi T) against ((T*)^-1 A_e) (T* (T B_e)).
+                deviation = reference_norm = 0.0
+                a_local = _local_shifts(opset.a_e, parts)
+                for q, (p, b_q) in enumerate(local["b"]):
+                    inner = t_s[p].conj().T @ (t_s[p] @ b_q)
+                    reference = (t_adj_inv_s[q] @ a_local[p][1]) @ inner
+                    del inner
+                    reference_norm += _squared_norm(reference)
+                    reference -= a_psi[p] @ ket[q]
+                    deviation += _squared_norm(reference)
+                    del reference
                 bound = right_norm * cond**2 * peak["a"] * peak["b"]
-                mixed = rel(*_mixed_deviation(opset, t_t, t_adj_inv_t, ket, a_psi), bound)
-            bound = right_norm * cond * peak["a"] ** word.count("a") * peak["b"] ** word.count("b")
-            residuals[side, word] = rel(*_subtract_reference(ket, right_t, column_norms, shift), bound)
+                mixed = rel(math.sqrt(deviation), math.sqrt(reference_norm), bound)
+            if word:
+                for q, (r, w_q) in enumerate(local[word]):
+                    ket[q] -= right_s[r] @ w_q
+                # column j of right W is c_j times column j + offset of right: its norm is O(N)
+                reference_norm = math.sqrt(_squared_norm(column_norms @ shifts[word]))
+                bound = right_norm * cond * peak["a"] ** word.count("a") * peak["b"] ** word.count("b")
+                residuals[side, word] = rel(math.sqrt(_squared_norm(ket)), reference_norm, bound)
             del ket  # before the walk forms the next children
     reports = []
     for m, l in PRODUCT_PAIRS:
@@ -495,7 +440,7 @@ def domain_mapping_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     details = {}
     for side, (transformed, image) in sides.items():
         target = image @ opset.h_e
-        details[side] = _rel_frobenius(transformed @ image - target, target)
+        details[side] = relative_frobenius(transformed @ image - target, target)
     return make_report(
         "domain_mapping",
         worst(details.values()),

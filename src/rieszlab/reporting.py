@@ -36,6 +36,11 @@ def worst(values) -> float:
     return float(np.max(list(values)))
 
 
+def relative_frobenius(delta: np.ndarray, reference: np.ndarray) -> float:
+    """||delta||_F / ||reference||_F, with the reference's norm floored at 1e-300."""
+    return float(np.linalg.norm(delta) / max(np.linalg.norm(reference), 1e-300))
+
+
 def error_report(name, exc: Exception, tolerance: float) -> CheckReport:
     """A failed report standing in for a check that raised."""
     return CheckReport(

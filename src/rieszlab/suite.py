@@ -10,7 +10,7 @@ import numpy as np
 from . import forms, hermite, operators, sampling, systems
 from .config import REPORT_SCHEMA, RunConfig
 from .linalg import LinearMap, from_diagonal, polar_decompose
-from .reporting import CheckReport, error_report, make_report, report_as_dict, worst
+from .reporting import CheckReport, error_report, make_report, relative_frobenius, report_as_dict, worst
 
 log = logging.getLogger("rieszlab")
 
@@ -125,10 +125,7 @@ def _check_polar(ctx: _SuiteContext) -> CheckReport:
     t_map = ctx.operator()
     positive, u = polar_decompose(t_map)
     gram = float(np.abs(u.conj().T @ u - np.eye(t_map.dim)).max())
-    t = t_map.entries
-    rebuilt = positive @ u
-    norms = np.maximum(1.0, np.linalg.norm(t, axis=0))
-    reassembly = float((np.linalg.norm(rebuilt - t, axis=0) / norms).max())
+    reassembly = float(systems.column_residuals(positive @ u, t_map.entries).max())
     return make_report(
         "polar",
         worst([reassembly, gram]),
@@ -146,10 +143,7 @@ def _check_hamiltonian_agreement(ctx: _SuiteContext) -> CheckReport:
     solved = systems.BiorthogonalSystem(phi=phi, psi=psi)
     summed = operators.sum_form_hamiltonian(solved, ctx.opset().alpha)
     conjugated = ctx.opset().h_phi_psi
-    residual = float(
-        np.linalg.norm(summed - conjugated)
-        / max(np.linalg.norm(conjugated), 1e-300)
-    )
+    residual = relative_frobenius(summed - conjugated, conjugated)
     return make_report("hamiltonian_agreement", residual, ctx.cfg.tolerance)
 
 

@@ -110,7 +110,8 @@ def build_frame_operators(sys: BiorthogonalSystem) -> FrameOperators:
     return FrameOperators(k_phi=frame_operator(sys.phi), k_psi=frame_operator(sys.psi))
 
 
-def _column_residuals(actual: np.ndarray, expected: np.ndarray) -> np.ndarray:
+def column_residuals(actual: np.ndarray, expected: np.ndarray) -> np.ndarray:
+    """Each column's deviation norm over the larger of 1 and the expected column's norm."""
     norms = np.maximum(1.0, np.linalg.norm(expected, axis=0))
     return np.linalg.norm(actual - expected, axis=0) / norms
 
@@ -123,10 +124,10 @@ def verify_K_relations(sys: BiorthogonalSystem, ops: FrameOperators, tolerance: 
     phi_from_psi = k_phi @ psi_m
     psi_from_phi = k_psi @ phi_m
     details = {
-        "phi_from_psi": float(_column_residuals(phi_from_psi, phi_m).max()),
-        "psi_from_phi": float(_column_residuals(psi_from_phi, psi_m).max()),
-        "psi_roundtrip": float(_column_residuals(k_psi @ phi_from_psi, psi_m).max()),
-        "phi_roundtrip": float(_column_residuals(k_phi @ psi_from_phi, phi_m).max()),
+        "phi_from_psi": float(column_residuals(phi_from_psi, phi_m).max()),
+        "psi_from_phi": float(column_residuals(psi_from_phi, psi_m).max()),
+        "psi_roundtrip": float(column_residuals(k_psi @ phi_from_psi, psi_m).max()),
+        "phi_roundtrip": float(column_residuals(k_phi @ psi_from_phi, phi_m).max()),
         "product_identity": float(
             np.linalg.norm(k_phi @ k_psi - np.eye(sys.dim)) / np.sqrt(sys.dim)
         ),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import math
 import tracemalloc
 import weakref
 from unittest import mock
@@ -353,6 +354,8 @@ def product_opsets():
     complex_alpha = np.arange(12) + 0.25j * (-1.0) ** np.arange(12)
     return {
         "hermite-x": build_operator_set(LinearMap(tail_family(32)), np.sqrt(np.arange(32))),
+        # odd N: the odd part is one index short, so its blocks are zero-padded
+        "hermite-x-odd": build_operator_set(LinearMap(tail_family(33)), np.sqrt(np.arange(33))),
         "dense-complex-alpha": build_operator_set(dense, complex_alpha),
         "nilpotent": build_operator_set(
             random_conditioned_map(3, 10.0, stream_rng(44)), np.array([0.5, 1.5, 2.5])
@@ -368,7 +371,7 @@ def product_opsets():
 
 # The inputs whose T and (T*)^-1 keep index parity and whose transformed
 # ladders swap it, so that the product walk forms one block per parity.
-PARITY_SPLIT = ("hermite-x", "diagonal")
+PARITY_SPLIT = ("hermite-x", "hermite-x-odd", "diagonal")
 
 
 def largest_entry_scaled(a, eps=1e-6):
@@ -447,7 +450,7 @@ class CountedMatrix(np.ndarray):
     products = []
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.matmul and all(np.ndim(x) == 2 for x in inputs):
+        if ufunc is np.matmul:
             CountedMatrix.products.append([np.shape(x) for x in inputs])
         plain = [x.view(np.ndarray) if isinstance(x, CountedMatrix) else x for x in inputs]
         if "out" in kwargs:
@@ -457,11 +460,17 @@ class CountedMatrix(np.ndarray):
         return result.view(CountedMatrix) if isinstance(result, np.ndarray) else result
 
 
+def block_products(shapes):
+    """How many matrix products one matmul of operands of these shapes forms: one per stacked pair."""
+    return math.prod(np.broadcast_shapes(*(shape[:-2] for shape in shapes)))
+
+
 def test_product_identities_form_one_gemm_per_nonzero_block_per_word():
-    # One gemm per word and block on each side (20 words each) and three per
-    # block for the mixed product: 43 products of whole matrices, or 86 of
-    # half-size blocks when the inputs split by parity; the dense chains
-    # would take 160 whole ones.
+    # One block product per word and part on each side (20 words each) and
+    # three per part for the mixed product: 43 products of whole matrices, or
+    # 86 of ceil(N / 2)-size blocks when the inputs split by parity, each word
+    # as one matmul on (parts, h, h) stacks; the dense chains would take 160
+    # whole ones.
     fields = ("a_phi_psi", "b_phi_psi", "a_psi_phi", "b_psi_phi")
     for name, opset in product_opsets().items():
         parts = 2 if name in PARITY_SPLIT else 1
@@ -472,9 +481,9 @@ def test_product_identities_form_one_gemm_per_nonzero_block_per_word():
         counted = dataclasses.replace(opset, t=t, **{f: getattr(opset, f).view(CountedMatrix) for f in fields})
         CountedMatrix.products = []
         report = product_identity_check(counted, 1e-10)
-        assert len(CountedMatrix.products) == 43 * parts, name
-        block = -(-t.dim // parts)  # the larger part
-        assert max(max(shape) for shapes in CountedMatrix.products for shape in shapes) == block, name
+        assert sum(block_products(shapes) for shapes in CountedMatrix.products) == 43 * parts, name
+        block = -(-t.dim // parts)
+        assert {shape[-2:] for shapes in CountedMatrix.products for shape in shapes} == {(block, block)}, name
         assert report.details == product_identity_check(opset, 1e-10).details, name
 
 
@@ -690,9 +699,9 @@ def test_product_identity_working_set():
 
 
 def test_product_identity_working_set_at_hermite_256():
-    # The real Hermite X splits by parity, so each ket is two half-size
-    # blocks.  The bound is the whole-matrix walk's traced peak, 3.05 MiB;
-    # the block walk reads 2.8 MiB.
+    # The real Hermite X splits by parity, so each ket is a stack of two
+    # half-size blocks.  The bound is the whole-matrix walk's traced peak,
+    # 3.05 MiB; the stack walk reads 2.9 MiB.
     opset = suite._SuiteContext(_hermite_config(256, full_suite=True, seed=0)).opset()
     tracemalloc.start()
     try:
