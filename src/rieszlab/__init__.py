@@ -44,6 +44,7 @@ from .operators import (
     ccr_check,
     domain_mapping_check,
     eigen_check,
+    eigenrelation_residuals,
     hamiltonian_shift,
     ladder_check,
     ladder_shifts,

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DimensionMismatch, NotPositive
 from .linalg import LinearMap, apply
 from .reporting import CheckReport, make_report, worst
-from .systems import BiorthogonalSystem, FrameOperators, family_matrix
+from .systems import BiorthogonalSystem, FrameOperators, family_matrix, require_samples
 
 TAIL_GRID = (16, 32, 64, 128, 256, 512)  # ascending truncations of the tail diagnostic
 CONVERGENT_TAIL_FRACTION = 1e-3
@@ -42,11 +42,6 @@ class TailDiagnostic:
 def _column_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray | complex:
     """<a_k, b_k> for every column k (a scalar for two vectors)."""
     return np.sum(np.conj(a) * b, axis=0)
-
-
-def _require_samples(x: np.ndarray, check: str) -> None:
-    if np.ndim(x) != 2 or np.shape(x)[1] == 0:
-        raise ValueError(f"{check} check needs a nonempty (N, count) sample set")
 
 
 def omega(x: np.ndarray, y: np.ndarray, family: np.ndarray) -> np.ndarray | complex:
@@ -77,7 +72,7 @@ def verify_representation(
 
     Both families are checked, each with the square root of its own frame operator.
     """
-    _require_samples(x, "representation")
+    require_samples(x, "representation")
     details = {}
     for side, family, root in (("phi", sys.phi, ops.k_phi_sqrt), ("psi", sys.psi, ops.k_psi_sqrt)):
         lhs = omega(x, y, family)
@@ -94,7 +89,7 @@ def quasi_basis_residual(
     tolerance: float,
 ) -> CheckReport:
     """Two-sided resolution of the identity over the sample columns."""
-    _require_samples(x, "quasi-basis")
+    require_samples(x, "quasi-basis")
     ip = _column_inner(x, y)
     details = {
         "phi_psi_order": float(np.abs(_column_inner(x, apply(sys.phi @ sys.psi.conj().T, y)) - ip).max()),
@@ -124,7 +119,7 @@ def tail_diagnostic(x: np.ndarray, family: np.ndarray) -> TailDiagnostic:
     fam = family_matrix(family)
     if x.shape != (size,) or fam.shape != (size, size):
         raise DimensionMismatch(f"the tail diagnostic needs a vector and a family at truncation {size}")
-    cumulative = np.cumsum(np.abs(np.conj(fam.conj().T @ x)) ** 2)
+    cumulative = np.cumsum(np.abs(fam.conj().T @ x) ** 2)
     sums = [float(cumulative[n - 1]) for n in TAIL_GRID]
 
     s_max = sums[-1]

@@ -10,10 +10,10 @@ run a complex product.  A LinearMap certifies self-adjointness (by
 residual) on the first read of `self_adjoint` and positivity (by smallest
 eigenvalue) on the first read of `positive`, so callers can demand the
 structure they need instead of trusting whoever built the matrix.  A map
-is factored at most once per kind: the positivity certificate's
-eigendecomposition gives `spectrum` and `operator_sqrt`, and one full SVD
-gives `singular_values`, `cond_estimate`, `invert` and `polar_decompose`;
-`invert` caches its result on the map too.  A map that couples only
+is factored at most once per kind, each factor a cached property (a read
+that raises caches nothing): the positivity certificate's `eigh` gives
+`spectrum` and `operator_sqrt`, and the one full `svd` gives
+`cond_estimate`, `inverse`, `adjoint_inverse` and `polar_decompose`.  A map that couples only
 indices of equal parity (Hermite's X, a diagonal map, and the frame
 operators of their families) is factored one parity block at a time, one
 LAPACK call per block, and its factors are assembled into the dense
@@ -24,6 +24,8 @@ them are read-only, so none of these cached values can go stale.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -62,76 +64,68 @@ def _as_square(entries) -> np.ndarray:
 class LinearMap:
     """Square real or complex matrix with certified self_adjoint/positive flags."""
 
-    __slots__ = ("entries", "_self_adjoint", "_positive", "_eigh", "_cond", "_svd", "_inverse")
-
     def __init__(self, entries):
         a = _as_square(entries)
         a.setflags(write=False)
         self.entries = a
-        self._self_adjoint: bool | None = None
-        self._positive: bool | None = None
-        self._eigh: tuple[np.ndarray, np.ndarray] | None = None
-        self._cond: float | None = None
-        self._svd: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._inverse: np.ndarray | None = None
 
-    @property
+    @cached_property
     def self_adjoint(self) -> bool:
-        """Residual certificate max|A - A*| <= rtol * max|A|, computed on first read and then cached."""
-        if self._self_adjoint is None:
-            a = self.entries
-            scale = float(np.abs(a).max())
-            self._self_adjoint = float(np.abs(a - a.conj().T).max()) <= SELF_ADJOINT_RTOL * scale
-        return self._self_adjoint
+        """Residual certificate max|A - A*| <= rtol * max|A|."""
+        a = self.entries
+        scale = float(np.abs(a).max())
+        return float(np.abs(a - a.conj().T).max()) <= SELF_ADJOINT_RTOL * scale
 
-    @property
+    @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (eigenvalues ascending, eigenvectors) of the symmetrized entries (A + A*) / 2."""
+        a = self.entries
+        return tuple(read_only(f) for f in _eigh((a + a.conj().T) / 2.0))
+
+    @cached_property
     def positive(self) -> bool:
-        """Smallest-eigenvalue certificate, computed on first read and then cached.
-
-        The certificate is a full Hermitian eigendecomposition of the
-        symmetrized entries; it is kept for `spectrum` and `operator_sqrt`.
-        """
-        if self._positive is None:
-            positive = False
-            if self.self_adjoint:
-                a = self.entries
-                factors = _eigh((a + a.conj().T) / 2.0)
-                for f in factors:
-                    f.setflags(write=False)
-                self._eigh = factors
-                lam = factors[0]
-                positive = bool(lam[0] >= -POSITIVE_RTOL * max(float(lam[-1]), 0.0))
-            self._positive = positive
-        return self._positive
+        """Smallest-eigenvalue certificate of a self-adjoint map, from its `eigh`."""
+        if not self.self_adjoint:
+            return False
+        lam = self.eigh[0]
+        return bool(lam[0] >= -POSITIVE_RTOL * max(float(lam[-1]), 0.0))
 
     @property
     def spectrum(self) -> np.ndarray:
         """Ascending eigenvalues of a certified positive map, kept from its certificate."""
         if not self.positive:
             raise NotPositive("the spectrum is kept only for a certified positive map")
-        return self._eigh[0]
+        return self.eigh[0]
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def singular_values(self) -> np.ndarray:
-        """Descending singular values, read from the map's one SVD."""
-        return _svd(self)[1]
+    @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The map's one full SVD as read-only (u, s descending, vh)."""
+        return tuple(read_only(f) for f in _svd_factors(self.entries))
 
-    @property
+    @cached_property
     def cond_estimate(self) -> float:
         """Ratio of extreme singular values (inf when singular), read from the map's one SVD."""
-        if self._cond is None:
-            s = self.singular_values
-            self._cond = float(s[0] / s[-1]) if s[-1] > 0.0 else float("inf")
-        return self._cond
+        s = self.svd[1]
+        return float(s[0] / s[-1]) if s[-1] > 0.0 else float("inf")
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """Read-only T^-1 from the map's SVD, with a scale-invariant singularity floor."""
+        u, s, vh = _nonsingular_svd(self)
+        return read_only((vh.conj().T * (1.0 / s)) @ u.conj().T)
+
+    @cached_property
+    def adjoint_inverse(self) -> np.ndarray:
+        """Read-only C-contiguous (T^-1)*: the columns are the dual family psi_n = (T^-1)* e_n."""
+        return read_only(np.ascontiguousarray(self.inverse.conj().T))
 
     def __repr__(self) -> str:
         """Dimension, dtype and the flags certified so far; printing never certifies one."""
-        flags = {"self_adjoint": self._self_adjoint, "positive": self._positive}
-        shown = ", ".join(f"{name}={'unknown' if v is None else v}" for name, v in flags.items())
+        shown = ", ".join(f"{name}={vars(self).get(name, 'unknown')}" for name in ("self_adjoint", "positive"))
         return f"LinearMap(dim={self.dim}, dtype={self.entries.dtype}, {shown})"
 
 
@@ -153,7 +147,7 @@ def operator_sqrt(a: LinearMap) -> np.ndarray:
     """
     if not a.positive:
         raise NotPositive("operator_sqrt requires a certified positive map")
-    w, v = a._eigh
+    w, v = a.eigh
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     return read_only((root + root.conj().T) / 2.0)
 
@@ -226,40 +220,24 @@ def _svd_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vh
 
 
-def _svd(a: LinearMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The full SVD (u, s, vh) of `a`, computed once per map."""
-    if a._svd is None:
-        factors = _svd_factors(a.entries)
-        for f in factors:
-            f.setflags(write=False)
-        a._svd = factors
-    return a._svd
-
-
 def _nonsingular_svd(a: LinearMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The map's SVD; raises if `a` is singular."""
-    u, s, vh = _svd(a)
+    u, s, vh = a.svd
     if s[-1] <= SINGULARITY_FLOOR * s[0]:
         raise NumericallySingular(s[-1], s[0])
     return u, s, vh
 
 
 def invert(a: LinearMap) -> np.ndarray:
-    """SVD-based inverse with a scale-invariant singularity floor.
-
-    The read-only inverse is cached on `a`, so every caller shares it.
-    """
-    if a._inverse is None:
-        u, s, vh = _nonsingular_svd(a)
-        a._inverse = read_only((vh.conj().T * (1.0 / s)) @ u.conj().T)
-    return a._inverse
+    """The map's cached read-only inverse; raises if `a` is singular."""
+    return a.inverse
 
 
 def polar_decompose(t: LinearMap) -> tuple[np.ndarray, np.ndarray]:
     """Left polar decomposition T = P U as the read-only (P, U), P = (T T*)^(1/2) and U unitary.
 
     The left convention makes the positive factor act on the rotated basis:
-    P (U e_n) = T e_n, column by column.  It reads the SVD `invert` uses.
+    P (U e_n) = T e_n, column by column.  It reads the SVD the inverse is built from.
     """
     u, s, vh = _nonsingular_svd(t)
     pos = (u * s) @ u.conj().T

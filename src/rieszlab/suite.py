@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+from functools import cached_property
 
 import numpy as np
 
@@ -42,34 +43,38 @@ def build_alpha(cfg: RunConfig) -> np.ndarray:
 
 
 class _SuiteContext:
-    """Lazily built shared objects for one run."""
+    """The shared objects of one run, each built on first read; a builder that raises caches nothing."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self._cache: dict = {}
 
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
+    @cached_property
     def hermite_model(self) -> hermite.HermiteModel:
-        return self._get("hermite_model", lambda: hermite.build_model(self.cfg.dimension))
+        return hermite.build_model(self.cfg.dimension)
 
+    @cached_property
     def operator(self) -> LinearMap:
         if self.cfg.operator.kind == "hermite-x":
             # The model's X is the operator, so the oracle gate runs once per run.
-            return self.hermite_model().X
-        return self._get("operator", lambda: build_operator(self.cfg))
+            return self.hermite_model.X
+        return build_operator(self.cfg)
 
+    @cached_property
     def system(self) -> systems.BiorthogonalSystem:
-        return self._get("system", lambda: systems.build_system(self.operator()))
+        return systems.build_system(self.operator)
 
+    @cached_property
     def frame_ops(self) -> systems.FrameOperators:
-        return self._get("frame_ops", lambda: systems.build_frame_operators(self.system()))
+        return systems.build_frame_operators(self.system)
 
+    @cached_property
     def opset(self) -> operators.OperatorSet:
-        return self._get("opset", lambda: operators.build_operator_set(self.operator(), build_alpha(self.cfg)))
+        return operators.build_operator_set(self.operator, build_alpha(self.cfg))
+
+    @cached_property
+    def eigenrelation(self) -> dict[str, operators.Eigenrelation]:
+        # The operator set first: on a singular T it raises before anything else is built.
+        return operators.eigenrelation_residuals(self.opset, self.system)
 
     def samples(self, check: str, sets: int = 1) -> list[np.ndarray]:
         """Sample sets of SAMPLE_COUNT columns, drawn one after another from the check's stream."""
@@ -78,37 +83,37 @@ class _SuiteContext:
 
 
 def _check_biorthogonality(ctx: _SuiteContext) -> CheckReport:
-    return systems.check_biorthogonality(ctx.system(), ctx.cfg.tolerance)
+    return systems.check_biorthogonality(ctx.system, ctx.cfg.tolerance)
 
 
 def _check_k_relations(ctx: _SuiteContext) -> CheckReport:
-    return systems.verify_K_relations(ctx.system(), ctx.frame_ops(), ctx.cfg.tolerance)
+    return systems.verify_K_relations(ctx.system, ctx.frame_ops, ctx.cfg.tolerance)
 
 
 def _check_onb_reconstruction(ctx: _SuiteContext) -> CheckReport:
-    return systems.reconstruct_onb(ctx.system(), ctx.frame_ops(), ctx.cfg.tolerance)
+    return systems.reconstruct_onb(ctx.system, ctx.frame_ops, ctx.cfg.tolerance)
 
 
 def _check_clause_i3(ctx: _SuiteContext) -> CheckReport:
     (x,) = ctx.samples("clause_i3")
-    return systems.verify_clause_i3(ctx.system(), ctx.frame_ops(), x, ctx.cfg.tolerance)
+    return systems.verify_clause_i3(ctx.system, ctx.frame_ops, x, ctx.cfg.tolerance)
 
 
 def _check_representation(ctx: _SuiteContext) -> CheckReport:
     x, y = ctx.samples("representation", 2)
-    return forms.verify_representation(ctx.system(), ctx.frame_ops(), x, y, ctx.cfg.tolerance)
+    return forms.verify_representation(ctx.system, ctx.frame_ops, x, y, ctx.cfg.tolerance)
 
 
 def _check_quasi_basis(ctx: _SuiteContext) -> CheckReport:
     x, y = ctx.samples("quasi_basis", 2)
-    return forms.quasi_basis_residual(ctx.system(), x, y, ctx.cfg.tolerance)
+    return forms.quasi_basis_residual(ctx.system, x, y, ctx.cfg.tolerance)
 
 
 def _check_frame_bounds(ctx: _SuiteContext) -> CheckReport:
-    c, big_c = forms.frame_bounds(ctx.frame_ops().k_phi)
+    c, big_c = forms.frame_bounds(ctx.frame_ops.k_phi)
     (x,) = ctx.samples("frame_bounds")
     sq = np.linalg.norm(x, axis=0) ** 2
-    value = forms.omega(x, x, ctx.system().phi).real
+    value = forms.omega(x, x, ctx.system.phi).real
     violation = np.maximum(0.0, np.maximum(c * sq - value, value - big_c * sq))
     residual = float(np.max(violation / np.maximum(value, 1e-300)))
     return make_report(
@@ -122,7 +127,7 @@ def _check_frame_bounds(ctx: _SuiteContext) -> CheckReport:
 def _check_polar(ctx: _SuiteContext) -> CheckReport:
     # T = P U: P U must reassemble T column by column, and U must be unitary.
     # Both are read against the one tolerance.
-    t_map = ctx.operator()
+    t_map = ctx.operator
     positive, u = polar_decompose(t_map)
     gram = float(np.abs(u.conj().T @ u - np.eye(t_map.dim)).max())
     reassembly = float(systems.column_residuals(positive @ u, t_map.entries).max())
@@ -138,45 +143,44 @@ def _check_hamiltonian_agreement(ctx: _SuiteContext) -> CheckReport:
     # The dual family by an LU solve of T* Psi = 1 (T* = phi^H), not the SVD
     # inverse the operator set conjugates with: with one T^-1 the sum form
     # and T H T^-1 would be a single computation that no defect can fail.
-    phi = ctx.system().phi
+    phi = ctx.system.phi
     psi = np.linalg.solve(phi.conj().T, np.eye(phi.shape[0]))
     solved = systems.BiorthogonalSystem(phi=phi, psi=psi)
-    summed = operators.sum_form_hamiltonian(solved, ctx.opset().alpha)
-    conjugated = ctx.opset().h_phi_psi
+    summed = operators.sum_form_hamiltonian(solved, ctx.opset.alpha)
+    conjugated = ctx.opset.h_phi_psi
     residual = relative_frobenius(summed - conjugated, conjugated)
     return make_report("hamiltonian_agreement", residual, ctx.cfg.tolerance)
 
 
 def _check_eigen(ctx: _SuiteContext) -> CheckReport:
-    # The operator set first: on a singular T it raises before anything else is built.
-    return operators.eigen_check(ctx.opset(), ctx.system(), ctx.cfg.tolerance)
+    return operators.eigen_check(ctx.eigenrelation, ctx.operator.cond_estimate, ctx.cfg.tolerance)
 
 
 def _check_ladder(ctx: _SuiteContext) -> CheckReport:
-    return operators.ladder_check(ctx.opset(), ctx.system(), ctx.cfg.tolerance)
+    return operators.ladder_check(ctx.opset, ctx.system, ctx.cfg.tolerance)
 
 
 def _check_adjoint_relations(ctx: _SuiteContext) -> CheckReport:
-    return operators.adjoint_relation_check(ctx.opset(), ctx.cfg.tolerance)
+    return operators.adjoint_relation_check(ctx.opset, ctx.cfg.tolerance)
 
 
 def _check_product_identities(ctx: _SuiteContext) -> CheckReport:
-    return operators.product_identity_check(ctx.opset(), ctx.cfg.tolerance)
+    return operators.product_identity_check(ctx.opset, ctx.cfg.tolerance)
 
 
 def _check_ccr(ctx: _SuiteContext) -> CheckReport:
-    return operators.ccr_check(ctx.opset(), ctx.cfg.tolerance)
+    return operators.ccr_check(ctx.opset, ctx.cfg.tolerance)
 
 
 def _check_domain_mapping(ctx: _SuiteContext) -> CheckReport:
-    return operators.domain_mapping_check(ctx.opset(), ctx.cfg.tolerance)
+    return operators.domain_mapping_check(ctx.eigenrelation, ctx.operator.cond_estimate, ctx.cfg.tolerance)
 
 
 def _check_hermite_oracle(ctx: _SuiteContext) -> CheckReport:
     return hermite.verify_K_psi(
-        ctx.hermite_model(),
-        ctx.system(),
-        ctx.frame_ops(),
+        ctx.hermite_model,
+        ctx.system,
+        ctx.frame_ops,
         ctx.cfg.tolerance,
         ctx.cfg.seed,
     )

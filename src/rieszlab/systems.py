@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import LinearMap, apply, invert, operator_sqrt, real_or_complex
+from .linalg import LinearMap, apply, operator_sqrt, real_or_complex
 from .reporting import CheckReport, make_report, worst
 
 
@@ -82,8 +82,8 @@ class FrameOperators:
 
 
 def build_system(t: LinearMap) -> BiorthogonalSystem:
-    """phi_n = T e_n and psi_n = (T^-1)* e_n; phi is T's own read-only entries."""
-    return BiorthogonalSystem(phi=t.entries, psi=invert(t).conj().T)
+    """phi_n = T e_n and psi_n = (T^-1)* e_n: T's own read-only entries and its `adjoint_inverse`."""
+    return BiorthogonalSystem(phi=t.entries, psi=t.adjoint_inverse)
 
 
 def check_biorthogonality(sys: BiorthogonalSystem, tolerance: float) -> CheckReport:
@@ -151,6 +151,12 @@ def reconstruct_onb(sys: BiorthogonalSystem, ops: FrameOperators, tolerance: flo
     return make_report("onb_reconstruction", worst(details.values()), tolerance, details=details)
 
 
+def require_samples(x: np.ndarray, check: str) -> None:
+    """Raise ValueError unless x is a nonempty (N, count) sample set."""
+    if np.ndim(x) != 2 or np.shape(x)[1] == 0:
+        raise ValueError(f"{check} check needs a nonempty (N, count) sample set")
+
+
 def verify_clause_i3(
     sys: BiorthogonalSystem,
     ops: FrameOperators,
@@ -158,8 +164,7 @@ def verify_clause_i3(
     tolerance: float,
 ) -> CheckReport:
     """Residual of (K_phi^(1/2))* K_psi^(1/2) x = x over the sample columns; zero columns are skipped."""
-    if np.ndim(samples) != 2 or np.shape(samples)[1] == 0:
-        raise ValueError("clause (i)3 check needs a nonempty (N, count) sample set")
+    require_samples(samples, "clause (i)3")
     r = ops.k_phi_sqrt.conj().T @ ops.k_psi_sqrt
     norms = np.linalg.norm(samples, axis=0)
     nonzero = norms > 0.0

@@ -139,6 +139,24 @@ def test_invert_caches_read_only_inverse():
         inv[0, 0] = 0.0
 
 
+@pytest.mark.parametrize("entries", [[[2.0, 1.0], [0.0, 1.0]], [[2.0, 1j], [0.0, 1.0]]])
+def test_svd_and_adjoint_inverse_are_cached_read_only_arrays(entries):
+    t = LinearMap(entries)
+    assert t.svd is t.svd and all(not f.flags.writeable for f in t.svd)
+    adj = t.adjoint_inverse
+    assert t.adjoint_inverse is adj and type(adj) is np.ndarray
+    assert adj.flags.c_contiguous and not adj.flags.writeable
+    np.testing.assert_array_equal(adj, invert(t).conj().T)
+
+
+def test_a_singular_inverse_caches_nothing_and_raises_on_every_read():
+    z = from_diagonal([1.0, 0.0])
+    for _ in range(2):
+        with pytest.raises(NumericallySingular):
+            z.adjoint_inverse
+    assert not {"inverse", "adjoint_inverse"} & vars(z).keys()
+
+
 def test_positive_certified_on_first_read_only(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
@@ -168,7 +186,7 @@ def test_self_adjoint_certified_on_first_read_only(monkeypatch):
 def test_repr_shows_only_certified_flags():
     k = from_diagonal([1, 2, 3])
     assert repr(k) == "LinearMap(dim=3, dtype=float64, self_adjoint=unknown, positive=unknown)"
-    assert k._self_adjoint is None and k._positive is None and k._eigh is None
+    assert not {"self_adjoint", "positive", "eigh"} & vars(k).keys()
     assert k.positive
     assert repr(k) == "LinearMap(dim=3, dtype=float64, self_adjoint=True, positive=True)"
     k = LinearMap([[1, 2j], [2j, 3]])
@@ -354,7 +372,7 @@ SPECTRA = st.sampled_from(["random", "tied", "diagonal", "singular", "zero"])
 def test_parity_split_svd_is_assembled_from_its_blocks(dim, is_complex, seed, spectrum):
     t = LinearMap(parity_split_map(dim, is_complex, seed, spectrum))
     a = t.entries
-    u, s, vh = linalg._svd(t)
+    u, s, vh = t.svd
     assert u.shape == vh.shape == a.shape and u.dtype == vh.dtype == a.dtype
     parity = parity_of_columns(u)
     assert np.array_equal(parity, parity_of_columns(vh.conj().T))
@@ -375,7 +393,7 @@ def test_parity_split_positivity_eigh_is_assembled_from_its_blocks(dim, is_compl
     a = parity_split_map(dim, is_complex, seed, spectrum)
     k = LinearMap(a @ a.conj().T)
     assert k.positive
-    w, v = k._eigh
+    w, v = k.eigh
     h = (k.entries + k.entries.conj().T) / 2.0
     parity = parity_of_columns(v)
     blocks = [np.linalg.eigh(h[p::2, p::2]) for p in (0, 1)]
@@ -408,7 +426,7 @@ def test_one_entry_off_parity_takes_the_dense_path(monkeypatch, entry):
     a = parity_split_map(6, False, 5, "random")
     a[entry] = 1e-300
     calls = count_numpy_calls(monkeypatch, "svd")
-    u, s, vh = linalg._svd(LinearMap(a))
+    u, s, vh = LinearMap(a).svd
     assert len(calls) == 1
     for got, want in zip((u, s, vh), np.linalg.svd(a)):
         assert np.array_equal(got, want)
@@ -420,7 +438,7 @@ def test_one_entry_off_parity_takes_the_dense_path(monkeypatch, entry):
 def test_a_one_by_one_map_and_a_dense_map_factor_whole(monkeypatch):
     calls = count_numpy_calls(monkeypatch, "svd")
     for t in (from_diagonal([3.0]), random_conditioned_map(5, 5.0, stream_rng(5))):
-        linalg._svd(t)
+        t.svd
     assert len(calls) == 2
 
 

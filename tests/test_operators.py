@@ -19,6 +19,7 @@ from rieszlab import (
     ccr_check,
     domain_mapping_check,
     eigen_check,
+    eigenrelation_residuals,
     from_diagonal,
     hamiltonian_shift,
     invert,
@@ -46,6 +47,11 @@ def ladder_matrices(alpha, dim):
 def reference_opset(alpha):
     """Operator set on T = 1, where every transformed operator is its reference-basis one."""
     return build_operator_set(LinearMap(np.eye(len(alpha))), alpha)
+
+
+def relation_check(check, opset, sys, tolerance):
+    """eigen_check or domain_mapping_check on the eigenrelation of opset and sys, against cond(opset.t)."""
+    return check(eigenrelation_residuals(opset, sys), opset.t.cond_estimate, tolerance)
 
 
 def product_check(opset, pairs, tolerance=1e-10):
@@ -153,14 +159,14 @@ def test_sum_form_agreement_random_property():
 def test_eigen_check_diagonal_and_unipotent():
     alpha = np.array([1.0, 2.0])
     identity = build_system(LinearMap(np.eye(2)))
-    assert eigen_check(reference_opset(alpha), identity, 1e-8).residual == 0.0
+    assert relation_check(eigen_check, reference_opset(alpha), identity, 1e-8).residual == 0.0
     # H phi_1 = 2 phi_1 with phi_1 = (1, 1)
     t = LinearMap([[1, 1], [0, 1]])
     sys_ = build_system(t)
     opset = build_operator_set(t, alpha)
     h = opset.h_phi_psi
     np.testing.assert_allclose(h @ sys_.phi[:, 1], 2.0 * sys_.phi[:, 1], atol=1e-14)
-    report = eigen_check(opset, sys_, 1e-8)
+    report = relation_check(eigen_check, opset, sys_, 1e-8)
     assert report.passed and report.residual < 1e-14
     assert report.tolerance == 1e-8 * t.cond_estimate and report.details["cond"] == t.cond_estimate
 
@@ -262,7 +268,7 @@ def test_perturbed_ladder_entry_fails_shared_checks():
     assert product_check(opset, [(1, 1)]).passed
     assert adjoint_relation_check(opset, 1e-9).passed
     assert ccr_check(opset, 1e-12).passed
-    assert domain_mapping_check(opset, 1e-9).passed
+    assert relation_check(domain_mapping_check, opset, build_system(t), 1e-9).passed
     a = opset.a_phi_psi.copy()
     k = np.unravel_index(np.argmax(np.abs(a)), a.shape)
     a[k] *= 1.0 + 1e-6
@@ -272,7 +278,20 @@ def test_perturbed_ladder_entry_fails_shared_checks():
     assert not ccr_check(mutated, 1e-12).passed
     h = opset.h_psi_phi.copy()
     h[np.unravel_index(np.argmax(np.abs(h)), h.shape)] *= 1.0 + 1e-6
-    assert not domain_mapping_check(dataclasses.replace(opset, h_psi_phi=h), 1e-9).passed
+    assert not relation_check(domain_mapping_check, dataclasses.replace(opset, h_psi_phi=h), build_system(t), 1e-9).passed
+
+
+def test_domain_mapping_fails_a_1e_4_defect_in_h_psi_phi_through_the_run():
+    # The run's one eigenrelation is built from the set it reads, so a defect
+    # planted in the set before either check runs shows in domain_mapping.
+    t = random_conditioned_map(8, 10.0, stream_rng(45))
+    ctx = suite._SuiteContext(dense_config(t, tolerance=1e-9))
+    h = ctx.opset.h_psi_phi.copy()
+    h[np.unravel_index(np.argmax(np.abs(h)), h.shape)] *= 1.0 + 1e-4
+    ctx.opset = dataclasses.replace(ctx.opset, h_psi_phi=h)
+    report = suite._check_domain_mapping(ctx)
+    assert not report.passed and report.residual == report.details["psi_phi"]
+    assert report.details["phi_psi"] <= 1e-9
 
 
 def test_product_identity_reports_worst_pair():
@@ -416,8 +435,8 @@ def with_zero_block_defect(opset, target):
         return dataclasses.replace(opset, t=LinearMap(placed(opset.t.entries, (0, 1))))
     if target == "t_adj_inverse":
         t = LinearMap(opset.t.entries)
-        t._svd = opset.t._svd
-        t._inverse = placed(invert(opset.t), (1, 0))  # entry [0, 1] of (T*)^-1
+        t.svd = opset.t.svd
+        t.inverse = placed(invert(opset.t), (1, 0))  # entry [0, 1] of (T*)^-1, which adjoint_inverse reads
         return dataclasses.replace(opset, t=t)
     return dataclasses.replace(opset, **{target: placed(getattr(opset, target), (0, 0))})
 
@@ -435,7 +454,7 @@ def test_a_defect_in_a_zero_parity_block_is_read_as_the_dense_oracle_reads_it(ki
     # The oracle scales the psi side by the 2-norm of the (T*)^-1 it reads,
     # the check by 1 / sigma_min from T's SVD.  They part only when the
     # cached inverse carries the defect: by 2.4e-9 and 1.2e-8 relative here.
-    scale_gap = abs(np.linalg.norm(invert(opset.t), 2) * opset.t.singular_values[-1] - 1.0)
+    scale_gap = abs(np.linalg.norm(invert(opset.t), 2) * opset.t.svd[1][-1] - 1.0)
     for pair in PRODUCT_PAIRS:
         expected = dense_product_identity_check(opset, [pair])
         actual = product_check(opset, [pair])
@@ -476,8 +495,9 @@ def test_product_identities_form_one_gemm_per_nonzero_block_per_word():
         parts = 2 if name in PARITY_SPLIT else 1
         t = LinearMap(opset.t.entries)
         t.entries = t.entries.view(CountedMatrix)
-        t._inverse = invert(opset.t).view(CountedMatrix)
-        t._svd = opset.t._svd
+        # a view, since the C-contiguous copy adjoint_inverse makes would drop the subclass
+        t.adjoint_inverse = opset.t.adjoint_inverse.view(CountedMatrix)
+        t.svd = opset.t.svd
         counted = dataclasses.replace(opset, t=t, **{f: getattr(opset, f).view(CountedMatrix) for f in fields})
         CountedMatrix.products = []
         report = product_identity_check(counted, 1e-10)
@@ -526,11 +546,11 @@ def test_product_identities_fail_a_1e_6_defect_in_a_transformed_ladder(dense_128
 
 def test_product_identities_fail_a_1e_6_defect_in_the_cached_inverse():
     # The psi side starts its walk from (T*)^-1 and the mixed product's
-    # reference reads it, so a defect in the run's one T^-1 must show.
+    # reference reads it, so a defect in the run's one (T^-1)* must show.
     t = random_conditioned_map(32, 10.0, stream_rng(50))
     opset = build_operator_set(t, np.sqrt(np.arange(32)))
     assert product_identity_check(opset, 1e-8).passed
-    t._inverse = largest_entry_scaled(invert(t))
+    t.adjoint_inverse = largest_entry_scaled(t.adjoint_inverse)
     report = product_identity_check(opset, 1e-8)
     assert not report.passed, report.details
     assert report.details["phi_ab"] < 1e-14  # the phi side never reads T^-1
@@ -547,12 +567,13 @@ def test_suite_checks_fail_a_defect_in_the_last_column(dim, side, eps, check):
     # the edge column too, so the defect must show there: the rows read
     # 2.2e-4, 2.6e-4 and 1.2e-4 against tolerances 1e-6, 1e-6 and 5.2e-5.
     ctx = suite._SuiteContext(_hermite_config(dim, full_suite=True, seed=0))
-    clean = ctx.system()
-    ctx.frame_ops()
+    clean = ctx.system
+    ctx.frame_ops
     assert suite._CHECKS[check](ctx).passed
     family = np.array(getattr(clean, side))
     family[:, -1] = largest_entry_scaled(family[:, -1], eps)
-    ctx._cache["system"] = dataclasses.replace(clean, **{side: family})
+    ctx.system = dataclasses.replace(clean, **{side: family})
+    vars(ctx).pop("eigenrelation", None)  # built from the system, so rebuilt from the mutated one
     report = suite._CHECKS[check](ctx)
     assert not report.passed, report.details
 
@@ -564,7 +585,7 @@ def test_ladder_and_ccr_fail_a_rank_one_defect_at_the_edge(dim):
     # on phi_(N-1) alone, where the finite pair has B phi_(N-1) = 0 exactly
     # and T^-1 [A, B] T ends in 1 - N: only the edge column can show it.
     ctx = suite._SuiteContext(_hermite_config(dim, full_suite=True, seed=0))
-    opset, system, tolerance = ctx.opset(), ctx.system(), ctx.cfg.tolerance
+    opset, system, tolerance = ctx.opset, ctx.system, ctx.cfg.tolerance
     assert ladder_check(opset, system, tolerance).passed
     assert ccr_check(opset, tolerance).passed
     phi_edge = system.phi[:, -1]
@@ -702,7 +723,7 @@ def test_product_identity_working_set_at_hermite_256():
     # The real Hermite X splits by parity, so each ket is a stack of two
     # half-size blocks.  The bound is the whole-matrix walk's traced peak,
     # 3.05 MiB; the stack walk reads 2.9 MiB.
-    opset = suite._SuiteContext(_hermite_config(256, full_suite=True, seed=0)).opset()
+    opset = suite._SuiteContext(_hermite_config(256, full_suite=True, seed=0)).opset
     tracemalloc.start()
     try:
         product_identity_check(opset, 1e-6)
@@ -756,7 +777,7 @@ def test_ccr_reads_the_values_of_alpha_not_their_origin():
 
 
 def test_domain_mapping_identity():
-    report = domain_mapping_check(reference_opset(np.arange(4)), 1e-9)
+    report = relation_check(domain_mapping_check, reference_opset(np.arange(4)), build_system(LinearMap(np.eye(4))), 1e-9)
     assert report.residual == 0.0
     assert report.details["amplification"] == pytest.approx(1.0)
 
@@ -764,7 +785,7 @@ def test_domain_mapping_identity():
 def test_domain_mapping_geometric_diagonal():
     t = from_diagonal(2.0 ** np.arange(16))
     opset = build_operator_set(t, np.arange(16))
-    report = domain_mapping_check(opset, 1e-9)
+    report = relation_check(domain_mapping_check, opset, build_system(t), 1e-9)
     assert report.passed, report.details
     for side in ("phi_psi", "psi_phi"):
         assert report.details[side] <= 1e-9

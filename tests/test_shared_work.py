@@ -97,6 +97,17 @@ def test_hermite_full_suite_shares_factorizations(monkeypatch):
     assert counts["LinearMap"] == 6
 
 
+def test_eigen_and_domain_mapping_read_one_eigenrelation(monkeypatch):
+    # `rieszlab example hermite --dim 32 --full-suite`: both checks of
+    # H v_k = alpha_k v_k read the residuals formed once per run
+    calls = []
+    original = operators.eigenrelation_residuals
+    monkeypatch.setattr(operators, "eigenrelation_residuals", lambda *a: calls.append(1) or original(*a))
+    reports = {r.name: r for r in run_suite(_hermite_config(32, full_suite=True, seed=0))}
+    assert reports["eigen"].passed and reports["domain_mapping"].passed
+    assert len(calls) == 1
+
+
 def test_hermite_full_suite_factors_in_real_arithmetic(monkeypatch):
     # `rieszlab example hermite --dim 32 --full-suite`: X is real symmetric,
     # so every factorization of the run takes a float64 array
@@ -129,7 +140,7 @@ def test_operator_and_alpha_dtype_follow_the_config():
     }
     cfg = parse_config(json.dumps(real_dense))
     assert suite.build_operator(cfg).entries.dtype == np.float64
-    assert suite._SuiteContext(cfg).opset().alpha.dtype == np.float64
+    assert suite._SuiteContext(cfg).opset.alpha.dtype == np.float64
     phases = {
         "dimension": 3,
         "operator": {"kind": "diagonal", "values": [[1, 0], [0, 2], [-0.5, 0.5]]},
@@ -137,7 +148,7 @@ def test_operator_and_alpha_dtype_follow_the_config():
     }
     cfg = parse_config(json.dumps(phases))
     assert suite.build_operator(cfg).entries.dtype == np.complex128
-    assert suite._SuiteContext(cfg).opset().alpha.dtype == np.complex128
+    assert suite._SuiteContext(cfg).opset.alpha.dtype == np.complex128
 
 
 def test_hermite_example_builds_no_square_roots(monkeypatch):
@@ -194,10 +205,10 @@ def test_hamiltonian_agreement_sees_a_defect_in_the_cached_inverse():
     clean = suite._check_hamiltonian_agreement(suite._SuiteContext(cfg))
     assert clean.passed and clean.residual > 0.0
     ctx = suite._SuiteContext(cfg)
-    t_map = ctx.operator()
+    t_map = ctx.operator
     t_inv = invert(t_map).copy()
     t_inv[np.unravel_index(np.argmax(np.abs(t_inv)), t_inv.shape)] *= 1.0 + 1e-6
-    t_map._inverse = t_inv
+    t_map.inverse = t_inv
     assert not suite._check_hamiltonian_agreement(ctx).passed
 
 
@@ -230,20 +241,22 @@ def test_growth_checks_pass_at_dimension_8():
 
 @pytest.mark.parametrize("alpha", ["sqrt_n", "complex"])
 def test_every_derived_matrix_is_a_read_only_array(alpha):
-    # T^-1, the operator set, both roots and both polar factors are plain
-    # read-only arrays; only T and the frame operators are maps
+    # T^-1, (T^-1)*, the operator set, the eigenrelation, both roots and both
+    # polar factors are plain read-only arrays; only T and the frame operators are maps
     t = random_conditioned_map(6, 10.0, stream_rng(72))
     values = {"kind": "custom", "values": [[n, 0.5 * (-1) ** n] for n in range(6)]}
     cfg = dense_config(t, **({} if alpha == "sqrt_n" else {"alpha": values}))
     ctx = suite._SuiteContext(cfg)
-    opset, frame_ops = ctx.opset(), ctx.frame_ops()
+    opset, frame_ops = ctx.opset, ctx.frame_ops
     transformed = ("h_phi_psi", "h_psi_phi", "a_phi_psi", "b_phi_psi", "a_psi_phi", "b_psi_phi")
     matrices = {
-        "inverse": invert(ctx.operator()),
+        "inverse": invert(ctx.operator),
+        "adjoint_inverse": ctx.operator.adjoint_inverse,
         **{name: getattr(opset, name) for name in transformed},
         "k_phi_sqrt": frame_ops.k_phi_sqrt,
         "k_psi_sqrt": frame_ops.k_psi_sqrt,
-        **dict(zip(("positive", "unitary"), polar_decompose(ctx.operator()))),
+        **dict(zip(("positive", "unitary"), polar_decompose(ctx.operator))),
+        **{f"{side}_residual": r.residual for side, r in ctx.eigenrelation.items()},
     }
     for name, m in matrices.items():
         assert type(m) is np.ndarray and m.shape == (6, 6), name

@@ -64,8 +64,8 @@ def test_build_system_families_are_read_only_arrays():
 
 
 def test_build_system_copies_psi_once():
-    # psi = (T^-1)* is F-ordered; family_matrix's C-contiguous copy is the family,
-    # so building the system allocates one N x N matrix and keeps it
+    # (T^-1)* is a transposed view of T^-1; the map's C-contiguous adjoint_inverse
+    # is the family, so building the system allocates one N x N matrix and keeps it
     t = LinearMap(tail_family(256))
     invert(t)
     tracemalloc.start()
@@ -77,6 +77,14 @@ def test_build_system_copies_psi_once():
     matrix = 256 * 256 * 8
     assert peak < 1.25 * matrix and kept < 1.25 * matrix, (peak, kept)
     assert sys_.phi is t.entries and not sys_.psi.flags.writeable
+
+
+def test_psi_is_the_maps_adjoint_inverse():
+    # one array holds the dual family: the system keeps the map's (T^-1)* without a copy
+    for t in (LinearMap(tail_family(8)), random_conditioned_map(6, 10.0, stream_rng(29))):
+        psi = build_system(t).psi
+        assert psi is t.adjoint_inverse
+        np.testing.assert_array_equal(psi, invert(t).conj().T)
 
 
 def test_family_of_a_writable_caller_buffer_is_copied():
