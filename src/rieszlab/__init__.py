@@ -30,6 +30,7 @@ from .hermite import (
     verify_K_psi,
 )
 from .linalg import (
+    Blocks,
     LinearMap,
     from_diagonal,
     invert,

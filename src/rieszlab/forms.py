@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DimensionMismatch, NotPositive
 from .linalg import LinearMap, apply
 from .reporting import CheckReport, make_report, worst
-from .systems import BiorthogonalSystem, FrameOperators, family_matrix, require_samples
+from .systems import BiorthogonalSystem, FrameOperators, family_blocks, family_matrix, require_samples
 
 TAIL_GRID = (16, 32, 64, 128, 256, 512)  # ascending truncations of the tail diagnostic
 CONVERGENT_TAIL_FRACTION = 1e-3
@@ -44,19 +44,19 @@ def _column_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray | complex:
     return np.sum(np.conj(a) * b, axis=0)
 
 
-def omega(x: np.ndarray, y: np.ndarray, family: np.ndarray) -> np.ndarray | complex:
+def omega(x: np.ndarray, y: np.ndarray, family) -> np.ndarray | complex:
     """Evaluate sum_k <x, phi_k><phi_k, y> over the truncated family.
 
     x and y are sample sets of one shape: (N, count) arrays give one value
     per column, two vectors of length N give a scalar.  When y is x the
     pairings are formed once.
     """
-    m = family_matrix(family)
+    m = family_blocks(family)
     same = y is x
     x, y = np.asarray(x), np.asarray(y)
     if x.shape[:1] != m.shape[:1] or y.shape != x.shape:
         raise DimensionMismatch("vector dimensions differ from family dimension")
-    adj = m.conj().T
+    adj = m.H
     adj_x = apply(adj, x)
     return _column_inner(adj_x, adj_x if same else apply(adj, y))
 
@@ -92,8 +92,8 @@ def quasi_basis_residual(
     require_samples(x, "quasi-basis")
     ip = _column_inner(x, y)
     details = {
-        "phi_psi_order": float(np.abs(_column_inner(x, apply(sys.phi @ sys.psi.conj().T, y)) - ip).max()),
-        "psi_phi_order": float(np.abs(_column_inner(x, apply(sys.psi @ sys.phi.conj().T, y)) - ip).max()),
+        "phi_psi_order": float(np.abs(_column_inner(x, apply(sys.phi @ sys.psi.H, y)) - ip).max()),
+        "psi_phi_order": float(np.abs(_column_inner(x, apply(sys.psi @ sys.phi.H, y)) - ip).max()),
     }
     residual = worst(details.values())
     return make_report("quasi_basis", residual, tolerance, details=details | {"samples": x.shape[1]})

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import OracleMismatch
 from .forms import omega
-from .linalg import LinearMap, invert, real_or_complex
+from .linalg import Blocks, LinearMap, invert, real_or_complex, solve
 from .reporting import CheckReport, make_report, relative_frobenius, worst
 from .systems import BiorthogonalSystem, FrameOperators
 
@@ -209,25 +209,25 @@ def verify_K_psi(
     dim = model.dim
     x = model.X
     x_inv = invert(x)
-    k_phi = ops.k_phi.entries
-    k_psi = ops.k_psi.entries
-    x2 = model.x_squared_gram
+    k_phi = ops.k_phi.blocks.leading(dim - 2)
+    k_psi = ops.k_psi.blocks
+    x2 = Blocks.of(model.x_squared_gram).leading(dim - 2)
     x_inv2 = x_inv @ x_inv
-    phi_blk = np.s_[: dim - 2, : dim - 2]
 
     # Per sample the draws come in the order Re f, Im f, Re g, Im g.
     draws = np.random.default_rng(seed).standard_normal((FORM_SAMPLES, 4, dim))
     f = (draws[:, 0] + 1j * draws[:, 1]).T
     g = (draws[:, 2] + 1j * draws[:, 3]).T
     omega_psi = omega(f, g, sys.psi)
-    # X^-1 f and X^-1 g by an LU solve, not from the SVD inverse that built
+    # X^-1 f and X^-1 g by an LU solve per block of the real X, on the
+    # samples' real and imaginary parts, not from the SVD inverse that built
     # psi: with the same matrix both sides would be one computation.
-    solved = np.linalg.solve(x.entries, np.hstack([f, g]))
+    solved = solve(x.blocks, np.hstack([f, g]))
     through_inverse = np.sum(np.conj(solved[:, :FORM_SAMPLES]) * solved[:, FORM_SAMPLES:], axis=0)
     worst_form = float(np.max(np.abs(omega_psi - through_inverse) / (1.0 + np.abs(omega_psi))))
 
     details = {
-        "k_phi_vs_x_squared": relative_frobenius(k_phi[phi_blk] - x2[phi_blk], x2[phi_blk]),
+        "k_phi_vs_x_squared": relative_frobenius(k_phi - x2, x2),
         "k_psi_vs_x_inverse_squared": relative_frobenius(k_psi - x_inv2, x_inv2),
         "omega_psi_through_inverse": worst_form,
         "entry_oracle": model.oracle_residual,

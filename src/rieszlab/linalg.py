@@ -1,30 +1,32 @@
-"""Dense real or complex linear algebra with certified structure flags.
+"""Real or complex linear algebra on parity blocks, with certified structure flags.
 
-A matrix is a read-only N x N ndarray.  A LinearMap wraps only the maps
-that are certified or factored: T and the frame operators.  It stores
-float64 when every entry is real (a complex input whose imaginary parts
-are all exactly 0 is stored as its real part) and complex128 otherwise,
-so real inputs run the real LAPACK/BLAS kernels; `apply` keeps a real
-matrix real on a complex sample block too, where numpy's promotion would
-run a complex product.  A LinearMap certifies self-adjointness (by
-residual) on the first read of `self_adjoint` and positivity (by smallest
-eigenvalue) on the first read of `positive`, so callers can demand the
-structure they need instead of trusting whoever built the matrix.  A map
-is factored at most once per kind, each factor a cached property (a read
-that raises caches nothing): the positivity certificate's `eigh` gives
-`spectrum` and `operator_sqrt`, and the one full `svd` gives
-`cond_estimate`, `inverse`, `adjoint_inverse` and `polar_decompose`.  A map that couples only
-indices of equal parity (Hermite's X, a diagonal map, and the frame
-operators of their families) is factored one parity block at a time, one
-LAPACK call per block, and its factors are assembled into the dense
-N x N arrays every reader receives, in the sorted order a dense
-factorization gives; the inverse and square roots built from them have
-exact zeros off parity too.  The entries and every matrix derived from
-them are read-only, so none of these cached values can go stale.
+Every matrix a run derives is a read-only `Blocks`.  When T couples only
+indices of equal parity (Hermite's X, a diagonal T) and N >= SPLIT_FLOOR,
+T is held as its two parity blocks, of ceil(N/2) and floor(N/2) indices,
+and every matrix derived from it inherits the split: T^-1, psi, the frame
+operators, their roots and the polar factors keep parity, and a shift by
+an odd step swaps it.  Otherwise a matrix is its one dense block.  No
+product, sum or norm reads the zeros between the blocks, and a sample set
+meets a split matrix as two half products on its even and odd rows
+(`apply`, `solve`).
+
+A LinearMap wraps only the maps that are certified or factored: T and the
+frame operators.  It stores float64 when every entry is real (a complex
+input whose imaginary parts are all exactly 0 is stored as its real part)
+and complex128 otherwise, so real inputs run the real LAPACK/BLAS kernels,
+on complex sample sets too.  It certifies self-adjointness (by residual)
+and positivity (by smallest eigenvalue) on first read, and is factored at
+most once per kind, one LAPACK call per block, each factor a cached
+property (a read that raises caches nothing): the positivity certificate's
+`eigh` gives `spectrum` and `operator_sqrt`, and the one full `svd` gives
+`cond_estimate`, `inverse` and `polar_decompose`.  (T^-1)* is the adjoint
+of the one held T^-1.  Entries and derived matrices are read-only, so no
+cached value can go stale.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -35,6 +37,13 @@ from .errors import NotPositive, NumericallySingular
 SELF_ADJOINT_RTOL = 1e-12   # max|A - A*| <= rtol * max|A|
 POSITIVE_RTOL = 1e-10       # lambda_min >= -rtol * lambda_max
 SINGULARITY_FLOOR = 1e-12   # invertible iff sigma_min > floor * sigma_max
+# Smallest N at which a parity-keeping map runs as its two blocks.  Below
+# it the per-block calls cost more than the zeros they skip.  Measured in
+# process, split against whole (median of 25, 2 BLAS threads, 2-vCPU host,
+# numpy 2.4.6, OpenBLAS 0.3.31): the Hermite full suite reads x1.20 at
+# N = 24, x1.04 at 48, x1.01 at 56 and x0.98 at 64, a complex diagonal T
+# with the default checks x1.24, x0.92, x0.86 and x0.82.
+SPLIT_FLOOR = 56
 
 
 def real_or_complex(values) -> np.ndarray:
@@ -51,194 +60,343 @@ def real_or_complex(values) -> np.ndarray:
     return a.astype(np.float64, copy=False)
 
 
-def _as_square(entries) -> np.ndarray:
-    """An owned C-contiguous copy of the entries, float64 or complex128 by `real_or_complex`."""
-    a = np.array(real_or_complex(entries), order="C")
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
+def read_only(a):
+    """a itself, made read-only: an array, or every block of a `Blocks`; the form of every derived matrix a run holds."""
+    for b in a.blocks if isinstance(a, Blocks) else (a,):
+        b.setflags(write=False)
     return a
 
 
+def _keeps_parity(a: np.ndarray) -> bool:
+    """Whether a square a couples only indices of equal parity: both off-parity blocks are exact zeros."""
+    return not a[::2, 1::2].any() and not a[1::2, ::2].any()
+
+
+class Blocks:
+    """A matrix held as its nonzero blocks: one dense block, or two parity blocks.
+
+    With two parts, part p holds the indices p, p + 2, ..., and block p is
+    the matrix's map from part p to part (p + shift) % 2: shape (rows of
+    that part, indices of part p), with no padding.  Every other entry is an
+    exact zero and is not stored.  With one part the block is the whole
+    matrix and shift is 0.  Products, sums and norms run once per block; an
+    operand with the other number of parts is first assembled into one
+    block.  numpy reads a Blocks as its dense matrix (`__array__`).
+    """
+
+    __slots__ = ("blocks", "parts", "shift")
+
+    def __init__(self, blocks, shift: int = 0):
+        self.blocks = tuple(blocks)
+        self.parts = len(self.blocks)
+        self.shift = shift % self.parts
+
+    @classmethod
+    def of(cls, a: np.ndarray) -> "Blocks":
+        """A square a, read-only, as copies of its two parity blocks when it keeps parity by exact zeros and N >= SPLIT_FLOOR, else as a view of a.
+
+        Either way a itself stays writable if it was.
+        """
+        if a.ndim == 2 and a.shape[0] == a.shape[1] >= SPLIT_FLOOR and _keeps_parity(a):
+            return read_only(cls([np.ascontiguousarray(a[p::2, p::2]) for p in (0, 1)]))
+        return read_only(cls([a.view()]))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        if self.parts == 1:
+            return self.blocks[0].shape
+        n = sum(b.shape[1] for b in self.blocks)
+        return n, n
+
+    @property
+    def dtype(self) -> np.dtype:
+        return np.result_type(*self.blocks)
+
+    def _rows(self, p: int) -> int:
+        """The first row of block p: the part it maps into."""
+        return (p + self.shift) % self.parts
+
+    def whole(self) -> "Blocks":
+        """The same matrix as one dense block."""
+        if self.parts == 1:
+            return self
+        n = self.shape[0]
+        out = np.zeros((n, n), dtype=self.dtype)
+        for p, b in enumerate(self.blocks):
+            out[self._rows(p) :: 2, p::2] = b
+        return Blocks([out])
+
+    def __array__(self, dtype=None, copy=None):
+        a = self.whole().blocks[0]
+        return np.array(a, dtype=dtype, copy=True) if copy else np.asarray(a, dtype=dtype)
+
+    @property
+    def H(self) -> "Blocks":
+        """The adjoint; a view of the blocks when they are real."""
+        if self.parts == 1:
+            return Blocks([self.blocks[0].conj().T])
+        return Blocks([self.blocks[self._rows(q)].conj().T for q in range(self.parts)], self.shift)
+
+    def _map(self, f) -> "Blocks":
+        return Blocks([f(b) for b in self.blocks], self.shift)
+
+    def _aligned(self, other: "Blocks") -> tuple["Blocks", "Blocks"]:
+        if self.parts == other.parts:
+            return self, other
+        return self.whole(), other.whole()
+
+    def __matmul__(self, other):
+        if not isinstance(other, Blocks):
+            return NotImplemented
+        if self.parts == other.parts == 1:
+            return Blocks([self.blocks[0] @ other.blocks[0]])
+        a, b = self._aligned(other)
+        return Blocks([a.blocks[b._rows(p)] @ block for p, block in enumerate(b.blocks)], a.shift + b.shift)
+
+    def _blockwise(self, other, f):
+        if not isinstance(other, Blocks):
+            return NotImplemented
+        if self.parts == other.parts == 1:
+            return Blocks([f(self.blocks[0], other.blocks[0])])
+        a, b = self._aligned(other)
+        if a.shift != b.shift:
+            a, b = a.whole(), b.whole()
+        return Blocks([f(x, y) for x, y in zip(a.blocks, b.blocks)], a.shift)
+
+    def __add__(self, other):
+        return self._blockwise(other, np.add)
+
+    def __sub__(self, other):
+        return self._blockwise(other, np.subtract)
+
+    def __mul__(self, columns) -> "Blocks":
+        """Column k scaled by columns[k]; a scalar scales every entry."""
+        if self.parts == 1 or np.ndim(columns) == 0:
+            return self._map(lambda b: b * columns)
+        return Blocks([b * columns[p :: self.parts] for p, b in enumerate(self.blocks)], self.shift)
+
+    def minus_diagonal(self, values=None) -> "Blocks":
+        """self - diag(values) for a parity-keeping matrix of square blocks; values default to ones, which gives self - 1."""
+        out = []
+        for p, b in enumerate(self.blocks):
+            b = b.copy()  # C-contiguous, so its diagonal is every (columns + 1)-th entry
+            b.ravel()[:: b.shape[1] + 1] -= 1.0 if values is None else values[p :: self.parts]
+            out.append(b)
+        return Blocks(out, self.shift)
+
+    def leading(self, n: int) -> "Blocks":
+        """The leading n x n block: indices 0 .. n - 1 of every part."""
+        return Blocks(
+            [b[: len(range(self._rows(p), n, self.parts)), : len(range(p, n, self.parts))] for p, b in enumerate(self.blocks)],
+            self.shift,
+        )
+
+    def max_abs(self) -> float:
+        """max |entry|; NaN if any entry is NaN."""
+        peaks = [np.abs(b).max(initial=0.0) for b in self.blocks]
+        return float(peaks[0] if self.parts == 1 else np.max(peaks))
+
+    def frobenius(self) -> float:
+        if self.parts == 1:
+            return float(np.linalg.norm(self.blocks[0]))
+        return math.hypot(*(float(np.linalg.norm(b)) for b in self.blocks))
+
+    def column_norms(self) -> np.ndarray:
+        """The 2-norm of every column, in index order."""
+        if self.parts == 1:
+            return np.linalg.norm(self.blocks[0], axis=0)
+        out = np.empty(self.shape[1])
+        for p, b in enumerate(self.blocks):
+            out[p :: self.parts] = np.linalg.norm(b, axis=0)
+        return out
+
+    def worst_entry(self) -> tuple[float, int, int]:
+        """(|a_kl|, k, l) for the first largest |entry| in row-major index order, a NaN before any number."""
+        found = []
+        for p, b in enumerate(self.blocks):
+            dev = np.abs(b)
+            i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
+            value = float(dev[i, j])
+            row, col = int(i) * self.parts + self._rows(p), int(j) * self.parts + p
+            found.append((not math.isnan(value), -value if value == value else 0.0, row, col, value))
+        *_, row, col, value = min(found)
+        return value, row, col
+
+
+def _on_parts(op, m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """op(m, x), where a real m and a complex x run one real op on x's interleaved real and imaginary parts."""
+    if not (np.isrealobj(m) and np.iscomplexobj(x)):
+        return op(m, x)
+    x = np.ascontiguousarray(x, dtype=np.complex128)
+    parts = x.view(np.float64).reshape(x.shape[0], -1)
+    return op(m, parts).view(np.complex128).reshape((-1,) + x.shape[1:])
+
+
+def _rowwise(op, m: Blocks, x: np.ndarray, rows) -> np.ndarray:
+    """op of each block of m with the rows of x it meets, written into the rows of the result it fills."""
+    if m.parts == 1:
+        return _on_parts(op, m.blocks[0], x)
+    out = np.empty(x.shape, dtype=np.result_type(m.dtype, x))
+    for p, b in enumerate(m.blocks):
+        src, dst = rows(p)
+        out[dst::2] = _on_parts(op, b, x[src::2])
+    return out
+
+
+def apply(m: Blocks, x: np.ndarray) -> np.ndarray:
+    """m @ x for a sample set x, (N, count) or one vector: one product per block of m.
+
+    A real block on a complex x runs one real product with x's interleaved
+    real and imaginary parts, which gives b @ x.real and b @ x.imag in one
+    complex128 array; every other pairing is numpy's b @ x.
+    """
+    return _rowwise(np.matmul, m, x, lambda p: (p, m._rows(p)))
+
+
+def solve(m: Blocks, x: np.ndarray) -> np.ndarray:
+    """The LU solution y of m y = x for a sample set x, one solve per block of m, real on real blocks like `apply`."""
+    return _rowwise(np.linalg.solve, m, x, lambda p: (m._rows(p), p))
+
+
 class LinearMap:
-    """Square real or complex matrix with certified self_adjoint/positive flags."""
+    """Square real or complex matrix, held as `Blocks`, with certified self_adjoint/positive flags.
+
+    Built from an array, the map owns a read-only C-contiguous copy as
+    `entries` and splits it by `Blocks.of`; built from a Blocks, it keeps
+    those blocks (assembled into one if they swap parity) and assembles
+    `entries` only when read.  Every block of a map keeps parity, so its
+    adjoint, certificates and factors are taken block by block.
+    """
 
     def __init__(self, entries):
-        a = _as_square(entries)
-        a.setflags(write=False)
-        self.entries = a
+        if isinstance(entries, Blocks):
+            # the dtype rule of real_or_complex, for the whole map
+            real = not any(np.iscomplexobj(b) and b.imag.any() for b in entries.blocks)
+            blocks = entries._map(real_or_complex if real else lambda b: b.astype(np.complex128, copy=False))
+            self.blocks = read_only(blocks.whole() if blocks.shift else blocks)
+            arrays, shape = self.blocks.blocks, self.blocks.shape
+        else:
+            self.entries = read_only(np.array(real_or_complex(entries), order="C"))
+            arrays, shape = (self.entries,), self.entries.shape
+        if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
+            raise ValueError(f"expected a nonempty square matrix, got shape {shape}")
+        if not all(np.isfinite(b).all() for b in arrays):
+            raise ValueError("matrix entries must be finite")
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        return self.blocks.whole().blocks[0]
+
+    @cached_property
+    def blocks(self) -> Blocks:
+        return Blocks.of(self.entries)
 
     @cached_property
     def self_adjoint(self) -> bool:
         """Residual certificate max|A - A*| <= rtol * max|A|."""
-        a = self.entries
-        scale = float(np.abs(a).max())
-        return float(np.abs(a - a.conj().T).max()) <= SELF_ADJOINT_RTOL * scale
+        blocks = self.blocks.blocks
+        scale = max(float(np.abs(b).max()) for b in blocks)
+        return max(float(np.abs(b - b.conj().T).max()) for b in blocks) <= SELF_ADJOINT_RTOL * scale
 
     @cached_property
-    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (eigenvalues ascending, eigenvectors) of the symmetrized entries (A + A*) / 2."""
-        a = self.entries
-        return tuple(read_only(f) for f in _eigh((a + a.conj().T) / 2.0))
+    def eigh(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per block, read-only (eigenvalues ascending, eigenvectors) of the symmetrized entries (A + A*) / 2."""
+        return tuple(tuple(read_only(f) for f in np.linalg.eigh((b + b.conj().T) / 2.0)) for b in self.blocks.blocks)
 
     @cached_property
     def positive(self) -> bool:
         """Smallest-eigenvalue certificate of a self-adjoint map, from its `eigh`."""
         if not self.self_adjoint:
             return False
-        lam = self.eigh[0]
-        return bool(lam[0] >= -POSITIVE_RTOL * max(float(lam[-1]), 0.0))
+        lowest = min(w[0] for w, _ in self.eigh)
+        return bool(lowest >= -POSITIVE_RTOL * max(max(float(w[-1]) for w, _ in self.eigh), 0.0))
 
     @property
     def spectrum(self) -> np.ndarray:
         """Ascending eigenvalues of a certified positive map, kept from its certificate."""
         if not self.positive:
             raise NotPositive("the spectrum is kept only for a certified positive map")
-        return self.eigh[0]
+        w = [w for w, _ in self.eigh]
+        return w[0] if len(w) == 1 else read_only(np.sort(np.concatenate(w)))
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.blocks.shape[0]
 
     @cached_property
-    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The map's one full SVD as read-only (u, s descending, vh)."""
-        return tuple(read_only(f) for f in _svd_factors(self.entries))
+    def svd(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """The map's one full SVD, per block, as read-only (u, s descending, vh)."""
+        return tuple(tuple(read_only(f) for f in np.linalg.svd(b)) for b in self.blocks.blocks)
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """All singular values, descending, from the map's one SVD."""
+        s = [s for _, s, _ in self.svd]
+        return s[0] if len(s) == 1 else read_only(np.sort(np.concatenate(s))[::-1])
 
     @cached_property
     def cond_estimate(self) -> float:
         """Ratio of extreme singular values (inf when singular), read from the map's one SVD."""
-        s = self.svd[1]
+        s = self.singular_values
         return float(s[0] / s[-1]) if s[-1] > 0.0 else float("inf")
 
     @cached_property
-    def inverse(self) -> np.ndarray:
+    def inverse(self) -> Blocks:
         """Read-only T^-1 from the map's SVD, with a scale-invariant singularity floor."""
-        u, s, vh = _nonsingular_svd(self)
-        return read_only((vh.conj().T * (1.0 / s)) @ u.conj().T)
+        return read_only(Blocks([(vh.conj().T * (1.0 / s)) @ u.conj().T for u, s, vh in _nonsingular_svd(self)]))
 
     @cached_property
-    def adjoint_inverse(self) -> np.ndarray:
-        """Read-only C-contiguous (T^-1)*: the columns are the dual family psi_n = (T^-1)* e_n."""
-        return read_only(np.ascontiguousarray(self.inverse.conj().T))
+    def adjoint_inverse(self) -> Blocks:
+        """(T^-1)*, the adjoint of the one held T^-1: the columns are the dual family psi_n = (T^-1)* e_n.
+
+        For a real T its blocks are views of T^-1's, so no second array is
+        held; a complex T's are their conjugates, formed once, C-contiguous
+        like the family they are.
+        """
+        adjoint = self.inverse.H
+        return read_only(adjoint if self.blocks.dtype == np.float64 else adjoint._map(np.ascontiguousarray))
 
     def __repr__(self) -> str:
         """Dimension, dtype and the flags certified so far; printing never certifies one."""
         shown = ", ".join(f"{name}={vars(self).get(name, 'unknown')}" for name in ("self_adjoint", "positive"))
-        return f"LinearMap(dim={self.dim}, dtype={self.entries.dtype}, {shown})"
+        return f"LinearMap(dim={self.dim}, dtype={self.blocks.dtype}, {shown})"
 
 
 def from_diagonal(values) -> LinearMap:
     return LinearMap(np.diag(np.asarray(values)))
 
 
-def read_only(a: np.ndarray) -> np.ndarray:
-    """a itself, made read-only: the form of every matrix derived from a map."""
-    a.setflags(write=False)
-    return a
-
-
-def operator_sqrt(a: LinearMap) -> np.ndarray:
-    """Positive square root of a certified positive map, from its certificate's eigendecomposition.
+def operator_sqrt(a: LinearMap) -> Blocks:
+    """Positive square root of a certified positive map, one block at a time from its certificate's eigendecomposition.
 
     Eigenvalues in [-POSITIVE_RTOL * lambda_max, 0] are clamped to zero
     before taking the root; anything lower fails certification upstream.
     """
     if not a.positive:
         raise NotPositive("operator_sqrt requires a certified positive map")
-    w, v = a.eigh
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return read_only((root + root.conj().T) / 2.0)
+    roots = [(v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T for w, v in a.eigh]
+    return read_only(Blocks([(r + r.conj().T) / 2.0 for r in roots]))
 
 
-def apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x, where a real m on a complex x runs one real product.
-
-    The real product is m times the interleaved real and imaginary parts of
-    x, so the result holds m @ x.real and m @ x.imag in one complex128
-    array.  Every other pairing is numpy's m @ x.
-    """
-    if not (np.isrealobj(m) and np.iscomplexobj(x)):
-        return m @ x
-    x = np.ascontiguousarray(x, dtype=np.complex128)
-    parts = x.view(np.float64).reshape(x.shape[0], -1)
-    return (m @ parts).view(np.complex128).reshape(x.shape)
-
-
-def parity_shift(a: np.ndarray) -> int | None:
-    """How a square a moves index parity: 0 when it keeps it, 1 when it swaps it, else None.
-
-    a keeps parity when both of its off-parity blocks are exact zeros, and
-    swaps it when both of its same-parity blocks are; the zero matrix keeps
-    it.  A 1 x 1 matrix has a single block, and gives None.
-    """
-    if a.shape[0] < 2:
-        return None
-    even, odd = a[::2], a[1::2]
-    if not even[:, 1::2].any() and not odd[:, ::2].any():
-        return 0
-    if not even[:, ::2].any() and not odd[:, 1::2].any():
-        return 1
-    return None
-
-
-def _merged_positions(even: np.ndarray, odd: np.ndarray, descending: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Where the even and the odd block's sorted values go in their stable merged order."""
-    values = np.concatenate((even, odd))
-    order = np.argsort(-values if descending else values, kind="stable")
-    positions = np.empty_like(order)
-    positions[order] = np.arange(order.size)
-    return positions[: even.size], positions[even.size :]
-
-
-def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh of a Hermitian h, one call per parity block when h splits by parity."""
-    if parity_shift(h) != 0:
-        return np.linalg.eigh(h)
-    blocks = [np.linalg.eigh(h[p::2, p::2]) for p in (0, 1)]
-    w = np.empty(h.shape[0])
-    v = np.zeros_like(h)
-    for p, (bw, bv), k in zip((0, 1), blocks, _merged_positions(blocks[0][0], blocks[1][0], False)):
-        w[k] = bw
-        v[p::2, k] = bv
-    return w, v
-
-
-def _svd_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """np.linalg.svd of a, one call per parity block when a splits by parity."""
-    if parity_shift(a) != 0:
-        return np.linalg.svd(a)
-    blocks = [np.linalg.svd(a[p::2, p::2]) for p in (0, 1)]
-    u = np.zeros_like(a)
-    s = np.empty(a.shape[0])
-    vh = np.zeros_like(a)
-    for p, (bu, bs, bvh), k in zip((0, 1), blocks, _merged_positions(blocks[0][1], blocks[1][1], True)):
-        u[p::2, k] = bu
-        s[k] = bs
-        vh[k, p::2] = bvh
-    return u, s, vh
-
-
-def _nonsingular_svd(a: LinearMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _nonsingular_svd(a: LinearMap) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """The map's SVD; raises if `a` is singular."""
-    u, s, vh = a.svd
+    s = a.singular_values
     if s[-1] <= SINGULARITY_FLOOR * s[0]:
         raise NumericallySingular(s[-1], s[0])
-    return u, s, vh
+    return a.svd
 
 
-def invert(a: LinearMap) -> np.ndarray:
+def invert(a: LinearMap) -> Blocks:
     """The map's cached read-only inverse; raises if `a` is singular."""
     return a.inverse
 
 
-def polar_decompose(t: LinearMap) -> tuple[np.ndarray, np.ndarray]:
+def polar_decompose(t: LinearMap) -> tuple[Blocks, Blocks]:
     """Left polar decomposition T = P U as the read-only (P, U), P = (T T*)^(1/2) and U unitary.
 
     The left convention makes the positive factor act on the rotated basis:
     P (U e_n) = T e_n, column by column.  It reads the SVD the inverse is built from.
     """
-    u, s, vh = _nonsingular_svd(t)
-    pos = (u * s) @ u.conj().T
-    return read_only((pos + pos.conj().T) / 2.0), read_only(u @ vh)
+    factors = _nonsingular_svd(t)
+    positive = [(u * s) @ u.conj().T for u, s, _ in factors]
+    return read_only(Blocks([(p + p.conj().T) / 2.0 for p in positive])), read_only(Blocks([u @ vh for u, _, vh in factors]))

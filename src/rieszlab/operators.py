@@ -4,7 +4,7 @@ Given an eigenvalue sequence alpha and the invertible map T that
 constructs phi_n = T e_n, the diagonal Hamiltonian diag(alpha) and the
 shift operators A, B act on the reference basis; conjugating by T (for
 the phi family) or by (T*)^-1 (for the dual family) produces the
-non-self-adjoint counterparts, each a read-only ndarray whose dtype
+non-self-adjoint counterparts, each a read-only `Blocks` whose dtype
 follows numpy's promotion of T's entries and alpha.  The checks certify
 their eigenrelations, ladder actions, adjoint pairings, product
 identities, and the truncated canonical commutation relation.
@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, WrongAlphaKind
-from .linalg import LinearMap, invert, parity_shift, read_only, real_or_complex
+from .linalg import Blocks, LinearMap, invert, read_only, real_or_complex
 from .reporting import CheckReport, make_report, relative_frobenius, worst
 from .systems import BiorthogonalSystem
 
@@ -43,9 +43,12 @@ class WeightedShift:
     N or more is the zero operator.  `left @ W` scales and shifts the
     columns of left, and `W1 @ W2` is again a weighted shift; both form,
     entry by entry, the one nonzero product the dense gemm would form, so
-    for real coefficients they hold its bits at O(N^2) and O(N) cost.
-    Coefficients are float64 or complex128 by `real_or_complex`; results
-    take numpy's result type of their operands.
+    for real coefficients they hold its bits at O(N^2) and O(N) cost.  An
+    array left may have another number of columns M than W has
+    coefficients: W then maps into 0 .. M-1.  A Blocks left meets W one
+    block at a time (`_block_shifts`).  Coefficients are float64 or
+    complex128 by `real_or_complex`; results take numpy's result type of
+    their operands.
     """
 
     __slots__ = ("offset", "coefficients")
@@ -59,22 +62,24 @@ class WeightedShift:
     def dim(self) -> int:
         return self.coefficients.shape[0]
 
-    def _span(self) -> slice:
-        """The columns j with j + offset inside the space; empty once |offset| >= N."""
+    def _span(self, codomain: int) -> slice:
+        """The columns j with j + offset inside 0 .. codomain-1; empty once |offset| >= N."""
         dim = self.coefficients.shape[0]
         start = min(max(0, -self.offset), dim)
-        return slice(start, max(start, dim - max(0, self.offset)))
+        return slice(start, max(start, min(dim, codomain - self.offset)))
 
     def __matmul__(self, right: "WeightedShift") -> "WeightedShift":
-        span = right._span()
+        span = right._span(right.dim)
         c = np.zeros(self.dim, dtype=np.result_type(self.coefficients, right.coefficients))
         left = self.coefficients[span.start + right.offset : span.stop + right.offset]
         c[span] = left * right.coefficients[span]
         return WeightedShift(self.offset + right.offset, c)
 
-    def __rmatmul__(self, left: np.ndarray) -> np.ndarray:
-        span = self._span()
-        out = np.zeros(left.shape, dtype=np.result_type(left, self.coefficients))
+    def __rmatmul__(self, left):
+        if isinstance(left, Blocks):
+            return Blocks([w.__rmatmul__(left.blocks[r]) for r, w in _block_shifts(self, left.parts)], left.shift + self.offset)
+        span = self._span(left.shape[-1])
+        out = np.zeros(left.shape[:-1] + (self.dim,), dtype=np.result_type(left, self.coefficients))
         np.multiply(
             left[:, span.start + self.offset : span.stop + self.offset],
             self.coefficients[span],
@@ -83,21 +88,32 @@ class WeightedShift:
         return out
 
 
-def _local_shifts(w: WeightedShift, parts: int) -> list[tuple[int, WeightedShift]]:
-    """(r, W_q) for each part q of the indices q, q + parts, ...: W on part q, in local indices.
+def _block_shifts(w: WeightedShift, parts: int) -> list[tuple[int, WeightedShift]]:
+    """(r, W_q) for each part q: W maps part q into part r, and W_q is that map in the parts' own indices.
 
-    W maps part q into part r = (q + offset) mod parts, and W_q is that map
-    as a weighted shift on h = ceil(N / parts) indices, with coefficient 0
-    past the end of part q; so the stack block right_r @ W_q is block q of
-    right @ W for a right that keeps every part.
+    W_q has one coefficient per index of part q, so block q of left @ W is
+    block r of left times W_q for a left held as `Blocks` of these parts.
+    With one part, W_0 is W.
+    """
+    if parts == 1:
+        return [(0, w)]
+    return [((q + w.offset) % parts, WeightedShift((q + w.offset) // parts, w.coefficients[q::parts])) for q in range(parts)]
+
+
+def _local_shifts(w: WeightedShift, parts: int) -> list[tuple[int, WeightedShift]]:
+    """`_block_shifts` on the walk's stacks: each W_q zero-padded to h = ceil(N / parts) coefficients.
+
+    So the stack block right_r @ W_q, with right_r padded to h columns, is
+    block q of right @ W, padded, for a right that keeps every part.
     """
     h = -(-w.dim // parts)
     out = []
-    for q in range(parts):
-        c = np.zeros(h, dtype=w.coefficients.dtype)
-        own = w.coefficients[q::parts]
-        c[: own.size] = own
-        out.append(((q + w.offset) % parts, WeightedShift((q + w.offset) // parts, c)))
+    for r, w_q in _block_shifts(w, parts):
+        if w_q.dim < h:
+            c = np.zeros(h, dtype=w_q.coefficients.dtype)
+            c[: w_q.dim] = w_q.coefficients
+            w_q = WeightedShift(w_q.offset, c)
+        out.append((r, w_q))
     return out
 
 
@@ -119,19 +135,20 @@ def ladder_shifts(alpha: np.ndarray, dim: int) -> tuple[WeightedShift, WeightedS
     return WeightedShift(-1, lowering), WeightedShift(1, raising)
 
 
-def transform(op_e: WeightedShift, t: LinearMap, side: str) -> np.ndarray:
-    """Conjugate a reference-basis shift: T op T^-1 or (T*)^-1 op T*, one gemm each."""
+def transform(op_e: WeightedShift, t: LinearMap, side: str) -> Blocks:
+    """Conjugate a reference-basis shift: T op T^-1 or (T*)^-1 op T*, one gemm per block each."""
     if side == "phi_psi":
-        return read_only(t.entries @ op_e @ t.inverse)
+        return read_only(t.blocks @ op_e @ t.inverse)
     if side == "psi_phi":
-        return read_only(t.adjoint_inverse @ op_e @ t.entries.conj().T)
+        return read_only(t.adjoint_inverse @ op_e @ t.blocks.H)
     raise ValueError(f"unknown side {side!r}; expected 'phi_psi' or 'psi_phi'")
 
 
-def sum_form_hamiltonian(sys: BiorthogonalSystem, alpha: np.ndarray) -> np.ndarray:
+def sum_form_hamiltonian(sys: BiorthogonalSystem, alpha: np.ndarray) -> Blocks:
     """sum_n alpha_n (outer product of phi_n with psi_n), read-only."""
     v = _require_length(alpha, sys.dim)
-    return read_only((sys.phi * v) @ sys.psi.conj().T)
+    return read_only((sys.phi * v) @ sys.psi.H)
+
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,12 +158,12 @@ class OperatorSet:
     h_e: WeightedShift
     a_e: WeightedShift
     b_e: WeightedShift
-    h_phi_psi: np.ndarray
-    h_psi_phi: np.ndarray
-    a_phi_psi: np.ndarray
-    b_phi_psi: np.ndarray
-    a_psi_phi: np.ndarray
-    b_psi_phi: np.ndarray
+    h_phi_psi: Blocks
+    h_psi_phi: Blocks
+    a_phi_psi: Blocks
+    b_phi_psi: Blocks
+    a_psi_phi: Blocks
+    b_psi_phi: Blocks
     alpha: np.ndarray
     t: LinearMap
 
@@ -173,12 +190,12 @@ def build_operator_set(t: LinearMap, alpha: np.ndarray) -> OperatorSet:
 class Eigenrelation(NamedTuple):
     """The eigenrelation H v_k = alpha_k v_k of one family, whose column k is v_k; the residual is read-only."""
 
-    family: np.ndarray    # v_k
+    family: Blocks    # v_k
     alpha: np.ndarray
-    residual: np.ndarray  # H v_k - alpha_k v_k
+    residual: Blocks  # H v_k - alpha_k v_k
 
     @property
-    def expected(self) -> np.ndarray:
+    def expected(self) -> Blocks:
         """alpha_k v_k, formed on each read, so that a run holds no N x N array for it."""
         return self.family * self.alpha
 
@@ -196,7 +213,7 @@ def eigen_check(relations: dict[str, Eigenrelation], cond: float, tolerance: flo
     """Residual of H v_k = alpha_k v_k over max(1, |v_k|) at every k of both families, against tolerance * cond(T)."""
     details = {}
     for side, r in relations.items():
-        resid = np.linalg.norm(r.residual, axis=0) / np.maximum(1.0, np.linalg.norm(r.family, axis=0))
+        resid = r.residual.column_norms() / np.maximum(1.0, r.family.column_norms())
         details[f"{side}_family"] = float(resid.max())
     residual = worst(details.values())
     return make_report("eigen", residual, tolerance * cond, details=details | {"cond": cond})
@@ -205,27 +222,27 @@ def eigen_check(relations: dict[str, Eigenrelation], cond: float, tolerance: flo
 def ladder_check(opset: OperatorSet, sys: BiorthogonalSystem, tolerance: float) -> CheckReport:
     """Lowering/raising actions on both families, at every index.
 
-    A v_0 must vanish (the expected value is the zero vector); A v_n is
-    compared with alpha_n v_{n-1} and B v_n with alpha_{n+1} v_{n+1} for
-    n <= N-2.  The finite raising operator is truncated, B_e e_{N-1} = 0,
-    so B v_{N-1} = T B_e e_{N-1} must vanish too; its norm is the
-    `*_raising_edge_norm` detail and counts towards the verdict.
+    Column n of A V - V A_e is A v_n - alpha_n v_{n-1}, and column n of
+    B V - V B_e is B v_n - alpha_{n+1} v_{n+1}, for the family V whose
+    column n is v_n.  A v_0 must vanish (A_e e_0 = 0), and A v_n is compared
+    with alpha_n v_{n-1} for n >= 1.  B v_n is compared with
+    alpha_{n+1} v_{n+1} for n <= N-2; the finite raising operator is
+    truncated, B_e e_{N-1} = 0, so B v_{N-1} = T B_e e_{N-1} must vanish
+    too: its norm is the `*_raising_edge_norm` detail and counts towards
+    the verdict.  Each column is read over max(1, |v_n|).
     """
-    v = opset.alpha
     details = {}
     for side, a, b, m in (
         ("phi", opset.a_phi_psi, opset.b_phi_psi, sys.phi),
         ("psi", opset.a_psi_phi, opset.b_psi_phi, sys.psi),
     ):
-        norms = np.maximum(1.0, np.linalg.norm(m, axis=0))
-        low = a @ m
-        high = b @ m
-        low_resid = np.linalg.norm(low[:, 1:] - m[:, :-1] * v[1:], axis=0) / norms[1:]
-        high_resid = np.linalg.norm(high[:, :-1] - m[:, 1:] * v[1:], axis=0) / norms[:-1]
-        details[f"{side}_lowering_ground"] = float(np.linalg.norm(low[:, 0]) / norms[0])
-        details[f"{side}_lowering_max"] = float(low_resid.max()) if low_resid.size else 0.0
-        details[f"{side}_raising_max"] = float(high_resid.max()) if high_resid.size else 0.0
-        details[f"{side}_raising_edge_norm"] = float(np.linalg.norm(high[:, -1]) / norms[-1])
+        norms = np.maximum(1.0, m.column_norms())
+        low = (a @ m - m @ opset.a_e).column_norms() / norms
+        high = (b @ m - m @ opset.b_e).column_norms() / norms
+        details[f"{side}_lowering_ground"] = float(low[0])
+        details[f"{side}_lowering_max"] = float(low[1:].max()) if low.size > 1 else 0.0
+        details[f"{side}_raising_max"] = float(high[:-1].max()) if high.size > 1 else 0.0
+        details[f"{side}_raising_edge_norm"] = float(high[-1])
     return make_report("ladder", worst(details.values()), tolerance, details=details)
 
 
@@ -248,7 +265,7 @@ def adjoint_relation_check(opset: OperatorSet, tolerance: float) -> CheckReport:
         "b_psi_phi_adjoint": (opset.b_psi_phi, conj_set.a_phi_psi),
     }
     details = {
-        name: relative_frobenius(lhs.conj().T - rhs, rhs)
+        name: relative_frobenius(lhs.H - rhs, rhs)
         for name, (lhs, rhs) in pairs.items()
     }
     return make_report("adjoint_relations", worst(details.values()), tolerance, details=details)
@@ -263,19 +280,17 @@ def _words(m: int, l: int) -> tuple[str, str]:
     return "a" * m + "b" * l, "b" * m + "a" * l
 
 
-def _stack(m: np.ndarray, shift: int, parts: int) -> np.ndarray:
-    """The blocks of m that can be nonzero when m moves index parity by shift, as a (parts, h, h) stack.
+def _stack(m: Blocks) -> np.ndarray:
+    """m's blocks as a (parts, h, h) stack, each zero-padded to h = ceil(N / parts) rows and columns.
 
-    Part p holds the indices p, p + parts, ...; block p is m's map from part
-    p to part (p + shift) mod parts, zero-padded to h = ceil(N / parts)
-    rows and columns.  With one part the stack is a view of m.
+    Block p is m's map from part p to part (p + shift) mod parts (`Blocks`).
+    With one part the stack is a view of m's one block.
     """
-    if parts == 1:
-        return m[np.newaxis]
-    h = -(-m.shape[0] // parts)
-    out = np.zeros_like(m, shape=(parts, h, h))  # keeps m's subclass
-    for p in range(parts):
-        block = m[(p + shift) % parts :: parts, p::parts]
+    if m.parts == 1:
+        return m.blocks[0][np.newaxis]
+    h = m.blocks[0].shape[1]  # part 0 holds ceil(N / 2) indices
+    out = np.zeros_like(m.blocks[0], shape=(m.parts, h, h))  # keeps the blocks' subclass
+    for p, block in enumerate(m.blocks):
         out[p, : block.shape[0], : block.shape[1]] = block
     return out
 
@@ -299,12 +314,12 @@ def product_identity_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     with itself and reads 0.  The two routes share only T and T^-1.
 
     The walk splits the indices into two parts, even and odd, when T and
-    (T*)^-1 keep index parity and the four transformed ladders swap it,
-    all by exact zeros (`linalg.parity_shift`): then a word's product with
-    the right factor is zero outside one block per part, and every matrix
-    is held as the stack of those blocks (`_stack`), each word's shift as
-    its restriction to each part (`_local_shifts`).  Otherwise the whole
-    matrix is the one block.
+    (T*)^-1 are held as parity-keeping blocks and the four transformed
+    ladders as parity-swapping ones (`linalg.Blocks`): then a word's
+    product with the right factor is zero outside one block per part, and
+    every matrix is held as the stack of its blocks (`_stack`), each word's
+    shift as its restriction to each part (`_local_shifts`).  Otherwise
+    the whole matrix is the one block.
 
     A residual is the Frobenius deviation over the larger of the
     reference's norm (from the right factor's column norms) and the
@@ -316,16 +331,19 @@ def product_identity_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     is the worst, and on a tie the earlier pair wins.
     """
     t_map = opset.t
-    t = t_map.entries
-    t_adj_inv = t_map.adjoint_inverse
-    sigma = t_map.svd[1]
+    sigma = t_map.singular_values
     cond = t_map.cond_estimate
     letter_shifts = {"a": opset.a_e, "b": opset.b_e}
     # a weighted shift's 2-norm is its largest |coefficient|
     peak = {x: np.abs(w.coefficients).max() for x, w in letter_shifts.items()}
+    t, t_adj_inv = t_map.blocks, t_map.adjoint_inverse
     ladders = (opset.a_phi_psi, opset.b_phi_psi, opset.a_psi_phi, opset.b_psi_phi)
-    split = all(parity_shift(m) == 0 for m in (t, t_adj_inv)) and all(parity_shift(m) == 1 for m in ladders)
+    # a map's blocks keep parity (LinearMap), and so do its inverse's
+    split = all(m.parts == 2 for m in (t, t_adj_inv, *ladders)) and all(m.shift == 1 for m in ladders)
     parts = 2 if split else 1
+    if not split:
+        t, t_adj_inv, *ladders = (m.whole() for m in (t, t_adj_inv, *ladders))
+    a_phi, b_phi, a_psi, b_psi = (_stack(m) for m in ladders)
 
     def rel(deviation: float, reference_norm: float, scale: float) -> float:
         return float(deviation / max(reference_norm, scale, 1e-300))
@@ -338,16 +356,15 @@ def product_identity_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     for word in sorted(nodes, key=len):
         shifts[word] = letter_shifts[word[0]] @ shifts[word[1:]] if len(word) > 1 else letter_shifts[word]
     local = {word: _local_shifts(w, parts) for word, w in shifts.items()}
-    t_s, t_adj_inv_s = _stack(t, 0, parts), _stack(t_adj_inv, 0, parts)
-    a_psi = _stack(opset.a_psi_phi, 1, parts)  # the mixed product reads it on the phi side
+    t_s, t_adj_inv_s = _stack(t), _stack(t_adj_inv)
     residuals = {("phi", ""): 0.0, ("psi", ""): 0.0}
     # On the phi side A's subtree is walked before B's, so the mixed product,
-    # which reads B's ket, runs while only B's own children are pending.
+    # which reads B's ket and A_psi_phi, runs while only B's own children are pending.
     for side, right, right_s, right_norm, letters in (
-        ("phi", t, t_s, sigma[0], {"b": _stack(opset.b_phi_psi, 1, parts), "a": _stack(opset.a_phi_psi, 1, parts)}),
-        ("psi", t_adj_inv, t_adj_inv_s, 1.0 / sigma[-1], {"a": a_psi, "b": _stack(opset.b_psi_phi, 1, parts)}),
+        ("phi", t, t_s, sigma[0], {"b": b_phi, "a": a_phi}),
+        ("psi", t_adj_inv, t_adj_inv_s, 1.0 / sigma[-1], {"a": a_psi, "b": b_psi}),
     ):
-        column_norms = np.linalg.norm(right, axis=0)[np.newaxis]
+        column_norms = right.column_norms()[np.newaxis]
         # Depth first on an explicit stack: a nested function that calls itself
         # would be a reference cycle and keep the run's matrices alive until the
         # cyclic collector runs.  Only the pending kets of one chain are held.
@@ -420,8 +437,8 @@ def ccr_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     defect = float(np.abs(comm - expected).max())
     t = opset.t
     at, bt = opset.a_phi_psi, opset.b_phi_psi
-    back = invert(t) @ (at @ bt - bt @ at) @ t.entries
-    transformed = float(np.abs(back - np.diag(expected)).max())
+    back = invert(t) @ (at @ bt - bt @ at) @ t.blocks
+    transformed = back.minus_diagonal(expected).max_abs()
     t_tol = CCR_TRANSFORMED_RTOL * t.cond_estimate**2
     details = {
         "defect": defect,

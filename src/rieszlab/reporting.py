@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import Blocks
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -36,9 +38,9 @@ def worst(values) -> float:
     return float(np.max(list(values)))
 
 
-def relative_frobenius(delta: np.ndarray, reference: np.ndarray) -> float:
+def relative_frobenius(delta: Blocks, reference: Blocks) -> float:
     """||delta||_F / ||reference||_F, with the reference's norm floored at 1e-300."""
-    return float(np.linalg.norm(delta) / max(np.linalg.norm(reference), 1e-300))
+    return float(delta.frobenius() / max(reference.frobenius(), 1e-300))
 
 
 def error_report(name, exc: Exception, tolerance: float) -> CheckReport:

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import forms, hermite, operators, sampling, systems
 from .config import REPORT_SCHEMA, RunConfig
-from .linalg import LinearMap, from_diagonal, polar_decompose
+from .linalg import Blocks, LinearMap, from_diagonal, polar_decompose
 from .reporting import CheckReport, error_report, make_report, relative_frobenius, report_as_dict, worst
 
 log = logging.getLogger("rieszlab")
@@ -129,8 +129,8 @@ def _check_polar(ctx: _SuiteContext) -> CheckReport:
     # Both are read against the one tolerance.
     t_map = ctx.operator
     positive, u = polar_decompose(t_map)
-    gram = float(np.abs(u.conj().T @ u - np.eye(t_map.dim)).max())
-    reassembly = float(systems.column_residuals(positive @ u, t_map.entries).max())
+    gram = (u.H @ u).minus_diagonal().max_abs()
+    reassembly = float(systems.column_residuals(positive @ u, t_map.blocks).max())
     return make_report(
         "polar",
         worst([reassembly, gram]),
@@ -140,11 +140,11 @@ def _check_polar(ctx: _SuiteContext) -> CheckReport:
 
 
 def _check_hamiltonian_agreement(ctx: _SuiteContext) -> CheckReport:
-    # The dual family by an LU solve of T* Psi = 1 (T* = phi^H), not the SVD
-    # inverse the operator set conjugates with: with one T^-1 the sum form
-    # and T H T^-1 would be a single computation that no defect can fail.
+    # The dual family by an LU solve of T* Psi = 1 (T* = phi^H) per block,
+    # not the SVD inverse the operator set conjugates with: with one T^-1 the
+    # sum form and T H T^-1 would be a single computation that no defect can fail.
     phi = ctx.system.phi
-    psi = np.linalg.solve(phi.conj().T, np.eye(phi.shape[0]))
+    psi = Blocks([np.linalg.solve(b, np.eye(b.shape[0])) for b in phi.H.blocks])
     solved = systems.BiorthogonalSystem(phi=phi, psi=psi)
     summed = operators.sum_form_hamiltonian(solved, ctx.opset.alpha)
     conjugated = ctx.opset.h_phi_psi

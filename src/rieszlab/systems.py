@@ -3,7 +3,7 @@
 T produces the family phi_n = T e_n and its canonical dual
 psi_n = (T^-1)* e_n.  An orthonormal basis {V e_n} other than the
 reference one folds into T: the map T V constructs phi_n = T (V e_n).  A
-family is an (N, N) array, float64 when T is real and complex128
+family is an (N, N) `Blocks`, float64 when T is real and complex128
 otherwise, whose column k is the k-th vector.  This module builds such
 systems, computes their frame operators K = sum of outer products,
 reconstructs the orthonormal basis hidden inside any biorthogonal system,
@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import LinearMap, apply, operator_sqrt, real_or_complex
+from .linalg import Blocks, LinearMap, apply, operator_sqrt, read_only, real_or_complex
 from .reporting import CheckReport, make_report, worst
 
 
@@ -45,16 +45,21 @@ def _read_only_family(family) -> np.ndarray:
     return m
 
 
+def family_blocks(family) -> Blocks:
+    """A family as read-only Blocks: a Blocks made read-only, an array by `Blocks.of` on its read-only `family_matrix`."""
+    return read_only(family) if isinstance(family, Blocks) else Blocks.of(_read_only_family(family))
+
+
 @dataclass(frozen=True, eq=False)
 class BiorthogonalSystem:
-    """Paired families {phi_n}, {psi_n} as read-only arrays of equal shape."""
+    """Paired families {phi_n}, {psi_n} as read-only Blocks of equal shape; arrays are converted."""
 
-    phi: np.ndarray
-    psi: np.ndarray
+    phi: Blocks
+    psi: Blocks
 
     def __post_init__(self):
-        phi = _read_only_family(self.phi)
-        psi = _read_only_family(self.psi)
+        phi = family_blocks(self.phi)
+        psi = family_blocks(self.psi)
         if phi.shape != psi.shape:
             raise DimensionMismatch("phi and psi families differ in shape")
         object.__setattr__(self, "phi", phi)
@@ -73,54 +78,47 @@ class FrameOperators:
     k_psi: LinearMap
 
     @cached_property
-    def k_phi_sqrt(self) -> np.ndarray:
+    def k_phi_sqrt(self) -> Blocks:
         return operator_sqrt(self.k_phi)
 
     @cached_property
-    def k_psi_sqrt(self) -> np.ndarray:
+    def k_psi_sqrt(self) -> Blocks:
         return operator_sqrt(self.k_psi)
 
 
 def build_system(t: LinearMap) -> BiorthogonalSystem:
-    """phi_n = T e_n and psi_n = (T^-1)* e_n: T's own read-only entries and its `adjoint_inverse`."""
-    return BiorthogonalSystem(phi=t.entries, psi=t.adjoint_inverse)
+    """phi_n = T e_n and psi_n = (T^-1)* e_n: T's own read-only blocks and its `adjoint_inverse`."""
+    return BiorthogonalSystem(phi=t.blocks, psi=t.adjoint_inverse)
 
 
 def check_biorthogonality(sys: BiorthogonalSystem, tolerance: float) -> CheckReport:
-    """Max deviation of <phi_k, psi_l> from the Kronecker delta."""
-    gram = sys.phi.conj().T @ sys.psi
-    dev = np.abs(gram - np.eye(gram.shape[0]))
-    k, l = np.unravel_index(int(np.argmax(dev)), dev.shape)
-    return make_report(
-        "biorthogonality",
-        float(dev[k, l]),
-        tolerance,
-        details={"worst_row": int(k), "worst_col": int(l)},
-    )
+    """Max deviation of <phi_k, psi_l> from the Kronecker delta; the first worst (k, l) in row-major order."""
+    value, k, l = (sys.phi.H @ sys.psi).minus_diagonal().worst_entry()
+    return make_report("biorthogonality", value, tolerance, details={"worst_row": k, "worst_col": l})
 
 
-def frame_operator(family: np.ndarray) -> LinearMap:
+def frame_operator(family) -> LinearMap:
     """K = sum over the family of outer products v_k v_k*; positive by construction."""
-    m = family_matrix(family)
-    k = m @ m.conj().T
-    return LinearMap((k + k.conj().T) / 2.0)
+    m = family_blocks(family)
+    k = m @ m.H
+    return LinearMap((k + k.H) * 0.5)
 
 
 def build_frame_operators(sys: BiorthogonalSystem) -> FrameOperators:
     return FrameOperators(k_phi=frame_operator(sys.phi), k_psi=frame_operator(sys.psi))
 
 
-def column_residuals(actual: np.ndarray, expected: np.ndarray) -> np.ndarray:
+def column_residuals(actual: Blocks, expected: Blocks) -> np.ndarray:
     """Each column's deviation norm over the larger of 1 and the expected column's norm."""
-    norms = np.maximum(1.0, np.linalg.norm(expected, axis=0))
-    return np.linalg.norm(actual - expected, axis=0) / norms
+    norms = np.maximum(1.0, expected.column_norms())
+    return (actual - expected).column_norms() / norms
 
 
 def verify_K_relations(sys: BiorthogonalSystem, ops: FrameOperators, tolerance: float) -> CheckReport:
     """phi_k = K_phi psi_k, psi_k = K_psi phi_k, the round trips, and K_phi K_psi = 1, at every k."""
     phi_m, psi_m = sys.phi, sys.psi
-    k_phi = ops.k_phi.entries
-    k_psi = ops.k_psi.entries
+    k_phi = ops.k_phi.blocks
+    k_psi = ops.k_psi.blocks
     phi_from_psi = k_phi @ psi_m
     psi_from_phi = k_psi @ phi_m
     details = {
@@ -128,9 +126,7 @@ def verify_K_relations(sys: BiorthogonalSystem, ops: FrameOperators, tolerance: 
         "psi_from_phi": float(column_residuals(psi_from_phi, psi_m).max()),
         "psi_roundtrip": float(column_residuals(k_psi @ phi_from_psi, psi_m).max()),
         "phi_roundtrip": float(column_residuals(k_phi @ psi_from_phi, phi_m).max()),
-        "product_identity": float(
-            np.linalg.norm(k_phi @ k_psi - np.eye(sys.dim)) / np.sqrt(sys.dim)
-        ),
+        "product_identity": (k_phi @ k_psi).minus_diagonal().frobenius() / np.sqrt(sys.dim),
     }
     return make_report("k_relations", worst(details.values()), tolerance, details=details)
 
@@ -142,11 +138,10 @@ def reconstruct_onb(sys: BiorthogonalSystem, ops: FrameOperators, tolerance: flo
     """
     e_from_psi = ops.k_phi_sqrt @ sys.psi
     e_from_phi = ops.k_psi_sqrt @ sys.phi
-    eye = np.eye(sys.dim)
     details = {
-        "gram_from_psi": float(np.abs(e_from_psi.conj().T @ e_from_psi - eye).max()),
-        "gram_from_phi": float(np.abs(e_from_phi.conj().T @ e_from_phi - eye).max()),
-        "cross_agreement": float(np.linalg.norm(e_from_psi - e_from_phi, axis=0).max()),
+        "gram_from_psi": (e_from_psi.H @ e_from_psi).minus_diagonal().max_abs(),
+        "gram_from_phi": (e_from_phi.H @ e_from_phi).minus_diagonal().max_abs(),
+        "cross_agreement": float((e_from_psi - e_from_phi).column_norms().max()),
     }
     return make_report("onb_reconstruction", worst(details.values()), tolerance, details=details)
 
@@ -165,7 +160,7 @@ def verify_clause_i3(
 ) -> CheckReport:
     """Residual of (K_phi^(1/2))* K_psi^(1/2) x = x over the sample columns; zero columns are skipped."""
     require_samples(samples, "clause (i)3")
-    r = ops.k_phi_sqrt.conj().T @ ops.k_psi_sqrt
+    r = ops.k_phi_sqrt.H @ ops.k_psi_sqrt
     norms = np.linalg.norm(samples, axis=0)
     nonzero = norms > 0.0
     resid = np.linalg.norm(apply(r, samples) - samples, axis=0)[nonzero] / norms[nonzero]

@@ -65,7 +65,7 @@ def test_criterion_01_biorthogonality():
     diag = build_system(from_diagonal(np.arange(1.0, 33.0)))
     diag_residual = check_biorthogonality(diag, 1e-8).residual
     hermite = _hermite_system(64)
-    gram = hermite.phi.conj().T @ hermite.psi
+    gram = np.asarray(hermite.phi.H @ hermite.psi)
     interior = np.abs(gram[:32, :32] - np.eye(32)).max()
     ok = diag_residual < 1e-12 and interior < 1e-8
     _verdict(
@@ -220,7 +220,7 @@ def test_criterion_10_polar_normalization():
     for _ in range(100):
         # T = P U: P acts on the rotated orthonormal basis f_n = U e_n
         t = random_conditioned_map(16, 100.0, rng)
-        positive, f_basis = polar_decompose(t)
+        positive, f_basis = map(np.asarray, polar_decompose(t))
         rebuilt = positive @ f_basis
         worst_reassembly = max(
             worst_reassembly,

@@ -174,10 +174,11 @@ def test_quasi_basis_constructed_property():
 
 def test_quasi_basis_detects_corruption():
     sys_ = build_system(from_diagonal([1, 2, 3]))
-    psi = sys_.psi.copy()
+    psi = np.array(sys_.psi)
     psi[:, 0] = 0.0
     corrupted = BiorthogonalSystem(sys_.phi, psi)
-    probe = sys_.phi[:, [0]] / np.linalg.norm(sys_.phi[:, 0]) ** 2
+    phi = np.asarray(sys_.phi)
+    probe = phi[:, [0]] / np.linalg.norm(phi[:, 0]) ** 2
     report = quasi_basis_residual(corrupted, probe, np.eye(3)[:, [0]], 1e-9)
     assert not report.passed
     assert report.residual > 0.1
@@ -186,7 +187,7 @@ def test_quasi_basis_detects_corruption():
 def test_quasi_basis_flags_last_column_of_wide_sample_set():
     # count != N, and only the last pair touches the corrupted psi_0
     sys_ = build_system(from_diagonal([1, 2, 3]))
-    psi = sys_.psi.copy()
+    psi = np.array(sys_.psi)
     psi[:, 0] = 0.0
     corrupted = BiorthogonalSystem(sys_.phi, psi)
     x = np.eye(3)[:, [1, 2, 1, 2, 0]]

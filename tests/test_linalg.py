@@ -16,7 +16,7 @@ from rieszlab import (
 )
 from rieszlab.errors import NotPositive, NumericallySingular
 from rieszlab import linalg
-from rieszlab.linalg import real_or_complex
+from rieszlab.linalg import SPLIT_FLOOR, Blocks, real_or_complex
 from rieszlab.sampling import stream_rng
 
 from helpers import random_conditioned_map, random_unitary
@@ -134,19 +134,22 @@ def test_invert_caches_read_only_inverse():
     t = random_conditioned_map(6, 10.0, stream_rng(15))
     inv = invert(t)
     assert invert(t) is inv
-    assert type(inv) is np.ndarray and not inv.flags.writeable
+    (block,) = inv.blocks
+    assert type(inv) is Blocks and not block.flags.writeable
     with pytest.raises(ValueError):
-        inv[0, 0] = 0.0
+        block[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("entries", [[[2.0, 1.0], [0.0, 1.0]], [[2.0, 1j], [0.0, 1.0]]])
-def test_svd_and_adjoint_inverse_are_cached_read_only_arrays(entries):
+def test_svd_is_cached_and_adjoint_inverse_is_the_adjoint_of_the_one_inverse(entries):
     t = LinearMap(entries)
-    assert t.svd is t.svd and all(not f.flags.writeable for f in t.svd)
-    adj = t.adjoint_inverse
-    assert t.adjoint_inverse is adj and type(adj) is np.ndarray
-    assert adj.flags.c_contiguous and not adj.flags.writeable
-    np.testing.assert_array_equal(adj, invert(t).conj().T)
+    assert t.svd is t.svd and all(not f.flags.writeable for factors in t.svd for f in factors)
+    (adj,) = t.adjoint_inverse.blocks
+    (inv,) = invert(t).blocks
+    assert not adj.flags.writeable
+    np.testing.assert_array_equal(adj, inv.conj().T)
+    # a real inverse is held once: its adjoint is a view of it
+    assert np.shares_memory(adj, inv) == (t.entries.dtype == np.float64)
 
 
 def test_a_singular_inverse_caches_nothing_and_raises_on_every_read():
@@ -157,18 +160,20 @@ def test_a_singular_inverse_caches_nothing_and_raises_on_every_read():
     assert not {"inverse", "adjoint_inverse"} & vars(z).keys()
 
 
-def test_positive_certified_on_first_read_only(monkeypatch):
+@pytest.mark.parametrize("dim", [3, SPLIT_FLOOR])
+def test_positive_certified_on_first_read_only(monkeypatch, dim):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
-    k = from_diagonal([1, 2, 3])
+    k = from_diagonal(np.arange(1.0, dim + 1))
     assert calls == []
-    # one factorization, one LAPACK call per parity block of the diagonal map
+    # one factorization: one LAPACK call below the split floor, one per parity block from it
+    blocks = 1 if dim < SPLIT_FLOOR else 2
     assert k.positive and k.positive
-    assert len(calls) == 2
+    assert len(calls) == blocks
     # the certificate's eigenvalues are kept for readers of the spectrum
-    np.testing.assert_array_equal(k.spectrum, [1.0, 2.0, 3.0])
-    assert len(calls) == 2
+    np.testing.assert_array_equal(k.spectrum, np.arange(1.0, dim + 1))
+    assert len(calls) == blocks
     with pytest.raises(NotPositive):
         from_diagonal([1, -1]).spectrum
 
@@ -222,8 +227,9 @@ def test_polar_random_reassembly(dim):
         t = random_conditioned_map(dim, 100.0, rng)
         p, u = polar_decompose(t)
         assert LinearMap(p).positive
+        u = np.asarray(u)
         assert np.linalg.norm(u.conj().T @ u - np.eye(dim)) <= 1e-10 * np.sqrt(dim)
-        err = np.linalg.norm(p @ u - t.entries)
+        err = np.linalg.norm(np.asarray(p) @ u - t.entries)
         assert err <= 1e-9 * np.linalg.norm(t.entries)
 
 
@@ -239,12 +245,14 @@ def test_invert_and_polar_share_one_svd(monkeypatch):
     np.testing.assert_array_equal(inv, (vh.conj().T * (1.0 / s)) @ u.conj().T)
     np.testing.assert_array_equal(unitary, u @ vh)
     # a singular map keeps its SVD too and raises on every read; the zero
-    # map splits by parity, so its one SVD is one LAPACK call per block
-    z = LinearMap(np.zeros((3, 3)))
-    for op in (invert, polar_decompose, invert):
-        with pytest.raises(NumericallySingular):
-            op(z)
-    assert len(calls) == 3
+    # map keeps parity, so from the split floor its one SVD is one LAPACK call per block
+    for dim, blocks in ((3, 1), (SPLIT_FLOOR, 2)):
+        calls.clear()
+        z = LinearMap(np.zeros((dim, dim)))
+        for op in (invert, polar_decompose, invert):
+            with pytest.raises(NumericallySingular):
+                op(z)
+        assert len(calls) == blocks
 
 
 def test_polar_rejects_singular():
@@ -286,10 +294,13 @@ def test_cond_invert_and_polar_share_one_svd_in_any_order(monkeypatch, order):
     assert t.cond_estimate == float(s[0] / s[-1])
 
 
+@pytest.mark.parametrize("dim", [3, SPLIT_FLOOR])
 @pytest.mark.parametrize("cond_first", [True, False])
-def test_singular_map_reads_infinite_cond_and_still_refuses_to_invert(monkeypatch, cond_first):
+def test_singular_map_reads_infinite_cond_and_still_refuses_to_invert(monkeypatch, cond_first, dim):
     calls = count_numpy_calls(monkeypatch, "svd")
-    z = from_diagonal([1.0, 0.0, 2.0])
+    values = np.arange(1.0, dim + 1)
+    values[1::2] = 0.0  # from the split floor the odd block is the zero block
+    z = from_diagonal(values)
     if cond_first:
         assert z.cond_estimate == np.inf
     with pytest.raises(NumericallySingular):
@@ -297,8 +308,8 @@ def test_singular_map_reads_infinite_cond_and_still_refuses_to_invert(monkeypatc
     with pytest.raises(NumericallySingular):
         polar_decompose(z)
     assert z.cond_estimate == np.inf
-    # one SVD, one LAPACK call per parity block of the diagonal map
-    assert len(calls) == 2
+    # one SVD: one LAPACK call below the split floor, one per parity block of the diagonal map from it
+    assert len(calls) == (1 if dim < SPLIT_FLOOR else 2)
 
 
 @pytest.mark.parametrize("order", list(itertools.permutations(("positive", "spectrum", "sqrt"))))
@@ -346,92 +357,94 @@ def parity_split_map(dim: int, is_complex: bool, seed: int, spectrum: str) -> np
     return a
 
 
-def parity_of_columns(factor: np.ndarray) -> np.ndarray:
-    """The parity of the rows each column is supported on; the other parity's rows must be exact zeros."""
-    parity = np.where(factor[::2].any(axis=0), 0, 1)
-    for k, p in enumerate(parity):
-        assert not factor[1 - p :: 2, k].any(), k
-    return parity
-
-
-def assert_merged_in_order(values, parity, blocks, descending):
-    """values sorted with every tie between the blocks broken towards the even block, each block's own order kept."""
-    steps = np.diff(values)
-    assert np.all(steps <= 0.0) if descending else np.all(steps >= 0.0)
-    for k in np.flatnonzero(steps == 0.0):
-        assert parity[k] <= parity[k + 1], k
-    for p, block in enumerate(blocks):
-        assert np.array_equal(values[parity == p], block)
-
-
 SPECTRA = st.sampled_from(["random", "tied", "diagonal", "singular", "zero"])
+# dimensions on both sides of the split floor
+DIMS = st.one_of(st.integers(2, 12), st.integers(SPLIT_FLOOR - 3, SPLIT_FLOOR + 3))
+
+
+def factored_blocks(a: np.ndarray) -> list[np.ndarray]:
+    """The blocks a map of entries a is factored by: its two parity blocks from the split floor, else a whole."""
+    return [a[p::2, p::2] for p in (0, 1)] if a.shape[0] >= SPLIT_FLOOR else [a]
 
 
 @settings(max_examples=60, deadline=None)
-@given(dim=st.integers(2, 12), is_complex=st.booleans(), seed=st.integers(0, 2**32 - 1), spectrum=SPECTRA)
-def test_parity_split_svd_is_assembled_from_its_blocks(dim, is_complex, seed, spectrum):
+@given(dim=DIMS, is_complex=st.booleans(), seed=st.integers(0, 2**32 - 1), spectrum=SPECTRA)
+def test_parity_split_svd_is_factored_per_block(dim, is_complex, seed, spectrum):
     t = LinearMap(parity_split_map(dim, is_complex, seed, spectrum))
     a = t.entries
-    u, s, vh = t.svd
-    assert u.shape == vh.shape == a.shape and u.dtype == vh.dtype == a.dtype
-    parity = parity_of_columns(u)
-    assert np.array_equal(parity, parity_of_columns(vh.conj().T))
-    blocks = [np.linalg.svd(a[p::2, p::2]) for p in (0, 1)]
-    assert_merged_in_order(s, parity, [b[1] for b in blocks], descending=True)
-    for p, (bu, _, bvh) in enumerate(blocks):
-        assert np.array_equal(u[p::2][:, parity == p], bu)
-        assert np.array_equal(vh[parity == p][:, p::2], bvh)
+    blocks = factored_blocks(a)
+    assert t.blocks.parts == len(t.svd) == len(blocks)
+    # each block's factors are LAPACK's, bit for bit, and never assembled
+    for factors, block in zip(t.svd, blocks):
+        for got, want in zip(factors, np.linalg.svd(block)):
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+    s = t.singular_values
+    assert np.all(np.diff(s) <= 0.0)
+    assert np.array_equal(np.sort(s), np.sort(np.concatenate([f[1] for f in t.svd])))
+    u, vh = (Blocks([f[k] for f in t.svd]) for k in (0, 2))
+    rebuilt = Blocks([(bu * bs) @ bvh for bu, bs, bvh in t.svd])
     eye = np.eye(dim)
-    assert np.abs(u.conj().T @ u - eye).max() <= 1e-14 * dim
-    assert np.abs(vh @ vh.conj().T - eye).max() <= 1e-14 * dim
-    assert np.abs((u * s) @ vh - a).max() <= 1e-14 * dim * max(1.0, np.abs(a).max())
+    assert np.abs(np.asarray(u.H @ u) - eye).max() <= 1e-14 * dim
+    assert np.abs(np.asarray(vh @ vh.H) - eye).max() <= 1e-14 * dim
+    assert np.abs(np.asarray(rebuilt) - a).max() <= 1e-14 * dim * max(1.0, np.abs(a).max())
 
 
 @settings(max_examples=60, deadline=None)
-@given(dim=st.integers(2, 12), is_complex=st.booleans(), seed=st.integers(0, 2**32 - 1), spectrum=SPECTRA)
-def test_parity_split_positivity_eigh_is_assembled_from_its_blocks(dim, is_complex, seed, spectrum):
+@given(dim=DIMS, is_complex=st.booleans(), seed=st.integers(0, 2**32 - 1), spectrum=SPECTRA)
+def test_parity_split_positivity_eigh_is_factored_per_block(dim, is_complex, seed, spectrum):
     a = parity_split_map(dim, is_complex, seed, spectrum)
     k = LinearMap(a @ a.conj().T)
     assert k.positive
-    w, v = k.eigh
     h = (k.entries + k.entries.conj().T) / 2.0
-    parity = parity_of_columns(v)
-    blocks = [np.linalg.eigh(h[p::2, p::2]) for p in (0, 1)]
-    assert_merged_in_order(w, parity, [b[0] for b in blocks], descending=False)
-    for p, (_, bv) in enumerate(blocks):
-        assert np.array_equal(v[p::2][:, parity == p], bv)
+    blocks = factored_blocks(h)
+    assert len(k.eigh) == len(blocks)
+    for factors, block in zip(k.eigh, blocks):
+        for got, want in zip(factors, np.linalg.eigh(block)):
+            assert np.array_equal(got, want)
+    w = k.spectrum
+    assert np.all(np.diff(w) >= 0.0)
     scale = max(1.0, float(w[-1]))
-    assert np.abs(v.conj().T @ v - np.eye(dim)).max() <= 1e-14 * dim
-    assert np.abs((v * w) @ v.conj().T - h).max() <= 1e-14 * dim * scale
-    # the square root built from the block factors couples no parities either
+    v = Blocks([f[1] for f in k.eigh])
+    assert np.abs(np.asarray(v.H @ v) - np.eye(dim)).max() <= 1e-14 * dim
+    assert np.abs(np.asarray(Blocks([(bv * bw) @ bv.conj().T for bw, bv in k.eigh])) - h).max() <= 1e-14 * dim * scale
+    # the square root is built from the block factors, so from the floor it couples no parities
     root = operator_sqrt(k)
-    assert not root[::2, 1::2].any() and not root[1::2, ::2].any()
+    assert root.parts == len(blocks)
+    dense_root = np.asarray(root)
+    assert np.abs(dense_root @ dense_root - h).max() <= 1e-12 * dim * scale
+    if root.parts == 2:
+        assert not dense_root[::2, 1::2].any() and not dense_root[1::2, ::2].any()
 
 
 @settings(max_examples=30, deadline=None)
-@given(dim=st.integers(2, 12), is_complex=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@given(dim=DIMS, is_complex=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_inverse_from_parity_blocks_couples_no_parities(dim, is_complex, seed):
     t = LinearMap(parity_split_map(dim, is_complex, seed, "random"))
     inv = invert(t)
-    assert not inv[::2, 1::2].any() and not inv[1::2, ::2].any()
-    assert np.abs(inv @ t.entries - np.eye(dim)).max() <= 1e-12 * t.cond_estimate
-    # so the dual family's frame operator splits as well
-    psi = inv.conj().T
-    k_psi = psi @ psi.conj().T
-    assert not k_psi[::2, 1::2].any() and not k_psi[1::2, ::2].any()
+    split = dim >= SPLIT_FLOOR
+    assert inv.parts == (2 if split else 1)
+    dense_inv = np.asarray(inv)
+    assert np.abs(dense_inv @ t.entries - np.eye(dim)).max() <= 1e-12 * t.cond_estimate
+    # the dual family and its frame operator inherit the split
+    psi = t.adjoint_inverse
+    k_psi = LinearMap(psi @ psi.H)
+    assert psi.parts == k_psi.blocks.parts == inv.parts
+    if split:
+        assert not dense_inv[::2, 1::2].any() and not dense_inv[1::2, ::2].any()
 
 
 @pytest.mark.parametrize("entry", [(0, 1), (3, 0)])
 def test_one_entry_off_parity_takes_the_dense_path(monkeypatch, entry):
-    a = parity_split_map(6, False, 5, "random")
+    a = parity_split_map(SPLIT_FLOOR + 1, False, 5, "random")
     a[entry] = 1e-300
     calls = count_numpy_calls(monkeypatch, "svd")
-    u, s, vh = LinearMap(a).svd
-    assert len(calls) == 1
+    t = LinearMap(a)
+    u, s, vh = t.svd[0]
+    assert len(calls) == 1 and t.blocks.parts == 1
     for got, want in zip((u, s, vh), np.linalg.svd(a)):
         assert np.array_equal(got, want)
     eigh_calls = count_numpy_calls(monkeypatch, "eigh")
-    linalg._eigh(a + a.T)
+    LinearMap(a + a.T).eigh
     assert len(eigh_calls) == 1
 
 
@@ -449,7 +462,7 @@ def test_apply_matches_the_matrix_product(layout, kinds):
     m, x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) if kind == "complex" else rng.standard_normal(shape)
             for kind, shape in zip(kinds, ((7, 7), (5, 7))))
     x = {"columns": x.T, "rows": np.ascontiguousarray(x.T), "vector": x[0]}[layout]
-    got = linalg.apply(m, x)
+    got = linalg.apply(Blocks([m]), x)
     want = m @ x
     assert got.shape == want.shape and got.dtype == want.dtype
     if kinds == ("real", "complex"):

@@ -20,6 +20,7 @@ from rieszlab import (
 )
 from rieszlab.cli import _hermite_config, main
 from rieszlab.config import config_to_dict
+from rieszlab.linalg import SPLIT_FLOOR, Blocks
 from rieszlab.sampling import stream_rng
 
 from helpers import dense_config, random_conditioned_map
@@ -68,14 +69,20 @@ def count_calls(monkeypatch):
     return counts
 
 
-def test_hermite_full_suite_shares_factorizations(monkeypatch):
-    # `rieszlab example hermite --dim 32 --full-suite`
+def blocks_at(dim: int) -> int:
+    """How many blocks a parity-keeping map of this dimension is factored by."""
+    return 2 if dim >= SPLIT_FLOOR else 1
+
+
+@pytest.mark.parametrize("dim", [32, 64])
+def test_hermite_full_suite_shares_factorizations(monkeypatch, dim):
+    # `rieszlab example hermite --dim 32 --full-suite`, and at 64
     counts = count_calls(monkeypatch)
-    reports = run_suite(_hermite_config(32, full_suite=True, seed=0))
+    reports = run_suite(_hermite_config(dim, full_suite=True, seed=0))
     assert all(r.passed for r in reports), [r.name for r in reports if not r.passed]
-    # one SVD of T: T^-1, the polar factors and cond(T); X splits by
-    # parity, so that SVD is one LAPACK call per parity block
-    assert counts["svd"] == 2
+    # one SVD of T: T^-1, the polar factors and cond(T); X keeps parity,
+    # so from the split floor that SVD is one LAPACK call per parity block
+    assert counts["svd"] == blocks_at(dim)
     # positivity is certified by eigh, whose eigenvalues frame_bounds reads
     assert counts["eigvalsh"] == 0
     # product identities form each word as one product with a shorter word
@@ -89,11 +96,11 @@ def test_hermite_full_suite_shares_factorizations(monkeypatch):
     assert counts["build_system"] == 1
     # K_phi and K_psi once each, certificate and square root from one
     # eigendecomposition, plus one per growth size (16, 32, 64); every one
-    # of these maps splits by parity, one LAPACK call per block
-    assert counts["eigh"] == 2 * 5
+    # of these maps keeps parity, one LAPACK call per block from the split floor
+    assert counts["eigh"] == 2 * blocks_at(dim) + sum(blocks_at(n) for n in (16, 32, 64))
     # only the maps that are certified or factored: X, which is T, K_phi and
     # K_psi, and one frame operator per growth size; every other matrix is
-    # a read-only array
+    # a read-only Blocks
     assert counts["LinearMap"] == 6
 
 
@@ -126,8 +133,9 @@ def test_hermite_full_suite_factors_in_real_arithmetic(monkeypatch):
         monkeypatch.setattr(np.linalg, name, recording(name))
     reports = run_suite(_hermite_config(32, full_suite=True, seed=0))
     assert all(r.passed for r in reports), [r.name for r in reports if not r.passed]
-    # one SVD and five eigh, each one call per parity block
-    assert len(seen) == 2 * 6
+    # one SVD and five eigh, each one call below the split floor (16, 32)
+    # and one per parity block from it (64)
+    assert len(seen) == 1 + 2 + 1 + 1 + 2
     assert all(dtype == np.float64 for _, dtype in seen), seen
 
 
@@ -206,9 +214,9 @@ def test_hamiltonian_agreement_sees_a_defect_in_the_cached_inverse():
     assert clean.passed and clean.residual > 0.0
     ctx = suite._SuiteContext(cfg)
     t_map = ctx.operator
-    t_inv = invert(t_map).copy()
+    t_inv = np.array(invert(t_map))
     t_inv[np.unravel_index(np.argmax(np.abs(t_inv)), t_inv.shape)] *= 1.0 + 1e-6
-    t_map.inverse = t_inv
+    t_map.inverse = Blocks([t_inv])
     assert not suite._check_hamiltonian_agreement(ctx).passed
 
 
@@ -239,12 +247,21 @@ def test_growth_checks_pass_at_dimension_8():
     assert tail.details["geometric_classification"] == "convergent"
 
 
+@pytest.mark.parametrize("kind", ["dense", "diagonal"])
 @pytest.mark.parametrize("alpha", ["sqrt_n", "complex"])
-def test_every_derived_matrix_is_a_read_only_array(alpha):
+def test_every_derived_matrix_is_a_read_only_blocks(alpha, kind):
     # T^-1, (T^-1)*, the operator set, the eigenrelation, both roots and both
-    # polar factors are plain read-only arrays; only T and the frame operators are maps
-    t = random_conditioned_map(6, 10.0, stream_rng(72))
-    values = {"kind": "custom", "values": [[n, 0.5 * (-1) ** n] for n in range(6)]}
+    # polar factors are read-only Blocks; only T and the frame operators are
+    # maps.  A dense T is one block, and every derived matrix with it; a
+    # complex diagonal T of odd N above the split floor is two unequal
+    # parity blocks, and every derived matrix inherits them: the ladders swap
+    # parity, everything else keeps it.
+    dim = 6 if kind == "dense" else SPLIT_FLOOR + 1
+    if kind == "dense":
+        t = random_conditioned_map(dim, 10.0, stream_rng(72))
+    else:
+        t = LinearMap(np.diag(np.exp(0.3j * np.arange(dim)) * 1.05 ** np.arange(dim)))
+    values = {"kind": "custom", "values": [[n, 0.5 * (-1) ** n] for n in range(dim)]}
     cfg = dense_config(t, **({} if alpha == "sqrt_n" else {"alpha": values}))
     ctx = suite._SuiteContext(cfg)
     opset, frame_ops = ctx.opset, ctx.frame_ops
@@ -258,7 +275,10 @@ def test_every_derived_matrix_is_a_read_only_array(alpha):
         **dict(zip(("positive", "unitary"), polar_decompose(ctx.operator))),
         **{f"{side}_residual": r.residual for side, r in ctx.eigenrelation.items()},
     }
+    parts = 1 if kind == "dense" else 2
     for name, m in matrices.items():
-        assert type(m) is np.ndarray and m.shape == (6, 6), name
-        assert not m.flags.writeable, name
+        assert type(m) is Blocks and m.shape == (dim, dim), name
+        assert m.parts == parts and m.shift == (parts == 2 and name[:2] in ("a_", "b_")), name
+        assert not any(b.flags.writeable for b in m.blocks), name
     assert isinstance(opset.t, LinearMap) and isinstance(frame_ops.k_phi, LinearMap)
+    assert frame_ops.k_phi.blocks.parts == frame_ops.k_psi.blocks.parts == parts

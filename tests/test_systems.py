@@ -22,6 +22,7 @@ from rieszlab import (
     verify_clause_i3,
 )
 from rieszlab import suite
+from rieszlab.linalg import SPLIT_FLOOR, Blocks
 from rieszlab.errors import DimensionMismatch, NumericallySingular
 from rieszlab.hermite import tail_family
 from rieszlab.sampling import random_kets, stream_rng
@@ -36,36 +37,43 @@ def diag_system(values=(1.0, 2.0, 3.0)):
 
 def onb_routes(sys_, ops):
     """The two reconstructions K_phi^(1/2) psi and K_psi^(1/2) phi that reconstruct_onb compares."""
-    return ops.k_phi_sqrt @ sys_.psi, ops.k_psi_sqrt @ sys_.phi
+    return np.asarray(ops.k_phi_sqrt @ sys_.psi), np.asarray(ops.k_psi_sqrt @ sys_.phi)
 
 
 def test_build_system_identity():
     sys_ = build_system(LinearMap(np.eye(4)))
     assert check_biorthogonality(sys_, 1e-8).residual == 0.0
-    for n in range(4):
-        np.testing.assert_array_equal(sys_.phi[:, n], np.eye(4)[:, n])
-        np.testing.assert_array_equal(sys_.psi[:, n], np.eye(4)[:, n])
+    np.testing.assert_array_equal(sys_.phi, np.eye(4))
+    np.testing.assert_array_equal(sys_.psi, np.eye(4))
 
 
-def test_build_system_families_are_read_only_arrays():
-    # the families are real exactly when T is
-    for values, dtype in (([1.0, 2.0, 3.0], np.float64), ([1.0, 2.0j, 3.0], np.complex128)):
-        sys_ = build_system(from_diagonal(values))
+@pytest.mark.parametrize("dim", [3, 64])
+def test_build_system_families_are_read_only_blocks(dim):
+    # the families are real exactly when T is; a diagonal T below the split
+    # floor is one block, and above it two parity blocks
+    for values, dtype in ((np.arange(1.0, dim + 1), np.float64), (np.arange(1.0, dim + 1) * 1j ** np.arange(dim), np.complex128)):
+        t = from_diagonal(values)
+        sys_ = build_system(t)
         for family in (sys_.phi, sys_.psi):
-            assert family.shape == (3, 3) and family.dtype == dtype
-            assert family.flags.c_contiguous and not family.flags.writeable
-            with pytest.raises(ValueError):
-                family[0, 0] = 5.0
+            assert isinstance(family, Blocks) and family.parts == (2 if dim >= SPLIT_FLOOR else 1)
+            assert family.shape == (dim, dim) and family.dtype == dtype
+            for block in family.blocks:
+                assert not block.flags.writeable
+                with pytest.raises(ValueError):
+                    block[0, 0] = 5.0
+        # phi holds T's own blocks, psi the adjoint of T's one inverse
+        assert sys_.phi is t.blocks
+        assert all(np.shares_memory(p, i) for p, i in zip(sys_.psi.blocks, invert(t).blocks)) == (dtype == np.float64)
         # the family format check hands an array already in that layout back as it is
-        assert np.shares_memory(family_matrix(sys_.phi), sys_.phi)
-        assert np.shares_memory(family_matrix(sys_.psi), sys_.psi)
+        dense = np.asarray(sys_.phi)
+        assert np.shares_memory(family_matrix(dense), dense)
     # a complex family with no imaginary part is real, by the rule of LinearMap
     assert family_matrix(np.eye(3, dtype=np.complex128)).dtype == np.float64
 
 
-def test_build_system_copies_psi_once():
-    # (T^-1)* is a transposed view of T^-1; the map's C-contiguous adjoint_inverse
-    # is the family, so building the system allocates one N x N matrix and keeps it
+def test_build_system_holds_no_second_inverse():
+    # psi = (T^-1)* is the adjoint view of the map's one held T^-1: with the
+    # inverse built, the real system allocates no block at all
     t = LinearMap(tail_family(256))
     invert(t)
     tracemalloc.start()
@@ -74,23 +82,25 @@ def test_build_system_copies_psi_once():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    matrix = 256 * 256 * 8
-    assert peak < 1.25 * matrix and kept < 1.25 * matrix, (peak, kept)
-    assert sys_.phi is t.entries and not sys_.psi.flags.writeable
+    block = 128 * 128 * 8
+    assert peak < 0.1 * block and kept < 0.1 * block, (peak, kept)
+    assert sys_.phi is t.blocks
+    assert all(np.shares_memory(p, i) for p, i in zip(sys_.psi.blocks, invert(t).blocks))
 
 
 def test_psi_is_the_maps_adjoint_inverse():
-    # one array holds the dual family: the system keeps the map's (T^-1)* without a copy
-    for t in (LinearMap(tail_family(8)), random_conditioned_map(6, 10.0, stream_rng(29))):
+    # the dual family is the adjoint of the map's one T^-1, block by block
+    for t in (LinearMap(tail_family(8)), LinearMap(tail_family(65)), random_conditioned_map(6, 10.0, stream_rng(29))):
         psi = build_system(t).psi
-        assert psi is t.adjoint_inverse
-        np.testing.assert_array_equal(psi, invert(t).conj().T)
+        assert psi.parts == invert(t).parts == t.blocks.parts
+        np.testing.assert_array_equal(psi, np.asarray(invert(t)).conj().T)
 
 
 def test_family_of_a_writable_caller_buffer_is_copied():
     for family in (np.eye(3), np.eye(6)[:3], np.eye(3, dtype=np.complex128)):
         sys_ = BiorthogonalSystem(phi=family, psi=family)
-        assert not np.shares_memory(sys_.phi, family) and not sys_.phi.flags.writeable
+        (block,) = sys_.phi.blocks
+        assert not np.shares_memory(block, family) and not block.flags.writeable
         assert family.flags.writeable
 
 
@@ -118,7 +128,7 @@ def test_check_biorthogonality_reference_basis():
 
 def test_check_biorthogonality_detects_scaling():
     sys_ = diag_system()
-    phi = sys_.phi.copy()
+    phi = np.array(sys_.phi)
     phi[:, 0] *= 2.0
     corrupted = BiorthogonalSystem(phi, sys_.psi)
     report = check_biorthogonality(corrupted, 1e-8)
@@ -167,7 +177,7 @@ def test_k_relations_diagonal():
     assert report.residual < 1e-14
     # K_phi psi_1 = diag(1,4,9) e_1 / 2 = 2 e_1 = phi_1, by hand
     k_phi = frame_operator(sys_.phi).entries
-    np.testing.assert_allclose(k_phi @ sys_.psi[:, 1], sys_.phi[:, 1], atol=1e-15)
+    np.testing.assert_allclose(k_phi @ np.asarray(sys_.psi)[:, 1], np.asarray(sys_.phi)[:, 1], atol=1e-15)
 
 
 def test_k_relations_identity_pair():
@@ -277,10 +287,10 @@ def test_polar_check_swap_example():
     # P = diag(2, 1) acts on the rotated basis f_n = U e_n: f_0 = e_1, and P f_0 = (0, 1) = T e_0
     t = LinearMap([[0, 2], [1, 0]])
     positive, unitary = polar_decompose(t)
-    f_0 = unitary[:, 0]
+    f_0 = np.asarray(unitary)[:, 0]
     np.testing.assert_allclose(positive, np.diag([2.0, 1.0]), atol=1e-14)
     np.testing.assert_allclose(f_0, [0, 1], atol=1e-14)
-    np.testing.assert_allclose(positive @ f_0, t.entries[:, 0], atol=1e-14)
+    np.testing.assert_allclose(np.asarray(positive) @ f_0, t.entries[:, 0], atol=1e-14)
     report = polar_report(t)
     assert report.passed and report.residual <= 1e-14
 
@@ -289,11 +299,11 @@ def test_polar_check_reassembles():
     t = random_conditioned_map(16, 60.0, stream_rng(25))
     positive, unitary = polar_decompose(t)
     assert LinearMap(positive).positive
-    rebuilt = positive @ unitary
+    rebuilt = np.asarray(positive @ unitary)
     assert np.linalg.norm(rebuilt - t.entries, axis=0).max() <= 1e-9 * np.linalg.norm(t.entries)
     # P on the rotated basis constructs the same phi family as T
     again = build_system(LinearMap(rebuilt))
-    assert np.abs(again.phi - build_system(t).phi).max() <= 1e-9
+    assert np.abs(np.asarray(again.phi) - build_system(t).phi).max() <= 1e-9
     report = polar_report(t)
     assert report.passed and 0.0 < report.details["reassembly"] <= 1e-12
 
@@ -301,7 +311,7 @@ def test_polar_check_reassembles():
 def test_basis_gram_defect_reads_the_unitarity_gate_gram():
     # the polar check reports max |(U* U - 1)_jk| of U's Gram, bit for bit
     t = random_conditioned_map(16, 60.0, stream_rng(25))
-    _, u = polar_decompose(t)
+    _, u = map(np.asarray, polar_decompose(t))
     gram = polar_report(t).details["f_basis_gram"]
     assert gram == float(np.abs(u.conj().T @ u - np.eye(16)).max())
     assert 0.0 < gram < 1e-12
@@ -316,9 +326,9 @@ def test_polar_check_reads_a_non_unitary_factor_against_the_tolerance(monkeypatc
 
     def stretched(a):
         positive, u = polar_decompose(a)
-        u = u.copy()
+        u = np.array(u)
         u[:, 0] *= 1.0 + stretch
-        return positive, u
+        return positive, Blocks([u])
 
     monkeypatch.setattr(suite, "polar_decompose", stretched)
     (report,) = suite.run_suite(dense_config(t, checks=["polar"], tolerance=tolerance))
@@ -329,9 +339,9 @@ def test_polar_check_reads_a_non_unitary_factor_against_the_tolerance(monkeypatc
 
 
 def test_the_map_is_the_one_representation():
-    # phi is T's own read-only entries, and the operator set keeps T itself
+    # phi is T's own read-only blocks, and the operator set keeps T itself
     t = random_conditioned_map(6, 20.0, stream_rng(30))
-    assert np.shares_memory(build_system(t).phi, t.entries)
+    assert build_system(t).phi is t.blocks and np.shares_memory(t.blocks.blocks[0], t.entries)
     assert build_operator_set(t, np.sqrt(np.arange(6))).t is t
 
 
@@ -348,8 +358,8 @@ def test_scaling_covariance():
     t = random_conditioned_map(8, 10.0, rng)
     sys_ = build_system(t)
     scaled = build_system(LinearMap(2.5 * t.entries))
-    np.testing.assert_allclose(scaled.phi, 2.5 * sys_.phi, rtol=1e-12)
-    np.testing.assert_allclose(scaled.psi, sys_.psi / 2.5, rtol=1e-11)
+    np.testing.assert_allclose(scaled.phi, 2.5 * np.asarray(sys_.phi), rtol=1e-12)
+    np.testing.assert_allclose(scaled.psi, np.asarray(sys_.psi) / 2.5, rtol=1e-11)
     assert abs(check_biorthogonality(scaled, 1e-8).residual - check_biorthogonality(sys_, 1e-8).residual) < 1e-12
 
 
@@ -361,7 +371,7 @@ def test_explicit_basis_pair():
     t = random_conditioned_map(6, 20.0, rng)
     sys_ = build_system(LinearMap(t.entries @ v.entries))
     assert check_biorthogonality(sys_, 1e-8).residual <= 1e-10
-    np.testing.assert_allclose(sys_.psi, invert(t).conj().T @ v.entries, atol=1e-12)
+    np.testing.assert_allclose(sys_.psi, np.asarray(invert(t)).conj().T @ v.entries, atol=1e-12)
 
 
 def test_system_from_families_shape_guard():
@@ -392,7 +402,7 @@ def test_k_relations_reuse_the_one_step_products_bit_for_bit(complex_t):
     t = t if complex_t else LinearMap(t.entries.real)
     sys_ = build_system(t)
     ops = build_frame_operators(sys_)
-    phi, psi, k_phi, k_psi = sys_.phi, sys_.psi, ops.k_phi.entries, ops.k_psi.entries
+    phi, psi, k_phi, k_psi = (np.asarray(m) for m in (sys_.phi, sys_.psi, ops.k_phi.entries, ops.k_psi.entries))
 
     def worst(actual, expected):
         norms = np.maximum(1.0, np.linalg.norm(expected, axis=0))
