@@ -12,7 +12,6 @@ identities, and the truncated canonical commutation relation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -98,23 +97,6 @@ def _block_shifts(w: WeightedShift, parts: int) -> list[tuple[int, WeightedShift
     if parts == 1:
         return [(0, w)]
     return [((q + w.offset) % parts, WeightedShift((q + w.offset) // parts, w.coefficients[q::parts])) for q in range(parts)]
-
-
-def _local_shifts(w: WeightedShift, parts: int) -> list[tuple[int, WeightedShift]]:
-    """`_block_shifts` on the walk's stacks: each W_q zero-padded to h = ceil(N / parts) coefficients.
-
-    So the stack block right_r @ W_q, with right_r padded to h columns, is
-    block q of right @ W, padded, for a right that keeps every part.
-    """
-    h = -(-w.dim // parts)
-    out = []
-    for r, w_q in _block_shifts(w, parts):
-        if w_q.dim < h:
-            c = np.zeros(h, dtype=w_q.coefficients.dtype)
-            c[: w_q.dim] = w_q.coefficients
-            w_q = WeightedShift(w_q.offset, c)
-        out.append((r, w_q))
-    return out
 
 
 def hamiltonian_shift(alpha: np.ndarray, dim: int) -> WeightedShift:
@@ -280,26 +262,6 @@ def _words(m: int, l: int) -> tuple[str, str]:
     return "a" * m + "b" * l, "b" * m + "a" * l
 
 
-def _stack(m: Blocks) -> np.ndarray:
-    """m's blocks as a (parts, h, h) stack, each zero-padded to h = ceil(N / parts) rows and columns.
-
-    Block p is m's map from part p to part (p + shift) mod parts (`Blocks`).
-    With one part the stack is a view of m's one block.
-    """
-    if m.parts == 1:
-        return m.blocks[0][np.newaxis]
-    h = m.blocks[0].shape[1]  # part 0 holds ceil(N / 2) indices
-    out = np.zeros_like(m.blocks[0], shape=(m.parts, h, h))  # keeps the blocks' subclass
-    for p, block in enumerate(m.blocks):
-        out[p, : block.shape[0], : block.shape[1]] = block
-    return out
-
-
-def _squared_norm(a: np.ndarray) -> float:
-    """||a||_F^2."""
-    return float(np.vdot(a, a).real)
-
-
 def product_identity_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     """A^m B^l products of the transformed operators against conjugated references.
 
@@ -309,17 +271,9 @@ def product_identity_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     side, for both orders, plus the mixed product
     A_psi_phi B_phi_psi T = (T*)^-1 A_e T* T B_e.  Each side walks the
     words of PRODUCT_PAIRS as a suffix tree from its right factor, one `@`
-    per word, and subtracts from each ket in place the right factor times
-    the word's weighted shift; the empty word compares the right factor
-    with itself and reads 0.  The two routes share only T and T^-1.
-
-    The walk splits the indices into two parts, even and odd, when T and
-    (T*)^-1 are held as parity-keeping blocks and the four transformed
-    ladders as parity-swapping ones (`linalg.Blocks`): then a word's
-    product with the right factor is zero outside one block per part, and
-    every matrix is held as the stack of its blocks (`_stack`), each word's
-    shift as its restriction to each part (`_local_shifts`).  Otherwise
-    the whole matrix is the one block.
+    per word, and compares each ket with the right factor times the word's
+    weighted shift; the empty word compares the right factor with itself
+    and reads 0.  The two routes share only T and T^-1.
 
     A residual is the Frobenius deviation over the larger of the
     reference's norm (from the right factor's column norms) and the
@@ -337,13 +291,6 @@ def product_identity_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     # a weighted shift's 2-norm is its largest |coefficient|
     peak = {x: np.abs(w.coefficients).max() for x, w in letter_shifts.items()}
     t, t_adj_inv = t_map.blocks, t_map.adjoint_inverse
-    ladders = (opset.a_phi_psi, opset.b_phi_psi, opset.a_psi_phi, opset.b_psi_phi)
-    # a map's blocks keep parity (LinearMap), and so do its inverse's
-    split = all(m.parts == 2 for m in (t, t_adj_inv, *ladders)) and all(m.shift == 1 for m in ladders)
-    parts = 2 if split else 1
-    if not split:
-        t, t_adj_inv, *ladders = (m.whole() for m in (t, t_adj_inv, *ladders))
-    a_phi, b_phi, a_psi, b_psi = (_stack(m) for m in ladders)
 
     def rel(deviation: float, reference_norm: float, scale: float) -> float:
         return float(deviation / max(reference_norm, scale, 1e-300))
@@ -355,52 +302,36 @@ def product_identity_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     shifts = {}
     for word in sorted(nodes, key=len):
         shifts[word] = letter_shifts[word[0]] @ shifts[word[1:]] if len(word) > 1 else letter_shifts[word]
-    local = {word: _local_shifts(w, parts) for word, w in shifts.items()}
-    t_s, t_adj_inv_s = _stack(t), _stack(t_adj_inv)
     residuals = {("phi", ""): 0.0, ("psi", ""): 0.0}
     # On the phi side A's subtree is walked before B's, so the mixed product,
     # which reads B's ket and A_psi_phi, runs while only B's own children are pending.
-    for side, right, right_s, right_norm, letters in (
-        ("phi", t, t_s, sigma[0], {"b": b_phi, "a": a_phi}),
-        ("psi", t_adj_inv, t_adj_inv_s, 1.0 / sigma[-1], {"a": a_psi, "b": b_psi}),
+    for side, right, right_norm, letters in (
+        ("phi", t, sigma[0], {"b": opset.b_phi_psi, "a": opset.a_phi_psi}),
+        ("psi", t_adj_inv, 1.0 / sigma[-1], {"a": opset.a_psi_phi, "b": opset.b_psi_phi}),
     ):
         column_norms = right.column_norms()[np.newaxis]
         # Depth first on an explicit stack: a nested function that calls itself
         # would be a reference cycle and keep the run's matrices alive until the
         # cyclic collector runs.  Only the pending kets of one chain are held.
-        pending = [("", right_s)]
+        pending = [("", right)]
         while pending:
             word, ket = pending.pop()
             # The child that repeats the word's first letter goes below its
             # sibling, whose run of one child per word is walked and freed first.
             for x in sorted(letters, key=lambda x: x != word[:1]):
                 if x + word in nodes:
-                    # a word of length k maps part q to part (q + k) mod parts, so
-                    # with parts 1 or 2 its ket meets the letter's blocks reversed when k is odd
-                    letter = letters[x] if len(word) % 2 == 0 else letters[x][::-1]
-                    pending.append((x + word, letter @ ket))
+                    pending.append((x + word, letters[x] @ ket))
             if side == "phi" and word == "b":
-                # Both products keep parity, so each is formed one part at a time:
-                # A_psi_phi (B_phi_psi T) against ((T*)^-1 A_e) (T* (T B_e)).
-                deviation = reference_norm = 0.0
-                a_local = _local_shifts(opset.a_e, parts)
-                for q, (p, b_q) in enumerate(local["b"]):
-                    inner = t_s[p].conj().T @ (t_s[p] @ b_q)
-                    reference = (t_adj_inv_s[q] @ a_local[p][1]) @ inner
-                    del inner
-                    reference_norm += _squared_norm(reference)
-                    reference -= a_psi[p] @ ket[q]
-                    deviation += _squared_norm(reference)
-                    del reference
+                # A_psi_phi (B_phi_psi T) against ((T*)^-1 A_e) (T* (T B_e))
+                reference = (t_adj_inv @ opset.a_e) @ (t.H @ (t @ opset.b_e))
                 bound = right_norm * cond**2 * peak["a"] * peak["b"]
-                mixed = rel(math.sqrt(deviation), math.sqrt(reference_norm), bound)
+                mixed = rel((opset.a_psi_phi @ ket - reference).frobenius(), reference.frobenius(), bound)
+                del reference
             if word:
-                for q, (r, w_q) in enumerate(local[word]):
-                    ket[q] -= right_s[r] @ w_q
                 # column j of right W is c_j times column j + offset of right: its norm is O(N)
-                reference_norm = math.sqrt(_squared_norm(column_norms @ shifts[word]))
+                reference_norm = float(np.linalg.norm(column_norms @ shifts[word]))
                 bound = right_norm * cond * peak["a"] ** word.count("a") * peak["b"] ** word.count("b")
-                residuals[side, word] = rel(math.sqrt(_squared_norm(ket)), reference_norm, bound)
+                residuals[side, word] = rel((ket - right @ shifts[word]).frobenius(), reference_norm, bound)
             del ket  # before the walk forms the next children
     pairs = []
     for m, l in PRODUCT_PAIRS:
