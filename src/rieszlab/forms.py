@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositive
-from .linalg import LinearMap, apply
+from .linalg import Blocks, LinearMap, apply
 from .reporting import CheckReport, make_report, worst
-from .systems import BiorthogonalSystem, FrameOperators, family_blocks, family_matrix, require_samples
+from .systems import BiorthogonalSystem, FrameOperators, family_matrix, require_samples
 
 TAIL_GRID = (16, 32, 64, 128, 256, 512)  # ascending truncations of the tail diagnostic
 CONVERGENT_TAIL_FRACTION = 1e-3
@@ -51,7 +51,7 @@ def omega(x: np.ndarray, y: np.ndarray, family) -> np.ndarray | complex:
     per column, two vectors of length N give a scalar.  When y is x the
     pairings are formed once.
     """
-    m = family_blocks(family)
+    m = Blocks.of(family)
     same = y is x
     x, y = np.asarray(x), np.asarray(y)
     if x.shape[:1] != m.shape[:1] or y.shape != x.shape:

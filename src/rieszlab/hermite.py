@@ -152,7 +152,7 @@ def build_model(dim: int) -> HermiteModel:
     x = LinearMap(tail_family(dim))
     fine = trapezoid_rule(dim, 2)
     rule = _every_other_node(fine)
-    residual = float(np.abs(x.entries - quadrature_gram("one_plus_x2", rule)).max())
+    residual = (x - Blocks.of(quadrature_gram("one_plus_x2", rule))).max_abs()
     if residual > ORACLE_TOLERANCE:
         raise OracleMismatch(f"truncated X at dim {dim} deviates from quadrature by {residual:.3e}")
     once = quadrature_gram("inv_one_plus_x2", rule)
@@ -209,8 +209,8 @@ def verify_K_psi(
     dim = model.dim
     x = model.X
     x_inv = invert(x)
-    k_phi = ops.k_phi.blocks.leading(dim - 2)
-    k_psi = ops.k_psi.blocks
+    k_phi = ops.k_phi.leading(dim - 2)
+    k_psi = ops.k_psi
     x2 = Blocks.of(model.x_squared_gram).leading(dim - 2)
     x_inv2 = x_inv @ x_inv
 
@@ -222,7 +222,7 @@ def verify_K_psi(
     # X^-1 f and X^-1 g by an LU solve per block of the real X, on the
     # samples' real and imaginary parts, not from the SVD inverse that built
     # psi: with the same matrix both sides would be one computation.
-    solved = solve(x.blocks, np.hstack([f, g]))
+    solved = solve(x, np.hstack([f, g]))
     through_inverse = np.sum(np.conj(solved[:, :FORM_SAMPLES]) * solved[:, FORM_SAMPLES:], axis=0)
     worst_form = float(np.max(np.abs(omega_psi - through_inverse) / (1.0 + np.abs(omega_psi))))
 

@@ -10,18 +10,19 @@ product, sum or norm reads the zeros between the blocks, and a sample set
 meets a split matrix as two half products on its even and odd rows
 (`apply`, `solve`).
 
-A LinearMap wraps only the maps that are certified or factored: T and the
-frame operators.  It stores float64 when every entry is real (a complex
+A LinearMap is the `Blocks` of a map that is certified or factored: T
+and the frame operators.  Like every family, it comes in through
+`Blocks.of`, which stores float64 when every entry is real (a complex
 input whose imaginary parts are all exactly 0 is stored as its real part)
 and complex128 otherwise, so real inputs run the real LAPACK/BLAS kernels,
-on complex sample sets too.  It certifies self-adjointness (by residual)
-and positivity (by smallest eigenvalue) on first read, and is factored at
-most once per kind, one LAPACK call per block, each factor a cached
-property (a read that raises caches nothing): the positivity certificate's
-`eigh` gives `spectrum` and `operator_sqrt`, and the one full `svd` gives
-`cond_estimate`, `inverse` and `polar_decompose`.  (T^-1)* is the adjoint
-of the one held T^-1.  Entries and derived matrices are read-only, so no
-cached value can go stale.
+on complex sample sets too.  A map certifies self-adjointness (by
+residual) and positivity (by smallest eigenvalue) on first read, and is
+factored at most once per kind, one LAPACK call per block, each factor a
+cached property (a read that raises caches nothing): the positivity
+certificate's `eigh` gives `spectrum` and `operator_sqrt`, and the one full
+`svd` gives `cond_estimate`, `inverse` and `polar_decompose`.  (T^-1)* is
+the adjoint of the one held T^-1.  Blocks and derived matrices are
+read-only, so no cached value can go stale.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotPositive, NumericallySingular
+from .errors import DimensionMismatch, NotPositive, NumericallySingular
 
 # Certification thresholds.
 SELF_ADJOINT_RTOL = 1e-12   # max|A - A*| <= rtol * max|A|
@@ -92,14 +93,30 @@ class Blocks:
         self.shift = shift % self.parts
 
     @classmethod
-    def of(cls, a: np.ndarray) -> "Blocks":
-        """A square a, read-only, as copies of its two parity blocks when it keeps parity by exact zeros and N >= SPLIT_FLOOR, else as a view of a.
+    def of(cls, a) -> "Blocks":
+        """A family or map as read-only Blocks under the package's dtype rule (`real_or_complex`).
 
-        Either way a itself stays writable if it was.
+        A LinearMap comes back as it is.  Any other Blocks keeps its blocks,
+        made real or complex as a whole and read-only.  An array must be
+        nonempty and 2-D; it is held C-contiguous, as copies of its two
+        parity blocks when it is square, keeps parity by exact zeros and
+        N >= SPLIT_FLOOR, else as one block, copied when it is a view or a
+        writable array of the caller's.
         """
-        if a.ndim == 2 and a.shape[0] == a.shape[1] >= SPLIT_FLOOR and _keeps_parity(a):
-            return read_only(cls([np.ascontiguousarray(a[p::2, p::2]) for p in (0, 1)]))
-        return read_only(cls([a.view()]))
+        if isinstance(a, LinearMap):
+            return a
+        if isinstance(a, Blocks):
+            real = not any(np.iscomplexobj(b) and b.imag.any() for b in a.blocks)
+            return read_only(a._map(real_or_complex if real else lambda b: b.astype(np.complex128, copy=False)))
+        m = np.asarray(a)
+        if m.ndim != 2 or m.size == 0:
+            raise DimensionMismatch(f"expected a nonempty 2-D array, got shape {m.shape}")
+        m = np.ascontiguousarray(real_or_complex(m))
+        if m.shape[0] == m.shape[1] >= SPLIT_FLOOR and _keeps_parity(m):
+            return read_only(cls([np.ascontiguousarray(m[p::2, p::2]) for p in (0, 1)]))
+        if not m.flags.owndata or (m is a and m.flags.writeable):
+            m = m.copy()
+        return read_only(cls([m]))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -176,13 +193,14 @@ class Blocks:
         return Blocks([b * columns[p :: self.parts] for p, b in enumerate(self.blocks)], self.shift)
 
     def minus_diagonal(self, values=None) -> "Blocks":
-        """self - diag(values) for a parity-keeping matrix of square blocks; values default to ones, which gives self - 1."""
+        """self - diag(values), values default to ones (self - 1); a parity-swapping matrix, whose blocks hold no diagonal, is assembled first."""
+        m = self.whole() if self.shift else self
         out = []
-        for p, b in enumerate(self.blocks):
+        for p, b in enumerate(m.blocks):
             b = b.copy()  # C-contiguous, so its diagonal is every (columns + 1)-th entry
-            b.ravel()[:: b.shape[1] + 1] -= 1.0 if values is None else values[p :: self.parts]
+            b.ravel()[:: b.shape[1] + 1] -= 1.0 if values is None else values[p :: m.parts]
             out.append(b)
-        return Blocks(out, self.shift)
+        return Blocks(out)
 
     def leading(self, n: int) -> "Blocks":
         """The leading n x n block: indices 0 .. n - 1 of every part."""
@@ -258,50 +276,34 @@ def solve(m: Blocks, x: np.ndarray) -> np.ndarray:
     return _rowwise(np.linalg.solve, m, x, lambda p: (m._rows(p), p))
 
 
-class LinearMap:
-    """Square real or complex matrix, held as `Blocks`, with certified self_adjoint/positive flags.
+class LinearMap(Blocks):
+    """Square real or complex map, its own read-only `Blocks`, with certified self_adjoint/positive flags.
 
-    Built from an array, the map owns a read-only C-contiguous copy as
-    `entries` and splits it by `Blocks.of`; built from a Blocks, it keeps
-    those blocks (assembled into one if they swap parity) and assembles
-    `entries` only when read.  Every block of a map keeps parity, so its
-    adjoint, certificates and factors are taken block by block.
+    It is built by `Blocks.of`, and a parity-swapping input is assembled
+    into one block, so every block of a map keeps parity and its adjoint,
+    certificates and factors are taken block by block.
     """
 
     def __init__(self, entries):
-        if isinstance(entries, Blocks):
-            # the dtype rule of real_or_complex, for the whole map
-            real = not any(np.iscomplexobj(b) and b.imag.any() for b in entries.blocks)
-            blocks = entries._map(real_or_complex if real else lambda b: b.astype(np.complex128, copy=False))
-            self.blocks = read_only(blocks.whole() if blocks.shift else blocks)
-            arrays, shape = self.blocks.blocks, self.blocks.shape
-        else:
-            self.entries = read_only(np.array(real_or_complex(entries), order="C"))
-            arrays, shape = (self.entries,), self.entries.shape
-        if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
-            raise ValueError(f"expected a nonempty square matrix, got shape {shape}")
-        if not all(np.isfinite(b).all() for b in arrays):
+        m = Blocks.of(entries)
+        if m.shift:
+            m = read_only(m.whole())
+        super().__init__(m.blocks)
+        if self.shape[0] != self.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {self.shape}")
+        if not all(np.isfinite(b).all() for b in self.blocks):
             raise ValueError("matrix entries must be finite")
-
-    @cached_property
-    def entries(self) -> np.ndarray:
-        return self.blocks.whole().blocks[0]
-
-    @cached_property
-    def blocks(self) -> Blocks:
-        return Blocks.of(self.entries)
 
     @cached_property
     def self_adjoint(self) -> bool:
         """Residual certificate max|A - A*| <= rtol * max|A|."""
-        blocks = self.blocks.blocks
-        scale = max(float(np.abs(b).max()) for b in blocks)
-        return max(float(np.abs(b - b.conj().T).max()) for b in blocks) <= SELF_ADJOINT_RTOL * scale
+        scale = max(float(np.abs(b).max()) for b in self.blocks)
+        return max(float(np.abs(b - b.conj().T).max()) for b in self.blocks) <= SELF_ADJOINT_RTOL * scale
 
     @cached_property
     def eigh(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per block, read-only (eigenvalues ascending, eigenvectors) of the symmetrized entries (A + A*) / 2."""
-        return tuple(tuple(read_only(f) for f in np.linalg.eigh((b + b.conj().T) / 2.0)) for b in self.blocks.blocks)
+        return tuple(tuple(read_only(f) for f in np.linalg.eigh((b + b.conj().T) / 2.0)) for b in self.blocks)
 
     @cached_property
     def positive(self) -> bool:
@@ -321,12 +323,12 @@ class LinearMap:
 
     @property
     def dim(self) -> int:
-        return self.blocks.shape[0]
+        return self.shape[0]
 
     @cached_property
     def svd(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """The map's one full SVD, per block, as read-only (u, s descending, vh)."""
-        return tuple(tuple(read_only(f) for f in np.linalg.svd(b)) for b in self.blocks.blocks)
+        return tuple(tuple(read_only(f) for f in np.linalg.svd(b)) for b in self.blocks)
 
     @cached_property
     def singular_values(self) -> np.ndarray:
@@ -354,12 +356,12 @@ class LinearMap:
         like the family they are.
         """
         adjoint = self.inverse.H
-        return read_only(adjoint if self.blocks.dtype == np.float64 else adjoint._map(np.ascontiguousarray))
+        return read_only(adjoint if self.dtype == np.float64 else adjoint._map(np.ascontiguousarray))
 
     def __repr__(self) -> str:
         """Dimension, dtype and the flags certified so far; printing never certifies one."""
         shown = ", ".join(f"{name}={vars(self).get(name, 'unknown')}" for name in ("self_adjoint", "positive"))
-        return f"LinearMap(dim={self.dim}, dtype={self.blocks.dtype}, {shown})"
+        return f"LinearMap(dim={self.dim}, dtype={self.dtype}, {shown})"
 
 
 def from_diagonal(values) -> LinearMap:

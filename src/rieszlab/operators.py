@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DimensionMismatch, WrongAlphaKind
 from .linalg import Blocks, LinearMap, invert, read_only, real_or_complex
 from .reporting import CheckReport, make_report, relative_frobenius, worst
-from .systems import BiorthogonalSystem
+from .systems import BiorthogonalSystem, column_residuals
 
 # The (m, l) pairs of the product identities: every pair with m + l <= 4.
 PRODUCT_PAIRS = tuple((m, l) for m in range(5) for l in range(5 - m))
@@ -120,9 +120,9 @@ def ladder_shifts(alpha: np.ndarray, dim: int) -> tuple[WeightedShift, WeightedS
 def transform(op_e: WeightedShift, t: LinearMap, side: str) -> Blocks:
     """Conjugate a reference-basis shift: T op T^-1 or (T*)^-1 op T*, one gemm per block each."""
     if side == "phi_psi":
-        return read_only(t.blocks @ op_e @ t.inverse)
+        return read_only(t @ op_e @ t.inverse)
     if side == "psi_phi":
-        return read_only(t.adjoint_inverse @ op_e @ t.blocks.H)
+        return read_only(t.adjoint_inverse @ op_e @ t.H)
     raise ValueError(f"unknown side {side!r}; expected 'phi_psi' or 'psi_phi'")
 
 
@@ -195,8 +195,7 @@ def eigen_check(relations: dict[str, Eigenrelation], cond: float, tolerance: flo
     """Residual of H v_k = alpha_k v_k over max(1, |v_k|) at every k of both families, against tolerance * cond(T)."""
     details = {}
     for side, r in relations.items():
-        resid = r.residual.column_norms() / np.maximum(1.0, r.family.column_norms())
-        details[f"{side}_family"] = float(resid.max())
+        details[f"{side}_family"] = float(column_residuals(r.residual, r.family).max())
     residual = worst(details.values())
     return make_report("eigen", residual, tolerance * cond, details=details | {"cond": cond})
 
@@ -218,9 +217,8 @@ def ladder_check(opset: OperatorSet, sys: BiorthogonalSystem, tolerance: float) 
         ("phi", opset.a_phi_psi, opset.b_phi_psi, sys.phi),
         ("psi", opset.a_psi_phi, opset.b_psi_phi, sys.psi),
     ):
-        norms = np.maximum(1.0, m.column_norms())
-        low = (a @ m - m @ opset.a_e).column_norms() / norms
-        high = (b @ m - m @ opset.b_e).column_norms() / norms
+        low = column_residuals(a @ m - m @ opset.a_e, m)
+        high = column_residuals(b @ m - m @ opset.b_e, m)
         details[f"{side}_lowering_ground"] = float(low[0])
         details[f"{side}_lowering_max"] = float(low[1:].max()) if low.size > 1 else 0.0
         details[f"{side}_raising_max"] = float(high[:-1].max()) if high.size > 1 else 0.0
@@ -284,13 +282,13 @@ def product_identity_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     dimension).  Returns the report of the worst (m, l) pair; a NaN pair
     is the worst, and on a tie the earlier pair wins.
     """
-    t_map = opset.t
-    sigma = t_map.singular_values
-    cond = t_map.cond_estimate
+    t = opset.t
+    sigma = t.singular_values
+    cond = t.cond_estimate
     letter_shifts = {"a": opset.a_e, "b": opset.b_e}
     # a weighted shift's 2-norm is its largest |coefficient|
     peak = {x: np.abs(w.coefficients).max() for x, w in letter_shifts.items()}
-    t, t_adj_inv = t_map.blocks, t_map.adjoint_inverse
+    t_adj_inv = t.adjoint_inverse
 
     def rel(deviation: float, reference_norm: float, scale: float) -> float:
         return float(deviation / max(reference_norm, scale, 1e-300))
@@ -368,7 +366,7 @@ def ccr_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     defect = float(np.abs(comm - expected).max())
     t = opset.t
     at, bt = opset.a_phi_psi, opset.b_phi_psi
-    back = invert(t) @ (at @ bt - bt @ at) @ t.blocks
+    back = invert(t) @ (at @ bt - bt @ at) @ t
     transformed = back.minus_diagonal(expected).max_abs()
     t_tol = CCR_TRANSFORMED_RTOL * t.cond_estimate**2
     details = {

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import Blocks, LinearMap, apply, operator_sqrt, read_only, real_or_complex
+from .linalg import Blocks, LinearMap, apply, operator_sqrt, real_or_complex
 from .reporting import CheckReport, make_report, worst
 
 
@@ -35,21 +35,6 @@ def family_matrix(family) -> np.ndarray:
     return np.ascontiguousarray(real_or_complex(m))
 
 
-def _read_only_family(family) -> np.ndarray:
-    """family_matrix's array, read-only; copied only when it shares a writable buffer of the caller's."""
-    m = family_matrix(family)
-    if m.flags.writeable:
-        if m is family or not m.flags.owndata:
-            m = m.copy()
-        m.setflags(write=False)
-    return m
-
-
-def family_blocks(family) -> Blocks:
-    """A family as read-only Blocks: a Blocks made read-only, an array by `Blocks.of` on its read-only `family_matrix`."""
-    return read_only(family) if isinstance(family, Blocks) else Blocks.of(_read_only_family(family))
-
-
 @dataclass(frozen=True, eq=False)
 class BiorthogonalSystem:
     """Paired families {phi_n}, {psi_n} as read-only Blocks of equal shape; arrays are converted."""
@@ -58,8 +43,8 @@ class BiorthogonalSystem:
     psi: Blocks
 
     def __post_init__(self):
-        phi = family_blocks(self.phi)
-        psi = family_blocks(self.psi)
+        phi = Blocks.of(self.phi)
+        psi = Blocks.of(self.psi)
         if phi.shape != psi.shape:
             raise DimensionMismatch("phi and psi families differ in shape")
         object.__setattr__(self, "phi", phi)
@@ -87,8 +72,8 @@ class FrameOperators:
 
 
 def build_system(t: LinearMap) -> BiorthogonalSystem:
-    """phi_n = T e_n and psi_n = (T^-1)* e_n: T's own read-only blocks and its `adjoint_inverse`."""
-    return BiorthogonalSystem(phi=t.blocks, psi=t.adjoint_inverse)
+    """phi_n = T e_n and psi_n = (T^-1)* e_n: T itself and its `adjoint_inverse`."""
+    return BiorthogonalSystem(phi=t, psi=t.adjoint_inverse)
 
 
 def check_biorthogonality(sys: BiorthogonalSystem, tolerance: float) -> CheckReport:
@@ -99,7 +84,7 @@ def check_biorthogonality(sys: BiorthogonalSystem, tolerance: float) -> CheckRep
 
 def frame_operator(family) -> LinearMap:
     """K = sum over the family of outer products v_k v_k*; positive by construction."""
-    m = family_blocks(family)
+    m = Blocks.of(family)
     k = m @ m.H
     return LinearMap((k + k.H) * 0.5)
 
@@ -108,24 +93,22 @@ def build_frame_operators(sys: BiorthogonalSystem) -> FrameOperators:
     return FrameOperators(k_phi=frame_operator(sys.phi), k_psi=frame_operator(sys.psi))
 
 
-def column_residuals(actual: Blocks, expected: Blocks) -> np.ndarray:
-    """Each column's deviation norm over the larger of 1 and the expected column's norm."""
-    norms = np.maximum(1.0, expected.column_norms())
-    return (actual - expected).column_norms() / norms
+def column_residuals(deviation: Blocks, family: Blocks) -> np.ndarray:
+    """Each column's deviation norm over the larger of 1 and the norm of the family's column: the one per-column reading."""
+    return deviation.column_norms() / np.maximum(1.0, family.column_norms())
 
 
 def verify_K_relations(sys: BiorthogonalSystem, ops: FrameOperators, tolerance: float) -> CheckReport:
     """phi_k = K_phi psi_k, psi_k = K_psi phi_k, the round trips, and K_phi K_psi = 1, at every k."""
     phi_m, psi_m = sys.phi, sys.psi
-    k_phi = ops.k_phi.blocks
-    k_psi = ops.k_psi.blocks
+    k_phi, k_psi = ops.k_phi, ops.k_psi
     phi_from_psi = k_phi @ psi_m
     psi_from_phi = k_psi @ phi_m
     details = {
-        "phi_from_psi": float(column_residuals(phi_from_psi, phi_m).max()),
-        "psi_from_phi": float(column_residuals(psi_from_phi, psi_m).max()),
-        "psi_roundtrip": float(column_residuals(k_psi @ phi_from_psi, psi_m).max()),
-        "phi_roundtrip": float(column_residuals(k_phi @ psi_from_phi, phi_m).max()),
+        "phi_from_psi": float(column_residuals(phi_from_psi - phi_m, phi_m).max()),
+        "psi_from_phi": float(column_residuals(psi_from_phi - psi_m, psi_m).max()),
+        "psi_roundtrip": float(column_residuals(k_psi @ phi_from_psi - psi_m, psi_m).max()),
+        "phi_roundtrip": float(column_residuals(k_phi @ psi_from_phi - phi_m, phi_m).max()),
         "product_identity": (k_phi @ k_psi).minus_diagonal().frobenius() / np.sqrt(sys.dim),
     }
     return make_report("k_relations", worst(details.values()), tolerance, details=details)

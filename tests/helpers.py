@@ -19,8 +19,8 @@ def random_unitary(dim: int, rng: np.random.Generator) -> LinearMap:
 
 def random_conditioned_map(dim: int, cond: float, rng: np.random.Generator) -> LinearMap:
     """Invertible map with condition number exactly cond (log-spaced spectrum)."""
-    u = random_unitary(dim, rng).entries
-    v = random_unitary(dim, rng).entries
+    u = np.asarray(random_unitary(dim, rng))
+    v = np.asarray(random_unitary(dim, rng))
     sigma = np.exp(np.linspace(-0.5, 0.5, dim) * np.log(cond))
     return LinearMap((u * sigma) @ v)
 
@@ -36,6 +36,6 @@ def dense(shift: WeightedShift) -> LinearMap:
 
 def dense_config(t: LinearMap, **fields) -> RunConfig:
     """The parsed config of a dense run of T, entries as [re, im] pairs; fields are added to it."""
-    entries = [[float(v.real), float(v.imag)] for v in t.entries.ravel()]
+    entries = [[float(v.real), float(v.imag)] for v in np.asarray(t).ravel()]
     payload = {"dimension": t.dim, "operator": {"kind": "dense", "entries": entries}, **fields}
     return parse_config(json.dumps(payload))

@@ -224,7 +224,7 @@ def test_criterion_10_polar_normalization():
         rebuilt = positive @ f_basis
         worst_reassembly = max(
             worst_reassembly,
-            np.linalg.norm(rebuilt - t.entries) / np.linalg.norm(t.entries),
+            np.linalg.norm(rebuilt - np.asarray(t)) / np.linalg.norm(np.asarray(t)),
         )
         gram = np.abs(f_basis.conj().T @ f_basis - np.eye(16)).max()
         worst_gram = max(worst_gram, gram)

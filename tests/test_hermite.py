@@ -96,22 +96,22 @@ def test_quadrature_rejects_unknown_multiplier():
 
 def test_build_x_smallest_truncation():
     x = LinearMap(tail_family(1))
-    np.testing.assert_allclose(x.entries, [[1.5]], atol=1e-12)
+    np.testing.assert_allclose(np.asarray(x), [[1.5]], atol=1e-12)
 
 
 def test_build_x_entries_by_formula():
     x = LinearMap(tail_family(4))
-    np.testing.assert_allclose(np.diag(x.entries).real, [1.5, 2.5, 3.5, 4.5], atol=0)
+    np.testing.assert_allclose(np.diag(np.asarray(x)).real, [1.5, 2.5, 3.5, 4.5], atol=0)
     np.testing.assert_allclose(
-        np.diag(x.entries, k=2).real, [np.sqrt(2.0) / 2.0, np.sqrt(6.0) / 2.0], atol=0
+        np.diag(np.asarray(x), k=2).real, [np.sqrt(2.0) / 2.0, np.sqrt(6.0) / 2.0], atol=0
     )
-    assert np.abs(x.entries - x.entries.T).max() == 0.0  # symmetric by construction
+    assert np.abs(np.asarray(x) - np.asarray(x).T).max() == 0.0  # symmetric by construction
     assert x.self_adjoint and x.positive
 
 
 @pytest.mark.parametrize("dim", [8, 16, 32, 64])
 def test_build_x_spectrum_floor(dim):
-    lam = np.linalg.eigvalsh(LinearMap(tail_family(dim)).entries.real)
+    lam = np.linalg.eigvalsh(np.asarray(LinearMap(tail_family(dim))).real)
     assert lam[0] >= 1.0  # 1 + x^2 >= 1 survives truncation
 
 
@@ -128,7 +128,7 @@ def test_oracle_gate_trips_on_corruption(monkeypatch):
 
 
 def test_oracle_deviation_measures_perturbation():
-    entries = LinearMap(tail_family(8)).entries.real.copy()
+    entries = np.asarray(LinearMap(tail_family(8))).real.copy()
     gram = quadrature_gram("one_plus_x2", trapezoid_rule(8, 1))
     assert np.abs(entries - gram).max() < 1e-9
     entries[0, 0] += 1e-6
@@ -139,7 +139,7 @@ def test_build_model_metadata():
     model = build_model(16)
     assert model.oracle_residual <= 1e-9
     assert model.rational_convergence <= 1e-10
-    np.testing.assert_array_equal(model.X.entries, LinearMap(tail_family(16)).entries)
+    np.testing.assert_array_equal(np.asarray(model.X), np.asarray(LinearMap(tail_family(16))))
 
 
 def test_example_system_ground_state():
@@ -202,11 +202,11 @@ def test_k_phi_vs_x_squared_sees_defects():
     ops = build_frame_operators(sys_)
     clean = verify_K_psi(model, sys_, ops, 1e-8, 0)
     assert clean.passed and 0.0 < clean.details["k_phi_vs_x_squared"] < 1e-13
-    k_phi = ops.k_phi.entries.copy()
+    k_phi = np.asarray(ops.k_phi).copy()
     k_phi[15, 15] *= 1.0 + 1e-6
     report = verify_K_psi(model, sys_, FrameOperators(LinearMap(k_phi), ops.k_psi), 1e-8, 0)
     assert not report.passed and report.details["k_phi_vs_x_squared"] > 5e-8
-    x = model.X.entries.copy()
+    x = np.asarray(model.X).copy()
     x[15, 15] *= 1.0 + 1e-6
     mutated = build_system(LinearMap(x))
     report = verify_K_psi(model, mutated, build_frame_operators(mutated), 1e-8, 0)
@@ -221,7 +221,7 @@ def test_k_phi_block_stops_where_the_truncation_reaches():
     ops = build_frame_operators(sys_)
     clean = verify_K_psi(model, sys_, ops, 1e-8, 0)
     assert clean.passed and clean.details["k_phi_vs_x_squared"] < 1e-13
-    k_phi = ops.k_phi.entries.copy()
+    k_phi = np.asarray(ops.k_phi).copy()
     k_phi[13, 13] *= 1.0 + 1e-6
     report = verify_K_psi(model, sys_, FrameOperators(LinearMap(k_phi), ops.k_psi), 1e-8, 0)
     assert not report.passed and report.details["k_phi_vs_x_squared"] > 1e-7
@@ -232,7 +232,7 @@ def test_model_keeps_a_real_gram_of_x_squared():
     gram = model.x_squared_gram
     assert gram.dtype == np.float64 and gram.shape == (16, 16) and not gram.flags.writeable
     # away from the truncation edge X X holds the matrix elements of (1 + x^2)^2
-    x2 = model.X.entries @ model.X.entries
+    x2 = np.asarray(model.X) @ np.asarray(model.X)
     np.testing.assert_allclose(gram[:14, :14], x2[:14, :14], rtol=0, atol=1e-12 * np.abs(x2).max())
     assert tail_family(16).dtype == np.float64
 

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from rieszlab.sampling import stream_rng
 
 from helpers import random_conditioned_map
@@ -33,7 +35,7 @@ def run_fresh(runs):
 
 
 def test_non_hermite_runs_never_load_scipy(tmp_path):
-    t = random_conditioned_map(8, 10.0, stream_rng(8)).entries
+    t = np.asarray(random_conditioned_map(8, 10.0, stream_rng(8)))
     payloads = {
         "dense": {"dimension": 8, "operator": {"kind": "dense", "entries": [[v.real, v.imag] for v in t.ravel()]}},
         "diagonal": {"dimension": 8, "operator": {"kind": "diagonal", "values": [1, 2, 3, 4, 5, 6, 7, 8]}},

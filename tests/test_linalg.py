@@ -14,7 +14,7 @@ from rieszlab import (
     operator_sqrt,
     polar_decompose,
 )
-from rieszlab.errors import NotPositive, NumericallySingular
+from rieszlab.errors import DimensionMismatch, NotPositive, NumericallySingular
 from rieszlab import linalg
 from rieszlab.linalg import SPLIT_FLOOR, Blocks, real_or_complex
 from rieszlab.sampling import stream_rng
@@ -23,21 +23,39 @@ from helpers import random_conditioned_map, random_unitary
 
 
 def test_dtype_follows_the_entries():
-    # float64 exactly when every entry is real: a zero imaginary part is not complex
-    assert LinearMap([[1, 2], [3, 4]]).entries.dtype == np.float64
-    assert LinearMap(np.array([[1, 2], [3, 4]], dtype=np.complex128)).entries.dtype == np.float64
-    assert LinearMap([[1, 2j], [3, 4]]).entries.dtype == np.complex128
-    assert from_diagonal([1.0, 2.0]).entries.dtype == np.float64
-    assert from_diagonal([1.0, 1j]).entries.dtype == np.complex128
+    # float64 exactly when every entry is real: a zero imaginary part is not
+    # complex; maps and families come in through Blocks.of alike
+    for make in (Blocks.of, LinearMap):
+        assert make([[1, 2], [3, 4]]).dtype == np.float64
+        assert make(np.array([[1, 2], [3, 4]], dtype=np.complex128)).dtype == np.float64
+        assert make([[1, 2j], [3, 4]]).dtype == np.complex128
+    assert from_diagonal([1.0, 2.0]).dtype == np.float64
+    assert from_diagonal([1.0, 1j]).dtype == np.complex128
+    # a Blocks is real or complex as a whole, every block alike
+    assert all(b.dtype == np.float64 for b in Blocks.of(Blocks([np.eye(2, dtype=np.complex128), np.eye(2)])).blocks)
+    assert all(b.dtype == np.complex128 for b in Blocks.of(Blocks([np.eye(2), 1j * np.eye(2)])).blocks)
     # the map owns its entries, for complex input too
     z = np.array([[1.0, 1j], [0.0, 1.0]])
-    assert not np.shares_memory(LinearMap(z).entries, z) and z.flags.writeable
+    assert not np.shares_memory(np.asarray(LinearMap(z)), z) and z.flags.writeable
     # and what is built from a real map stays real
     t = LinearMap([[2.0, 1.0], [0.0, 3.0]])
     assert invert(t).dtype == np.float64
     positive, unitary = polar_decompose(t)
     assert positive.dtype == unitary.dtype == np.float64
     assert operator_sqrt(from_diagonal([1.0, 4.0])).dtype == np.float64
+
+
+def test_a_map_is_square_and_keeps_parity_block_by_block():
+    # a parity-swapping Blocks is assembled into one block; a map must be square
+    swap = LinearMap(Blocks([np.eye(2), np.eye(2)], 1))
+    assert swap.parts == 1 and swap.shift == 0
+    np.testing.assert_array_equal(swap, np.eye(4)[[1, 0, 3, 2]])
+    with pytest.raises(ValueError):
+        LinearMap(np.ones((2, 3)))
+    with pytest.raises(DimensionMismatch):
+        LinearMap(np.ones(3))
+    with pytest.raises(ValueError):
+        LinearMap([[1.0, np.inf], [0.0, 1.0]])
 
 
 def test_real_or_complex_is_one_rule_without_copies():
@@ -79,10 +97,10 @@ def test_operator_sqrt_squares_back_and_commutes_with_conjugation():
         a = LinearMap(b @ b.conj().T + 0.1 * np.eye(n))
         root = operator_sqrt(a)
         assert LinearMap(root).positive
-        err = np.linalg.norm(root @ root - a.entries)
-        assert err <= 1e-9 * np.linalg.norm(a.entries)
-        u = random_unitary(n, rng).entries
-        conjugated = operator_sqrt(LinearMap(u @ a.entries @ u.conj().T))
+        err = np.linalg.norm(root @ root - np.asarray(a))
+        assert err <= 1e-9 * np.linalg.norm(np.asarray(a))
+        u = np.asarray(random_unitary(n, rng))
+        conjugated = operator_sqrt(LinearMap(u @ np.asarray(a) @ u.conj().T))
         expected = u @ root @ u.conj().T
         assert np.linalg.norm(conjugated - expected) <= 1e-9 * np.linalg.norm(expected)
 
@@ -91,7 +109,7 @@ def test_operator_sqrt_clamps_rounded_zero_eigenvalues():
     v = np.array([1.0, 1.0, 1.0]) / np.sqrt(3)
     rank_one = LinearMap(np.outer(v, v))  # eigenvalues {1, 0, 0} up to rounding
     root = operator_sqrt(rank_one)
-    np.testing.assert_allclose(root @ root, rank_one.entries, atol=1e-12)
+    np.testing.assert_allclose(root @ root, np.asarray(rank_one), atol=1e-12)
 
 
 def test_operator_sqrt_rejects_indefinite():
@@ -124,9 +142,9 @@ def test_invert_roundtrip_and_cond():
         assert np.isfinite(inv.cond_estimate)
         assert abs(inv.cond_estimate - 50.0) / 50.0 <= 1e-8
         back = invert(inv)
-        err = np.linalg.norm(back - t.entries) / np.linalg.norm(t.entries)
+        err = np.linalg.norm(back - np.asarray(t)) / np.linalg.norm(np.asarray(t))
         assert err <= 1e-8 * 50.0**2
-        resid = np.linalg.norm(t.entries @ inv.entries - np.eye(12))
+        resid = np.linalg.norm(np.asarray(t) @ np.asarray(inv) - np.eye(12))
         assert resid <= 1e-8 * inv.cond_estimate * np.sqrt(12)
 
 
@@ -149,7 +167,7 @@ def test_svd_is_cached_and_adjoint_inverse_is_the_adjoint_of_the_one_inverse(ent
     assert not adj.flags.writeable
     np.testing.assert_array_equal(adj, inv.conj().T)
     # a real inverse is held once: its adjoint is a view of it
-    assert np.shares_memory(adj, inv) == (t.entries.dtype == np.float64)
+    assert np.shares_memory(adj, inv) == (t.dtype == np.float64)
 
 
 def test_a_singular_inverse_caches_nothing_and_raises_on_every_read():
@@ -211,7 +229,7 @@ def test_polar_swap_example():
     positive, unitary = polar_decompose(t)
     np.testing.assert_allclose(positive, np.diag([2.0, 1.0]), atol=1e-14)
     np.testing.assert_allclose(unitary, [[0, 1], [1, 0]], atol=1e-14)
-    np.testing.assert_allclose(positive @ unitary, t.entries, atol=1e-14)
+    np.testing.assert_allclose(positive @ unitary, np.asarray(t), atol=1e-14)
 
 
 def test_polar_of_negated_identity():
@@ -229,8 +247,8 @@ def test_polar_random_reassembly(dim):
         assert LinearMap(p).positive
         u = np.asarray(u)
         assert np.linalg.norm(u.conj().T @ u - np.eye(dim)) <= 1e-10 * np.sqrt(dim)
-        err = np.linalg.norm(np.asarray(p) @ u - t.entries)
-        assert err <= 1e-9 * np.linalg.norm(t.entries)
+        err = np.linalg.norm(np.asarray(p) @ u - np.asarray(t))
+        assert err <= 1e-9 * np.linalg.norm(np.asarray(t))
 
 
 def test_invert_and_polar_share_one_svd(monkeypatch):
@@ -241,7 +259,7 @@ def test_invert_and_polar_share_one_svd(monkeypatch):
     inv = invert(t)
     _, unitary = polar_decompose(t)
     assert calls == [{}]
-    u, s, vh = svd(t.entries)
+    u, s, vh = svd(np.asarray(t))
     np.testing.assert_array_equal(inv, (vh.conj().T * (1.0 / s)) @ u.conj().T)
     np.testing.assert_array_equal(unitary, u @ vh)
     # a singular map keeps its SVD too and raises on every read; the zero
@@ -290,7 +308,7 @@ def test_cond_invert_and_polar_share_one_svd_in_any_order(monkeypatch, order):
     for name in order:
         reads[name]()
     assert calls == [{}]
-    s = np.linalg.svd(t.entries)[1]
+    s = np.linalg.svd(np.asarray(t))[1]
     assert t.cond_estimate == float(s[0] / s[-1])
 
 
@@ -316,13 +334,13 @@ def test_singular_map_reads_infinite_cond_and_still_refuses_to_invert(monkeypatc
 def test_positive_spectrum_and_sqrt_share_one_eigh_in_any_order(monkeypatch, order):
     eigh_calls = count_numpy_calls(monkeypatch, "eigh")
     eigvalsh_calls = count_numpy_calls(monkeypatch, "eigvalsh")
-    v = random_unitary(6, stream_rng(18)).entries
+    v = np.asarray(random_unitary(6, stream_rng(18)))
     k = LinearMap((v * np.linspace(1.0, 4.0, 6)) @ v.conj().T)
     reads = {"positive": lambda: k.positive, "spectrum": lambda: k.spectrum, "sqrt": lambda: operator_sqrt(k)}
     for name in order:
         reads[name]()
     assert len(eigh_calls) == 1 and eigvalsh_calls == []
-    w, vecs = np.linalg.eigh((k.entries + k.entries.conj().T) / 2.0)
+    w, vecs = np.linalg.eigh((np.asarray(k) + np.asarray(k).conj().T) / 2.0)
     np.testing.assert_array_equal(k.spectrum, w)
     root = (vecs * np.sqrt(w)) @ vecs.conj().T
     np.testing.assert_array_equal(operator_sqrt(k), (root + root.conj().T) / 2.0)
@@ -351,7 +369,7 @@ def parity_split_map(dim: int, is_complex: bool, seed: int, spectrum: str) -> np
             s[-1] = 0.0
         if p == 1 and spectrum == "zero":
             s[:] = 0.0
-        u, v = (random_unitary(size, rng).entries if is_complex else np.linalg.qr(rng.standard_normal((size, size)))[0]
+        u, v = (np.asarray(random_unitary(size, rng)) if is_complex else np.linalg.qr(rng.standard_normal((size, size)))[0]
                 for _ in range(2))
         a[p::2, p::2] = (u * s) @ v.conj().T
     return a
@@ -371,9 +389,9 @@ def factored_blocks(a: np.ndarray) -> list[np.ndarray]:
 @given(dim=DIMS, is_complex=st.booleans(), seed=st.integers(0, 2**32 - 1), spectrum=SPECTRA)
 def test_parity_split_svd_is_factored_per_block(dim, is_complex, seed, spectrum):
     t = LinearMap(parity_split_map(dim, is_complex, seed, spectrum))
-    a = t.entries
+    a = np.asarray(t)
     blocks = factored_blocks(a)
-    assert t.blocks.parts == len(t.svd) == len(blocks)
+    assert t.parts == len(t.svd) == len(blocks)
     # each block's factors are LAPACK's, bit for bit, and never assembled
     for factors, block in zip(t.svd, blocks):
         for got, want in zip(factors, np.linalg.svd(block)):
@@ -395,7 +413,7 @@ def test_parity_split_positivity_eigh_is_factored_per_block(dim, is_complex, see
     a = parity_split_map(dim, is_complex, seed, spectrum)
     k = LinearMap(a @ a.conj().T)
     assert k.positive
-    h = (k.entries + k.entries.conj().T) / 2.0
+    h = (np.asarray(k) + np.asarray(k).conj().T) / 2.0
     blocks = factored_blocks(h)
     assert len(k.eigh) == len(blocks)
     for factors, block in zip(k.eigh, blocks):
@@ -424,11 +442,11 @@ def test_inverse_from_parity_blocks_couples_no_parities(dim, is_complex, seed):
     split = dim >= SPLIT_FLOOR
     assert inv.parts == (2 if split else 1)
     dense_inv = np.asarray(inv)
-    assert np.abs(dense_inv @ t.entries - np.eye(dim)).max() <= 1e-12 * t.cond_estimate
+    assert np.abs(dense_inv @ np.asarray(t) - np.eye(dim)).max() <= 1e-12 * t.cond_estimate
     # the dual family and its frame operator inherit the split
     psi = t.adjoint_inverse
     k_psi = LinearMap(psi @ psi.H)
-    assert psi.parts == k_psi.blocks.parts == inv.parts
+    assert psi.parts == k_psi.parts == inv.parts
     if split:
         assert not dense_inv[::2, 1::2].any() and not dense_inv[1::2, ::2].any()
 
@@ -440,7 +458,7 @@ def test_one_entry_off_parity_takes_the_dense_path(monkeypatch, entry):
     calls = count_numpy_calls(monkeypatch, "svd")
     t = LinearMap(a)
     u, s, vh = t.svd[0]
-    assert len(calls) == 1 and t.blocks.parts == 1
+    assert len(calls) == 1 and t.parts == 1
     for got, want in zip((u, s, vh), np.linalg.svd(a)):
         assert np.array_equal(got, want)
     eigh_calls = count_numpy_calls(monkeypatch, "eigh")

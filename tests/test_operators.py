@@ -64,10 +64,10 @@ def product_check(opset, pairs, tolerance=1e-10):
 
 def test_diag_hamiltonian():
     h = dense(hamiltonian_shift(np.array([1.0, 2.0, 3.0]), 3))
-    np.testing.assert_array_equal(h.entries, np.diag([1.0, 2.0, 3.0]))
+    np.testing.assert_array_equal(np.asarray(h), np.diag([1.0, 2.0, 3.0]))
     assert h.self_adjoint
     h_sqrt = dense(hamiltonian_shift(np.sqrt(np.arange(3)), 3))
-    np.testing.assert_allclose(np.diag(h_sqrt.entries), [0.0, 1.0, np.sqrt(2.0)], atol=0)
+    np.testing.assert_allclose(np.diag(np.asarray(h_sqrt)), [0.0, 1.0, np.sqrt(2.0)], atol=0)
 
 
 def test_diag_hamiltonian_complex_adjoint():
@@ -75,7 +75,7 @@ def test_diag_hamiltonian_complex_adjoint():
     h = dense(hamiltonian_shift(alpha, 2))
     assert not h.self_adjoint
     np.testing.assert_array_equal(
-        h.entries.conj().T, dense(hamiltonian_shift(alpha.conj(), 2)).entries
+        np.asarray(h).conj().T, np.asarray(dense(hamiltonian_shift(alpha.conj(), 2)))
     )
 
 
@@ -87,29 +87,29 @@ def test_diag_hamiltonian_length_guard():
 def test_ladder_matrices():
     a, b = ladder_matrices(np.sqrt(np.arange(3)), 3)
     np.testing.assert_allclose(
-        a.entries, [[0, 1, 0], [0, 0, np.sqrt(2)], [0, 0, 0]], atol=0
+        np.asarray(a), [[0, 1, 0], [0, 0, np.sqrt(2)], [0, 0, 0]], atol=0
     )
-    np.testing.assert_array_equal(b.entries, a.entries.conj().T)
+    np.testing.assert_array_equal(np.asarray(b), np.asarray(a).conj().T)
     # lowering annihilates the ground state exactly
-    assert np.all(a.entries @ np.eye(3)[:, 0] == 0.0)
+    assert np.all(np.asarray(a) @ np.eye(3)[:, 0] == 0.0)
 
 
 def test_ladder_actions_on_reference_basis():
     dim = 6
     a, b = ladder_matrices(np.sqrt(np.arange(dim)), dim)
     e = np.eye(dim)
-    np.testing.assert_array_equal(a.entries @ e[:, 1], e[:, 0])
-    np.testing.assert_array_equal(b.entries @ e[:, 0], e[:, 1])
+    np.testing.assert_array_equal(np.asarray(a) @ e[:, 1], e[:, 0])
+    np.testing.assert_array_equal(np.asarray(b) @ e[:, 0], e[:, 1])
     # truncation edge: the raising operator kills the top vector
-    assert np.all(b.entries @ e[:, dim - 1] == 0.0)
+    assert np.all(np.asarray(b) @ e[:, dim - 1] == 0.0)
 
 
 def test_transform_identity_and_diagonal():
     h = hamiltonian_shift(np.array([1.0, 2.0]), 2)
-    np.testing.assert_allclose(transform(h, LinearMap(np.eye(2)), "phi_psi"), dense(h).entries, atol=0)
+    np.testing.assert_allclose(transform(h, LinearMap(np.eye(2)), "phi_psi"), np.asarray(dense(h)), atol=0)
     h3 = hamiltonian_shift(np.array([1.0, 2.0, 3.0]), 3)
     t3 = from_diagonal([1, 2, 3])
-    np.testing.assert_allclose(transform(h3, t3, "phi_psi"), dense(h3).entries, atol=1e-15)
+    np.testing.assert_allclose(transform(h3, t3, "phi_psi"), np.asarray(dense(h3)), atol=1e-15)
 
 
 def test_transform_unipotent_by_hand():
@@ -244,7 +244,7 @@ def test_product_identity_mixed_positive_constructor():
     alpha = np.sqrt(np.arange(3))
     opset = build_operator_set(t, alpha)
     t_inv = np.diag([1.0, 0.5, 1.0 / 3.0])
-    expected = t_inv @ dense(opset.a_e).entries @ t.entries @ t.entries @ dense(opset.b_e).entries @ t_inv
+    expected = t_inv @ np.asarray(dense(opset.a_e)) @ np.asarray(t) @ np.asarray(t) @ np.asarray(dense(opset.b_e)) @ t_inv
     actual = opset.a_psi_phi @ opset.b_phi_psi
     assert np.linalg.norm(actual - expected) <= 1e-12 * np.linalg.norm(expected)
     report = product_check(opset, [(1, 1)])
@@ -327,10 +327,10 @@ def dense_product_identity_check(opset, pairs, tolerance=1e-10):
     under the spectral scale ||right||_2 cond(T) max|a_n|^m max|b_n|^l
     (cond(T)^2 for the mixed product), each norm from its own SVD.
     """
-    t = opset.t.entries
+    t = np.asarray(opset.t)
     t_adj_inv = np.asarray(invert(opset.t)).conj().T
     a_phi, b_phi, a_psi, b_psi = (np.asarray(getattr(opset, f)) for f in ("a_phi_psi", "b_phi_psi", "a_psi_phi", "b_psi_phi"))
-    a_e, b_e = dense(opset.a_e).entries, dense(opset.b_e).entries
+    a_e, b_e = np.asarray(dense(opset.a_e)), np.asarray(dense(opset.b_e))
     power = np.linalg.matrix_power
     cond = np.linalg.cond(t)
     peak_a, peak_b = np.abs(a_e).max(), np.abs(b_e).max()
@@ -379,7 +379,7 @@ SPLIT_ODD = SPLIT_EVEN + 1
 def product_opsets():
     rng = stream_rng(47)
     dense = random_conditioned_map(12, 50.0, rng)
-    dense = LinearMap(dense.entries + 0.3j * rng.standard_normal((12, 12)))
+    dense = LinearMap(np.asarray(dense) + 0.3j * rng.standard_normal((12, 12)))
     complex_alpha = np.arange(12) + 0.25j * (-1.0) ** np.arange(12)
     return {
         "hermite-x": build_operator_set(LinearMap(tail_family(SPLIT_EVEN)), np.sqrt(np.arange(SPLIT_EVEN))),
@@ -449,9 +449,9 @@ def with_defect(opset, target, stored):
         return m
 
     if target == "t":
-        return dataclasses.replace(opset, t=LinearMap(placed(opset.t.entries, (0, 0) if stored else (0, 1))))
+        return dataclasses.replace(opset, t=LinearMap(placed(opset.t, (0, 0) if stored else (0, 1))))
     if target == "t_adj_inverse":
-        t = LinearMap(opset.t.entries)
+        t = LinearMap(opset.t)
         t.svd = opset.t.svd
         # entry [0, 1] of (T*)^-1 is entry [1, 0] of the one held T^-1
         t.inverse = Blocks.of(placed(invert(opset.t), (0, 0) if stored else (1, 0)))
@@ -476,7 +476,7 @@ def test_a_parity_block_defect_is_read_as_the_dense_oracle_reads_it(kind, target
     # but "t".  A defect in a stored block keeps every input split.
     clean = product_opsets()[kind]
     opset = with_defect(clean, target, stored)
-    inputs = (opset.t.blocks, opset.t.adjoint_inverse, opset.a_phi_psi, opset.b_phi_psi, opset.a_psi_phi, opset.b_psi_phi)
+    inputs = (opset.t, opset.t.adjoint_inverse, opset.a_phi_psi, opset.b_phi_psi, opset.a_psi_phi, opset.b_psi_phi)
     assert all(m.parts == 2 for m in inputs) == stored
     eps = np.finfo(float).eps
     # The oracle scales the psi side by the 2-norm of the (T*)^-1 it reads,
@@ -525,8 +525,8 @@ def test_product_identities_form_one_gemm_per_nonzero_block_per_word():
 
     for name, opset in product_opsets().items():
         parts = 2 if name in PARITY_SPLIT else 1
-        t = LinearMap(opset.t.entries)
-        t.blocks = counting(opset.t.blocks)
+        t = LinearMap(opset.t)
+        t.blocks = counting(opset.t).blocks
         t.inverse = counting(invert(opset.t))
         t.svd = opset.t.svd
         counted = dataclasses.replace(opset, t=t, **{f: counting(getattr(opset, f)) for f in fields})
@@ -640,8 +640,8 @@ def parent_transform(op_e, t, side):
     """The two-product transform build_operator_set replaced: T op T^-1 or (T*)^-1 op T* as dense gemms."""
     t_inv = np.asarray(invert(t))
     if side == "phi_psi":
-        return t.entries @ dense(op_e).entries @ t_inv
-    return t_inv.conj().T @ dense(op_e).entries @ t.entries.conj().T
+        return np.asarray(t) @ np.asarray(dense(op_e)) @ t_inv
+    return t_inv.conj().T @ np.asarray(dense(op_e)) @ np.asarray(t).conj().T
 
 
 def test_operator_set_matches_parent_transform():
@@ -659,10 +659,10 @@ def test_operator_set_matches_parent_transform():
         ):
             expected = parent_transform(op_e, opset.t, side)
             actual = getattr(opset, field)
-            if np.isrealobj(opset.alpha) and opset.t.blocks.parts == 1:
+            if np.isrealobj(opset.alpha) and opset.t.parts == 1:
                 np.testing.assert_array_equal(actual, expected, err_msg=f"{name} {field}")
             else:
-                scale = np.linalg.norm(opset.t.entries) * invert(opset.t).frobenius()
+                scale = np.linalg.norm(np.asarray(opset.t)) * invert(opset.t).frobenius()
                 scale *= np.abs(opset.alpha).max()
                 assert np.abs(actual - expected).max() <= 4 * np.finfo(float).eps * scale, (name, field)
 
@@ -682,7 +682,7 @@ def test_real_operator_set_matches_complex_arithmetic():
         ),
     }
     for name, opset in opsets.items():
-        t = opset.t.entries.astype(np.complex128)
+        t = np.asarray(opset.t).astype(np.complex128)
         u, s, vh = np.linalg.svd(t)
         t_inv = (vh.conj().T * (1.0 / s)) @ u.conj().T
         scale = np.linalg.norm(t) * np.linalg.norm(t_inv) * np.abs(opset.alpha).max()
@@ -694,7 +694,7 @@ def test_real_operator_set_matches_complex_arithmetic():
             ("a_psi_phi", opset.a_e, "psi_phi"),
             ("b_psi_phi", opset.b_e, "psi_phi"),
         ):
-            w = dense(op_e).entries.astype(np.complex128)
+            w = np.asarray(dense(op_e)).astype(np.complex128)
             expected = t @ w @ t_inv if side == "phi_psi" else t_inv.conj().T @ w @ t.conj().T
             actual = getattr(opset, field)
             assert actual.dtype == np.float64, (name, field)
@@ -713,7 +713,7 @@ def test_shift_dtype_follows_its_operands():
     assert (c_lowering @ raising).coefficients.dtype == np.complex128
     assert (np.eye(4) @ c_lowering).dtype == np.complex128
     assert (np.eye(4, dtype=np.complex128) @ raising).dtype == np.complex128
-    # coefficients follow the rule of LinearMap: no imaginary part is real
+    # coefficients follow the rule of Blocks.of (`real_or_complex`): no imaginary part is real
     assert WeightedShift(1, np.ones(4, dtype=np.complex128)).coefficients.dtype == np.float64
     assert tail_coefficient_vector(lambda n: complex(n), 4).dtype == np.float64
     assert tail_coefficient_vector(lambda n: 1j * n, 4).dtype == np.complex128
@@ -773,10 +773,10 @@ def test_ccr_small_dimensions():
     # commutator diagonals computed by hand from the shifted sqrt entries
     alpha = np.sqrt(np.arange(3))
     a, b = ladder_matrices(alpha, 3)
-    comm = a.entries @ b.entries - b.entries @ a.entries
+    comm = np.asarray(a) @ np.asarray(b) - np.asarray(b) @ np.asarray(a)
     np.testing.assert_allclose(comm, np.diag([1.0, 1.0, -2.0]), atol=1e-14)
     a2, b2 = ladder_matrices(np.sqrt(np.arange(2)), 2)
-    comm2 = a2.entries @ b2.entries - b2.entries @ a2.entries
+    comm2 = np.asarray(a2) @ np.asarray(b2) - np.asarray(b2) @ np.asarray(a2)
     np.testing.assert_allclose(comm2, np.diag([1.0, -1.0]), atol=1e-15)
     assert ccr_check(reference_opset(alpha), 1e-12).passed
     assert ccr_check(reference_opset(np.sqrt(np.arange(2))), 1e-12).passed
@@ -846,13 +846,13 @@ def test_operator_set_spectrum_preserved():
 
 def test_operator_set_b_is_adjoint_of_a_for_real_alpha():
     opset = build_operator_set(LinearMap(np.eye(5)), np.sqrt(np.arange(5)))
-    np.testing.assert_array_equal(dense(opset.b_e).entries, dense(opset.a_e).entries.conj().T)
+    np.testing.assert_array_equal(np.asarray(dense(opset.b_e)), np.asarray(dense(opset.a_e)).conj().T)
 
 
 @pytest.mark.parametrize("dim", [8, 32, 256, 325])
 def test_ccr_reference_commutator_by_shift_algebra_matches_dense_products(dim):
     a, b = ladder_shifts(np.sqrt(np.arange(dim)), dim)
-    dense_a, dense_b = dense(a).entries, dense(b).entries
+    dense_a, dense_b = np.asarray(dense(a)), np.asarray(dense(b))
     assert (a @ b).offset == (b @ a).offset == 0
     by_shifts = np.diag((a @ b).coefficients - (b @ a).coefficients)
     assert np.array_equal(by_shifts, dense_a @ dense_b - dense_b @ dense_a)
@@ -861,7 +861,7 @@ def test_ccr_reference_commutator_by_shift_algebra_matches_dense_products(dim):
 def test_ccr_check_matches_the_dense_commutator_formula():
     t = random_conditioned_map(16, 20.0, stream_rng(63))
     opset = build_operator_set(t, np.sqrt(np.arange(16)))
-    a, b = dense(opset.a_e).entries, dense(opset.b_e).entries
+    a, b = np.asarray(dense(opset.a_e)), np.asarray(dense(opset.b_e))
     comm = a @ b - b @ a
     expected = np.eye(16)
     expected[-1, -1] = -15.0

@@ -5,6 +5,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rieszlab.cli import main
@@ -34,7 +35,7 @@ def test_library_example_prints_what_its_comments_say(capsys):
 
 def test_digest_recipe_ties_a_dense_config_to_its_report(tmp_path, monkeypatch):
     block = python_block("sha256")
-    t = random_conditioned_map(4, 10.0, stream_rng(70)).entries.ravel()
+    t = np.asarray(random_conditioned_map(4, 10.0, stream_rng(70))).ravel()
     # a plain number and [re, im] pairs, the two spellings the recipe reads
     entries = [float(t[0].real), *([float(v.real), float(v.imag)] for v in t[1:])]
     config = {"dimension": 4, "operator": {"kind": "dense", "entries": entries}, "checks": ["biorthogonality"]}

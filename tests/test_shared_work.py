@@ -147,7 +147,7 @@ def test_operator_and_alpha_dtype_follow_the_config():
         "alpha": {"kind": "custom", "values": [[0, 0], [1, 0]]},
     }
     cfg = parse_config(json.dumps(real_dense))
-    assert suite.build_operator(cfg).entries.dtype == np.float64
+    assert suite.build_operator(cfg).dtype == np.float64
     assert suite._SuiteContext(cfg).opset.alpha.dtype == np.float64
     phases = {
         "dimension": 3,
@@ -155,7 +155,7 @@ def test_operator_and_alpha_dtype_follow_the_config():
         "alpha": {"kind": "custom", "values": [[0, 0], [1, 0.5], [2, 0]]},
     }
     cfg = parse_config(json.dumps(phases))
-    assert suite.build_operator(cfg).entries.dtype == np.complex128
+    assert suite.build_operator(cfg).dtype == np.complex128
     assert suite._SuiteContext(cfg).opset.alpha.dtype == np.complex128
 
 
@@ -281,4 +281,4 @@ def test_every_derived_matrix_is_a_read_only_blocks(alpha, kind):
         assert m.parts == parts and m.shift == (parts == 2 and name[:2] in ("a_", "b_")), name
         assert not any(b.flags.writeable for b in m.blocks), name
     assert isinstance(opset.t, LinearMap) and isinstance(frame_ops.k_phi, LinearMap)
-    assert frame_ops.k_phi.blocks.parts == frame_ops.k_psi.blocks.parts == parts
+    assert frame_ops.k_phi.parts == frame_ops.k_psi.parts == parts

@@ -22,6 +22,7 @@ from rieszlab import (
     verify_clause_i3,
 )
 from rieszlab import suite
+from rieszlab.cli import _hermite_config
 from rieszlab.linalg import SPLIT_FLOOR, Blocks
 from rieszlab.errors import DimensionMismatch, NumericallySingular
 from rieszlab.hermite import tail_family
@@ -61,13 +62,13 @@ def test_build_system_families_are_read_only_blocks(dim):
                 assert not block.flags.writeable
                 with pytest.raises(ValueError):
                     block[0, 0] = 5.0
-        # phi holds T's own blocks, psi the adjoint of T's one inverse
-        assert sys_.phi is t.blocks
+        # phi is T itself, psi the adjoint of T's one inverse
+        assert sys_.phi is t
         assert all(np.shares_memory(p, i) for p, i in zip(sys_.psi.blocks, invert(t).blocks)) == (dtype == np.float64)
         # the family format check hands an array already in that layout back as it is
         dense = np.asarray(sys_.phi)
         assert np.shares_memory(family_matrix(dense), dense)
-    # a complex family with no imaginary part is real, by the rule of LinearMap
+    # a complex family with no imaginary part is real, by the package's one dtype rule
     assert family_matrix(np.eye(3, dtype=np.complex128)).dtype == np.float64
 
 
@@ -84,7 +85,7 @@ def test_build_system_holds_no_second_inverse():
         tracemalloc.stop()
     block = 128 * 128 * 8
     assert peak < 0.1 * block and kept < 0.1 * block, (peak, kept)
-    assert sys_.phi is t.blocks
+    assert sys_.phi is t
     assert all(np.shares_memory(p, i) for p, i in zip(sys_.psi.blocks, invert(t).blocks))
 
 
@@ -92,16 +93,76 @@ def test_psi_is_the_maps_adjoint_inverse():
     # the dual family is the adjoint of the map's one T^-1, block by block
     for t in (LinearMap(tail_family(8)), LinearMap(tail_family(65)), random_conditioned_map(6, 10.0, stream_rng(29))):
         psi = build_system(t).psi
-        assert psi.parts == invert(t).parts == t.blocks.parts
+        assert psi.parts == invert(t).parts == t.parts
         np.testing.assert_array_equal(psi, np.asarray(invert(t)).conj().T)
 
 
 def test_family_of_a_writable_caller_buffer_is_copied():
-    for family in (np.eye(3), np.eye(6)[:3], np.eye(3, dtype=np.complex128)):
-        sys_ = BiorthogonalSystem(phi=family, psi=family)
-        (block,) = sys_.phi.blocks
-        assert not np.shares_memory(block, family) and not block.flags.writeable
-        assert family.flags.writeable
+    # Blocks.of holds a read-only array; a writable buffer of the caller's
+    # is copied, so the caller keeps writing to its own, also through a
+    # read-only view of it
+    writable = np.eye(3)
+    view = writable.view()
+    view.setflags(write=False)
+    for family in (np.eye(3), np.eye(6)[:3], np.eye(3, dtype=np.complex128), np.eye(SPLIT_FLOOR), view):
+        for held in (Blocks.of(family), BiorthogonalSystem(phi=family, psi=family).phi):
+            assert not any(np.shares_memory(b, family) or b.flags.writeable for b in held.blocks)
+    assert not np.shares_memory(np.asarray(LinearMap(view)), writable) and writable.flags.writeable
+    # a read-only array in the package's layout is held as it is
+    frozen = np.eye(3)
+    frozen.setflags(write=False)
+    (block,) = Blocks.of(frozen).blocks
+    assert block is frozen
+    # a map or a system family comes back as it is
+    t = from_diagonal([1.0, 2.0])
+    assert Blocks.of(t) is t and BiorthogonalSystem(phi=t, psi=t).phi is t
+
+
+def test_a_split_map_holds_only_its_parity_blocks():
+    # T is held once: a Hermite X from the split floor is its two parity
+    # blocks, with no dense copy among its cached values, and phi is T itself
+    t = LinearMap(tail_family(256))
+    sys_ = build_system(t)
+    polar_decompose(t)
+    assert t.parts == 2 and [b.shape for b in t.blocks] == [(128, 128)] * 2
+    assert sys_.phi is t and np.shares_memory(sys_.phi.blocks[0], t.blocks[0])
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, Blocks):
+            yield from value.blocks
+        elif isinstance(value, tuple):
+            for v in value:
+                yield from arrays(v)
+
+    held = list(arrays(tuple(vars(t).values())))
+    assert {"svd", "inverse", "adjoint_inverse"} <= vars(t).keys() and held
+    assert all(a.ndim < 2 or max(a.shape) <= 128 for a in held), [a.shape for a in held]
+
+
+def test_hermite_full_suite_peak_at_256():
+    # the traced peak of one warm run: T held as its parity blocks only
+    cfg = _hermite_config(256, full_suite=True, seed=0)
+    suite.run_suite(cfg)
+    tracemalloc.start()
+    try:
+        reports = suite.run_suite(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in reports)
+    assert peak <= 7.3 * 2**20, peak / 2**20
+
+
+def test_biorthogonality_reads_the_diagonal_of_a_parity_swapping_product():
+    # phi swaps e_2i and e_2i+1; psi is the identity: <phi_k, psi_k> = 0 and
+    # <phi_2i, psi_2i+1> = 1, so the deviation from the Kronecker delta is 1
+    half = np.eye(32)
+    sys_ = BiorthogonalSystem(phi=Blocks([half, half], 1), psi=Blocks([half, half]))
+    report = check_biorthogonality(sys_, 1e-8)
+    assert report.residual == 1.0 and not report.passed
+    assert (report.details["worst_row"], report.details["worst_col"]) == (0, 0)
 
 
 def test_build_system_diagonal():
@@ -138,14 +199,14 @@ def test_check_biorthogonality_detects_scaling():
 
 
 def test_frame_operator_resolution_of_identity():
-    np.testing.assert_array_equal(frame_operator(np.eye(4)).entries, np.eye(4))
+    np.testing.assert_array_equal(np.asarray(frame_operator(np.eye(4))), np.eye(4))
 
 
 def test_frame_operator_diagonal_families():
     sys_ = diag_system()
-    np.testing.assert_allclose(frame_operator(sys_.phi).entries, np.diag([1.0, 4.0, 9.0]), atol=0)
+    np.testing.assert_allclose(np.asarray(frame_operator(sys_.phi)), np.diag([1.0, 4.0, 9.0]), atol=0)
     np.testing.assert_allclose(
-        frame_operator(sys_.psi).entries, np.diag([1.0, 0.25, 1.0 / 9.0]), atol=1e-16
+        np.asarray(frame_operator(sys_.psi)), np.diag([1.0, 0.25, 1.0 / 9.0]), atol=1e-16
     )
 
 
@@ -154,10 +215,10 @@ def test_frame_operator_matches_tt_star():
     for _ in range(5):
         t = random_conditioned_map(10, 30.0, rng)
         sys_ = build_system(t)
-        k_phi = frame_operator(sys_.phi).entries
-        expected = t.entries @ t.entries.conj().T
+        k_phi = np.asarray(frame_operator(sys_.phi))
+        expected = np.asarray(t) @ np.asarray(t).conj().T
         assert np.linalg.norm(k_phi - expected) <= 1e-10 * np.linalg.norm(expected)
-        k_psi = frame_operator(sys_.psi).entries
+        k_psi = np.asarray(frame_operator(sys_.psi))
         expected_inv = np.linalg.inv(expected)
         assert np.linalg.norm(k_psi - expected_inv) <= 1e-9 * np.linalg.norm(expected_inv)
 
@@ -176,7 +237,7 @@ def test_k_relations_diagonal():
     assert report.passed
     assert report.residual < 1e-14
     # K_phi psi_1 = diag(1,4,9) e_1 / 2 = 2 e_1 = phi_1, by hand
-    k_phi = frame_operator(sys_.phi).entries
+    k_phi = np.asarray(frame_operator(sys_.phi))
     np.testing.assert_allclose(k_phi @ np.asarray(sys_.psi)[:, 1], np.asarray(sys_.phi)[:, 1], atol=1e-15)
 
 
@@ -290,7 +351,7 @@ def test_polar_check_swap_example():
     f_0 = np.asarray(unitary)[:, 0]
     np.testing.assert_allclose(positive, np.diag([2.0, 1.0]), atol=1e-14)
     np.testing.assert_allclose(f_0, [0, 1], atol=1e-14)
-    np.testing.assert_allclose(np.asarray(positive) @ f_0, t.entries[:, 0], atol=1e-14)
+    np.testing.assert_allclose(np.asarray(positive) @ f_0, np.asarray(t)[:, 0], atol=1e-14)
     report = polar_report(t)
     assert report.passed and report.residual <= 1e-14
 
@@ -300,7 +361,7 @@ def test_polar_check_reassembles():
     positive, unitary = polar_decompose(t)
     assert LinearMap(positive).positive
     rebuilt = np.asarray(positive @ unitary)
-    assert np.linalg.norm(rebuilt - t.entries, axis=0).max() <= 1e-9 * np.linalg.norm(t.entries)
+    assert np.linalg.norm(rebuilt - np.asarray(t), axis=0).max() <= 1e-9 * np.linalg.norm(np.asarray(t))
     # P on the rotated basis constructs the same phi family as T
     again = build_system(LinearMap(rebuilt))
     assert np.abs(np.asarray(again.phi) - build_system(t).phi).max() <= 1e-9
@@ -339,9 +400,9 @@ def test_polar_check_reads_a_non_unitary_factor_against_the_tolerance(monkeypatc
 
 
 def test_the_map_is_the_one_representation():
-    # phi is T's own read-only blocks, and the operator set keeps T itself
+    # phi is T itself, and the operator set keeps T itself
     t = random_conditioned_map(6, 20.0, stream_rng(30))
-    assert build_system(t).phi is t.blocks and np.shares_memory(t.blocks.blocks[0], t.entries)
+    assert build_system(t).phi is t
     assert build_operator_set(t, np.sqrt(np.arange(6))).t is t
 
 
@@ -357,7 +418,7 @@ def test_scaling_covariance():
     rng = stream_rng(27)
     t = random_conditioned_map(8, 10.0, rng)
     sys_ = build_system(t)
-    scaled = build_system(LinearMap(2.5 * t.entries))
+    scaled = build_system(LinearMap(2.5 * np.asarray(t)))
     np.testing.assert_allclose(scaled.phi, 2.5 * np.asarray(sys_.phi), rtol=1e-12)
     np.testing.assert_allclose(scaled.psi, np.asarray(sys_.psi) / 2.5, rtol=1e-11)
     assert abs(check_biorthogonality(scaled, 1e-8).residual - check_biorthogonality(sys_, 1e-8).residual) < 1e-12
@@ -369,9 +430,9 @@ def test_explicit_basis_pair():
     rng = stream_rng(28)
     v = random_unitary(6, rng)
     t = random_conditioned_map(6, 20.0, rng)
-    sys_ = build_system(LinearMap(t.entries @ v.entries))
+    sys_ = build_system(LinearMap(np.asarray(t) @ np.asarray(v)))
     assert check_biorthogonality(sys_, 1e-8).residual <= 1e-10
-    np.testing.assert_allclose(sys_.psi, np.asarray(invert(t)).conj().T @ v.entries, atol=1e-12)
+    np.testing.assert_allclose(sys_.psi, np.asarray(invert(t)).conj().T @ np.asarray(v), atol=1e-12)
 
 
 def test_system_from_families_shape_guard():
@@ -399,10 +460,10 @@ def test_user_supplied_system_reconstruction():
 def test_k_relations_reuse_the_one_step_products_bit_for_bit(complex_t):
     # the round trips reuse K_phi psi and K_psi phi; the old formula formed each twice
     t = random_conditioned_map(12, 30.0, stream_rng(61))
-    t = t if complex_t else LinearMap(t.entries.real)
+    t = t if complex_t else LinearMap(np.asarray(t).real)
     sys_ = build_system(t)
     ops = build_frame_operators(sys_)
-    phi, psi, k_phi, k_psi = (np.asarray(m) for m in (sys_.phi, sys_.psi, ops.k_phi.entries, ops.k_psi.entries))
+    phi, psi, k_phi, k_psi = (np.asarray(m) for m in (sys_.phi, sys_.psi, ops.k_phi, ops.k_psi))
 
     def worst(actual, expected):
         norms = np.maximum(1.0, np.linalg.norm(expected, axis=0))
