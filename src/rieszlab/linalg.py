@@ -61,6 +61,14 @@ def real_or_complex(values) -> np.ndarray:
     return a.astype(np.float64, copy=False)
 
 
+def _family_array(a) -> np.ndarray:
+    """a as a nonempty 2-D array (else DimensionMismatch) under the dtype rule, C-contiguous; no copy when already so."""
+    m = np.asarray(a)
+    if m.ndim != 2 or m.size == 0:
+        raise DimensionMismatch(f"expected a nonempty 2-D array, got shape {m.shape}")
+    return np.ascontiguousarray(real_or_complex(m))
+
+
 def read_only(a):
     """a itself, made read-only: an array, or every block of a `Blocks`; the form of every derived matrix a run holds."""
     for b in a.blocks if isinstance(a, Blocks) else (a,):
@@ -94,24 +102,21 @@ class Blocks:
 
     @classmethod
     def of(cls, a) -> "Blocks":
-        """A family or map as read-only Blocks under the package's dtype rule (`real_or_complex`).
+        """A family or map as read-only Blocks.
 
-        A LinearMap comes back as it is.  Any other Blocks keeps its blocks,
-        made real or complex as a whole and read-only.  An array must be
-        nonempty and 2-D; it is held C-contiguous, as copies of its two
-        parity blocks when it is square, keeps parity by exact zeros and
-        N >= SPLIT_FLOOR, else as one block, copied when it is a view or a
-        writable array of the caller's.
+        A read-only Blocks (a map, any matrix a run derives) comes back as
+        it is; one with a writable block is made read-only and real or
+        complex as a whole (`real_or_complex`).  An array (`_family_array`)
+        is held as copies of its two parity blocks when it is square, keeps
+        parity by exact zeros and N >= SPLIT_FLOOR, else as one block,
+        copied when it is a view or a writable array of the caller's.
         """
-        if isinstance(a, LinearMap):
-            return a
         if isinstance(a, Blocks):
+            if not any(b.flags.writeable for b in a.blocks):
+                return a
             real = not any(np.iscomplexobj(b) and b.imag.any() for b in a.blocks)
             return read_only(a._map(real_or_complex if real else lambda b: b.astype(np.complex128, copy=False)))
-        m = np.asarray(a)
-        if m.ndim != 2 or m.size == 0:
-            raise DimensionMismatch(f"expected a nonempty 2-D array, got shape {m.shape}")
-        m = np.ascontiguousarray(real_or_complex(m))
+        m = _family_array(a)
         if m.shape[0] == m.shape[1] >= SPLIT_FLOOR and _keeps_parity(m):
             return read_only(cls([np.ascontiguousarray(m[p::2, p::2]) for p in (0, 1)]))
         if not m.flags.owndata or (m is a and m.flags.writeable):

@@ -195,7 +195,8 @@ def eigen_check(relations: dict[str, Eigenrelation], cond: float, tolerance: flo
     """Residual of H v_k = alpha_k v_k over max(1, |v_k|) at every k of both families, against tolerance * cond(T)."""
     details = {}
     for side, r in relations.items():
-        details[f"{side}_family"] = float(column_residuals(r.residual, r.family).max())
+        (residual,) = column_residuals(r.family, r.residual)
+        details[f"{side}_family"] = float(residual.max())
     residual = worst(details.values())
     return make_report("eigen", residual, tolerance * cond, details=details | {"cond": cond})
 
@@ -217,8 +218,7 @@ def ladder_check(opset: OperatorSet, sys: BiorthogonalSystem, tolerance: float) 
         ("phi", opset.a_phi_psi, opset.b_phi_psi, sys.phi),
         ("psi", opset.a_psi_phi, opset.b_psi_phi, sys.psi),
     ):
-        low = column_residuals(a @ m - m @ opset.a_e, m)
-        high = column_residuals(b @ m - m @ opset.b_e, m)
+        low, high = column_residuals(m, a @ m - m @ opset.a_e, b @ m - m @ opset.b_e)
         details[f"{side}_lowering_ground"] = float(low[0])
         details[f"{side}_lowering_max"] = float(low[1:].max()) if low.size > 1 else 0.0
         details[f"{side}_raising_max"] = float(high[:-1].max()) if high.size > 1 else 0.0

@@ -130,7 +130,7 @@ def _check_polar(ctx: _SuiteContext) -> CheckReport:
     t_map = ctx.operator
     positive, u = polar_decompose(t_map)
     gram = (u.H @ u).minus_diagonal().max_abs()
-    reassembly = float(systems.column_residuals(positive @ u - t_map, t_map).max())
+    reassembly = float(systems.column_residuals(t_map, positive @ u - t_map)[0].max())
     return make_report(
         "polar",
         worst([reassembly, gram]),

@@ -18,21 +18,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import Blocks, LinearMap, apply, operator_sqrt, real_or_complex
+from .linalg import Blocks, LinearMap, _family_array, apply, operator_sqrt
 from .reporting import CheckReport, make_report, worst
 
 
 def family_matrix(family) -> np.ndarray:
-    """A vector family as a C-contiguous array, column k the k-th vector.
-
-    The dtype follows `linalg.real_or_complex`.  The input must be a
-    nonempty 2-D array; one already in that layout is returned as it is,
-    without a copy.
-    """
-    m = np.asarray(family)
-    if m.ndim != 2 or m.size == 0:
-        raise DimensionMismatch(f"expected a nonempty 2-D family array, got shape {m.shape}")
-    return np.ascontiguousarray(real_or_complex(m))
+    """A vector family as a C-contiguous array, column k the k-th vector, checked and typed as `Blocks.of` reads an array."""
+    return _family_array(family)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,9 +85,10 @@ def build_frame_operators(sys: BiorthogonalSystem) -> FrameOperators:
     return FrameOperators(k_phi=frame_operator(sys.phi), k_psi=frame_operator(sys.psi))
 
 
-def column_residuals(deviation: Blocks, family: Blocks) -> np.ndarray:
-    """Each column's deviation norm over the larger of 1 and the norm of the family's column: the one per-column reading."""
-    return deviation.column_norms() / np.maximum(1.0, family.column_norms())
+def column_residuals(family: Blocks, *deviations: Blocks) -> list[np.ndarray]:
+    """Per deviation, each column's norm over the larger of 1 and the norm of the family's column: the one per-column reading."""
+    floor = np.maximum(1.0, family.column_norms())
+    return [d.column_norms() / floor for d in deviations]
 
 
 def verify_K_relations(sys: BiorthogonalSystem, ops: FrameOperators, tolerance: float) -> CheckReport:
@@ -104,11 +97,13 @@ def verify_K_relations(sys: BiorthogonalSystem, ops: FrameOperators, tolerance: 
     k_phi, k_psi = ops.k_phi, ops.k_psi
     phi_from_psi = k_phi @ psi_m
     psi_from_phi = k_psi @ phi_m
+    on_phi = column_residuals(phi_m, phi_from_psi - phi_m, k_phi @ psi_from_phi - phi_m)
+    on_psi = column_residuals(psi_m, psi_from_phi - psi_m, k_psi @ phi_from_psi - psi_m)
     details = {
-        "phi_from_psi": float(column_residuals(phi_from_psi - phi_m, phi_m).max()),
-        "psi_from_phi": float(column_residuals(psi_from_phi - psi_m, psi_m).max()),
-        "psi_roundtrip": float(column_residuals(k_psi @ phi_from_psi - psi_m, psi_m).max()),
-        "phi_roundtrip": float(column_residuals(k_phi @ psi_from_phi - phi_m, phi_m).max()),
+        "phi_from_psi": float(on_phi[0].max()),
+        "psi_from_phi": float(on_psi[0].max()),
+        "psi_roundtrip": float(on_psi[1].max()),
+        "phi_roundtrip": float(on_phi[1].max()),
         "product_identity": (k_phi @ k_psi).minus_diagonal().frobenius() / np.sqrt(sys.dim),
     }
     return make_report("k_relations", worst(details.values()), tolerance, details=details)

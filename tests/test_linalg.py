@@ -31,7 +31,7 @@ def test_dtype_follows_the_entries():
         assert make([[1, 2j], [3, 4]]).dtype == np.complex128
     assert from_diagonal([1.0, 2.0]).dtype == np.float64
     assert from_diagonal([1.0, 1j]).dtype == np.complex128
-    # a Blocks is real or complex as a whole, every block alike
+    # a Blocks with writable blocks is made real or complex as a whole, every block alike
     assert all(b.dtype == np.float64 for b in Blocks.of(Blocks([np.eye(2, dtype=np.complex128), np.eye(2)])).blocks)
     assert all(b.dtype == np.complex128 for b in Blocks.of(Blocks([np.eye(2), 1j * np.eye(2)])).blocks)
     # the map owns its entries, for complex input too

@@ -93,6 +93,7 @@ def test_psi_is_the_maps_adjoint_inverse():
     # the dual family is the adjoint of the map's one T^-1, block by block
     for t in (LinearMap(tail_family(8)), LinearMap(tail_family(65)), random_conditioned_map(6, 10.0, stream_rng(29))):
         psi = build_system(t).psi
+        assert psi is t.adjoint_inverse
         assert psi.parts == invert(t).parts == t.parts
         np.testing.assert_array_equal(psi, np.asarray(invert(t)).conj().T)
 
@@ -107,15 +108,17 @@ def test_family_of_a_writable_caller_buffer_is_copied():
     for family in (np.eye(3), np.eye(6)[:3], np.eye(3, dtype=np.complex128), np.eye(SPLIT_FLOOR), view):
         for held in (Blocks.of(family), BiorthogonalSystem(phi=family, psi=family).phi):
             assert not any(np.shares_memory(b, family) or b.flags.writeable for b in held.blocks)
+            assert family is view or family.flags.writeable
     assert not np.shares_memory(np.asarray(LinearMap(view)), writable) and writable.flags.writeable
     # a read-only array in the package's layout is held as it is
     frozen = np.eye(3)
     frozen.setflags(write=False)
     (block,) = Blocks.of(frozen).blocks
     assert block is frozen
-    # a map or a system family comes back as it is
+    # a map, a system family or any other read-only Blocks comes back as it is
     t = from_diagonal([1.0, 2.0])
     assert Blocks.of(t) is t and BiorthogonalSystem(phi=t, psi=t).phi is t
+    assert Blocks.of(t.adjoint_inverse) is t.adjoint_inverse
 
 
 def test_a_split_map_holds_only_its_parity_blocks():
