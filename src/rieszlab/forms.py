@@ -44,6 +44,11 @@ def _column_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray | complex:
     return np.sum(np.conj(a) * b, axis=0)
 
 
+def _form_deviation(form: np.ndarray, other: np.ndarray) -> float:
+    """Worst |form - other| / (1 + |form|) over the sample columns: a form read against a second route to it."""
+    return float(np.max(np.abs(form - other) / (1.0 + np.abs(form))))
+
+
 def omega(x: np.ndarray, y: np.ndarray, family) -> np.ndarray | complex:
     """Evaluate sum_k <x, phi_k><phi_k, y> over the truncated family.
 
@@ -75,9 +80,8 @@ def verify_representation(
     require_samples(x, "representation")
     details = {}
     for side, family, root in (("phi", sys.phi, ops.k_phi_sqrt), ("psi", sys.psi, ops.k_psi_sqrt)):
-        lhs = omega(x, y, family)
         rhs = _column_inner(apply(root, x), apply(root, y))
-        details[f"{side}_family"] = float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))))
+        details[f"{side}_family"] = _form_deviation(omega(x, y, family), rhs)
     residual = worst(details.values())
     return make_report("representation", residual, tolerance, details=details | {"samples": x.shape[1]})
 

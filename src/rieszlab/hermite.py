@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OracleMismatch
-from .forms import omega
-from .linalg import Blocks, LinearMap, invert, real_or_complex, solve
+from .forms import _column_inner, _form_deviation, omega
+from .linalg import Blocks, LinearMap, invert, solve
 from .reporting import CheckReport, make_report, relative_frobenius, worst
 from .systems import BiorthogonalSystem, FrameOperators
 
@@ -34,7 +34,6 @@ REACH = 17
 MAX_DIMENSION = 686
 MAX_DIMENSION_REASON = "beyond it the Hermite-function recurrence of the quadrature oracle underflows"
 
-MULTIPLIERS = ("one", "one_plus_x2", "one_plus_x2_squared", "inv_one_plus_x2")
 FORM_SAMPLES = 20  # random vector pairs of the Omega spot check
 
 
@@ -60,18 +59,6 @@ def hermite_function_table(count: int, x: np.ndarray) -> np.ndarray:
     for n in range(1, count - 1):
         table[n + 1] = x * np.sqrt(2.0 / (n + 1)) * table[n] - np.sqrt(n / (n + 1.0)) * table[n - 1]
     return table
-
-
-def _multiplier_values(multiplier: str, nodes: np.ndarray) -> np.ndarray:
-    if multiplier == "one":
-        return np.ones_like(nodes)
-    if multiplier == "one_plus_x2":
-        return 1.0 + nodes * nodes
-    if multiplier == "one_plus_x2_squared":
-        return (1.0 + nodes * nodes) ** 2
-    if multiplier == "inv_one_plus_x2":
-        return 1.0 / (1.0 + nodes * nodes)
-    raise ValueError(f"unknown multiplier {multiplier!r}; expected one of {MULTIPLIERS}")
 
 
 def trapezoid_rule(count: int, refinement: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -105,16 +92,18 @@ def _every_other_node(rule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes[::2].copy(), 2.0 * weights[::2], np.ascontiguousarray(table[:, ::2])
 
 
-def quadrature_gram(multiplier: str, rule) -> np.ndarray:
-    """All pairwise oracle inner products e_m * mult * e_n for m, n < count.
+def quadrature_gram(multiplier, rule) -> np.ndarray:
+    """All pairwise oracle inner products e_m * multiplier * e_n for m, n < count.
 
+    multiplier maps the nodes to its values elementwise, for example
+    `lambda x: 1.0 + x * x`, and must be even: multiplier(-x) = multiplier(x).
     The integrals use `rule = trapezoid_rule(count, refinement)`, whose
-    table fixes the count.  Every multiplier is even, so an entry with
-    m + n odd is the integral of an odd function, exactly 0; the even-even
-    and odd-odd blocks are one product each over the rule's nonnegative half.
+    table fixes the count.  As the multiplier is even, an entry with m + n
+    odd is the integral of an odd function, exactly 0; the even-even and
+    odd-odd blocks are one product each over the rule's nonnegative half.
     """
     nodes, weights, table = rule
-    factors = weights * _multiplier_values(multiplier, nodes)
+    factors = weights * multiplier(nodes)
     gram = np.zeros((table.shape[0], table.shape[0]))
     for parity in (0, 1):
         block = table[parity::2]
@@ -129,14 +118,14 @@ class HermiteModel:
     X is the truncated matrix of multiplication by 1 + x^2 in the Hermite
     basis, from the closed form of `tail_family`.  x_squared_gram holds
     the quadrature matrix elements of the untruncated (1 + x^2)^2, the
-    reference K_phi = X X* is checked against.
+    reference K_phi = X X* is checked against, as the read-only `Blocks`
+    that `Blocks.of` makes of them: split into parity blocks like X.
     """
 
-    dim: int
     X: LinearMap
     oracle_residual: float
     rational_convergence: float
-    x_squared_gram: np.ndarray
+    x_squared_gram: Blocks
 
 
 def build_model(dim: int) -> HermiteModel:
@@ -149,31 +138,22 @@ def build_model(dim: int) -> HermiteModel:
     functions are evaluated once, on the halved step's nodes; the coarse
     rule takes every other one.
     """
-    x = LinearMap(tail_family(dim))
+    op = LinearMap(tail_family(dim))
     fine = trapezoid_rule(dim, 2)
     rule = _every_other_node(fine)
-    residual = (x - Blocks.of(quadrature_gram("one_plus_x2", rule))).max_abs()
+    residual = (op - Blocks.of(quadrature_gram(lambda x: 1.0 + x * x, rule))).max_abs()
     if residual > ORACLE_TOLERANCE:
         raise OracleMismatch(f"truncated X at dim {dim} deviates from quadrature by {residual:.3e}")
-    once = quadrature_gram("inv_one_plus_x2", rule)
-    twice = quadrature_gram("inv_one_plus_x2", fine)
+    once, twice = (quadrature_gram(lambda x: 1.0 / (1.0 + x * x), r) for r in (rule, fine))
     convergence = float(np.abs(once - twice).max())
     if convergence > DOUBLING_TOLERANCE:
         raise OracleMismatch(f"rational quadrature not converged at dim {dim}: {convergence:.3e}")
-    x_squared_gram = quadrature_gram("one_plus_x2_squared", rule)
-    x_squared_gram.setflags(write=False)
     return HermiteModel(
-        dim=dim,
-        X=x,
+        X=op,
         oracle_residual=residual,
         rational_convergence=convergence,
-        x_squared_gram=x_squared_gram,
+        x_squared_gram=Blocks.of(quadrature_gram(lambda x: (1.0 + x * x) ** 2, rule)),
     )
-
-
-def tail_coefficient_vector(coefficients, dim: int) -> np.ndarray:
-    """First dim coefficients of the infinite sequence n -> coefficients(n); float64 when all are real."""
-    return real_or_complex([coefficients(n) for n in range(dim)])
 
 
 def tail_family(dim: int) -> np.ndarray:
@@ -206,30 +186,27 @@ def verify_K_psi(
     vector pairs that span every index.  The model's entry-oracle
     deviation and rational convergence count towards the residual too.
     """
-    dim = model.dim
     x = model.X
+    dim = x.dim
     x_inv = invert(x)
     k_phi = ops.k_phi.leading(dim - 2)
-    k_psi = ops.k_psi
-    x2 = Blocks.of(model.x_squared_gram).leading(dim - 2)
+    x2 = model.x_squared_gram.leading(dim - 2)
     x_inv2 = x_inv @ x_inv
 
     # Per sample the draws come in the order Re f, Im f, Re g, Im g.
     draws = np.random.default_rng(seed).standard_normal((FORM_SAMPLES, 4, dim))
     f = (draws[:, 0] + 1j * draws[:, 1]).T
     g = (draws[:, 2] + 1j * draws[:, 3]).T
-    omega_psi = omega(f, g, sys.psi)
     # X^-1 f and X^-1 g by an LU solve per block of the real X, on the
     # samples' real and imaginary parts, not from the SVD inverse that built
     # psi: with the same matrix both sides would be one computation.
     solved = solve(x, np.hstack([f, g]))
-    through_inverse = np.sum(np.conj(solved[:, :FORM_SAMPLES]) * solved[:, FORM_SAMPLES:], axis=0)
-    worst_form = float(np.max(np.abs(omega_psi - through_inverse) / (1.0 + np.abs(omega_psi))))
+    through_inverse = _column_inner(solved[:, :FORM_SAMPLES], solved[:, FORM_SAMPLES:])
 
     details = {
         "k_phi_vs_x_squared": relative_frobenius(k_phi - x2, x2),
-        "k_psi_vs_x_inverse_squared": relative_frobenius(k_psi - x_inv2, x_inv2),
-        "omega_psi_through_inverse": worst_form,
+        "k_psi_vs_x_inverse_squared": relative_frobenius(ops.k_psi - x_inv2, x_inv2),
+        "omega_psi_through_inverse": _form_deviation(omega(f, g, sys.psi), through_inverse),
         "entry_oracle": model.oracle_residual,
         "rational_convergence": model.rational_convergence,
     }

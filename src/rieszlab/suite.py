@@ -213,11 +213,9 @@ def _check_tail_dichotomy(ctx: _SuiteContext) -> CheckReport:
     details: dict = {}
     size = forms.TAIL_GRID[-1]
     family = hermite.tail_family(size)
-    for label, coeff in (
-        ("harmonic", lambda n: 1.0 / (n + 1.0)),
-        ("geometric", lambda n: 2.0**-n),
-    ):
-        diag = forms.tail_diagnostic(hermite.tail_coefficient_vector(coeff, size), family)
+    n = np.arange(size)
+    for label, coefficients in (("harmonic", 1.0 / (n + 1.0)), ("geometric", 2.0**-n)):
+        diag = forms.tail_diagnostic(coefficients, family)
         verdicts[label] = diag.classification
         details[f"{label}_classification"] = diag.classification
         details[f"{label}_growth_exponent"] = diag.growth_exponent

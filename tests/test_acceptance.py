@@ -33,7 +33,7 @@ from rieszlab import (
 )
 from rieszlab.cli import main
 from rieszlab.forms import TAIL_GRID, frame_bounds
-from rieszlab.hermite import tail_coefficient_vector, tail_family
+from rieszlab.hermite import tail_family
 from rieszlab.sampling import random_kets, stream_rng
 from rieszlab.systems import frame_operator
 
@@ -277,8 +277,9 @@ def test_criterion_12_frame_bound_growth():
 def test_criterion_13_tail_dichotomy():
     size = TAIL_GRID[-1]
     family = tail_family(size)
-    harmonic = tail_diagnostic(tail_coefficient_vector(lambda k: 1.0 / (k + 1.0), size), family)
-    geometric = tail_diagnostic(tail_coefficient_vector(lambda k: 2.0**-k, size), family)
+    k = np.arange(size)
+    harmonic = tail_diagnostic(1.0 / (k + 1.0), family)
+    geometric = tail_diagnostic(2.0**-k, family)
     ok = harmonic.classification == "divergent" and geometric.classification == "convergent"
     _verdict(
         13,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rieszlab import (
+    Blocks,
     FrameOperators,
     LinearMap,
     build_frame_operators,
@@ -36,6 +37,15 @@ _HERMITE_POLY = {
     2: lambda x: 4 * x**2 - 2,
     3: lambda x: 8 * x**3 - 12 * x,
     4: lambda x: 16 * x**4 - 48 * x**2 + 12,
+}
+
+
+# The model's multipliers as functions of the nodes, each even.
+MULTIPLIERS = {
+    "one": np.ones_like,
+    "one_plus_x2": lambda x: 1.0 + x * x,
+    "one_plus_x2_squared": lambda x: (1.0 + x * x) ** 2,
+    "inv_one_plus_x2": lambda x: 1.0 / (1.0 + x * x),
 }
 
 
@@ -72,26 +82,21 @@ def test_hermite_function_is_normalized():
 
 
 def test_quadrature_orthonormality():
-    gram = quadrature_gram("one", trapezoid_rule(4, 1))
+    gram = quadrature_gram(MULTIPLIERS["one"], trapezoid_rule(4, 1))
     np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
 
 
 def test_quadrature_x_matrix_elements():
-    gram = quadrature_gram("one_plus_x2", trapezoid_rule(3, 1))
+    gram = quadrature_gram(MULTIPLIERS["one_plus_x2"], trapezoid_rule(3, 1))
     assert gram[0, 0] == pytest.approx(1.5, abs=1e-10)
     assert gram[0, 2] == pytest.approx(np.sqrt(2.0) / 2.0, abs=1e-10)
 
 
 def test_quadrature_rational_doubling_agreement():
-    once = quadrature_gram("inv_one_plus_x2", trapezoid_rule(8, 1))
-    twice = quadrature_gram("inv_one_plus_x2", trapezoid_rule(8, 2))
+    once = quadrature_gram(MULTIPLIERS["inv_one_plus_x2"], trapezoid_rule(8, 1))
+    twice = quadrature_gram(MULTIPLIERS["inv_one_plus_x2"], trapezoid_rule(8, 2))
     for m, n in ((0, 0), (0, 2), (5, 7)):
         assert abs(once[m, n] - twice[m, n]) <= 1e-10
-
-
-def test_quadrature_rejects_unknown_multiplier():
-    with pytest.raises(ValueError):
-        quadrature_gram("x_cubed", trapezoid_rule(1, 1))
 
 
 def test_build_x_smallest_truncation():
@@ -129,7 +134,7 @@ def test_oracle_gate_trips_on_corruption(monkeypatch):
 
 def test_oracle_deviation_measures_perturbation():
     entries = np.asarray(LinearMap(tail_family(8))).real.copy()
-    gram = quadrature_gram("one_plus_x2", trapezoid_rule(8, 1))
+    gram = quadrature_gram(MULTIPLIERS["one_plus_x2"], trapezoid_rule(8, 1))
     assert np.abs(entries - gram).max() < 1e-9
     entries[0, 0] += 1e-6
     assert np.abs(entries - gram).max() > 1e-7
@@ -163,7 +168,7 @@ def test_truncated_inverse_approaches_integral_operator():
     # the truncation edge and with growing dimension.
     for dim, block, bound in ((64, 16, 1e-5), (128, 32, 1e-6)):
         x_inv = np.asarray(invert(LinearMap(tail_family(dim)))).real
-        integral = quadrature_gram("inv_one_plus_x2", trapezoid_rule(dim, 1))
+        integral = quadrature_gram(MULTIPLIERS["inv_one_plus_x2"], trapezoid_rule(dim, 1))
         dev = np.abs(x_inv[:block, :block] - integral[:block, :block]).max()
         assert dev < bound, (dim, block, dev)
 
@@ -173,7 +178,7 @@ def test_interior_biorthogonality_against_quadrature():
     # multiplier product (1+x^2) * 1/(1+x^2) = 1
     dim = 64
     sys_ = example_system(dim)
-    x_inv_cols = quadrature_gram("inv_one_plus_x2", trapezoid_rule(dim, 1))
+    x_inv_cols = quadrature_gram(MULTIPLIERS["inv_one_plus_x2"], trapezoid_rule(dim, 1))
     phi_m = np.asarray(sys_.phi).real
     gram = phi_m.T @ x_inv_cols
     dev = np.abs(gram[:16, :16] - np.eye(16)).max()
@@ -229,12 +234,23 @@ def test_k_phi_block_stops_where_the_truncation_reaches():
 
 def test_model_keeps_a_real_gram_of_x_squared():
     model = build_model(16)
-    gram = model.x_squared_gram
-    assert gram.dtype == np.float64 and gram.shape == (16, 16) and not gram.flags.writeable
+    gram = np.asarray(model.x_squared_gram)
+    assert gram.dtype == np.float64 and gram.shape == (16, 16)
     # away from the truncation edge X X holds the matrix elements of (1 + x^2)^2
     x2 = np.asarray(model.X) @ np.asarray(model.X)
     np.testing.assert_allclose(gram[:14, :14], x2[:14, :14], rtol=0, atol=1e-12 * np.abs(x2).max())
     assert tail_family(16).dtype == np.float64
+
+
+@pytest.mark.parametrize("dim, parts", [(32, 1), (256, 2)])
+def test_model_holds_the_gram_of_x_squared_as_read_only_blocks_split_like_x(dim, parts):
+    model = build_model(dim)
+    gram = model.x_squared_gram
+    assert isinstance(gram, Blocks) and gram.parts == model.X.parts == parts
+    assert not any(b.flags.writeable for b in gram.blocks)
+    assert Blocks.of(gram) is gram
+    # no dense N x N array is held beside the blocks
+    assert not [name for name, value in vars(model).items() if isinstance(value, np.ndarray) and value.shape == (dim, dim)]
 
 
 def test_verify_k_psi_draws_match_per_sample_loop(monkeypatch):
@@ -296,12 +312,12 @@ def test_build_model_shares_the_entry_rule(monkeypatch):
         calls.clear()
         model = hermite_mod.build_model(dim)
         assert calls == [(dim, 2)]
-        once = quadrature_gram("inv_one_plus_x2", rule(dim, 1))
-        twice = quadrature_gram("inv_one_plus_x2", rule(dim, 2))
+        once = quadrature_gram(MULTIPLIERS["inv_one_plus_x2"], rule(dim, 1))
+        twice = quadrature_gram(MULTIPLIERS["inv_one_plus_x2"], rule(dim, 2))
         assert model.rational_convergence == float(np.abs(once - twice).max())
-        gram = quadrature_gram("one_plus_x2", rule(dim, 1))
+        gram = quadrature_gram(MULTIPLIERS["one_plus_x2"], rule(dim, 1))
         assert model.oracle_residual == float(np.abs(tail_family(dim) - gram).max())
-        np.testing.assert_array_equal(model.x_squared_gram, quadrature_gram("one_plus_x2_squared", rule(dim, 1)))
+        np.testing.assert_array_equal(model.x_squared_gram, quadrature_gram(MULTIPLIERS["one_plus_x2_squared"], rule(dim, 1)))
 
 
 def test_trapezoid_rule_step_and_reach():
@@ -349,10 +365,8 @@ def test_x_entry_formula():
 def all_node_gram(multiplier, count, nodes, weights):
     # the Gram over every node of a rule on the whole line, as a sum over
     # all nodes before the parity split
-    import rieszlab.hermite as hermite_mod
-
     table = hermite_function_table(count, nodes)
-    return (table * (weights * hermite_mod._multiplier_values(multiplier, nodes))) @ table.T
+    return (table * (weights * MULTIPLIERS[multiplier](nodes))) @ table.T
 
 
 def assert_parity_split_matches(gram, reference):
@@ -377,7 +391,7 @@ def gauss_hermite_rule(order):
 # trapezoidal one: 32 is an even order, whose nodes are all positive; 33 an
 # odd order, whose centre node 0 counts once
 @pytest.mark.parametrize("order, count", [(32, 8), (33, 8), (512, 128)])
-@pytest.mark.parametrize("multiplier", ["one", "one_plus_x2", "one_plus_x2_squared", "inv_one_plus_x2"])
+@pytest.mark.parametrize("multiplier", MULTIPLIERS)
 def test_quadrature_gram_by_parity_matches_the_all_node_sum(order, count, multiplier):
     nodes, lifted = gauss_hermite_rule(order)
     half = nodes[order // 2 :]
@@ -387,7 +401,7 @@ def test_quadrature_gram_by_parity_matches_the_all_node_sum(order, count, multip
         weights[0] = lifted[order // 2]
     else:
         assert half[0] > 0.0
-    gram = quadrature_gram(multiplier, (half, weights, hermite_function_table(count, half)))
+    gram = quadrature_gram(MULTIPLIERS[multiplier], (half, weights, hermite_function_table(count, half)))
     assert_parity_split_matches(gram, all_node_gram(multiplier, count, nodes, lifted))
     if multiplier == "one":
         # a Gauss-Hermite rule: exact on e_m e_n for m + n < 2 order
@@ -395,12 +409,12 @@ def test_quadrature_gram_by_parity_matches_the_all_node_sum(order, count, multip
 
 
 @pytest.mark.parametrize("count, refinement", [(8, 1), (8, 2), (128, 1)])
-@pytest.mark.parametrize("multiplier", ["one", "one_plus_x2", "one_plus_x2_squared", "inv_one_plus_x2"])
+@pytest.mark.parametrize("multiplier", MULTIPLIERS)
 def test_trapezoid_gram_by_parity_matches_the_full_grid_sum(count, refinement, multiplier):
     # the trapezoidal rule's full symmetric grid, every node with weight h
     nodes, weights, _ = trapezoid_rule(count, refinement)
     grid = np.concatenate([-nodes[:0:-1], nodes])
-    gram = quadrature_gram(multiplier, trapezoid_rule(count, refinement))
+    gram = quadrature_gram(MULTIPLIERS[multiplier], trapezoid_rule(count, refinement))
     assert_parity_split_matches(gram, all_node_gram(multiplier, count, grid, np.full(grid.size, weights[0])))
 
 
@@ -409,14 +423,6 @@ def test_mirrored_nodes_give_signed_hermite_functions_bit_for_bit():
     nodes, _, table = trapezoid_rule(16, 1)
     signs = (-1.0) ** np.arange(16)[:, None]
     np.testing.assert_array_equal(hermite_function_table(16, -nodes), signs * table)
-
-
-_MULTIPLIER_FUNCTIONS = {
-    "one": lambda x: np.ones_like(x),
-    "one_plus_x2": lambda x: 1 + x**2,
-    "one_plus_x2_squared": lambda x: (1 + x**2) ** 2,
-    "inv_one_plus_x2": lambda x: 1 / (1 + x**2),
-}
 
 
 # numpy's Gauss-Hermite rule of order 128 integrates the polynomial
@@ -431,9 +437,9 @@ _MULTIPLIER_FUNCTIONS = {
 def test_trapezoid_gram_matches_numpys_gauss_hermite_rule(multiplier, count, bound):
     nodes, weights = np.polynomial.hermite.hermgauss(128)
     table = hermite_function_table(count, nodes)
-    factors = weights * np.exp(nodes**2) * _MULTIPLIER_FUNCTIONS[multiplier](nodes)
+    factors = weights * np.exp(nodes**2) * MULTIPLIERS[multiplier](nodes)
     reference = (table * factors) @ table.T
-    gram = quadrature_gram(multiplier, trapezoid_rule(count, 1))
+    gram = quadrature_gram(MULTIPLIERS[multiplier], trapezoid_rule(count, 1))
     assert np.abs(gram - reference).max() <= bound * np.abs(reference).max()
 
 

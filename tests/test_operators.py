@@ -34,7 +34,7 @@ from rieszlab import (
 from rieszlab.errors import DimensionMismatch, NumericallySingular, WrongAlphaKind
 from rieszlab import operators, suite
 from rieszlab.cli import _hermite_config
-from rieszlab.hermite import tail_coefficient_vector, tail_family
+from rieszlab.hermite import tail_family
 from rieszlab.linalg import SPLIT_FLOOR, Blocks
 from rieszlab.operators import PRODUCT_PAIRS, WeightedShift
 from rieszlab.sampling import stream_rng
@@ -715,8 +715,7 @@ def test_shift_dtype_follows_its_operands():
     assert (np.eye(4, dtype=np.complex128) @ raising).dtype == np.complex128
     # coefficients follow the rule of Blocks.of (`real_or_complex`): no imaginary part is real
     assert WeightedShift(1, np.ones(4, dtype=np.complex128)).coefficients.dtype == np.float64
-    assert tail_coefficient_vector(lambda n: complex(n), 4).dtype == np.float64
-    assert tail_coefficient_vector(lambda n: 1j * n, 4).dtype == np.complex128
+    assert WeightedShift(1, 1j * np.arange(4)).coefficients.dtype == np.complex128
 
 
 def test_product_identity_defect_shows_on_its_own_side_and_in_both_orders():

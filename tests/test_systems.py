@@ -155,7 +155,7 @@ def test_hermite_full_suite_peak_at_256():
     finally:
         tracemalloc.stop()
     assert all(r.passed for r in reports)
-    assert peak <= 7.3 * 2**20, peak / 2**20
+    assert peak <= 7.0 * 2**20, peak / 2**20
 
 
 def test_biorthogonality_reads_the_diagonal_of_a_parity_swapping_product():
