@@ -192,7 +192,7 @@ def eigenrelation_residuals(opset: OperatorSet, sys: BiorthogonalSystem) -> dict
 
 
 def eigen_check(relations: dict[str, Eigenrelation], cond: float, tolerance: float) -> CheckReport:
-    """Residual of H v_k = alpha_k v_k over max(1, |v_k|) at every k of both families, against tolerance * cond(T)."""
+    """Residual of H v_k = alpha_k v_k over |v_k| at every k of both families, against tolerance * cond(T)."""
     details = {}
     for side, r in relations.items():
         (residual,) = column_residuals(r.family, r.residual)
@@ -211,7 +211,7 @@ def ladder_check(opset: OperatorSet, sys: BiorthogonalSystem, tolerance: float) 
     alpha_{n+1} v_{n+1} for n <= N-2; the finite raising operator is
     truncated, B_e e_{N-1} = 0, so B v_{N-1} = T B_e e_{N-1} must vanish
     too: its norm is the `*_raising_edge_norm` detail and counts towards
-    the verdict.  Each column is read over max(1, |v_n|).
+    the verdict.  Each column is read over |v_n| (`column_residuals`).
     """
     details = {}
     for side, a, b, m in (

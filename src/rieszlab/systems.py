@@ -86,9 +86,13 @@ def build_frame_operators(sys: BiorthogonalSystem) -> FrameOperators:
 
 
 def column_residuals(family: Blocks, *deviations: Blocks) -> list[np.ndarray]:
-    """Per deviation, each column's norm over the larger of 1 and the norm of the family's column: the one per-column reading."""
-    floor = np.maximum(1.0, family.column_norms())
-    return [d.column_norms() / floor for d in deviations]
+    """Per deviation, each column's norm over the norm of the family's column: the one per-column reading.
+
+    The reading is relative, so it does not change under T -> cT or T -> QT
+    with Q unitary; no column of an invertible T's families is 0.
+    """
+    norms = family.column_norms()
+    return [d.column_norms() / norms for d in deviations]
 
 
 def verify_K_relations(sys: BiorthogonalSystem, ops: FrameOperators, tolerance: float) -> CheckReport:

@@ -39,7 +39,7 @@ from rieszlab.linalg import SPLIT_FLOOR, Blocks
 from rieszlab.operators import PRODUCT_PAIRS, WeightedShift
 from rieszlab.sampling import stream_rng
 
-from helpers import dense, dense_config, random_conditioned_map
+from helpers import dense, dense_config, random_conditioned_map, random_unitary
 
 
 def ladder_matrices(alpha, dim):
@@ -590,6 +590,62 @@ def test_product_identities_fail_a_1e_6_defect_in_the_cached_inverse():
     assert report.details["phi_ab"] < 1e-14  # the phi side never reads T^-1
 
 
+# Metamorphic rows: every identity the suite checks is homogeneous under
+# T -> cT (phi scales by c, psi by 1/c, the transformed operators stay) and
+# invariant under T -> QT with Q unitary, so no verdict may change under
+# either.  T is dense complex, N=32, cond 10, ||T||_2 = 1, sqrt_n alpha.
+METAMORPHIC_IMAGES = {
+    "1e-8 T": lambda t, q: 1e-8 * t,
+    "1e-4 T": lambda t, q: 1e-4 * t,
+    "1e4 T": lambda t, q: 1e4 * t,
+    "1e8 T": lambda t, q: 1e8 * t,
+    "Q T": lambda t, q: q @ t,
+}
+
+
+@functools.cache
+def metamorphic_t():
+    t = np.asarray(random_conditioned_map(32, 10.0, stream_rng(5)))
+    return t / np.linalg.norm(t, 2), np.asarray(random_unitary(32, stream_rng(5, 1)))
+
+
+def defect_verdicts(t):
+    """Verdicts of eigen, ladder and product_identities with the largest entry of the cached (T*)^-1 scaled by 1 + 1e-6.
+
+    The defect reaches psi and the psi-side operators; T^-1 and the phi side stay clean.
+    """
+    t = LinearMap(t)
+    t.adjoint_inverse = Blocks.of(largest_entry_scaled(t.adjoint_inverse))
+    sys_ = build_system(t)
+    opset = build_operator_set(t, np.sqrt(np.arange(t.dim)))
+    return {
+        "eigen": relation_check(eigen_check, opset, sys_, 1e-8).passed,
+        "ladder": ladder_check(opset, sys_, 1e-8).passed,
+        "product_identities": product_identity_check(opset, 1e-8).passed,
+    }
+
+
+def clean_verdicts(t):
+    reports = run_suite(dense_config(LinearMap(t), alpha={"kind": "sqrt_n"}, tolerance=1e-8))
+    return {r.name: r.passed for r in reports}
+
+
+@pytest.mark.parametrize("image", METAMORPHIC_IMAGES)
+def test_verdicts_hold_under_scaling_and_rotation_of_t(image):
+    # With a floor of 1 under each column norm, eigen and ladder read this
+    # defect at 19.2x and 321x their tolerance for c <= 1, but at 0.011x and
+    # 0.19x for c = 1e4 and 1.1e-6x and 1.9e-5x for c = 1e8: small psi
+    # columns hid it.  Read relative per column, they read 19.2x and 321x at
+    # every c; product_identities reads 3.6x throughout.
+    t, q = metamorphic_t()
+    mapped = METAMORPHIC_IMAGES[image](t, q)
+    assert clean_verdicts(mapped) == clean_verdicts(t)
+    assert defect_verdicts(t) == {"eigen": False, "ladder": False, "product_identities": False}
+    verdicts = defect_verdicts(mapped)
+    assert not verdicts["eigen"] and not verdicts["ladder"]
+    assert verdicts["product_identities"] or not verdicts["ladder"]  # ladder fails wherever product_identities fails
+
+
 @pytest.mark.parametrize(
     "dim, side, eps, check",
     [(32, "psi", 1e-4, "k_relations"), (256, "psi", 1e-4, "k_relations"), (32, "phi", 1e-3, "eigen")],
@@ -630,7 +686,7 @@ def test_ladder_and_ccr_fail_a_rank_one_defect_at_the_edge(dim):
     ladder = ladder_check(mutated, system, tolerance)
     assert not ladder.passed
     assert ladder.residual == ladder.details["phi_raising_edge_norm"]
-    assert ladder.residual == pytest.approx(1e-4 * np.linalg.norm(phi_edge) / max(1.0, np.linalg.norm(phi_edge)))
+    assert ladder.residual == pytest.approx(1e-4)
     ccr = ccr_check(mutated, tolerance)
     assert not ccr.passed
     assert ccr.details["transformed"] > ccr.details["transformed_tolerance"]
