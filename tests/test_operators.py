@@ -648,14 +648,21 @@ def test_verdicts_hold_under_scaling_and_rotation_of_t(image):
 
 @pytest.mark.parametrize(
     "dim, side, eps, check",
-    [(32, "psi", 1e-4, "k_relations"), (256, "psi", 1e-4, "k_relations"), (32, "phi", 1e-3, "eigen")],
+    [
+        (32, "psi", 1e-4, "k_relations"),
+        (256, "psi", 1e-4, "k_relations"),
+        (32, "phi", 1e-3, "eigen"),
+        (256, "psi", 1e-2, "eigen"),
+    ],
 )
 def test_suite_checks_fail_a_defect_in_the_last_column(dim, side, eps, check):
     # Mutation rows: the largest entry of column N-1 of one family scaled by
     # 1 + eps after the frame operators are built, in the Hermite example at
     # tolerance 1e-6.  The finite pair satisfies both identities exactly at
     # the edge column too, so the defect must show there: the rows read
-    # 2.2e-4, 2.6e-4 and 1.2e-4 against tolerances 1e-6, 1e-6 and 5.2e-5.
+    # 2.2e-4, 2.6e-4 and 1.2e-4 against tolerances 1e-6, 1e-6 and 5.2e-5,
+    # and the last 2.2x its tolerance.  psi_255 has norm 0.018 at N=256:
+    # read over max(1, |psi_255|), that row read 0.039x and passed.
     ctx = suite._SuiteContext(_hermite_config(dim, full_suite=True, seed=0))
     clean = ctx.system
     ctx.frame_ops
