@@ -3,8 +3,8 @@
 The truncated matrix X of the multiplication operator is pentadiagonal
 with closed-form entries.  Every entry is cross-checked against a
 trapezoidal quadrature oracle before the model is trusted; the same
-oracle supplies independent values for inner products against the exact
-(untruncated) square and inverse.  It needs numpy only.
+oracle supplies the matrix elements of the exact (untruncated) square.
+It needs numpy only.
 """
 
 from __future__ import annotations
@@ -15,17 +15,16 @@ import numpy as np
 
 from .errors import OracleMismatch
 from .forms import _column_inner, _form_deviation, omega
-from .linalg import Blocks, LinearMap, invert, solve
+from .linalg import Blocks, LinearMap, invert, read_only, solve
 from .reporting import CheckReport, make_report, relative_frobenius, worst
 from .systems import BiorthogonalSystem, FrameOperators
 
 ORACLE_TOLERANCE = 1e-9
-DOUBLING_TOLERANCE = 1e-10
 # How far the quadrature nodes reach past the top turning point, and the
 # scale of the step: aliasing near e^{-2 REACH}, cut tail below e^{-REACH^2}.
-# At 16 the doubling gate still reads the coarse rule's aliasing at small
-# dimensions (2.7e-15 at dim 2, 4.4e-16 at 17); at 17 it stays below
-# 1.7e-15 at every dimension up to MAX_DIMENSION.
+# Every node, and so every digit of the entry gate and of x_squared_gram,
+# depends on it.  At 17 halving the step moves the Gram of 1 / (1 + x^2) by
+# at most 1.7e-15 up to MAX_DIMENSION (test_quadrature_rational_doubling_agreement).
 REACH = 17
 # Largest dimension up to which the oracle gate passes: deviation 6.5e-10
 # at 686, 1.1e-9 at 687 against ORACLE_TOLERANCE (checked at every
@@ -61,35 +60,25 @@ def hermite_function_table(count: int, x: np.ndarray) -> np.ndarray:
     return table
 
 
-def trapezoid_rule(count: int, refinement: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def trapezoid_rule(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes, weights and the first `count` Hermite functions of the trapezoidal rule on the half-line.
 
-    The step is pi / (t + REACH) / refinement, with t = sqrt(2 count + 1)
-    the top turning point; the nodes j * step run from 0 to t + REACH.
-    The products e_m e_n have their Fourier transforms in |w| <= 2 t, so
-    the aliasing error for 1 / (1 + x^2), whose transform is pi e^{-|w|},
-    is near e^{-2 REACH} at refinement 1, and the cut tail is below
+    The step is pi / (t + REACH), with t = sqrt(2 count + 1) the top
+    turning point; the nodes j * step run from 0 to t + REACH.  The
+    products e_m e_n have their Fourier transforms in |w| <= 2 t, so the
+    aliasing error for 1 / (1 + x^2), whose transform is pi e^{-|w|}, is
+    near e^{-2 REACH}, and the cut tail is below
     e^{-REACH^2} (Trefethen & Weideman, SIAM Review 56, 2014).  Every
     multiplier is even, and the recurrence of `hermite_function_table`
     gives e_k(-x) = (-1)^k e_k(x) exactly, so the rule over the whole line
     is its nonnegative half with doubled weights, node 0 counting once.
     """
     reach = np.sqrt(2.0 * count + 1.0) + REACH
-    step = np.pi / reach / refinement
+    step = np.pi / reach
     nodes = step * np.arange(int(reach / step) + 1)
     weights = np.full(nodes.size, 2.0 * step)
     weights[0] = step
     return nodes, weights, hermite_function_table(count, nodes)
-
-
-def _every_other_node(rule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rule at half the refinement, bit for bit: its even nodes, doubled weights and even columns.
-
-    Halving the step is exact in binary, so node 2j of refinement 2 is
-    node j of refinement 1, and the table is evaluated node by node.
-    """
-    nodes, weights, table = rule
-    return nodes[::2].copy(), 2.0 * weights[::2], np.ascontiguousarray(table[:, ::2])
 
 
 def quadrature_gram(multiplier, rule) -> np.ndarray:
@@ -97,10 +86,11 @@ def quadrature_gram(multiplier, rule) -> np.ndarray:
 
     multiplier maps the nodes to its values elementwise, for example
     `lambda x: 1.0 + x * x`, and must be even: multiplier(-x) = multiplier(x).
-    The integrals use `rule = trapezoid_rule(count, refinement)`, whose
-    table fixes the count.  As the multiplier is even, an entry with m + n
-    odd is the integral of an odd function, exactly 0; the even-even and
-    odd-odd blocks are one product each over the rule's nonnegative half.
+    The integrals use `rule = trapezoid_rule(count)`, whose table fixes
+    the count.  As the multiplier is even, an entry with m + n odd is the
+    integral of an odd function, exactly 0; the even-even and odd-odd
+    blocks are one product each over the rule's nonnegative half.  The
+    Gram is read-only, so that `Blocks.of` holds it without a copy.
     """
     nodes, weights, table = rule
     factors = weights * multiplier(nodes)
@@ -108,7 +98,7 @@ def quadrature_gram(multiplier, rule) -> np.ndarray:
     for parity in (0, 1):
         block = table[parity::2]
         gram[parity::2, parity::2] = (block * factors) @ block.T
-    return gram
+    return read_only(gram)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,47 +114,37 @@ class HermiteModel:
 
     X: LinearMap
     oracle_residual: float
-    rational_convergence: float
     x_squared_gram: Blocks
 
 
 def build_model(dim: int) -> HermiteModel:
-    """Build and gate the model: entry oracle plus rational-rule convergence.
+    """Build and gate the model: the entries of X against the quadrature oracle.
 
     The entries of X must match the trapezoidal rule of `trapezoid_rule`
     to ORACLE_TOLERANCE, and the same rule gives the model its Gram of
-    (1 + x^2)^2.  The rational multiplier is accepted only if halving the
-    step moves no value by more than DOUBLING_TOLERANCE.  The Hermite
-    functions are evaluated once, on the halved step's nodes; the coarse
-    rule takes every other one.
+    (1 + x^2)^2.
     """
     op = LinearMap(tail_family(dim))
-    fine = trapezoid_rule(dim, 2)
-    rule = _every_other_node(fine)
+    rule = trapezoid_rule(dim)
     residual = (op - Blocks.of(quadrature_gram(lambda x: 1.0 + x * x, rule))).max_abs()
     if residual > ORACLE_TOLERANCE:
         raise OracleMismatch(f"truncated X at dim {dim} deviates from quadrature by {residual:.3e}")
-    once, twice = (quadrature_gram(lambda x: 1.0 / (1.0 + x * x), r) for r in (rule, fine))
-    convergence = float(np.abs(once - twice).max())
-    if convergence > DOUBLING_TOLERANCE:
-        raise OracleMismatch(f"rational quadrature not converged at dim {dim}: {convergence:.3e}")
     return HermiteModel(
         X=op,
         oracle_residual=residual,
-        rational_convergence=convergence,
         x_squared_gram=Blocks.of(quadrature_gram(lambda x: (1.0 + x * x) ** 2, rule)),
     )
 
 
 def tail_family(dim: int) -> np.ndarray:
-    """Closed-form entries of X at truncation dim: the phi family of the growth diagnostics."""
+    """Closed-form entries of X at truncation dim, read-only: the phi family of the growth diagnostics."""
     n = np.arange(dim)
     entries = np.zeros((dim, dim))
     entries[n, n] = x_entry(n, n)
     band = x_entry(n[:-2], n[2:])
     entries[n[:-2], n[2:]] = band
     entries[n[2:], n[:-2]] = band
-    return entries
+    return read_only(entries)
 
 
 def verify_K_psi(
@@ -184,7 +164,7 @@ def verify_K_psi(
     and is empty (detail 0) at dim 2.  The dual form Omega over psi is
     also spot-checked against <X^-1 f, X^-1 g> on FORM_SAMPLES random
     vector pairs that span every index.  The model's entry-oracle
-    deviation and rational convergence count towards the residual too.
+    deviation counts towards the residual too.
     """
     x = model.X
     dim = x.dim
@@ -208,7 +188,6 @@ def verify_K_psi(
         "k_psi_vs_x_inverse_squared": relative_frobenius(ops.k_psi - x_inv2, x_inv2),
         "omega_psi_through_inverse": _form_deviation(omega(f, g, sys.psi), through_inverse),
         "entry_oracle": model.oracle_residual,
-        "rational_convergence": model.rational_convergence,
     }
     residual = worst(details.values())
     return make_report("hermite_oracle", residual, tolerance, details=details)

@@ -1,6 +1,7 @@
 """Tests for the Hermite-function model and its quadrature oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from rieszlab.hermite import (
     MAX_DIMENSION,
     ORACLE_TOLERANCE,
     REACH,
-    _every_other_node,
     hermite_function_table,
     quadrature_gram,
     tail_family,
@@ -82,21 +82,34 @@ def test_hermite_function_is_normalized():
 
 
 def test_quadrature_orthonormality():
-    gram = quadrature_gram(MULTIPLIERS["one"], trapezoid_rule(4, 1))
+    gram = quadrature_gram(MULTIPLIERS["one"], trapezoid_rule(4))
     np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
 
 
 def test_quadrature_x_matrix_elements():
-    gram = quadrature_gram(MULTIPLIERS["one_plus_x2"], trapezoid_rule(3, 1))
+    gram = quadrature_gram(MULTIPLIERS["one_plus_x2"], trapezoid_rule(3))
     assert gram[0, 0] == pytest.approx(1.5, abs=1e-10)
     assert gram[0, 2] == pytest.approx(np.sqrt(2.0) / 2.0, abs=1e-10)
 
 
-def test_quadrature_rational_doubling_agreement():
-    once = quadrature_gram(MULTIPLIERS["inv_one_plus_x2"], trapezoid_rule(8, 1))
-    twice = quadrature_gram(MULTIPLIERS["inv_one_plus_x2"], trapezoid_rule(8, 2))
-    for m, n in ((0, 0), (0, 2), (5, 7)):
-        assert abs(once[m, n] - twice[m, n]) <= 1e-10
+def halved_step_rule(count):
+    # the trapezoidal rule of trapezoid_rule(count) at half its step, over
+    # the same reach
+    step = math.pi / (math.sqrt(2 * count + 1) + REACH) / 2.0
+    nodes = step * np.arange(int((math.sqrt(2 * count + 1) + REACH) / step) + 1)
+    weights = np.full(nodes.size, 2.0 * step)
+    weights[0] = step
+    return nodes, weights, hermite_function_table(count, nodes)
+
+
+# REACH is pinned here: no run reads the Gram of 1 / (1 + x^2), but the
+# rule that builds X's entry gate and the Gram of (1 + x^2)^2 must resolve
+# that rational integrand, whose aliasing error is near e^{-2 REACH}
+@pytest.mark.parametrize("count", [2, 3, 17, 55, 56, 255, 256, 685, MAX_DIMENSION])
+def test_quadrature_rational_doubling_agreement(count):
+    once = quadrature_gram(MULTIPLIERS["inv_one_plus_x2"], trapezoid_rule(count))
+    twice = quadrature_gram(MULTIPLIERS["inv_one_plus_x2"], halved_step_rule(count))
+    assert np.abs(once - twice).max() <= 1e-10
 
 
 def test_build_x_smallest_truncation():
@@ -134,7 +147,7 @@ def test_oracle_gate_trips_on_corruption(monkeypatch):
 
 def test_oracle_deviation_measures_perturbation():
     entries = np.asarray(LinearMap(tail_family(8))).real.copy()
-    gram = quadrature_gram(MULTIPLIERS["one_plus_x2"], trapezoid_rule(8, 1))
+    gram = quadrature_gram(MULTIPLIERS["one_plus_x2"], trapezoid_rule(8))
     assert np.abs(entries - gram).max() < 1e-9
     entries[0, 0] += 1e-6
     assert np.abs(entries - gram).max() > 1e-7
@@ -143,7 +156,7 @@ def test_oracle_deviation_measures_perturbation():
 def test_build_model_metadata():
     model = build_model(16)
     assert model.oracle_residual <= 1e-9
-    assert model.rational_convergence <= 1e-10
+    assert set(vars(model)) == {"X", "oracle_residual", "x_squared_gram"}
     np.testing.assert_array_equal(np.asarray(model.X), np.asarray(LinearMap(tail_family(16))))
 
 
@@ -168,7 +181,7 @@ def test_truncated_inverse_approaches_integral_operator():
     # the truncation edge and with growing dimension.
     for dim, block, bound in ((64, 16, 1e-5), (128, 32, 1e-6)):
         x_inv = np.asarray(invert(LinearMap(tail_family(dim)))).real
-        integral = quadrature_gram(MULTIPLIERS["inv_one_plus_x2"], trapezoid_rule(dim, 1))
+        integral = quadrature_gram(MULTIPLIERS["inv_one_plus_x2"], trapezoid_rule(dim))
         dev = np.abs(x_inv[:block, :block] - integral[:block, :block]).max()
         assert dev < bound, (dim, block, dev)
 
@@ -178,7 +191,7 @@ def test_interior_biorthogonality_against_quadrature():
     # multiplier product (1+x^2) * 1/(1+x^2) = 1
     dim = 64
     sys_ = example_system(dim)
-    x_inv_cols = quadrature_gram(MULTIPLIERS["inv_one_plus_x2"], trapezoid_rule(dim, 1))
+    x_inv_cols = quadrature_gram(MULTIPLIERS["inv_one_plus_x2"], trapezoid_rule(dim))
     phi_m = np.asarray(sys_.phi).real
     gram = phi_m.T @ x_inv_cols
     dev = np.abs(gram[:16, :16] - np.eye(16)).max()
@@ -298,53 +311,48 @@ def test_tail_family_matches_loop_bit_for_bit(dim):
 
 
 def test_build_model_shares_the_entry_rule(monkeypatch):
-    # One rule per model, step h/2, for the doubling gate; the entry gate,
-    # the first rational Gram and the Gram of (1 + x^2)^2 share its every
-    # other node, which is the step-h rule.
+    # One rule per model: the entry gate and the Gram of (1 + x^2)^2 are
+    # its only two Grams.
     import rieszlab.hermite as hermite_mod
 
-    calls = []
+    rules, grams = [], []
     rule = hermite_mod.trapezoid_rule
-    monkeypatch.setattr(
-        hermite_mod, "trapezoid_rule", lambda count, refinement: calls.append((count, refinement)) or rule(count, refinement)
-    )
+    gram = hermite_mod.quadrature_gram
+    monkeypatch.setattr(hermite_mod, "trapezoid_rule", lambda count: rules.append(rule(count)) or rules[-1])
+    monkeypatch.setattr(hermite_mod, "quadrature_gram", lambda multiplier, r: grams.append(r) or gram(multiplier, r))
     for dim in (16, 64):
-        calls.clear()
+        rules.clear()
+        grams.clear()
         model = hermite_mod.build_model(dim)
-        assert calls == [(dim, 2)]
-        once = quadrature_gram(MULTIPLIERS["inv_one_plus_x2"], rule(dim, 1))
-        twice = quadrature_gram(MULTIPLIERS["inv_one_plus_x2"], rule(dim, 2))
-        assert model.rational_convergence == float(np.abs(once - twice).max())
-        gram = quadrature_gram(MULTIPLIERS["one_plus_x2"], rule(dim, 1))
-        assert model.oracle_residual == float(np.abs(tail_family(dim) - gram).max())
-        np.testing.assert_array_equal(model.x_squared_gram, quadrature_gram(MULTIPLIERS["one_plus_x2_squared"], rule(dim, 1)))
+        assert len(rules) == 1 and rules[0][2].shape[0] == dim
+        assert len(grams) == 2 and all(r is rules[0] for r in grams)
+        entries = gram(MULTIPLIERS["one_plus_x2"], rule(dim))
+        assert model.oracle_residual == float(np.abs(tail_family(dim) - entries).max())
+        np.testing.assert_array_equal(model.x_squared_gram, gram(MULTIPLIERS["one_plus_x2_squared"], rule(dim)))
 
 
 def test_trapezoid_rule_step_and_reach():
-    # step pi / (t + REACH) with t = sqrt(2 count + 1); halving it keeps
-    # every node of the coarse rule, bit for bit
+    # step pi / (t + REACH) with t = sqrt(2 count + 1)
     for count in (2, 32, 256):
         reach = math.sqrt(2 * count + 1) + REACH
-        nodes, weights, table = trapezoid_rule(count, 1)
+        nodes, weights, table = trapezoid_rule(count)
         step = math.pi / reach
         assert nodes[0] == 0.0 and nodes[-1] <= reach < nodes[-1] + step
         np.testing.assert_allclose(np.diff(nodes), step, rtol=1e-12)
         assert weights[0] == nodes[1] and np.all(weights[1:] == 2 * nodes[1])
         assert table.shape == (count, nodes.size)
-        fine = trapezoid_rule(count, 2)[0]
-        np.testing.assert_array_equal(fine[::2], nodes)
-        assert fine[-1] <= reach < fine[-1] + step / 2
 
 
-@pytest.mark.parametrize("count", [1, 2, 3, 16, 255, 256, MAX_DIMENSION])
-def test_every_other_node_of_the_halved_step_is_the_rule_bit_for_bit(count):
-    # halving the step is exact in binary and the table is evaluated node
-    # by node, so build_model evaluates the Hermite functions only once
-    coarse = trapezoid_rule(count, 1)
-    from_fine = _every_other_node(trapezoid_rule(count, 2))
-    for name, expected, actual in zip(("nodes", "weights", "table"), coarse, from_fine):
-        assert np.array_equal(actual, expected), name
-        assert actual.flags.c_contiguous, name
+def test_build_model_traced_peak_at_256():
+    # one rule and two Grams: no halved-step table (256 x 1001 floats)
+    build_model(256)
+    tracemalloc.start()
+    try:
+        build_model(256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * 2**20, peak / 2**20
 
 
 def test_build_model_gate_holds_up_to_the_limit():
@@ -408,19 +416,19 @@ def test_quadrature_gram_by_parity_matches_the_all_node_sum(order, count, multip
         np.testing.assert_allclose(gram, np.eye(count), atol=1e-12)
 
 
-@pytest.mark.parametrize("count, refinement", [(8, 1), (8, 2), (128, 1)])
+@pytest.mark.parametrize("count, make_rule", [(8, trapezoid_rule), (8, halved_step_rule), (128, trapezoid_rule)])
 @pytest.mark.parametrize("multiplier", MULTIPLIERS)
-def test_trapezoid_gram_by_parity_matches_the_full_grid_sum(count, refinement, multiplier):
+def test_trapezoid_gram_by_parity_matches_the_full_grid_sum(count, make_rule, multiplier):
     # the trapezoidal rule's full symmetric grid, every node with weight h
-    nodes, weights, _ = trapezoid_rule(count, refinement)
+    nodes, weights, _ = make_rule(count)
     grid = np.concatenate([-nodes[:0:-1], nodes])
-    gram = quadrature_gram(MULTIPLIERS[multiplier], trapezoid_rule(count, refinement))
+    gram = quadrature_gram(MULTIPLIERS[multiplier], make_rule(count))
     assert_parity_split_matches(gram, all_node_gram(multiplier, count, grid, np.full(grid.size, weights[0])))
 
 
 def test_mirrored_nodes_give_signed_hermite_functions_bit_for_bit():
     # e_k(-x) = (-1)^k e_k(x) exactly, which makes the parity split exact
-    nodes, _, table = trapezoid_rule(16, 1)
+    nodes, _, table = trapezoid_rule(16)
     signs = (-1.0) ** np.arange(16)[:, None]
     np.testing.assert_array_equal(hermite_function_table(16, -nodes), signs * table)
 
@@ -439,7 +447,7 @@ def test_trapezoid_gram_matches_numpys_gauss_hermite_rule(multiplier, count, bou
     table = hermite_function_table(count, nodes)
     factors = weights * np.exp(nodes**2) * MULTIPLIERS[multiplier](nodes)
     reference = (table * factors) @ table.T
-    gram = quadrature_gram(MULTIPLIERS[multiplier], trapezoid_rule(count, 1))
+    gram = quadrature_gram(MULTIPLIERS[multiplier], trapezoid_rule(count))
     assert np.abs(gram - reference).max() <= bound * np.abs(reference).max()
 
 
@@ -448,7 +456,7 @@ def test_oracle_gate_trips_on_odd_parity_defect(monkeypatch):
     import rieszlab.hermite as hermite_mod
 
     def defective(dim):
-        entries = tail_family(dim)
+        entries = tail_family(dim).copy()
         entries[0, 1] += 1e-6
         return entries
 

@@ -25,7 +25,7 @@ from rieszlab import suite
 from rieszlab.cli import _hermite_config
 from rieszlab.linalg import SPLIT_FLOOR, Blocks
 from rieszlab.errors import DimensionMismatch, NumericallySingular
-from rieszlab.hermite import tail_family
+from rieszlab.hermite import quadrature_gram, tail_family, trapezoid_rule
 from rieszlab.sampling import random_kets, stream_rng
 from rieszlab.systems import family_matrix
 
@@ -119,6 +119,15 @@ def test_family_of_a_writable_caller_buffer_is_copied():
     t = from_diagonal([1.0, 2.0])
     assert Blocks.of(t) is t and BiorthogonalSystem(phi=t, psi=t).phi is t
     assert Blocks.of(t.adjoint_inverse) is t.adjoint_inverse
+
+
+def test_fresh_hermite_arrays_are_held_without_a_copy():
+    # below the split floor Blocks.of holds the model's read-only arrays
+    # as they are
+    for fresh in (tail_family(16), quadrature_gram(lambda x: 1.0 + x * x, trapezoid_rule(16))):
+        assert not fresh.flags.writeable
+        (block,) = Blocks.of(fresh).blocks
+        assert block is fresh
 
 
 def test_a_split_map_holds_only_its_parity_blocks():
