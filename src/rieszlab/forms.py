@@ -44,9 +44,14 @@ def _column_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray | complex:
     return np.sum(np.conj(a) * b, axis=0)
 
 
-def _form_deviation(form: np.ndarray, other: np.ndarray) -> float:
-    """Worst |form - other| / (1 + |form|) over the sample columns: a form read against a second route to it."""
-    return float(np.max(np.abs(form - other) / (1.0 + np.abs(form))))
+def _form_deviation(form: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """Worst |form - <a_k, b_k>| / (|a_k| |b_k|) over the sample columns: a form read against a second route to it.
+
+    The scale is the second route's Cauchy-Schwarz bound, so the reading
+    does not change under T -> cT or T -> QT.
+    """
+    scale = np.linalg.norm(a, axis=0) * np.linalg.norm(b, axis=0)
+    return float(np.max(np.abs(form - _column_inner(a, b)) / scale))
 
 
 def omega(x: np.ndarray, y: np.ndarray, family) -> np.ndarray | complex:
@@ -73,15 +78,16 @@ def verify_representation(
     y: np.ndarray,
     tolerance: float,
 ) -> CheckReport:
-    """Worst |Omega(x,y) - <K^(1/2)x, K^(1/2)y>| / (1 + |Omega(x,y)|) over the sample columns.
+    """Worst |Omega(x,y) - <K^(1/2)x, K^(1/2)y>| / (|K^(1/2)x| |K^(1/2)y|) over the sample columns.
 
-    Both families are checked, each with the square root of its own frame operator.
+    Both families are checked, each with the square root of its own frame
+    operator.  Omega is formed before the root images, so the two routes'
+    N x count arrays are never alive together.
     """
     require_samples(x, "representation")
     details = {}
     for side, family, root in (("phi", sys.phi, ops.k_phi_sqrt), ("psi", sys.psi, ops.k_psi_sqrt)):
-        rhs = _column_inner(apply(root, x), apply(root, y))
-        details[f"{side}_family"] = _form_deviation(omega(x, y, family), rhs)
+        details[f"{side}_family"] = _form_deviation(omega(x, y, family), apply(root, x), apply(root, y))
     residual = worst(details.values())
     return make_report("representation", residual, tolerance, details=details | {"samples": x.shape[1]})
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OracleMismatch
-from .forms import _column_inner, _form_deviation, omega
+from .forms import _form_deviation, omega
 from .linalg import Blocks, LinearMap, invert, read_only, solve
 from .reporting import CheckReport, make_report, relative_frobenius, worst
 from .systems import BiorthogonalSystem, FrameOperators
@@ -162,9 +162,10 @@ def verify_K_psi(
     agree at every index.  X is pentadiagonal, so the truncation reaches
     rows dim - 2 and dim - 1 of X X*: the K_phi block stops below dim - 2,
     and is empty (detail 0) at dim 2.  The dual form Omega over psi is
-    also spot-checked against <X^-1 f, X^-1 g> on FORM_SAMPLES random
-    vector pairs that span every index.  The model's entry-oracle
-    deviation counts towards the residual too.
+    also spot-checked against <X^-1 f, X^-1 g>, relative to
+    |X^-1 f| |X^-1 g|, on FORM_SAMPLES random vector pairs that span every
+    index.  The model's entry-oracle deviation counts towards the residual
+    too.
     """
     x = model.X
     dim = x.dim
@@ -177,16 +178,16 @@ def verify_K_psi(
     draws = np.random.default_rng(seed).standard_normal((FORM_SAMPLES, 4, dim))
     f = (draws[:, 0] + 1j * draws[:, 1]).T
     g = (draws[:, 2] + 1j * draws[:, 3]).T
+    form = omega(f, g, sys.psi)
     # X^-1 f and X^-1 g by an LU solve per block of the real X, on the
     # samples' real and imaginary parts, not from the SVD inverse that built
     # psi: with the same matrix both sides would be one computation.
     solved = solve(x, np.hstack([f, g]))
-    through_inverse = _column_inner(solved[:, :FORM_SAMPLES], solved[:, FORM_SAMPLES:])
 
     details = {
         "k_phi_vs_x_squared": relative_frobenius(k_phi - x2, x2),
         "k_psi_vs_x_inverse_squared": relative_frobenius(ops.k_psi - x_inv2, x_inv2),
-        "omega_psi_through_inverse": _form_deviation(omega(f, g, sys.psi), through_inverse),
+        "omega_psi_through_inverse": _form_deviation(form, solved[:, :FORM_SAMPLES], solved[:, FORM_SAMPLES:]),
         "entry_oracle": model.oracle_residual,
     }
     residual = worst(details.values())

@@ -630,13 +630,26 @@ def clean_verdicts(t):
     return {r.name: r.passed for r in reports}
 
 
+def representation_defect_verdicts(t):
+    """Verdicts of representation with the largest entry of K_phi^(1/2), or of K_psi^(1/2), scaled by 1 + 1e-6."""
+    verdicts = {}
+    for root in ("k_phi_sqrt", "k_psi_sqrt"):
+        ctx = suite._SuiteContext(dense_config(LinearMap(t), alpha={"kind": "sqrt_n"}, tolerance=1e-8))
+        vars(ctx.frame_ops)[root] = Blocks.of(largest_entry_scaled(getattr(ctx.frame_ops, root)))
+        verdicts[root] = suite._CHECKS["representation"](ctx).passed
+    return verdicts
+
+
 @pytest.mark.parametrize("image", METAMORPHIC_IMAGES)
 def test_verdicts_hold_under_scaling_and_rotation_of_t(image):
     # With a floor of 1 under each column norm, eigen and ladder read this
     # defect at 19.2x and 321x their tolerance for c <= 1, but at 0.011x and
     # 0.19x for c = 1e4 and 1.1e-6x and 1.9e-5x for c = 1e8: small psi
     # columns hid it.  Read relative per column, they read 19.2x and 321x at
-    # every c; product_identities reads 3.6x throughout.
+    # every c; product_identities reads 3.6x throughout.  representation
+    # read its sampled forms over 1 + |Omega|: a defect in K_phi^(1/2) read
+    # 62x at c = 1 and passed at c <= 1e-4, as Omega_phi scales as c^2.
+    # Over the Cauchy-Schwarz bound |K^(1/2)x| |K^(1/2)y| it fails at every c.
     t, q = metamorphic_t()
     mapped = METAMORPHIC_IMAGES[image](t, q)
     assert clean_verdicts(mapped) == clean_verdicts(t)
@@ -644,6 +657,7 @@ def test_verdicts_hold_under_scaling_and_rotation_of_t(image):
     verdicts = defect_verdicts(mapped)
     assert not verdicts["eigen"] and not verdicts["ladder"]
     assert verdicts["product_identities"] or not verdicts["ladder"]  # ladder fails wherever product_identities fails
+    assert representation_defect_verdicts(t) == representation_defect_verdicts(mapped) == {"k_phi_sqrt": False, "k_psi_sqrt": False}
 
 
 @pytest.mark.parametrize(
