@@ -6,7 +6,6 @@ import cmath
 import hashlib
 import json
 import math
-import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -89,15 +88,6 @@ def _expect(condition: bool, path: str, reason: str) -> None:
         raise ParseError(path, reason)
 
 
-def _decimal(n: int) -> str:
-    """n in decimal, or its order of magnitude where str(n) would pass the interpreter's digit limit."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (Python before 3.10.7)
-    magnitude = n.bit_length() * math.log10(2)  # within 1 of the digit count
-    if limit and magnitude + 1 > limit:
-        return f"about 10^{int(magnitude)}"
-    return str(n)
-
-
 def _as_number(value: Any, path: str) -> float:
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool), path, "must be a number")
     try:
@@ -151,9 +141,21 @@ def _as_complex_array(values: list, path: str) -> np.ndarray:
 
 
 def _parse_operator(raw: Any, dimension: int) -> OperatorSpec:
+    """The operator spec; its kind and the dimension limits are checked before any value list is read."""
     _expect(isinstance(raw, dict), "/operator", "must be an object")
     kind = raw.get("kind")
     _expect(kind in OPERATOR_KINDS, "/operator/kind", f"must be one of {list(OPERATOR_KINDS)}")
+    _expect(
+        kind != "hermite-x" or dimension <= MAX_DIMENSION,
+        "/dimension",
+        f"hermite-x needs dimension <= {MAX_DIMENSION}: {MAX_DIMENSION_REASON}",
+    )
+    _expect(
+        dimension <= DIMENSION_LIMIT,
+        "/dimension",
+        f"must be <= {DIMENSION_LIMIT}: a run keeps about {LIVE_MATRICES} N x N complex matrices live, "
+        f"{WORKING_SET_BYTES // 2**30} GiB at that size",
+    )
     allowed = {"kind"}
     if kind == "diagonal":
         allowed.add("values")
@@ -167,8 +169,7 @@ def _parse_operator(raw: Any, dimension: int) -> OperatorSpec:
         entries = raw.get("entries")
         _expect(isinstance(entries, list), "/operator/entries", "must be a flat row-major list")
         if len(entries) != dimension * dimension:
-            count = _decimal(dimension * dimension)
-            raise ParseError("/operator/entries", f"needs exactly {count} entries, got {len(entries)}")
+            raise ParseError("/operator/entries", f"needs exactly {dimension * dimension} entries, got {len(entries)}")
         spec = OperatorSpec(kind, values=_as_complex_array(entries, "/operator/entries"))
     elif kind == "upper-unipotent":
         allowed.add("off_diagonal")
@@ -227,17 +228,6 @@ def parse_config(text: str) -> RunConfig:
 
     _expect("operator" in raw, "/operator", "is required")
     operator = _parse_operator(raw["operator"], dimension)
-    _expect(
-        operator.kind != "hermite-x" or dimension <= MAX_DIMENSION,
-        "/dimension",
-        f"hermite-x needs dimension <= {MAX_DIMENSION}: {MAX_DIMENSION_REASON}",
-    )
-    _expect(
-        dimension <= DIMENSION_LIMIT,
-        "/dimension",
-        f"must be <= {DIMENSION_LIMIT}: a run keeps about {LIVE_MATRICES} N x N complex matrices live, "
-        f"{WORKING_SET_BYTES // 2**30} GiB at that size",
-    )
     alpha = _parse_alpha(raw.get("alpha"), dimension)
 
     tolerance = raw.get("tolerance", 1e-8)

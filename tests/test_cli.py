@@ -137,10 +137,11 @@ def test_cli_rejects_oversized_integer_literal(tmp_path, capsys, payload, path):
 
 
 def test_cli_rejects_dense_dimension_past_the_digit_limit(tmp_path, capsys):
-    # dimension**2 has more than 4,300 digits, which str() refuses
+    # dimension**2 has more than 4,300 digits, which str() refuses; the
+    # dimension limit is checked first
     config = write_config(tmp_path, {"dimension": 10**2500, "operator": {"kind": "dense", "entries": [1]}})
     assert main(["run", "--config", str(config)]) == 2
-    assert "invalid config at /operator/entries: needs exactly about 10^5000 entries" in capsys.readouterr().err
+    assert f"invalid config at /dimension: must be <= {DIMENSION_LIMIT}" in capsys.readouterr().err
 
 
 def test_cli_rejects_missing_file(tmp_path, capsys):

@@ -154,12 +154,13 @@ def test_parse_rejects_oversized_integer_literals():
 
 
 def test_parse_rejects_dense_dimension_whose_square_passes_the_digit_limit():
-    # 10**2500 is under the interpreter's 4,300-digit limit, its square is not
+    # 10**2500 is under the interpreter's 4,300-digit limit, its square is
+    # not; the dimension limit is checked before the entries are counted
     dimension = 10**2500
     with pytest.raises(ParseError) as excinfo:
         parse({"dimension": dimension, "operator": {"kind": "dense", "entries": [1]}})
-    assert excinfo.value.path == "/operator/entries"
-    assert excinfo.value.reason == "needs exactly about 10^5000 entries, got 1"
+    assert excinfo.value.path == "/dimension"
+    assert excinfo.value.reason.startswith(f"must be <= {DIMENSION_LIMIT}: a run keeps about")
     with pytest.raises(ParseError) as excinfo:
         parse({"dimension": 3, "operator": {"kind": "dense", "entries": [1]}})
     assert excinfo.value.reason == "needs exactly 9 entries, got 1"
@@ -380,7 +381,9 @@ def test_dimension_limit_covers_every_operator_kind(monkeypatch):
         "upper-unipotent": {"kind": "upper-unipotent"},
     }
     assert set(operators) | {"hermite-x"} == set(config_mod.OPERATOR_KINDS)
-    for operator in operators.values():
+    # the limit is checked before any value list is read
+    bad_entry = {"kind": "dense", "entries": ["x"] + [0.0] * 15}
+    for operator in [*operators.values(), bad_entry]:
         with pytest.raises(ParseError) as excinfo:
             parse({"dimension": 4, "operator": operator})
         assert excinfo.value.path == "/dimension" and excinfo.value.reason.startswith("must be <= 3")
