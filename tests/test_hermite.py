@@ -416,7 +416,9 @@ def test_quadrature_gram_by_parity_matches_the_all_node_sum(order, count, multip
         np.testing.assert_allclose(gram, np.eye(count), atol=1e-12)
 
 
-@pytest.mark.parametrize("count, make_rule", [(8, trapezoid_rule), (8, halved_step_rule), (128, trapezoid_rule)])
+@pytest.mark.parametrize(
+    "count, make_rule", [(8, trapezoid_rule), (8, halved_step_rule), (128, trapezoid_rule)], ids=["8", "8-halved", "128"]
+)
 @pytest.mark.parametrize("multiplier", MULTIPLIERS)
 def test_trapezoid_gram_by_parity_matches_the_full_grid_sum(count, make_rule, multiplier):
     # the trapezoidal rule's full symmetric grid, every node with weight h
