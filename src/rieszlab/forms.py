@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositive
-from .linalg import Blocks, LinearMap, apply
+from .linalg import Blocks, LinearMap, _column_norms, apply
 from .reporting import CheckReport, make_report, worst
 from .systems import BiorthogonalSystem, FrameOperators, family_matrix, require_samples
 
@@ -50,7 +50,7 @@ def _form_deviation(form: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     The scale is the second route's Cauchy-Schwarz bound, so the reading
     does not change under T -> cT or T -> QT.
     """
-    scale = np.linalg.norm(a, axis=0) * np.linalg.norm(b, axis=0)
+    scale = _column_norms(a) * _column_norms(b)
     return float(np.max(np.abs(form - _column_inner(a, b)) / scale))
 
 

@@ -76,6 +76,19 @@ def read_only(a):
     return a
 
 
+def _frobenius(a: np.ndarray) -> float:
+    """np.linalg.norm(a) of a float or complex array, bit for bit, without its argument dispatch."""
+    x = a.ravel(order="K")
+    if x.dtype.kind == "c":
+        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return math.sqrt(x.dot(x))
+
+
+def _column_norms(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(a, axis=0) of a float or complex array, bit for bit, without its argument dispatch."""
+    return np.sqrt(np.add.reduce((a.conj() * a).real if a.dtype.kind == "c" else a * a, axis=0))
+
+
 def _keeps_parity(a: np.ndarray) -> bool:
     """Whether a square a couples only indices of equal parity: both off-parity blocks are exact zeros."""
     return not a[::2, 1::2].any() and not a[1::2, ::2].any()
@@ -221,16 +234,16 @@ class Blocks:
 
     def frobenius(self) -> float:
         if self.parts == 1:
-            return float(np.linalg.norm(self.blocks[0]))
-        return math.hypot(*(float(np.linalg.norm(b)) for b in self.blocks))
+            return _frobenius(self.blocks[0])
+        return math.hypot(*(_frobenius(b) for b in self.blocks))
 
     def column_norms(self) -> np.ndarray:
         """The 2-norm of every column, in index order."""
         if self.parts == 1:
-            return np.linalg.norm(self.blocks[0], axis=0)
+            return _column_norms(self.blocks[0])
         out = np.empty(self.shape[1])
         for p, b in enumerate(self.blocks):
-            out[p :: self.parts] = np.linalg.norm(b, axis=0)
+            out[p :: self.parts] = _column_norms(b)
         return out
 
     def worst_entry(self) -> tuple[float, int, int]:

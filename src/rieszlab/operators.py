@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, WrongAlphaKind
-from .linalg import Blocks, LinearMap, invert, read_only, real_or_complex
+from .linalg import Blocks, LinearMap, _frobenius, invert, read_only, real_or_complex
 from .reporting import CheckReport, make_report, relative_frobenius, worst
 from .systems import BiorthogonalSystem, column_residuals
 
@@ -61,30 +61,26 @@ class WeightedShift:
     def dim(self) -> int:
         return self.coefficients.shape[0]
 
-    def _span(self, codomain: int) -> slice:
-        """The columns j with j + offset inside 0 .. codomain-1; empty once |offset| >= N."""
-        dim = self.coefficients.shape[0]
-        start = min(max(0, -self.offset), dim)
-        return slice(start, max(start, min(dim, codomain - self.offset)))
-
     def __matmul__(self, right: "WeightedShift") -> "WeightedShift":
-        span = right._span(right.dim)
+        src, dst = _columns(right.offset, right.dim, right.dim)
         c = np.zeros(self.dim, dtype=np.result_type(self.coefficients, right.coefficients))
-        left = self.coefficients[span.start + right.offset : span.stop + right.offset]
-        c[span] = left * right.coefficients[span]
+        c[dst] = self.coefficients[src] * right.coefficients[dst]
         return WeightedShift(self.offset + right.offset, c)
 
     def __rmatmul__(self, left):
         if isinstance(left, Blocks):
             return Blocks([w.__rmatmul__(left.blocks[r]) for r, w in _block_shifts(self, left.parts)], left.shift + self.offset)
-        span = self._span(left.shape[-1])
+        src, dst = _columns(self.offset, self.dim, left.shape[-1])
         out = np.zeros(left.shape[:-1] + (self.dim,), dtype=np.result_type(left, self.coefficients))
-        np.multiply(
-            left[:, span.start + self.offset : span.stop + self.offset],
-            self.coefficients[span],
-            out=out[:, span],
-        )
+        np.multiply(left[:, src], self.coefficients[dst], out=out[:, dst])
         return out
+
+
+def _columns(offset: int, dim: int, codomain: int) -> tuple[slice, slice]:
+    """(j + offset, j) over the columns j < dim of a shift with j + offset inside 0 .. codomain-1; empty once |offset| >= dim."""
+    start = min(max(0, -offset), dim)
+    stop = max(start, min(dim, codomain - offset))
+    return slice(start + offset, stop + offset), slice(start, stop)
 
 
 def _block_shifts(w: WeightedShift, parts: int) -> list[tuple[int, WeightedShift]]:
@@ -260,6 +256,55 @@ def _words(m: int, l: int) -> tuple[str, str]:
     return "a" * m + "b" * l, "b" * m + "a" * l
 
 
+# The product walk's nodes, shortest first: every suffix of a word of
+# PRODUCT_PAIRS, and B alone, whose phi-side ket the mixed product reads.
+_NODES = tuple(sorted({w[i:] for m, l in PRODUCT_PAIRS for w in _words(m, l) for i in range(len(w))} | {"b"}, key=lambda w: (len(w), w)))
+# Per side, each node's (letter, child) pairs in the order they are pushed.
+# The child that repeats the word's first letter goes below its sibling,
+# whose run of one child per word is walked and freed first.  On the phi
+# side A's subtree is walked before B's, so the mixed product, which reads
+# B's ket and A_psi_phi, runs while only B's own children are pending.
+_CHILDREN = {
+    side: {
+        word: tuple((x, x + word) for x in sorted(order, key=lambda x: x != word[:1]) if x + word in _NODES)
+        for word in ("",) + _NODES
+    }
+    for side, order in (("phi", "ba"), ("psi", "ab"))
+}
+
+
+def _shift_plan(w: WeightedShift, parts: int, dim: int) -> tuple[tuple[int, slice, slice, np.ndarray], ...]:
+    """The blocks of right @ W for a right of dimension dim held in these parts.
+
+    Block q is block r of right times W_q (`_block_shifts`), given as
+    (r, the columns of block r it reads, the columns it fills, their
+    coefficients).
+    """
+    plan = []
+    for r, wq in _block_shifts(w, parts):
+        src, dst = _columns(wq.offset, wq.dim, len(range(r, dim, parts)))
+        plan.append((r, src, dst, wq.coefficients[dst]))
+    return tuple(plan)
+
+
+def _shift_deviation(ket: Blocks, right: Blocks, w: WeightedShift, plans: dict[int, tuple]) -> float:
+    """||ket - right @ W||_F, formed in ket's blocks from W's `_shift_plan` for each number of parts.
+
+    A ket held whole while right is split, or in other parity blocks than
+    right @ W, meets right whole, as `Blocks._aligned` does.  ket's dtype
+    holds the reference's: both are complex exactly when T or alpha is.
+    """
+    if ket.parts != right.parts or ket.shift != w.offset % ket.parts:
+        ket, right = ket.whole(), right.whole()
+    for k, (r, src, dst, c) in zip(ket.blocks, plans[right.parts]):
+        # One reference per block, subtracted from the whole block: an
+        # in-place subtraction on a column slice would take a slice-sized buffer.
+        reference = np.zeros(k.shape, k.dtype)
+        np.multiply(right.blocks[r][:, src], c, out=reference[:, dst])
+        np.subtract(k, reference, out=k)
+    return ket.frobenius()
+
+
 def product_identity_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     """A^m B^l products of the transformed operators against conjugated references.
 
@@ -269,9 +314,10 @@ def product_identity_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     side, for both orders, plus the mixed product
     A_psi_phi B_phi_psi T = (T*)^-1 A_e T* T B_e.  Each side walks the
     words of PRODUCT_PAIRS as a suffix tree from its right factor, one `@`
-    per word, and compares each ket with the right factor times the word's
-    weighted shift; the empty word compares the right factor with itself
-    and reads 0.  The two routes share only T and T^-1.
+    per word and block, and compares each ket with the right factor times
+    the word's weighted shift, formed in the ket once its children are
+    formed; the empty word compares the right factor with itself and reads
+    0.  The two routes share only T and T^-1.
 
     A residual is the Frobenius deviation over the larger of the
     reference's norm (from the right factor's column norms) and the
@@ -283,6 +329,7 @@ def product_identity_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     is the worst, and on a tie the earlier pair wins.
     """
     t = opset.t
+    dim = t.dim
     sigma = t.singular_values
     cond = t.cond_estimate
     letter_shifts = {"a": opset.a_e, "b": opset.b_e}
@@ -293,32 +340,37 @@ def product_identity_check(opset: OperatorSet, tolerance: float) -> CheckReport:
     def rel(deviation: float, reference_norm: float, scale: float) -> float:
         return float(deviation / max(reference_norm, scale, 1e-300))
 
-    words = {w for m, l in PRODUCT_PAIRS for w in _words(m, l)}
-    # every suffix of a word, and B alone, whose phi-side ket the mixed product reads
-    nodes = {w[i:] for w in words for i in range(len(w))} | {"b"}
     # W_x W_w once for both sides and before any gemm: a word whose powers overflow fails here
     shifts = {}
-    for word in sorted(nodes, key=len):
+    for word in _NODES:
         shifts[word] = letter_shifts[word[0]] @ shifts[word[1:]] if len(word) > 1 else letter_shifts[word]
+    plans = {word: {parts: _shift_plan(w, parts, dim) for parts in {1, t.parts, t_adj_inv.parts}} for word, w in shifts.items()}
+    powers = {word: (peak["a"] ** word.count("a"), peak["b"] ** word.count("b")) for word in _NODES}
     residuals = {("phi", ""): 0.0, ("psi", ""): 0.0}
-    # On the phi side A's subtree is walked before B's, so the mixed product,
-    # which reads B's ket and A_psi_phi, runs while only B's own children are pending.
     for side, right, right_norm, letters in (
         ("phi", t, sigma[0], {"b": opset.b_phi_psi, "a": opset.a_phi_psi}),
         ("psi", t_adj_inv, 1.0 / sigma[-1], {"a": opset.a_psi_phi, "b": opset.b_psi_phi}),
     ):
-        column_norms = right.column_norms()[np.newaxis]
+        column_norms = right.column_norms()
+        # Each word's reference norm and spectral bound, before the walk.
+        # Column j of right W is c_j times column j + offset of right: the
+        # reference's norm is O(N).
+        scales = {}
+        for word, plan in plans.items():
+            ((_, src, dst, c),) = plan[1]
+            shifted_norms = np.zeros(dim, c.dtype)
+            np.multiply(column_norms[src], c, out=shifted_norms[dst])
+            a_power, b_power = powers[word]
+            scales[word] = _frobenius(shifted_norms), right_norm * cond * a_power * b_power
+        children = _CHILDREN[side]
         # Depth first on an explicit stack: a nested function that calls itself
         # would be a reference cycle and keep the run's matrices alive until the
         # cyclic collector runs.  Only the pending kets of one chain are held.
         pending = [("", right)]
         while pending:
             word, ket = pending.pop()
-            # The child that repeats the word's first letter goes below its
-            # sibling, whose run of one child per word is walked and freed first.
-            for x in sorted(letters, key=lambda x: x != word[:1]):
-                if x + word in nodes:
-                    pending.append((x + word, letters[x] @ ket))
+            for x, child in children[word]:
+                pending.append((child, letters[x] @ ket))
             if side == "phi" and word == "b":
                 # A_psi_phi (B_phi_psi T) against ((T*)^-1 A_e) (T* (T B_e))
                 reference = (t_adj_inv @ opset.a_e) @ (t.H @ (t @ opset.b_e))
@@ -326,10 +378,7 @@ def product_identity_check(opset: OperatorSet, tolerance: float) -> CheckReport:
                 mixed = rel((opset.a_psi_phi @ ket - reference).frobenius(), reference.frobenius(), bound)
                 del reference
             if word:
-                # column j of right W is c_j times column j + offset of right: its norm is O(N)
-                reference_norm = float(np.linalg.norm(column_norms @ shifts[word]))
-                bound = right_norm * cond * peak["a"] ** word.count("a") * peak["b"] ** word.count("b")
-                residuals[side, word] = rel((ket - right @ shifts[word]).frobenius(), reference_norm, bound)
+                residuals[side, word] = rel(_shift_deviation(ket, right, shifts[word], plans[word]), *scales[word])
             del ket  # before the walk forms the next children
     pairs = []
     for m, l in PRODUCT_PAIRS:

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import forms, hermite, operators, sampling, systems
 from .config import REPORT_SCHEMA, RunConfig
-from .linalg import Blocks, LinearMap, from_diagonal, polar_decompose
+from .linalg import Blocks, LinearMap, _column_norms, from_diagonal, polar_decompose
 from .reporting import CheckReport, error_report, make_report, relative_frobenius, report_as_dict, worst
 
 log = logging.getLogger("rieszlab")
@@ -112,7 +112,7 @@ def _check_quasi_basis(ctx: _SuiteContext) -> CheckReport:
 def _check_frame_bounds(ctx: _SuiteContext) -> CheckReport:
     c, big_c = forms.frame_bounds(ctx.frame_ops.k_phi)
     (x,) = ctx.samples("frame_bounds")
-    sq = np.linalg.norm(x, axis=0) ** 2
+    sq = _column_norms(x) ** 2
     value = forms.omega(x, x, ctx.system.phi).real
     violation = np.maximum(0.0, np.maximum(c * sq - value, value - big_c * sq))
     residual = float(np.max(violation / np.maximum(value, 1e-300)))

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import Blocks, LinearMap, _family_array, apply, operator_sqrt
+from .linalg import Blocks, LinearMap, _column_norms, _family_array, apply, operator_sqrt
 from .reporting import CheckReport, make_report, worst
 
 
@@ -143,9 +143,9 @@ def verify_clause_i3(
     """Residual of (K_phi^(1/2))* K_psi^(1/2) x = x over the sample columns; zero columns are skipped."""
     require_samples(samples, "clause (i)3")
     r = ops.k_phi_sqrt.H @ ops.k_psi_sqrt
-    norms = np.linalg.norm(samples, axis=0)
+    norms = _column_norms(samples)
     nonzero = norms > 0.0
-    resid = np.linalg.norm(apply(r, samples) - samples, axis=0)[nonzero] / norms[nonzero]
+    resid = _column_norms(apply(r, samples) - samples)[nonzero] / norms[nonzero]
     residual = float(resid.max()) if resid.size else 0.0
     return make_report("clause_i3", residual, tolerance, details={"samples": samples.shape[1]})
 

@@ -490,3 +490,19 @@ def test_apply_matches_the_matrix_product(layout, kinds):
             np.testing.assert_allclose(part, expected, rtol=0.0, atol=scale)
     else:
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("layout", ["c-ordered", "f-ordered", "parity-strided", "row"])
+@pytest.mark.parametrize("dim", [1, 7, 33, 128])
+def test_norm_helpers_hold_the_bits_of_np_linalg_norm(kind, layout, dim):
+    rng = stream_rng(20)
+    a = rng.standard_normal((dim, dim))
+    if kind == "complex":
+        a = a + 1j * rng.standard_normal((dim, dim))
+    a = {"c-ordered": a, "f-ordered": a.T, "parity-strided": a[::2], "row": a[:1]}[layout]
+    assert linalg._frobenius(a).hex() == float(np.linalg.norm(a)).hex()
+    norms = linalg._column_norms(a)
+    want = np.linalg.norm(a, axis=0)
+    assert norms.dtype == want.dtype and norms.shape == want.shape
+    assert norms.tobytes() == want.tobytes()

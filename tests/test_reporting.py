@@ -1,5 +1,6 @@
 """A JSON report is json.dumps(doc, sort_keys=True, indent=2) of schema rieszlab/4, with a newline."""
 
+import itertools
 import json
 
 import numpy as np
@@ -38,3 +39,14 @@ def test_worst_keeps_a_nan_wherever_it_stands():
     for values in ([0.0, float("nan")], [float("nan"), 0.0], [1.0, float("nan"), 2.0]):
         assert np.isnan(worst(values))
     assert worst([1e-3, 2.0, 0.5]) == 2.0
+
+
+def test_worst_returns_what_np_max_returns():
+    # A NaN first, in the middle or last, and equal values of either sign:
+    # np.max keeps the last of equal values, so [0.0, -0.0] reads -0.0.
+    nan = float("nan")
+    assert repr(worst([0.0, -0.0])) == "-0.0" and repr(worst([-0.0, 0.0])) == "0.0"
+    rows = [v for n in range(1, 6) for v in itertools.product([0.0, -0.0, 1.0, nan], repeat=n)]
+    rows += list(itertools.product([0.0, -0.0], repeat=8))  # the most values a check passes: ladder's eight
+    for values in rows:
+        assert repr(worst(values)) == repr(float(np.max(values))), values
