@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DimensionMismatch, NotPositive
 from .linalg import Blocks, LinearMap, _column_norms, apply
 from .reporting import CheckReport, make_report, worst
-from .systems import BiorthogonalSystem, FrameOperators, family_matrix, require_samples
+from .systems import BiorthogonalSystem, FrameOperators, require_samples
 
 TAIL_GRID = (16, 32, 64, 128, 256, 512)  # ascending truncations of the tail diagnostic
 CONVERGENT_TAIL_FRACTION = 1e-3
@@ -117,19 +117,18 @@ def frame_bounds(k: LinearMap) -> tuple[float, float]:
     return float(lam[0]), float(lam[-1])
 
 
-def tail_diagnostic(x: np.ndarray, family: np.ndarray) -> TailDiagnostic:
+def tail_diagnostic(pairings: np.ndarray) -> TailDiagnostic:
     """Partial sums S_N = sum_{k<N} |<x, phi_k>|^2 across the truncations of TAIL_GRID.
 
-    x and family are given at the largest truncation.  Every S_N is a
-    prefix sum of that truncation's pairings, so the trajectory is exactly
+    The pairings <x, phi_k> are given at the largest truncation.  Every
+    S_N is a prefix sum of them, so the trajectory is exactly
     nondecreasing.
     """
     size = TAIL_GRID[-1]
-    x = np.asarray(x)
-    fam = family_matrix(family)
-    if x.shape != (size,) or fam.shape != (size, size):
-        raise DimensionMismatch(f"the tail diagnostic needs a vector and a family at truncation {size}")
-    cumulative = np.cumsum(np.abs(fam.conj().T @ x) ** 2)
+    pairings = np.asarray(pairings)
+    if pairings.shape != (size,):
+        raise DimensionMismatch(f"the tail diagnostic needs the pairings at truncation {size}")
+    cumulative = np.cumsum(np.abs(pairings) ** 2)
     sums = [float(cumulative[n - 1]) for n in TAIL_GRID]
 
     s_max = sums[-1]

@@ -147,6 +147,22 @@ def tail_family(dim: int) -> np.ndarray:
     return read_only(entries)
 
 
+def tail_pairings(x: np.ndarray) -> np.ndarray:
+    """The pairings <phi_k, x> = (X x)_k of x with the tail family at truncation len(x).
+
+    They are formed from X's three closed-form bands in O(len(x)) work,
+    without the len(x) x len(x) matrix of `tail_family`.  X is real, so
+    their moduli are those of <x, phi_k>.
+    """
+    x = np.asarray(x)
+    n = np.arange(x.size)
+    band = x_entry(n[:-2], n[2:])
+    pairings = x_entry(n, n) * x
+    pairings[:-2] += band * x[2:]
+    pairings[2:] += band * x[:-2]
+    return pairings
+
+
 def verify_K_psi(
     model: HermiteModel,
     sys: BiorthogonalSystem,
@@ -174,10 +190,14 @@ def verify_K_psi(
     x2 = model.x_squared_gram.leading(dim - 2)
     x_inv2 = x_inv @ x_inv
 
-    # Per sample the draws come in the order Re f, Im f, Re g, Im g.
+    # Per sample the draws come in the order Re f, Im f, Re g, Im g.  Each
+    # part is written into its array in place: the bits of Re + 1j * Im
+    # without its complex temporaries.
     draws = np.random.default_rng(seed).standard_normal((FORM_SAMPLES, 4, dim))
-    f = (draws[:, 0] + 1j * draws[:, 1]).T
-    g = (draws[:, 2] + 1j * draws[:, 3]).T
+    pairs = np.empty((2, FORM_SAMPLES, dim), np.complex128)
+    pairs.real = draws[:, 0::2].transpose(1, 0, 2)
+    pairs.imag = draws[:, 1::2].transpose(1, 0, 2)
+    f, g = pairs[0].T, pairs[1].T
     form = omega(f, g, sys.psi)
     # X^-1 f and X^-1 g by an LU solve per block of the real X, on the
     # samples' real and imaginary parts, not from the SVD inverse that built

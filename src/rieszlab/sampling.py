@@ -12,5 +12,9 @@ def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 def random_kets(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Complex standard-normal sample set: a (dim, count) array, column k the k-th vector."""
-    z = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+    # The two draws fill the parts in place: the bits of x + 1j * y
+    # without its complex temporaries.
+    z = np.empty((count, dim), np.complex128)
+    z.real = rng.standard_normal((count, dim))
+    z.imag = rng.standard_normal((count, dim))
     return z.T

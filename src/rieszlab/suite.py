@@ -211,11 +211,9 @@ def _check_frame_bound_growth(ctx: _SuiteContext) -> CheckReport:
 def _check_tail_dichotomy(ctx: _SuiteContext) -> CheckReport:
     verdicts = {}
     details: dict = {}
-    size = forms.TAIL_GRID[-1]
-    family = hermite.tail_family(size)
-    n = np.arange(size)
+    n = np.arange(forms.TAIL_GRID[-1])
     for label, coefficients in (("harmonic", 1.0 / (n + 1.0)), ("geometric", 2.0**-n)):
-        diag = forms.tail_diagnostic(coefficients, family)
+        diag = forms.tail_diagnostic(hermite.tail_pairings(coefficients))
         verdicts[label] = diag.classification
         details[f"{label}_classification"] = diag.classification
         details[f"{label}_growth_exponent"] = diag.growth_exponent
@@ -246,24 +244,42 @@ _CHECKS = {
 }
 
 
+# The checks that read the operator set or the eigenrelation.  They run
+# first, and both stages are freed after the last of them.
+_OPSET_READERS = frozenset({
+    "adjoint_relations", "ccr", "domain_mapping", "eigen", "hamiltonian_agreement", "ladder", "product_identities",
+})
+
+
 def run_suite(cfg: RunConfig) -> list[CheckReport]:
-    """Run the configured checks; failures become reports, never crashes."""
+    """Run the configured checks; failures become reports, never crashes.
+
+    The operator-set readers run first, each group in name order; the
+    reports come back in name order.
+    """
     ctx = _SuiteContext(cfg)
-    reports = []
-    for name in sorted(cfg.checks):
-        try:
-            # an overflow, invalid operation or division by zero raises
-            # FloatingPointError, so the check fails with that reason
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                report = _CHECKS[name](ctx)
-        except Exception as exc:  # totality: surface as a failed report
-            log.info("check %s raised %s: %s", name, type(exc).__name__, exc)
-            report = error_report(name, exc, ctx.cfg.tolerance)
-        log.info("check %s: residual %.3e vs tolerance %.3e -> %s",
-                 report.name, report.residual, report.tolerance,
-                 "pass" if report.passed else "FAIL")
-        reports.append(report)
-    return reports
+    readers = sorted(_OPSET_READERS.intersection(cfg.checks))
+    reports = [_run_check(ctx, name) for name in readers]
+    for stage in ("eigenrelation", "opset"):
+        vars(ctx).pop(stage, None)
+    reports += [_run_check(ctx, name) for name in sorted(set(cfg.checks) - _OPSET_READERS)]
+    return sorted(reports, key=lambda r: r.name)
+
+
+def _run_check(ctx: _SuiteContext, name: str) -> CheckReport:
+    """One check's report; an exception it raises becomes a failed report."""
+    try:
+        # an overflow, invalid operation or division by zero raises
+        # FloatingPointError, so the check fails with that reason
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            report = _CHECKS[name](ctx)
+    except Exception as exc:  # totality: surface as a failed report
+        log.info("check %s raised %s: %s", name, type(exc).__name__, exc)
+        report = error_report(name, exc, ctx.cfg.tolerance)
+    log.info("check %s: residual %.3e vs tolerance %.3e -> %s",
+             report.name, report.residual, report.tolerance,
+             "pass" if report.passed else "FAIL")
+    return report
 
 
 def emit_report(reports, fmt: str = "json", config: dict | None = None) -> str:

@@ -33,7 +33,7 @@ from rieszlab import (
 )
 from rieszlab.cli import main
 from rieszlab.forms import TAIL_GRID, frame_bounds
-from rieszlab.hermite import tail_family
+from rieszlab.hermite import tail_family, tail_pairings
 from rieszlab.sampling import random_kets, stream_rng
 from rieszlab.systems import frame_operator
 
@@ -275,11 +275,9 @@ def test_criterion_12_frame_bound_growth():
 
 
 def test_criterion_13_tail_dichotomy():
-    size = TAIL_GRID[-1]
-    family = tail_family(size)
-    k = np.arange(size)
-    harmonic = tail_diagnostic(1.0 / (k + 1.0), family)
-    geometric = tail_diagnostic(2.0**-k, family)
+    k = np.arange(TAIL_GRID[-1])
+    harmonic = tail_diagnostic(tail_pairings(1.0 / (k + 1.0)))
+    geometric = tail_diagnostic(tail_pairings(2.0**-k))
     ok = harmonic.classification == "divergent" and geometric.classification == "convergent"
     _verdict(
         13,

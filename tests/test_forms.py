@@ -17,6 +17,7 @@ from rieszlab import (
 )
 from rieszlab.errors import DimensionMismatch, NotPositive
 from rieszlab.forms import TAIL_GRID
+from rieszlab.hermite import tail_family, tail_pairings
 from rieszlab.linalg import LinearMap
 from rieszlab.sampling import random_kets, stream_rng
 
@@ -50,6 +51,18 @@ def test_random_kets_columns_are_the_per_vector_draws():
     rows = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
     for k in range(7):
         np.testing.assert_array_equal(x[:, k], rows[k])
+
+
+@pytest.mark.parametrize("dim", [8, 32, 256])
+def test_random_kets_hold_the_bits_and_strides_of_x_plus_1j_y(dim):
+    # the parts are written in place; the old formula formed x + 1j * y
+    # through two complex temporaries
+    for seed in range(10):
+        x = random_kets(dim, 100, stream_rng(seed, 5))
+        rng = stream_rng(seed, 5)
+        old = (rng.standard_normal((100, dim)) + 1j * rng.standard_normal((100, dim))).T
+        assert x.strides == old.strides and x.dtype == old.dtype
+        assert np.array_equal(x.T.view(np.uint64), old.T.view(np.uint64))
 
 
 def test_omega_parseval():
@@ -229,19 +242,20 @@ def tail_x(coeff):
     return np.array([coeff(k) for k in range(GRID[-1])], dtype=complex)
 
 
-def tail_family():
-    return hermite_phi_family(GRID[-1])
+def tail_of(coeff):
+    """The diagnostic of a coefficient vector's pairings with X's columns, from X's bands."""
+    return tail_diagnostic(tail_pairings(tail_x(coeff)))
 
 
 def test_tail_finitely_supported_is_convergent():
-    diag = tail_diagnostic(np.eye(GRID[-1])[:, 0], tail_family())
+    diag = tail_diagnostic(tail_pairings(np.eye(GRID[-1])[:, 0]))
     assert diag.classification == "convergent"
     # S_N is constant once the support (indices 0 and 2) is inside the truncation
     assert diag.partial_sums[-1] == pytest.approx(diag.partial_sums[0])
 
 
 def test_tail_harmonic_coefficients_diverge():
-    diag = tail_diagnostic(tail_x(lambda k: 1.0 / (k + 1.0)), tail_family())
+    diag = tail_of(lambda k: 1.0 / (k + 1.0))
     assert diag.classification == "divergent"
     assert diag.growth_exponent > 0.5
     # oracle: direct partial sums of |(X x)_k|^2 with the pentadiagonal entries
@@ -256,15 +270,32 @@ def test_tail_harmonic_coefficients_diverge():
 
 
 def test_tail_geometric_coefficients_converge():
-    diag = tail_diagnostic(tail_x(lambda k: 2.0**-k), tail_family())
-    assert diag.classification == "convergent"
+    assert tail_of(lambda k: 2.0**-k).classification == "convergent"
 
 
 def test_tail_partial_sums_nondecreasing():
     for coeff in (lambda k: 1.0 / (k + 1.0), lambda k: 2.0**-k):
-        diag = tail_diagnostic(tail_x(coeff), tail_family())
-        sums = np.asarray(diag.partial_sums)
+        sums = np.asarray(tail_of(coeff).partial_sums)
         assert np.all(np.diff(sums) >= 0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("label", ["harmonic", "geometric"])
+def test_band_pairings_match_the_dense_family(label, dtype):
+    # the pairings the tail check reads, from X's three bands, against the
+    # dense tail_family(512).T @ x they replace, to a few ulp at every k
+    k = np.arange(GRID[-1])
+    x = (1.0 / (k + 1.0) if label == "harmonic" else 2.0**-k).astype(dtype)
+    bands = tail_pairings(x)
+    dense = tail_family(GRID[-1]).T @ x
+    assert bands.shape == dense.shape and bands.dtype == dense.dtype
+    assert np.allclose(bands, dense, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+def test_band_pairings_of_a_unit_vector_are_a_column_of_x_bit_for_bit():
+    family = tail_family(GRID[-1])
+    for k in (0, 1, 2, 255, GRID[-1] - 1):
+        assert np.array_equal(tail_pairings(np.eye(GRID[-1])[:, k]), family[:, k])
 
 
 def test_omega_of_x_with_itself_matches_the_two_product_formula():
@@ -278,8 +309,8 @@ def test_omega_of_x_with_itself_matches_the_two_product_formula():
     assert np.array_equal(omega(x, x.copy(), phi), old)
 
 
-def test_tail_rejects_a_vector_or_family_below_the_largest_truncation():
+def test_tail_rejects_pairings_other_than_one_vector_at_the_largest_truncation():
     with pytest.raises(DimensionMismatch):
-        tail_diagnostic(tail_x(lambda k: 1.0)[: GRID[-2]], tail_family())
+        tail_diagnostic(tail_pairings(tail_x(lambda k: 1.0)[: GRID[-2]]))
     with pytest.raises(DimensionMismatch):
-        tail_diagnostic(tail_x(lambda k: 1.0), hermite_phi_family(GRID[-2]))
+        tail_diagnostic(tail_pairings(tail_x(lambda k: 1.0))[:, None])

@@ -208,6 +208,27 @@ def test_verify_k_psi_interior_identities():
     assert report.details["omega_psi_through_inverse"] < 1e-8
 
 
+@pytest.mark.parametrize("dim", [8, 57])
+def test_verify_k_psi_samples_hold_the_bits_and_strides_of_re_plus_1j_im(monkeypatch, dim):
+    # f and g have their parts written in place; the old formula formed
+    # Re + 1j * Im through complex temporaries
+    import rieszlab.hermite as hermite_mod
+
+    seen = []
+    original = hermite_mod.omega
+    monkeypatch.setattr(hermite_mod, "omega", lambda f, g, family: seen.append((f, g)) or original(f, g, family))
+    model = build_model(dim)
+    sys_ = build_system(model.X)
+    seed = 11
+    assert verify_K_psi(model, sys_, build_frame_operators(sys_), 1e-8, seed).passed
+    ((f, g),) = seen
+    draws = np.random.default_rng(seed).standard_normal((FORM_SAMPLES, 4, dim))
+    for got, re, im in ((f, 0, 1), (g, 2, 3)):
+        old = (draws[:, re] + 1j * draws[:, im]).T
+        assert got.strides == old.strides and got.dtype == old.dtype
+        assert np.array_equal(got.T.view(np.uint64), old.T.view(np.uint64))
+
+
 def test_k_phi_vs_x_squared_sees_defects():
     # K_phi = X X* is compared with the quadrature Gram of (1 + x^2)^2, not
     # with X X: a defect in X or in K_phi must show.  The clean details read

@@ -1,7 +1,9 @@
 """Each shared quantity of a run is computed once: factorization, operator-set and map counts."""
 
+import dataclasses
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +117,62 @@ def test_eigen_and_domain_mapping_read_one_eigenrelation(monkeypatch):
     assert len(calls) == 1
 
 
+def full_suite_configs():
+    """A Hermite full suite and a dense complex T with every general check, ccr included."""
+    return {
+        "hermite": _hermite_config(32, full_suite=True, seed=0),
+        "dense": dense_config(random_conditioned_map(12, 10.0, stream_rng(33)), seed=4),
+    }
+
+
+@pytest.mark.parametrize("kind", ["hermite", "dense"])
+def test_operator_set_and_eigenrelation_are_built_once_per_full_suite(monkeypatch, kind):
+    # the operator-set readers run first and both stages are freed after
+    # the last of them: none of the later checks may build either again
+    cfg = full_suite_configs()[kind]
+    assert suite._OPSET_READERS <= set(cfg.checks)
+    calls = []
+    for name in ("build_operator_set", "eigenrelation_residuals"):
+        original = getattr(operators, name)
+        monkeypatch.setattr(operators, name, lambda *a, _name=name, _f=original: calls.append(_name) or _f(*a))
+    reports = run_suite(cfg)
+    assert all(r.passed for r in reports), [r.name for r in reports if not r.passed]
+    assert sorted(calls) == ["build_operator_set", "eigenrelation_residuals"]
+
+
+@pytest.mark.parametrize("kind", ["hermite", "dense"])
+def test_only_the_operator_set_readers_read_the_freed_stages(monkeypatch, kind):
+    # on a context whose operator set and eigenrelation raise, every check
+    # outside the group still passes, and every check inside it raises
+    cfg = full_suite_configs()[kind]
+
+    def freed(ctx):
+        raise LookupError("a freed stage was read")
+
+    for stage in ("opset", "eigenrelation"):
+        monkeypatch.setattr(suite._SuiteContext, stage, property(freed))
+    ctx = suite._SuiteContext(cfg)
+    later = sorted(set(cfg.checks) - suite._OPSET_READERS)
+    assert later
+    for name in later:
+        assert suite._CHECKS[name](ctx).passed, name
+    for name in sorted(suite._OPSET_READERS):
+        with pytest.raises(LookupError):
+            suite._CHECKS[name](ctx)
+
+
+@pytest.mark.parametrize("kind", ["hermite", "dense"])
+def test_check_order_never_reaches_the_reports(kind):
+    # the checks run grouped by the stage they read; the reports come back,
+    # and are emitted, in name order whatever order the config lists them in
+    cfg = full_suite_configs()[kind]
+    reversed_cfg = dataclasses.replace(cfg, checks=tuple(sorted(cfg.checks, reverse=True)))
+    reports = run_suite(reversed_cfg)
+    assert [r.name for r in reports] == sorted(cfg.checks)
+    for fmt in ("json", "csv"):
+        assert suite.emit_report(reports, fmt) == suite.emit_report(run_suite(cfg), fmt)
+
+
 def test_hermite_full_suite_factors_in_real_arithmetic(monkeypatch):
     # `rieszlab example hermite --dim 32 --full-suite`: X is real symmetric,
     # so every factorization of the run takes a float64 array
@@ -221,15 +279,30 @@ def test_hamiltonian_agreement_sees_a_defect_in_the_cached_inverse():
 
 
 def test_hermite_full_suite_builds_each_tail_family_once(monkeypatch, tmp_path):
-    # `rieszlab example hermite --dim 8 --full-suite`: build_model's X, the
-    # family whose leading blocks frame_bound_growth reads, and the largest
-    # truncation, shared by both tail diagnostics
+    # `rieszlab example hermite --dim 8 --full-suite`: build_model's X and
+    # the family whose leading blocks frame_bound_growth reads; the tail
+    # diagnostics read X's bands, not a dense family
     built = []
     original = hermite.tail_family
     monkeypatch.setattr(hermite, "tail_family", lambda dim: built.append(dim) or original(dim))
     out = tmp_path / "report.json"
     assert main(["example", "hermite", "--dim", "8", "--full-suite", "--out", str(out)]) == 0
-    assert sorted(built) == [8, 64, forms.TAIL_GRID[-1]]
+    assert sorted(built) == [8, 64]
+
+
+def test_tail_dichotomy_holds_no_dense_family():
+    # its pairings come from X's three bands: a few 4 KiB vectors, where a
+    # dense tail_family(512) took 2 MiB at any N
+    ctx = suite._SuiteContext(_hermite_config(8, full_suite=True, seed=0))
+    suite._check_tail_dichotomy(ctx)
+    tracemalloc.start()
+    try:
+        report = suite._check_tail_dichotomy(ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 0.1 * 2**20, peak / 2**20
 
 
 def test_growth_checks_pass_at_dimension_8():

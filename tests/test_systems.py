@@ -153,9 +153,8 @@ def test_a_split_map_holds_only_its_parity_blocks():
     assert all(a.ndim < 2 or max(a.shape) <= 128 for a in held), [a.shape for a in held]
 
 
-def test_hermite_full_suite_peak_at_256():
-    # the traced peak of one warm run: T held as its parity blocks only
-    cfg = _hermite_config(256, full_suite=True, seed=0)
+def warm_suite_peak(cfg) -> float:
+    """The traced peak of one run after a warm-up run, in MiB; every check must pass."""
     suite.run_suite(cfg)
     tracemalloc.start()
     try:
@@ -163,8 +162,24 @@ def test_hermite_full_suite_peak_at_256():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert all(r.passed for r in reports)
-    assert peak <= 7.0 * 2**20, peak / 2**20
+    assert all(r.passed for r in reports), [r.name for r in reports if not r.passed]
+    return peak / 2**20
+
+
+def test_hermite_full_suite_peak_at_256():
+    # T held as its parity blocks only, and the operator set and
+    # eigenrelation freed after their last reader: 4.84 MiB, set by
+    # product_identities.  Holding them to the end reads 6.75 MiB
+    # (representation's transient on top of them), and 6.81 MiB with the
+    # dense tail_family(512) the tail check once built.
+    assert warm_suite_peak(_hermite_config(256, full_suite=True, seed=0)) <= 5.3
+
+
+def test_dense_complex_default_suite_peak_at_128():
+    # the default checks of a dense complex T, cond 1e3: 5.17 MiB with the
+    # operator set freed after its last reader, 6.68 MiB when it is held
+    cfg = dense_config(random_conditioned_map(128, 1e3, stream_rng(0)))
+    assert warm_suite_peak(cfg) <= 5.6
 
 
 def test_biorthogonality_reads_the_diagonal_of_a_parity_swapping_product():
