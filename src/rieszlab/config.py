@@ -20,9 +20,10 @@ REPORT_SCHEMA = "rieszlab/4"
 
 # A run keeps about LIVE_MATRICES N x N complex128 arrays alive at its peak
 # (T with its SVD factors and inverse, both frame operators with their
-# eigenvectors and roots, the operator set, products in flight): 26.7 at
-# N = 128, dense complex T, by tracemalloc over run_suite.  DIMENSION_LIMIT
-# holds them within WORKING_SET_BYTES.
+# eigenvectors and roots, the operator set, products in flight): 17.7 at
+# N = 128, dense complex T, by tracemalloc over a warm run_suite, with each
+# stage dropped after its last reader.  DIMENSION_LIMIT holds them within
+# WORKING_SET_BYTES.
 LIVE_MATRICES = 32
 WORKING_SET_BYTES = 2 * 2**30
 DIMENSION_LIMIT = math.isqrt(WORKING_SET_BYTES // (LIVE_MATRICES * 16))

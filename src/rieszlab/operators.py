@@ -262,8 +262,9 @@ _NODES = tuple(sorted({w[i:] for m, l in PRODUCT_PAIRS for w in _words(m, l) for
 # Per side, each node's (letter, child) pairs in the order they are pushed.
 # The child that repeats the word's first letter goes below its sibling,
 # whose run of one child per word is walked and freed first.  On the phi
-# side A's subtree is walked before B's, so the mixed product, which reads
-# B's ket and A_psi_phi, runs while only B's own children are pending.
+# side A's subtree is walked before B's, and the mixed product, which reads
+# B's ket and A_psi_phi, is formed at B's node before its children are:
+# its temporaries sit beside B's ket alone.
 _CHILDREN = {
     side: {
         word: tuple((x, x + word) for x in sorted(order, key=lambda x: x != word[:1]) if x + word in _NODES)
@@ -369,14 +370,14 @@ def product_identity_check(opset: OperatorSet, tolerance: float) -> CheckReport:
         pending = [("", right)]
         while pending:
             word, ket = pending.pop()
-            for x, child in children[word]:
-                pending.append((child, letters[x] @ ket))
             if side == "phi" and word == "b":
                 # A_psi_phi (B_phi_psi T) against ((T*)^-1 A_e) (T* (T B_e))
                 reference = (t_adj_inv @ opset.a_e) @ (t.H @ (t @ opset.b_e))
                 bound = right_norm * cond**2 * peak["a"] * peak["b"]
                 mixed = rel((opset.a_psi_phi @ ket - reference).frobenius(), reference.frobenius(), bound)
                 del reference
+            for x, child in children[word]:
+                pending.append((child, letters[x] @ ket))
             if word:
                 residuals[side, word] = rel(_shift_deviation(ket, right, shifts[word], plans[word]), *scales[word])
             del ket  # before the walk forms the next children

@@ -77,7 +77,10 @@ class _SuiteContext:
         return operators.eigenrelation_residuals(self.opset, self.system)
 
     def samples(self, check: str, sets: int = 1) -> list[np.ndarray]:
-        """Sample sets of SAMPLE_COUNT columns, drawn one after another from the check's stream."""
+        """Sample sets of SAMPLE_COUNT columns, drawn one after another from the check's stream.
+
+        A check reads its shared stages first, so one that fails on them draws nothing.
+        """
         rng = sampling.stream_rng(self.cfg.seed, _STREAMS[check])
         return [sampling.random_kets(self.cfg.dimension, SAMPLE_COUNT, rng) for _ in range(sets)]
 
@@ -95,18 +98,21 @@ def _check_onb_reconstruction(ctx: _SuiteContext) -> CheckReport:
 
 
 def _check_clause_i3(ctx: _SuiteContext) -> CheckReport:
+    system, frame_ops = ctx.system, ctx.frame_ops
     (x,) = ctx.samples("clause_i3")
-    return systems.verify_clause_i3(ctx.system, ctx.frame_ops, x, ctx.cfg.tolerance)
+    return systems.verify_clause_i3(system, frame_ops, x, ctx.cfg.tolerance)
 
 
 def _check_representation(ctx: _SuiteContext) -> CheckReport:
+    system, frame_ops = ctx.system, ctx.frame_ops
     x, y = ctx.samples("representation", 2)
-    return forms.verify_representation(ctx.system, ctx.frame_ops, x, y, ctx.cfg.tolerance)
+    return forms.verify_representation(system, frame_ops, x, y, ctx.cfg.tolerance)
 
 
 def _check_quasi_basis(ctx: _SuiteContext) -> CheckReport:
+    system = ctx.system
     x, y = ctx.samples("quasi_basis", 2)
-    return forms.quasi_basis_residual(ctx.system, x, y, ctx.cfg.tolerance)
+    return forms.quasi_basis_residual(system, x, y, ctx.cfg.tolerance)
 
 
 def _check_frame_bounds(ctx: _SuiteContext) -> CheckReport:
@@ -244,11 +250,19 @@ _CHECKS = {
 }
 
 
-# The checks that read the operator set or the eigenrelation.  They run
-# first, and both stages are freed after the last of them.
-_OPSET_READERS = frozenset({
-    "adjoint_relations", "ccr", "domain_mapping", "eigen", "hamiltonian_agreement", "ladder", "product_identities",
-})
+# Each stage of _SuiteContext that a run drops, and the checks that read
+# it.  The operator-set readers run first, then the rest, each group in
+# name order, and a stage is dropped once none of its readers is left to
+# run.  Only the operator stage and hermite_oracle build the Hermite model,
+# and the operator stage keeps X once built, so a dropped model is never
+# built again.
+_STAGE_READERS = {
+    "opset": frozenset({
+        "adjoint_relations", "ccr", "domain_mapping", "eigen", "hamiltonian_agreement", "ladder", "product_identities",
+    }),
+    "eigenrelation": frozenset({"domain_mapping", "eigen"}),
+    "hermite_model": frozenset({"hermite_oracle"}),
+}
 
 
 def run_suite(cfg: RunConfig) -> list[CheckReport]:
@@ -258,11 +272,13 @@ def run_suite(cfg: RunConfig) -> list[CheckReport]:
     reports come back in name order.
     """
     ctx = _SuiteContext(cfg)
-    readers = sorted(_OPSET_READERS.intersection(cfg.checks))
-    reports = [_run_check(ctx, name) for name in readers]
-    for stage in ("eigenrelation", "opset"):
-        vars(ctx).pop(stage, None)
-    reports += [_run_check(ctx, name) for name in sorted(set(cfg.checks) - _OPSET_READERS)]
+    order = sorted(cfg.checks, key=lambda name: (name not in _STAGE_READERS["opset"], name))
+    reports = []
+    for i, name in enumerate(order):
+        reports.append(_run_check(ctx, name))
+        for stage, readers in _STAGE_READERS.items():
+            if readers.isdisjoint(order[i + 1:]):
+                vars(ctx).pop(stage, None)
     return sorted(reports, key=lambda r: r.name)
 
 

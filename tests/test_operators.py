@@ -839,8 +839,8 @@ def test_product_identity_defect_shows_on_its_own_side_and_in_both_orders():
 def test_product_identity_working_set():
     # The check keeps norms, not matrices: at N=128 one complex matrix is
     # 0.25 MiB, and a memo of every product would take about 25 MiB.  The
-    # walk's traced peak reads 1.91 MiB; a walk that keeps one more block
-    # alive, such as the last block of a freed ket, reads 2.16 MiB.
+    # walk's traced peak reads 1.66 MiB; forming the mixed product after
+    # B's children, beside their kets, reads 1.91 MiB.
     t = random_conditioned_map(128, 100.0, stream_rng(49))
     opset = build_operator_set(t, np.sqrt(np.arange(128)))
     tracemalloc.start()
@@ -849,15 +849,15 @@ def test_product_identity_working_set():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.05 * 2**20, peak
+    assert peak <= 1.8 * 2**20, peak
 
 
 def test_product_identity_working_set_at_hermite_256():
     # The real Hermite X splits by parity, so each ket is held as its two
-    # unpadded half-size blocks.  The walk's traced peak reads 1.57 MiB; the
-    # bound lies below the 1.69 MiB of a walk that keeps one more block
-    # alive, the 2.9 MiB of zero-padded (parts, h, h) copies of the blocks
-    # and the 3.05 MiB of the whole-matrix walk, so each of those fails.
+    # unpadded half-size blocks.  The walk's traced peak reads 1.38 MiB; the
+    # bound lies below the 1.57 MiB of the mixed product formed beside B's
+    # children, the 2.9 MiB of zero-padded (parts, h, h) copies of the
+    # blocks and the 2.74 MiB of the whole-matrix walk, so each of those fails.
     opset = suite._SuiteContext(_hermite_config(256, full_suite=True, seed=0)).opset
     tracemalloc.start()
     try:
@@ -865,7 +865,7 @@ def test_product_identity_working_set_at_hermite_256():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.65 * 2**20, peak
+    assert peak <= 1.5 * 2**20, peak
 
 
 def test_ccr_small_dimensions():

@@ -2,17 +2,19 @@
 
 import itertools
 import json
+import sys
 
 import numpy as np
 
 from rieszlab import parse_config, run_suite
+from rieszlab.cli import _hermite_config
 from rieszlab.config import config_to_dict
 from rieszlab.reporting import report_as_dict, worst
 from rieszlab.suite import emit_report
 
 
-def test_emit_report_on_a_dense_complex_alpha_config_is_the_stdlib_bytes():
-    # The dense N=16 config with complex custom alpha that CI runs.
+def dense16_config():
+    """The dense N=16 config with complex custom alpha that CI runs."""
     t = np.eye(16) + 0.1 * np.random.default_rng(16).standard_normal((16, 16, 2)) @ [1, 1j]
     payload = {
         "dimension": 16,
@@ -20,7 +22,11 @@ def test_emit_report_on_a_dense_complex_alpha_config_is_the_stdlib_bytes():
         "alpha": {"kind": "custom", "values": [[n, 0.5 * (-1) ** n] for n in range(16)]},
         "seed": 3,
     }
-    cfg = parse_config(json.dumps(payload))
+    return parse_config(json.dumps(payload))
+
+
+def test_emit_report_on_a_dense_complex_alpha_config_is_the_stdlib_bytes():
+    cfg = dense16_config()
     reports = run_suite(cfg)
     config = config_to_dict(cfg)
     doc = {
@@ -50,3 +56,26 @@ def test_worst_returns_what_np_max_returns():
     rows += list(itertools.product([0.0, -0.0], repeat=8))  # the most values a check passes: ladder's eight
     for values in rows:
         assert repr(worst(values)) == repr(float(np.max(values))), values
+
+
+def test_no_check_passes_worst_more_than_eight_values(monkeypatch):
+    # worst returns np.max's value only on up to eight values: from nine on,
+    # np.max does not keep the last of equal values (np.max([0.0] * 8 + [-0.0])
+    # reads 0.0).  Each module's worst name records the lengths it is
+    # passed, over a Hermite full suite and the dense config with complex alpha.
+    lengths = {}
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rieszlab.") and name != "rieszlab.reporting" and vars(module).get("worst") is worst:
+
+            def recording(values, _name=name):
+                values = list(values)
+                lengths.setdefault(_name, []).append(len(values))
+                return worst(values)
+
+            monkeypatch.setattr(module, "worst", recording)
+    for cfg in (_hermite_config(32, full_suite=True, seed=0), dense16_config()):
+        reports = run_suite(cfg)
+        assert all(r.passed for r in reports), [r.name for r in reports if not r.passed]
+    modules = {f"rieszlab.{m}" for m in ("forms", "hermite", "operators", "suite", "systems")}
+    assert lengths.keys() == modules
+    assert max(n for seen in lengths.values() for n in seen) <= 8, lengths

@@ -1,6 +1,7 @@
 """Each shared quantity of a run is computed once: factorization, operator-set and map counts."""
 
 import dataclasses
+import hashlib
 import json
 import sys
 import tracemalloc
@@ -17,6 +18,7 @@ from rieszlab import (
     parse_config,
     polar_decompose,
     run_suite,
+    sampling,
     suite,
     systems,
 )
@@ -125,38 +127,62 @@ def full_suite_configs():
     }
 
 
+# Each stage of the reader table and the function that builds it.
+STAGE_BUILDERS = {
+    "opset": (operators, "build_operator_set"),
+    "eigenrelation": (operators, "eigenrelation_residuals"),
+    "hermite_model": (hermite, "build_model"),
+}
+
+
 @pytest.mark.parametrize("kind", ["hermite", "dense"])
-def test_operator_set_and_eigenrelation_are_built_once_per_full_suite(monkeypatch, kind):
-    # the operator-set readers run first and both stages are freed after
-    # the last of them: none of the later checks may build either again
+def test_each_stage_is_built_once_and_dropped_after_its_last_reader(monkeypatch, kind):
+    # a stage with a reader in the run is built once, and no check after
+    # its last reader runs with it held, nor builds it again
     cfg = full_suite_configs()[kind]
-    assert suite._OPSET_READERS <= set(cfg.checks)
+    assert STAGE_BUILDERS.keys() == suite._STAGE_READERS.keys()
+    assert suite._STAGE_READERS["opset"] <= set(cfg.checks)
     calls = []
-    for name in ("build_operator_set", "eigenrelation_residuals"):
-        original = getattr(operators, name)
-        monkeypatch.setattr(operators, name, lambda *a, _name=name, _f=original: calls.append(_name) or _f(*a))
+    for stage, (module, name) in STAGE_BUILDERS.items():
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _stage=stage, _f=original: calls.append(_stage) or _f(*a))
+    held = {}
+    run_check = suite._run_check
+
+    def recording(ctx, name):
+        held[name] = suite._STAGE_READERS.keys() & vars(ctx).keys()
+        return run_check(ctx, name)
+
+    monkeypatch.setattr(suite, "_run_check", recording)
     reports = run_suite(cfg)
     assert all(r.passed for r in reports), [r.name for r in reports if not r.passed]
-    assert sorted(calls) == ["build_operator_set", "eigenrelation_residuals"]
+    read = sorted(stage for stage, readers in suite._STAGE_READERS.items() if readers & set(cfg.checks))
+    assert sorted(calls) == read
+    assert ("hermite_model" in read) == (kind == "hermite")
+    order = list(held)
+    for i, name in enumerate(order):
+        for stage in held[name]:
+            assert suite._STAGE_READERS[stage] & set(order[i:]), (name, stage)
 
 
 @pytest.mark.parametrize("kind", ["hermite", "dense"])
-def test_only_the_operator_set_readers_read_the_freed_stages(monkeypatch, kind):
-    # on a context whose operator set and eigenrelation raise, every check
-    # outside the group still passes, and every check inside it raises
+@pytest.mark.parametrize("stage", sorted(STAGE_BUILDERS))
+def test_a_stage_that_raises_fails_exactly_its_readers(monkeypatch, kind, stage):
+    # with the operator built, a context whose stage raises fails every
+    # check the table names as its reader, and only those
     cfg = full_suite_configs()[kind]
-
-    def freed(ctx):
-        raise LookupError("a freed stage was read")
-
-    for stage in ("opset", "eigenrelation"):
-        monkeypatch.setattr(suite._SuiteContext, stage, property(freed))
     ctx = suite._SuiteContext(cfg)
-    later = sorted(set(cfg.checks) - suite._OPSET_READERS)
-    assert later
-    for name in later:
+    ctx.operator
+
+    def dropped(ctx):
+        raise LookupError("a dropped stage was read")
+
+    monkeypatch.setattr(suite._SuiteContext, stage, property(dropped))
+    readers = suite._STAGE_READERS[stage] & set(cfg.checks)
+    assert readers or (stage, kind) == ("hermite_model", "dense")
+    for name in sorted(set(cfg.checks) - readers):
         assert suite._CHECKS[name](ctx).passed, name
-    for name in sorted(suite._OPSET_READERS):
+    for name in sorted(readers):
         with pytest.raises(LookupError):
             suite._CHECKS[name](ctx)
 
@@ -355,3 +381,24 @@ def test_every_derived_matrix_is_a_read_only_blocks(alpha, kind):
         assert not any(b.flags.writeable for b in m.blocks), name
     assert isinstance(opset.t, LinearMap) and isinstance(frame_ops.k_phi, LinearMap)
     assert frame_ops.k_phi.parts == frame_ops.k_psi.parts == parts
+
+
+def test_a_singular_operator_draws_no_sample_set(monkeypatch, tmp_path):
+    # every sampling check reads the system or the frame operators before
+    # its draws, so on a singular T each fails without drawing; the reports
+    # keep the bytes they had when the draws came first
+    draws = []
+    original = sampling.random_kets
+    monkeypatch.setattr(sampling, "random_kets", lambda *a: draws.append(1) or original(*a))
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps({"dimension": 8, "operator": {"kind": "diagonal", "values": [1, 2, 3, 0, 5, 6, 7, 8]}}))
+    reports = {}
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"report.{fmt}"
+        assert main(["run", "--config", str(path), "--format", fmt, "--out", str(out)]) == 1
+        reports[fmt] = out.read_bytes()
+    assert draws == []
+    assert hashlib.sha256(reports["json"]).hexdigest() == "90be3f67a7b7dd924f046d74d7188a7c18ea989aad7f49f27027ea3eac8ecd3e"
+    names = sorted(parse_config(path.read_text()).checks)
+    csv = "name,residual,tolerance,pass\n" + "".join(f"{n},inf,1e-08,false\n" for n in names)
+    assert reports["csv"].decode() == csv

@@ -167,19 +167,23 @@ def warm_suite_peak(cfg) -> float:
 
 
 def test_hermite_full_suite_peak_at_256():
-    # T held as its parity blocks only, and the operator set and
-    # eigenrelation freed after their last reader: 4.84 MiB, set by
-    # product_identities.  Holding them to the end reads 6.75 MiB
-    # (representation's transient on top of them), and 6.81 MiB with the
-    # dense tail_family(512) the tail check once built.
-    assert warm_suite_peak(_hermite_config(256, full_suite=True, seed=0)) <= 5.3
+    # T held as its parity blocks only, each stage dropped after its last
+    # reader and the walk's mixed product formed before B's children:
+    # 4.49 MiB, set by representation.  Dropping the eigenrelation only with
+    # the operator set, after product_identities, reads 4.84 MiB; holding
+    # both to the end reads 6.75 MiB, and 6.81 MiB with the dense
+    # tail_family(512) the tail check once built.
+    assert warm_suite_peak(_hermite_config(256, full_suite=True, seed=0)) <= 4.6
 
 
 def test_dense_complex_default_suite_peak_at_128():
-    # the default checks of a dense complex T, cond 1e3: 5.17 MiB with the
-    # operator set freed after its last reader, 6.68 MiB when it is held
+    # the default checks of a dense complex T, cond 1e3: 4.42 MiB, set by
+    # product_identities, with each stage dropped after its last reader and
+    # the mixed product formed before B's children; 5.17 MiB with the
+    # eigenrelation held to the end of the walk and the mixed product formed
+    # beside B's children, and 6.68 MiB with the operator set held to the end
     cfg = dense_config(random_conditioned_map(128, 1e3, stream_rng(0)))
-    assert warm_suite_peak(cfg) <= 5.6
+    assert warm_suite_peak(cfg) <= 4.6
 
 
 def test_biorthogonality_reads_the_diagonal_of_a_parity_swapping_product():
