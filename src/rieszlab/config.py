@@ -203,10 +203,17 @@ def _parse_alpha(raw: Any, dimension: int) -> AlphaSpec:
     return spec
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON run configuration.
+def _as_seed(value: Any) -> int:
+    _expect(isinstance(value, int) and not isinstance(value, bool), "/seed", "must be an integer")
+    _expect(value >= 0, "/seed", "must be nonnegative")
+    return value
 
-    Raises ParseError carrying the JSON path of the first offence.  A
+
+def parse_config(text: str, seed: int | None = None) -> RunConfig:
+    """Parse and validate a JSON run configuration; a seed given here replaces the document's.
+
+    Raises ParseError carrying the JSON path of the first offence; the
+    document's seed and the one given here are both validated at /seed.  A
     non-finite number (NaN, +-Infinity, or a literal that overflows) is
     rejected at the path of the value it stands for.
     """
@@ -235,9 +242,8 @@ def parse_config(text: str) -> RunConfig:
     tolerance = _as_number(tolerance, "/tolerance")
     _expect(tolerance > 0, "/tolerance", "must be positive")
 
-    seed = raw.get("seed", 0)
-    _expect(isinstance(seed, int) and not isinstance(seed, bool), "/seed", "must be an integer")
-    _expect(seed >= 0, "/seed", "must be nonnegative")
+    document_seed = _as_seed(raw.get("seed", 0))
+    seed = document_seed if seed is None else _as_seed(seed)
 
     checks_raw = raw.get("checks")
     if checks_raw is None:

@@ -259,9 +259,11 @@ def test_cli_respects_log_env(tmp_path, monkeypatch):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 0
 
 
-def test_cli_example_rejects_tiny_dim(capsys):
-    assert main(["example", "hermite", "--dim", "1"]) == 2
-    assert "--dim" in capsys.readouterr().err
+def test_cli_example_rejects_tiny_dim(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["example", "hermite", "--dim", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "invalid config at /dimension: must be >= 2\n"
+    assert not out.exists()
 
 
 def test_cli_hermite_dimension_limit(tmp_path, capsys):
@@ -269,28 +271,43 @@ def test_cli_hermite_dimension_limit(tmp_path, capsys):
     # with the cause, by the example and by a hermite-x config alike.
     out = tmp_path / "report.json"
     assert main(["example", "hermite", "--dim", str(MAX_DIMENSION), "--out", str(out)]) == 0
-    assert main(["example", "hermite", "--dim", str(MAX_DIMENSION + 1), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert f"--dim must be <= {MAX_DIMENSION}" in err and "recurrence" in err and "underflow" in err
+    out.unlink()
     path = write_config(tmp_path, {"dimension": MAX_DIMENSION + 1, "operator": {"kind": "hermite-x"}})
-    assert main(["run", "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert f"dimension <= {MAX_DIMENSION}" in err and "underflow" in err
+    for argv in (["example", "hermite", "--dim", str(MAX_DIMENSION + 1)], ["run", "--config", str(path)]):
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid config at /dimension: hermite-x needs dimension <= {MAX_DIMENSION}: ")
+        assert "recurrence" in err and "underflow" in err
+        assert not out.exists()
 
 
 def test_cli_run_rejects_negative_seed(tmp_path, capsys):
-    path = write_config(tmp_path, DIAGONAL_PAYLOAD)
+    # the flag is validated as the config's /seed, and a bad seed in the
+    # config is still rejected when the flag replaces it
     out = tmp_path / "report.json"
-    assert main(["run", "--config", str(path), "--seed", "-3", "--out", str(out)]) == 2
-    assert "--seed must be nonnegative" in capsys.readouterr().err
-    assert not out.exists()
+    for payload, flag in ((DIAGONAL_PAYLOAD, "-3"), ({**DIAGONAL_PAYLOAD, "seed": -1}, "3")):
+        path = write_config(tmp_path, payload)
+        assert main(["run", "--config", str(path), "--seed", flag, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "invalid config at /seed: must be nonnegative\n"
+        assert not out.exists()
 
 
 def test_cli_example_rejects_negative_seed(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["example", "hermite", "--dim", "8", "--seed", "-1", "--out", str(out)]) == 2
-    assert "--seed must be nonnegative" in capsys.readouterr().err
+    assert capsys.readouterr().err == "invalid config at /seed: must be nonnegative\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("full_suite", [False, True])
+def test_hermite_example_config_is_its_parsed_document(full_suite):
+    document = {"dimension": 40, "operator": {"kind": "hermite-x"}, "tolerance": 1e-6, "seed": 9}
+    if not full_suite:
+        document["checks"] = ["biorthogonality", "hermite_oracle"]
+    assert _hermite_config(40, full_suite, 9) == parse_config(json.dumps(document))
+    assert _hermite_config(40, full_suite, 9).checks == (
+        KNOWN_CHECKS if full_suite else ("biorthogonality", "hermite_oracle")
+    )
 
 
 @pytest.mark.parametrize("dimension", [DIMENSION_LIMIT + 1, 10**12, 10**2500])
