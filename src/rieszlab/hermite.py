@@ -17,7 +17,7 @@ from .errors import OracleMismatch
 from .forms import _form_deviation, omega
 from .linalg import Blocks, LinearMap, invert, read_only, solve
 from .reporting import CheckReport, make_report, relative_frobenius, worst
-from .systems import BiorthogonalSystem, FrameOperators
+from .systems import BiorthogonalSystem, FrameOperators, require_samples
 
 ORACLE_TOLERANCE = 1e-9
 # How far the quadrature nodes reach past the top turning point, and the
@@ -33,7 +33,7 @@ REACH = 17
 MAX_DIMENSION = 686
 MAX_DIMENSION_REASON = "beyond it the Hermite-function recurrence of the quadrature oracle underflows"
 
-FORM_SAMPLES = 20  # random vector pairs of the Omega spot check
+FORM_SAMPLES = 20  # sample columns per set of the Omega spot check
 
 
 def x_entry(i, j) -> np.ndarray:
@@ -167,8 +167,9 @@ def verify_K_psi(
     model: HermiteModel,
     sys: BiorthogonalSystem,
     ops: FrameOperators,
+    f: np.ndarray,
+    g: np.ndarray,
     tolerance: float,
-    seed: int,
 ) -> CheckReport:
     """The model's oracle residuals, and the frame operators of the system on its X against X^2 and X^-2.
 
@@ -179,10 +180,10 @@ def verify_K_psi(
     rows dim - 2 and dim - 1 of X X*: the K_phi block stops below dim - 2,
     and is empty (detail 0) at dim 2.  The dual form Omega over psi is
     also spot-checked against <X^-1 f, X^-1 g>, relative to
-    |X^-1 f| |X^-1 g|, on FORM_SAMPLES random vector pairs that span every
-    index.  The model's entry-oracle deviation counts towards the residual
-    too.
+    |X^-1 f| |X^-1 g|, on the column pairs of the sample sets f and g.
+    The model's entry-oracle deviation counts towards the residual too.
     """
+    require_samples(f, "hermite oracle")
     x = model.X
     dim = x.dim
     x_inv = invert(x)
@@ -190,24 +191,17 @@ def verify_K_psi(
     x2 = model.x_squared_gram.leading(dim - 2)
     x_inv2 = x_inv @ x_inv
 
-    # Per sample the draws come in the order Re f, Im f, Re g, Im g.  Each
-    # part is written into its array in place: the bits of Re + 1j * Im
-    # without its complex temporaries.
-    draws = np.random.default_rng(seed).standard_normal((FORM_SAMPLES, 4, dim))
-    pairs = np.empty((2, FORM_SAMPLES, dim), np.complex128)
-    pairs.real = draws[:, 0::2].transpose(1, 0, 2)
-    pairs.imag = draws[:, 1::2].transpose(1, 0, 2)
-    f, g = pairs[0].T, pairs[1].T
     form = omega(f, g, sys.psi)
     # X^-1 f and X^-1 g by an LU solve per block of the real X, on the
     # samples' real and imaginary parts, not from the SVD inverse that built
     # psi: with the same matrix both sides would be one computation.
     solved = solve(x, np.hstack([f, g]))
+    count = f.shape[1]
 
     details = {
         "k_phi_vs_x_squared": relative_frobenius(k_phi - x2, x2),
         "k_psi_vs_x_inverse_squared": relative_frobenius(ops.k_psi - x_inv2, x_inv2),
-        "omega_psi_through_inverse": _form_deviation(form, solved[:, :FORM_SAMPLES], solved[:, FORM_SAMPLES:]),
+        "omega_psi_through_inverse": _form_deviation(form, solved[:, :count], solved[:, count:]),
         "entry_oracle": model.oracle_residual,
     }
     residual = worst(details.values())

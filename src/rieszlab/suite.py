@@ -17,7 +17,7 @@ log = logging.getLogger("rieszlab")
 
 SAMPLE_COUNT = 100
 # Each sampling check's random stream, fixed so that adding a check re-seeds no other.
-_STREAMS = {"clause_i3": 3, "frame_bounds": 7, "quasi_basis": 15, "representation": 16}
+_STREAMS = {"clause_i3": 3, "frame_bounds": 7, "hermite_oracle": 9, "quasi_basis": 15, "representation": 16}
 
 
 def build_operator(cfg: RunConfig) -> LinearMap:
@@ -76,13 +76,13 @@ class _SuiteContext:
         # The operator set first: on a singular T it raises before anything else is built.
         return operators.eigenrelation_residuals(self.opset, self.system)
 
-    def samples(self, check: str, sets: int = 1) -> list[np.ndarray]:
-        """Sample sets of SAMPLE_COUNT columns, drawn one after another from the check's stream.
+    def samples(self, check: str, sets: int = 1, count: int = SAMPLE_COUNT) -> list[np.ndarray]:
+        """Sample sets of count columns, drawn one after another from the check's stream.
 
         A check reads its shared stages first, so one that fails on them draws nothing.
         """
         rng = sampling.stream_rng(self.cfg.seed, _STREAMS[check])
-        return [sampling.random_kets(self.cfg.dimension, SAMPLE_COUNT, rng) for _ in range(sets)]
+        return [sampling.random_kets(self.cfg.dimension, count, rng) for _ in range(sets)]
 
 
 def _check_biorthogonality(ctx: _SuiteContext) -> CheckReport:
@@ -183,13 +183,9 @@ def _check_domain_mapping(ctx: _SuiteContext) -> CheckReport:
 
 
 def _check_hermite_oracle(ctx: _SuiteContext) -> CheckReport:
-    return hermite.verify_K_psi(
-        ctx.hermite_model,
-        ctx.system,
-        ctx.frame_ops,
-        ctx.cfg.tolerance,
-        ctx.cfg.seed,
-    )
+    model, system, frame_ops = ctx.hermite_model, ctx.system, ctx.frame_ops
+    f, g = ctx.samples("hermite_oracle", 2, hermite.FORM_SAMPLES)
+    return hermite.verify_K_psi(model, system, frame_ops, f, g, ctx.cfg.tolerance)
 
 
 def _check_frame_bound_growth(ctx: _SuiteContext) -> CheckReport:

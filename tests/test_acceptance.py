@@ -243,7 +243,9 @@ def test_criterion_11_hermite_oracle_gate():
     model = build_model(32)
     big = build_model(64)
     sys_ = build_system(big.X)
-    identities = verify_K_psi(big, sys_, build_frame_operators(sys_), 1e-6, 0)
+    rng = stream_rng(11)
+    f, g = random_kets(64, 20, rng), random_kets(64, 20, rng)
+    identities = verify_K_psi(big, sys_, build_frame_operators(sys_), f, g, 1e-6)
     k_psi_resid = identities.details["k_psi_vs_x_inverse_squared"]
     ok = model.oracle_residual < 1e-9 and k_psi_resid < 1e-6
     _verdict(

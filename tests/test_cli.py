@@ -380,7 +380,7 @@ def test_each_sampling_check_has_its_own_fixed_stream(monkeypatch):
     drawn = []
     samples = suite._SuiteContext.samples
     monkeypatch.setattr(
-        suite._SuiteContext, "samples", lambda self, check, sets=1: drawn.append(check) or samples(self, check, sets)
+        suite._SuiteContext, "samples", lambda self, check, *sizes: drawn.append(check) or samples(self, check, *sizes)
     )
     ctx = suite._SuiteContext(_hermite_config(8, full_suite=True, seed=0))
     callers = {}

@@ -29,6 +29,7 @@ from rieszlab.hermite import (
     trapezoid_rule,
     x_entry,
 )
+from rieszlab.sampling import random_kets, stream_rng
 
 # Explicit physicists' Hermite polynomials for the closed-form oracle.
 _HERMITE_POLY = {
@@ -58,6 +59,12 @@ def closed_form(n, x):
 def example_system(dim):
     # phi_n = X e_n, psi_n = X^-1 e_n on the gated model (X is self-adjoint)
     return build_system(build_model(dim).X)
+
+
+def oracle_samples(dim):
+    # the two sample sets of the Omega spot check, at its column count
+    rng = stream_rng(dim)
+    return random_kets(dim, FORM_SAMPLES, rng), random_kets(dim, FORM_SAMPLES, rng)
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -201,32 +208,11 @@ def test_interior_biorthogonality_against_quadrature():
 def test_verify_k_psi_interior_identities():
     model = build_model(64)
     sys_ = build_system(model.X)
-    report = verify_K_psi(model, sys_, build_frame_operators(sys_), 1e-6, 0)
+    report = verify_K_psi(model, sys_, build_frame_operators(sys_), *oracle_samples(64), 1e-6)
     assert report.passed, report.details
     assert report.details["k_phi_vs_x_squared"] < 1e-8
     assert report.details["k_psi_vs_x_inverse_squared"] < 1e-6
     assert report.details["omega_psi_through_inverse"] < 1e-8
-
-
-@pytest.mark.parametrize("dim", [8, 57])
-def test_verify_k_psi_samples_hold_the_bits_and_strides_of_re_plus_1j_im(monkeypatch, dim):
-    # f and g have their parts written in place; the old formula formed
-    # Re + 1j * Im through complex temporaries
-    import rieszlab.hermite as hermite_mod
-
-    seen = []
-    original = hermite_mod.omega
-    monkeypatch.setattr(hermite_mod, "omega", lambda f, g, family: seen.append((f, g)) or original(f, g, family))
-    model = build_model(dim)
-    sys_ = build_system(model.X)
-    seed = 11
-    assert verify_K_psi(model, sys_, build_frame_operators(sys_), 1e-8, seed).passed
-    ((f, g),) = seen
-    draws = np.random.default_rng(seed).standard_normal((FORM_SAMPLES, 4, dim))
-    for got, re, im in ((f, 0, 1), (g, 2, 3)):
-        old = (draws[:, re] + 1j * draws[:, im]).T
-        assert got.strides == old.strides and got.dtype == old.dtype
-        assert np.array_equal(got.T.view(np.uint64), old.T.view(np.uint64))
 
 
 def test_k_phi_vs_x_squared_sees_defects():
@@ -239,16 +225,17 @@ def test_k_phi_vs_x_squared_sees_defects():
     model = build_model(32)
     sys_ = build_system(model.X)
     ops = build_frame_operators(sys_)
-    clean = verify_K_psi(model, sys_, ops, 1e-8, 0)
+    samples = oracle_samples(32)
+    clean = verify_K_psi(model, sys_, ops, *samples, 1e-8)
     assert clean.passed and 0.0 < clean.details["k_phi_vs_x_squared"] < 1e-13
     k_phi = np.asarray(ops.k_phi).copy()
     k_phi[15, 15] *= 1.0 + 1e-6
-    report = verify_K_psi(model, sys_, FrameOperators(LinearMap(k_phi), ops.k_psi), 1e-8, 0)
+    report = verify_K_psi(model, sys_, FrameOperators(LinearMap(k_phi), ops.k_psi), *samples, 1e-8)
     assert not report.passed and report.details["k_phi_vs_x_squared"] > 5e-8
     x = np.asarray(model.X).copy()
     x[15, 15] *= 1.0 + 1e-6
     mutated = build_system(LinearMap(x))
-    report = verify_K_psi(model, mutated, build_frame_operators(mutated), 1e-8, 0)
+    report = verify_K_psi(model, mutated, build_frame_operators(mutated), *samples, 1e-8)
     assert report.details["k_phi_vs_x_squared"] > 1e-7
 
 
@@ -258,11 +245,12 @@ def test_k_phi_block_stops_where_the_truncation_reaches():
     model = build_model(16)
     sys_ = build_system(model.X)
     ops = build_frame_operators(sys_)
-    clean = verify_K_psi(model, sys_, ops, 1e-8, 0)
+    samples = oracle_samples(16)
+    clean = verify_K_psi(model, sys_, ops, *samples, 1e-8)
     assert clean.passed and clean.details["k_phi_vs_x_squared"] < 1e-13
     k_phi = np.asarray(ops.k_phi).copy()
     k_phi[13, 13] *= 1.0 + 1e-6
-    report = verify_K_psi(model, sys_, FrameOperators(LinearMap(k_phi), ops.k_psi), 1e-8, 0)
+    report = verify_K_psi(model, sys_, FrameOperators(LinearMap(k_phi), ops.k_psi), *samples, 1e-8)
     assert not report.passed and report.details["k_phi_vs_x_squared"] > 1e-7
 
 
@@ -285,27 +273,6 @@ def test_model_holds_the_gram_of_x_squared_as_read_only_blocks_split_like_x(dim,
     assert Blocks.of(gram) is gram
     # no dense N x N array is held beside the blocks
     assert not [name for name, value in vars(model).items() if isinstance(value, np.ndarray) and value.shape == (dim, dim)]
-
-
-def test_verify_k_psi_draws_match_per_sample_loop(monkeypatch):
-    import rieszlab.hermite as hermite_mod
-
-    model = build_model(16)
-    sys_ = build_system(model.X)
-    seen = []
-    omega = hermite_mod.omega
-    monkeypatch.setattr(hermite_mod, "omega", lambda f, g, family: seen.append((f, g)) or omega(f, g, family))
-    report = verify_K_psi(model, sys_, build_frame_operators(sys_), 1e-6, 3)
-    assert report.passed, report.details
-    ((f, g),) = seen
-    assert f.shape == g.shape == (16, FORM_SAMPLES)
-    # reference: one sample at a time, drawing Re f, Im f, Re g, Im g
-    rng = np.random.default_rng(3)
-    for k in range(FORM_SAMPLES):
-        expected_f = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        expected_g = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        np.testing.assert_array_equal(f[:, k], expected_f)
-        np.testing.assert_array_equal(g[:, k], expected_g)
 
 
 def test_tail_family_prefix_consistency():

@@ -169,7 +169,8 @@ def test_each_stage_is_built_once_and_dropped_after_its_last_reader(monkeypatch,
 @pytest.mark.parametrize("stage", sorted(STAGE_BUILDERS))
 def test_a_stage_that_raises_fails_exactly_its_readers(monkeypatch, kind, stage):
     # with the operator built, a context whose stage raises fails every
-    # check the table names as its reader, and only those
+    # check the table names as its reader, and only those; a reader fails
+    # before it draws a sample set (hermite_oracle reads the Hermite model)
     cfg = full_suite_configs()[kind]
     ctx = suite._SuiteContext(cfg)
     ctx.operator
@@ -177,14 +178,20 @@ def test_a_stage_that_raises_fails_exactly_its_readers(monkeypatch, kind, stage)
     def dropped(ctx):
         raise LookupError("a dropped stage was read")
 
+    draws = []
+    original = sampling.random_kets
+    monkeypatch.setattr(sampling, "random_kets", lambda *a: draws.append(1) or original(*a))
     monkeypatch.setattr(suite._SuiteContext, stage, property(dropped))
     readers = suite._STAGE_READERS[stage] & set(cfg.checks)
     assert readers or (stage, kind) == ("hermite_model", "dense")
     for name in sorted(set(cfg.checks) - readers):
         assert suite._CHECKS[name](ctx).passed, name
+    assert draws
+    draws.clear()
     for name in sorted(readers):
         with pytest.raises(LookupError):
             suite._CHECKS[name](ctx)
+    assert draws == []
 
 
 @pytest.mark.parametrize("kind", ["hermite", "dense"])
