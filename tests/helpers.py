@@ -39,3 +39,14 @@ def dense_config(t: LinearMap, **fields) -> RunConfig:
     entries = [[float(v.real), float(v.imag)] for v in np.asarray(t).ravel()]
     payload = {"dimension": t.dim, "operator": {"kind": "dense", "entries": entries}, **fields}
     return parse_config(json.dumps(payload))
+
+
+def dense16_payload() -> dict:
+    """The dense N=16 config with complex custom alpha that CI runs, as a JSON document."""
+    t = np.eye(16) + 0.1 * np.random.default_rng(16).standard_normal((16, 16, 2)) @ [1, 1j]
+    return {
+        "dimension": 16,
+        "operator": {"kind": "dense", "entries": [[v.real, v.imag] for v in t.ravel()]},
+        "alpha": {"kind": "custom", "values": [[n, 0.5 * (-1) ** n] for n in range(16)]},
+        "seed": 3,
+    }

@@ -110,6 +110,21 @@ def test_parse_rejects_bad_margin_and_tolerance():
     assert path_of({**base, "seed": -1}) == "/seed"
 
 
+def test_a_given_seed_replaces_the_documents():
+    # both are validated at /seed: the given one, and the document's it replaces
+    text = json.dumps({"dimension": 4, "operator": {"kind": "hermite-x"}, "seed": 2})
+    assert parse_config(text, seed=5).seed == 5
+    assert parse_config(text, seed=5) == parse_config(text.replace('"seed": 2', '"seed": 5'))
+    assert parse_config(text).seed == 2
+    for given in (-1, True):
+        with pytest.raises(ParseError) as excinfo:
+            parse_config(text, seed=given)
+        assert excinfo.value.path == "/seed"
+    with pytest.raises(ParseError) as excinfo:
+        parse_config(text.replace('"seed": 2', '"seed": -2'), seed=5)
+    assert excinfo.value.path == "/seed"
+
+
 def test_parse_rejects_non_finite_numbers():
     base = '{"dimension": 4, "operator": {"kind": "hermite-x"}, "tolerance": %s}'
     for literal, value in (("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf")):

@@ -215,6 +215,17 @@ def test_verify_k_psi_interior_identities():
     assert report.details["omega_psi_through_inverse"] < 1e-8
 
 
+def test_verify_k_psi_needs_nonempty_sample_sets():
+    model = build_model(8)
+    sys_ = build_system(model.X)
+    ops = build_frame_operators(sys_)
+    f, g = oracle_samples(8)
+    # no columns, or one vector where a set is due
+    for bad_f, bad_g in ((f[:, :0], g[:, :0]), (f[:, 0], g[:, 0])):
+        with pytest.raises(ValueError, match="sample set"):
+            verify_K_psi(model, sys_, ops, bad_f, bad_g, 1e-6)
+
+
 def test_k_phi_vs_x_squared_sees_defects():
     # K_phi = X X* is compared with the quadrature Gram of (1 + x^2)^2, not
     # with X X: a defect in X or in K_phi must show.  The clean details read

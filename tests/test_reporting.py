@@ -12,17 +12,11 @@ from rieszlab.config import config_to_dict
 from rieszlab.reporting import report_as_dict, worst
 from rieszlab.suite import emit_report
 
+from helpers import dense16_payload
+
 
 def dense16_config():
-    """The dense N=16 config with complex custom alpha that CI runs."""
-    t = np.eye(16) + 0.1 * np.random.default_rng(16).standard_normal((16, 16, 2)) @ [1, 1j]
-    payload = {
-        "dimension": 16,
-        "operator": {"kind": "dense", "entries": [[v.real, v.imag] for v in t.ravel()]},
-        "alpha": {"kind": "custom", "values": [[n, 0.5 * (-1) ** n] for n in range(16)]},
-        "seed": 3,
-    }
-    return parse_config(json.dumps(payload))
+    return parse_config(json.dumps(dense16_payload()))
 
 
 def test_emit_report_on_a_dense_complex_alpha_config_is_the_stdlib_bytes():
