@@ -195,13 +195,12 @@ def verify_K_psi(
     # X^-1 f and X^-1 g by an LU solve per block of the real X, on the
     # samples' real and imaginary parts, not from the SVD inverse that built
     # psi: with the same matrix both sides would be one computation.
-    solved = solve(x, np.hstack([f, g]))
-    count = f.shape[1]
+    solved_f, solved_g = np.hsplit(solve(x, np.hstack([f, g])), 2)
 
     details = {
         "k_phi_vs_x_squared": relative_frobenius(k_phi - x2, x2),
         "k_psi_vs_x_inverse_squared": relative_frobenius(ops.k_psi - x_inv2, x_inv2),
-        "omega_psi_through_inverse": _form_deviation(form, solved[:, :count], solved[:, count:]),
+        "omega_psi_through_inverse": _form_deviation(form, solved_f, solved_g),
         "entry_oracle": model.oracle_residual,
     }
     residual = worst(details.values())
