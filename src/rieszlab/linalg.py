@@ -6,16 +6,16 @@ T is held as its two parity blocks, of ceil(N/2) and floor(N/2) indices,
 and every matrix derived from it inherits the split: T^-1, psi, the frame
 operators, their roots and the polar factors keep parity, and a shift by
 an odd step swaps it.  Otherwise a matrix is its one dense block.  No
-product, sum or norm reads the zeros between the blocks, and a sample set
+product, sum or norm reads the zeros between the blocks, and a vector set
 meets a split matrix as two half products on its even and odd rows
-(`apply`, `solve`).
+(`apply`).
 
 A LinearMap is the `Blocks` of a map that is certified or factored: T
 and the frame operators.  Like every family, it comes in through
 `Blocks.of`, which stores float64 when every entry is real (a complex
 input whose imaginary parts are all exactly 0 is stored as its real part)
 and complex128 otherwise, so real inputs run the real LAPACK/BLAS kernels,
-on complex sample sets too.  A map certifies self-adjointness (by
+on complex vector sets too.  A map certifies self-adjointness (by
 residual) and positivity (by smallest eigenvalue) on first read, and is
 factored at most once per kind, one LAPACK call per block, each factor a
 cached property (a read that raises caches nothing): the positivity
@@ -259,39 +259,33 @@ class Blocks:
         return value, row, col
 
 
-def _on_parts(op, m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """op(m, x), where a real m and a complex x run one real op on x's interleaved real and imaginary parts."""
+def _on_parts(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x, where a real m and a complex x run one real product on x's interleaved real and imaginary parts."""
     if not (np.isrealobj(m) and np.iscomplexobj(x)):
-        return op(m, x)
+        return m @ x
     x = np.ascontiguousarray(x, dtype=np.complex128)
     parts = x.view(np.float64).reshape(x.shape[0], -1)
-    return op(m, parts).view(np.complex128).reshape((-1,) + x.shape[1:])
-
-
-def _rowwise(op, m: Blocks, x: np.ndarray, rows) -> np.ndarray:
-    """op of each block of m with the rows of x it meets, written into the rows of the result it fills."""
-    if m.parts == 1:
-        return _on_parts(op, m.blocks[0], x)
-    out = np.empty(x.shape, dtype=np.result_type(m.dtype, x))
-    for p, b in enumerate(m.blocks):
-        src, dst = rows(p)
-        out[dst::2] = _on_parts(op, b, x[src::2])
-    return out
+    return (m @ parts).view(np.complex128).reshape((-1,) + x.shape[1:])
 
 
 def apply(m: Blocks, x: np.ndarray) -> np.ndarray:
-    """m @ x for a sample set x, (N, count) or one vector: one product per block of m.
+    """m @ x for a vector set x, (N, count) or one vector: one product per block of m.
 
     A real block on a complex x runs one real product with x's interleaved
     real and imaginary parts, which gives b @ x.real and b @ x.imag in one
     complex128 array; every other pairing is numpy's b @ x.
     """
-    return _rowwise(np.matmul, m, x, lambda p: (p, m._rows(p)))
+    if m.parts == 1:
+        return _on_parts(m.blocks[0], x)
+    out = np.empty(x.shape, dtype=np.result_type(m.dtype, x))
+    for p, b in enumerate(m.blocks):
+        out[m._rows(p) :: 2] = _on_parts(b, x[p::2])
+    return out
 
 
-def solve(m: Blocks, x: np.ndarray) -> np.ndarray:
-    """The LU solution y of m y = x for a sample set x, one solve per block of m, real on real blocks like `apply`."""
-    return _rowwise(np.linalg.solve, m, x, lambda p: (m._rows(p), p))
+def _lu_inverse(m: Blocks) -> Blocks:
+    """m^-1 by one LU solve per block of a square m that keeps parity: a second route beside a map's SVD inverse."""
+    return Blocks([np.linalg.solve(b, np.eye(b.shape[0])) for b in m.blocks])
 
 
 class LinearMap(Blocks):

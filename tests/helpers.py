@@ -1,4 +1,5 @@
-"""Random test operators, dense weighted shifts and dense configs, which only the tests need."""
+"""Seeded random streams and sample sets, random test operators, dense weighted shifts and dense configs,
+which only the tests need."""
 
 from __future__ import annotations
 
@@ -7,6 +8,21 @@ import json
 import numpy as np
 
 from rieszlab import LinearMap, RunConfig, WeightedShift, parse_config
+
+
+def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """Independent deterministic stream per (seed, stream) pair."""
+    return np.random.default_rng(np.random.SeedSequence([int(seed), int(stream)]))
+
+
+def random_kets(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Complex standard-normal sample set: a (dim, count) array, column k the k-th vector."""
+    # The two draws fill the parts in place: the bits of x + 1j * y
+    # without its complex temporaries.
+    z = np.empty((count, dim), np.complex128)
+    z.real = rng.standard_normal((count, dim))
+    z.imag = rng.standard_normal((count, dim))
+    return z.T
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> LinearMap:

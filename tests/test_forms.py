@@ -19,9 +19,8 @@ from rieszlab.errors import DimensionMismatch, NotPositive
 from rieszlab.forms import TAIL_GRID
 from rieszlab.hermite import tail_family, tail_pairings
 from rieszlab.linalg import LinearMap
-from rieszlab.sampling import random_kets, stream_rng
 
-from helpers import random_conditioned_map
+from helpers import random_conditioned_map, random_kets, stream_rng
 
 GRID = TAIL_GRID
 
@@ -41,28 +40,6 @@ def hermite_phi_family(dim):
 
 def onb(dim):
     return np.eye(dim)
-
-
-def test_random_kets_columns_are_the_per_vector_draws():
-    x = random_kets(5, 7, stream_rng(38))
-    assert x.shape == (5, 7) and x.dtype == np.complex128
-    # reference: vector k is row k of one (count, dim) draw of real parts, then imaginary parts
-    rng = stream_rng(38)
-    rows = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
-    for k in range(7):
-        np.testing.assert_array_equal(x[:, k], rows[k])
-
-
-@pytest.mark.parametrize("dim", [8, 32, 256])
-def test_random_kets_hold_the_bits_and_strides_of_x_plus_1j_y(dim):
-    # the parts are written in place; the old formula formed x + 1j * y
-    # through two complex temporaries
-    for seed in range(10):
-        x = random_kets(dim, 100, stream_rng(seed, 5))
-        rng = stream_rng(seed, 5)
-        old = (rng.standard_normal((100, dim)) + 1j * rng.standard_normal((100, dim))).T
-        assert x.strides == old.strides and x.dtype == old.dtype
-        assert np.array_equal(x.T.view(np.uint64), old.T.view(np.uint64))
 
 
 def test_omega_parseval():
@@ -126,17 +103,17 @@ def test_omega_dimension_guard():
 def test_representation_reference_basis():
     sys_ = BiorthogonalSystem(onb(4), onb(4))
     ops = FrameOperators(k_phi=LinearMap(np.eye(4)), k_psi=LinearMap(np.eye(4)))
-    report = verify_representation(sys_, ops, np.eye(4)[:, [0]], np.eye(4)[:, [2]], 1e-9)
+    report = verify_representation(sys_, ops, 1e-9)
     assert report.passed and report.residual == 0.0
 
 
 def test_representation_diagonal():
     sys_ = build_system(from_diagonal([1, 2, 3]))
     ops = build_frame_operators(sys_)
-    e1 = np.eye(3)[:, 1]
-    report = verify_representation(sys_, ops, e1[:, None], e1[:, None], 1e-9)
+    report = verify_representation(sys_, ops, 1e-9)
     assert report.passed
-    # both routes give 4: Omega(e_1, e_1) = |<e_1, phi_1>|^2 and |K^(1/2) e_1|^2 = K_11
+    # both routes give 4 on e_1: Omega(e_1, e_1) = |<e_1, phi_1>|^2 and |K^(1/2) e_1|^2 = K_11
+    e1 = np.eye(3)[:, 1]
     assert omega(e1, e1, sys_.phi) == pytest.approx(4.0)
     assert np.asarray(ops.k_phi)[1, 1] == pytest.approx(4.0)
 
@@ -146,70 +123,79 @@ def test_representation_random_property():
     t = random_conditioned_map(16, 100.0, rng)
     sys_ = build_system(t)
     ops = build_frame_operators(sys_)
-    x, y = random_kets(16, 100, rng), random_kets(16, 100, rng)
-    report = verify_representation(sys_, ops, x, y, 1e-9)
+    report = verify_representation(sys_, ops, 1e-9)
     assert report.passed, report.residual
-    assert report.residual == max(report.details["phi_family"], report.details["psi_family"])
-    assert report.details["samples"] == 100
+    assert report.details.keys() == {"phi_family", "psi_family"}
+    assert report.residual == max(report.details.values())
+
+
+def basis_pair_reading(family, root):
+    """Worst |Omega(e_n, e_m) - <K^(1/2) e_n, K^(1/2) e_m>| / (|K^(1/2) e_n| |K^(1/2) e_m|) over the pairs, one at a time."""
+    dim = family.shape[0]
+    root = np.asarray(root)
+    worst = 0.0
+    for m in range(dim):
+        for n in range(dim):
+            e_m, e_n = np.eye(dim)[:, m], np.eye(dim)[:, n]
+            form = omega(e_n, e_m, family)
+            direct = np.vdot(root @ e_n, root @ e_m)
+            worst = max(worst, abs(form - direct) / (np.linalg.norm(root @ e_n) * np.linalg.norm(root @ e_m)))
+    return worst
 
 
 def test_representation_detects_perturbed_root():
-    # a K_phi that is not the phi family's frame operator moves its root, and only the phi side
+    # a K_phi that is not the phi family's frame operator moves its root, and
+    # only the phi side; the reading is the form's over every basis pair
     rng = stream_rng(37)
     sys_ = build_system(random_conditioned_map(8, 10.0, rng))
     ops = build_frame_operators(sys_)
     k_phi = np.asarray(ops.k_phi).copy()
     k_phi[0, 0] *= 1.0 + 2e-6
     perturbed = FrameOperators(k_phi=LinearMap(k_phi), k_psi=ops.k_psi)
-    x, y = random_kets(8, 20, rng), random_kets(8, 20, rng)
-    report = verify_representation(sys_, perturbed, x, y, 1e-9)
+    report = verify_representation(sys_, perturbed, 1e-9)
     assert not report.passed
     assert report.details["psi_family"] <= 1e-9 < report.details["phi_family"]
-    with pytest.raises(ValueError):
-        verify_representation(sys_, perturbed, x[:, :0], y[:, :0], 1e-9)
+    expected = basis_pair_reading(np.asarray(sys_.phi), perturbed.k_phi_sqrt)
+    assert report.details["phi_family"] == pytest.approx(expected, rel=1e-6)
 
 
 def test_quasi_basis_reference():
     family = onb(5)
     sys_ = BiorthogonalSystem(family, family)
-    report = quasi_basis_residual(sys_, np.eye(5)[:, [0, 1]], np.eye(5)[:, [0, 2]], 1e-9)
+    report = quasi_basis_residual(sys_, 1e-9)
     assert report.passed and report.residual == 0.0
+    assert report.details.keys() == {"phi_psi_order", "psi_phi_order"}
 
 
 def test_quasi_basis_constructed_property():
     rng = stream_rng(35)
     t = random_conditioned_map(16, 100.0, rng)
     sys_ = build_system(t)
-    x, y = random_kets(16, 100, rng), random_kets(16, 100, rng)
-    report = quasi_basis_residual(sys_, x, y, 1e-9)
+    report = quasi_basis_residual(sys_, 1e-9)
     assert report.passed, report.details
 
 
 def test_quasi_basis_detects_corruption():
+    # with psi_0 = 0 both products miss e_0 entirely
     sys_ = build_system(from_diagonal([1, 2, 3]))
     psi = np.array(sys_.psi)
     psi[:, 0] = 0.0
-    corrupted = BiorthogonalSystem(sys_.phi, psi)
-    phi = np.asarray(sys_.phi)
-    probe = phi[:, [0]] / np.linalg.norm(phi[:, 0]) ** 2
-    report = quasi_basis_residual(corrupted, probe, np.eye(3)[:, [0]], 1e-9)
+    report = quasi_basis_residual(BiorthogonalSystem(sys_.phi, psi), 1e-9)
     assert not report.passed
-    assert report.residual > 0.1
+    assert report.details == {"phi_psi_order": 1.0, "psi_phi_order": 1.0}
 
 
-def test_quasi_basis_flags_last_column_of_wide_sample_set():
-    # count != N, and only the last pair touches the corrupted psi_0
+def test_quasi_basis_reads_the_last_column():
+    # psi_(N-1) scaled by 1 + 1e-6: phi psi* - 1 is 1e-6 at (N-1, N-1) alone
     sys_ = build_system(from_diagonal([1, 2, 3]))
     psi = np.array(sys_.psi)
-    psi[:, 0] = 0.0
+    psi[:, -1] *= 1.0 + 1e-6
     corrupted = BiorthogonalSystem(sys_.phi, psi)
-    x = np.eye(3)[:, [1, 2, 1, 2, 0]]
-    report = quasi_basis_residual(corrupted, x, x, 1e-9)
+    report = quasi_basis_residual(corrupted, 1e-7)
     assert not report.passed
-    assert report.details["phi_psi_order"] == pytest.approx(1.0)
-    assert report.details["psi_phi_order"] == pytest.approx(1.0)
-    assert report.details["samples"] == 5
-    assert quasi_basis_residual(corrupted, x[:, :-1], x[:, :-1], 1e-9).passed
+    assert report.details["phi_psi_order"] == pytest.approx(1e-6, rel=1e-9)
+    assert report.details["psi_phi_order"] == pytest.approx(1e-6, rel=1e-9)
+    assert quasi_basis_residual(corrupted, 1e-5).passed
 
 
 def test_frame_bounds_reference_and_diagonal():

@@ -19,7 +19,6 @@ from rieszlab import (
 )
 from rieszlab.errors import OracleMismatch
 from rieszlab.hermite import (
-    FORM_SAMPLES,
     MAX_DIMENSION,
     ORACLE_TOLERANCE,
     REACH,
@@ -29,7 +28,6 @@ from rieszlab.hermite import (
     trapezoid_rule,
     x_entry,
 )
-from rieszlab.sampling import random_kets, stream_rng
 
 # Explicit physicists' Hermite polynomials for the closed-form oracle.
 _HERMITE_POLY = {
@@ -59,12 +57,6 @@ def closed_form(n, x):
 def example_system(dim):
     # phi_n = X e_n, psi_n = X^-1 e_n on the gated model (X is self-adjoint)
     return build_system(build_model(dim).X)
-
-
-def oracle_samples(dim):
-    # the two sample sets of the Omega spot check, at its column count
-    rng = stream_rng(dim)
-    return random_kets(dim, FORM_SAMPLES, rng), random_kets(dim, FORM_SAMPLES, rng)
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -208,22 +200,31 @@ def test_interior_biorthogonality_against_quadrature():
 def test_verify_k_psi_interior_identities():
     model = build_model(64)
     sys_ = build_system(model.X)
-    report = verify_K_psi(model, sys_, build_frame_operators(sys_), *oracle_samples(64), 1e-6)
+    report = verify_K_psi(model, sys_, build_frame_operators(sys_), 1e-6)
     assert report.passed, report.details
+    assert report.details.keys() == {"k_phi_vs_x_squared", "k_psi_vs_solved_inverse_squared", "entry_oracle"}
     assert report.details["k_phi_vs_x_squared"] < 1e-8
-    assert report.details["k_psi_vs_x_inverse_squared"] < 1e-6
-    assert report.details["omega_psi_through_inverse"] < 1e-8
+    assert report.details["k_psi_vs_solved_inverse_squared"] < 1e-12
 
 
-def test_verify_k_psi_needs_nonempty_sample_sets():
-    model = build_model(8)
-    sys_ = build_system(model.X)
-    ops = build_frame_operators(sys_)
-    f, g = oracle_samples(8)
-    # no columns, or one vector where a set is due
-    for bad_f, bad_g in ((f[:, :0], g[:, :0]), (f[:, 0], g[:, 0])):
-        with pytest.raises(ValueError, match="sample set"):
-            verify_K_psi(model, sys_, ops, bad_f, bad_g, 1e-6)
+@pytest.mark.parametrize("dim", [32, 64])
+def test_k_psi_reading_sees_a_symmetric_defect_in_the_cached_inverse(dim):
+    # K_psi is built from the held SVD inverse of X, and read against the
+    # square of an LU inverse: a defect in the held one, scaled with its
+    # mirror so psi stays its adjoint, must show in that detail.  Against
+    # the square of the held inverse itself the defect cancels (1.6e-15).
+    model = build_model(dim)
+    x = model.X
+    x_inv = np.array(invert(x))
+    off = np.abs(x_inv) * (1.0 - np.eye(dim))
+    i, j = np.unravel_index(np.argmax(off), off.shape)
+    x_inv[i, j] *= 1.0 + 1e-4
+    x_inv[j, i] *= 1.0 + 1e-4
+    x.inverse = Blocks.of(x_inv)
+    sys_ = build_system(x)
+    report = verify_K_psi(model, sys_, build_frame_operators(sys_), 1e-6)
+    assert not report.passed
+    assert report.residual == report.details["k_psi_vs_solved_inverse_squared"] > 1e-5
 
 
 def test_k_phi_vs_x_squared_sees_defects():
@@ -236,17 +237,16 @@ def test_k_phi_vs_x_squared_sees_defects():
     model = build_model(32)
     sys_ = build_system(model.X)
     ops = build_frame_operators(sys_)
-    samples = oracle_samples(32)
-    clean = verify_K_psi(model, sys_, ops, *samples, 1e-8)
+    clean = verify_K_psi(model, sys_, ops, 1e-8)
     assert clean.passed and 0.0 < clean.details["k_phi_vs_x_squared"] < 1e-13
     k_phi = np.asarray(ops.k_phi).copy()
     k_phi[15, 15] *= 1.0 + 1e-6
-    report = verify_K_psi(model, sys_, FrameOperators(LinearMap(k_phi), ops.k_psi), *samples, 1e-8)
+    report = verify_K_psi(model, sys_, FrameOperators(LinearMap(k_phi), ops.k_psi), 1e-8)
     assert not report.passed and report.details["k_phi_vs_x_squared"] > 5e-8
     x = np.asarray(model.X).copy()
     x[15, 15] *= 1.0 + 1e-6
     mutated = build_system(LinearMap(x))
-    report = verify_K_psi(model, mutated, build_frame_operators(mutated), *samples, 1e-8)
+    report = verify_K_psi(model, mutated, build_frame_operators(mutated), 1e-8)
     assert report.details["k_phi_vs_x_squared"] > 1e-7
 
 
@@ -256,12 +256,11 @@ def test_k_phi_block_stops_where_the_truncation_reaches():
     model = build_model(16)
     sys_ = build_system(model.X)
     ops = build_frame_operators(sys_)
-    samples = oracle_samples(16)
-    clean = verify_K_psi(model, sys_, ops, *samples, 1e-8)
+    clean = verify_K_psi(model, sys_, ops, 1e-8)
     assert clean.passed and clean.details["k_phi_vs_x_squared"] < 1e-13
     k_phi = np.asarray(ops.k_phi).copy()
     k_phi[13, 13] *= 1.0 + 1e-6
-    report = verify_K_psi(model, sys_, FrameOperators(LinearMap(k_phi), ops.k_psi), *samples, 1e-8)
+    report = verify_K_psi(model, sys_, FrameOperators(LinearMap(k_phi), ops.k_psi), 1e-8)
     assert not report.passed and report.details["k_phi_vs_x_squared"] > 1e-7
 
 

@@ -8,9 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rieszlab.sampling import stream_rng
-
-from helpers import dense16_payload, random_conditioned_map
+from helpers import dense16_payload, random_conditioned_map, stream_rng
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -17,9 +17,8 @@ from rieszlab import (
 from rieszlab.errors import DimensionMismatch, NotPositive, NumericallySingular
 from rieszlab import linalg
 from rieszlab.linalg import SPLIT_FLOOR, Blocks, real_or_complex
-from rieszlab.sampling import stream_rng
 
-from helpers import random_conditioned_map, random_unitary
+from helpers import random_conditioned_map, random_unitary, stream_rng
 
 
 def test_dtype_follows_the_entries():

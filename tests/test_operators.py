@@ -37,9 +37,8 @@ from rieszlab.cli import _hermite_config
 from rieszlab.hermite import tail_family
 from rieszlab.linalg import SPLIT_FLOOR, Blocks
 from rieszlab.operators import PRODUCT_PAIRS, WeightedShift
-from rieszlab.sampling import stream_rng
 
-from helpers import dense, dense_config, random_conditioned_map, random_unitary
+from helpers import dense, dense_config, random_conditioned_map, random_unitary, stream_rng
 
 
 def ladder_matrices(alpha, dim):

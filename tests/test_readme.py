@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from rieszlab.cli import main
-from rieszlab.sampling import stream_rng
 
-from helpers import random_conditioned_map
+from helpers import random_conditioned_map, stream_rng
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 

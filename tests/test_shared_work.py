@@ -18,16 +18,14 @@ from rieszlab import (
     parse_config,
     polar_decompose,
     run_suite,
-    sampling,
     suite,
     systems,
 )
 from rieszlab.cli import _hermite_config, main
 from rieszlab.config import config_to_dict
 from rieszlab.linalg import SPLIT_FLOOR, Blocks
-from rieszlab.sampling import stream_rng
 
-from helpers import dense_config, random_conditioned_map
+from helpers import dense_config, random_conditioned_map, stream_rng
 
 
 def count_calls(monkeypatch):
@@ -169,8 +167,8 @@ def test_each_stage_is_built_once_and_dropped_after_its_last_reader(monkeypatch,
 @pytest.mark.parametrize("stage", sorted(STAGE_BUILDERS))
 def test_a_stage_that_raises_fails_exactly_its_readers(monkeypatch, kind, stage):
     # with the operator built, a context whose stage raises fails every
-    # check the table names as its reader, and only those; a reader fails
-    # before it draws a sample set (hermite_oracle reads the Hermite model)
+    # check the table names as its reader, and only those (hermite_oracle
+    # reads the Hermite model)
     cfg = full_suite_configs()[kind]
     ctx = suite._SuiteContext(cfg)
     ctx.operator
@@ -178,20 +176,14 @@ def test_a_stage_that_raises_fails_exactly_its_readers(monkeypatch, kind, stage)
     def dropped(ctx):
         raise LookupError("a dropped stage was read")
 
-    draws = []
-    original = sampling.random_kets
-    monkeypatch.setattr(sampling, "random_kets", lambda *a: draws.append(1) or original(*a))
     monkeypatch.setattr(suite._SuiteContext, stage, property(dropped))
     readers = suite._STAGE_READERS[stage] & set(cfg.checks)
     assert readers or (stage, kind) == ("hermite_model", "dense")
     for name in sorted(set(cfg.checks) - readers):
         assert suite._CHECKS[name](ctx).passed, name
-    assert draws
-    draws.clear()
     for name in sorted(readers):
         with pytest.raises(LookupError):
             suite._CHECKS[name](ctx)
-    assert draws == []
 
 
 @pytest.mark.parametrize("kind", ["hermite", "dense"])
@@ -390,13 +382,9 @@ def test_every_derived_matrix_is_a_read_only_blocks(alpha, kind):
     assert frame_ops.k_phi.parts == frame_ops.k_psi.parts == parts
 
 
-def test_a_singular_operator_draws_no_sample_set(monkeypatch, tmp_path):
-    # every sampling check reads the system or the frame operators before
-    # its draws, so on a singular T each fails without drawing; the reports
-    # keep the bytes they had when the draws came first
-    draws = []
-    original = sampling.random_kets
-    monkeypatch.setattr(sampling, "random_kets", lambda *a: draws.append(1) or original(*a))
+def test_a_singular_operator_fails_every_check_as_an_error(tmp_path):
+    # every check reads T^-1 or T's SVD, so on a singular T each fails as
+    # an error report, with the pinned JSON and CSV bytes
     path = tmp_path / "singular.json"
     path.write_text(json.dumps({"dimension": 8, "operator": {"kind": "diagonal", "values": [1, 2, 3, 0, 5, 6, 7, 8]}}))
     reports = {}
@@ -404,7 +392,6 @@ def test_a_singular_operator_draws_no_sample_set(monkeypatch, tmp_path):
         out = tmp_path / f"report.{fmt}"
         assert main(["run", "--config", str(path), "--format", fmt, "--out", str(out)]) == 1
         reports[fmt] = out.read_bytes()
-    assert draws == []
     assert hashlib.sha256(reports["json"]).hexdigest() == "90be3f67a7b7dd924f046d74d7188a7c18ea989aad7f49f27027ea3eac8ecd3e"
     names = sorted(parse_config(path.read_text()).checks)
     csv = "name,residual,tolerance,pass\n" + "".join(f"{n},inf,1e-08,false\n" for n in names)
