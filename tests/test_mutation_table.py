@@ -5,9 +5,16 @@ Each row takes a fresh run context, scales the largest-magnitude entry of one ca
 1 + eps, and lets the objects downstream of it be rebuilt from the defect.  A frame operator or
 its root is scaled as a Hermitian pair, the entry and its mirror.  Method: DeMillo, Lipton &
 Sayward, "Hints on test data selection", IEEE Computer 11 (1978).
+
+Each row of a dense N=32 config, and its clean run, is also read on the images of its T under
+T -> cT and T -> QT with Q unitary.  Every identity the suite checks is homogeneous under the
+first (phi scales by c, psi by 1/c, the transformed operators stay) and invariant under the
+second, so no verdict may move.  Method: Chen, Cheung & Yiu, "Metamorphic testing: a new approach
+for generating next test cases", HKUST-CS98-01 (1998).
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -17,7 +24,7 @@ from rieszlab.cli import _hermite_config
 from rieszlab.linalg import Blocks
 from rieszlab.systems import FrameOperators
 
-from helpers import dense_config, random_conditioned_map
+from helpers import dense_config, random_conditioned_map, random_unitary, stream_rng
 
 TRANSFORMED = ("h_phi_psi", "h_psi_phi", "a_phi_psi", "b_phi_psi", "a_psi_phi", "b_psi_phi")
 
@@ -30,14 +37,35 @@ BLIND = {
 }
 
 
-def dense_run(alpha: dict) -> dict:
-    t = random_conditioned_map(32, 10.0, np.random.default_rng(32))
-    return {"cfg": dense_config(t, alpha=alpha, tolerance=1e-8), "eps": 1e-6}
+# The maps a dense N=32 config's T is read under.
+IMAGES = {
+    "1e-8 T": lambda t: 1e-8 * t,
+    "1e-4 T": lambda t: 1e-4 * t,
+    "1e4 T": lambda t: 1e4 * t,
+    "1e8 T": lambda t: 1e8 * t,
+    "Q T": lambda t: np.asarray(random_unitary(32, stream_rng(5, 1))) @ t,
+}
+IMAGED = ("dense32-real", "dense32-complex")
+
+
+def dense_run(make_t, alpha: dict):
+    """The run of a dense config of T = make_t(), or of the named image of T."""
+    def run(image: str | None = None) -> dict:
+        t = np.asarray(make_t())
+        if image is not None:
+            t = IMAGES[image](t)
+        return {"cfg": dense_config(LinearMap(t), alpha=alpha, tolerance=1e-8), "eps": 1e-6}
+    return run
+
+
+def t32():
+    return random_conditioned_map(32, 10.0, np.random.default_rng(32))
 
 
 CONFIGS = {
-    "dense32-real": lambda: dense_run({"kind": "sqrt_n"}),
-    "dense32-complex": lambda: dense_run({"kind": "custom", "values": [[n, 0.5 * (-1) ** n] for n in range(32)]}),
+    "dense32-real": dense_run(t32, {"kind": "sqrt_n"}),
+    "dense32-complex": dense_run(t32, {"kind": "custom", "values": [[n, 0.5 * (-1) ** n] for n in range(32)]}),
+    "dense128": dense_run(lambda: random_conditioned_map(128, 1e3, stream_rng(75)), {"kind": "sqrt_n"}),
     # above the split floor, so every object is held as its two parity blocks
     "hermite64": lambda: {"cfg": _hermite_config(64, full_suite=True, seed=0), "eps": 1e-4},
 }
@@ -128,9 +156,18 @@ def rows_of(config: str) -> dict:
     return ROWS | HERMITE_ROWS if config.startswith("hermite") else ROWS
 
 
-def failing_checks(config: str, row: str | None) -> frozenset:
-    """The checks of the config that fail, in a fresh run context with the row's defect planted first."""
-    run = CONFIGS[config]()
+@functools.cache
+def run_of(config: str, image: str | None = None) -> dict:
+    # Parsed once: a run context builds its own T from the config, and a
+    # defect replaces a cached object with a copy.
+    return CONFIGS[config]() if image is None else CONFIGS[config](image)
+
+
+@functools.cache
+def failing_checks(config: str, row: str | None, image: str | None = None) -> frozenset:
+    """The checks of the config, or of its named image, that fail in a fresh run context with the
+    row's defect planted first."""
+    run = run_of(config, image)
     cfg = run["cfg"]
     ctx = suite._SuiteContext(cfg)
     if row is not None:
@@ -196,6 +233,33 @@ FAILS = {
     ("dense32-complex", "b_phi_psi"): {"adjoint_relations", "ladder", "product_identities"},
     ("dense32-complex", "a_psi_phi"): {"adjoint_relations", "ladder", "product_identities"},
     ("dense32-complex", "b_psi_phi"): {"adjoint_relations", "ladder", "product_identities"},
+    ("dense128", "inverse"): {
+        "biorthogonality", "ccr", "clause_i3", "domain_mapping", "eigen", "hamiltonian_agreement",
+        "k_relations", "ladder", "onb_reconstruction", "quasi_basis",
+    },
+    ("dense128", "adjoint_inverse"): {
+        "adjoint_relations", "biorthogonality", "clause_i3", "domain_mapping", "eigen", "k_relations",
+        "ladder", "onb_reconstruction", "quasi_basis",
+    },
+    ("dense128", "svd_u"): {"polar"},
+    ("dense128", "phi"): {
+        "biorthogonality", "clause_i3", "domain_mapping", "eigen", "hamiltonian_agreement", "k_relations",
+        "ladder", "onb_reconstruction", "quasi_basis",
+    },
+    ("dense128", "psi"): {
+        "biorthogonality", "clause_i3", "domain_mapping", "eigen", "k_relations", "ladder",
+        "onb_reconstruction", "quasi_basis",
+    },
+    ("dense128", "k_phi"): {"clause_i3", "k_relations", "onb_reconstruction", "representation"},
+    ("dense128", "k_psi"): {"clause_i3", "k_relations", "onb_reconstruction", "representation"},
+    ("dense128", "k_phi_sqrt"): {"clause_i3", "onb_reconstruction", "representation"},
+    ("dense128", "k_psi_sqrt"): {"clause_i3", "onb_reconstruction", "representation"},
+    ("dense128", "h_phi_psi"): {"adjoint_relations", "domain_mapping", "eigen", "hamiltonian_agreement"},
+    ("dense128", "h_psi_phi"): {"adjoint_relations", "domain_mapping", "eigen"},
+    ("dense128", "a_phi_psi"): {"adjoint_relations", "ccr", "ladder", "product_identities"},
+    ("dense128", "b_phi_psi"): {"adjoint_relations", "ccr", "ladder", "product_identities"},
+    ("dense128", "a_psi_phi"): {"adjoint_relations", "ladder", "product_identities"},
+    ("dense128", "b_psi_phi"): {"adjoint_relations", "ladder", "product_identities"},
     ("hermite64", "inverse"): {
         "biorthogonality", "ccr", "clause_i3", "domain_mapping", "hermite_oracle", "k_relations", "ladder",
         "onb_reconstruction", "quasi_basis",
@@ -233,11 +297,18 @@ FAILS = {
 }
 
 CASES = [(config, row) for config in CONFIGS for row in rows_of(config)]
+IMAGE_CASES = [(config, row, image) for config in IMAGED for row in rows_of(config) for image in IMAGES]
 
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_a_clean_run_passes_every_check(config):
     assert failing_checks(config, None) == frozenset()
+
+
+@pytest.mark.parametrize("image", IMAGES)
+@pytest.mark.parametrize("config", IMAGED)
+def test_a_clean_image_passes_every_check(config, image):
+    assert failing_checks(config, None, image) == frozenset()
 
 
 @pytest.mark.parametrize("config, row", CASES)
@@ -248,8 +319,24 @@ def test_each_row_fails_its_checks(config, row):
     assert failed == FAILS[config, row]
 
 
+@pytest.mark.parametrize("config, row, image", IMAGE_CASES)
+def test_each_image_of_a_row_fails_the_rows_checks(config, row, image):
+    assert failing_checks(config, row, image) == FAILS[config, row]
+
+
 @pytest.mark.parametrize("config", CONFIGS)
 def test_each_check_fails_a_row_unless_it_is_named_blind(config):
-    checks = set(CONFIGS[config]()["cfg"].checks)
+    checks = set(run_of(config)["cfg"].checks)
     failed = set().union(*(FAILS[config, row] for row in rows_of(config)))
     assert failed == checks - BLIND.keys()
+
+
+def test_the_retirement_conditions_of_product_identities_and_adjoint_relations_hold_in_every_case():
+    # ROADMAP item 11 retires product_identities if ladder fails wherever it
+    # fails, and item 17 retires adjoint_relations if ladder or eigen fails
+    # wherever it fails.
+    cases = CASES + IMAGE_CASES
+    for case in cases:
+        failed = failing_checks(*case)
+        assert "product_identities" not in failed or "ladder" in failed, case
+        assert "adjoint_relations" not in failed or not failed.isdisjoint({"ladder", "eigen"}), case
