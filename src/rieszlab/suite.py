@@ -86,7 +86,7 @@ def _check_onb_reconstruction(ctx: _SuiteContext) -> CheckReport:
 
 
 def _check_clause_i3(ctx: _SuiteContext) -> CheckReport:
-    return systems.verify_clause_i3(ctx.system, ctx.frame_ops, ctx.cfg.tolerance)
+    return systems.verify_clause_i3(ctx.frame_ops, ctx.cfg.tolerance)
 
 
 def _check_representation(ctx: _SuiteContext) -> CheckReport:

@@ -129,7 +129,7 @@ def reconstruct_onb(sys: BiorthogonalSystem, ops: FrameOperators, tolerance: flo
     return make_report("onb_reconstruction", worst(details.values()), tolerance, details=details)
 
 
-def verify_clause_i3(sys: BiorthogonalSystem, ops: FrameOperators, tolerance: float) -> CheckReport:
+def verify_clause_i3(ops: FrameOperators, tolerance: float) -> CheckReport:
     """Residual of (K_phi^(1/2))* K_psi^(1/2) = 1 on the basis: the worst column norm of the product minus 1."""
     residual = float((ops.k_phi_sqrt.H @ ops.k_psi_sqrt).minus_diagonal().column_norms().max())
     return make_report("clause_i3", residual, tolerance)

@@ -1,5 +1,5 @@
-"""Seeded random streams and sample sets, random test operators, dense weighted shifts and dense configs,
-which only the tests need."""
+"""Seeded random streams and sample sets, random test operators, dense weighted shifts, dense configs
+and planted defects, which only the tests need."""
 
 from __future__ import annotations
 
@@ -39,6 +39,23 @@ def random_conditioned_map(dim: int, cond: float, rng: np.random.Generator) -> L
     v = np.asarray(random_unitary(dim, rng))
     sigma = np.exp(np.linspace(-0.5, 0.5, dim) * np.log(cond))
     return LinearMap((u * sigma) @ v)
+
+
+def scaled(a, eps: float, hermitian: bool = False, off_diagonal: bool = False) -> np.ndarray:
+    """A dense copy of a (a vector, a matrix or Blocks) whose largest-magnitude entry, off the
+    diagonal if asked, is scaled by 1 + eps.
+
+    With hermitian the mirror entry is scaled too, so a Hermitian a stays Hermitian.
+    """
+    a = np.array(a)
+    size = np.abs(a)
+    if off_diagonal:
+        np.fill_diagonal(size, 0.0)
+    k = np.unravel_index(np.argmax(size), a.shape)
+    a[k] *= 1.0 + eps
+    if hermitian and k[0] != k[1]:
+        a[k[::-1]] *= 1.0 + eps
+    return a
 
 
 def dense(shift: WeightedShift) -> LinearMap:

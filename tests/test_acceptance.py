@@ -110,7 +110,7 @@ def test_criterion_04_onb_reconstruction():
         entrywise = np.abs(e_from_psi - e_from_phi).max()
         worst_entry = max(worst_entry, entrywise)
         worst_gram = max(worst_gram, report.details["gram_from_psi"], report.details["gram_from_phi"])
-        worst_i3 = max(worst_i3, verify_clause_i3(sys_, ops, 1e-9).residual)
+        worst_i3 = max(worst_i3, verify_clause_i3(ops, 1e-9).residual)
     ok = worst_entry < 1e-9 and worst_gram < 1e-9 and worst_i3 < 1e-9
     _verdict(
         4,

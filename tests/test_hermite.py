@@ -29,6 +29,8 @@ from rieszlab.hermite import (
     x_entry,
 )
 
+from helpers import scaled
+
 # Explicit physicists' Hermite polynomials for the closed-form oracle.
 _HERMITE_POLY = {
     0: lambda x: np.ones_like(x),
@@ -215,12 +217,7 @@ def test_k_psi_reading_sees_a_symmetric_defect_in_the_cached_inverse(dim):
     # the square of the held inverse itself the defect cancels (1.6e-15).
     model = build_model(dim)
     x = model.X
-    x_inv = np.array(invert(x))
-    off = np.abs(x_inv) * (1.0 - np.eye(dim))
-    i, j = np.unravel_index(np.argmax(off), off.shape)
-    x_inv[i, j] *= 1.0 + 1e-4
-    x_inv[j, i] *= 1.0 + 1e-4
-    x.inverse = Blocks.of(x_inv)
+    x.inverse = Blocks.of(scaled(invert(x), 1e-4, hermitian=True, off_diagonal=True))
     sys_ = build_system(x)
     report = verify_K_psi(model, sys_, build_frame_operators(sys_), 1e-6)
     assert not report.passed

@@ -24,7 +24,7 @@ from rieszlab.cli import _hermite_config
 from rieszlab.linalg import Blocks
 from rieszlab.systems import FrameOperators
 
-from helpers import dense_config, random_conditioned_map, random_unitary, stream_rng
+from helpers import dense_config, random_conditioned_map, random_unitary, scaled, stream_rng
 
 TRANSFORMED = ("h_phi_psi", "h_psi_phi", "a_phi_psi", "b_phi_psi", "a_psi_phi", "b_psi_phi")
 
@@ -69,22 +69,6 @@ CONFIGS = {
     # above the split floor, so every object is held as its two parity blocks
     "hermite64": lambda: {"cfg": _hermite_config(64, full_suite=True, seed=0), "eps": 1e-4},
 }
-
-
-def scaled(a, eps: float, hermitian: bool = False, off_diagonal: bool = False) -> np.ndarray:
-    """A dense copy of a whose largest-magnitude entry, off the diagonal if asked, is scaled by 1 + eps.
-
-    With hermitian the mirror entry is scaled too, so a Hermitian a stays Hermitian.
-    """
-    a = np.array(a)
-    size = np.abs(a)
-    if off_diagonal:
-        np.fill_diagonal(size, 0.0)
-    i, j = np.unravel_index(np.argmax(size), a.shape)
-    a[i, j] *= 1.0 + eps
-    if hermitian and i != j:
-        a[j, i] *= 1.0 + eps
-    return a
 
 
 def defect_inverse(ctx, eps, **where):

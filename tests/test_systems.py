@@ -326,7 +326,7 @@ def test_reconstruct_onb_equals_polar_image():
 def test_clause_i3_diagonal_and_identity():
     for t in (from_diagonal([1, 2, 3]), LinearMap(np.eye(3))):
         sys_ = build_system(t)
-        report = verify_clause_i3(sys_, build_frame_operators(sys_), 1e-9)
+        report = verify_clause_i3(build_frame_operators(sys_), 1e-9)
         assert report.residual < 1e-14
         assert report.details == {}
 
@@ -335,16 +335,15 @@ def test_clause_i3_random_map():
     rng = stream_rng(24)
     t = random_conditioned_map(16, 100.0, rng)
     sys_ = build_system(t)
-    report = verify_clause_i3(sys_, build_frame_operators(sys_), 1e-9)
+    report = verify_clause_i3(build_frame_operators(sys_), 1e-9)
     assert report.passed
 
 
 def test_clause_i3_flags_the_last_column():
     # K_phi^(1/2) = diag(1, 1, 1, 2) and K_psi^(1/2) = 1, so only e_3 is
     # moved: the product minus 1 is 1 in the last column and 0 elsewhere
-    sys_ = build_system(LinearMap(np.eye(4)))
     ops = FrameOperators(k_phi=from_diagonal([1.0, 1.0, 1.0, 4.0]), k_psi=LinearMap(np.eye(4)))
-    report = verify_clause_i3(sys_, ops, 1e-9)
+    report = verify_clause_i3(ops, 1e-9)
     assert not report.passed
     assert report.residual == 1.0
 
