@@ -77,11 +77,17 @@ class RunConfig:
     checks: tuple[str, ...]
 
 
+def _inapplicable(name: str, operator_kind: str, alpha_kind: str) -> str | None:
+    """Why a known check cannot run with this operator and alpha kind, or None when it can."""
+    if name in HERMITE_CHECKS and operator_kind != "hermite-x":
+        return f"check {name!r} requires the hermite-x operator"
+    if name == "ccr" and alpha_kind != "sqrt_n":
+        return "ccr requires the sqrt_n alpha kind"
+    return None
+
+
 def default_checks(operator_kind: str, alpha_kind: str) -> tuple[str, ...]:
-    names = [c for c in GENERAL_CHECKS if c != "ccr" or alpha_kind == "sqrt_n"]
-    if operator_kind == "hermite-x":
-        names.extend(HERMITE_CHECKS)
-    return tuple(sorted(names))
+    return tuple(c for c in KNOWN_CHECKS if _inapplicable(c, operator_kind, alpha_kind) is None)
 
 
 def _expect(condition: bool, path: str, reason: str) -> None:
@@ -253,14 +259,8 @@ def parse_config(text: str, seed: int | None = None) -> RunConfig:
         _expect(len(checks_raw) > 0, "/checks", "must not be empty")
         for i, name in enumerate(checks_raw):
             _expect(name in KNOWN_CHECKS, f"/checks/{i}", "unknown check")
-            if name in HERMITE_CHECKS:
-                _expect(
-                    operator.kind == "hermite-x",
-                    f"/checks/{i}",
-                    f"check {name!r} requires the hermite-x operator",
-                )
-            if name == "ccr":
-                _expect(alpha.kind == "sqrt_n", f"/checks/{i}", "ccr requires the sqrt_n alpha kind")
+            reason = _inapplicable(name, operator.kind, alpha.kind)
+            _expect(reason is None, f"/checks/{i}", reason)
         checks = tuple(dict.fromkeys(checks_raw))
 
     return RunConfig(

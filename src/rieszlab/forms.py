@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import Blocks, LinearMap, apply
+from .linalg import Blocks, LinearMap
 from .reporting import CheckReport, make_report, worst
 from .systems import BiorthogonalSystem, FrameOperators
 
@@ -42,26 +42,26 @@ class TailDiagnostic:
     growth_exponent: float
 
 
-def _column_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray | complex:
-    """<a_k, b_k> for every column k (a scalar for two vectors)."""
-    return np.sum(np.conj(a) * b, axis=0)
+def _vector_set(v) -> Blocks:
+    """A vector set, or one vector as a one-column set, through `Blocks.of`."""
+    return Blocks.of(np.asarray(v)[:, None] if np.ndim(v) == 1 else v)
 
 
 def omega(x: np.ndarray, y: np.ndarray, family) -> np.ndarray | complex:
     """Evaluate sum_k <x, phi_k><phi_k, y> over the truncated family.
 
     x and y are vector sets of one shape: (N, count) arrays give one value
-    per column, two vectors of length N give a scalar.  When y is x the
-    pairings are formed once.
+    per column, two vectors of length N give a scalar.  Each is read like
+    a family (`Blocks.of`), so a square parity-keeping set meets a split
+    family block by block.  When y is x the pairings are formed once.
     """
     m = Blocks.of(family)
-    same = y is x
-    x, y = np.asarray(x), np.asarray(y)
-    if x.shape[:1] != m.shape[:1] or y.shape != x.shape:
+    if np.shape(x)[:1] != m.shape[:1] or np.shape(y) != np.shape(x):
         raise DimensionMismatch("vector dimensions differ from family dimension")
     adj = m.H
-    adj_x = apply(adj, x)
-    return _column_inner(adj_x, adj_x if same else apply(adj, y))
+    adj_x = adj @ _vector_set(x)
+    values = adj_x.column_inner(adj_x if y is x else adj @ _vector_set(y))
+    return values[0] if np.ndim(x) == 1 else values
 
 
 def verify_representation(sys: BiorthogonalSystem, ops: FrameOperators, tolerance: float) -> CheckReport:

@@ -6,23 +6,23 @@ T is held as its two parity blocks, of ceil(N/2) and floor(N/2) indices,
 and every matrix derived from it inherits the split: T^-1, psi, the frame
 operators, their roots and the polar factors keep parity, and a shift by
 an odd step swaps it.  Otherwise a matrix is its one dense block.  No
-product, sum or norm reads the zeros between the blocks, and a vector set
-meets a split matrix as two half products on its even and odd rows
-(`apply`).
+product, sum or norm reads the zeros between the blocks.  A vector set is
+read like a family, through `Blocks.of`, so a square parity-keeping set
+such as the identity meets a split matrix block by block.
 
 A LinearMap is the `Blocks` of a map that is certified or factored: T
 and the frame operators.  Like every family, it comes in through
 `Blocks.of`, which stores float64 when every entry is real (a complex
 input whose imaginary parts are all exactly 0 is stored as its real part)
-and complex128 otherwise, so real inputs run the real LAPACK/BLAS kernels,
-on complex vector sets too.  A map certifies self-adjointness (by
-residual) and positivity (by smallest eigenvalue) on first read, and is
-factored at most once per kind, one LAPACK call per block, each factor a
-cached property (a read that raises caches nothing): the positivity
-certificate's `eigh` gives `spectrum` and `operator_sqrt`, and the one full
-`svd` gives `cond_estimate`, `inverse` and `polar_decompose`.  (T^-1)* is
-the adjoint of the one held T^-1.  Blocks and derived matrices are
-read-only, so no cached value can go stale.
+and complex128 otherwise, so real inputs run the real LAPACK/BLAS
+kernels.  A map certifies self-adjointness (by residual) and positivity
+(by smallest eigenvalue) on first read, and is factored at most once per
+kind, one LAPACK call per block, each factor a cached property (a read
+that raises caches nothing): the positivity certificate's `eigh` gives
+`spectrum` and `operator_sqrt`, and the one full `svd` gives
+`cond_estimate`, `inverse` and `polar_decompose`.  (T^-1)* is the adjoint
+of the one held T^-1.  Blocks and derived matrices are read-only, so no
+cached value can go stale.
 """
 
 from __future__ import annotations
@@ -246,6 +246,18 @@ class Blocks:
             out[p :: self.parts] = _column_norms(b)
         return out
 
+    def column_inner(self, other: "Blocks") -> np.ndarray:
+        """<a_k, b_k> for every column k of self (a) and other (b), in index order."""
+        a, b = self._aligned(other)
+        if a.shift != b.shift:
+            a, b = a.whole(), b.whole()
+        if a.parts == 1:
+            return np.sum(np.conj(a.blocks[0]) * b.blocks[0], axis=0)
+        out = np.empty(a.shape[1], dtype=np.result_type(a.dtype, b.dtype))
+        for p, (x, y) in enumerate(zip(a.blocks, b.blocks)):
+            out[p :: a.parts] = np.sum(np.conj(x) * y, axis=0)
+        return out
+
     def worst_entry(self) -> tuple[float, int, int]:
         """(|a_kl|, k, l) for the first largest |entry| in row-major index order, a NaN before any number."""
         found = []
@@ -257,30 +269,6 @@ class Blocks:
             found.append((not math.isnan(value), -value if value == value else 0.0, row, col, value))
         *_, row, col, value = min(found)
         return value, row, col
-
-
-def _on_parts(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x, where a real m and a complex x run one real product on x's interleaved real and imaginary parts."""
-    if not (np.isrealobj(m) and np.iscomplexobj(x)):
-        return m @ x
-    x = np.ascontiguousarray(x, dtype=np.complex128)
-    parts = x.view(np.float64).reshape(x.shape[0], -1)
-    return (m @ parts).view(np.complex128).reshape((-1,) + x.shape[1:])
-
-
-def apply(m: Blocks, x: np.ndarray) -> np.ndarray:
-    """m @ x for a vector set x, (N, count) or one vector: one product per block of m.
-
-    A real block on a complex x runs one real product with x's interleaved
-    real and imaginary parts, which gives b @ x.real and b @ x.imag in one
-    complex128 array; every other pairing is numpy's b @ x.
-    """
-    if m.parts == 1:
-        return _on_parts(m.blocks[0], x)
-    out = np.empty(x.shape, dtype=np.result_type(m.dtype, x))
-    for p, b in enumerate(m.blocks):
-        out[m._rows(p) :: 2] = _on_parts(b, x[p::2])
-    return out
 
 
 def _lu_inverse(m: Blocks) -> Blocks:

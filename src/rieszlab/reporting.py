@@ -15,20 +15,17 @@ class CheckReport:
     name: str
     residual: float
     tolerance: float
-    passed: bool
     details: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.residual <= self.tolerance)
 
 
 def make_report(name, residual, tolerance, details=None) -> CheckReport:
     residual = float(residual)
     tolerance = float(tolerance)
-    return CheckReport(
-        name=name,
-        residual=residual,
-        tolerance=tolerance,
-        passed=bool(residual <= tolerance),
-        details=dict(details or {}),
-    )
+    return CheckReport(name=name, residual=residual, tolerance=tolerance, details=dict(details or {}))
 
 
 def worst(values) -> float:
@@ -51,13 +48,7 @@ def relative_frobenius(delta: Blocks, reference: Blocks) -> float:
 
 def error_report(name, exc: Exception, tolerance: float) -> CheckReport:
     """A failed report standing in for a check that raised."""
-    return CheckReport(
-        name=name,
-        residual=math.inf,
-        tolerance=float(tolerance),
-        passed=False,
-        details={"error": type(exc).__name__, "message": str(exc)},
-    )
+    return make_report(name, math.inf, tolerance, details={"error": type(exc).__name__, "message": str(exc)})
 
 
 def format_quantity(value) -> object:

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 from functools import cached_property
 
 import numpy as np
 
 from . import forms, hermite, operators, systems
 from .config import REPORT_SCHEMA, RunConfig
-from .linalg import LinearMap, _lu_inverse, from_diagonal, polar_decompose
+from .linalg import LinearMap, _lu_inverse, from_diagonal, polar_decompose, read_only
 from .reporting import CheckReport, error_report, make_report, relative_frobenius, report_as_dict, worst
 
 log = logging.getLogger("rieszlab")
@@ -44,6 +45,14 @@ class _SuiteContext:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
 
+    @property
+    def tolerance(self) -> float:
+        return self.cfg.tolerance
+
+    @property
+    def cond(self) -> float:
+        return self.operator.cond_estimate
+
     @cached_property
     def hermite_model(self) -> hermite.HermiteModel:
         return hermite.build_model(self.cfg.dimension)
@@ -73,96 +82,45 @@ class _SuiteContext:
         return operators.eigenrelation_residuals(self.opset, self.system)
 
 
-def _check_biorthogonality(ctx: _SuiteContext) -> CheckReport:
-    return systems.check_biorthogonality(ctx.system, ctx.cfg.tolerance)
-
-
-def _check_k_relations(ctx: _SuiteContext) -> CheckReport:
-    return systems.verify_K_relations(ctx.system, ctx.frame_ops, ctx.cfg.tolerance)
-
-
-def _check_onb_reconstruction(ctx: _SuiteContext) -> CheckReport:
-    return systems.reconstruct_onb(ctx.system, ctx.frame_ops, ctx.cfg.tolerance)
-
-
-def _check_clause_i3(ctx: _SuiteContext) -> CheckReport:
-    return systems.verify_clause_i3(ctx.frame_ops, ctx.cfg.tolerance)
-
-
-def _check_representation(ctx: _SuiteContext) -> CheckReport:
-    return forms.verify_representation(ctx.system, ctx.frame_ops, ctx.cfg.tolerance)
-
-
-def _check_quasi_basis(ctx: _SuiteContext) -> CheckReport:
-    return forms.quasi_basis_residual(ctx.system, ctx.cfg.tolerance)
-
-
-def _check_frame_bounds(ctx: _SuiteContext) -> CheckReport:
+def _check_frame_bounds(system: systems.BiorthogonalSystem, frame_ops: systems.FrameOperators,
+                        tolerance: float) -> CheckReport:
     # c <= Omega_phi(e_n, e_n) <= C on every basis vector, each of norm 1
-    c, big_c = forms.frame_bounds(ctx.frame_ops.k_phi)
-    eye = np.eye(ctx.cfg.dimension)
-    value = forms.omega(eye, eye, ctx.system.phi).real
+    c, big_c = forms.frame_bounds(frame_ops.k_phi)
+    eye = read_only(np.eye(system.phi.shape[0]))
+    value = forms.omega(eye, eye, system.phi).real
     violation = np.maximum(0.0, np.maximum(c - value, value - big_c))
     residual = float(np.max(violation / np.maximum(value, 1e-300)))
-    return make_report("frame_bounds", residual, ctx.cfg.tolerance, details={"lower": c, "upper": big_c})
+    return make_report("frame_bounds", residual, tolerance, details={"lower": c, "upper": big_c})
 
 
-def _check_polar(ctx: _SuiteContext) -> CheckReport:
+def _check_polar(operator: LinearMap, tolerance: float) -> CheckReport:
     # T = P U: P U must reassemble T column by column, and U must be unitary.
     # Both are read against the one tolerance.
-    t_map = ctx.operator
-    positive, u = polar_decompose(t_map)
+    positive, u = polar_decompose(operator)
     gram = (u.H @ u).minus_diagonal().max_abs()
-    reassembly = float(systems.column_residuals(t_map, positive @ u - t_map)[0].max())
+    reassembly = float(systems.column_residuals(operator, positive @ u - operator)[0].max())
     return make_report(
         "polar",
         worst([reassembly, gram]),
-        ctx.cfg.tolerance,
+        tolerance,
         details={"reassembly": reassembly, "f_basis_gram": gram},
     )
 
 
-def _check_hamiltonian_agreement(ctx: _SuiteContext) -> CheckReport:
+def _check_hamiltonian_agreement(system: systems.BiorthogonalSystem, opset: operators.OperatorSet,
+                                 tolerance: float) -> CheckReport:
     # The dual family by an LU solve of T* Psi = 1 (T* = phi^H) per block,
     # not the SVD inverse the operator set conjugates with: with one T^-1 the
     # sum form and T H T^-1 would be a single computation that no defect can fail.
-    phi = ctx.system.phi
+    phi = system.phi
     solved = systems.BiorthogonalSystem(phi=phi, psi=_lu_inverse(phi.H))
-    summed = operators.sum_form_hamiltonian(solved, ctx.opset.alpha)
-    conjugated = ctx.opset.h_phi_psi
+    summed = operators.sum_form_hamiltonian(solved, opset.alpha)
+    conjugated = opset.h_phi_psi
     residual = relative_frobenius(summed - conjugated, conjugated)
-    return make_report("hamiltonian_agreement", residual, ctx.cfg.tolerance)
+    return make_report("hamiltonian_agreement", residual, tolerance)
 
 
-def _check_eigen(ctx: _SuiteContext) -> CheckReport:
-    return operators.eigen_check(ctx.eigenrelation, ctx.operator.cond_estimate, ctx.cfg.tolerance)
-
-
-def _check_ladder(ctx: _SuiteContext) -> CheckReport:
-    return operators.ladder_check(ctx.opset, ctx.system, ctx.cfg.tolerance)
-
-
-def _check_adjoint_relations(ctx: _SuiteContext) -> CheckReport:
-    return operators.adjoint_relation_check(ctx.opset, ctx.cfg.tolerance)
-
-
-def _check_product_identities(ctx: _SuiteContext) -> CheckReport:
-    return operators.product_identity_check(ctx.opset, ctx.cfg.tolerance)
-
-
-def _check_ccr(ctx: _SuiteContext) -> CheckReport:
-    return operators.ccr_check(ctx.opset, ctx.cfg.tolerance)
-
-
-def _check_domain_mapping(ctx: _SuiteContext) -> CheckReport:
-    return operators.domain_mapping_check(ctx.eigenrelation, ctx.operator.cond_estimate, ctx.cfg.tolerance)
-
-
-def _check_hermite_oracle(ctx: _SuiteContext) -> CheckReport:
-    return hermite.verify_K_psi(ctx.hermite_model, ctx.system, ctx.frame_ops, ctx.cfg.tolerance)
-
-
-def _check_frame_bound_growth(ctx: _SuiteContext) -> CheckReport:
+def _check_frame_bound_growth() -> CheckReport:
     sizes = (16, 32, 64)
     # X at a truncation n is the leading n x n block of X at the largest one
     family = hermite.tail_family(sizes[-1])
@@ -184,7 +142,7 @@ def _check_frame_bound_growth(ctx: _SuiteContext) -> CheckReport:
     return make_report("frame_bound_growth", residual, 0.0, details=details)
 
 
-def _check_tail_dichotomy(ctx: _SuiteContext) -> CheckReport:
+def _check_tail_dichotomy() -> CheckReport:
     verdicts = {}
     details: dict = {}
     n = np.arange(forms.TAIL_GRID[-1])
@@ -198,40 +156,45 @@ def _check_tail_dichotomy(ctx: _SuiteContext) -> CheckReport:
     return make_report("tail_dichotomy", 0.0 if ok else 1.0, 0.0, details=details)
 
 
+# One row per check: the function, then the _SuiteContext attributes it is
+# called with, in order.
 _CHECKS = {
-    "biorthogonality": _check_biorthogonality,
-    "k_relations": _check_k_relations,
-    "onb_reconstruction": _check_onb_reconstruction,
-    "clause_i3": _check_clause_i3,
-    "representation": _check_representation,
-    "quasi_basis": _check_quasi_basis,
-    "frame_bounds": _check_frame_bounds,
-    "polar": _check_polar,
-    "hamiltonian_agreement": _check_hamiltonian_agreement,
-    "eigen": _check_eigen,
-    "ladder": _check_ladder,
-    "adjoint_relations": _check_adjoint_relations,
-    "product_identities": _check_product_identities,
-    "ccr": _check_ccr,
-    "domain_mapping": _check_domain_mapping,
-    "hermite_oracle": _check_hermite_oracle,
-    "frame_bound_growth": _check_frame_bound_growth,
-    "tail_dichotomy": _check_tail_dichotomy,
+    "biorthogonality": (systems.check_biorthogonality, "system", "tolerance"),
+    "k_relations": (systems.verify_K_relations, "system", "frame_ops", "tolerance"),
+    "onb_reconstruction": (systems.reconstruct_onb, "system", "frame_ops", "tolerance"),
+    "clause_i3": (systems.verify_clause_i3, "frame_ops", "tolerance"),
+    "representation": (forms.verify_representation, "system", "frame_ops", "tolerance"),
+    "quasi_basis": (forms.quasi_basis_residual, "system", "tolerance"),
+    "frame_bounds": (_check_frame_bounds, "system", "frame_ops", "tolerance"),
+    "polar": (_check_polar, "operator", "tolerance"),
+    "hamiltonian_agreement": (_check_hamiltonian_agreement, "system", "opset", "tolerance"),
+    "eigen": (operators.eigen_check, "eigenrelation", "cond", "tolerance"),
+    "ladder": (operators.ladder_check, "opset", "system", "tolerance"),
+    "adjoint_relations": (operators.adjoint_relation_check, "opset", "tolerance"),
+    "product_identities": (operators.product_identity_check, "opset", "tolerance"),
+    "ccr": (operators.ccr_check, "opset", "tolerance"),
+    "domain_mapping": (operators.domain_mapping_check, "eigenrelation", "cond", "tolerance"),
+    "hermite_oracle": (hermite.verify_K_psi, "hermite_model", "system", "frame_ops", "tolerance"),
+    "frame_bound_growth": (_check_frame_bound_growth,),
+    "tail_dichotomy": (_check_tail_dichotomy,),
 }
 
-
-# Each stage of _SuiteContext that a run drops, and the checks that read
-# it.  The operator-set readers run first, then the rest, each group in
-# name order, and a stage is dropped once none of its readers is left to
-# run.  Only the operator stage and hermite_oracle build the Hermite model,
-# and the operator stage keeps X once built, so a dropped model is never
-# built again.
+# Each stage of _SuiteContext that a run drops, with the dropped stages
+# built from it.  Only the operator stage and hermite_oracle build the
+# Hermite model, and the operator stage keeps X once built, so the
+# operator is not counted as built from the model, and a dropped model is
+# never built again.
+_DROPPED_STAGES = {
+    "opset": ("opset", "eigenrelation"),
+    "eigenrelation": ("eigenrelation",),
+    "hermite_model": ("hermite_model",),
+}
+# The checks that read each dropped stage or a stage built from it.  The
+# operator-set readers run first, then the rest, each group in name order,
+# and a stage is dropped once none of its readers is left to run.
 _STAGE_READERS = {
-    "opset": frozenset({
-        "adjoint_relations", "ccr", "domain_mapping", "eigen", "hamiltonian_agreement", "ladder", "product_identities",
-    }),
-    "eigenrelation": frozenset({"domain_mapping", "eigen"}),
-    "hermite_model": frozenset({"hermite_oracle"}),
+    stage: frozenset(name for name, (_, *reads) in _CHECKS.items() if not set(reads).isdisjoint(built))
+    for stage, built in _DROPPED_STAGES.items()
 }
 
 
@@ -258,7 +221,7 @@ def _run_check(ctx: _SuiteContext, name: str) -> CheckReport:
         # an overflow, invalid operation or division by zero raises
         # FloatingPointError, so the check fails with that reason
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            report = _CHECKS[name](ctx)
+            report = _call_check(ctx, name)
     except Exception as exc:  # totality: surface as a failed report
         log.info("check %s raised %s: %s", name, type(exc).__name__, exc)
         report = error_report(name, exc, ctx.cfg.tolerance)
@@ -266,6 +229,14 @@ def _run_check(ctx: _SuiteContext, name: str) -> CheckReport:
              report.name, report.residual, report.tolerance,
              "pass" if report.passed else "FAIL")
     return report
+
+
+def _call_check(ctx: _SuiteContext, name: str) -> CheckReport:
+    """Check `name` called with the run objects its row names, each read from ctx in order."""
+    fn, *reads = _CHECKS[name]
+    # the function bound in its module now, so that a wrapper set there (a tracer) is called
+    fn = getattr(sys.modules[fn.__module__], fn.__name__)
+    return fn(*(getattr(ctx, read) for read in reads))
 
 
 def emit_report(reports, fmt: str = "json", config: dict | None = None) -> str:

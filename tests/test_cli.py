@@ -1,5 +1,6 @@
 """End-to-end tests for run_suite and the command-line interface."""
 
+import inspect
 import json
 import math
 import os
@@ -14,6 +15,8 @@ from rieszlab import cli, parse_config, run_suite, suite
 from rieszlab.cli import _hermite_config, main
 from rieszlab.config import DIMENSION_LIMIT, KNOWN_CHECKS, config_to_dict
 from rieszlab.hermite import MAX_DIMENSION
+
+from helpers import dense16_payload
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -356,23 +359,40 @@ def test_a_nan_detail_fails_its_check_and_the_run(tmp_path):
 
 def test_runs_print_nothing_to_stderr(tmp_path):
     # each run in a fresh interpreter, where no warning filter of the test
-    # session can hide what the command prints
+    # session can hide what the command prints; the last two with
+    # RIESZLAB_LOG unset, at its default level
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
-        "RIESZLAB_LOG": "error",
     }
+    env.pop("RIESZLAB_LOG", None)
     overflow = write_config(tmp_path, OVERFLOW_PAYLOAD)
-    for argv, code in (
-        (["example", "hermite", "--dim", "8", "--full-suite"], 0),
-        (["run", "--config", str(overflow)], 1),
+    dense16 = write_config(tmp_path, dense16_payload(), "dense16.json")
+    for argv, code, log in (
+        (["example", "hermite", "--dim", "8", "--full-suite"], 0, "error"),
+        (["run", "--config", str(overflow)], 1, "error"),
+        (["example", "hermite", "--dim", "32", "--full-suite"], 0, None),
+        (["run", "--config", str(dense16)], 0, None),
     ):
         done = subprocess.run(
             [sys.executable, "-m", "rieszlab.cli", *argv, "--out", str(tmp_path / "report")],
-            env=env, capture_output=True, text=True,
+            env=env if log is None else {**env, "RIESZLAB_LOG": log}, capture_output=True, text=True,
         )
         assert (done.returncode, done.stderr) == (code, ""), argv
 
 
 def test_the_check_registry_names_every_known_check():
+    # each row's reads are run objects of the context and bind to its
+    # function's parameters, so a misspelt read fails here, not as an
+    # error report in every run
     assert set(suite._CHECKS) == set(KNOWN_CHECKS)
+    for name, (fn, *reads) in suite._CHECKS.items():
+        assert all(hasattr(suite._SuiteContext, read) for read in reads), name
+        inspect.signature(fn).bind(*reads)
+    assert suite._STAGE_READERS == {
+        "opset": {
+            "adjoint_relations", "ccr", "domain_mapping", "eigen", "hamiltonian_agreement", "ladder", "product_identities",
+        },
+        "eigenrelation": {"domain_mapping", "eigen"},
+        "hermite_model": {"hermite_oracle"},
+    }

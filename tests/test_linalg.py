@@ -472,25 +472,6 @@ def test_a_one_by_one_map_and_a_dense_map_factor_whole(monkeypatch):
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("layout", ["columns", "rows", "vector"])
-@pytest.mark.parametrize("kinds", [("real", "complex"), ("real", "real"), ("complex", "complex"), ("complex", "real")])
-def test_apply_matches_the_matrix_product(layout, kinds):
-    rng = stream_rng(19)
-    m, x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) if kind == "complex" else rng.standard_normal(shape)
-            for kind, shape in zip(kinds, ((7, 7), (5, 7))))
-    x = {"columns": x.T, "rows": np.ascontiguousarray(x.T), "vector": x[0]}[layout]
-    got = linalg.apply(Blocks([m]), x)
-    want = m @ x
-    assert got.shape == want.shape and got.dtype == want.dtype
-    if kinds == ("real", "complex"):
-        # one real product over the interleaved parts: m @ x.real and m @ x.imag
-        scale = 1e-14 * np.abs(m).sum(axis=1).max() * np.abs(x).max()
-        for part, expected in ((got.real, m @ x.real), (got.imag, m @ x.imag), (got, want)):
-            np.testing.assert_allclose(part, expected, rtol=0.0, atol=scale)
-    else:
-        assert np.array_equal(got, want)
-
-
 @pytest.mark.parametrize("kind", ["real", "complex"])
 @pytest.mark.parametrize("layout", ["c-ordered", "f-ordered", "parity-strided", "row"])
 @pytest.mark.parametrize("dim", [1, 7, 33, 128])

@@ -267,7 +267,7 @@ def test_domain_mapping_fails_a_1e_4_defect_in_h_psi_phi_through_the_run():
     t = random_conditioned_map(8, 10.0, stream_rng(45))
     ctx = suite._SuiteContext(dense_config(t, tolerance=1e-9))
     ctx.opset = dataclasses.replace(ctx.opset, h_psi_phi=Blocks.of(scaled(ctx.opset.h_psi_phi, 1e-4)))
-    report = suite._check_domain_mapping(ctx)
+    report = suite._call_check(ctx, "domain_mapping")
     assert not report.passed and report.residual == report.details["psi_phi"]
     assert report.details["phi_psi"] <= 1e-9
 
@@ -578,12 +578,12 @@ def test_suite_checks_fail_a_defect_in_the_last_column(dim, side, eps, check):
     ctx = suite._SuiteContext(_hermite_config(dim, full_suite=True, seed=0))
     clean = ctx.system
     ctx.frame_ops
-    assert suite._CHECKS[check](ctx).passed
+    assert suite._call_check(ctx, check).passed
     family = np.array(getattr(clean, side))
     family[:, -1] = scaled(family[:, -1], eps)
     ctx.system = dataclasses.replace(clean, **{side: family})
     vars(ctx).pop("eigenrelation", None)  # built from the system, so rebuilt from the mutated one
-    report = suite._CHECKS[check](ctx)
+    report = suite._call_check(ctx, check)
     assert not report.passed, report.details
 
 

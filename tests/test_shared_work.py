@@ -180,10 +180,10 @@ def test_a_stage_that_raises_fails_exactly_its_readers(monkeypatch, kind, stage)
     readers = suite._STAGE_READERS[stage] & set(cfg.checks)
     assert readers or (stage, kind) == ("hermite_model", "dense")
     for name in sorted(set(cfg.checks) - readers):
-        assert suite._CHECKS[name](ctx).passed, name
+        assert suite._call_check(ctx, name).passed, name
     for name in sorted(readers):
         with pytest.raises(LookupError):
-            suite._CHECKS[name](ctx)
+            suite._call_check(ctx, name)
 
 
 @pytest.mark.parametrize("kind", ["hermite", "dense"])
@@ -293,11 +293,11 @@ def test_hamiltonian_agreement_sees_a_defect_in_the_cached_inverse():
     # The sum form takes psi from an LU solve, the operator set conjugates
     # with the run's cached SVD inverse: a defect there must show.
     cfg = dense_config(random_conditioned_map(8, 10.0, stream_rng(50)), checks=["hamiltonian_agreement"])
-    clean = suite._check_hamiltonian_agreement(suite._SuiteContext(cfg))
+    clean = suite._call_check(suite._SuiteContext(cfg), "hamiltonian_agreement")
     assert clean.passed and clean.residual > 0.0
     ctx = suite._SuiteContext(cfg)
     ctx.operator.inverse = Blocks([scaled(invert(ctx.operator), 1e-6)])
-    assert not suite._check_hamiltonian_agreement(ctx).passed
+    assert not suite._call_check(ctx, "hamiltonian_agreement").passed
 
 
 def test_hermite_full_suite_builds_each_tail_family_once(monkeypatch, tmp_path):
@@ -315,11 +315,10 @@ def test_hermite_full_suite_builds_each_tail_family_once(monkeypatch, tmp_path):
 def test_tail_dichotomy_holds_no_dense_family():
     # its pairings come from X's three bands: a few 4 KiB vectors, where a
     # dense tail_family(512) took 2 MiB at any N
-    ctx = suite._SuiteContext(_hermite_config(8, full_suite=True, seed=0))
-    suite._check_tail_dichotomy(ctx)
+    suite._check_tail_dichotomy()
     tracemalloc.start()
     try:
-        report = suite._check_tail_dichotomy(ctx)
+        report = suite._check_tail_dichotomy()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -330,13 +329,12 @@ def test_tail_dichotomy_holds_no_dense_family():
 def test_growth_checks_pass_at_dimension_8():
     # the smallest Hermite size a benchmark round selects them at; the
     # bounds of each leading block are those of that truncation's own X
-    ctx = suite._SuiteContext(_hermite_config(8, full_suite=True, seed=0))
-    growth = suite._check_frame_bound_growth(ctx)
+    growth = suite._check_frame_bound_growth()
     assert growth.passed, growth.details
     for n in (16, 32, 64):
         lower, upper = forms.frame_bounds(systems.frame_operator(hermite.tail_family(n)))
         assert (growth.details[f"c_{n}"], growth.details[f"C_{n}"]) == (lower, upper)
-    tail = suite._check_tail_dichotomy(ctx)
+    tail = suite._check_tail_dichotomy()
     assert tail.passed, tail.details
     assert tail.details["harmonic_classification"] == "divergent"
     assert tail.details["geometric_classification"] == "convergent"

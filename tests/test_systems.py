@@ -168,13 +168,14 @@ def warm_suite_peak(cfg) -> float:
 def test_hermite_full_suite_peak_at_256():
     # T held as its parity blocks only, each stage dropped after its last
     # reader, the walk's mixed product formed before B's children and no
-    # sample set drawn: 4.28 MiB, set by frame_bounds, which reads Omega_phi
-    # on the N x N identity.  With representation reading two 100-column
-    # sample sets it read 4.48 MiB.  Dropping the eigenrelation
-    # only with the operator set, after product_identities, read 4.84 MiB;
-    # holding both to the end 6.75 MiB, and 6.81 MiB with the dense
-    # tail_family(512) the tail check once built.
-    assert warm_suite_peak(_hermite_config(256, full_suite=True, seed=0)) <= 4.4
+    # sample set drawn: 4.15 MiB, set by frame_bounds, which reads Omega_phi
+    # on the N x N identity held as its two parity blocks.  Multiplying the
+    # split family into the whole identity read 4.28 MiB, and with
+    # representation reading two 100-column sample sets 4.48 MiB.  Dropping
+    # the eigenrelation only with the operator set, after
+    # product_identities, read 4.84 MiB; holding both to the end 6.75 MiB,
+    # and 6.81 MiB with the dense tail_family(512) the tail check once built.
+    assert warm_suite_peak(_hermite_config(256, full_suite=True, seed=0)) <= 4.25
 
 
 def test_dense_complex_default_suite_peak_at_128():
