@@ -93,6 +93,25 @@ def test_omega_hermitian_symmetry_and_positivity():
         assert omega(x[:, k], y[:, k], family) == pytest.approx(a[k], rel=1e-13)
 
 
+@pytest.mark.parametrize("layout", ["columns", "rows", "vector"])
+@pytest.mark.parametrize("kinds", [("real", "complex"), ("real", "real"), ("complex", "complex"), ("complex", "real")])
+def test_omega_matches_the_dense_formula_for_every_kind_and_layout(layout, kinds):
+    # a family of either kind with vector sets of either kind, given as an
+    # F-ordered view, a C-ordered array or one vector of length N
+    rng = stream_rng(19)
+    m, x, y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) if kind == "complex" else rng.standard_normal(shape)
+               for kind, shape in zip((kinds[0], kinds[1], kinds[1]), ((7, 7), (5, 7), (5, 7))))
+    x, y = ({"columns": v.T, "rows": np.ascontiguousarray(v.T), "vector": v[0]}[layout] for v in (x, y))
+    adj = m.conj().T
+    for right in (y, x):
+        got = omega(x, right, m)
+        want = np.sum(np.conj(adj @ x) * (adj @ right), axis=0)
+        assert np.shape(got) == np.shape(want) and np.result_type(got) == want.dtype
+        # Cauchy-Schwarz scale of each column's pairing sum
+        scale = 1e-14 * np.linalg.norm(adj @ x, axis=0) * np.linalg.norm(adj @ right, axis=0)
+        assert np.all(np.abs(got - want) <= scale)
+
+
 def test_omega_dimension_guard():
     with pytest.raises(DimensionMismatch):
         omega(np.eye(3)[:, 0], np.eye(3)[:, 0], onb(4))
