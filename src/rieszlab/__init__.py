@@ -6,7 +6,7 @@ non-self-adjoint Hamiltonians and ladder operators obtained by
 similarity, all realized as dense truncations with residual reports.
 """
 
-from .config import RunConfig, default_checks, parse_config
+from .config import RunConfig, parse_config
 from .errors import (
     DimensionMismatch,
     NotPositive,
@@ -54,7 +54,7 @@ from .operators import (
     transform,
 )
 from .reporting import CheckReport, make_report
-from .suite import emit_report, run_suite
+from .suite import default_checks, emit_report, run_suite
 from .systems import (
     BiorthogonalSystem,
     FrameOperators,

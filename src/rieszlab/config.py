@@ -13,10 +13,9 @@ import numpy as np
 
 from .errors import ParseError
 from .hermite import MAX_DIMENSION, MAX_DIMENSION_REASON
+from .suite import KNOWN_CHECKS, default_checks, inapplicable
 
 SCHEMA = "rieszlab/1"
-# Schema of a JSON report, whose config echo (config_to_dict) names bulk value lists by digest.
-REPORT_SCHEMA = "rieszlab/4"
 
 # A run keeps about LIVE_MATRICES N x N complex128 arrays alive at its peak
 # (T with its SVD factors and inverse, both frame operators with their
@@ -30,28 +29,6 @@ DIMENSION_LIMIT = math.isqrt(WORKING_SET_BYTES // (LIVE_MATRICES * 16))
 
 OPERATOR_KINDS = ("diagonal", "dense", "hermite-x", "upper-unipotent")
 ALPHA_KINDS = ("sqrt_n", "linear", "custom")
-
-# Checks runnable for every operator, in report order.
-GENERAL_CHECKS = (
-    "adjoint_relations",
-    "biorthogonality",
-    "ccr",
-    "clause_i3",
-    "domain_mapping",
-    "eigen",
-    "frame_bounds",
-    "hamiltonian_agreement",
-    "k_relations",
-    "ladder",
-    "onb_reconstruction",
-    "polar",
-    "product_identities",
-    "quasi_basis",
-    "representation",
-)
-# Checks that need the dimension-extensible Hermite model.
-HERMITE_CHECKS = ("frame_bound_growth", "hermite_oracle", "tail_dichotomy")
-KNOWN_CHECKS = tuple(sorted(GENERAL_CHECKS + HERMITE_CHECKS))
 
 
 @dataclass(frozen=True)
@@ -75,19 +52,6 @@ class RunConfig:
     tolerance: float
     seed: int
     checks: tuple[str, ...]
-
-
-def _inapplicable(name: str, operator_kind: str, alpha_kind: str) -> str | None:
-    """Why a known check cannot run with this operator and alpha kind, or None when it can."""
-    if name in HERMITE_CHECKS and operator_kind != "hermite-x":
-        return f"check {name!r} requires the hermite-x operator"
-    if name == "ccr" and alpha_kind != "sqrt_n":
-        return "ccr requires the sqrt_n alpha kind"
-    return None
-
-
-def default_checks(operator_kind: str, alpha_kind: str) -> tuple[str, ...]:
-    return tuple(c for c in KNOWN_CHECKS if _inapplicable(c, operator_kind, alpha_kind) is None)
 
 
 def _expect(condition: bool, path: str, reason: str) -> None:
@@ -259,7 +223,7 @@ def parse_config(text: str, seed: int | None = None) -> RunConfig:
         _expect(len(checks_raw) > 0, "/checks", "must not be empty")
         for i, name in enumerate(checks_raw):
             _expect(name in KNOWN_CHECKS, f"/checks/{i}", "unknown check")
-            reason = _inapplicable(name, operator.kind, alpha.kind)
+            reason = inapplicable(name, operator.kind, alpha.kind)
             _expect(reason is None, f"/checks/{i}", reason)
         checks = tuple(dict.fromkeys(checks_raw))
 

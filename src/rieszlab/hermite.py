@@ -16,7 +16,7 @@ import numpy as np
 from .errors import OracleMismatch
 from .linalg import Blocks, LinearMap, _lu_inverse, read_only
 from .reporting import CheckReport, make_report, relative_frobenius, worst
-from .systems import BiorthogonalSystem, FrameOperators, column_residuals
+from .systems import FrameOperators, column_residuals
 
 ORACLE_TOLERANCE = 1e-9
 # How far the quadrature nodes reach past the top turning point, and the
@@ -160,7 +160,7 @@ def tail_pairings(x: np.ndarray) -> np.ndarray:
     return pairings
 
 
-def verify_K_psi(model: HermiteModel, sys: BiorthogonalSystem, ops: FrameOperators, tolerance: float) -> CheckReport:
+def verify_K_psi(model: HermiteModel, ops: FrameOperators, tolerance: float) -> CheckReport:
     """The model's oracle residuals, and the frame operators of the system on its X against X^2 and X^-2.
 
     K_phi is compared with the quadrature Gram of the untruncated

@@ -107,6 +107,7 @@ class Blocks:
     """
 
     __slots__ = ("blocks", "parts", "shift")
+    ndim = 2  # np.ndim reads it, so numpy need not assemble the matrix to learn it
 
     def __init__(self, blocks, shift: int = 0):
         self.blocks = tuple(blocks)

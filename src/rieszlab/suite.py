@@ -6,13 +6,19 @@ import json
 import logging
 import sys
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import forms, hermite, operators, systems
-from .config import REPORT_SCHEMA, RunConfig
-from .linalg import LinearMap, _lu_inverse, from_diagonal, polar_decompose, read_only
+from .linalg import Blocks, LinearMap, _lu_inverse, from_diagonal, polar_decompose, read_only
 from .reporting import CheckReport, error_report, make_report, relative_frobenius, report_as_dict, worst
+
+if TYPE_CHECKING:
+    from .config import RunConfig
+
+# Schema of a JSON report, whose config echo (config_to_dict) names bulk value lists by digest.
+REPORT_SCHEMA = "rieszlab/4"
 
 log = logging.getLogger("rieszlab")
 
@@ -86,7 +92,8 @@ def _check_frame_bounds(system: systems.BiorthogonalSystem, frame_ops: systems.F
                         tolerance: float) -> CheckReport:
     # c <= Omega_phi(e_n, e_n) <= C on every basis vector, each of norm 1
     c, big_c = forms.frame_bounds(frame_ops.k_phi)
-    eye = read_only(np.eye(system.phi.shape[0]))
+    # the identity in phi's own blocks, so that omega reads it without splitting or assembling it
+    eye = read_only(Blocks([np.eye(b.shape[1]) for b in system.phi.blocks]))
     value = forms.omega(eye, eye, system.phi).real
     violation = np.maximum(0.0, np.maximum(c - value, value - big_c))
     residual = float(np.max(violation / np.maximum(value, 1e-300)))
@@ -156,9 +163,11 @@ def _check_tail_dichotomy() -> CheckReport:
     return make_report("tail_dichotomy", 0.0 if ok else 1.0, 0.0, details=details)
 
 
-# One row per check: the function, then the _SuiteContext attributes it is
-# called with, in order.
-_CHECKS = {
+# The check tables, the one place a check is named; the table of its row
+# says where it applies.  One row per check: the function, then the
+# _SuiteContext attributes it is called with, in order.
+# The checks every operator kind runs (ccr with the sqrt_n alpha kind only):
+GENERAL_CHECKS = {
     "biorthogonality": (systems.check_biorthogonality, "system", "tolerance"),
     "k_relations": (systems.verify_K_relations, "system", "frame_ops", "tolerance"),
     "onb_reconstruction": (systems.reconstruct_onb, "system", "frame_ops", "tolerance"),
@@ -174,10 +183,31 @@ _CHECKS = {
     "product_identities": (operators.product_identity_check, "opset", "tolerance"),
     "ccr": (operators.ccr_check, "opset", "tolerance"),
     "domain_mapping": (operators.domain_mapping_check, "eigenrelation", "cond", "tolerance"),
-    "hermite_oracle": (hermite.verify_K_psi, "hermite_model", "system", "frame_ops", "tolerance"),
+}
+# The checks that need the dimension-extensible Hermite model, hermite-x only:
+HERMITE_CHECKS = {
+    "hermite_oracle": (hermite.verify_K_psi, "hermite_model", "frame_ops", "tolerance"),
     "frame_bound_growth": (_check_frame_bound_growth,),
     "tail_dichotomy": (_check_tail_dichotomy,),
 }
+_CHECKS = GENERAL_CHECKS | HERMITE_CHECKS
+# Every check, in report order.
+KNOWN_CHECKS = tuple(sorted(_CHECKS))
+
+
+def inapplicable(name: str, operator_kind: str, alpha_kind: str) -> str | None:
+    """Why a known check cannot run with this operator and alpha kind, or None when it can."""
+    if name in HERMITE_CHECKS and operator_kind != "hermite-x":
+        return f"check {name!r} requires the hermite-x operator"
+    if name == "ccr" and alpha_kind != "sqrt_n":
+        return "ccr requires the sqrt_n alpha kind"
+    return None
+
+
+def default_checks(operator_kind: str, alpha_kind: str) -> tuple[str, ...]:
+    """Every known check that runs with this operator and alpha kind, in report order."""
+    return tuple(c for c in KNOWN_CHECKS if inapplicable(c, operator_kind, alpha_kind) is None)
+
 
 # Each stage of _SuiteContext that a run drops, with the dropped stages
 # built from it.  Only the operator stage and hermite_oracle build the

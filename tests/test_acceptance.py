@@ -238,7 +238,7 @@ def test_criterion_11_hermite_oracle_gate():
     model = build_model(32)
     big = build_model(64)
     sys_ = build_system(big.X)
-    identities = verify_K_psi(big, sys_, build_frame_operators(sys_), 1e-6)
+    identities = verify_K_psi(big, build_frame_operators(sys_), 1e-6)
     k_psi_resid = identities.details["k_psi_vs_solved_inverse_squared"]
     ok = model.oracle_residual < 1e-9 and k_psi_resid < 1e-6
     _verdict(

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from rieszlab import config as config_mod
-from rieszlab import parse_config
-from rieszlab.config import DIMENSION_LIMIT, config_to_dict, default_checks
+from rieszlab import default_checks, parse_config
+from rieszlab.config import DIMENSION_LIMIT, config_to_dict
 from rieszlab.errors import ParseError
 from rieszlab.hermite import MAX_DIMENSION, MAX_DIMENSION_REASON
 from rieszlab.reporting import make_report
@@ -38,10 +38,15 @@ def test_parse_minimal_diagonal_config():
     assert cfg.alpha.kind == "sqrt_n"
 
 
-def path_of(payload) -> str:
+def rejection_of(payload) -> tuple[str, str]:
+    """The path and reason of the ParseError that parsing the payload raises."""
     with pytest.raises(ParseError) as excinfo:
         parse(payload)
-    return excinfo.value.path
+    return excinfo.value.path, excinfo.value.reason
+
+
+def path_of(payload) -> str:
+    return rejection_of(payload)[0]
 
 
 def test_parse_rejects_small_dimension():
@@ -55,7 +60,7 @@ def test_parse_rejects_unknown_check():
         "operator": {"kind": "hermite-x"},
         "checks": ["no_such_check"],
     }
-    assert path_of(payload) == "/checks/0"
+    assert rejection_of(payload) == ("/checks/0", "unknown check")
 
 
 def test_parse_rejects_hermite_check_for_diagonal():
@@ -64,7 +69,7 @@ def test_parse_rejects_hermite_check_for_diagonal():
         "operator": {"kind": "diagonal", "values": [1, 2]},
         "checks": ["biorthogonality", "tail_dichotomy"],
     }
-    assert path_of(payload) == "/checks/1"
+    assert rejection_of(payload) == ("/checks/1", "check 'tail_dichotomy' requires the hermite-x operator")
 
 
 def test_parse_rejects_ccr_for_linear_alpha():
@@ -74,7 +79,7 @@ def test_parse_rejects_ccr_for_linear_alpha():
         "alpha": {"kind": "linear"},
         "checks": ["ccr"],
     }
-    assert path_of(payload) == "/checks/0"
+    assert rejection_of(payload) == ("/checks/0", "ccr requires the sqrt_n alpha kind")
 
 
 def test_parse_rejects_wrong_value_count():
@@ -248,14 +253,37 @@ def test_parse_rejects_invalid_json():
     assert excinfo.value.path == "/"
 
 
+# The default check lists, written out: ccr only with sqrt_n alpha, the
+# Hermite-model checks only on hermite-x, each list in name order.
+GENERAL_WITHOUT_CCR = (
+    "adjoint_relations", "biorthogonality", "clause_i3", "domain_mapping", "eigen", "frame_bounds",
+    "hamiltonian_agreement", "k_relations", "ladder", "onb_reconstruction", "polar", "product_identities",
+    "quasi_basis", "representation",
+)
+GENERAL_WITH_CCR = (
+    "adjoint_relations", "biorthogonality", "ccr", "clause_i3", "domain_mapping", "eigen", "frame_bounds",
+    "hamiltonian_agreement", "k_relations", "ladder", "onb_reconstruction", "polar", "product_identities",
+    "quasi_basis", "representation",
+)
+HERMITE_WITHOUT_CCR = (
+    "adjoint_relations", "biorthogonality", "clause_i3", "domain_mapping", "eigen", "frame_bound_growth",
+    "frame_bounds", "hamiltonian_agreement", "hermite_oracle", "k_relations", "ladder", "onb_reconstruction",
+    "polar", "product_identities", "quasi_basis", "representation", "tail_dichotomy",
+)
+HERMITE_WITH_CCR = (
+    "adjoint_relations", "biorthogonality", "ccr", "clause_i3", "domain_mapping", "eigen", "frame_bound_growth",
+    "frame_bounds", "hamiltonian_agreement", "hermite_oracle", "k_relations", "ladder", "onb_reconstruction",
+    "polar", "product_identities", "quasi_basis", "representation", "tail_dichotomy",
+)
+
+
 def test_default_checks_cover_operator_kinds():
-    diag_checks = default_checks("diagonal", "sqrt_n")
-    assert "ccr" in diag_checks
-    assert "tail_dichotomy" not in diag_checks
-    assert "ccr" not in default_checks("diagonal", "linear")
-    hermite_checks = default_checks("hermite-x", "sqrt_n")
-    for name in ("hermite_oracle", "frame_bound_growth", "tail_dichotomy"):
-        assert name in hermite_checks
+    for operator_kind in ("diagonal", "dense", "upper-unipotent", "hermite-x"):
+        hermite = operator_kind == "hermite-x"
+        assert default_checks(operator_kind, "sqrt_n") == (HERMITE_WITH_CCR if hermite else GENERAL_WITH_CCR)
+        for alpha_kind in ("linear", "custom"):
+            expected = HERMITE_WITHOUT_CCR if hermite else GENERAL_WITHOUT_CCR
+            assert default_checks(operator_kind, alpha_kind) == expected, (operator_kind, alpha_kind)
 
 
 def sha256_of(values) -> str:

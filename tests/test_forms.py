@@ -18,7 +18,7 @@ from rieszlab import (
 from rieszlab.errors import DimensionMismatch, NotPositive
 from rieszlab.forms import TAIL_GRID
 from rieszlab.hermite import tail_family, tail_pairings
-from rieszlab.linalg import LinearMap
+from rieszlab.linalg import Blocks, LinearMap, read_only
 
 from helpers import random_conditioned_map, random_kets, stream_rng
 
@@ -93,22 +93,30 @@ def test_omega_hermitian_symmetry_and_positivity():
         assert omega(x[:, k], y[:, k], family) == pytest.approx(a[k], rel=1e-13)
 
 
-@pytest.mark.parametrize("layout", ["columns", "rows", "vector"])
+@pytest.mark.parametrize("layout", ["columns", "rows", "blocks", "vector"])
 @pytest.mark.parametrize("kinds", [("real", "complex"), ("real", "real"), ("complex", "complex"), ("complex", "real")])
 def test_omega_matches_the_dense_formula_for_every_kind_and_layout(layout, kinds):
     # a family of either kind with vector sets of either kind, given as an
-    # F-ordered view, a C-ordered array or one vector of length N
+    # F-ordered view, a C-ordered array, a read-only Blocks or one vector of
+    # length N
     rng = stream_rng(19)
     m, x, y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) if kind == "complex" else rng.standard_normal(shape)
                for kind, shape in zip((kinds[0], kinds[1], kinds[1]), ((7, 7), (5, 7), (5, 7))))
-    x, y = ({"columns": v.T, "rows": np.ascontiguousarray(v.T), "vector": v[0]}[layout] for v in (x, y))
+    layouts = {
+        "columns": lambda v: v.T,
+        "rows": lambda v: np.ascontiguousarray(v.T),
+        "blocks": lambda v: read_only(Blocks([v.T.copy()])),
+        "vector": lambda v: v[0],
+    }
+    x, y = (layouts[layout](v) for v in (x, y))
     adj = m.conj().T
     for right in (y, x):
         got = omega(x, right, m)
-        want = np.sum(np.conj(adj @ x) * (adj @ right), axis=0)
+        adj_x, adj_right = adj @ np.asarray(x), adj @ np.asarray(right)
+        want = np.sum(np.conj(adj_x) * adj_right, axis=0)
         assert np.shape(got) == np.shape(want) and np.result_type(got) == want.dtype
         # Cauchy-Schwarz scale of each column's pairing sum
-        scale = 1e-14 * np.linalg.norm(adj @ x, axis=0) * np.linalg.norm(adj @ right, axis=0)
+        scale = 1e-14 * np.linalg.norm(adj_x, axis=0) * np.linalg.norm(adj_right, axis=0)
         assert np.all(np.abs(got - want) <= scale)
 
 

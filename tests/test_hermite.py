@@ -202,7 +202,7 @@ def test_interior_biorthogonality_against_quadrature():
 def test_verify_k_psi_interior_identities():
     model = build_model(64)
     sys_ = build_system(model.X)
-    report = verify_K_psi(model, sys_, build_frame_operators(sys_), 1e-6)
+    report = verify_K_psi(model, build_frame_operators(sys_), 1e-6)
     assert report.passed, report.details
     assert report.details.keys() == {"k_phi_vs_x_squared", "k_psi_vs_solved_inverse_squared", "entry_oracle"}
     assert report.details["k_phi_vs_x_squared"] < 1e-8
@@ -219,7 +219,7 @@ def test_k_psi_reading_sees_a_symmetric_defect_in_the_cached_inverse(dim):
     x = model.X
     x.inverse = Blocks.of(scaled(invert(x), 1e-4, hermitian=True, off_diagonal=True))
     sys_ = build_system(x)
-    report = verify_K_psi(model, sys_, build_frame_operators(sys_), 1e-6)
+    report = verify_K_psi(model, build_frame_operators(sys_), 1e-6)
     assert not report.passed
     assert report.residual == report.details["k_psi_vs_solved_inverse_squared"] > 1e-5
 
@@ -234,16 +234,16 @@ def test_k_phi_vs_x_squared_sees_defects():
     model = build_model(32)
     sys_ = build_system(model.X)
     ops = build_frame_operators(sys_)
-    clean = verify_K_psi(model, sys_, ops, 1e-8)
+    clean = verify_K_psi(model, ops, 1e-8)
     assert clean.passed and 0.0 < clean.details["k_phi_vs_x_squared"] < 1e-13
     k_phi = np.asarray(ops.k_phi).copy()
     k_phi[15, 15] *= 1.0 + 1e-6
-    report = verify_K_psi(model, sys_, FrameOperators(LinearMap(k_phi), ops.k_psi), 1e-8)
+    report = verify_K_psi(model, FrameOperators(LinearMap(k_phi), ops.k_psi), 1e-8)
     assert not report.passed and report.details["k_phi_vs_x_squared"] > 5e-8
     x = np.asarray(model.X).copy()
     x[15, 15] *= 1.0 + 1e-6
     mutated = build_system(LinearMap(x))
-    report = verify_K_psi(model, mutated, build_frame_operators(mutated), 1e-8)
+    report = verify_K_psi(model, build_frame_operators(mutated), 1e-8)
     assert report.details["k_phi_vs_x_squared"] > 1e-7
 
 
@@ -253,11 +253,11 @@ def test_k_phi_block_stops_where_the_truncation_reaches():
     model = build_model(16)
     sys_ = build_system(model.X)
     ops = build_frame_operators(sys_)
-    clean = verify_K_psi(model, sys_, ops, 1e-8)
+    clean = verify_K_psi(model, ops, 1e-8)
     assert clean.passed and clean.details["k_phi_vs_x_squared"] < 1e-13
     k_phi = np.asarray(ops.k_phi).copy()
     k_phi[13, 13] *= 1.0 + 1e-6
-    report = verify_K_psi(model, sys_, FrameOperators(LinearMap(k_phi), ops.k_psi), 1e-8)
+    report = verify_K_psi(model, FrameOperators(LinearMap(k_phi), ops.k_psi), 1e-8)
     assert not report.passed and report.details["k_phi_vs_x_squared"] > 1e-7
 
 

@@ -25,7 +25,7 @@ from rieszlab.cli import _hermite_config, main
 from rieszlab.config import config_to_dict
 from rieszlab.linalg import SPLIT_FLOOR, Blocks
 
-from helpers import dense_config, random_conditioned_map, scaled, stream_rng
+from helpers import dense16_payload, dense_config, random_conditioned_map, scaled, stream_rng
 
 
 def count_calls(monkeypatch):
@@ -186,16 +186,46 @@ def test_a_stage_that_raises_fails_exactly_its_readers(monkeypatch, kind, stage)
             suite._call_check(ctx, name)
 
 
-@pytest.mark.parametrize("kind", ["hermite", "dense"])
-def test_check_order_never_reaches_the_reports(kind):
+# The configs whose check order is also read through the CLI: the dense
+# complex T at N=16 with complex custom alpha, and hermite-x at N=64, above
+# the split floor, whose Hermite model is dropped after its last reader.
+CLI_ORDER_PAYLOADS = {
+    "dense16": dense16_payload(),
+    "hermite64": {"dimension": 64, "operator": {"kind": "hermite-x"}, "tolerance": 1e-6},
+}
+
+
+@pytest.mark.parametrize("kind", ["hermite", "dense", *CLI_ORDER_PAYLOADS])
+def test_check_order_never_reaches_the_reports(kind, tmp_path):
     # the checks run grouped by the stage they read; the reports come back,
     # and are emitted, in name order whatever order the config lists them in
-    cfg = full_suite_configs()[kind]
+    payload = CLI_ORDER_PAYLOADS.get(kind)
+    cfg = full_suite_configs()[kind] if payload is None else parse_config(json.dumps(payload))
     reversed_cfg = dataclasses.replace(cfg, checks=tuple(sorted(cfg.checks, reverse=True)))
     reports = run_suite(reversed_cfg)
     assert [r.name for r in reports] == sorted(cfg.checks)
     for fmt in ("json", "csv"):
         assert suite.emit_report(reports, fmt) == suite.emit_report(run_suite(cfg), fmt)
+    if payload is None:
+        return
+    assert SPLIT_FLOOR <= 64  # so that hermite64 runs on two parity blocks
+
+    def csv_report(name, document, *options):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(document), encoding="utf-8")
+        out = tmp_path / f"{name}.csv"
+        assert main(["run", "--config", str(config), *options, "--format", "csv", "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    # no check draws random numbers, so neither the listed order nor the seed
+    # reaches the CSV report of the default checks (a JSON report echoes the
+    # config's check list and seed as given)
+    names = sorted(cfg.checks)
+    listed = csv_report("sorted", payload | {"checks": names})
+    assert csv_report("reversed", payload | {"checks": names[::-1]}) == listed
+    for seed in ("1", "2"):
+        assert csv_report(f"seed{seed}", payload | {"checks": names}, "--seed", seed) == listed
+    assert csv_report("default", payload) == listed
 
 
 def test_hermite_full_suite_factors_in_real_arithmetic(monkeypatch):

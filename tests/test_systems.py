@@ -168,13 +168,15 @@ def warm_suite_peak(cfg) -> float:
 def test_hermite_full_suite_peak_at_256():
     # T held as its parity blocks only, each stage dropped after its last
     # reader, the walk's mixed product formed before B's children and no
-    # sample set drawn: 4.15 MiB, set by frame_bounds, which reads Omega_phi
-    # on the N x N identity held as its two parity blocks.  Multiplying the
-    # split family into the whole identity read 4.28 MiB, and with
-    # representation reading two 100-column sample sets 4.48 MiB.  Dropping
-    # the eigenrelation only with the operator set, after
-    # product_identities, read 4.84 MiB; holding both to the end 6.75 MiB,
-    # and 6.81 MiB with the dense tail_family(512) the tail check once built.
+    # sample set drawn: 4.15 MiB, set by product_identities.  frame_bounds
+    # reads Omega_phi on the N x N identity built in phi's two parity
+    # blocks: 3.53 MiB while it runs, 3.78 MiB when Blocks.of split the whole
+    # identity into them.  Multiplying the split family into the whole
+    # identity read 4.28 MiB, and with representation reading two
+    # 100-column sample sets 4.48 MiB.  Dropping the eigenrelation only with
+    # the operator set, after product_identities, read 4.84 MiB; holding
+    # both to the end 6.75 MiB, and 6.81 MiB with the dense tail_family(512)
+    # the tail check once built.
     assert warm_suite_peak(_hermite_config(256, full_suite=True, seed=0)) <= 4.25
 
 
